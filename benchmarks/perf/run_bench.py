@@ -299,7 +299,9 @@ def _bench_depth_sweep(workers: int | None) -> tuple[float, float]:
 
     Cold: fresh result-cache directory, every block timing and
     simulation computed.  Warm: the identical call again, replayed from
-    the cache the cold run just filled.
+    the cache the cold run just filled.  Only the cold run is profiled:
+    the row records cold seconds, so its stage breakdown must cover
+    exactly that run.
     """
     from repro.analysis.figures import load_libraries, wire_models
     from repro.core.physical import reset_structure_caches
@@ -320,9 +322,7 @@ def _bench_depth_sweep(workers: int | None) -> tuple[float, float]:
         depth_sweep(org_lib, org_wire, max_depth=15, traces=traces,
                     workers=workers)
         cold = time.perf_counter() - t0
-        # No profiling.reset() here: the row's breakdown is taken over
-        # cold + warm, so dropping the cold run's stage totals would
-        # misattribute the whole cold run to `overhead`.
+        profiling.enable(False)
         t0 = time.perf_counter()
         depth_sweep(org_lib, org_wire, max_depth=15, traces=traces,
                     workers=workers)
@@ -516,8 +516,7 @@ def main(argv: list[str] | None = None) -> int:
             with telemetry.span("bench:depth_sweep"):
                 cold, warm = _bench_depth_sweep(args.workers)
             profiling.enable(False)
-            prof = (profiling.breakdown(cold + warm)
-                    if args.profile else None)
+            prof = profiling.breakdown(cold) if args.profile else None
             _record(results, "depth_sweep", cold, prof)
             _record(results, "depth_sweep_warm_cache", warm)
             continue

@@ -9,8 +9,6 @@ Usage::
     python -m repro cache-stats          # persistent result-cache usage
     python -m repro report               # pretty-print the latest run report
     python -m repro validate --fast      # differential validation + faults
-    python -m repro serve --port 7341    # characterization-as-a-service
-    python -m repro submit sta -p block=adder --address 127.0.0.1:7341
 
 Heavy experiments (fig11, fig13) accept ``--quick`` to shorten traces.
 
@@ -483,152 +481,12 @@ def _run_experiments(targets: list[str], args,
     return 0
 
 
-def _run_serve(argv: list[str]) -> int:
-    """The characterization service daemon (``python -m repro serve``)."""
-    from repro.service.daemon import ServiceDaemon
-    from repro.service.scheduler import Scheduler
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro serve",
-        description="Serve characterization / sweep / STA / DSE jobs over "
-                    "a local socket (ndjson protocol; see README 'Service')")
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=0,
-                        help="TCP port (0 = ephemeral, printed at start)")
-    parser.add_argument("--socket", default=None, metavar="PATH",
-                        help="serve on a unix socket instead of TCP")
-    parser.add_argument("--slots", type=int, default=2,
-                        help="concurrent job slots (default 2)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker processes in the persistent pool "
-                             "(default: REPRO_WORKERS, else 1)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="skip the persistent warm-result cache")
-    parser.add_argument("--report", default=None, metavar="PATH",
-                        help="write the run-report JSON here on shutdown")
-    parser.add_argument("--no-report", action="store_true",
-                        help="skip writing the run-report JSON")
-    repro_log.add_cli_flags(parser)
-    args = parser.parse_args(argv)
-    repro_log.configure_from_args(args)
-
-    telemetry.reset()
-    telemetry.enable(True)
-    repro_log.capture_warnings()
-    scheduler = Scheduler(slots=args.slots, workers=args.workers,
-                          use_cache=not args.no_cache)
-    daemon = ServiceDaemon(scheduler, host=args.host, port=args.port,
-                           socket_path=args.socket)
-    t0 = time.perf_counter()
-    status, error = "ok", None
-    try:
-        with telemetry.span("serve"):
-            daemon.run()
-    except KeyboardInterrupt:
-        status = "interrupted"
-        scheduler.close()
-    except Exception as exc:
-        status, error = "error", f"{type(exc).__name__}: {exc}"
-        raise
-    finally:
-        duration = time.perf_counter() - t0
-        if not args.no_report:
-            report = run_report.build_report(
-                "serve", argv=["serve", *argv], status=status, error=error,
-                duration_seconds=duration)
-            report["service"] = scheduler.stats_snapshot()
-            path = run_report.write_report(report, path=args.report)
-            print(f"run report: {path}")
-        telemetry.enable(False)
-    return 0
-
-
-def _parse_param(text: str):
-    """``key=value`` with JSON-typed values (bare words stay strings)."""
-    import json
-
-    key, sep, value = text.partition("=")
-    if not sep:
-        raise argparse.ArgumentTypeError(
-            f"expected key=value, got {text!r}")
-    try:
-        return key, json.loads(value)
-    except json.JSONDecodeError:
-        return key, value
-
-
-def _run_submit(argv: list[str]) -> int:
-    """Submit one job (``python -m repro submit <kind> ...``)."""
-    import json
-
-    from repro.service.jobs import (JobError, job_kinds, normalize_request,
-                                    run_job)
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro submit",
-        description="Submit a job to a running service daemon (or run it "
-                    "in-process with --local)")
-    parser.add_argument("kind", help=f"job kind: {', '.join(job_kinds())}")
-    parser.add_argument("--param", "-p", action="append", default=[],
-                        type=_parse_param, metavar="KEY=VALUE",
-                        help="job parameter (VALUE parsed as JSON when "
-                             "possible); repeatable")
-    parser.add_argument("--address", default="127.0.0.1:7341",
-                        help="daemon address host:port or unix socket path")
-    parser.add_argument("--local", action="store_true",
-                        help="run the job in this process (no daemon)")
-    parser.add_argument("--no-wait", action="store_true",
-                        help="submit and print the job id without waiting")
-    parser.add_argument("--stream", action="store_true",
-                        help="print progress heartbeats while waiting")
-    repro_log.add_cli_flags(parser)
-    args = parser.parse_args(argv)
-    repro_log.configure_from_args(args)
-
-    job = {"kind": args.kind, "params": dict(args.param)}
-    if args.local:
-        try:
-            spec = normalize_request(job)
-            result = run_job(spec)
-        except JobError as exc:
-            print(f"bad job: {exc}")
-            return 2
-        print(json.dumps({"kind": spec.kind, "params": spec.param_dict(),
-                          "fingerprint": spec.fingerprint(),
-                          "result": result}, indent=2, sort_keys=True))
-        return 0
-
-    from repro.service.client import ServiceClient, parse_address
-    try:
-        client = ServiceClient(parse_address(args.address))
-    except OSError as exc:
-        print(f"cannot connect to {args.address}: {exc} "
-              f"(is `python -m repro serve` running?)")
-        return 1
-    with client:
-        on_progress = ((lambda rec: print(
-            f"[{rec.get('phase', '?')}] {rec.get('done', 0)}"
-            f"/{rec.get('total', '?')}", flush=True))
-            if args.stream else None)
-        reply = client.submit(job, wait=not args.no_wait,
-                              on_progress=on_progress)
-    if not reply.get("ok"):
-        print(f"job failed: {reply.get('error', 'unknown error')}")
-        return 1
-    print(json.dumps(reply, indent=2, sort_keys=True))
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     raw = list(sys.argv[1:] if argv is None else argv)
     if raw and raw[0] == "perf":
         return _run_perf(raw[1:])
     if raw and raw[0] == "trace":
         return _run_trace(raw[1:])
-    if raw and raw[0] == "serve":
-        return _run_serve(raw[1:])
-    if raw and raw[0] == "submit":
-        return _run_submit(raw[1:])
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Regenerate figures from 'Architectural Tradeoffs for "
@@ -666,8 +524,7 @@ def main(argv: list[str] | None = None) -> int:
     if targets[0] == "list":
         print("experiments:", ", ".join(sorted(EXPERIMENTS)))
         print("also: liberty <output.lib> [--process organic|silicon], "
-              "cache-stats, report, validate [--fast|--full] [--seed N], "
-              "serve, submit <kind>")
+              "cache-stats, report, validate [--fast|--full] [--seed N]")
         return 0
     if targets[0] == "cache-stats":
         _run_cache_stats(args)

@@ -16,12 +16,9 @@ from repro.runtime.cache import ResultCache, default_cache, default_cache_root
 from repro.runtime.executor import (
     TaskError,
     TaskResult,
-    WorkerPool,
-    active_pool,
     get_shared,
     parallel_map,
     resolve_workers,
-    use_pool,
 )
 from repro.runtime.log import get_logger
 
@@ -52,8 +49,6 @@ __all__ = [
     "ResultCache",
     "TaskError",
     "TaskResult",
-    "WorkerPool",
-    "active_pool",
     "chunked",
     "default_cache",
     "default_cache_root",
@@ -65,5 +60,4 @@ __all__ = [
     "parallel_map",
     "resolve_workers",
     "telemetry",
-    "use_pool",
 ]

@@ -34,26 +34,20 @@ Workers are plain ``fork``/``spawn`` processes: the mapped function and its
 arguments must be picklable.  Use :func:`functools.partial` over module-level
 functions, not closures.
 
-Long-running callers (the characterisation service daemon) can keep one
-:class:`WorkerPool` alive across many ``parallel_map`` calls instead of
-paying pool start-up per map; ``with use_pool(pool):`` makes it ambient
-for every nested map on the current thread.  The parent-side ``shared``
-payload is **thread-local**, so concurrent maps on different threads
-(service jobs) never observe each other's payloads.
+The parent-side ``shared`` payload is **thread-local** and restored when
+a map returns or raises, so a nested map hands the outer payload back and
+library callers running maps on their own threads never observe each
+other's payloads.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
-import tempfile
 import threading
-import uuid
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.runtime import progress, telemetry
 from repro.runtime.log import get_logger
@@ -64,15 +58,15 @@ _logger = get_logger(__name__)
 #: hundreds of parallel_map calls reports the degradation exactly once.
 _fallback_warned = False
 
-__all__ = ["TaskError", "TaskResult", "WorkerPool", "active_pool",
-           "get_shared", "parallel_map", "resolve_workers", "use_pool"]
+__all__ = ["TaskError", "TaskResult", "get_shared", "parallel_map",
+           "resolve_workers"]
 
 #: Read-only payload of the enclosing :func:`parallel_map` call.
-#: Thread-local in the parent: the service scheduler runs several maps
-#: concurrently on different threads, and a module global would leak one
-#: job's library/traces into another's tasks (a silent wrong-results
-#: bug, not a crash).  Pool workers run tasks on their main thread, so
-#: the initializer's value is visible there too.
+#: Thread-local in the parent: a library caller may run maps on several
+#: threads at once, and a module global would leak one map's
+#: library/traces into another's tasks (a silent wrong-results bug, not
+#: a crash).  Pool workers run tasks on their main thread, so the
+#: initializer's value is visible there too.
 _SHARED_TLS = threading.local()
 
 
@@ -86,121 +80,6 @@ def get_shared() -> Any:
     Valid inside a mapped function (both serial and pooled execution).
     """
     return getattr(_SHARED_TLS, "value", None)
-
-
-# -- persistent worker pools --------------------------------------------------
-
-class _SharedRef:
-    """Pointer to a pickled ``shared`` payload spilled to disk.
-
-    A persistent pool cannot ship ``shared`` through the pool
-    initializer (initargs are fixed at pool creation); instead the
-    payload is pickled once per map and tasks carry this tiny reference.
-    Workers unpickle it once and memoise by token (:func:`_load_shared_ref`),
-    so the per-worker cost matches the initializer path.
-    """
-
-    __slots__ = ("token", "path")
-
-    def __init__(self, token: str, path: str) -> None:
-        self.token = token
-        self.path = path
-
-    def __reduce__(self):
-        return (_SharedRef, (self.token, self.path))
-
-
-#: Worker-side memo of recently loaded spilled payloads (token -> object).
-#: Bounded so interleaved maps from concurrent service jobs don't thrash
-#: a single slot; 4 covers the scheduler's job-slot fan-in.
-_SPILL_CACHE: dict[str, Any] = {}
-_SPILL_CACHE_LIMIT = 4
-
-
-def _load_shared_ref(ref: _SharedRef | None) -> None:
-    if ref is None:
-        _init_shared(None)
-        return
-    payload = _SPILL_CACHE.get(ref.token)
-    if payload is None and ref.token not in _SPILL_CACHE:
-        with open(ref.path, "rb") as fh:
-            payload = pickle.load(fh)
-        while len(_SPILL_CACHE) >= _SPILL_CACHE_LIMIT:
-            _SPILL_CACHE.pop(next(iter(_SPILL_CACHE)))
-        _SPILL_CACHE[ref.token] = payload
-    _init_shared(payload)
-
-
-class WorkerPool:
-    """A persistent process pool reusable across :func:`parallel_map` calls.
-
-    One-shot maps create and tear down a :class:`ProcessPoolExecutor`
-    per call — right for batch sweeps, wasteful for a daemon running
-    thousands of small jobs.  A ``WorkerPool`` keeps the processes warm:
-
-    - construction is lazy (no processes until the first pooled map);
-    - maps on it preserve every ``parallel_map`` guarantee (task order,
-      per-task error capture, telemetry snapshots in task order);
-    - a worker death discards the broken executor so the next map gets
-      a fresh one (the interrupted map re-runs serially, as always);
-    - it is thread-safe: concurrent maps from different scheduler
-      threads share the same workers.
-
-    Use ``with use_pool(pool):`` to make it ambient for nested maps, or
-    pass ``pool=`` explicitly.  Close with :meth:`close` (or use it as a
-    context manager).
-    """
-
-    def __init__(self, workers: int | None = None) -> None:
-        self.workers = resolve_workers(workers)
-        self._executor: ProcessPoolExecutor | None = None
-        self._lock = threading.Lock()
-
-    def executor(self) -> ProcessPoolExecutor:
-        """The live executor, created on first use."""
-        with self._lock:
-            if self._executor is None:
-                self._executor = ProcessPoolExecutor(max_workers=self.workers)
-            return self._executor
-
-    def discard(self) -> None:
-        """Drop a broken executor; the next map creates a fresh one."""
-        with self._lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
-
-    def close(self) -> None:
-        """Shut the pool down, waiting for in-flight tasks."""
-        with self._lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-_POOL_TLS = threading.local()
-
-
-def active_pool() -> WorkerPool | None:
-    """The ambient :class:`WorkerPool` of the current thread, if any."""
-    return getattr(_POOL_TLS, "value", None)
-
-
-@contextmanager
-def use_pool(pool: WorkerPool | None) -> Iterator[WorkerPool | None]:
-    """Make *pool* the ambient pool for nested maps on this thread."""
-    previous = active_pool()
-    _POOL_TLS.value = pool
-    try:
-        yield pool
-    finally:
-        _POOL_TLS.value = previous
 
 
 @dataclass(frozen=True)
@@ -246,8 +125,7 @@ def resolve_workers(workers: int | None = None) -> int:
 
 
 def _run_one(fn: Callable[..., Any], task: Any,
-             collect: tuple[bool, bool] | None = None,
-             shared_ref: _SharedRef | None = None
+             collect: tuple[bool, bool] | None = None
              ) -> tuple[Any, BaseException | None, dict | None]:
     """Run one task; optionally collect and return a telemetry snapshot.
 
@@ -257,9 +135,6 @@ def _run_one(fn: Callable[..., Any], task: Any,
     inherits the parent's accumulations; a reused worker holds earlier
     tasks' — both would double-count), enables collection to match the
     parent, and ships the resulting per-task delta back.
-
-    *shared_ref* carries the spilled ``shared`` payload reference on
-    persistent pools (one-shot pools deliver it via the initializer).
     """
     snap: dict | None = None
     if collect is not None:
@@ -268,8 +143,6 @@ def _run_one(fn: Callable[..., Any], task: Any,
         telemetry.enable(collect[0])
         profiling.enable(collect[1])
     try:
-        if shared_ref is not None:
-            _load_shared_ref(shared_ref)
         value, error = fn(task), None
     except Exception as exc:  # noqa: BLE001 - captured and re-raised by caller
         value, error = None, exc
@@ -278,72 +151,12 @@ def _run_one(fn: Callable[..., Any], task: Any,
     return value, error, snap
 
 
-def _pooled_outcomes(fn: Callable[..., Any], tasks: list[Any],
-                     collect: tuple[bool, bool] | None, shared: Any,
-                     phase_name: str, n_workers: int,
-                     pool: WorkerPool | None
-                     ) -> list[tuple[Any, BaseException | None, dict | None]]:
-    """Run the map on worker processes, one-shot or persistent.
-
-    One-shot pools deliver ``shared`` through the pool initializer;
-    persistent pools cannot (initargs are fixed at creation), so the
-    payload is spilled to a temp pickle and tasks carry a
-    :class:`_SharedRef` that workers load and memoise by token.
-    """
-    n = len(tasks)
-    spill_path: str | None = None
-    try:
-        one_shot: ProcessPoolExecutor | None = None
-        if pool is not None:
-            shared_ref = None
-            if shared is not None:
-                token = uuid.uuid4().hex
-                fd, spill_path = tempfile.mkstemp(
-                    prefix=f"repro-shared-{token}-", suffix=".pkl")
-                with os.fdopen(fd, "wb") as fh:
-                    pickle.dump(shared, fh, protocol=pickle.HIGHEST_PROTOCOL)
-                shared_ref = _SharedRef(token, spill_path)
-            executor = pool.executor()
-        else:
-            executor = one_shot = ProcessPoolExecutor(
-                max_workers=min(n_workers, n),
-                initializer=_init_shared if shared is not None else None,
-                initargs=(shared,) if shared is not None else ())
-        try:
-            if pool is not None:
-                mapper = executor.map(_run_one, [fn] * n, tasks,
-                                      [collect] * n, [shared_ref] * n)
-            else:
-                mapper = executor.map(_run_one, [fn] * n, tasks, [collect] * n)
-            # The map yields results in task order as they complete;
-            # consuming lazily lets the parent heartbeat per task.
-            ph = progress.begin(phase_name, n) if progress.ENABLED else None
-            try:
-                outcomes = []
-                for outcome in mapper:
-                    outcomes.append(outcome)
-                    progress.update(ph)
-            finally:
-                progress.end(ph)
-        finally:
-            if one_shot is not None:
-                one_shot.shutdown(wait=True)
-        return outcomes
-    finally:
-        if spill_path is not None:
-            try:
-                os.unlink(spill_path)
-            except OSError:
-                pass
-
-
 def parallel_map(fn: Callable[[Any], Any], tasks: Sequence[Any],
                  *, workers: int | None = None,
                  labels: Iterable[str] | None = None,
                  on_error: str = "raise",
                  shared: Any = None,
-                 phase: str | None = None,
-                 pool: WorkerPool | None = None) -> list[TaskResult]:
+                 phase: str | None = None) -> list[TaskResult]:
     """Apply *fn* to every task, possibly across worker processes.
 
     Parameters
@@ -371,10 +184,6 @@ def parallel_map(fn: Callable[[Any], Any], tasks: Sequence[Any],
     phase:
         Optional :mod:`repro.runtime.progress` phase name for the
         per-task heartbeat; defaults to the mapped function's name.
-    pool:
-        Optional persistent :class:`WorkerPool` to run on instead of a
-        one-shot pool; defaults to the thread's ambient pool from
-        :func:`use_pool` (if any).  Results are identical either way.
 
     Returns
     -------
@@ -388,10 +197,7 @@ def parallel_map(fn: Callable[[Any], Any], tasks: Sequence[Any],
     if len(label_list) != len(tasks):
         raise ValueError("labels must match tasks in length")
 
-    if pool is None:
-        pool = active_pool()
-    n_workers = pool.workers if pool is not None and workers is None \
-        else resolve_workers(workers)
+    n_workers = resolve_workers(workers)
     phase_name = phase or getattr(fn, "__name__", None) or getattr(
         getattr(fn, "func", None), "__name__", None) or "parallel_map"
     outcomes: list[tuple[Any, BaseException | None, dict | None]] | None = None
@@ -401,8 +207,22 @@ def parallel_map(fn: Callable[[Any], Any], tasks: Sequence[Any],
         if telemetry.ENABLED or profiling.ENABLED:
             collect = (telemetry.ENABLED, profiling.ENABLED)
         try:
-            outcomes = _pooled_outcomes(fn, tasks, collect, shared,
-                                        phase_name, n_workers, pool)
+            with ProcessPoolExecutor(
+                    max_workers=min(n_workers, len(tasks)),
+                    initializer=_init_shared if shared is not None else None,
+                    initargs=(shared,) if shared is not None else ()) as pool:
+                # pool.map yields results in task order as they complete;
+                # consuming lazily lets the parent heartbeat per task.
+                ph = progress.begin(phase_name, len(tasks)) \
+                    if progress.ENABLED else None
+                try:
+                    outcomes = []
+                    for outcome in pool.map(_run_one, [fn] * len(tasks),
+                                            tasks, [collect] * len(tasks)):
+                        outcomes.append(outcome)
+                        progress.update(ph)
+                finally:
+                    progress.end(ph)
             # Graft every task's metrics delta into this process, in task
             # order, under the span enclosing this parallel_map call.
             if collect is not None:
@@ -419,8 +239,6 @@ def parallel_map(fn: Callable[[Any], Any], tasks: Sequence[Any],
             # errors are still captured individually.  Warned every time
             # — a dying worker is an exceptional event worth surfacing —
             # and later maps still get to try a fresh pool.
-            if pool is not None:
-                pool.discard()
             _logger.warning(
                 "parallel_map: a worker process died (%s); re-running all "
                 "%d task(s) serially in this process", exc, len(tasks))

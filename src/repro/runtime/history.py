@@ -109,8 +109,8 @@ def index_entry(report: dict, path: str | Path) -> dict:
 def _append_line(path: Path, line: bytes) -> None:
     """Append *line* to *path* as one ``os.write`` on an ``O_APPEND`` fd.
 
-    Concurrent appenders (sweep workers and the service daemon all land
-    reports) must never interleave partial lines.  Buffered ``open(...,
+    Concurrent appenders (several CLI or benchmark processes sharing
+    one history index) must never interleave partial lines.  Buffered ``open(...,
     "a")`` writes tear once an entry outgrows the IO buffer — the
     flush splits it into several ``write(2)`` calls and another
     process's line can land between them.  A single ``os.write`` on an

@@ -4,16 +4,15 @@ Long runs — library characterisation (hundreds of arcs), Monte Carlo
 yield (thousands of samples), the 1008-point DSE grid — were silent
 until done.  This module is the streaming seam: drivers declare a
 *phase* with a unit total, tick it as units complete, and heartbeats
-flow to two sinks:
+flow to two outputs:
 
 - **stderr**, when library logging is at INFO or finer (the ``-v``
   CLI flag) — one rewritten status line per phase
   (``[dse] 412/1008 41% eta 0.8s``), throttled to a few per second;
 - an **ndjson stream file**, when ``REPRO_PROGRESS=PATH`` names one —
   one JSON object per heartbeat (``{"event", "phase", "done",
-  "total", "eta_seconds", "elapsed_seconds", "t"}``), append-only so
-  a tail-following consumer (the future characterisation-as-a-service
-  daemon) can stream it live.
+  "total", "eta_seconds", "elapsed_seconds", "t", "pid"}``),
+  append-only so a tail-following consumer can stream it live.
 
 Cost model matches :mod:`repro.runtime.telemetry`: every call site is
 one module-attribute load and branch while disabled, and heartbeats
@@ -30,29 +29,24 @@ import io
 import json
 import os
 import sys
-import threading
 import time
 from contextlib import contextmanager
-from typing import Callable, Iterator
+from typing import Iterator
 
 __all__ = [
     "ENABLED",
     "PROGRESS_ENV",
     "Phase",
-    "add_sink",
     "begin",
     "end",
-    "get_context",
     "phase",
     "refresh",
-    "remove_sink",
-    "set_context",
     "stream_path",
     "update",
 ]
 
 #: Hot-path guard: call sites only do work when this is True.  Kept in
-#: sync with the sinks by :func:`refresh`.
+#: sync with the two outputs by :func:`refresh`.
 ENABLED = False
 
 #: Environment variable naming the ndjson stream file.
@@ -65,18 +59,6 @@ _stderr_wanted = False          # set by repro.runtime.log.configure()
 _stream: io.IOBase | None = None
 _stream_pid: int | None = None
 _stream_failed = False
-_active: list["Phase"] = []
-
-#: In-process subscribers: callables receiving each heartbeat record
-#: (a dict).  The service scheduler registers one to route ticks to the
-#: jobs that produced them (see :func:`set_context`).  A raising sink is
-#: never allowed to break the instrumented computation.
-_sinks: list[Callable[[dict], None]] = []
-
-#: Thread-local context label stamped on every record emitted by this
-#: thread (as ``"ctx"``), so a multiplexed stream — several service jobs
-#: heartbeating concurrently — can be demultiplexed per job.
-_ctx_tls = threading.local()
 
 
 def stream_path() -> str | None:
@@ -92,40 +74,9 @@ def set_stderr(wanted: bool) -> None:
 
 
 def refresh() -> None:
-    """Re-derive :data:`ENABLED` from the env knob, logging level and sinks."""
+    """Re-derive :data:`ENABLED` from the env knob and logging level."""
     global ENABLED
-    ENABLED = _stderr_wanted or stream_path() is not None or bool(_sinks)
-
-
-def add_sink(fn: Callable[[dict], None]) -> None:
-    """Subscribe *fn* to every heartbeat record emitted in this process."""
-    if fn not in _sinks:
-        _sinks.append(fn)
-    refresh()
-
-
-def remove_sink(fn: Callable[[dict], None]) -> None:
-    """Unsubscribe a sink added with :func:`add_sink` (no-op if absent)."""
-    if fn in _sinks:
-        _sinks.remove(fn)
-    refresh()
-
-
-def set_context(label: str | None) -> str | None:
-    """Set this thread's context label; returns the previous one.
-
-    While set, every record emitted by this thread carries it as
-    ``"ctx"`` — the seam that lets the service scheduler attribute
-    heartbeats from concurrent jobs to the right client.
-    """
-    previous = get_context()
-    _ctx_tls.value = label
-    return previous
-
-
-def get_context() -> str | None:
-    """This thread's context label, or None."""
-    return getattr(_ctx_tls, "value", None)
+    ENABLED = _stderr_wanted or stream_path() is not None
 
 
 def _open_stream() -> io.IOBase | None:
@@ -216,34 +167,25 @@ class Phase:
             except OSError:                  # pragma: no cover - closed pipe
                 pass
         stream = _open_stream()
-        if stream is not None or _sinks:
+        if stream is not None:
             record: dict = {
                 "event": event,
                 "phase": self.name,
                 "done": self.done,
                 "elapsed_seconds": round(elapsed, 4),
                 "t": round(time.time(), 3),
+                "pid": os.getpid(),
             }
             if self.total is not None:
                 record["total"] = self.total
             if eta is not None:
                 record["eta_seconds"] = round(eta, 3)
-            ctx = get_context()
-            if ctx is not None:
-                record["ctx"] = ctx
-            if stream is not None:
-                record["pid"] = os.getpid()
-                try:
-                    # One os.write per record (the fd is unbuffered and
-                    # O_APPEND): lines from concurrent processes never tear.
-                    stream.write((json.dumps(record) + "\n").encode())
-                except OSError:              # pragma: no cover - full disk
-                    pass
-            for sink in list(_sinks):
-                try:
-                    sink(record)
-                except Exception:            # noqa: BLE001 - sinks must not
-                    pass                     # break the instrumented run
+            try:
+                # One os.write per record (the fd is unbuffered and
+                # O_APPEND): lines from concurrent processes never tear.
+                stream.write((json.dumps(record) + "\n").encode())
+            except OSError:                  # pragma: no cover - full disk
+                pass
 
 
 def begin(name: str, total: int | None = None) -> Phase | None:
@@ -251,7 +193,6 @@ def begin(name: str, total: int | None = None) -> Phase | None:
     if not ENABLED:
         return None
     ph = Phase(name, total)
-    _active.append(ph)
     ph._emit("begin")
     return ph
 
@@ -268,8 +209,6 @@ def end(ph: Phase | None) -> None:
         return
     ph._closed = True
     ph._emit("end")
-    if ph in _active:
-        _active.remove(ph)
 
 
 @contextmanager

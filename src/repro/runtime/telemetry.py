@@ -138,10 +138,10 @@ class _Registry:
     def stack(self) -> list[_Span]:
         """This thread's open-span stack.
 
-        Thread-local so concurrent service jobs (scheduler threads) each
-        build their own span hierarchy instead of corrupting one shared
-        stack; counters/timers/roots stay registry-wide (their updates
-        are associative and append-only).
+        Thread-local so library callers timing work on several threads
+        each build their own span hierarchy instead of corrupting one
+        shared stack; counters/timers/roots stay registry-wide (their
+        updates are associative and append-only).
         """
         stack = getattr(self._stack_tls, "value", None)
         if stack is None:

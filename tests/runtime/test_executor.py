@@ -224,8 +224,9 @@ def test_worker_crash_falls_back_to_serial(caplog):
 
 def test_shared_isolated_between_threads():
     """Regression: the shared payload was a module global, so two
-    threads running serial maps concurrently (the service scheduler's
-    job slots) observed each other's payloads — silent wrong results."""
+    threads running serial maps concurrently (a library caller fanning
+    work out over threads) observed each other's payloads — silent
+    wrong results."""
     import threading
 
     from repro.runtime import executor
@@ -290,71 +291,3 @@ def test_shared_restored_when_progress_begin_raises(monkeypatch):
         parallel_map(_square, [1, 2], workers=1, shared=99)
     assert get_shared() is None
 
-
-# -- persistent worker pools -------------------------------------------------
-
-def _worker_pid(_task):
-    return os.getpid()
-
-
-class TestWorkerPool:
-    def test_pooled_map_matches_serial(self):
-        from repro.runtime import WorkerPool, use_pool
-
-        with WorkerPool(2) as pool, use_pool(pool):
-            pooled = parallel_map(_square, list(range(6)))
-        assert [r.value for r in pooled] == [x * x for x in range(6)]
-
-    def test_pool_reuses_worker_processes(self):
-        from repro.runtime import WorkerPool, use_pool
-
-        with WorkerPool(2) as pool, use_pool(pool):
-            first = {r.value for r in parallel_map(_worker_pid, range(8))}
-            executor_after_first = pool._executor
-            second = {r.value for r in parallel_map(_worker_pid, range(8))}
-        assert executor_after_first is not None
-        assert pool._executor is None        # closed on exit
-        assert second <= first               # same warm processes, no respawn
-        assert os.getpid() not in first      # and they are real workers
-
-    def test_shared_payload_via_spill(self):
-        from repro.runtime import WorkerPool, use_pool
-
-        with WorkerPool(2) as pool, use_pool(pool):
-            results = parallel_map(_shared_plus, [1, 2, 3, 4], shared=100)
-        assert [r.value for r in results] == [101, 102, 103, 104]
-
-    def test_explicit_pool_argument(self):
-        from repro.runtime import WorkerPool
-
-        with WorkerPool(2) as pool:
-            results = parallel_map(_square, [1, 2, 3], pool=pool)
-        assert [r.value for r in results] == [1, 4, 9]
-
-    def test_worker_crash_discards_pool_and_recovers(self, caplog):
-        from repro.runtime import WorkerPool, use_pool
-
-        tasks = [(v, os.getpid()) for v in range(4)]
-        with WorkerPool(2) as pool, use_pool(pool):
-            with caplog.at_level("WARNING", logger="repro"):
-                results = parallel_map(_crash_in_worker, tasks)
-            assert [r.unwrap() for r in results] == [0, 10, 20, 30]
-            # The broken executor was discarded; the next map works.
-            again = parallel_map(_square, [2, 3])
-            assert [r.value for r in again] == [4, 9]
-        assert any("worker process died" in r.getMessage()
-                   for r in caplog.records)
-
-    def test_ambient_pool_is_thread_local(self):
-        import threading
-
-        from repro.runtime import WorkerPool, active_pool, use_pool
-
-        observed = []
-        with WorkerPool(2) as pool, use_pool(pool):
-            t = threading.Thread(
-                target=lambda: observed.append(active_pool()))
-            t.start()
-            t.join(10)
-            assert active_pool() is pool
-        assert observed == [None]

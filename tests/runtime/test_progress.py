@@ -164,58 +164,3 @@ def test_stream_reopened_after_pid_change(stream, monkeypatch):
     assert progress._stream is not first     # reopened, not shared
     assert len({r["phase"] for r in _records(stream)}) == 2
 
-
-# -- sinks and context labels -------------------------------------------------
-
-def test_sink_receives_records_and_enables_progress(tmp_path, monkeypatch):
-    monkeypatch.delenv(progress.PROGRESS_ENV, raising=False)
-    monkeypatch.setattr(progress, "_stderr_wanted", False)
-    progress.refresh()
-    assert not progress.ENABLED
-    got: list[dict] = []
-    progress.add_sink(got.append)
-    try:
-        assert progress.ENABLED              # a sink alone enables emission
-        with progress.phase("sinky", total=2) as ph:
-            progress.update(ph, 2)
-    finally:
-        progress.remove_sink(got.append)
-    assert not progress.ENABLED
-    assert [r["event"] for r in got] == ["begin", "tick", "end"]
-    assert all(r["phase"] == "sinky" for r in got)
-
-
-def test_raising_sink_does_not_break_emission(stream):
-    def bad_sink(_rec):
-        raise RuntimeError("subscriber bug")
-
-    progress.add_sink(bad_sink)
-    try:
-        with progress.phase("robust", total=1) as ph:
-            progress.update(ph)
-    finally:
-        progress.remove_sink(bad_sink)
-    assert [r["event"] for r in _records(stream)] == ["begin", "tick", "end"]
-
-
-def test_context_label_stamped_and_thread_local(stream):
-    import threading
-
-    previous = progress.set_context("job-1")
-    try:
-        with progress.phase("labelled", total=1) as ph:
-            progress.update(ph)
-        other: list = []
-
-        def worker():
-            other.append(progress.get_context())
-
-        t = threading.Thread(target=worker)
-        t.start()
-        t.join(10)
-        assert other == [None]               # label is per-thread
-    finally:
-        progress.set_context(previous)
-    assert progress.get_context() is None
-    records = _records(stream)
-    assert all(r["ctx"] == "job-1" for r in records)
