@@ -30,6 +30,11 @@ the recorded pre-optimisation baselines, and writes the results to
    region the whole-timestep native kernel owns, seeded from the
    numpy-backend time of the identical call so the kernel is gated by
    ``--check`` from day one.
+10. ``alu_pipeline_sweep`` — the two Figure 12 min-period pipeline
+    sweeps (organic and silicon, twelve stage counts each) on the 16-bit
+    complex ALU, with its STA done beforehand: the lockstep bisection
+    alone, profiled as the ``pipeline`` stage.  Seeded from the time of
+    the identical call on the per-stage-count scalar bisection.
 
 Usage::
 
@@ -105,6 +110,8 @@ SEED_BASELINES = {
                                           # full re-time everywhere)
     "ensemble_newton": 0.082,             # numpy reference backend (PR 6)
     "native_timestep": 2.55,              # numpy backend, PR-6 sweep loop
+    "alu_pipeline_sweep": 4.50,           # per-count scalar bisection,
+                                          # median of 5 runs at d8a96e4
 }
 
 #: Trace length for the sweep benches — matches the PR-1 measurement the
@@ -374,6 +381,30 @@ def _bench_dse_sweep(workers: int | None) -> float:
         return time.perf_counter() - t0
 
 
+def _bench_alu_pipeline_sweep() -> float:
+    """Figure 12's organic and silicon pipeline sweeps of the 16-bit ALU.
+
+    In-process synthesis caches are dropped first, so the netlist is
+    built afresh; the STA pass each sweep prices its gates with runs
+    before the timed region.
+    """
+    from repro.analysis.figures import (FIG12_STAGE_COUNTS, load_libraries,
+                                        wire_models)
+    from repro.core.physical import block_netlist, reset_structure_caches
+    from repro.synthesis.pipeline import per_gate_delays, pipeline_sweep
+
+    corners = list(zip(load_libraries(), wire_models()))
+    reset_structure_caches()
+    netlist = block_netlist("complex", 16)
+    for lib, wire in corners:
+        per_gate_delays(netlist, lib, wire)
+    profiling.reset()
+    t0 = time.perf_counter()
+    for lib, wire in corners:
+        pipeline_sweep(netlist, lib, wire, FIG12_STAGE_COUNTS)
+    return time.perf_counter() - t0
+
+
 class _cache_dir:
     """Temporarily point the persistent result cache somewhere private."""
 
@@ -403,6 +434,7 @@ BENCHES = {
     "depth_sweep": _bench_depth_sweep,
     "width_sweep": _bench_width_sweep,
     "dse_sweep": _bench_dse_sweep,
+    "alu_pipeline_sweep": lambda workers: _bench_alu_pipeline_sweep(),
 }
 
 
@@ -550,7 +582,10 @@ def main(argv: list[str] | None = None) -> int:
                   "cache. width_sweep and dse_sweep seed_seconds were "
                   "measured at the PR-7 commit (b47c364), before the "
                   "shared-structure synthesis engine and incremental "
-                  "STA. Sweep benches run against a private temporary "
+                  "STA. alu_pipeline_sweep seed_seconds is the time of "
+                  "the identical call at commit d8a96e4, before the "
+                  "lockstep pipeline bisection. Sweep benches run "
+                  "against a private temporary "
                   "REPRO_CACHE_DIR with in-process structure caches "
                   "reset: 'depth_sweep' is the cold-cache "
                   "time, 'depth_sweep_warm_cache' the immediate re-run. "

@@ -58,7 +58,10 @@ Stages
   (:func:`repro.core.superscalar.simulate`, whichever kernel runs);
   result-cache lookups around it (``simulate_cached``) land in
   ``cache``, so warm sweep rows attribute their wall time instead of
-  leaking it into ``overhead``.
+  leaking it into ``overhead``;
+- ``pipeline`` — min-period pipeline cutting in
+  :func:`repro.synthesis.pipeline.pipeline_sweep`, excluding the STA
+  pass that prices its gates (booked as ``sta``).
 
 The three synthesis stages never nest (generation, mapping and timing
 are sequential phases of a sweep point), so the
@@ -98,7 +101,7 @@ ENABLED = False
 
 _STAGES = ("stamp", "device_eval", "solve", "rhs", "probe",
            "step_control", "predict", "retry", "cache", "telemetry",
-           "netlist", "mapping", "sta", "structures", "ipc")
+           "netlist", "mapping", "sta", "structures", "ipc", "pipeline")
 
 #: Registry timer names backing each stage.
 _TIMER = {stage: f"solver.{stage}" for stage in _STAGES}

@@ -22,17 +22,41 @@ the organic curves around 22 stages in Figure 12.
 Registers inserted at stage boundaries are counted per crossed boundary
 (a value consumed k stages after production needs k flops), which drives
 the area growth with depth.
+
+Two implementations compute the same cut (DESIGN §7j):
+
+- the **scalar oracle** — :func:`stages_needed` (a dict walk in
+  topological order), :func:`count_registers` and the per-stage-count
+  bisection :func:`min_period_for_stages`;
+- the **lockstep sweep** — :func:`pipeline_sweep` runs the bisections of
+  every requested stage count together.  Each round gathers the distinct
+  budgets the counts still searching want to probe and levels them all
+  in one pass over the level-sorted netlist encoding of the vector STA
+  engine, one numpy step per logic level.  Every count keeps its own
+  bracket, round cap and tolerance stop, and every float operation is
+  the scalar walker's, so each result equals the oracle's bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from repro.characterization.library import Library
 from repro.errors import PipelineError
+from repro.runtime import profiling
+from repro.synthesis import sta as _sta
 from repro.synthesis.netlist import Netlist
 from repro.synthesis.sta import static_timing
 from repro.synthesis.wires import WireModel, block_span
+
+#: Bisection rounds per stage count (each halves the budget bracket).
+MAX_ROUNDS = 60
+
+#: Bisection stop: the budget bracket is within this fraction of its top.
+TOLERANCE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -121,6 +145,84 @@ def count_registers(netlist: Netlist, stage_of: dict[str, int],
     return total
 
 
+# ---------------------------------------------------------------------------
+# Level-vectorised leveling (the lockstep sweep's probe)
+# ---------------------------------------------------------------------------
+
+def _level_stages(struct: dict, delays_lv: np.ndarray,
+                  budgets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`stages_needed` for many budgets in one pass.
+
+    *delays_lv* holds the gate delays in the structure's level order.
+    Returns ``(n_stages, stage)``: per budget the stage count (0 where
+    some gate exceeds the budget, the scalar ``None``), and the
+    ``(gates, budgets)`` stage assignment in level order.
+
+    Net state is a (stage, time) pair per net and budget.  A gate takes
+    the lexicographic max of its inputs' pairs; a pin the gate lacks
+    reads the extra last row, which stays at (0, 0.0) — the scalar
+    walker's starting pair.  Ties in stage keep the larger time, then
+    one add per gate and a cut to a new stage past the budget: the same
+    selections and the same single float add as the scalar walker.
+    """
+    n_nets = len(struct["names"])
+    g_in, g_out = struct["g_in"], struct["g_out"]
+    stage_net = np.zeros((n_nets + 1, len(budgets)), dtype=np.int32)
+    time_net = np.zeros((n_nets + 1, len(budgets)))
+    stage = np.empty((len(g_out), len(budgets)), dtype=np.int32)
+    start = 0
+    for stop in struct["bounds"].tolist():
+        if stop == start:
+            continue
+        ins = g_in[start:stop]
+        s_in = stage_net[ins]
+        s = s_in.max(axis=1)
+        t = np.where(s_in == s[:, None], time_net[ins], 0.0).max(axis=1)
+        d = delays_lv[start:stop, None]
+        t += d
+        cut = t > budgets
+        s += cut
+        out = g_out[start:stop]
+        stage_net[out] = s
+        time_net[out] = np.where(cut, d, t)
+        stage[start:stop] = s
+        start = stop
+    n_stages = stage.max(axis=0, initial=0) + 1
+    n_stages[budgets < delays_lv.max(initial=-np.inf)] = 0
+    return n_stages, stage
+
+
+def _count_registers_lv(struct: dict, stage: np.ndarray,
+                        n_stages: np.ndarray) -> np.ndarray:
+    """:func:`count_registers` per column of a level-order *stage* array.
+
+    A net's last stage is the max of its driver's and its sinks' stages
+    (``np.maximum.at`` over the pins; a missing pin lands in the extra
+    last row, which the sum drops), raised to the final stage for
+    primary outputs, each of which also costs one output register.
+    """
+    n_nets = len(struct["names"])
+    g_in, g_out, po = struct["g_in"], struct["g_out"], struct["po_ids"]
+    s_driver = np.zeros((n_nets + 1, stage.shape[1]), dtype=np.int64)
+    s_driver[g_out] = stage
+    s_last = s_driver.copy()
+    for p in range(g_in.shape[1]):
+        np.maximum.at(s_last, g_in[:, p], stage)
+    s_last[po] = np.maximum(s_last[po], n_stages - 1)
+    return (s_last[:n_nets] - s_driver[:n_nets]).sum(axis=0) + len(po)
+
+
+def _lockstep_inputs(netlist: Netlist, delays: dict[str, float]
+                     ) -> tuple[dict, np.ndarray]:
+    struct = _sta._vector_structure(netlist)
+    return struct, np.array([delays[name] for name in struct["gate_names"]],
+                            dtype=float)
+
+
+# ---------------------------------------------------------------------------
+# Sequencing overhead
+# ---------------------------------------------------------------------------
+
 def broadcast_penalty(library: Library, wire: WireModel,
                       span_length: float) -> float:
     """Per-cycle cost of a feedback signal crossing the block's span.
@@ -146,6 +248,21 @@ FEEDBACK_BASE_SPANS = 0.5
 FEEDBACK_SPANS_PER_STAGE = 0.15
 
 
+def _gate_area(netlist: Netlist, library: Library) -> float:
+    return sum(library.cell(g.cell).area for g in netlist.gates.values())
+
+
+def _overhead(library: Library, wire: WireModel, gate_area: float,
+              n_stages: int, skew_fo4: float) -> float:
+    fo4 = library.inverter_fo4_delay()
+    span = block_span(gate_area)
+    feedback_length = span * (FEEDBACK_BASE_SPANS
+                              + FEEDBACK_SPANS_PER_STAGE * n_stages)
+    return (library.register_overhead()
+            + skew_fo4 * fo4
+            + broadcast_penalty(library, wire, feedback_length))
+
+
 def sequencing_overhead(netlist: Netlist, library: Library, wire: WireModel,
                         n_stages: int = 1, skew_fo4: float = 0.5) -> float:
     """Per-stage overhead: clk->q + setup + skew + feedback wire.
@@ -155,30 +272,62 @@ def sequencing_overhead(netlist: Netlist, library: Library, wire: WireModel,
     length costs silicon several FO4 and the organic process almost
     nothing (Section 5.5's "relatively fast wires").
     """
-    fo4 = library.inverter_fo4_delay()
-    gate_area = sum(library.cell(g.cell).area
-                    for g in netlist.gates.values())
-    span = block_span(gate_area)
-    feedback_length = span * (FEEDBACK_BASE_SPANS
-                              + FEEDBACK_SPANS_PER_STAGE * n_stages)
-    return (library.register_overhead()
-            + skew_fo4 * fo4
-            + broadcast_penalty(library, wire, feedback_length))
+    return _overhead(library, wire, _gate_area(netlist, library), n_stages,
+                     skew_fo4)
+
+
+# ---------------------------------------------------------------------------
+# Minimum period
+# ---------------------------------------------------------------------------
+
+def _check_request(netlist: Netlist, stage_counts) -> None:
+    for n in stage_counts:
+        if n < 1:
+            raise PipelineError(f"n_stages must be >= 1, got {n}")
+    if not netlist.gates:
+        raise PipelineError(
+            f"netlist {netlist.name!r} has no gates to pipeline")
+
+
+def _result(netlist: Netlist, library: Library, wire: WireModel,
+            gate_area: float, skew_fo4: float, budget: float, n_stages: int,
+            n_regs: int, assignment: dict[str, int]) -> PipelineResult:
+    # Overhead is priced at the stage count actually achieved: asking for
+    # more stages than the gate granularity permits does not add feedback
+    # wire that was never built.
+    overhead = _overhead(library, wire, gate_area, n_stages, skew_fo4)
+    period = budget + overhead
+    return PipelineResult(
+        netlist_name=netlist.name,
+        n_stages=n_stages,
+        period=period,
+        frequency=1.0 / period,
+        logic_budget=budget,
+        overhead=overhead,
+        n_registers=n_regs,
+        gate_area=gate_area,
+        register_area=n_regs * library.dff.area,
+        stage_of_gate=assignment,
+    )
+
+
+def _infeasible(netlist: Netlist, n_stages: int) -> PipelineError:
+    return PipelineError(
+        f"netlist {netlist.name!r} cannot fit in {n_stages} stage(s)")
 
 
 def min_period_for_stages(netlist: Netlist, library: Library,
                           wire: WireModel, n_stages: int,
                           delays: dict[str, float] | None = None,
                           skew_fo4: float = 0.5,
-                          tolerance: float = 1e-3) -> PipelineResult:
-    """Minimum clock period cutting *netlist* into *n_stages* stages."""
-    if n_stages < 1:
-        raise PipelineError(f"n_stages must be >= 1, got {n_stages}")
+                          tolerance: float = TOLERANCE) -> PipelineResult:
+    """Minimum clock period cutting *netlist* into *n_stages* stages.
+
+    The scalar oracle of :func:`pipeline_sweep`.
+    """
+    _check_request(netlist, [n_stages])
     if delays is None:
         delays = per_gate_delays(netlist, library, wire)
-
-    overhead = sequencing_overhead(netlist, library, wire, n_stages,
-                                   skew_fo4)
 
     # Budget bounds: one gate .. whole critical path.
     lo = max(delays.values())
@@ -200,14 +349,13 @@ def min_period_for_stages(netlist: Netlist, library: Library,
     # If even the single-gate bound needs more stages than allowed, the
     # request is infeasible only when n_stages < stages at budget hi.
     if feasible_hi[0] > n_stages:
-        raise PipelineError(
-            f"netlist {netlist.name!r} cannot fit in {n_stages} stage(s)")
+        raise _infeasible(netlist, n_stages)
 
     best_budget = hi
     best_assignment = feasible_hi[1]
     best_stages = feasible_hi[0]
     lo_b, hi_b = lo, hi
-    for _ in range(60):
+    for _ in range(MAX_ROUNDS):
         if hi_b - lo_b <= tolerance * hi_b:
             break
         mid = 0.5 * (lo_b + hi_b)
@@ -219,28 +367,85 @@ def min_period_for_stages(netlist: Netlist, library: Library,
             lo_b = mid
 
     n_regs = count_registers(netlist, best_assignment, best_stages)
-    gate_area = sum(library.cell(g.cell).area
-                    for g in netlist.gates.values())
-    reg_area = n_regs * library.dff.area
-    # Overhead is priced at the stage count actually achieved: asking for
-    # more stages than the gate granularity permits does not add feedback
-    # wire that was never built.
-    if best_stages < n_stages:
-        overhead = sequencing_overhead(netlist, library, wire, best_stages,
-                                       skew_fo4)
-    period = best_budget + overhead
-    return PipelineResult(
-        netlist_name=netlist.name,
-        n_stages=best_stages,
-        period=period,
-        frequency=1.0 / period,
-        logic_budget=best_budget,
-        overhead=overhead,
-        n_registers=n_regs,
-        gate_area=gate_area,
-        register_area=reg_area,
-        stage_of_gate=best_assignment,
-    )
+    return _result(netlist, library, wire, _gate_area(netlist, library),
+                   skew_fo4, best_budget, best_stages, n_regs,
+                   best_assignment)
+
+
+def _lockstep(netlist: Netlist, library: Library, wire: WireModel,
+              counts: list[int], delays: dict[str, float], skew_fo4: float
+              ) -> list[tuple[PipelineResult, np.ndarray]]:
+    """Every count's :func:`min_period_for_stages` bisection in lockstep.
+
+    Returns per count its result without ``stage_of_gate`` and the stage
+    assignment as an array in topological order.
+    """
+    struct, delays_lv = _lockstep_inputs(netlist, delays)
+    g_in, g_out = struct["g_in"], struct["g_out"]
+
+    # The scalar bounds: lo is one gate, hi the longest arrival over all
+    # nets; a pin the gate lacks reads the -inf last row.
+    lo = max(delays.values())
+    arrival = np.zeros(len(struct["names"]) + 1)
+    arrival[-1] = -np.inf
+    start = 0
+    for stop in struct["bounds"].tolist():
+        arrival[g_out[start:stop]] = (delays_lv[start:stop]
+                                      + arrival[g_in[start:stop]].max(axis=1))
+        start = stop
+    hi = float(arrival[:-1].max())
+    hi = max(hi, lo) * (1.0 + 1e-9)
+
+    # Per count: [lo_b, hi_b, best_budget, best_stages, probes made].
+    state = {n: [lo, hi, hi, 0, 0] for n in counts}
+    n_hi = None
+    while True:
+        mids: dict[int, float] = {}
+        for n, (lo_b, hi_b, _, _, probes) in state.items():
+            if probes < MAX_ROUNDS and hi_b - lo_b > TOLERANCE * hi_b:
+                mids[n] = 0.5 * (lo_b + hi_b)
+        # The budget-hi feasibility probe rides along in the first round.
+        budgets = sorted(set(mids.values())
+                         | ({hi} if n_hi is None else set()))
+        if not budgets:
+            break
+        found, _ = _level_stages(struct, delays_lv, np.array(budgets))
+        found = dict(zip(budgets, found.tolist()))
+        if n_hi is None:
+            n_hi = found[hi]
+            if n_hi == 0:
+                raise PipelineError("critical-path budget infeasible (bug)")
+            for n in counts:
+                if n_hi > n:
+                    raise _infeasible(netlist, n)
+                state[n][3] = n_hi
+        for n, mid in mids.items():
+            st = state[n]
+            st[4] += 1
+            got = found[mid]
+            if got != 0 and got <= n:
+                st[1] = st[2] = mid
+                st[3] = got
+            else:
+                st[0] = mid
+
+    # One last pass re-levels every count at its best budget for the
+    # assignments and register counts.
+    best = sorted({st[2] for st in state.values()})
+    n_stages, stage = _level_stages(struct, delays_lv, np.array(best))
+    n_regs = _count_registers_lv(struct, stage, n_stages).tolist()
+    column = {budget: k for k, budget in enumerate(best)}
+    gate_area = _gate_area(netlist, library)
+    order = struct["order"]
+    out = []
+    for n in counts:
+        k = column[state[n][2]]
+        stage_u = np.empty(len(order), dtype=stage.dtype)
+        stage_u[order] = stage[:, k]
+        out.append((_result(netlist, library, wire, gate_area, skew_fo4,
+                            best[k], int(n_stages[k]), n_regs[k], {}),
+                    stage_u))
+    return out
 
 
 def pipeline_sweep(netlist: Netlist, library: Library, wire: WireModel,
@@ -248,13 +453,25 @@ def pipeline_sweep(netlist: Netlist, library: Library, wire: WireModel,
                    skew_fo4: float = 0.5) -> list[PipelineResult]:
     """Minimum period across a range of stage counts (Figure 12 driver).
 
+    Equal, field for field, to ``[min_period_for_stages(...) for n in
+    stage_counts]``; the bisections run in lockstep (module docstring).
     Per-gate delays are computed once and shared; stage counts beyond the
     gate-granularity bound return the deepest feasible pipelining (the
     flat tail of the organic curve in Figure 12b).
     """
+    counts = list(stage_counts)
+    _check_request(netlist, counts)
+    t0 = time.perf_counter()
     delays = per_gate_delays(netlist, library, wire)
-    results = []
-    for n in stage_counts:
-        results.append(min_period_for_stages(
-            netlist, library, wire, n, delays=delays, skew_fo4=skew_fo4))
+    sta_s = time.perf_counter() - t0
+    distinct = list(dict.fromkeys(counts))
+    entries = dict(zip(distinct, _lockstep(netlist, library, wire, distinct,
+                                           delays, skew_fo4)))
+    names = _sta._vector_structure(netlist)["gate_names_u"]
+    # Each result gets its own assignment dict, duplicated counts too.
+    results = [replace(stub, stage_of_gate=dict(zip(names,
+                                                    stage_u.tolist())))
+               for stub, stage_u in (entries[n] for n in counts)]
+    if profiling.ENABLED:
+        profiling.add("pipeline", time.perf_counter() - t0 - sta_s)
     return results

@@ -1,12 +1,12 @@
 """Differential checks: every fast path diffed against its oracle.
 
-The repo carries four "same answer, faster" engines (batched ensemble
+The repo carries five "same answer, faster" engines (batched ensemble
 transients, the packed-array/compiled IPC kernel, levelised-array STA,
-and the persistent result cache).  Each check here runs a seeded sample
-through both the fast path and its reference implementation and fails on
-any disagreement beyond the documented tolerance — the tolerances are
-the same ones the unit suites enforce, so a validation failure means a
-real regression, not noise.
+lockstep pipeline cutting and the persistent result cache).  Each check
+here runs a seeded sample through both the fast path and its reference
+implementation and fails on any disagreement beyond the documented
+tolerance — the tolerances are the same ones the unit suites enforce,
+so a validation failure means a real regression, not noise.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ ENSEMBLE_REL = 1e-9
 # minutes-scale job.  This mini build characterises the five
 # combinational cells on a 2x3 grid — every code path of the harness,
 # a fraction of the transients — and stubs the sequential timing, which
-# no validation check reads.
+# no validation check depends on: the pipeline check prices it alike on
+# both of the paths it compares.
 # ---------------------------------------------------------------------------
 
 _MINI_CACHE: dict = {}
@@ -79,7 +80,7 @@ def mini_organic_library():
         name=f"{defn.name}-mini", process=defn.process, vdd=defn.vdd,
         cells=cells, dff=dff,
         metadata={"note": "validation mini-library; sequential timing "
-                          "is a stub and must not be read by checks"})
+                          "is a stub that no check depends on"})
     return _MINI_CACHE["library"]
 
 
@@ -380,6 +381,40 @@ def sta_incremental_agreement(ctx: CheckContext) -> str:
             reset_map_cache()
     return (f"{compared} engine x width points bit-identical across "
             f"widths {list(widths)}")
+
+
+@check("pipeline-batched-vs-scalar", "differential")
+def pipeline_batched_vs_scalar(ctx: CheckContext) -> str:
+    """Lockstep ``pipeline_sweep`` == per-n ``min_period_for_stages``.
+
+    Cuts a mapped 8-bit multiplier at a seeded, unsorted list of stage
+    counts (with a repeat and one count past the gate-granularity cap)
+    and compares every :class:`PipelineResult` field with ``==``,
+    ``stage_of_gate`` included: the contract is bitwise identity.
+    """
+    from repro.synthesis.generators import wallace_multiplier
+    from repro.synthesis.mapping import technology_map
+    from repro.synthesis.pipeline import min_period_for_stages, pipeline_sweep
+    from repro.synthesis.wires import organic_wire_model
+
+    library = mini_organic_library()
+    wire = organic_wire_model()
+    netlist = technology_map(wallace_multiplier(8))
+    rng = ctx.rng()
+    counts = [1, 2, 3, 4, 6] if ctx.fast else list(range(1, 17))
+    counts += [rng.choice(counts), 500]
+    rng.shuffle(counts)
+
+    batched = pipeline_sweep(netlist, library, wire, counts)
+    for n, got in zip(counts, batched):
+        want = min_period_for_stages(netlist, library, wire, n)
+        for name in got.__dataclass_fields__:
+            expect(getattr(got, name) == getattr(want, name),
+                   f"n={n}: {name} diverges from the scalar oracle "
+                   f"({getattr(got, name)!r:.80} != "
+                   f"{getattr(want, name)!r:.80})")
+    return (f"{len(counts)} stage counts {counts} bit-identical on "
+            f"{netlist.name} ({len(netlist.gates)} gates)")
 
 
 @check("cache-warm-vs-cold", "differential")

@@ -1,7 +1,13 @@
 """STA and pipelining tests on real mapped netlists with both libraries."""
 
-import pytest
+import re
 
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import repro.synthesis.pipeline as pipeline
 from repro.errors import PipelineError, SynthesisError
 from repro.synthesis.generators import carry_select_adder, wallace_multiplier
 from repro.synthesis.mapping import technology_map
@@ -144,6 +150,120 @@ class TestMinPeriod:
         o2 = sequencing_overhead(multiplier, silicon_lib, silicon_wire, 2)
         o20 = sequencing_overhead(multiplier, silicon_lib, silicon_wire, 20)
         assert o20 > o2 * 1.2
+
+
+class TestRequestValidation:
+    @pytest.fixture()
+    def gateless(self):
+        nl = Netlist("empty")
+        nl.add_output(nl.add_input("a"))
+        return nl
+
+    def test_gateless_min_period(self, gateless, organic_lib, organic_wire):
+        with pytest.raises(PipelineError, match="no gates"):
+            min_period_for_stages(gateless, organic_lib, organic_wire, 1)
+
+    def test_gateless_sweep(self, gateless, organic_lib, organic_wire):
+        with pytest.raises(PipelineError, match="no gates"):
+            pipeline_sweep(gateless, organic_lib, organic_wire, [1, 2])
+
+    def test_bad_stage_count_fails_before_any_work(self, adder, organic_lib,
+                                                   organic_wire, monkeypatch):
+        def no_timing(*_args, **_kwargs):
+            raise AssertionError("timed the netlist before validating")
+        monkeypatch.setattr(pipeline, "per_gate_delays", no_timing)
+        with pytest.raises(PipelineError, match="got 0"):
+            pipeline_sweep(adder, organic_lib, organic_wire, [2, 4, 0])
+
+
+# ---------------------------------------------------------------------------
+# Lockstep sweep vs the scalar oracle, bit for bit
+# ---------------------------------------------------------------------------
+
+_CELL_ARITY = {"inv": 1, "nand2": 2, "nor2": 2, "nand3": 3, "nor3": 3}
+
+#: Delay values with ties and zeros, so equal-stage and equal-time input
+#: pairs and zero-width gates all occur.
+_DELAYS = st.one_of(st.sampled_from([0.0, 1.0, 2.0, 2.5]),
+                    st.floats(min_value=0.0, max_value=8.0,
+                              allow_nan=False, allow_subnormal=False))
+
+
+@st.composite
+def _random_dag(draw):
+    """A small mapped DAG: shared and repeated input nets, and outputs on
+    a random subset of nets, so some gates lie off every input-to-output
+    path."""
+    nl = Netlist("rand")
+    nets = nl.add_inputs("i", draw(st.integers(min_value=1, max_value=4)))
+    for _ in range(draw(st.integers(min_value=1, max_value=25))):
+        cell = draw(st.sampled_from(sorted(_CELL_ARITY)))
+        ins = [draw(st.sampled_from(nets)) for _ in range(_CELL_ARITY[cell])]
+        nets.append(nl.add_gate(cell, ins))
+    for net in draw(st.lists(st.sampled_from(nets), min_size=1, max_size=4,
+                             unique=True)):
+        nl.add_output(net)
+    return nl
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_batched_leveler_matches_scalar(data):
+    """Stage count, infeasibility, assignment and registers per budget."""
+    nl = data.draw(_random_dag())
+    delays = {name: data.draw(_DELAYS) for name in nl.gates}
+    total = sum(delays.values())
+    budgets = data.draw(st.lists(
+        st.one_of(st.sampled_from(sorted(set(delays.values())) + [total]),
+                  st.floats(min_value=0.0, max_value=total + 1.0,
+                            allow_nan=False)),
+        min_size=1, max_size=6))
+    struct, delays_lv = pipeline._lockstep_inputs(nl, delays)
+    n_stages, stage = pipeline._level_stages(struct, delays_lv,
+                                             np.array(budgets))
+    regs = pipeline._count_registers_lv(struct, stage, n_stages).tolist()
+    for k, budget in enumerate(budgets):
+        want = stages_needed(nl, delays, budget)
+        if want is None:
+            assert n_stages[k] == 0
+            continue
+        assert n_stages[k] == want[0]
+        assert dict(zip(struct["gate_names"], stage[:, k].tolist())) \
+            == want[1]
+        assert regs[k] == count_registers(nl, want[1], want[0])
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(nl=_random_dag(),
+       counts=st.lists(st.integers(min_value=1, max_value=12), min_size=1,
+                       max_size=6))
+def test_random_sweep_matches_oracle(nl, counts, organic_lib, organic_wire):
+    try:
+        oracle = [min_period_for_stages(nl, organic_lib, organic_wire, n)
+                  for n in counts]
+    except PipelineError as exc:
+        with pytest.raises(PipelineError, match=re.escape(str(exc))):
+            pipeline_sweep(nl, organic_lib, organic_wire, counts)
+        return
+    assert pipeline_sweep(nl, organic_lib, organic_wire, counts) == oracle
+
+
+@pytest.mark.parametrize("counts", [[1, 2, 4], [6, 2, 6, 1, 3, 2], [500, 1]])
+def test_sweep_matches_oracle(counts, multiplier, organic_lib, organic_wire,
+                              silicon_lib, silicon_wire):
+    """Unsorted and duplicated counts, and the granularity cap."""
+    for lib, wire in ((organic_lib, organic_wire),
+                      (silicon_lib, silicon_wire.scaled(0.0))):
+        got = pipeline_sweep(multiplier, lib, wire, counts)
+        want = [min_period_for_stages(multiplier, lib, wire, n)
+                for n in counts]
+        assert got == want
+        for a, b in zip(got, want):
+            assert a.stage_of_gate == b.stage_of_gate
+            assert list(a.stage_of_gate) == list(b.stage_of_gate)
+        # Callers own what they get back, duplicated counts included.
+        assert len({id(r.stage_of_gate) for r in got}) == len(got)
 
 
 class TestWireModel:
