@@ -222,7 +222,7 @@ def _bench_native_timestep() -> float:
     LTE step control and probe crossing extraction — on a 16-member
     inverter ensemble with spread slews and loads, which is exactly the
     region the whole-timestep native kernel
-    (``SolverBackend.ensemble_timestep``) takes over.  Seeded from the
+    (``NativeBackend.ensemble_timestep``) takes over.  Seeded from the
     numpy-backend time of the identical call at the PR-6 commit, so the
     kernel is regression-gated from day one.
     """
@@ -559,6 +559,7 @@ def main(argv: list[str] | None = None) -> int:
         _record(results, name, elapsed, prof)
 
     from repro.core import ipc_native
+    from repro.runtime import ensemble_enabled
     from repro.spice.backends import get_backend
 
     payload = {
@@ -566,8 +567,7 @@ def main(argv: list[str] | None = None) -> int:
         "environment": {
             **_env_fingerprint(),
             "workers": args.workers,
-            "vectorized": os.environ.get("REPRO_VECTORIZED", "auto"),
-            "ensemble": os.environ.get("REPRO_ENSEMBLE", "auto"),
+            "ensemble": ensemble_enabled(),
             "ipc_kernel": ("native" if ipc_native.native_available()
                            else "python"),
             "spice_backend": get_backend().name,

@@ -28,7 +28,7 @@ Stages
   from ``stamp`` so the two never double-count);
 - ``solve`` — linear-solve work through the active
   :mod:`repro.spice.backends` backend (``dgesv`` /
-  ``numpy.linalg.solve`` / the blocked static LU); on the native
+  ``numpy.linalg.solve``); on the native
   backend the compiled kernel fuses stamping and device evaluation
   into the solve call, so its whole runtime lands here;
 - ``rhs`` — right-hand-side evaluation (sources, ramps, storage

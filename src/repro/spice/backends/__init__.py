@@ -7,17 +7,17 @@
     when a C compiler (or a cached kernel build) is available, else the
     pure-NumPy reference.
 ``numpy``
-    The reference backend — bit-for-bit the pre-backend-layer engine
-    behaviour, used as the oracle by the equivalence suites.
-``blocked``
-    Structure-aware batched static-pivot LU
-    (:class:`~repro.spice.backends.blocked.BlockedBackend`).
+    The pure-NumPy reference
+    (:class:`~repro.spice.backends.numpy_ref.NumpyBackend`), which also
+    defines the backend contract and is the oracle of the equivalence
+    suites.
 ``native``
     Force the compiled kernel; when the build fails the process warns
     once and runs on the reference backend instead (correct, slower).
 
-Resolution happens lazily on the first :func:`get_backend` call and is
-cached; tests flip the environment and call :func:`reset_backend`.
+Any other name logs a warning and resolves like ``auto``.  Resolution
+happens lazily on the first :func:`get_backend` call and is cached;
+tests flip the environment and call :func:`reset_backend`.
 """
 
 from __future__ import annotations
@@ -25,14 +25,11 @@ from __future__ import annotations
 import os
 
 from repro.runtime.log import get_logger
-from repro.spice.backends.base import EnsembleNewtonRequest, SolverBackend
-from repro.spice.backends.blocked import BlockedBackend, JacobianStructure
-from repro.spice.backends.numpy_ref import NumpyBackend
+from repro.spice.backends.numpy_ref import EnsembleNewtonRequest, NumpyBackend
 from repro.spice.backends.native import NativeBackend
 
 __all__ = [
-    "SolverBackend", "EnsembleNewtonRequest", "JacobianStructure",
-    "NumpyBackend", "BlockedBackend", "NativeBackend",
+    "EnsembleNewtonRequest", "NumpyBackend", "NativeBackend",
     "get_backend", "reset_backend",
 ]
 
@@ -40,7 +37,6 @@ logger = get_logger(__name__)
 
 _BACKENDS = {
     "numpy": NumpyBackend,
-    "blocked": BlockedBackend,
     "native": NativeBackend,
 }
 
@@ -48,7 +44,7 @@ _BACKENDS = {
 _CURRENT: list = ["unset"]
 
 
-def _resolve(requested: str) -> SolverBackend:
+def _resolve(requested: str) -> NumpyBackend:
     name = requested.strip().lower() or "auto"
     if name == "auto":
         native = NativeBackend()
@@ -69,7 +65,7 @@ def _resolve(requested: str) -> SolverBackend:
     return backend
 
 
-def get_backend() -> SolverBackend:
+def get_backend() -> NumpyBackend:
     """The process-wide solver backend (resolved once, from REPRO_BACKEND)."""
     if _CURRENT[0] == "unset":
         _CURRENT[0] = _resolve(os.environ.get("REPRO_BACKEND", "auto"))

@@ -80,8 +80,7 @@ import numpy as np
 from repro.devices.tft_level61 import StackedTftParams
 from repro.runtime import telemetry
 from repro.runtime.log import get_logger
-from repro.spice.backends.base import EnsembleNewtonRequest
-from repro.spice.backends.numpy_ref import NumpyBackend
+from repro.spice.backends.numpy_ref import EnsembleNewtonRequest, NumpyBackend
 from repro.spice.elements import FET_GMIN
 
 logger = get_logger(__name__)

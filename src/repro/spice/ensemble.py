@@ -3,10 +3,10 @@
 Characterisation and Monte-Carlo workloads integrate *the same circuit
 topology* hundreds of times with different parameter bindings — source
 slews, load capacitances, per-device W/L/VT perturbations.  Run as
-independent scalar solves they pay Python loop overhead, repeated
-Jacobian-structure analysis, and NumPy's fixed per-op cost once per
-member per Newton iteration.  This module runs a whole *ensemble* of
-such members in lockstep instead:
+independent scalar solves they pay Python loop overhead, per-circuit
+stamping set-up, and NumPy's fixed per-op cost once per member per
+Newton iteration.  This module runs a whole *ensemble* of such members
+in lockstep instead:
 
 - state is a stacked ``(B, S)`` array and the Jacobian a stacked
   ``(B, S, S)`` array, solved with one batched ``numpy.linalg.solve``;
@@ -39,11 +39,7 @@ import numpy as np
 from repro.devices.tft_level61 import StackedTftParams, UnifiedTft
 from repro.errors import CircuitError, ConvergenceError
 from repro.runtime import profiling, telemetry
-from repro.spice.backends import (
-    EnsembleNewtonRequest,
-    JacobianStructure,
-    get_backend,
-)
+from repro.spice.backends import EnsembleNewtonRequest, get_backend
 from repro.spice.dc import NewtonOptions, solve_operating_point
 from repro.spice.elements import (
     FET_GMIN,
@@ -284,32 +280,7 @@ class EnsembleSystem:
         # only change when members finish or retry), so gathered FET
         # subsets are memoised by member-index signature.
         self._gather_cache: dict[bytes, _GatheredFets | None] = {}
-        self._structure: JacobianStructure | None | str = "unset"
         self._nl_slots: np.ndarray | str = "unset"
-
-    @property
-    def structure(self) -> JacobianStructure | None:
-        """Shared Jacobian sparsity pattern, or None when unknowable
-        (per-member fallback elements stamp unpredictably)."""
-        if isinstance(self._structure, str):
-            if any(len(fb) for fb in self._fallback):
-                self._structure = None
-            else:
-                S = self.size
-                pattern = (self.G_static != 0.0).any(axis=0) \
-                    | (self.C_unit != 0.0).any(axis=0)
-                diag = np.arange(self.n_nodes)
-                pattern[diag, diag] = True        # gmin conditioning
-                locs = np.stack([self.fet_batch.d_loc,
-                                 self.fet_batch.g_loc,
-                                 self.fet_batch.s_loc])
-                for i in range(3):
-                    for j in range(3):
-                        r, c = locs[i], locs[j]
-                        keep = (r < S) & (c < S)
-                        pattern[r[keep], c[keep]] = True
-                self._structure = JacobianStructure(pattern, self.n_nodes)
-        return self._structure
 
     @property
     def nl_slots(self) -> np.ndarray:
@@ -432,7 +403,7 @@ class EnsembleSystem:
         aborting the batch.
 
         The whole solve is first offered to the process backend's
-        :meth:`~repro.spice.backends.base.SolverBackend.ensemble_newton`
+        :meth:`~repro.spice.backends.numpy_ref.NumpyBackend.ensemble_newton`
         hook (the compiled kernel); ``G_lin=None`` with *inv_dt* set is
         the transient fast path where the backend composes
         ``G_static + C_unit/dt`` itself and (with *add_storage*) adds
@@ -487,17 +458,13 @@ class EnsembleSystem:
 
         # A fully-frozen batch (every lane reuses its cached stamps, no
         # per-member fallback elements) iterates against an
-        # iteration-invariant Jacobian: assemble it once, rebuild only
-        # the cheap residual afterwards, and — where the backend offers
-        # a reusable factorisation (the blocked static LU above its
-        # refactor threshold) — factor it once and back-substitute per
-        # iteration instead of re-solving.  The residual arithmetic is
-        # the exact op sequence of :meth:`assemble`, so results stay
-        # bitwise identical to the plain loop.
+        # iteration-invariant Jacobian: assemble it once and rebuild only
+        # the cheap residual afterwards.  The residual arithmetic is the
+        # exact op sequence of :meth:`assemble`, so results stay bitwise
+        # identical to the plain loop.
         frozen_all = (frozen is not None and bool(frozen.all())
                       and not self._any_fallback)
         J_frozen = None
-        factor = None
 
         n = self.n_nodes
         diag = np.arange(n)
@@ -506,14 +473,12 @@ class EnsembleSystem:
         iteration = 0
         lane_iters = 0
         budget = int(max_iterations.max())
-        structure = self.structure
         while active.any() and iteration < budget:
             if J_frozen is None:
                 F, J = self.assemble(mem_idx, gathered, G_lin, b, x,
                                      frozen=frozen, bypass=bypass)
                 if frozen_all:
                     J_frozen = J
-                    factor = backend.factor_stacked(J, structure)
             else:
                 if profiling.ENABLED:
                     t0 = perf_counter()
@@ -528,12 +493,7 @@ class EnsembleSystem:
             act_idx = np.flatnonzero(active)
             if profiling.ENABLED:
                 t0 = perf_counter()
-            if factor is not None and len(act_idx) == A:
-                delta, solve_ok = factor.solve(F)
-            else:
-                delta, solve_ok = backend.solve_stacked(J[act_idx],
-                                                        F[act_idx],
-                                                        structure)
+            delta, solve_ok = backend.solve_stacked(J[act_idx], F[act_idx])
             if profiling.ENABLED:
                 profiling.add("solve", perf_counter() - t0)
             if not solve_ok.all():

@@ -25,16 +25,13 @@ Two structures are cached once per system rather than rebuilt per call:
 Because NumPy carries a fixed per-operation cost (~0.5 us), batched
 stamping only pays off once a model's FET group is large enough — measured
 crossover is around ten devices.  By default batches smaller than
-:data:`VECTORIZE_MIN_FETS` use the scalar per-element path; the cutoff can
-be tuned with the ``REPRO_VECTORIZE_MIN_FETS`` environment variable.  Set
-``REPRO_VECTORIZED=0`` to force the scalar path everywhere (used by the
-equivalence regression tests) or ``REPRO_VECTORIZED=1`` to force batching
-regardless of size.
+:data:`VECTORIZE_MIN_FETS` use the scalar per-element path; the
+``vectorized=`` argument of :class:`MnaSystem` forces either path (the
+equivalence regression tests use it, or patch the constant).
 """
 
 from __future__ import annotations
 
-import os
 from time import perf_counter
 
 import numpy as np
@@ -50,19 +47,13 @@ VECTORIZE_MIN_FETS = 10
 
 
 def bypass_eta(newton_options) -> float:
-    """Stamp-bypass freeze threshold in volts (0 disables the bypass).
+    """Stamp-bypass freeze threshold in volts: the Newton ``abstol_v``.
 
-    ``REPRO_BYPASS`` scales the threshold as a fraction of the Newton
-    voltage tolerance ``abstol_v`` (default ``1``: freeze while no
-    nonlinear device terminal moved beyond the tolerance between
-    accepted steps — the solver cannot distinguish such states anyway).
-    ``REPRO_BYPASS=0`` disables stamp bypassing entirely.
+    Stamps stay frozen while no nonlinear device terminal moved beyond
+    the voltage tolerance between accepted steps — the solver cannot
+    distinguish such states anyway.
     """
-    try:
-        frac = float(os.environ.get("REPRO_BYPASS", "1"))
-    except ValueError:
-        frac = 1.0
-    return frac * newton_options.abstol_v if frac > 0.0 else 0.0
+    return newton_options.abstol_v
 
 
 class StampCache:
@@ -206,9 +197,7 @@ class MnaSystem:
         ``True`` forces batched FET stamping for every model group,
         ``False`` forces the scalar per-element path, and ``None`` (the
         default) batches only groups of at least :data:`VECTORIZE_MIN_FETS`
-        devices.  The ``REPRO_VECTORIZED`` environment variable (``0`` /
-        ``1``) overrides the default, and ``REPRO_VECTORIZE_MIN_FETS``
-        tunes the auto cutoff.
+        devices.
     """
 
     def __init__(self, circuit: Circuit,
@@ -258,20 +247,10 @@ class MnaSystem:
             if not e.rhs_is_storage
             and type(e).stamp_rhs is not Element.stamp_rhs)
 
-        if vectorized is None:
-            env = os.environ.get("REPRO_VECTORIZED", "")
-            if env == "0":
-                vectorized = False
-            elif env == "1":
-                vectorized = True
         self._batches: list[_FetBatch] = []
         fallback = list(self._nonlinear)
         if vectorized is not False:
-            if vectorized:
-                min_fets = 1
-            else:
-                min_fets = int(os.environ.get("REPRO_VECTORIZE_MIN_FETS",
-                                              VECTORIZE_MIN_FETS))
+            min_fets = 1 if vectorized else VECTORIZE_MIN_FETS
             groups: dict[int, list[Fet]] = {}
             for e in self._nonlinear:
                 if isinstance(e, Fet) and hasattr(e.model, "ids_array"):

@@ -161,7 +161,7 @@ def ensemble_vs_scalar_dc(ctx: CheckContext) -> str:
 
 @check("backend-agreement", "differential")
 def backend_agreement(ctx: CheckContext) -> str:
-    """numpy == blocked == native (both dispatch depths) on real arcs.
+    """numpy == native (both dispatch depths) on real arcs.
 
     The native backend is measured twice: the whole-timestep C sweep
     (``REPRO_NATIVE_TIMESTEP=1``, the default) and the per-iteration
@@ -185,7 +185,6 @@ def backend_agreement(ctx: CheckContext) -> str:
         points.append((s, c))
 
     legs = (("numpy", "numpy", {}),
-            ("blocked", "blocked", {}),
             ("native", "native", {"REPRO_NATIVE_TIMESTEP": "1"}),
             ("native-periter", "native",
              {"REPRO_NATIVE_TIMESTEP": "0"}))
@@ -207,14 +206,13 @@ def backend_agreement(ctx: CheckContext) -> str:
     for name, measured in results.items():
         if name == "numpy":
             continue
-        # Blocked shares the reference dtype/order exactly; the compiled
-        # kernel reorders floating-point work, so it gets solver tolerance.
-        rel = ENSEMBLE_REL if name == "blocked" else 1e-6
+        # The compiled kernel reorders floating-point work, so it gets
+        # solver tolerance.
         for (s, c), (d_ref, t_ref), (d_b, t_b) in zip(points, reference,
                                                       measured):
             where = f"{name} inv.a rise slew={s:g} load={c:g}"
-            expect_close(d_b, d_ref, rel=rel, label=f"delay @ {where}")
-            expect_close(t_b, t_ref, rel=rel, label=f"transition @ {where}")
+            expect_close(d_b, d_ref, rel=1e-6, label=f"delay @ {where}")
+            expect_close(t_b, t_ref, rel=1e-6, label=f"transition @ {where}")
             compared += 1
     if "native" in results and "native-periter" in results:
         expect(results["native"] == results["native-periter"],

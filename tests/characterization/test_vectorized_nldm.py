@@ -11,10 +11,13 @@ import numpy as np
 
 from repro.cells.library_def import organic_library_definition
 from repro.characterization import harness
+from repro.spice import mna
 
 
-def _characterize_inv(monkeypatch, mode: str):
-    monkeypatch.setenv("REPRO_VECTORIZED", mode)
+def _characterize_inv(monkeypatch, min_fets: int):
+    # The auto cutoff decides every MnaSystem built without an explicit
+    # ``vectorized=``: 1 batches every model group, a huge value none.
+    monkeypatch.setattr(mna, "VECTORIZE_MIN_FETS", min_fets)
     defn = organic_library_definition()
     grid = harness.default_grid(defn)
     return harness.characterize_cell(defn.cell("inv"), grid,
@@ -22,8 +25,8 @@ def _characterize_inv(monkeypatch, mode: str):
 
 
 def test_nldm_vectorized_matches_scalar(monkeypatch):
-    scalar = _characterize_inv(monkeypatch, "0")
-    batched = _characterize_inv(monkeypatch, "1")
+    scalar = _characterize_inv(monkeypatch, 10**9)
+    batched = _characterize_inv(monkeypatch, 1)
 
     assert scalar.leakage != 0
     np.testing.assert_allclose(batched.leakage, scalar.leakage, rtol=1e-9)

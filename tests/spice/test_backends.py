@@ -1,12 +1,10 @@
 """Solver-backend dispatch, equivalence, and degradation tests.
 
 The backend layer promises that ``REPRO_BACKEND`` changes *where* the
-linear algebra runs, never *what* it computes: the NumPy reference and
-the blocked backend below its batch threshold are bit-identical, the
-blocked static-LU path and the compiled kernel agree to solver
-tolerance, a singular lane is deactivated instead of killing its batch,
-and a machine without a C compiler degrades to the reference backend
-with a single warning.
+linear algebra runs, never *what* it computes: the compiled kernel
+agrees with the NumPy reference to solver tolerance, a singular lane is
+deactivated instead of killing its batch, and a machine without a C
+compiler degrades to the reference backend with a single warning.
 """
 
 import logging
@@ -31,17 +29,12 @@ from repro.spice import (
     TransientOptions,
     VoltageSource,
 )
-from repro.spice.backends import (
-    BlockedBackend,
-    NumpyBackend,
-    get_backend,
-    reset_backend,
-)
+from repro.spice.backends import NumpyBackend, get_backend, reset_backend
 from repro.spice.backends import native as native_mod
 
 VDD = 15.0
 
-BACKENDS = ("numpy", "blocked", "native")
+BACKENDS = ("numpy", "native")
 
 
 @pytest.fixture(autouse=True)
@@ -87,27 +80,6 @@ def grid_run():
 
 
 class TestEquivalence:
-    def test_blocked_small_batch_bit_identical_to_numpy(self, monkeypatch):
-        """Below MIN_BATCH the blocked backend is the reference, bitwise."""
-        _use(monkeypatch, "numpy")
-        ref_final, ref_cross = grid_run()
-        _use(monkeypatch, "blocked")
-        final, cross = grid_run()
-        assert np.array_equal(final, ref_final)
-        for c, rc in zip(cross, ref_cross):
-            assert np.array_equal(c, rc)
-
-    def test_blocked_static_lu_matches_numpy(self, monkeypatch):
-        """Forcing the static-pivot LU path agrees to solver tolerance."""
-        _use(monkeypatch, "numpy")
-        ref_final, ref_cross = grid_run()
-        _use(monkeypatch, "blocked", REPRO_BLOCKED_MIN_BATCH="1")
-        final, cross = grid_run()
-        np.testing.assert_allclose(final, ref_final, rtol=1e-9, atol=1e-12)
-        for c, rc in zip(cross, ref_cross):
-            assert len(c) == len(rc)
-            np.testing.assert_allclose(c, rc, rtol=1e-9, atol=1e-15)
-
     def test_native_matches_numpy_within_tolerance(self, monkeypatch):
         backend = _use(monkeypatch, "native")
         if backend.name != "native":
@@ -142,11 +114,8 @@ class TestEquivalence:
             with pytest.MonkeyPatch.context() as mp:
                 _use(mp, "numpy")
                 ref = run()
-            for name in ("blocked", "native"):
-                with pytest.MonkeyPatch.context() as mp:
-                    backend = _use(mp, name)
-                    if name == "native" and backend.name != "native":
-                        continue       # no C compiler on this machine
+            with pytest.MonkeyPatch.context() as mp:
+                if _use(mp, "native").name == "native":
                     np.testing.assert_allclose(run(), ref,
                                                rtol=1e-6, atol=1e-9)
         finally:
@@ -280,11 +249,10 @@ class TestSingularLanes:
         J = rng.normal(size=(3, 4, 4)) + 4.0 * np.eye(4)
         J[1] = 0.0
         F = rng.normal(size=(3, 4))
-        for backend in (NumpyBackend(), BlockedBackend()):
-            delta, ok = backend.solve_stacked(J, F, None)
-            assert ok.tolist() == [True, False, True]
-            assert np.all(delta[1] == 0.0)
-            np.testing.assert_allclose(J[0] @ delta[0], -F[0], atol=1e-9)
+        delta, ok = NumpyBackend().solve_stacked(J, F)
+        assert ok.tolist() == [True, False, True]
+        assert np.all(delta[1] == 0.0)
+        np.testing.assert_allclose(J[0] @ delta[0], -F[0], atol=1e-9)
 
     @pytest.mark.parametrize("name", BACKENDS)
     def test_singular_lane_never_kills_the_batch(self, monkeypatch, name):
@@ -386,11 +354,15 @@ class TestDispatchAndDegradation:
         assert _use(monkeypatch, "numpy").name == "numpy"
 
     def test_unknown_name_warns_and_uses_auto(self, monkeypatch, caplog):
-        with caplog.at_level(logging.WARNING, logger="repro"):
-            backend = _use(monkeypatch, "no-such-backend")
-        assert backend.name in ("numpy", "native")
-        assert any("unknown REPRO_BACKEND" in r.getMessage()
-                   for r in caplog.records)
+        """Unknown names, the retired ``blocked`` included, mean auto."""
+        auto = _use(monkeypatch, "auto").name
+        for name in ("no-such-backend", "blocked"):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="repro"):
+                backend = _use(monkeypatch, name)
+            assert backend.name == auto
+            assert any("unknown REPRO_BACKEND" in r.getMessage()
+                       for r in caplog.records)
 
     def test_compile_failure_degrades_with_single_warning(
             self, monkeypatch, tmp_path, caplog):
@@ -418,7 +390,7 @@ class TestDispatchAndDegradation:
         telemetry.enable(True)
         try:
             J = np.eye(3)[None].repeat(2, axis=0)
-            backend.solve_stacked(J, np.ones((2, 3)), None)
+            backend.solve_stacked(J, np.ones((2, 3)))
         finally:
             telemetry.enable(False)
         metrics = telemetry.metrics_snapshot()

@@ -33,6 +33,9 @@ from repro.spice import (
     operating_point,
     transient,
 )
+from repro.spice.backends import reset_backend
+from repro.spice.ensemble import _EnsembleBypass
+from repro.spice.mna import bypass_eta
 
 VDD = 15.0
 
@@ -228,3 +231,85 @@ class TestDcEquivalence:
                                  newton=NewtonOptions(max_step_v=1.0))]
         with pytest.raises(CircuitError):
             EnsembleTransient(members, opts)
+
+
+class TestFrozenAllShortcut:
+    """A fully bypass-frozen Newton batch assembles its Jacobian once.
+
+    Every later iteration rebuilds only the residual against the frozen
+    Jacobian; the contract is bitwise equality with a plain loop that
+    calls :meth:`EnsembleSystem.assemble` with every lane frozen on
+    every iteration.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _numpy_backend(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "numpy")
+        reset_backend()
+        yield
+        reset_backend()
+
+    def test_bitwise_equal_to_assembling_every_iteration(self, monkeypatch):
+        options = NewtonOptions()
+        es = EnsembleSystem([inverter_testbench(load=c)
+                             for c in (0.5e-12, 1e-12, 4e-12)])
+        mem = np.arange(es.B)
+        x_dc, ok = es.solve_dc(mem)
+        assert ok.all()
+        dt = np.full(es.B, 2e-6)
+        G_lin = es.G_static[mem] + es.C_unit[mem] / dt[:, None, None]
+        bypass = _EnsembleBypass(bypass_eta(options), es.nl_slots,
+                                 es.B, es.size)
+
+        # Step 1: no cached stamps, so every lane converges on fresh
+        # device evaluations and writes its stamps back.
+        b1 = es.rhs_batch(mem, np.full(es.B, 1e-4), x_dc, dt)
+        x1, conv1 = es.newton_batch(mem, G_lin, b1, x_dc, options,
+                                    x_prev=x_dc, bypass=bypass)
+        assert conv1.all() and bypass.valid.all()
+
+        # Step 2: the accepted state equals the stamped one, so every
+        # lane is frozen and the shortcut takes over.
+        x_prev = bypass.x_stamp[mem].copy()
+        assert bypass.frozen_lanes(mem, x_prev).all()
+        b2 = es.rhs_batch(mem, np.full(es.B, 1.2e-4), x_prev, dt)
+        assembles = []
+        real_assemble = es.assemble
+
+        def counting_assemble(*args, **kwargs):
+            assembles.append(1)
+            return real_assemble(*args, **kwargs)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(es, "assemble", counting_assemble)
+            x_fast, conv_fast = es.newton_batch(
+                mem, G_lin, b2, x_prev, options, x_prev=x_prev,
+                bypass=bypass)
+        assert len(assembles) == 1
+
+        # Reference: the plain damped-Newton loop, assembling every time.
+        frozen = np.ones(es.B, dtype=bool)
+        n = es.n_nodes
+        x = x_prev.copy()
+        active = np.ones(es.B, dtype=bool)
+        converged = np.zeros(es.B, dtype=bool)
+        iterations = 0
+        while active.any() and iterations < options.max_iterations:
+            F, J = es.assemble(mem, None, G_lin, b2, x,
+                               frozen=frozen, bypass=bypass)
+            act = np.flatnonzero(active)
+            delta = np.linalg.solve(J[act], -F[act][..., None])[..., 0]
+            max_delta = np.max(np.abs(delta), axis=1)
+            scale = np.minimum(1.0, options.max_step_v
+                               / np.maximum(max_delta, 1e-300))
+            residual = np.max(np.abs(F[act][:, :n]), axis=1)
+            done = act[(max_delta < options.abstol_v)
+                       & (residual < options.abstol_i)]
+            x[act] += delta * scale[:, None]
+            converged[done] = True
+            active[done] = False
+            iterations += 1
+        assert iterations >= 2            # the shortcut actually iterated
+        assert converged.all()
+        assert np.array_equal(conv_fast, converged)
+        assert np.array_equal(x_fast, x)
