@@ -7,7 +7,12 @@ a DSE engine would.  What makes the grid affordable is structure
 sharing underneath:
 
 - generic block netlists are memoised per shape and the datapath adder
-  grows by copy-on-extend (:func:`repro.core.physical._generic_block`),
+  grows by copy-on-extend (:func:`repro.core.physical._generic_block`);
+  the complex-ALU slice builds its multiplier and divider once and
+  inlines each twice,
+- each core structure's unsplit region logic delays are priced once
+  and shared by every depth point of its chain
+  (:func:`repro.core.physical.region_logic_delays`),
 - technology mapping is fingerprint-memoised and extends cached base
   mappings (:func:`repro.synthesis.mapping.map_cached`),
 - STA re-times only the delta against a recorded session

@@ -73,16 +73,26 @@ _GENERIC_CACHE: dict[tuple[str, int], Netlist] = {}
 # wire-independent, unlike delay.
 _AREA_CACHE: dict[tuple, float] = {}
 
+# Unsplit region logic delays per core structure, shared by every depth
+# point of a sweep (key: see region_logic_delays).
+_LOGIC_CACHE: dict[tuple, dict[str, float]] = {}
+
 #: Carry-select block size used by the datapath adder; an adder can only
 #: be widened by extension when its base width is a multiple of this.
 _CSA_BLOCK = 4
 
 
 def reset_structure_caches() -> None:
-    """Drop every in-process synthesis memo (tests, cache-control)."""
+    """Drop every in-process synthesis and structure memo.
+
+    Clears generic netlists, block timing and area, region logic
+    delays, the mapping memo and the incremental-STA sessions, so the
+    next sweep (a test, a cold bench row) prices every structure again.
+    """
     _BLOCK_CACHE.clear()
     _GENERIC_CACHE.clear()
     _AREA_CACHE.clear()
+    _LOGIC_CACHE.clear()
     reset_map_cache()
     _sta.reset_incremental()
 
@@ -240,7 +250,19 @@ def _block_timing(block: str, width: int, library: Library,
 
 def region_logic_delays(config: CoreConfig, library: Library,
                         wire: WireModel) -> dict[str, float]:
-    """Single-stage (unsplit) logic delay of each pipeline region."""
+    """Single-stage (unsplit) logic delay of each pipeline region.
+
+    A pure function of the core's structure, so it is memoised on
+    exactly the fields it reads; stage allocation (``regions``, depth)
+    is not among them.  Every call returns a fresh dict.
+    """
+    key = (_lib_key(library), _wire_key(wire), config.data_width,
+           config.front_width, config.back_width, config.iq_size,
+           config.phys_regs, config.rob_size)
+    hit = _LOGIC_CACHE.get(key)
+    if hit is not None:
+        return dict(hit)
+
     t0 = time.perf_counter() if profiling.ENABLED else 0.0
     sm = StructureModel(library, wire)
     fo4 = sm.fo4
@@ -274,7 +296,8 @@ def region_logic_delays(config: CoreConfig, library: Library,
     }
     if profiling.ENABLED:
         profiling.add("structures", time.perf_counter() - t0)
-    return delays
+    _LOGIC_CACHE[key] = delays
+    return dict(delays)
 
 
 def core_area(config: CoreConfig, library: Library,

@@ -460,10 +460,14 @@ def complex_alu(width: int = 16, name: str = "complex_alu") -> Netlist:
     sel_div = nl.add_input("sel_div")
     sel_unit = nl.add_input("sel_unit")
 
-    mul0 = _inline(nl, array_multiplier(width), {"a": a, "b": b}, "mul0")
-    mul1 = _inline(nl, array_multiplier(width), {"a": c, "b": d}, "mul1")
-    div0 = _inline(nl, array_divider(width), {"a": a, "b": b}, "div0")
-    div1 = _inline(nl, array_divider(width), {"a": c, "b": d}, "div1")
+    # Each unit is built once and inlined twice: _inline only reads the
+    # sub-netlist, so both copies get the same gates in the same order.
+    mul = array_multiplier(width)
+    div = array_divider(width)
+    mul0 = _inline(nl, mul, {"a": a, "b": b}, "mul0")
+    mul1 = _inline(nl, mul, {"a": c, "b": d}, "mul1")
+    div0 = _inline(nl, div, {"a": a, "b": b}, "div0")
+    div1 = _inline(nl, div, {"a": c, "b": d}, "div1")
 
     mul_out = mux_vectors(nl, sel_unit, mul0[:2 * width], mul1[:2 * width])
     div_cat0 = div0[:2 * width]
@@ -723,10 +727,13 @@ def complex_alu_slice(width: int = 16, name: str = "complex_slice"
     sel_div = nl.add_input("sel_div")
     sel_unit = nl.add_input("sel_unit")
 
-    mul0 = _inline(nl, wallace_multiplier(width), {"a": a, "b": b}, "mul0")
-    mul1 = _inline(nl, wallace_multiplier(width), {"a": c, "b": d}, "mul1")
-    div0 = _inline(nl, divider_iteration(width), {"r": a, "b": b}, "div0")
-    div1 = _inline(nl, divider_iteration(width), {"r": c, "b": d}, "div1")
+    # Built once, inlined twice (see complex_alu).
+    mul = wallace_multiplier(width)
+    div = divider_iteration(width)
+    mul0 = _inline(nl, mul, {"a": a, "b": b}, "mul0")
+    mul1 = _inline(nl, mul, {"a": c, "b": d}, "mul1")
+    div0 = _inline(nl, div, {"r": a, "b": b}, "div0")
+    div1 = _inline(nl, div, {"r": c, "b": d}, "div1")
 
     mul_out = mux_vectors(nl, sel_unit, mul0[:width], mul1[:width])
     div_out = mux_vectors(nl, sel_unit, div0[1:width + 1], div1[1:width + 1])

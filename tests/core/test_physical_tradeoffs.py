@@ -2,9 +2,14 @@
 
 import pytest
 
+import dataclasses
+
+from repro.analysis.dse import dse_sweep
+from repro.core import physical
 from repro.core.complexity import StructureModel
 from repro.core.config import CoreConfig
-from repro.core.physical import core_area, core_physical, region_logic_delays
+from repro.core.physical import (core_area, core_physical, region_logic_delays,
+                                 reset_structure_caches)
 from repro.core.tradeoffs import deepen_pipeline, make_traces
 from repro.errors import ConfigError
 
@@ -87,6 +92,113 @@ class TestCorePhysical:
         assert phys.critical_region in CoreConfig().regions
         assert phys.period == pytest.approx(
             max(phys.region_stage_delay.values()))
+
+
+def _hex(logic):
+    return {region: delay.hex() for region, delay in logic.items()}
+
+
+class TestRegionLogicMemo:
+    """``region_logic_delays`` is memoised per core structure."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh(self):
+        reset_structure_caches()
+        yield
+        reset_structure_caches()
+
+    @pytest.fixture()
+    def combos(self, organic_lib, organic_wire, silicon_lib, silicon_wire):
+        return [(organic_lib, organic_wire),
+                (organic_lib, organic_wire.scaled(0.0)),
+                (silicon_lib, silicon_wire),
+                (silicon_lib, silicon_wire.scaled(0.0))]
+
+    def test_memo_equals_fresh_evaluation(self, combos):
+        """A sample of stock-grid points: memo hits are bitwise equal to
+        pricing the structure from cold."""
+        sample = []
+        for lib, wire in combos:
+            for w, (fw, bw) in ((8, (1, 3)), (20, (2, 4)), (32, (4, 6))):
+                config = CoreConfig(front_width=fw, back_width=bw,
+                                    data_width=w)
+                sample.append((config, lib, wire))
+                sample.append((deepen_pipeline(config, lib, wire), lib, wire))
+        memo = [_hex(region_logic_delays(*point)) for point in sample]
+        assert memo == [_hex(region_logic_delays(*point)) for point in sample]
+        for point, expected in zip(sample, memo):
+            reset_structure_caches()
+            assert _hex(region_logic_delays(*point)) == expected
+
+    def test_depth_only_change_hits(self, organic_lib, organic_wire,
+                                    monkeypatch):
+        base = CoreConfig()
+        first = region_logic_delays(base, organic_lib, organic_wire)
+        deeper = base
+        for _ in range(3):
+            deeper = deepen_pipeline(deeper, organic_lib, organic_wire)
+        assert deeper.regions != base.regions
+
+        def no_pricing(*args, **kwargs):
+            raise AssertionError("memo miss on a depth-only change")
+        monkeypatch.setattr(physical, "StructureModel", no_pricing)
+        again = region_logic_delays(deeper, organic_lib, organic_wire)
+        assert _hex(again) == _hex(first)
+
+    @pytest.mark.parametrize("field,value", [
+        ("data_width", 24), ("front_width", 2), ("back_width", 4),
+        ("iq_size", 48), ("phys_regs", 128), ("rob_size", 128)])
+    def test_keyed_field_change_misses(self, organic_lib, organic_wire,
+                                       field, value):
+        base = CoreConfig()
+        region_logic_delays(base, organic_lib, organic_wire)
+        before = len(physical._LOGIC_CACHE)
+        region_logic_delays(dataclasses.replace(base, **{field: value}),
+                            organic_lib, organic_wire)
+        assert len(physical._LOGIC_CACHE) == before + 1
+
+    def test_wire_and_library_change_misses(self, organic_lib, organic_wire,
+                                            silicon_lib):
+        base = CoreConfig()
+        with_wire = region_logic_delays(base, organic_lib, organic_wire)
+        no_wire = region_logic_delays(base, organic_lib,
+                                      organic_wire.scaled(0.0))
+        other_lib = region_logic_delays(base, silicon_lib, organic_wire)
+        assert len(physical._LOGIC_CACHE) == 3
+        assert _hex(no_wire) != _hex(with_wire)
+        assert _hex(other_lib) != _hex(with_wire)
+
+    def test_returned_dicts_are_private(self, organic_lib, organic_wire):
+        base = CoreConfig()
+        first = region_logic_delays(base, organic_lib, organic_wire)
+        expected = dict(first)
+        first["fetch"] = -1.0
+        first.pop("retire")
+        assert region_logic_delays(base, organic_lib, organic_wire) == expected
+        phys = core_physical(base, organic_lib, organic_wire)
+        phys.region_logic["decode"] = -1.0
+        assert (core_physical(base, organic_lib, organic_wire).region_logic
+                == expected)
+
+    def test_dse_sweep_prices_each_structure_once(self, organic_lib,
+                                                  organic_wire, monkeypatch):
+        """Every depth point of a (data width, width pair) chain shares
+        one structure pricing."""
+        calls = []
+        real = StructureModel.wakeup_select_delay
+
+        def counting(self, *args):
+            calls.append(args)
+            return real(self, *args)
+        monkeypatch.setattr(StructureModel, "wakeup_select_delay", counting)
+        widths, pairs = (8, 12), ((1, 3), (2, 4))
+        result = dse_sweep(combos=[("organic", organic_lib, organic_wire)],
+                           widths=widths, width_pairs=pairs, max_depth=12,
+                           traces=make_traces(workloads=["gzip"],
+                                              n_instructions=300),
+                           workers=1)
+        assert len(result) == len(widths) * len(pairs) * 4
+        assert len(calls) == len(widths) * len(pairs)
 
 
 class TestTraces:

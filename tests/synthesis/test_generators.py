@@ -12,6 +12,7 @@ from repro.synthesis.generators import (
     array_multiplier,
     bypass_check,
     carry_select_adder,
+    complex_alu,
     complex_alu_slice,
     divider_iteration,
     execution_stage,
@@ -156,6 +157,16 @@ class TestCompositeBlocks:
         out = nl.simulate(vals)
         outs = [out[n] for n in nl.primary_outputs]
         assert from_bits(outs[:8]) == 200 - 60  # restoring step remainder
+
+    @pytest.mark.parametrize("build,width,digest", [
+        (complex_alu_slice, 8, "e16d8c28b9e93ee7b652720fbce0ac5c"),
+        (complex_alu_slice, 16, "c2265753e5df189c73d65db375e16647"),
+        (complex_alu, 8, "4e9f331d937ae325a08dfd366a5fc9fa"),
+    ])
+    def test_composite_fingerprint_pinned(self, build, width, digest):
+        """Sub-blocks built once and inlined twice give the same netlist
+        (gates, order, names) as building each copy separately."""
+        assert build(width).fingerprint() == digest
 
     def test_execution_stage_builds(self):
         nl = execution_stage(8)
