@@ -19,8 +19,8 @@ the recorded pre-optimisation baselines, and writes the results to
    library/wire combos x 7 data widths x 4 width pairs x depths 9-17)
    from :mod:`repro.analysis.dse`, cold cache — the row the
    shared-structure synthesis engine and incremental STA
-   (``REPRO_INCREMENTAL_STA``) own; seeded from the pre-incremental
-   path's time of the identical grid,
+   (``repro.synthesis.sta.INCREMENTAL``) own; seeded from the
+   pre-incremental path's time of the identical grid,
 8. ``ensemble_newton`` — the solver-backend microbench: 200 fixed-dt
    ensemble Newton timesteps on a 16-member inverter batch, isolating
    the ``REPRO_BACKEND`` dispatch effect from step control and probing
@@ -558,8 +558,8 @@ def main(argv: list[str] | None = None) -> int:
         prof = profiling.breakdown(elapsed) if args.profile else None
         _record(results, name, elapsed, prof)
 
+    from repro import runtime
     from repro.core import ipc_native
-    from repro.runtime import ensemble_enabled
     from repro.spice.backends import get_backend
 
     payload = {
@@ -567,9 +567,9 @@ def main(argv: list[str] | None = None) -> int:
         "environment": {
             **_env_fingerprint(),
             "workers": args.workers,
-            "ensemble": ensemble_enabled(),
+            "ensemble": runtime.ENSEMBLE,
             "ipc_kernel": ("native" if ipc_native.native_available()
-                           else "python"),
+                           else "reference"),
             "spice_backend": get_backend().name,
             "spice_backend_requested": os.environ.get("REPRO_BACKEND",
                                                       "auto"),

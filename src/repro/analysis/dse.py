@@ -16,7 +16,7 @@ sharing underneath:
 - technology mapping is fingerprint-memoised and extends cached base
   mappings (:func:`repro.synthesis.mapping.map_cached`),
 - STA re-times only the delta against a recorded session
-  (``REPRO_INCREMENTAL_STA``, :mod:`repro.synthesis.sta`),
+  (:data:`repro.synthesis.sta.INCREMENTAL`),
 - block areas come from exact cell counting, never a mapped netlist
   (:func:`repro.core.physical._block_area`),
 - IPC simulations go through the persistent result cache.

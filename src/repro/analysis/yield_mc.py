@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import runtime
 from repro.cells.topologies import (
     CellDesign,
     DeviceSpec,
@@ -34,7 +35,7 @@ from repro.cells.vtc import (
 from repro.devices.tft_level61 import UnifiedTft
 from repro.devices.variation import VariationModel
 from repro.errors import AnalysisError, ConvergenceError
-from repro.runtime import chunked, ensemble_batch, ensemble_enabled, parallel_map
+from repro.runtime import chunked, parallel_map
 
 
 def perturb_cell(cell: CellDesign, variation: VariationModel,
@@ -129,11 +130,11 @@ def noise_margin_yield(base_cell: CellDesign,
     margins: list[float] = []
     vms: list[float] = []
     converged = 0
-    if ensemble_enabled():
-        # Chunk size comes from REPRO_ENSEMBLE_BATCH alone (never the
+    if runtime.ENSEMBLE:
+        # Chunk size comes from runtime.ENSEMBLE_BATCH alone (never the
         # worker count), so the sample outcomes are identical for any
         # REPRO_WORKERS; parallel_map shards whole chunks.
-        chunks = chunked(instances, ensemble_batch())
+        chunks = chunked(instances, runtime.ENSEMBLE_BATCH)
         offsets = np.cumsum([0] + [len(c) for c in chunks])
         results = parallel_map(
             _nm_chunk_task, chunks, workers=workers,

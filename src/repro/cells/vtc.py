@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import runtime
 from repro.cells.topologies import CellDesign, build_dc_testbench
 from repro.errors import AnalysisError, CircuitError, ConvergenceError
-from repro.runtime import ensemble_enabled
 from repro.spice.dc import NewtonOptions, dc_sweep
 from repro.spice.ensemble import ensemble_dc_sweep
 
@@ -163,7 +163,7 @@ def compute_vtc_batch(cells: list[CellDesign], n_points: int = 101,
     # Members may differ in rail *values* (e.g. a VSS trim sweep) but the
     # sweep range and which rails are tied to ground must agree.
     nonzero = [r for r, v in first.rails.items() if v != 0.0]
-    if not ensemble_enabled() or any(
+    if not runtime.ENSEMBLE or any(
             c.inputs != first.inputs
             or c.rails.get("vdd") != vdd
             or [r for r, v in c.rails.items() if v != 0.0] != nonzero

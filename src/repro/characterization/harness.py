@@ -7,6 +7,11 @@ measures 50%-to-50% propagation delay plus the output's 20%-80% transition.
 The flip-flop additionally gets clk->q tables and bisection-based setup and
 hold times, mirroring what a commercial characterisation tool performs.
 
+Grid points run as stacked ensemble transients, in chunks of
+:data:`repro.runtime.ENSEMBLE_BATCH`; with :data:`repro.runtime.ENSEMBLE`
+patched to ``False`` every point runs its own scalar transient, the
+oracle the ensemble path is checked against.
+
 Because a library build runs hundreds of multi-transistor transients,
 :func:`characterize_library` caches its result as JSON keyed by a hash of
 the full cell-design description (device parameters, sizes, rails, grid).
@@ -22,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro import runtime
 from repro.cells.library_def import CellLibraryDefinition
 from repro.cells.sizing import estimate_gate_delay
 from repro.cells.topologies import CellDesign, CompositeCell
@@ -38,13 +44,7 @@ from repro.errors import (
     ConvergenceError,
     LibraryError,
 )
-from repro.runtime import (
-    chunked as _chunked,
-    ensemble_batch as _ensemble_batch,
-    ensemble_enabled as _ensemble_enabled,
-    parallel_map,
-    telemetry,
-)
+from repro.runtime import chunked as _chunked, parallel_map, telemetry
 from repro.runtime.cache import ResultCache, default_cache_root
 from repro.spice.dc import operating_point
 from repro.spice.elements import Capacitor, RampValue, VoltageSource
@@ -232,10 +232,10 @@ def measure_arc_batch(design: CellDesign, pin: str, input_rise: bool,
         for _slew, load in points]
 
     results: list[tuple[float, float] | None] = [None] * len(points)
-    for chunk_start in range(0, len(points), _ensemble_batch()):
+    batch = runtime.ENSEMBLE_BATCH
+    for chunk_start in range(0, len(points), batch):
         chunk_idx = list(range(chunk_start,
-                               min(chunk_start + _ensemble_batch(),
-                                   len(points))))
+                               min(chunk_start + batch, len(points))))
         # The scalar controller's retry loop, batched: members whose
         # output has not settled get the same window *= 4 re-run (with
         # the same recomputed dt) as measure_arc, as an ever-shrinking
@@ -408,10 +408,10 @@ def characterize_cell(design: CellDesign, grid: CharacterizationGrid,
     """Full NLDM characterisation of one combinational cell.
 
     By default each timing arc's entire slew x load grid runs as **one**
-    stacked ensemble transient (``REPRO_ENSEMBLE=0`` restores the scalar
-    one-transient-per-point path), so ``parallel_map`` shards whole-arc
-    batches rather than single grid points.  Results are identical to the
-    scalar serial run either way.
+    stacked ensemble transient (``runtime.ENSEMBLE = False`` restores the
+    scalar one-transient-per-point path), so ``parallel_map`` shards
+    whole-arc batches rather than single grid points.  Results are
+    identical to the scalar serial run either way.
     """
     with telemetry.span(f"cell:{design.name}"):
         return _characterize_cell(design, grid, area, workers)
@@ -422,7 +422,7 @@ def _characterize_cell(design: CellDesign, grid: CharacterizationGrid,
     telemetry.count("char.cells")
     hints = {load: estimate_gate_delay(design, load + 1e-18)
              for load in grid.loads}
-    if _ensemble_enabled():
+    if runtime.ENSEMBLE:
         points = [(slew, load) for load in grid.loads
                   for slew in grid.slews]
         tasks = [(design, pin, input_rise, points, hints)
@@ -657,13 +657,14 @@ def measure_setup_time(dff: CompositeCell, clk_slew: float, load: float,
     ``resolution``.  The default search probes several interior
     candidates per round as one stacked ensemble (a K-way section search,
     ~3 rounds instead of ~7 serial bisection transients); with
-    ``REPRO_ENSEMBLE=0`` it is the classic one-probe-per-round bisection.
+    ``runtime.ENSEMBLE = False`` it is the classic one-probe-per-round
+    bisection.
     Either way the returned ``hi`` is a capturing upper bracket within
     ``resolution`` of the true threshold.
     """
     lo, hi = 0.0, 10.0 * t_unit
     resolution = resolution_frac * t_unit
-    use_ensemble = _ensemble_enabled()
+    use_ensemble = runtime.ENSEMBLE
 
     if use_ensemble:
         flags = _captures_batch(dff, load, clk_slew, t_unit, [hi, lo])
@@ -792,10 +793,10 @@ def _characterize_dff(dff: CompositeCell, grid: CharacterizationGrid,
                       area: float, t_unit: float,
                       workers: int | None) -> SequentialTiming:
     telemetry.count("char.cells")
-    if _ensemble_enabled():
+    if runtime.ENSEMBLE:
         points = [(slew, load)
                   for slew in grid.slews for load in grid.loads]
-        chunks = _chunked(points, _ensemble_batch())
+        chunks = _chunked(points, runtime.ENSEMBLE_BATCH)
         tasks = [(dff, chunk, t_unit) for chunk in chunks]
         labels = [f"{dff.name} clk->q batch[{i}]"
                   for i in range(len(chunks))]

@@ -1,6 +1,6 @@
-"""Optional compiled backend for the fast IPC timing kernel.
+"""The fast IPC timing kernel, compiled.
 
-The fast kernel's recurrence (:func:`repro.core.superscalar._fast_cycles`)
+The timing recurrence (:func:`repro.core.superscalar._simulate_reference`)
 is a few dozen integer operations per dynamic instruction; at sweep scale
 (millions of instructions per figure) the CPython interpreter dominates
 its runtime.  This module compiles the identical recurrence as a tiny C
@@ -8,15 +8,15 @@ function with whatever system compiler is already present (``cc`` /
 ``gcc`` / ``clang``) and calls it through :mod:`ctypes` on the trace's
 packed arrays.
 
-The backend is strictly optional and silently gated:
+The kernel is strictly optional and silently gated:
 
-- no compiler, a failed compile, or ``REPRO_NATIVE=0`` -> the pure-Python
-  fast loop runs instead (same results, just slower);
+- no compiler, a failed compile, or ``REPRO_NATIVE=0`` -> the reference
+  loop runs instead (same results, just slower);
 - the shared object is cached under ``REPRO_NATIVE_DIR`` (default
   ``~/.cache/repro/native``) keyed by a hash of the C source, so the
   compile cost is paid once per machine, not per run;
-- the compiled kernel is covered by the same cycle-exactness suite as the
-  Python loops (``tests/core/test_kernel_equivalence.py``).
+- the compiled kernel is checked cycle-exact against the reference loop
+  (``tests/core/test_kernel_equivalence.py``).
 
 Nothing is installed and no third-party build system is involved: the
 source below is written to the cache directory and compiled with
@@ -46,7 +46,7 @@ from repro.runtime.log import get_logger
 
 logger = get_logger(__name__)
 
-#: Set to ``0`` to force the pure-Python fast kernel.
+#: Set to ``0`` to run the reference loop in place of the compiled kernel.
 NATIVE_ENV = "REPRO_NATIVE"
 
 #: Override the directory where compiled kernels are cached.
@@ -55,14 +55,15 @@ NATIVE_DIR_ENV = "REPRO_NATIVE_DIR"
 _C_SOURCE = """
 #include <stdint.h>
 
-/* Cycle count of the greedy out-of-order schedule; a line-for-line
- * transliteration of the general loop in repro/core/superscalar.py
- * (_fast_cycles).  Scratch rings are allocated (zeroed) by the caller.
+/* Cycle count of the greedy out-of-order schedule; the recurrence of
+ * the reference loop in repro/core/superscalar.py (_simulate_reference)
+ * over packed arrays, with the ROB/IQ/LSQ windows as rings.  Scratch
+ * rings are allocated (zeroed) by the caller.
  *
  * stats (nullable, written on return):
  *   [0] applied fetch redirects (mispredicted branches whose resolve
  *       actually moved the fetch cursor) — same counting as the
- *       Python loops' ipc.fetch_redirects.
+ *       reference loop's ipc.fetch_redirects.
  */
 long long repro_ipc_cycles(
     long long n,
@@ -191,8 +192,8 @@ def _compile() -> Path | None:
     compiler = _find_compiler()
     if compiler is None:
         logger.warning(
-            "no C compiler found; the IPC timing kernel runs as pure "
-            "Python (correct, but several times slower)")
+            "no C compiler found; IPC simulation runs the reference "
+            "loop (correct, but much slower)")
         return None
     try:
         directory.mkdir(parents=True, exist_ok=True)
@@ -207,16 +208,16 @@ def _compile() -> Path | None:
             capture_output=True, text=True, timeout=120)
         if result.returncode != 0:
             logger.warning(
-                "IPC kernel compile failed (%s); falling back to the pure-"
-                "Python kernel:\n%s", compiler, result.stderr.strip())
+                "IPC kernel compile failed (%s); falling back to the "
+                "reference loop:\n%s", compiler, result.stderr.strip())
             tmp_path.unlink(missing_ok=True)
             return None
         os.replace(tmp_path, so_path)              # atomic publish
         return so_path
     except OSError as exc:
         logger.warning(
-            "IPC kernel build unavailable (%s); falling back to the pure-"
-            "Python kernel", exc)
+            "IPC kernel build unavailable (%s); falling back to the "
+            "reference loop", exc)
         return None
 
 
@@ -249,8 +250,8 @@ def load_kernel():
         _STATE[0] = _bind(so_path)
     except OSError as exc:                         # stale/foreign object
         logger.warning(
-            "IPC kernel load failed (%s); falling back to the pure-Python "
-            "kernel", exc)
+            "IPC kernel load failed (%s); falling back to the reference "
+            "loop", exc)
         _STATE[0] = None
     return _STATE[0]
 
@@ -274,11 +275,12 @@ _OCC = np.asarray(PIPE_OCCUPANCY_BY_CODE, dtype=np.int64)
 def native_cycles(config, trace) -> int | None:
     """Cycle count via the compiled kernel, or None when unavailable.
 
-    Takes the same inputs as the pure-Python fast loop: the trace's
-    packed arrays and the mispredict flags precomputed per
-    ``(trace, predictor_bits)``.  Scratch ring buffers for the
-    ROB/IQ/LSQ occupancy windows are allocated zeroed here, matching
-    the Python loops' warm-up-free ring initialisation.
+    Reads the trace's packed arrays and the mispredict flags
+    precomputed per ``(trace, predictor_bits)``.  Scratch ring buffers
+    for the ROB/IQ/LSQ occupancy windows are allocated zeroed here: an
+    unwarmed slot reads as ``t = 1``, and ``dispatch >= frontend_depth
+    >= 4`` makes that comparison a no-op, so the reference loop's
+    ``idx >= window`` warm-up guards can be dropped.
     """
     kernel = load_kernel()
     if kernel is None:

@@ -128,7 +128,7 @@ def _generic_block(block: str, width: int) -> Netlist:
     elif block == "adder":
         base = None
         base_w = 0
-        if _sta.incremental_enabled():
+        if _sta.INCREMENTAL:
             for (blk, w0), cand in _GENERIC_CACHE.items():
                 if (blk == "adder" and base_w < w0 < width
                         and w0 % _CSA_BLOCK == 0):

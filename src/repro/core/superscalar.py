@@ -21,46 +21,35 @@ paper's Figures 11 and 13 need.
 
 Two kernels implement the same recurrence:
 
-- the **fast** kernel (default) runs a tight scalar loop over the trace's
-  packed arrays (:meth:`Trace.packed_lists`) with preallocated ring
-  buffers for the occupancy windows and gshare mispredict flags
-  precomputed once per ``(trace, predictor_bits)``
+- the **fast** kernel (default) is a compiled C loop
+  (:mod:`repro.core.ipc_native`) over the trace's packed arrays, with
+  preallocated ring buffers for the occupancy windows and gshare
+  mispredict flags precomputed once per ``(trace, predictor_bits)``
   (:meth:`Trace.mispredict_flags`) — the predictor stream never depends
-  on core timing, so sweeps share it across every configuration; when a
-  system C compiler is available the identical recurrence runs compiled
-  (:mod:`repro.core.ipc_native`, opt out with ``REPRO_NATIVE=0``);
+  on core timing, so sweeps share it across every configuration.  It is
+  built with the system C compiler on first use; with no compiler (or
+  ``REPRO_NATIVE=0``) ``kernel="fast"`` runs the reference loop instead;
 - the **reference** kernel is the original instruction-object loop with a
   live :class:`GsharePredictor`, kept as the cycle-exact oracle.
 
-Select with ``REPRO_IPC_KERNEL=fast|reference`` (or the ``kernel=``
-argument); both produce identical cycles, mispredicts and miss counts
-(enforced by the equivalence test suite).
+Pick one with the ``kernel=`` argument; both produce identical cycles,
+mispredicts, miss counts and fetch-redirect counts (enforced by the
+equivalence test suite).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from time import perf_counter
 
 from repro.core import ipc_native
 from repro.core.branch import GsharePredictor
 from repro.core.config import CoreConfig
-from repro.core.isa import (
-    CODE_ALU,
-    CODE_BRANCH,
-    CODE_LOAD,
-    EXEC_LATENCY,
-    EXEC_LATENCY_BY_CODE,
-    PIPE_OCCUPANCY_BY_CODE,
-    InstrClass,
-)
+from repro.core.isa import EXEC_LATENCY, InstrClass
 from repro.core.trace import Trace
 from repro.errors import ConfigError, SimulationError
 from repro.runtime import profiling, telemetry
 
-#: Environment knob selecting the timing kernel.
-KERNEL_ENV = "REPRO_IPC_KERNEL"
 _KERNELS = ("fast", "reference")
 
 
@@ -83,7 +72,7 @@ class SimulationResult:
 
 
 def _resolve_kernel(kernel: str | None) -> str:
-    kernel = kernel or os.environ.get(KERNEL_ENV) or "fast"
+    kernel = kernel or "fast"
     if kernel not in _KERNELS:
         raise ConfigError(
             f"unknown IPC kernel {kernel!r}; choose one of {_KERNELS}")
@@ -94,8 +83,8 @@ def simulate(config: CoreConfig, trace: Trace,
              kernel: str | None = None) -> SimulationResult:
     """Run *trace* through the timing model; returns IPC and statistics.
 
-    ``kernel`` (default: the ``REPRO_IPC_KERNEL`` environment variable,
-    else ``'fast'``) picks the array kernel or the reference oracle.
+    ``kernel`` (default ``'fast'``) picks the compiled kernel or the
+    reference oracle.
     """
     if profiling.ENABLED:
         t0 = perf_counter()
@@ -110,20 +99,22 @@ def _simulate(config: CoreConfig, trace: Trace,
     if len(trace) == 0:
         raise SimulationError("empty trace")
     if _resolve_kernel(kernel) == "fast":
-        cycles = _fast_cycles(config, trace)
-        mispredicts = sum(trace.mispredict_flags(config.predictor_bits))
-        if telemetry.ENABLED:
-            _flush_simulation(len(trace), cycles)
-        return SimulationResult(
-            config_name=config.name,
-            trace_name=trace.name,
-            instructions=len(trace),
-            cycles=cycles,
-            ipc=len(trace) / cycles,
-            branch_count=trace.branch_count(),
-            mispredicts=mispredicts,
-            l1_misses=trace.l1_miss_count(),
-        )
+        cycles = ipc_native.native_cycles(config, trace)
+        if cycles is not None:
+            if telemetry.ENABLED:
+                telemetry.count("ipc.native_kernel_runs")
+                _flush_simulation(len(trace), cycles)
+            return SimulationResult(
+                config_name=config.name,
+                trace_name=trace.name,
+                instructions=len(trace),
+                cycles=cycles,
+                ipc=len(trace) / cycles,
+                branch_count=trace.branch_count(),
+                mispredicts=sum(trace.mispredict_flags(
+                    config.predictor_bits)),
+                l1_misses=trace.l1_miss_count(),
+            )
     result = _simulate_reference(config, trace)
     if telemetry.ENABLED:
         telemetry.count("ipc.reference_kernel_runs")
@@ -140,316 +131,16 @@ def _flush_simulation(instructions: int, cycles: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Fast kernel: packed arrays, precomputed predictor stream, ring buffers
-# ---------------------------------------------------------------------------
-
-def _fast_cycles(config: CoreConfig, trace: Trace) -> int:
-    """Total cycles of the greedy schedule, from the packed trace.
-
-    Identical recurrence to :func:`_simulate_reference`; the loop body is
-    arranged for CPython speed — everything is a local, the unbounded
-    ``retire_times``/``issue_times``/``mem_issue_times`` lists are
-    preallocated rings of exactly the window sizes (the recurrence only
-    ever reads entry ``idx - window``, i.e. the slot about to be
-    overwritten), and per-class constants are folded into six-entry
-    tables indexed by the packed class code.
-
-    The ``idx >= window`` warm-up guards of the reference are dropped:
-    the rings start at 0, so an unwarmed slot reads as ``t = 1``, and
-    ``dispatch >= frontend_depth >= 4`` (four front-end regions of at
-    least one stage each) makes that comparison a provable no-op.
-
-    A width-1 front end (the paper's baseline, and every depth-sweep
-    point) additionally collapses the fetch-fill and retire-fill
-    bookkeeping — one instruction per cycle in, one out — so that case
-    runs in a dedicated loop.
-
-    When a system C compiler is present the same recurrence runs as a
-    compiled kernel instead (:mod:`repro.core.ipc_native`; disable with
-    ``REPRO_NATIVE=0``) — the Python loops below are the always-available
-    fallback and the first line of defence in the equivalence suite.
-    """
-    cycles = ipc_native.native_cycles(config, trace)
-    if cycles is not None:
-        if telemetry.ENABLED:
-            telemetry.count("ipc.native_kernel_runs")
-        return cycles
-    if telemetry.ENABLED:
-        telemetry.count("ipc.python_kernel_runs")
-    if config.front_width == 1:
-        return _fast_cycles_w1(config, trace)
-    codes, src0, src1, dsts, load_miss = trace.packed_lists()
-    mflags = trace.mispredict_flags(config.predictor_bits)
-
-    front_width = config.front_width
-    frontend_depth = config.frontend_depth
-    rob_size = config.rob_size
-    iq_size = config.iq_size
-    lsq_size = config.lsq_size
-    n_alu = config.alu_pipes
-    single_alu = n_alu == 1
-
-    # completion = issue + comp_add[code] (+ the extra miss penalty for
-    # missing loads); pipe occupancy = occ[code].
-    base = config.issue_to_execute + config.execute_latency - 1
-    comp_add = [base + lat for lat in EXEC_LATENCY_BY_CODE]
-    comp_add[CODE_LOAD] += config.l1_hit_latency
-    miss_extra = config.l1_miss_latency - config.l1_hit_latency
-    occ = PIPE_OCCUPANCY_BY_CODE
-
-    alu_free = [0] * n_alu
-    alu0 = 0
-    mem_free = 0
-    branch_free = 0
-    reg_ready = [0] * 32
-
-    retire_ring = [0] * rob_size
-    issue_ring = [0] * iq_size
-    mem_ring = [0] * lsq_size
-    rp = qp = mp = 0        # ring cursors (idx mod window)
-
-    fetch_cycle = 0
-    fetch_fill = 0
-    last_retire = 0
-    retire_fill = 0
-    retire_cycle = -1
-    branch_idx = 0
-    redirects = 0
-
-    for code, s0, s1, d, miss in zip(codes, src0, src1, dsts, load_miss):
-        # ---- fetch / front end + occupancy windows ---------------------------
-        if fetch_fill >= front_width:
-            fetch_cycle += 1
-            fetch_fill = 0
-        fetch_fill += 1
-        dispatch = fetch_cycle + frontend_depth
-        t = retire_ring[rp] + 1
-        if t > dispatch:
-            dispatch = t
-        t = issue_ring[qp] + 1
-        if t > dispatch:
-            dispatch = t
-
-        # ---- source readiness -------------------------------------------------
-        ready = dispatch
-        if s0 >= 0:
-            t = reg_ready[s0]
-            if t > ready:
-                ready = t
-        if s1 >= 0:
-            t = reg_ready[s1]
-            if t > ready:
-                ready = t
-
-        # ---- structural issue + completion -------------------------------------
-        if code < CODE_LOAD:                       # ALU / MUL / DIV
-            if single_alu:
-                issue = ready if ready >= alu0 else alu0
-                alu0 = issue + occ[code]
-            else:
-                best = 0
-                best_free = alu_free[0]
-                for p in range(1, n_alu):
-                    v = alu_free[p]
-                    if v < best_free:
-                        best, best_free = p, v
-                issue = ready if ready >= best_free else best_free
-                alu_free[best] = issue + occ[code]
-            completion = issue + comp_add[code]
-        elif code < CODE_BRANCH:                   # LOAD / STORE
-            t = mem_ring[mp] + 1
-            if t > ready:
-                ready = t
-            issue = ready if ready >= mem_free else mem_free
-            mem_free = issue + 1
-            mem_ring[mp] = issue
-            mp += 1
-            if mp == lsq_size:
-                mp = 0
-            completion = issue + comp_add[code] + (miss_extra if miss else 0)
-        else:                                      # BRANCH
-            issue = ready if ready >= branch_free else branch_free
-            branch_free = issue + 1
-            completion = issue + comp_add[CODE_BRANCH]
-            if mflags[branch_idx]:
-                redirect = completion + 1
-                if redirect > fetch_cycle:
-                    fetch_cycle = redirect
-                    fetch_fill = 0
-                    redirects += 1
-            branch_idx += 1
-
-        if d >= 0:
-            reg_ready[d] = completion
-
-        # ---- in-order retirement -----------------------------------------------
-        retire = completion + 1
-        if retire < last_retire:
-            retire = last_retire
-        if retire == retire_cycle:
-            if retire_fill >= front_width:
-                retire += 1
-                retire_fill = 0
-        if retire != retire_cycle:
-            retire_cycle = retire
-            retire_fill = 0
-        retire_fill += 1
-        last_retire = retire
-
-        retire_ring[rp] = retire
-        issue_ring[qp] = issue
-        rp += 1
-        if rp == rob_size:
-            rp = 0
-        qp += 1
-        if qp == iq_size:
-            qp = 0
-
-    if telemetry.ENABLED and redirects:
-        telemetry.count("ipc.fetch_redirects", redirects)
-    return last_retire + 1
-
-
-def _fast_cycles_w1(config: CoreConfig, trace: Trace) -> int:
-    """:func:`_fast_cycles` specialised for ``front_width == 1``.
-
-    With one instruction fetched and one retired per cycle, the fill
-    counters degenerate: fetch advances one cycle per instruction (reset
-    by branch redirects), and the retire slot is simply
-    ``max(completion + 1, last_retire + 1)``.  Covered by the same
-    equivalence suite as the general loop (the config grids include
-    width-1 points).
-    """
-    codes, src0, src1, dsts, load_miss = trace.packed_lists()
-    mflags = trace.mispredict_flags(config.predictor_bits)
-
-    frontend_depth = config.frontend_depth
-    rob_size = config.rob_size
-    iq_size = config.iq_size
-    lsq_size = config.lsq_size
-    n_alu = config.alu_pipes
-    single_alu = n_alu == 1
-
-    base = config.issue_to_execute + config.execute_latency - 1
-    comp_add = [base + lat for lat in EXEC_LATENCY_BY_CODE]
-    comp_add[CODE_LOAD] += config.l1_hit_latency
-    miss_extra = config.l1_miss_latency - config.l1_hit_latency
-    occ = PIPE_OCCUPANCY_BY_CODE
-
-    alu_free = [0] * n_alu
-    alu0 = 0
-    mem_free = 0
-    branch_free = 0
-    reg_ready = [0] * 32
-
-    retire_ring = [0] * rob_size
-    issue_ring = [0] * iq_size
-    mem_ring = [0] * lsq_size
-    rp = qp = mp = 0
-
-    fetch_cycle = 0
-    fetched = False         # fetch_cycle already holds an instruction
-    last_retire = 0
-    branch_idx = 0
-    redirects = 0
-
-    for code, s0, s1, d, miss in zip(codes, src0, src1, dsts, load_miss):
-        # ---- fetch / front end + occupancy windows ---------------------------
-        if fetched:
-            fetch_cycle += 1
-        else:
-            fetched = True
-        dispatch = fetch_cycle + frontend_depth
-        t = retire_ring[rp] + 1
-        if t > dispatch:
-            dispatch = t
-        t = issue_ring[qp] + 1
-        if t > dispatch:
-            dispatch = t
-
-        # ---- source readiness -------------------------------------------------
-        ready = dispatch
-        if s0 >= 0:
-            t = reg_ready[s0]
-            if t > ready:
-                ready = t
-        if s1 >= 0:
-            t = reg_ready[s1]
-            if t > ready:
-                ready = t
-
-        # ---- structural issue + completion -------------------------------------
-        if code < CODE_LOAD:                       # ALU / MUL / DIV
-            if single_alu:
-                issue = ready if ready >= alu0 else alu0
-                alu0 = issue + occ[code]
-            else:
-                best = 0
-                best_free = alu_free[0]
-                for p in range(1, n_alu):
-                    v = alu_free[p]
-                    if v < best_free:
-                        best, best_free = p, v
-                issue = ready if ready >= best_free else best_free
-                alu_free[best] = issue + occ[code]
-            completion = issue + comp_add[code]
-        elif code < CODE_BRANCH:                   # LOAD / STORE
-            t = mem_ring[mp] + 1
-            if t > ready:
-                ready = t
-            issue = ready if ready >= mem_free else mem_free
-            mem_free = issue + 1
-            mem_ring[mp] = issue
-            mp += 1
-            if mp == lsq_size:
-                mp = 0
-            completion = issue + comp_add[code] + (miss_extra if miss else 0)
-        else:                                      # BRANCH
-            issue = ready if ready >= branch_free else branch_free
-            branch_free = issue + 1
-            completion = issue + comp_add[CODE_BRANCH]
-            if mflags[branch_idx]:
-                redirect = completion + 1
-                if redirect > fetch_cycle:
-                    fetch_cycle = redirect
-                    fetched = False
-                    redirects += 1
-            branch_idx += 1
-
-        if d >= 0:
-            reg_ready[d] = completion
-
-        # ---- in-order retirement (one slot per cycle) --------------------------
-        retire = completion + 1
-        t = last_retire + 1
-        if retire < t:
-            retire = t
-        last_retire = retire
-
-        retire_ring[rp] = retire
-        issue_ring[qp] = issue
-        rp += 1
-        if rp == rob_size:
-            rp = 0
-        qp += 1
-        if qp == iq_size:
-            qp = 0
-
-    if telemetry.ENABLED and redirects:
-        telemetry.count("ipc.fetch_redirects", redirects)
-    return last_retire + 1
-
-
-# ---------------------------------------------------------------------------
 # Reference kernel: the cycle-exact oracle
 # ---------------------------------------------------------------------------
 
 def _simulate_reference(config: CoreConfig, trace: Trace) -> SimulationResult:
     """The original instruction-object recurrence with a live predictor.
 
-    Kept verbatim as the oracle the fast kernel is verified against
-    (``tests/core/test_kernel_equivalence.py``); select it with
-    ``REPRO_IPC_KERNEL=reference``.
+    Kept as the oracle the compiled kernel is verified against
+    (``tests/core/test_kernel_equivalence.py``), and run by
+    ``kernel="fast"`` where no compiled kernel is available; select it
+    with ``kernel="reference"``.
     """
     predictor = GsharePredictor(config.predictor_bits)
 
@@ -489,6 +180,7 @@ def _simulate_reference(config: CoreConfig, trace: Trace) -> SimulationResult:
     mispredicts = 0
     l1_misses = 0
     n_branches = 0
+    redirects = 0
 
     for idx, instr in enumerate(trace.instructions):
         # ---- fetch / front end -------------------------------------------------
@@ -559,6 +251,7 @@ def _simulate_reference(config: CoreConfig, trace: Trace) -> SimulationResult:
                 if redirect > fetch_cycle:
                     fetch_cycle = redirect
                     fetch_fill = 0
+                    redirects += 1
 
         # ---- in-order retirement -------------------------------------------------------
         retire_ready = max(completion + 1, last_retire)
@@ -575,6 +268,8 @@ def _simulate_reference(config: CoreConfig, trace: Trace) -> SimulationResult:
         retire_times.append(retire_ready)
         issue_times.append(issue_time)
 
+    if telemetry.ENABLED and redirects:
+        telemetry.count("ipc.fetch_redirects", redirects)
     cycles = last_retire + 1
     return SimulationResult(
         config_name=config.name,

@@ -45,7 +45,7 @@ class Trace:
     __slots__ = ("name", "_n", "_klass", "_src0", "_src1", "_dst",
                  "_taken", "_pattern_key", "_is_miss", "_instructions",
                  "_class_mix", "_branch_count", "_l1_miss_count",
-                 "_fingerprint", "_packed", "_packed_arrays",
+                 "_fingerprint", "_packed_arrays",
                  "_branch_keys_taken", "_mispredict_flags",
                  "_mispredict_arrays")
 
@@ -78,7 +78,6 @@ class Trace:
         self._branch_count: int | None = None
         self._l1_miss_count: int | None = None
         self._fingerprint: str | None = None
-        self._packed: tuple | None = None
         self._packed_arrays: tuple | None = None
         self._branch_keys_taken: tuple[np.ndarray, np.ndarray] | None = None
         self._mispredict_flags: dict[int, list[bool]] = {}
@@ -238,27 +237,13 @@ class Trace:
 
     # -- kernel-facing packed views -------------------------------------------
 
-    def packed_lists(self) -> tuple[list, list, list, list, list]:
-        """(codes, src0, src1, dst, load_miss) as plain Python lists.
-
-        Plain-list indexing is what the tight timing loop wants (scalar
-        NumPy indexing is several times slower); the conversion happens
-        once per trace and is shared by every config simulated on it.
-        ``load_miss`` is pre-masked to loads.
-        """
-        if self._packed is None:
-            load_miss = self._is_miss & (self._klass == CODE_LOAD)
-            self._packed = (self._klass.tolist(), self._src0.tolist(),
-                            self._src1.tolist(), self._dst.tolist(),
-                            load_miss.tolist())
-        return self._packed
-
     def packed_arrays(self) -> tuple[np.ndarray, ...]:
         """(codes, src0, src1, dst, load_miss) as contiguous arrays.
 
         The compiled timing kernel reads these buffers directly (int8
-        registers/codes, uint8 miss flags); built once per trace, like
-        :meth:`packed_lists`.  ``load_miss`` is pre-masked to loads.
+        registers/codes, uint8 miss flags); built once per trace and
+        shared by every config simulated on it.  ``load_miss`` is
+        pre-masked to loads.
         """
         if self._packed_arrays is None:
             load_miss = (self._is_miss & (self._klass == CODE_LOAD))

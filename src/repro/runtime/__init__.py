@@ -7,9 +7,10 @@ processes), :mod:`repro.runtime.log` (unified logging config for the
 CLIs), :mod:`repro.runtime.profiling` (the solver stage breakdown, now
 a view over the telemetry registry), and :mod:`repro.runtime.report`
 (per-experiment JSON run reports).
-"""
 
-import os
+It also holds the ensemble-solver constants :data:`ENSEMBLE` and
+:data:`ENSEMBLE_BATCH`, which callers read at call time.
+"""
 
 from repro.runtime import log, telemetry
 from repro.runtime.cache import ResultCache, default_cache, default_cache_root
@@ -22,22 +23,19 @@ from repro.runtime.executor import (
 )
 from repro.runtime.log import get_logger
 
+#: Batched ensemble solves: characterisation grids, DFF probes and Monte
+#: Carlo VTC populations integrate as one stacked system.  Read at call
+#: time as ``runtime.ENSEMBLE``; tests and validation patch it to
+#: ``False`` to reach the scalar per-circuit oracle.  A patched value
+#: reaches only fork-started workers.
+ENSEMBLE = True
 
-def ensemble_enabled() -> bool:
-    """Batched ensemble solves are on unless ``REPRO_ENSEMBLE=0``."""
-    return os.environ.get("REPRO_ENSEMBLE", "1") != "0"
-
-
-def ensemble_batch() -> int:
-    """Max members per stacked solve (``REPRO_ENSEMBLE_BATCH``, default 32).
-
-    The chunk size is fixed by this knob alone (never by the worker
-    count), so batched results are bit-identical for any ``REPRO_WORKERS``.
-    """
-    try:
-        return max(1, int(os.environ.get("REPRO_ENSEMBLE_BATCH", "32")))
-    except ValueError:
-        return 32
+#: Max members per stacked solve, read at call time as
+#: ``runtime.ENSEMBLE_BATCH``.  The chunk size is fixed by this constant
+#: alone (never by the worker count), so batched results are
+#: bit-identical for any ``REPRO_WORKERS``.  A patched value reaches
+#: only fork-started workers.
+ENSEMBLE_BATCH = 32
 
 
 def chunked(items: list, size: int) -> list[list]:
@@ -52,8 +50,6 @@ __all__ = [
     "chunked",
     "default_cache",
     "default_cache_root",
-    "ensemble_batch",
-    "ensemble_enabled",
     "get_logger",
     "get_shared",
     "log",

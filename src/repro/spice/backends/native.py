@@ -25,7 +25,7 @@ Two entry points share one set of per-lane C helpers:
   telemetry flushes.  Because every lane is integrated independently to
   completion, the per-lane step schedule is *bit-exact* regardless of
   batch composition — the determinism contract the
-  ``REPRO_ENSEMBLE_BATCH`` equivalence suite pins down.  A lane the
+  ``ENSEMBLE_BATCH`` equivalence suite pins down.  A lane the
   kernel cannot finish (dt underflow, crossing-buffer overflow) is left
   at its exact pre-step state and flagged; the Python sweep loop then
   replays it with identical arithmetic (and raises the context-rich
@@ -59,10 +59,11 @@ The C kernels are transliterations of the reference semantics:
 Scalar and small-batch solves inherit the NumPy reference paths; only
 the ensemble hooks are native.  Results agree with the reference to
 solver/rounding tolerance (libm vs NumPy transcendentals differ in the
-last ulp), which the backend-equivalence suite pins down.  Setting
-``REPRO_NATIVE_TIMESTEP=0`` disables only the whole-timestep entry
-(every step still uses the per-iteration kernel) — the configuration
-the backend-agreement validation check compares against.
+last ulp), which the backend-equivalence suite pins down.  Patching
+:attr:`NativeBackend.whole_timestep` to ``False`` disables only the
+whole-timestep entry (every step still uses the per-iteration kernel) —
+the configuration the backend-agreement validation check compares
+against.
 """
 
 from __future__ import annotations
@@ -962,6 +963,12 @@ class NativeBackend(NumpyBackend):
 
     name = "native"
 
+    #: Integrate whole ensemble sweeps in one C call.  Read at call time;
+    #: tests and validation patch it to ``False`` to reach the
+    #: per-iteration Newton kernel under the Python sweep loop.  A
+    #: patched value reaches only fork-started workers.
+    whole_timestep = True
+
     def available(self) -> bool:
         return load_kernel() is not None
 
@@ -1036,15 +1043,15 @@ class NativeBackend(NumpyBackend):
         """Integrate every lane of *et* to completion in one C call.
 
         Declines (``None``) when the kernel is unavailable, disabled via
-        ``REPRO_NATIVE_TIMESTEP=0``, or the system needs Python assembly
+        :attr:`whole_timestep`, or the system needs Python assembly
         (fallback nonlinear elements, generic time-dependent sources) —
         the caller then runs the reference sweep loop, which also mops
         up any lane the kernel flagged as bailed.
         """
+        if not self.whole_timestep:
+            return None
         kernel = load_kernel()
         if kernel is None:
-            return None
-        if os.environ.get("REPRO_NATIVE_TIMESTEP", "1") == "0":
             return None
         es = et.es
         prep = _prep(es)

@@ -148,11 +148,11 @@ def map_cached(netlist: Netlist) -> Netlist:
     counters resume where the base stopped.
 
     Falls back to (and does not memoise) a plain mapping when
-    ``REPRO_INCREMENTAL_STA`` disables shared-structure reuse.
+    :data:`repro.synthesis.sta.INCREMENTAL` is off.
     """
     from repro.synthesis import sta
 
-    if not sta.incremental_enabled():
+    if not sta.INCREMENTAL:
         return technology_map(netlist)
     fp = netlist.fingerprint()
     hit = _MAP_CACHE.get(fp)

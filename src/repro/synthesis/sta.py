@@ -21,7 +21,7 @@ Two engines compute the same pass:
   agree on every generator block.
 
 On top of both engines sits **incremental delta-retiming**
-(DESIGN §7h, gated by ``REPRO_INCREMENTAL_STA=auto|0|1``): each full
+(DESIGN §7h, gated by :data:`INCREMENTAL`): each full
 pass records a *session* — per-net arrival/slew/load state keyed by the
 netlist's structural fingerprint, library, wire model and boundary
 conditions — and a later pass over an extension of that structure
@@ -37,7 +37,6 @@ by ``tests/synthesis/test_sta_incremental.py`` and the
 
 from __future__ import annotations
 
-import os
 import time
 
 from collections import OrderedDict
@@ -55,15 +54,11 @@ from repro.synthesis.wires import WireModel
 #: Below this gate count the scalar engine wins (array setup dominates).
 VECTOR_MIN_GATES = 2000
 
-#: Environment knob for incremental delta-retiming: ``auto``/``1`` (on,
-#: the default) or ``0`` (always full re-time — the oracle path).
-INCREMENTAL_ENV = "REPRO_INCREMENTAL_STA"
-
-
-def incremental_enabled() -> bool:
-    """True unless ``REPRO_INCREMENTAL_STA`` is 0/false/off."""
-    return os.environ.get(INCREMENTAL_ENV, "auto").lower() not in (
-        "0", "false", "off")
+#: Incremental delta-retiming and shared-structure synthesis, read at
+#: call time.  Tests and validation patch it to ``False`` to reach the
+#: oracle: every design point rebuilt, mapped and timed from scratch.  A
+#: patched value reaches only fork-started workers.
+INCREMENTAL = True
 
 
 #: Timing sessions for delta-retiming, keyed by (netlist fingerprint,
@@ -187,7 +182,7 @@ def _static_timing(netlist: Netlist, library: Library, wire: WireModel,
     if input_slew is None:
         input_slew = library.typical_slew()
 
-    if incremental_enabled():
+    if INCREMENTAL:
         report = _try_incremental(netlist, library, wire, input_slew,
                                   output_load)
         if report is not None:
@@ -256,7 +251,7 @@ def _static_timing(netlist: Netlist, library: Library, wire: WireModel,
 
     report = _scalar_report(netlist, arrival, slew, loads, worst_input,
                             gate_delay)
-    if incremental_enabled():
+    if INCREMENTAL:
         fp = netlist.fingerprint()
         _record_session(
             _session_key(fp, library, wire, input_slew, output_load),
@@ -939,7 +934,7 @@ def _vector_static_timing(netlist: Netlist, library: Library,
 
     report = _vector_report(netlist, struct, arrival, slew, loads,
                             gate_best_in_u, gate_delay_u)
-    if incremental_enabled():
+    if INCREMENTAL:
         fp = netlist.fingerprint()
         _record_vector_session(
             netlist, struct,

@@ -8,7 +8,7 @@ exception for a broken check).  Checks register themselves with the
 :mod:`repro.validate`; each belongs to one of three classes:
 
 - ``differential`` — a fast path diffed against its oracle on
-  randomized inputs (ensemble vs scalar SPICE, native vs python IPC
+  randomized inputs (ensemble vs scalar SPICE, native vs reference IPC
   kernel, vector vs scalar STA, warm vs cold cache);
 - ``invariant`` — structural properties that must hold of characterised
   libraries and solver outputs (nonnegative monotone NLDM delays,

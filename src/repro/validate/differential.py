@@ -1,7 +1,7 @@
 """Differential checks: every fast path diffed against its oracle.
 
 The repo carries five "same answer, faster" engines (batched ensemble
-transients, the packed-array/compiled IPC kernel, levelised-array STA,
+transients, the compiled IPC kernel, levelised-array STA,
 lockstep pipeline cutting and the persistent result cache).  Each check
 here runs a seeded sample through both the fast path and its reference
 implementation and fails on any disagreement beyond the documented
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import runtime
 from repro.validate.checks import (
     CheckContext,
     check,
@@ -107,11 +108,9 @@ def ensemble_vs_scalar_arc(ctx: CheckContext) -> str:
 
     compared = 0
     for input_rise in (True, False):
-        with swap_env(REPRO_ENSEMBLE="0"):
-            scalar = [measure_arc(inv, "a", input_rise, s, c)
-                      for s, c in points]
-        with swap_env(REPRO_ENSEMBLE="1"):
-            batched = measure_arc_batch(inv, "a", input_rise, points)
+        scalar = [measure_arc(inv, "a", input_rise, s, c)
+                  for s, c in points]
+        batched = measure_arc_batch(inv, "a", input_rise, points)
         for (s, c), (d_ref, t_ref), (d_b, t_b) in zip(points, scalar,
                                                       batched):
             where = f"inv.a {'rise' if input_rise else 'fall'} " \
@@ -143,7 +142,7 @@ def ensemble_vs_scalar_dc(ctx: CheckContext) -> str:
     cells = [perturb_cell(base, VariationModel(), rng)
              for _ in range(n_cells)]
 
-    with swap_env(REPRO_ENSEMBLE="1"):
+    with swap_attr(runtime, "ENSEMBLE", True):
         batched = compute_vtc_batch(cells, n_points=n_points)
     for i, (cell, curve) in enumerate(zip(cells, batched)):
         expect(curve is not None,
@@ -164,14 +163,18 @@ def backend_agreement(ctx: CheckContext) -> str:
     """numpy == native (both dispatch depths) on real arcs.
 
     The native backend is measured twice: the whole-timestep C sweep
-    (``REPRO_NATIVE_TIMESTEP=1``, the default) and the per-iteration
-    Newton kernel under the Python sweep loop (``=0``).  Both must agree
+    (``NativeBackend.whole_timestep``, the default) and the per-iteration
+    Newton kernel under the Python sweep loop.  Both must agree
     with numpy to solver tolerance on the seeded mini-grid — and with
     *each other* bitwise, which the step-schedule contract promises.
     """
     from repro.cells.library_def import organic_library_definition
     from repro.characterization.harness import default_grid, measure_arc_batch
-    from repro.spice.backends import get_backend, reset_backend
+    from repro.spice.backends import (
+        NativeBackend,
+        get_backend,
+        reset_backend,
+    )
 
     defn = organic_library_definition()
     inv = defn.cell("inv")
@@ -184,15 +187,15 @@ def backend_agreement(ctx: CheckContext) -> str:
         c = rng.uniform(grid.loads[0], grid.loads[-1])
         points.append((s, c))
 
-    legs = (("numpy", "numpy", {}),
-            ("native", "native", {"REPRO_NATIVE_TIMESTEP": "1"}),
-            ("native-periter", "native",
-             {"REPRO_NATIVE_TIMESTEP": "0"}))
+    legs = (("numpy", "numpy", True),
+            ("native", "native", True),
+            ("native-periter", "native", False))
     results: dict[str, list[tuple[float, float]]] = {}
     try:
-        for leg, backend, extra in legs:
-            with swap_env(REPRO_BACKEND=backend, REPRO_ENSEMBLE="1",
-                          **extra):
+        for leg, backend, whole_timestep in legs:
+            with swap_env(REPRO_BACKEND=backend), \
+                    swap_attr(NativeBackend, "whole_timestep",
+                              whole_timestep):
                 reset_backend()
                 if get_backend().name != backend:
                     continue             # e.g. native without a C compiler
@@ -224,47 +227,33 @@ def backend_agreement(ctx: CheckContext) -> str:
 
 @check("ipc-kernel-agreement", "differential")
 def ipc_kernel_agreement(ctx: CheckContext) -> str:
-    """fast-python == reference == native (when present), cycle-exact."""
+    """native == reference, cycle-exact (when a compiler is present)."""
     from repro.core import ipc_native
     from repro.core.config import CoreConfig
     from repro.core.superscalar import simulate
     from repro.core.tradeoffs import make_traces
 
+    if not ipc_native.native_available():
+        return ("no native kernel available: the reference loop is the "
+                "only IPC kernel")
     n_instructions = 2_000 if ctx.fast else 12_000
     traces = make_traces(workloads=["dhrystone", "bzip"],
                          n_instructions=n_instructions, seed=ctx.seed)
     configs = [CoreConfig(), CoreConfig().widened(2, 3)]
 
     compared = 0
-    native_compared = 0
-    native_was = ipc_native.native_available()
-    try:
-        for config in configs:
-            for name, trace in traces.items():
-                where = f"{config.name}/{name}"
-                reference = simulate(config, trace, kernel="reference")
-                with swap_env(REPRO_NATIVE="0"):
-                    ipc_native.reset()
-                    python = simulate(config, trace, kernel="fast")
-                expect(python.cycles == reference.cycles,
-                       f"python fast kernel disagrees with reference on "
-                       f"{where}: {python.cycles} != {reference.cycles}")
-                expect(python.mispredicts == reference.mispredicts,
-                       f"mispredict count disagrees on {where}")
-                compared += 1
-                if native_was:
-                    ipc_native.reset()
-                    native = simulate(config, trace, kernel="fast")
-                    expect(native.cycles == reference.cycles,
-                           f"native kernel disagrees with reference on "
-                           f"{where}: {native.cycles} != {reference.cycles}")
-                    native_compared += 1
-    finally:
-        ipc_native.reset()
-    native_note = (f", native kernel on {native_compared}"
-                   if native_was else ", no native kernel available")
-    return (f"{compared} config x trace pairs cycle-exact"
-            f"{native_note}")
+    for config in configs:
+        for name, trace in traces.items():
+            where = f"{config.name}/{name}"
+            reference = simulate(config, trace, kernel="reference")
+            native = simulate(config, trace, kernel="fast")
+            expect(native.cycles == reference.cycles,
+                   f"native kernel disagrees with reference on "
+                   f"{where}: {native.cycles} != {reference.cycles}")
+            expect(native.mispredicts == reference.mispredicts,
+                   f"mispredict count disagrees on {where}")
+            compared += 1
+    return f"{compared} config x trace pairs cycle-exact, native vs reference"
 
 
 @check("sta-vector-vs-scalar", "differential")
@@ -346,7 +335,7 @@ def sta_incremental_agreement(ctx: CheckContext) -> str:
     compared = 0
     for engine, min_gates in engines.items():
         with swap_attr(sta, "VECTOR_MIN_GATES", min_gates):
-            with swap_env(REPRO_INCREMENTAL_STA="1"):
+            with swap_attr(sta, "INCREMENTAL", True):
                 sta.reset_incremental()
                 reset_map_cache()
                 base = carry_select_adder(widths[0])
@@ -358,7 +347,7 @@ def sta_incremental_agreement(ctx: CheckContext) -> str:
                         map_cached(base), library, wire)
                 expect(len(sta._SESSIONS) > 0,
                        f"{engine}: no sessions recorded with the gate on")
-            with swap_env(REPRO_INCREMENTAL_STA="0"):
+            with swap_attr(sta, "INCREMENTAL", False):
                 sta.reset_incremental()
                 for w in widths:
                     full = sta.static_timing(

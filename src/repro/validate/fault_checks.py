@@ -5,7 +5,7 @@ asserts the *documented* recovery — not merely "no crash": a dead worker
 re-runs serially with complete results, a corrupt cache entry is evicted
 and recomputed, a hopeless Newton solve surfaces its full continuation
 trail (and survives pickling back from a worker), and a machine without
-a C toolchain transparently runs the pure-Python kernel.
+a C toolchain transparently runs the reference IPC loop.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import pickle
 import tempfile
 
 from repro.validate import faults
-from repro.validate.checks import CheckContext, check, expect
+from repro.validate.checks import CheckContext, check, expect, swap_attr
 
 
 @check("worker-crash-fallback", "fault")
@@ -101,27 +101,35 @@ def newton_event_trail(ctx: CheckContext) -> str:
 
 @check("missing-toolchain-fallback", "fault")
 def missing_toolchain_fallback(ctx: CheckContext) -> str:
-    """With no C compiler, the fast kernel runs pure-Python, same cycles."""
-    from repro.core import ipc_native
+    """With no C compiler, the fast kernel runs the reference loop."""
+    from repro.core import ipc_native, superscalar
     from repro.core.config import CoreConfig
-    from repro.core.superscalar import simulate
     from repro.core.tradeoffs import make_traces
 
     config = CoreConfig()
     trace = make_traces(workloads=["dhrystone"], n_instructions=2_000,
                         seed=ctx.seed)["dhrystone"]
-    reference = simulate(config, trace, kernel="reference")
+    reference = superscalar.simulate(config, trace, kernel="reference")
+    oracle = superscalar._simulate_reference
+    oracle_runs = []
+
+    def counted(*args):
+        oracle_runs.append(args)
+        return oracle(*args)
+
     with tempfile.TemporaryDirectory(prefix="repro-validate-") as tmp:
         with faults.missing_native_toolchain(tmp):
             expect(not ipc_native.native_available(),
                    "native kernel still available with no compiler and an "
                    "empty kernel cache — fault not injected")
-            crippled = simulate(config, trace, kernel="fast")
-            expect(os.listdir(tmp) == [] or
-                   all(not f.endswith(".so") for f in os.listdir(tmp)),
+            with swap_attr(superscalar, "_simulate_reference", counted):
+                crippled = superscalar.simulate(config, trace, kernel="fast")
+            expect(all(not f.endswith(".so") for f in os.listdir(tmp)),
                    "a kernel was compiled despite the missing toolchain")
-    expect(crippled.cycles == reference.cycles,
-           f"python fallback kernel diverges from reference: "
+    expect(len(oracle_runs) == 1,
+           "the toolchain-less fast kernel did not run the reference loop")
+    expect(crippled == reference,
+           f"reference fallback diverges from the reference kernel: "
            f"{crippled.cycles} != {reference.cycles}")
-    return ("toolchain-less run fell back to the python kernel, "
-            f"cycle-exact ({crippled.cycles} cycles)")
+    return ("toolchain-less run fell back to the reference loop, "
+            f"cycle-exact ({crippled.cycles} cycles), no kernel built")

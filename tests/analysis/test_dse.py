@@ -34,7 +34,7 @@ def _tiny_sweep(combos, traces, **kw):
 
 @pytest.fixture()
 def _fresh_structures(monkeypatch):
-    monkeypatch.setenv("REPRO_INCREMENTAL_STA", "1")
+    monkeypatch.setattr(sta, "INCREMENTAL", True)
     reset_structure_caches()
     yield
     reset_structure_caches()
@@ -96,15 +96,15 @@ def test_incremental_matches_full_retime(tiny_traces, monkeypatch):
     """The whole tiny grid, bit-identical across the feature gate."""
     lib, wire = organic_library(), organic_wire_model()
     results = {}
-    for mode in ("1", "0"):
-        monkeypatch.setenv("REPRO_INCREMENTAL_STA", mode)
+    for mode in (True, False):
+        monkeypatch.setattr(sta, "INCREMENTAL", mode)
         reset_structure_caches()
         results[mode] = dse_sweep(
             combos=[("organic", lib, wire)], widths=(8, 12),
             width_pairs=((2, 4),), max_depth=12, traces=tiny_traces)
     reset_structure_caches()
-    assert len(results["1"]) == len(results["0"])
-    for p1, p0 in zip(results["1"].points, results["0"].points):
+    assert len(results[True]) == len(results[False])
+    for p1, p0 in zip(results[True].points, results[False].points):
         assert p1.config == p0.config
         assert p1.physical.period == p0.physical.period
         assert p1.physical.area == p0.physical.area
@@ -146,7 +146,7 @@ def test_sweep_shares_structures(tiny_traces, _fresh_structures,
 
 def test_dse_cli_quick(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.setenv("REPRO_INCREMENTAL_STA", "1")
+    monkeypatch.setattr(sta, "INCREMENTAL", True)
     reset_structure_caches()
     sta.reset_incremental()
     from repro.__main__ import main

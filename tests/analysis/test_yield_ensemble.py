@@ -1,13 +1,14 @@
 """Batched Monte Carlo (VTC ensembles) vs the scalar per-sample path.
 
 The sample set is drawn up front from the seeded generator and chunks
-are sized by ``REPRO_ENSEMBLE_BATCH`` alone, so the yield numbers must
+are sized by ``runtime.ENSEMBLE_BATCH`` alone, so the yield numbers must
 be independent of both the worker count and whether batching is on.
 """
 
 import numpy as np
 import pytest
 
+from repro import runtime
 from repro.analysis.yield_mc import noise_margin_yield, perturb_cell
 from repro.cells.topologies import pseudo_e_inverter
 from repro.cells.vtc import compute_vtc, compute_vtc_batch
@@ -38,9 +39,9 @@ def test_vtc_batch_matches_scalar(base_cell):
 
 
 def test_yield_matches_scalar_path(base_cell, monkeypatch):
-    monkeypatch.setenv("REPRO_ENSEMBLE", "0")
+    monkeypatch.setattr(runtime, "ENSEMBLE", False)
     scalar = noise_margin_yield(base_cell, n_samples=10, seed=3)
-    monkeypatch.setenv("REPRO_ENSEMBLE", "1")
+    monkeypatch.setattr(runtime, "ENSEMBLE", True)
     batched = noise_margin_yield(base_cell, n_samples=10, seed=3)
     assert batched.n_converged == scalar.n_converged
     np.testing.assert_allclose(batched.noise_margins,
@@ -50,7 +51,7 @@ def test_yield_matches_scalar_path(base_cell, monkeypatch):
 
 
 def test_yield_deterministic_across_worker_counts(base_cell, monkeypatch):
-    monkeypatch.setenv("REPRO_ENSEMBLE_BATCH", "4")
+    monkeypatch.setattr(runtime, "ENSEMBLE_BATCH", 4)
     monkeypatch.setenv("REPRO_WORKERS", "1")
     serial = noise_margin_yield(base_cell, n_samples=12, seed=5)
     monkeypatch.setenv("REPRO_WORKERS", "3")

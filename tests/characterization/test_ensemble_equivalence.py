@@ -1,6 +1,6 @@
 """Ensemble-vs-scalar characterisation equivalence.
 
-``REPRO_ENSEMBLE=0`` routes the harness through the original scalar
+``runtime.ENSEMBLE = False`` routes the harness through the original scalar
 per-point path; with it enabled (the default), whole slew x load grids
 run as stacked batches.  The NLDM tables must agree to solver tolerance
 — the batched controller replicates the scalar step-size schedule, so
@@ -13,6 +13,7 @@ comparisons carry the ``slow`` marker and run in the dedicated CI job.
 import numpy as np
 import pytest
 
+from repro import runtime
 from repro.cells.library_def import organic_library_definition
 from repro.characterization import harness
 
@@ -27,8 +28,7 @@ def grid(defn):
     return harness.default_grid(defn)
 
 
-def test_measure_arc_batch_matches_scalar(defn, grid, monkeypatch):
-    monkeypatch.delenv("REPRO_ENSEMBLE", raising=False)
+def test_measure_arc_batch_matches_scalar(defn, grid):
     cell = defn.cells["nand2"]
     points = [(grid.slews[0], grid.loads[0]),
               (grid.slews[2], grid.loads[1]),
@@ -44,9 +44,9 @@ def test_batch_size_does_not_change_results(defn, grid, monkeypatch):
     """Chunking is a scheduling detail: batch-of-1 equals batch-of-N."""
     cell = defn.cells["inv"]
     points = [(s, l) for s in grid.slews[:2] for l in grid.loads[:2]]
-    monkeypatch.setenv("REPRO_ENSEMBLE_BATCH", "1")
+    monkeypatch.setattr(runtime, "ENSEMBLE_BATCH", 1)
     singles = harness.measure_arc_batch(cell, "a", True, points)
-    monkeypatch.setenv("REPRO_ENSEMBLE_BATCH", "32")
+    monkeypatch.setattr(runtime, "ENSEMBLE_BATCH", 32)
     whole = harness.measure_arc_batch(cell, "a", True, points)
     for (d1, s1), (dn, sn) in zip(singles, whole):
         assert d1 == pytest.approx(dn, rel=1e-9)
@@ -56,9 +56,9 @@ def test_batch_size_does_not_change_results(defn, grid, monkeypatch):
 @pytest.mark.slow
 def test_characterize_cell_tables_match_scalar(defn, grid, monkeypatch):
     cell = defn.cells["nand2"]
-    monkeypatch.setenv("REPRO_ENSEMBLE", "0")
+    monkeypatch.setattr(runtime, "ENSEMBLE", False)
     scalar = harness.characterize_cell(cell, grid, area=1.0)
-    monkeypatch.setenv("REPRO_ENSEMBLE", "1")
+    monkeypatch.setattr(runtime, "ENSEMBLE", True)
     batched = harness.characterize_cell(cell, grid, area=1.0)
     assert len(scalar.arcs) == len(batched.arcs)
     for arc_s, arc_b in zip(scalar.arcs, batched.arcs):
@@ -74,10 +74,10 @@ def test_characterize_cell_tables_match_scalar(defn, grid, monkeypatch):
 def test_characterize_dff_matches_scalar(defn, grid, monkeypatch):
     t_unit = harness.estimate_gate_delay(
         defn.cell("inv"), 4.0 * defn.cell("inv").input_capacitance("a"))
-    monkeypatch.setenv("REPRO_ENSEMBLE", "0")
+    monkeypatch.setattr(runtime, "ENSEMBLE", False)
     scalar = harness.characterize_dff(defn.dff, grid, area=1.0,
                                       t_unit=t_unit)
-    monkeypatch.setenv("REPRO_ENSEMBLE", "1")
+    monkeypatch.setattr(runtime, "ENSEMBLE", True)
     batched = harness.characterize_dff(defn.dff, grid, area=1.0,
                                        t_unit=t_unit)
     np.testing.assert_allclose(np.asarray(batched.clk_to_q.values),

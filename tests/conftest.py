@@ -12,7 +12,71 @@ import pytest
 
 from repro.characterization import organic_library, silicon_library
 from repro.runtime import progress, telemetry
+from repro.spice.backends import NativeBackend, get_backend
+from repro.synthesis import sta
 from repro.synthesis.wires import organic_wire_model, silicon_wire_model
+
+#: Oracle legs.  Every non-slow test under these paths runs twice: once
+#: as collected, and once as a twin, id suffixed with the leg name, with
+#: one fast path switched to its oracle.  ``per-iteration`` holds the
+#: modules that reach ``NativeBackend.ensemble_timestep``.
+ORACLE_LEGS = {
+    "per-iteration": (
+        "tests/analysis/test_dse.py",
+        "tests/characterization/test_ensemble_equivalence.py",
+        "tests/characterization/test_vectorized_nldm.py",
+        "tests/spice/test_backends.py",
+        "tests/spice/test_ensemble.py",
+    ),
+    "full-retime": (
+        "tests/synthesis/",
+        "tests/analysis/test_dse.py",
+        "tests/core/test_physical_tradeoffs.py",
+    ),
+}
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "oracle_leg(name): run with one fast path switched to "
+                   "its oracle (added by tests/conftest.py)")
+
+
+def pytest_collection_modifyitems(config, items):
+    collected = list(items)
+    items.clear()
+    for item in collected:
+        items.append(item)
+        if item.get_closest_marker("slow"):
+            continue
+        path = item.path.relative_to(config.rootpath).as_posix()
+        for leg, prefixes in ORACLE_LEGS.items():
+            if path.startswith(prefixes):
+                items.append(_twin(item, leg))
+
+
+def _twin(item, leg: str):
+    name = (f"{item.name[:-1]}-{leg}]" if item.name.endswith("]")
+            else f"{item.name}[{leg}]")
+    twin = pytest.Function.from_parent(
+        item.parent, name=name, callspec=getattr(item, "callspec", None),
+        callobj=item.obj, fixtureinfo=item._fixtureinfo,
+        keywords=item.keywords, originalname=item.originalname)
+    twin.add_marker(pytest.mark.oracle_leg(leg))
+    return twin
+
+
+@pytest.fixture(autouse=True)
+def _oracle_leg(request, monkeypatch):
+    marker = request.node.get_closest_marker("oracle_leg")
+    if marker is None:
+        return
+    if marker.args[0] == "per-iteration":
+        if get_backend().name != "native":
+            pytest.skip("per-iteration dispatch needs the native backend")
+        monkeypatch.setattr(NativeBackend, "whole_timestep", False)
+    else:
+        monkeypatch.setattr(sta, "INCREMENTAL", False)
 
 
 @pytest.fixture(autouse=True)

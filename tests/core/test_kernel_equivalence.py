@@ -1,13 +1,13 @@
-"""Cycle-exact equivalence: fast IPC kernels vs the reference oracle.
+"""Cycle-exact equivalence: the fast IPC kernel vs the reference oracle.
 
-The fast path has three implementations of one recurrence — the compiled
-C kernel (:mod:`repro.core.ipc_native`), the general pure-Python loop and
-its width-1 specialisation (:mod:`repro.core.superscalar`).  Every one of
-them must produce *identical* ``cycles``, ``mispredicts`` and
-``l1_misses`` to the original instruction-object oracle
+The fast path is the compiled C kernel (:mod:`repro.core.ipc_native`);
+without a compiler ``kernel="fast"`` runs the reference loop itself.
+Either way the result must be *identical* — ``cycles``, ``mispredicts``,
+``l1_misses`` and the ``ipc.fetch_redirects`` counter — to the original
+instruction-object oracle
 (:func:`repro.core.superscalar._simulate_reference`) on every config and
-workload — the sweeps' figures are only trustworthy if the speedups
-change nothing.
+workload: the sweeps' figures are only trustworthy if the speedup
+changes nothing.
 """
 
 from __future__ import annotations
@@ -33,12 +33,12 @@ def traces():
 
 @pytest.fixture(params=_BACKENDS)
 def fast_backend(request):
-    """Run the fast kernel as pure Python or as the compiled backend.
+    """Run ``kernel="fast"`` without a compiler or on the compiled kernel.
 
     ``ipc_native.reset(None)`` pins the load state to "unavailable" so
-    ``simulate`` takes the Python loops; plain ``reset()`` restores
-    autodetection.  The native case is skipped where no C compiler
-    exists — the Python case always runs.
+    ``simulate`` takes the no-compiler path, the pure-Python reference
+    loop; plain ``reset()`` restores autodetection.  The native case is
+    skipped where no C compiler exists — the Python case always runs.
     """
     ipc_native.reset()
     if request.param == "native":
@@ -112,9 +112,8 @@ def test_randomized_configs(front_width, back_width, fetch, decode, rename,
                             predictor_bits, l1_hit_latency, l1_miss_latency):
     """Hypothesis sweep of the config space, one mixed workload.
 
-    Checks whichever fast backend is active by default *and* the pure-
-    Python loops, so the compiled kernel can never drift from the Python
-    implementation it transliterates.
+    Checks whichever fast kernel is active by default against the
+    reference loop the compiled kernel transliterates.
     """
     config = CoreConfig(
         name="hyp", front_width=front_width, back_width=back_width,
@@ -129,15 +128,9 @@ def test_randomized_configs(front_width, back_width, fetch, decode, rename,
     ref = _simulate_reference(config, trace)
 
     ipc_native.reset()
-    try:
-        default = simulate(config, trace, kernel="fast")
-        ipc_native.reset(None)                    # force the Python loops
-        python = simulate(config, trace, kernel="fast")
-    finally:
-        ipc_native.reset()
-    for fast in (default, python):
-        assert (fast.cycles, fast.mispredicts, fast.l1_misses) == \
-            (ref.cycles, ref.mispredicts, ref.l1_misses)
+    fast = simulate(config, trace, kernel="fast")
+    assert (fast.cycles, fast.mispredicts, fast.l1_misses) == \
+        (ref.cycles, ref.mispredicts, ref.l1_misses)
 
 
 _HYP_TRACE = make_traces(workloads=["gzip"],
@@ -145,58 +138,49 @@ _HYP_TRACE = make_traces(workloads=["gzip"],
 
 
 def test_fetch_redirect_counter_parity(traces):
-    """``ipc.fetch_redirects``: the C kernel and Python loops agree.
+    """``ipc.fetch_redirects``: the C kernel and the reference loop agree.
 
     The counter records *applied* redirects — mispredicted branches
     whose resolve cycle actually pushed the fetch cursor forward — so
     beyond cycle equality the kernels must agree on a piece of internal
-    schedule state.  Checked on the general loop and the width-1
-    specialisation, per workload, as exact integers.
+    schedule state.  Checked on the general config and a width-1 front
+    end, per workload, as exact integers.
     """
     from repro.runtime import telemetry
 
-    def run(config, trace):
+    def run(config, trace, kernel):
         telemetry.reset()
         telemetry.enable(True)
         try:
-            result = simulate(config, trace, kernel="fast")
+            result = simulate(config, trace, kernel=kernel)
             metrics = telemetry.metrics_snapshot()
         finally:
             telemetry.enable(False)
             telemetry.reset()
         counters = metrics.get("counters", metrics)
-        return result, counters.get("ipc.fetch_redirects", 0)
+        return result.cycles, counters.get("ipc.fetch_redirects", 0)
 
-    ipc_native.reset()
-    native_ok = ipc_native.native_available()
-    try:
-        for config in (CoreConfig(),
-                       CoreConfig(name="w1", front_width=1)):
-            ipc_native.reset(None)               # pure-Python loops
-            python = {}
-            for name, trace in traces.items():
-                result, redirects = run(config, trace)
-                assert 0 <= redirects <= result.mispredicts
-                python[name] = (result.cycles, redirects)
-            # Not every workload redirects, but the suite must exercise
-            # the counter or the parity check below is vacuous.
-            assert any(redirects for _, redirects in python.values())
-            if not native_ok:
-                continue
-            ipc_native.reset()                   # compiled kernel
-            for name, trace in traces.items():
-                result, redirects = run(config, trace)
-                assert (result.cycles, redirects) == python[name], \
-                    (config.name, name)
-    finally:
-        ipc_native.reset()
-    if not native_ok:
-        pytest.skip("python loops self-consistent; no compiled kernel "
+    for config in (CoreConfig(), CoreConfig(name="w1", front_width=1)):
+        reference = {}
+        for name, trace in traces.items():
+            cycles, redirects = run(config, trace, "reference")
+            assert 0 <= redirects <= trace.branch_count()
+            reference[name] = (cycles, redirects)
+        # Not every workload redirects, but the suite must exercise
+        # the counter or the parity check below is vacuous.
+        assert any(redirects for _, redirects in reference.values())
+        if not ipc_native.native_available():
+            continue
+        for name, trace in traces.items():
+            assert run(config, trace, "fast") == reference[name], \
+                (config.name, name)
+    if not ipc_native.native_available():
+        pytest.skip("reference loop counts redirects; no compiled kernel "
                     "to compare against")
 
 
 def test_kernel_arg_selects_reference(traces):
-    """``kernel='reference'`` and ``REPRO_IPC_KERNEL`` pick the oracle."""
+    """``kernel='reference'`` picks the oracle."""
     trace = next(iter(traces.values()))
     config = CoreConfig()
     via_arg = simulate(config, trace, kernel="reference")

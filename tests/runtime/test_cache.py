@@ -112,11 +112,12 @@ def test_simulate_cached_hit_skips_simulation(tmp_path, monkeypatch):
     expected = simulate_cached(config, trace, cache=cache)
 
     import repro.core.superscalar as superscalar
+    from repro.core import ipc_native
 
     def boom(*a, **k):
         raise AssertionError("simulate() must not run on a cache hit")
 
-    monkeypatch.setattr(superscalar, "_fast_cycles", boom)
+    monkeypatch.setattr(ipc_native, "native_cycles", boom)
     monkeypatch.setattr(superscalar, "_simulate_reference", boom)
     assert simulate_cached(config, trace, cache=cache) == expected
 

@@ -29,7 +29,12 @@ from repro.spice import (
     TransientOptions,
     VoltageSource,
 )
-from repro.spice.backends import NumpyBackend, get_backend, reset_backend
+from repro.spice.backends import (
+    NativeBackend,
+    NumpyBackend,
+    get_backend,
+    reset_backend,
+)
 from repro.spice.backends import native as native_mod
 
 VDD = 15.0
@@ -45,9 +50,9 @@ def _backend_isolation():
     native_mod.reset()
 
 
-def _use(monkeypatch, name: str, **env: str):
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
+def _use(monkeypatch, name: str, whole_timestep: bool | None = None):
+    if whole_timestep is not None:
+        monkeypatch.setattr(NativeBackend, "whole_timestep", whole_timestep)
     monkeypatch.setenv("REPRO_BACKEND", name)
     reset_backend()
     return get_backend()
@@ -125,8 +130,8 @@ class TestEquivalence:
 class TestWholeTimestepLoop:
     """The native whole-timestep entry point (ensemble_timestep)."""
 
-    def _native_or_skip(self, mp, **env):
-        backend = _use(mp, "native", **env)
+    def _native_or_skip(self, mp, whole_timestep: bool | None = None):
+        backend = _use(mp, "native", whole_timestep)
         if backend.name != "native":
             pytest.skip("no C compiler on this machine")
         return backend
@@ -134,11 +139,12 @@ class TestWholeTimestepLoop:
     def test_bitwise_identical_to_per_iteration_native(self, monkeypatch):
         """The C sweep loop replays the numpy orchestration bit-exactly.
 
-        ``REPRO_NATIVE_TIMESTEP=0`` keeps the per-iteration Newton
-        kernel but runs the sweep loop in Python — the schedule contract
-        says both paths produce the same steps, finals and crossings to
-        the last bit (probing the ramping *input* guarantees the lanes
-        actually record crossings, so the comparison is not vacuous).
+        ``NativeBackend.whole_timestep = False`` keeps the per-iteration
+        Newton kernel but runs the sweep loop in Python — the schedule
+        contract says both paths produce the same steps, finals and
+        crossings to the last bit (probing the ramping *input* guarantees
+        the lanes actually record crossings, so the comparison is not
+        vacuous).
         """
         def run():
             members, opts = [], []
@@ -156,11 +162,10 @@ class TestWholeTimestepLoop:
                      for p in range(2) for m in range(len(members))]
             return ens.final_value("out"), cross, ens.steps.copy()
 
-        self._native_or_skip(monkeypatch)
+        self._native_or_skip(monkeypatch, whole_timestep=True)
         final_ts, cross_ts, steps_ts = run()
         assert sum(len(c) for c in cross_ts) > 0
-        monkeypatch.setenv("REPRO_NATIVE_TIMESTEP", "0")
-        reset_backend()
+        monkeypatch.setattr(NativeBackend, "whole_timestep", False)
         final_it, cross_it, steps_it = run()
         assert np.array_equal(final_ts, final_it)
         assert np.array_equal(steps_ts, steps_it)
@@ -175,7 +180,7 @@ class TestWholeTimestepLoop:
         those lanes with results bitwise equal to the per-iteration
         native run (the schedule contract's reference arithmetic).
         """
-        self._native_or_skip(monkeypatch)
+        self._native_or_skip(monkeypatch, whole_timestep=True)
         monkeypatch.setattr(native_mod, "CROSS_CAP", 0)
 
         def run():
@@ -194,8 +199,7 @@ class TestWholeTimestepLoop:
 
         final_n, cross_n, steps_n = run()
         assert all(len(c) == 1 for c in cross_n)
-        monkeypatch.setenv("REPRO_NATIVE_TIMESTEP", "0")
-        reset_backend()
+        monkeypatch.setattr(NativeBackend, "whole_timestep", False)
         final_ref, cross_ref, steps_ref = run()
         assert np.array_equal(final_n, final_ref)
         assert np.array_equal(steps_n, steps_ref)
@@ -203,19 +207,18 @@ class TestWholeTimestepLoop:
             assert np.array_equal(c, rc)
 
     def test_disable_knob_falls_back_to_per_iteration(self, monkeypatch):
-        backend = self._native_or_skip(monkeypatch,
-                                       REPRO_NATIVE_TIMESTEP="0")
+        backend = self._native_or_skip(monkeypatch, whole_timestep=False)
 
         class _Probe:
             pass
 
-        et = _Probe()  # never touched: the knob declines before reading
+        et = _Probe()  # never touched: the flag declines before reading
         assert backend.ensemble_timestep(et) is None
 
     @settings(max_examples=6, deadline=None)
     @given(batch=st.sampled_from([1, 7, 64]))
     def test_chunk_size_bit_identical_event_times(self, batch):
-        """REPRO_ENSEMBLE_BATCH is pure scheduling under the native loop.
+        """ENSEMBLE_BATCH is pure scheduling under the native loop.
 
         Each lane integrates to completion independently in C, so the
         per-lane step schedule — and every derived event time — cannot
@@ -223,6 +226,7 @@ class TestWholeTimestepLoop:
         same mini-grid with batch 1, 7 and 64 must give *bit-identical*
         delays and transitions (not approx: the contract is equality).
         """
+        from repro import runtime
         from repro.cells.library_def import organic_library_definition
         from repro.characterization import harness
 
@@ -233,9 +237,9 @@ class TestWholeTimestepLoop:
             cell = defn.cells["inv"]
             points = [(s, l) for s in grid.slews[:3]
                       for l in grid.loads[:3]]
-            mp.setenv("REPRO_ENSEMBLE_BATCH", str(batch))
+            mp.setattr(runtime, "ENSEMBLE_BATCH", batch)
             got = harness.measure_arc_batch(cell, "a", True, points)
-            mp.setenv("REPRO_ENSEMBLE_BATCH", "64")
+            mp.setattr(runtime, "ENSEMBLE_BATCH", 64)
             ref = harness.measure_arc_batch(cell, "a", True, points)
         reset_backend()
         native_mod.reset()
@@ -326,7 +330,7 @@ class TestCounterParity:
         assert ref_parity["ensemble.newton_lane_iterations"] > 0
         assert ref_parity["ensemble.probe_crossings"] >= 4  # one per lane
 
-        backend = _use(monkeypatch, "native", REPRO_NATIVE_TIMESTEP="1")
+        backend = _use(monkeypatch, "native", whole_timestep=True)
         if backend.name != "native":
             pytest.skip("no C compiler on this machine")
 
@@ -336,8 +340,7 @@ class TestCounterParity:
         assert parity_ts == ref_parity
 
         # Per-iteration C Newton kernel (stats from the newton kernel).
-        monkeypatch.setenv("REPRO_NATIVE_TIMESTEP", "0")
-        reset_backend()
+        monkeypatch.setattr(NativeBackend, "whole_timestep", False)
         final_it, parity_it, all_it = self._counted_run()
         assert all_it.get("backend.native.kernel_calls", 0) > 0
         assert all_it.get("backend.native.timestep_calls", 0) == 0

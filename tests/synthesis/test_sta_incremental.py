@@ -37,7 +37,7 @@ from repro.synthesis.netlist import LIBRARY_CELLS
 @pytest.fixture(autouse=True)
 def _incremental_isolation(monkeypatch):
     """Fresh sessions + the feature gate on, for every test here."""
-    monkeypatch.setenv("REPRO_INCREMENTAL_STA", "1")
+    monkeypatch.setattr(sta, "INCREMENTAL", True)
     sta.reset_incremental()
     reset_map_cache()
     yield
@@ -57,7 +57,7 @@ def _assert_reports_identical(got, want):
 def _full_retime(netlist, library, wire, monkeypatch):
     """Oracle: the non-incremental path on a fresh session store."""
     with monkeypatch.context() as m:
-        m.setenv("REPRO_INCREMENTAL_STA", "0")
+        m.setattr(sta, "INCREMENTAL", False)
         return sta.static_timing(netlist, library, wire)
 
 
@@ -207,7 +207,7 @@ def test_fingerprint_tracks_edits():
 
 def test_disabled_gate_records_no_sessions(organic_lib, organic_wire,
                                            monkeypatch):
-    monkeypatch.setenv("REPRO_INCREMENTAL_STA", "0")
+    monkeypatch.setattr(sta, "INCREMENTAL", False)
     sta.reset_incremental()
     nl = technology_map(ripple_carry_adder(8))
     r1 = sta.static_timing(nl, organic_lib, organic_wire)
@@ -218,7 +218,7 @@ def test_disabled_gate_records_no_sessions(organic_lib, organic_wire,
 
 
 def test_map_cached_disabled_gate_maps_fresh(monkeypatch):
-    monkeypatch.setenv("REPRO_INCREMENTAL_STA", "0")
+    monkeypatch.setattr(sta, "INCREMENTAL", False)
     nl = ripple_carry_adder(8)
     m1 = map_cached(nl)
     m2 = map_cached(nl)

@@ -123,18 +123,22 @@ class TestRunner:
         assert not ValidationReport(seed=0, fast=True, results=[]).ok
 
 
+def _skew_native_ipc(monkeypatch):
+    """Make the compiled IPC kernel report one cycle too many."""
+    from repro.core import ipc_native
+
+    if not ipc_native.native_available():
+        pytest.skip("no C compiler: the reference loop is the only kernel")
+    original = ipc_native.native_cycles
+    monkeypatch.setattr(ipc_native, "native_cycles",
+                        lambda config, trace: original(config, trace) + 1)
+
+
 class TestPerturbationFailsLoudly:
     """Acceptance: deliberately skew a fast path; validation must fail."""
 
     def test_skewed_ipc_kernel_detected(self, monkeypatch):
-        import repro.core.superscalar as superscalar
-
-        original = superscalar._fast_cycles
-
-        def skewed(config, trace):
-            return original(config, trace) + 1
-
-        monkeypatch.setattr(superscalar, "_fast_cycles", skewed)
+        _skew_native_ipc(monkeypatch)
         report = run_validation(fast=True, seed=0,
                                 only=["ipc-kernel-agreement"])
         assert not report.ok
@@ -226,13 +230,9 @@ class TestCli:
 
     def test_validate_command_fails_on_mismatch(self, monkeypatch,
                                                 tmp_path):
-        import repro.core.superscalar as superscalar
         from repro.__main__ import main
 
-        original = superscalar._fast_cycles
-        monkeypatch.setattr(superscalar, "_fast_cycles",
-                            lambda config, trace: original(config,
-                                                           trace) + 1)
+        _skew_native_ipc(monkeypatch)
         rc = main(["validate", "--only", "ipc-kernel-agreement"])
         assert rc == 1
 
