@@ -47,7 +47,8 @@ The C kernels are transliterations of the reference semantics:
 - the stamp-bypass protocol (see :mod:`repro.spice.transient`): frozen
   lanes reuse the cached nonlinear stamps, fresh converged lanes write
   the per-member cache back — the same decision rule, same cache
-  layout, as the scalar and NumPy-ensemble engines;
+  layout, as the scalar and NumPy-ensemble engines; a frozen lane
+  factors its iteration-invariant Jacobian once per solve (DESIGN §7g);
 - the timestep controller of
   :meth:`repro.spice.ensemble.EnsembleTransient.run` (itself the
   batched twin of the scalar :func:`repro.spice.transient.transient`
@@ -159,48 +160,68 @@ static void eval_tft(const double *pr, double vgs, double vds,
     *ids = i_ch; *gm = g_m; *gds = g_ds;
 }
 
-/* Partial-pivot LU solve of J delta = rhs, in place; J is S x S with
- * row stride `stride`.  Returns 0, or 1 on an exactly-zero pivot (the
- * LAPACK dgesv singularity condition). */
-static int lu_solve(double *J, long stride, double *rhs, long S)
+/* Partial-pivot LU of the S x S matrix J, in place; perm[k] is the row
+ * swapped into row k.  Later steps swap only from their own column on,
+ * so column k keeps exactly the multipliers step k used.  Returns 0, or
+ * 1 on an exactly-zero pivot (the LAPACK dgesv singularity condition). */
+static int lu_factor(double *J, long S, long *perm)
 {
     for (long k = 0; k < S; k++) {
         long p = k;
-        double best = fabs(J[k * stride + k]);
+        double best = fabs(J[k * S + k]);
         for (long i = k + 1; i < S; i++) {
-            double v = fabs(J[i * stride + k]);
+            double v = fabs(J[i * S + k]);
             if (v > best) { best = v; p = i; }
         }
-        if (J[p * stride + k] == 0.0) return 1;
+        if (J[p * S + k] == 0.0) return 1;
+        perm[k] = p;
         if (p != k) {
             for (long j = k; j < S; j++) {
-                double t = J[k * stride + j];
-                J[k * stride + j] = J[p * stride + j];
-                J[p * stride + j] = t;
+                double t = J[k * S + j];
+                J[k * S + j] = J[p * S + j];
+                J[p * S + j] = t;
             }
-            double t = rhs[k]; rhs[k] = rhs[p]; rhs[p] = t;
         }
-        double piv = J[k * stride + k];
-        for (long i = k + 1; i < S; i++) {
-            double f = J[i * stride + k] / piv;
-            J[i * stride + k] = f;
-            for (long j = k + 1; j < S; j++)
-                J[i * stride + j] -= f * J[k * stride + j];
-            rhs[i] -= f * rhs[k];
-        }
-    }
-    for (long k = S - 1; k >= 0; k--) {
-        double t = rhs[k];
+        double piv = J[k * S + k];
+        /* A zero multiplier's row update is x - 0*y == x, bitwise: no
+         * entry is ever -0 (each is a sum from +0).  Skip it unless the
+         * pivot row holds an inf or NaN, where 0*y would be NaN. */
+        int nonfinite = 0;
         for (long j = k + 1; j < S; j++)
-            t -= J[k * stride + j] * rhs[j];
-        rhs[k] = t / J[k * stride + k];
+            nonfinite |= !isfinite(J[k * S + j]);
+        for (long i = k + 1; i < S; i++) {
+            double f = J[i * S + k] / piv;
+            J[i * S + k] = f;
+            if (f == 0.0 && !nonfinite) continue;
+            for (long j = k + 1; j < S; j++)
+                J[i * S + j] -= f * J[k * S + j];
+        }
     }
     return 0;
 }
 
+/* Solve in place with lu_factor's factors: the swaps and updates on rhs
+ * in the order an elimination carrying rhs along makes them (bitwise). */
+static void lu_apply(const double *LU, long S, const long *perm, double *rhs)
+{
+    for (long k = 0; k < S; k++) {
+        long p = perm[k];
+        if (p != k) { double t = rhs[k]; rhs[k] = rhs[p]; rhs[p] = t; }
+        for (long i = k + 1; i < S; i++)
+            rhs[i] -= LU[i * S + k] * rhs[k];
+    }
+    for (long k = S - 1; k >= 0; k--) {
+        double t = rhs[k];
+        for (long j = k + 1; j < S; j++)
+            t -= LU[k * S + j] * rhs[j];
+        rhs[k] = t / LU[k * S + k];
+    }
+}
+
 /* Everything a single-lane Newton solve needs that does not change
  * between steps: system shape, device tables, tolerances, the bypass
- * cache, and the scratch buffers (owned by the entry points). */
+ * cache, the scratch buffers (owned by the entry points) and the
+ * factorisation count the entry points report. */
 typedef struct {
     long S, n_nodes;
     const int64_t *dev_off, *d_loc, *g_loc, *s_loc;
@@ -213,6 +234,8 @@ typedef struct {
     uint8_t *cache_valid;
     double *cache_x, *cache_jnl, *cache_fnl;
     double *jmat, *jnl, *fnl, *xext, *fvec, *rhs;
+    long *perm;
+    int64_t n_factor;
 } lane_ctx;
 
 /* Cached stamps still usable at the accepted state xp?  Mirrors
@@ -233,10 +256,13 @@ static long lane_frozen(const lane_ctx *c, long m, const double *xp)
 
 /* Damped Newton to completion for one lane: assemble (linear base G +
  * TFT stamps or cached bypass stamps), partial-pivot LU, damp, update.
- * xl is updated in place (partial iterate on non-convergence, like the
- * reference).  Returns the iteration count; *ok_out is 1 on
- * convergence, 0 on budget exhaustion or a singular Jacobian. */
-static long lane_newton(const lane_ctx *c, long m, const double *G,
+ * A frozen lane's Jacobian is iteration-invariant: it is assembled and
+ * factored on the first iteration only, later ones rebuild the residual
+ * and back-substitute.  xl is updated in place (partial iterate on
+ * non-convergence, like the reference).  Returns the iteration count;
+ * *ok_out is 1 on convergence, 0 on budget exhaustion or a singular
+ * Jacobian. */
+static long lane_newton(lane_ctx *c, long m, const double *G,
                         const double *beff, double *xl, long frozen,
                         long budget, double step_cap, double gmin,
                         long *ok_out)
@@ -247,13 +273,15 @@ static long lane_newton(const lane_ctx *c, long m, const double *G,
     long iter = 0;
     long ok = 0;
     while (iter < budget) {
+        long refactor = !frozen || iter == 0;
         /* Nonlinear stamps: cached (frozen) or fresh. */
         if (frozen) {
             const double *cj = c->cache_jnl + (size_t)m * S * S;
             const double *cf = c->cache_fnl + (size_t)m * S;
-            for (long i = 0; i < S; i++)
-                for (long j = 0; j < S; j++)
-                    jmat[i * S + j] = G[i * S + j] + cj[i * S + j];
+            if (refactor)
+                for (long i = 0; i < S; i++)
+                    for (long j = 0; j < S; j++)
+                        jmat[i * S + j] = G[i * S + j] + cj[i * S + j];
             for (long i = 0; i < S; i++) {
                 double acc = 0.0;
                 for (long j = 0; j < S; j++)
@@ -300,7 +328,7 @@ static long lane_newton(const lane_ctx *c, long m, const double *G,
         }
         if (gmin > 0.0) {
             for (long i = 0; i < n_nodes; i++) {
-                jmat[i * S + i] += gmin;
+                if (refactor) jmat[i * S + i] += gmin;
                 fvec[i] += gmin * xl[i];
             }
         }
@@ -311,10 +339,14 @@ static long lane_newton(const lane_ctx *c, long m, const double *G,
         }
         for (long i = 0; i < S; i++)
             rhs[i] = -fvec[i];
-        if (lu_solve(jmat, S, rhs, S)) {
-            ok = 0;          /* singular lane: deactivate, not fatal */
-            break;
+        if (refactor) {
+            c->n_factor++;
+            if (lu_factor(jmat, S, c->perm)) {
+                ok = 0;      /* singular lane: deactivate, not fatal */
+                break;
+            }
         }
+        lu_apply(jmat, S, c->perm, rhs);
         double max_delta = 0.0;
         for (long i = 0; i < S; i++) {
             double v = fabs(rhs[i]);
@@ -372,7 +404,8 @@ long repro_ensemble_newton(
     double *x,                  /* A*S, in/out */
     uint8_t *conv,              /* A, out */
     int64_t *stats)             /* [0] frozen lane-steps, [1] total lane
-                                 * iterations, [2] singular lanes, out */
+                                 * iterations, [2] singular lanes,
+                                 * [3] LU factorisations, out */
 {
     long ext = S + 1;
     double *gbase = malloc((size_t)(S * S) * sizeof(double));
@@ -383,18 +416,20 @@ long repro_ensemble_newton(
     double *beff  = malloc((size_t)S * sizeof(double));
     double *fvec  = malloc((size_t)S * sizeof(double));
     double *rhs   = malloc((size_t)S * sizeof(double));
+    long *perm    = malloc((size_t)S * sizeof(long));
     long iters_max = 0;
     long frozen_steps = 0;
     int64_t total_iters = 0, singular_n = 0;
-    if (!gbase || !jmat || !jnl || !fnl || !xext || !beff || !fvec || !rhs) {
-        iters_max = -1;
-        goto done;
-    }
     lane_ctx c = { S, n_nodes, dev_off, d_loc, g_loc, s_loc, pol, par,
                    fet_gmin, abstol_v, abstol_i, bypass_on,
                    n_slots, slots, eta,
                    cache_valid, cache_x, cache_jnl, cache_fnl,
-                   jmat, jnl, fnl, xext, fvec, rhs };
+                   jmat, jnl, fnl, xext, fvec, rhs, perm, 0 };
+    if (!gbase || !jmat || !jnl || !fnl || !xext || !beff || !fvec || !rhs
+            || !perm) {
+        iters_max = -1;
+        goto done;
+    }
 
     for (long lane = 0; lane < A; lane++) {
         long m = mem[lane];
@@ -447,11 +482,12 @@ long repro_ensemble_newton(
 
 done:
     free(gbase); free(jmat); free(jnl); free(fnl);
-    free(xext); free(beff); free(fvec); free(rhs);
+    free(xext); free(beff); free(fvec); free(rhs); free(perm);
     if (stats) {
         stats[0] = frozen_steps;
         stats[1] = total_iters;
         stats[2] = singular_n;
+        stats[3] = c.n_factor;
     }
     return iters_max;
 }
@@ -475,7 +511,8 @@ done:
  * step).  stats: [0] accepted steps, [1] halvings, [2] LTE rejections,
  * [3] frozen (bypassed) lane-steps, [4] bailed lanes, [5] total lane
  * Newton iterations (prediction + retry attempts, same counting as the
- * per-lane reference), [6] probe crossings recorded.  Returns 0, or
+ * per-lane reference), [6] probe crossings recorded, [7] LU
+ * factorisations.  Returns 0, or
  * -1 when scratch allocation fails (no state touched). */
 long repro_ensemble_timestep(
     long B, long S, long n_nodes,
@@ -507,7 +544,7 @@ long repro_ensemble_timestep(
     uint8_t *cross_rise,        /* n_probes*B*cross_cap, out */
     int64_t *cross_n,           /* n_probes*B, out */
     uint8_t *status,            /* B, out */
-    int64_t *stats)             /* [5], out */
+    int64_t *stats)             /* [8], out */
 {
     long ext = S + 1;
     double *gbase = malloc((size_t)(S * S) * sizeof(double));
@@ -520,17 +557,18 @@ long repro_ensemble_timestep(
     double *rhs   = malloc((size_t)S * sizeof(double));
     double *xpred = malloc((size_t)S * sizeof(double));
     double *xn    = malloc((size_t)S * sizeof(double));
+    long *perm    = malloc((size_t)S * sizeof(long));
     if (!gbase || !jmat || !jnl || !fnl || !xext
-            || !beff || !fvec || !rhs || !xpred || !xn) {
+            || !beff || !fvec || !rhs || !xpred || !xn || !perm) {
         free(gbase); free(jmat); free(jnl); free(fnl); free(xext);
-        free(beff); free(fvec); free(rhs); free(xpred); free(xn);
+        free(beff); free(fvec); free(rhs); free(xpred); free(xn); free(perm);
         return -1;
     }
     lane_ctx c = { S, n_nodes, dev_off, d_loc, g_loc, s_loc, pol, par,
                    fet_gmin, abstol_v, abstol_i, bypass_on,
                    n_slots, slots, eta,
                    cache_valid, cache_x, cache_jnl, cache_fnl,
-                   jmat, jnl, fnl, xext, fvec, rhs };
+                   jmat, jnl, fnl, xext, fvec, rhs, perm, 0 };
     int64_t acc_n = 0, halv_n = 0, lte_n = 0, frozen_n = 0, bail_n = 0;
     int64_t iter_n = 0, cross_count = 0;
 
@@ -693,10 +731,10 @@ long repro_ensemble_timestep(
     }
 
     free(gbase); free(jmat); free(jnl); free(fnl); free(xext);
-    free(beff); free(fvec); free(rhs); free(xpred); free(xn);
+    free(beff); free(fvec); free(rhs); free(xpred); free(xn); free(perm);
     stats[0] = acc_n; stats[1] = halv_n; stats[2] = lte_n;
     stats[3] = frozen_n; stats[4] = bail_n;
-    stats[5] = iter_n; stats[6] = cross_count;
+    stats[5] = iter_n; stats[6] = cross_count; stats[7] = c.n_factor;
     return 0;
 }
 """
@@ -996,7 +1034,7 @@ class NativeBackend(NumpyBackend):
         G_lin = request.G_lin
         options = request.options
         conv = np.zeros(A, dtype=np.uint8)
-        stats = np.zeros(3, dtype=np.int64)
+        stats = np.zeros(4, dtype=np.int64)
         bypass = request.bypass
         (S, n_nodes, g_static_a, c_unit_a, dev_off_a, d_a, g_a, s_a,
          pol_a, par_a, n_slots, slots_a) = prep.static_args
@@ -1034,6 +1072,8 @@ class NativeBackend(NumpyBackend):
             # bit-identical; the counter-parity test pins this down).
             telemetry.count("ensemble.newton_lane_iterations",
                             int(stats[1]))
+            telemetry.count("backend.native.lu_factorizations",
+                            int(stats[3]))
             if stats[2]:
                 telemetry.count("backend.native.singular_lanes",
                                 int(stats[2]))
@@ -1075,7 +1115,7 @@ class NativeBackend(NumpyBackend):
         cross_rise = np.zeros((n_probes, B, CROSS_CAP), dtype=np.uint8)
         cross_n = np.zeros((n_probes, B), dtype=np.int64)
         status = np.zeros(B, dtype=np.uint8)
-        stats = np.zeros(7, dtype=np.int64)
+        stats = np.zeros(8, dtype=np.int64)
 
         ret = kernel.timestep(
             B, S, n_nodes,
@@ -1129,5 +1169,7 @@ class NativeBackend(NumpyBackend):
                             int(stats[5]))
             if stats[6]:
                 telemetry.count("ensemble.probe_crossings", int(stats[6]))
+            telemetry.count("backend.native.lu_factorizations",
+                            int(stats[7]))
         return {"accepted": int(stats[0]), "halvings": int(stats[1]),
                 "lte_rejections": int(stats[2]), "bailed": int(stats[4])}

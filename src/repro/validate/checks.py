@@ -26,6 +26,7 @@ the validation run composes with the caller's configuration.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 from contextlib import contextmanager
@@ -55,11 +56,16 @@ class CheckContext:
     fast: bool
 
     def rng(self) -> random.Random:
-        return random.Random(f"{self.name}\x00{self.seed}")
+        return random.Random(self._stream_key())
 
     def np_rng(self) -> np.random.Generator:
-        return np.random.default_rng(
-            abs(hash((self.name, self.seed))) % (2 ** 63))
+        # Seeded from a digest, not hash(): str hashes are salted per
+        # process, which would make every run draw differently.
+        digest = hashlib.sha256(self._stream_key().encode()).digest()
+        return np.random.default_rng(int.from_bytes(digest[:8], "little"))
+
+    def _stream_key(self) -> str:
+        return f"{self.name}\x00{self.seed}"
 
 
 @dataclass(frozen=True)

@@ -352,6 +352,62 @@ class TestCounterParity:
                                    rtol=1e-6, atol=1e-9)
 
 
+class TestFrozenFactorReuse:
+    """Bypass-frozen lanes factor their Jacobian once per Newton solve.
+
+    The organic inverter's first 3 x 3 slew/load arc grid spends about a
+    thousand lane-steps bypass-frozen.  The delays and transitions below
+    are ``float.hex`` values recorded when every iteration refactored:
+    reuse must leave every bit in place.  The numpy backend differs from
+    native in the last ulps, so the pin applies to native only.
+    """
+
+    GOLDEN = [
+        ("0x1.3d70b62841badp-14", "0x1.088a2b8e314f0p-14"),
+        ("0x1.e4b8eef1927f1p-14", "0x1.dc015259eeff3p-14"),
+        ("0x1.81e29be976b06p-13", "0x1.bcfa7284581fep-13"),
+        ("0x1.378dc4ae13440p-14", "0x1.10e4eb14d026cp-14"),
+        ("0x1.dac96de8b4422p-14", "0x1.e668d1762db80p-14"),
+        ("0x1.7df25fab1982cp-13", "0x1.c09a387a4254cp-13"),
+        ("0x1.458ec5646764ep-14", "0x1.9b9bcdddb3dc6p-14"),
+        ("0x1.f07cce518e240p-14", "0x1.20ddef3fbef28p-13"),
+        ("0x1.89d9477142ef1p-13", "0x1.de148454670c2p-13"),
+    ]
+
+    def _arc_grid(self, monkeypatch):
+        from repro.cells.library_def import organic_library_definition
+        from repro.characterization import harness
+
+        if _use(monkeypatch, "native").name != "native":
+            pytest.skip("no C compiler on this machine")
+        defn = organic_library_definition()
+        grid = harness.default_grid(defn)
+        points = [(s, l) for s in grid.slews[:3] for l in grid.loads[:3]]
+        telemetry.reset()
+        telemetry.enable(True)
+        try:
+            arcs = harness.measure_arc_batch(defn.cells["inv"], "a", True,
+                                             points)
+            metrics = telemetry.metrics_snapshot()
+        finally:
+            telemetry.enable(False)
+            telemetry.reset()
+        return arcs, dict(metrics.get("counters", metrics))
+
+    def test_frozen_lanes_factor_fewer_times_than_they_iterate(
+            self, monkeypatch):
+        _, counters = self._arc_grid(monkeypatch)
+        assert counters.get("backend.native.bypassed_lane_steps", 0) > 0
+        factors = counters.get("backend.native.lu_factorizations", 0)
+        assert 0 < factors < counters["ensemble.newton_lane_iterations"]
+
+    def test_arc_grid_bit_identical_to_recorded_values(self, monkeypatch):
+        arcs, counters = self._arc_grid(monkeypatch)
+        assert counters.get("backend.native.bypassed_lane_steps", 0) > 0
+        got = [(delay.hex(), slew.hex()) for delay, slew in arcs]
+        assert got == self.GOLDEN
+
+
 class TestDispatchAndDegradation:
     def test_forced_numpy(self, monkeypatch):
         assert _use(monkeypatch, "numpy").name == "numpy"

@@ -4,7 +4,10 @@ acceptance property that a perturbed fast path fails loudly."""
 from __future__ import annotations
 
 import json
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -59,6 +62,21 @@ class TestRegistry:
         assert a.rng().random() != b.rng().random()
         assert a.rng().random() == CheckContext(
             name="a", seed=0, fast=True).rng().random()
+
+    def test_np_rng_draws_do_not_depend_on_the_hash_seed(self):
+        """Two processes with different str-hash salts draw alike."""
+        code = ("from repro.validate.checks import CheckContext; "
+                "ctx = CheckContext(name='waveform-crossing-order', "
+                "seed=0, fast=True); "
+                "print(ctx.np_rng().random(4).tolist())")
+        draws = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(sys.path))
+            out = subprocess.run([sys.executable, "-c", code], env=env,
+                                 capture_output=True, text=True, check=True)
+            draws.append(out.stdout)
+        assert draws[0] == draws[1]
 
     def test_swap_env_and_attr_restore(self, monkeypatch):
         import repro.synthesis.sta as sta
