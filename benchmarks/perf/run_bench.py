@@ -46,13 +46,14 @@ Usage::
     PYTHONPATH=src python -m benchmarks.perf.run_bench \
         --check BENCH_perf.json --tolerance 0.25     # CI regression gate
 
-``--profile`` reports a per-stage breakdown (stamp / device-eval /
-solve / rhs / probe / step-control / predict / retry / cache /
-telemetry / residual overhead) from :mod:`repro.runtime.profiling`
-next to each timing and embeds it in the JSON artifact.  The stage counters are
-process-aware: worker processes ship their telemetry snapshots back
-through ``parallel_map`` and the parent merges them in task order, so
-the breakdown is complete (and deterministic) with ``--workers`` too.
+``--profile`` turns telemetry on and reports a per-stage breakdown next
+to each timing, embedded in the JSON artifact: the growth of each
+``solver.<stage>`` timer (:data:`repro.runtime.telemetry.STAGES`) over
+the row's timed region, plus the residual ``overhead``.  Worker
+processes ship their telemetry snapshots back through ``parallel_map``
+and the parent merges them in task order, so the breakdown is complete
+(and deterministic) with ``--workers`` too.  ``REPRO_TELEMETRY=0``
+cannot be combined with ``--profile``.
 
 ``--report PATH`` additionally collects full telemetry for the whole
 benchmark run and writes a :mod:`repro.runtime.report` JSON document
@@ -92,7 +93,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.runtime import log as repro_log, profiling, telemetry
+from repro.runtime import log as repro_log, telemetry
 from repro.runtime import report as run_report
 
 #: Wall-clock seconds before each optimisation landed (see module
@@ -119,7 +120,22 @@ SEED_BASELINES = {
 SWEEP_TRACE_LENGTH = 10_000
 
 
-def _bench_single_transient() -> float:
+class _timed:
+    """A bench row's timed region: its wall seconds and the seconds each
+    solver stage booked inside it (the row's ``--profile``)."""
+
+    def __enter__(self) -> "_timed":
+        self._before = telemetry.stage_seconds()
+        self._t0 = time.perf_counter()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.seconds = time.perf_counter() - self._t0
+        self.stages = {stage: seconds - self._before[stage] for stage, seconds
+                       in telemetry.stage_seconds().items()}
+
+
+def _bench_single_transient() -> _timed:
     from repro.cells.library_def import organic_library_definition
     from repro.characterization import harness
 
@@ -128,37 +144,34 @@ def _bench_single_transient() -> float:
     cell = defn.cells["nand2"]
     # Warm-up (module import, first-call numpy costs), then measure.
     harness.measure_arc(cell, "a", True, grid.slews[0], grid.loads[0])
-    profiling.reset()
-    t0 = time.perf_counter()
-    harness.measure_arc(cell, "a", True, grid.slews[0], grid.loads[0])
-    return time.perf_counter() - t0
+    with _timed() as row:
+        harness.measure_arc(cell, "a", True, grid.slews[0], grid.loads[0])
+    return row
 
 
-def _bench_cell_characterization(workers: int | None) -> float:
+def _bench_cell_characterization(workers: int | None) -> _timed:
     from repro.cells.library_def import organic_library_definition
     from repro.characterization import harness
 
     defn = organic_library_definition()
     grid = harness.default_grid(defn)
     cell = defn.cells["nand2"]
-    profiling.reset()
-    t0 = time.perf_counter()
-    harness.characterize_cell(cell, grid, area=1.0, workers=workers)
-    return time.perf_counter() - t0
+    with _timed() as row:
+        harness.characterize_cell(cell, grid, area=1.0, workers=workers)
+    return row
 
 
-def _bench_library_characterization(workers: int | None) -> float:
+def _bench_library_characterization(workers: int | None) -> _timed:
     from repro.cells.library_def import organic_library_definition
     from repro.characterization.harness import characterize_library
 
-    profiling.reset()
-    t0 = time.perf_counter()
-    characterize_library(organic_library_definition(), use_cache=False,
-                         workers=workers)
-    return time.perf_counter() - t0
+    with _timed() as row:
+        characterize_library(organic_library_definition(), use_cache=False,
+                             workers=workers)
+    return row
 
 
-def _bench_ensemble_newton() -> float:
+def _bench_ensemble_newton() -> _timed:
     """Raw stacked-Newton throughput through the active solver backend.
 
     Marches 200 fixed-step backward-Euler solves of a 16-member
@@ -206,14 +219,13 @@ def _bench_ensemble_newton() -> float:
 
     # Warm-up pays kernel compile / gather memoisation, then measure.
     step(x, t)
-    profiling.reset()
-    t0 = time.perf_counter()
-    for _ in range(200):
-        x, t = step(x, t)
-    return time.perf_counter() - t0
+    with _timed() as row:
+        for _ in range(200):
+            x, t = step(x, t)
+    return row
 
 
-def _bench_native_timestep() -> float:
+def _bench_native_timestep() -> _timed:
     """The whole transient sweep loop through the active solver backend.
 
     Where ``ensemble_newton`` isolates the stacked Newton inner loop,
@@ -256,11 +268,10 @@ def _bench_native_timestep() -> float:
     # 25 sweeps keep the row ~100ms: long enough that scheduler noise
     # stays well inside the --check tolerance.
     EnsembleTransient(members, opts, probes).run()
-    profiling.reset()
-    t0 = time.perf_counter()
-    for _ in range(25):
-        EnsembleTransient(members, opts, probes).run()
-    return time.perf_counter() - t0
+    with _timed() as row:
+        for _ in range(25):
+            EnsembleTransient(members, opts, probes).run()
+    return row
 
 
 def _warm_ipc_kernel() -> None:
@@ -276,7 +287,7 @@ def _warm_ipc_kernel() -> None:
     ipc_native.native_available()
 
 
-def _bench_ipc_simulate() -> float:
+def _bench_ipc_simulate() -> _timed:
     """All seven workloads through ``simulate()`` on the baseline core.
 
     Full sweep trace length (30k dynamic instructions per workload), no
@@ -294,21 +305,19 @@ def _bench_ipc_simulate() -> float:
     # way any sweep's first config does, then time a clean pass.
     for trace in traces.values():
         simulate(config, trace)
-    profiling.reset()
-    t0 = time.perf_counter()
-    for trace in traces.values():
-        simulate(config, trace)
-    return time.perf_counter() - t0
+    with _timed() as row:
+        for trace in traces.values():
+            simulate(config, trace)
+    return row
 
 
-def _bench_depth_sweep(workers: int | None) -> tuple[float, float]:
-    """(cold, warm) seconds for the Figure 11 depth sweep, one process.
+def _bench_depth_sweep(workers: int | None) -> tuple[_timed, _timed]:
+    """(cold, warm) regions of the Figure 11 depth sweep, one process.
 
     Cold: fresh result-cache directory, every block timing and
     simulation computed.  Warm: the identical call again, replayed from
-    the cache the cold run just filled.  Only the cold run is profiled:
-    the row records cold seconds, so its stage breakdown must cover
-    exactly that run.
+    the cache the cold run just filled.  Each is its own region, so the
+    cold row's stage breakdown covers exactly the cold run.
     """
     from repro.analysis.figures import load_libraries, wire_models
     from repro.core.physical import reset_structure_caches
@@ -324,20 +333,16 @@ def _bench_depth_sweep(workers: int | None) -> tuple[float, float]:
         # cold regardless of which bench rows ran earlier in this
         # process; the warm re-run keeps them, as a warm caller would.
         reset_structure_caches()
-        profiling.reset()
-        t0 = time.perf_counter()
-        depth_sweep(org_lib, org_wire, max_depth=15, traces=traces,
-                    workers=workers)
-        cold = time.perf_counter() - t0
-        profiling.enable(False)
-        t0 = time.perf_counter()
-        depth_sweep(org_lib, org_wire, max_depth=15, traces=traces,
-                    workers=workers)
-        warm = time.perf_counter() - t0
+        with _timed() as cold:
+            depth_sweep(org_lib, org_wire, max_depth=15, traces=traces,
+                        workers=workers)
+        with _timed() as warm:
+            depth_sweep(org_lib, org_wire, max_depth=15, traces=traces,
+                        workers=workers)
     return cold, warm
 
 
-def _bench_width_sweep(workers: int | None) -> float:
+def _bench_width_sweep(workers: int | None) -> _timed:
     """The 30-point Figure 13/14 width grid, cold cache."""
     from repro.analysis.figures import load_libraries, wire_models
     from repro.core.physical import reset_structure_caches
@@ -350,13 +355,12 @@ def _bench_width_sweep(workers: int | None) -> float:
     with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as tmp, \
             _cache_dir(tmp):
         reset_structure_caches()
-        profiling.reset()
-        t0 = time.perf_counter()
-        width_sweep(org_lib, org_wire, traces=traces, workers=workers)
-        return time.perf_counter() - t0
+        with _timed() as row:
+            width_sweep(org_lib, org_wire, traces=traces, workers=workers)
+    return row
 
 
-def _bench_dse_sweep(workers: int | None) -> float:
+def _bench_dse_sweep(workers: int | None) -> _timed:
     """The 1008-point batched DSE grid, cold cache.
 
     Libraries, wire models and the trace are prepared outside the timed
@@ -375,13 +379,12 @@ def _bench_dse_sweep(workers: int | None) -> float:
     with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as tmp, \
             _cache_dir(tmp):
         reset_structure_caches()
-        profiling.reset()
-        t0 = time.perf_counter()
-        dse_sweep(combos=combos, traces=traces, workers=workers)
-        return time.perf_counter() - t0
+        with _timed() as row:
+            dse_sweep(combos=combos, traces=traces, workers=workers)
+    return row
 
 
-def _bench_alu_pipeline_sweep() -> float:
+def _bench_alu_pipeline_sweep() -> _timed:
     """Figure 12's organic and silicon pipeline sweeps of the 16-bit ALU.
 
     In-process synthesis caches are dropped first, so the netlist is
@@ -398,11 +401,10 @@ def _bench_alu_pipeline_sweep() -> float:
     netlist = block_netlist("complex", 16)
     for lib, wire in corners:
         per_gate_delays(netlist, lib, wire)
-    profiling.reset()
-    t0 = time.perf_counter()
-    for lib, wire in corners:
-        pipeline_sweep(netlist, lib, wire, FIG12_STAGE_COUNTS)
-    return time.perf_counter() - t0
+    with _timed() as row:
+        for lib, wire in corners:
+            pipeline_sweep(netlist, lib, wire, FIG12_STAGE_COUNTS)
+    return row
 
 
 class _cache_dir:
@@ -438,21 +440,23 @@ BENCHES = {
 }
 
 
-def _record(results: dict, name: str, elapsed: float,
-            profile: dict | None = None) -> None:
+def _record(results: dict, name: str, row: _timed,
+            profile: bool = False) -> None:
+    """Store and print one row; with *profile*, its stage breakdown."""
+    elapsed = row.seconds
     baseline = SEED_BASELINES.get(name)
     entry = {"seconds": round(elapsed, 4), "seed_seconds": baseline}
     if baseline:
         entry["speedup_vs_seed"] = round(baseline / elapsed, 2)
-    if profile is not None:
-        entry["profile"] = profile
+    if profile:
+        entry["profile"] = telemetry.breakdown(elapsed, stages=row.stages)
     results[name] = entry
     speedup = entry.get("speedup_vs_seed")
     extra = f"  ({speedup}x vs seed)" if speedup else ""
     print(f"[bench] {name}: {elapsed:.4f}s{extra}", flush=True)
-    if profile is not None:
+    if profile:
         stages = "  ".join(f"{stage} {seconds:.3f}s"
-                           for stage, seconds in profile.items())
+                           for stage, seconds in entry["profile"].items())
         print(f"[bench]   profile: {stages}", flush=True)
 
 
@@ -502,8 +506,8 @@ def main(argv: list[str] | None = None) -> int:
                         / "BENCH_perf.json",
                         help="output JSON path (default: repo root)")
     parser.add_argument("--profile", action="store_true",
-                        help="per-stage stamp/device-eval/solve/overhead "
-                             "breakdown next to each timing")
+                        help="per-stage breakdown (the solver.<stage> "
+                             "telemetry timers) next to each timing")
     parser.add_argument("--check", type=Path, default=None,
                         metavar="BASELINE_JSON",
                         help="compare against a recorded BENCH_perf.json "
@@ -522,13 +526,17 @@ def main(argv: list[str] | None = None) -> int:
                              "to --out)")
     repro_log.add_cli_flags(parser)
     args = parser.parse_args(argv)
+    if args.profile and telemetry.force_disabled_by_env():
+        parser.error("--profile reads the telemetry stage timers, which "
+                     "REPRO_TELEMETRY=0 switches off")
     repro_log.configure_from_args(args)
 
     names = [args.only] if args.only else list(BENCHES)
     if args.quick and not args.only:
         names.remove("library_characterization")
 
-    collect = args.report is not None or args.trace is not None
+    report_wanted = args.report is not None or args.trace is not None
+    collect = args.profile or report_wanted
     if collect:
         telemetry.reset()
         telemetry.enable(True)
@@ -541,22 +549,15 @@ def main(argv: list[str] | None = None) -> int:
         # cost lands nowhere: rows must not time each other's debris.
         gc.collect()
         print(f"[bench] {name} ...", flush=True)
-        if args.profile:
-            profiling.reset()
-            profiling.enable(True)
         if name == "depth_sweep":
             with telemetry.span("bench:depth_sweep"):
                 cold, warm = _bench_depth_sweep(args.workers)
-            profiling.enable(False)
-            prof = profiling.breakdown(cold) if args.profile else None
-            _record(results, "depth_sweep", cold, prof)
+            _record(results, "depth_sweep", cold, args.profile)
             _record(results, "depth_sweep_warm_cache", warm)
             continue
         with telemetry.span(f"bench:{name}"):
-            elapsed = BENCHES[name](args.workers)
-        profiling.enable(False)
-        prof = profiling.breakdown(elapsed) if args.profile else None
-        _record(results, name, elapsed, prof)
+            row = BENCHES[name](args.workers)
+        _record(results, name, row, args.profile)
 
     from repro import runtime
     from repro.core import ipc_native
@@ -595,6 +596,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     if collect:
         telemetry.enable(False)
+    if report_wanted:
         report = run_report.build_report(
             "bench", argv=argv, status="ok",
             duration_seconds=time.perf_counter() - t_run)

@@ -4,7 +4,10 @@ The telemetry sites in the solver/characterisation layers follow the
 one-branch guard pattern: when ``telemetry.ENABLED`` is False each site
 costs one module-attribute load plus a branch, and even when enabled the
 sites sit at aggregation boundaries (per solve, per batch) rather than
-inside inner loops.  This microbench enforces that claim end to end:
+inside inner loops.  The ``solver.<stage>`` timers are on the same
+flag, so the enabled runs include them — the SPICE sub-stage timers,
+which do book per iteration, among them.  This microbench enforces the
+budget end to end:
 
 it characterises one cell (or, with ``--bench library``, the full
 organic library) repeatedly with collection *disabled* and *enabled* in

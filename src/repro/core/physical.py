@@ -23,7 +23,7 @@ from repro.characterization.library import Library
 from repro.core.complexity import StructureModel
 from repro.core.config import REGION_NAMES, CoreConfig
 from repro.errors import ConfigError
-from repro.runtime import profiling
+from repro.runtime import telemetry
 from repro.runtime.cache import default_cache
 from repro.synthesis import sta as _sta
 from repro.synthesis.generators import (carry_select_adder, complex_alu_slice,
@@ -120,7 +120,7 @@ def _generic_block(block: str, width: int) -> Netlist:
     if hit is not None:
         return hit
 
-    t0 = time.perf_counter() if profiling.ENABLED else 0.0
+    t0 = time.perf_counter() if telemetry.ENABLED else 0.0
     if block == "alu":
         nl = simple_alu(width)
     elif block == "complex":
@@ -139,8 +139,8 @@ def _generic_block(block: str, width: int) -> Netlist:
             nl = carry_select_adder(width)
     else:
         raise ConfigError(f"unknown physical block {block!r}")
-    if profiling.ENABLED:
-        profiling.add("netlist", time.perf_counter() - t0)
+    if telemetry.ENABLED:
+        telemetry.time_add("solver.netlist", time.perf_counter() - t0)
     _GENERIC_CACHE[key] = nl
     return nl
 
@@ -172,7 +172,7 @@ def _block_area(block: str, width: int, library: Library) -> float:
     if hit is not None:
         return hit
 
-    t0 = time.perf_counter() if profiling.ENABLED else 0.0
+    t0 = time.perf_counter() if telemetry.ENABLED else 0.0
     cache = default_cache()
     cache_key = cache.key({
         "schema": 1,
@@ -181,24 +181,24 @@ def _block_area(block: str, width: int, library: Library) -> float:
         "width": width,
     })
     payload = cache.get("block_area", cache_key)
-    if profiling.ENABLED:
-        profiling.add("cache", time.perf_counter() - t0)
+    if telemetry.ENABLED:
+        telemetry.time_add("solver.cache", time.perf_counter() - t0)
     if payload is not None:
         area = float(payload["area"])
         _AREA_CACHE[key] = area
         return area
 
     nl = _generic_block(block, width)
-    t0 = time.perf_counter() if profiling.ENABLED else 0.0
+    t0 = time.perf_counter() if telemetry.ENABLED else 0.0
     counts = mapped_cell_counts(nl)
     area = sum(library.cell(cell).area * n
                for cell, n in sorted(counts.items()))
-    if profiling.ENABLED:
-        profiling.add("mapping", time.perf_counter() - t0)
+    if telemetry.ENABLED:
+        telemetry.time_add("solver.mapping", time.perf_counter() - t0)
         t0 = time.perf_counter()
     cache.put("block_area", cache_key, {"area": area})
-    if profiling.ENABLED:
-        profiling.add("cache", time.perf_counter() - t0)
+    if telemetry.ENABLED:
+        telemetry.time_add("solver.cache", time.perf_counter() - t0)
     _AREA_CACHE[key] = area
     return area
 
@@ -219,7 +219,7 @@ def _block_timing(block: str, width: int, library: Library,
     if hit is not None:
         return hit
 
-    t0 = time.perf_counter() if profiling.ENABLED else 0.0
+    t0 = time.perf_counter() if telemetry.ENABLED else 0.0
     cache = default_cache()
     cache_key = cache.key({
         "schema": 2,
@@ -229,8 +229,8 @@ def _block_timing(block: str, width: int, library: Library,
         "wire": _wire_key(wire),
     })
     payload = cache.get("block_timing", cache_key)
-    if profiling.ENABLED:
-        profiling.add("cache", time.perf_counter() - t0)
+    if telemetry.ENABLED:
+        telemetry.time_add("solver.cache", time.perf_counter() - t0)
     if payload is not None:
         result = (float(payload["delay"]), float(payload["area"]))
         _BLOCK_CACHE[key] = result
@@ -239,11 +239,11 @@ def _block_timing(block: str, width: int, library: Library,
     netlist = block_netlist(block, width)
     report = static_timing(netlist, library, wire)
     result = (report.max_delay, _block_area(block, width, library))
-    t0 = time.perf_counter() if profiling.ENABLED else 0.0
+    t0 = time.perf_counter() if telemetry.ENABLED else 0.0
     cache.put("block_timing", cache_key,
               {"delay": result[0], "area": result[1]})
-    if profiling.ENABLED:
-        profiling.add("cache", time.perf_counter() - t0)
+    if telemetry.ENABLED:
+        telemetry.time_add("solver.cache", time.perf_counter() - t0)
     _BLOCK_CACHE[key] = result
     return result
 
@@ -263,11 +263,11 @@ def region_logic_delays(config: CoreConfig, library: Library,
     if hit is not None:
         return dict(hit)
 
-    t0 = time.perf_counter() if profiling.ENABLED else 0.0
+    t0 = time.perf_counter() if telemetry.ENABLED else 0.0
     sm = StructureModel(library, wire)
     fo4 = sm.fo4
-    if profiling.ENABLED:
-        profiling.add("structures", time.perf_counter() - t0)
+    if telemetry.ENABLED:
+        telemetry.time_add("solver.structures", time.perf_counter() - t0)
     w = config.data_width
 
     # Block synthesis/timing books its own netlist/mapping/sta/cache
@@ -276,7 +276,7 @@ def region_logic_delays(config: CoreConfig, library: Library,
     adder_delay, _ = _block_timing("adder", w, library, wire)
     alu_delay, _ = _block_timing("alu", w, library, wire)
 
-    t0 = time.perf_counter() if profiling.ENABLED else 0.0
+    t0 = time.perf_counter() if telemetry.ENABLED else 0.0
     mux_fanin = 1.0 + math.log2(max(config.front_width, 2))
     delays = {
         # Next-PC add and BTB lookup are parallel paths into the PC mux.
@@ -294,8 +294,8 @@ def region_logic_delays(config: CoreConfig, library: Library,
         "retire": sm.rob_delay(config.rob_size, config.front_width)
                   + 2.0 * fo4,
     }
-    if profiling.ENABLED:
-        profiling.add("structures", time.perf_counter() - t0)
+    if telemetry.ENABLED:
+        telemetry.time_add("solver.structures", time.perf_counter() - t0)
     _LOGIC_CACHE[key] = delays
     return dict(delays)
 
@@ -315,7 +315,7 @@ def core_area(config: CoreConfig, library: Library,
     adder_area = _block_area("adder", w, library)
     complex_area = _block_area("complex", w, library)
 
-    t0 = time.perf_counter() if profiling.ENABLED else 0.0
+    t0 = time.perf_counter() if telemetry.ENABLED else 0.0
     sm = StructureModel(library, wire)
     nand_area = library.cell("nand2").area
 
@@ -343,8 +343,8 @@ def core_area(config: CoreConfig, library: Library,
     # wide latch bank per added stage per active way.
     extra_stages = max(config.depth - len(REGION_NAMES), 0)
     area += extra_stages * (fw + bw) * w * library.dff.area
-    if profiling.ENABLED:
-        profiling.add("structures", time.perf_counter() - t0)
+    if telemetry.ENABLED:
+        telemetry.time_add("solver.structures", time.perf_counter() - t0)
     return area
 
 
@@ -353,7 +353,7 @@ def core_physical(config: CoreConfig, library: Library, wire: WireModel,
     """Clock period, frequency and area of one design point."""
     logic = region_logic_delays(config, library, wire)
     area = core_area(config, library, wire)
-    t0 = time.perf_counter() if profiling.ENABLED else 0.0
+    t0 = time.perf_counter() if telemetry.ENABLED else 0.0
     fo4 = library.inverter_fo4_delay()
 
     span = math.sqrt(area)
@@ -371,8 +371,8 @@ def core_physical(config: CoreConfig, library: Library, wire: WireModel,
 
     critical_region = max(stage_delay, key=stage_delay.get)
     period = stage_delay[critical_region]
-    if profiling.ENABLED:
-        profiling.add("structures", time.perf_counter() - t0)
+    if telemetry.ENABLED:
+        telemetry.time_add("solver.structures", time.perf_counter() - t0)
     return CorePhysical(
         config_name=config.name,
         process=library.process,

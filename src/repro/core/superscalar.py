@@ -48,7 +48,7 @@ from repro.core.config import CoreConfig
 from repro.core.isa import EXEC_LATENCY, InstrClass
 from repro.core.trace import Trace
 from repro.errors import ConfigError, SimulationError
-from repro.runtime import profiling, telemetry
+from repro.runtime import telemetry
 
 _KERNELS = ("fast", "reference")
 
@@ -79,6 +79,7 @@ def _resolve_kernel(kernel: str | None) -> str:
     return kernel
 
 
+@telemetry.timed("solver.ipc")
 def simulate(config: CoreConfig, trace: Trace,
              kernel: str | None = None) -> SimulationResult:
     """Run *trace* through the timing model; returns IPC and statistics.
@@ -86,16 +87,6 @@ def simulate(config: CoreConfig, trace: Trace,
     ``kernel`` (default ``'fast'``) picks the compiled kernel or the
     reference oracle.
     """
-    if profiling.ENABLED:
-        t0 = perf_counter()
-        result = _simulate(config, trace, kernel)
-        profiling.add("ipc", perf_counter() - t0)
-        return result
-    return _simulate(config, trace, kernel)
-
-
-def _simulate(config: CoreConfig, trace: Trace,
-              kernel: str | None = None) -> SimulationResult:
     if len(trace) == 0:
         raise SimulationError("empty trace")
     if _resolve_kernel(kernel) == "fast":
@@ -323,13 +314,13 @@ def simulate_cached(config: CoreConfig, trace: Trace,
         cache = default_cache()
     if not cache.enabled:
         return simulate(config, trace)
-    if profiling.ENABLED:
+    if telemetry.ENABLED:
         t0 = perf_counter()
     key = cache.key({"schema": 1, "config": _timing_signature(config),
                      "trace": trace.fingerprint()})
     hit = cache.get("simulation", key)
-    if profiling.ENABLED:
-        profiling.add("cache", perf_counter() - t0)
+    if telemetry.ENABLED:
+        telemetry.time_add("solver.cache", perf_counter() - t0)
     if hit is not None:
         return SimulationResult(
             config_name=config.name,
@@ -342,7 +333,7 @@ def simulate_cached(config: CoreConfig, trace: Trace,
             l1_misses=int(hit["l1_misses"]),
         )
     result = simulate(config, trace)
-    if profiling.ENABLED:
+    if telemetry.ENABLED:
         t0 = perf_counter()
     cache.put("simulation", key, {
         "instructions": result.instructions,
@@ -351,6 +342,6 @@ def simulate_cached(config: CoreConfig, trace: Trace,
         "mispredicts": result.mispredicts,
         "l1_misses": result.l1_misses,
     })
-    if profiling.ENABLED:
-        profiling.add("cache", perf_counter() - t0)
+    if telemetry.ENABLED:
+        telemetry.time_add("solver.cache", perf_counter() - t0)
     return result

@@ -3,10 +3,9 @@
 Besides the executor and result cache, this package hosts the shared
 observability substrate: :mod:`repro.runtime.telemetry` (metrics
 registry + hierarchical spans, merged deterministically across worker
-processes), :mod:`repro.runtime.log` (unified logging config for the
-CLIs), :mod:`repro.runtime.profiling` (the solver stage breakdown, now
-a view over the telemetry registry), and :mod:`repro.runtime.report`
-(per-experiment JSON run reports).
+processes, including the ``solver.<stage>`` per-layer breakdown),
+:mod:`repro.runtime.log` (unified logging config for the CLIs), and
+:mod:`repro.runtime.report` (per-experiment JSON run reports).
 
 It also holds the ensemble-solver constants :data:`ENSEMBLE` and
 :data:`ENSEMBLE_BATCH`, which callers read at call time.

@@ -22,13 +22,12 @@ the one primitive they share:
   re-runs serially in the parent — mapped functions are side-effect-free
   by contract, so no task is dropped and no caller ever hangs on a broken
   pool; the degradation is logged every time it happens;
-- when telemetry or solver profiling is enabled in the parent, each task
-  additionally returns a :mod:`repro.runtime.telemetry` registry snapshot
-  (collected on a per-task-reset registry, so it is exactly that task's
-  delta) and the parent merges the snapshots **in task order** — metrics
-  and ``run_bench --profile`` breakdowns are therefore complete and
-  deterministic under ``REPRO_WORKERS>1``, where they were previously
-  lost with the worker processes.
+- when telemetry is enabled in the parent, each task additionally
+  returns a :mod:`repro.runtime.telemetry` registry snapshot (collected
+  on a per-task-reset registry, so it is exactly that task's delta) and
+  the parent merges the snapshots **in task order** — metrics and stage
+  breakdowns are therefore complete and deterministic under
+  ``REPRO_WORKERS>1``.
 
 Workers are plain ``fork``/``spawn`` processes: the mapped function and its
 arguments must be picklable.  Use :func:`functools.partial` over module-level
@@ -125,28 +124,26 @@ def resolve_workers(workers: int | None = None) -> int:
 
 
 def _run_one(fn: Callable[..., Any], task: Any,
-             collect: tuple[bool, bool] | None = None
+             collect: bool | None = None
              ) -> tuple[Any, BaseException | None, dict | None]:
     """Run one task; optionally collect and return a telemetry snapshot.
 
     *collect* is ``None`` in-process (instrumentation writes straight
-    into the caller's registry) and ``(telemetry_on, profiling_on)`` in
-    pool workers: the worker resets its registry before the task (fork
-    inherits the parent's accumulations; a reused worker holds earlier
-    tasks' — both would double-count), enables collection to match the
-    parent, and ships the resulting per-task delta back.
+    into the caller's registry) and the parent's ``telemetry.ENABLED``
+    in pool workers.  ``True`` makes the worker reset its registry
+    before the task (fork inherits the parent's accumulations; a reused
+    worker holds earlier tasks' — both would double-count), enable
+    collection, and ship the resulting per-task delta back.
     """
     snap: dict | None = None
-    if collect is not None:
-        from repro.runtime import profiling
+    if collect:
         telemetry.reset()
-        telemetry.enable(collect[0])
-        profiling.enable(collect[1])
+        telemetry.enable(True)
     try:
         value, error = fn(task), None
     except Exception as exc:  # noqa: BLE001 - captured and re-raised by caller
         value, error = None, exc
-    if collect is not None:
+    if collect:
         snap = telemetry.snapshot()
     return value, error, snap
 
@@ -202,10 +199,7 @@ def parallel_map(fn: Callable[[Any], Any], tasks: Sequence[Any],
         getattr(fn, "func", None), "__name__", None) or "parallel_map"
     outcomes: list[tuple[Any, BaseException | None, dict | None]] | None = None
     if n_workers > 1 and len(tasks) > 1:
-        from repro.runtime import profiling
-        collect: tuple[bool, bool] | None = None
-        if telemetry.ENABLED or profiling.ENABLED:
-            collect = (telemetry.ENABLED, profiling.ENABLED)
+        collect = telemetry.ENABLED
         try:
             with ProcessPoolExecutor(
                     max_workers=min(n_workers, len(tasks)),
@@ -225,7 +219,7 @@ def parallel_map(fn: Callable[[Any], Any], tasks: Sequence[Any],
                     progress.end(ph)
             # Graft every task's metrics delta into this process, in task
             # order, under the span enclosing this parallel_map call.
-            if collect is not None:
+            if collect:
                 prefix = telemetry.current_path()
                 for i, (_value, _error, snap) in enumerate(outcomes):
                     if snap:

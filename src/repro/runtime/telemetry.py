@@ -9,8 +9,9 @@ is their shared observability substrate:
 
   * *counters* (monotonic integers: Newton iterations, LTE rejections,
     cache hits),
-  * *timers* (accumulated wall-clock seconds + call counts: the solver
-    stage breakdown ``run_bench --profile`` reports),
+  * *timers* (accumulated wall-clock seconds + call counts; the
+    ``solver.<stage>`` timers of :data:`STAGES` are the per-layer
+    breakdown every run report carries),
   * *distributions* (count/sum/min/max summaries of observed values:
     ensemble batch occupancy, cycles per simulation);
 
@@ -27,11 +28,14 @@ is their shared observability substrate:
   under the parent's span active at the ``parallel_map`` call site.
 
 Cost model: the *disabled* hot path is one module-attribute load and
-branch per instrumentation site (the same pattern
-:mod:`repro.runtime.profiling` established), and sites sit at natural
-aggregation boundaries — per solve, per batch, per run — never inside
-per-iteration inner loops; counts accumulate in locals and flush once.
-The enabled path appends to plain dicts.
+branch per instrumentation site, and sites sit at natural aggregation
+boundaries — per solve, per batch, per run — never inside per-iteration
+inner loops; counts accumulate in locals and flush once.  The one
+exception is the SPICE sub-stage timers (``solver.stamp`` / ``solve`` /
+``rhs`` / ...), which book per Newton iteration or timestep so the
+stage breakdown can split a solve; the ``telemetry_overhead`` bench
+holds them, with everything else, to its 2 % budget.  The enabled path
+appends to plain dicts.
 
 Environment knob: ``REPRO_TELEMETRY=1`` force-enables collection at
 import time (``0`` force-disables even if a caller asks for it); by
@@ -41,14 +45,18 @@ default collection is off until a driver — the ``python -m repro`` CLI,
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 import time
 from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 __all__ = [
     "ENABLED",
+    "ProfileAccountingError",
+    "STAGES",
+    "breakdown",
     "count",
     "counters",
     "current_path",
@@ -62,7 +70,9 @@ __all__ = [
     "span",
     "span_totals",
     "span_tree",
+    "stage_seconds",
     "time_add",
+    "timed",
     "timers",
     "warn",
     "warnings",
@@ -247,6 +257,25 @@ def time_add(name: str, seconds: float, calls: int = 1) -> None:
         _REG.time_add(name, seconds, calls)
 
 
+def timed(name: str) -> Callable[[Callable], Callable]:
+    """Decorator booking every call of the function into timer *name*.
+
+    Disabled, a call costs one extra frame plus the ``ENABLED`` branch.
+    """
+    def decorate(fn: Callable) -> Callable:
+        @functools.wraps(fn)
+        def timed_call(*args, **kwargs):
+            if not ENABLED:
+                return fn(*args, **kwargs)
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                _REG.time_add(name, time.perf_counter() - t0)
+        return timed_call
+    return decorate
+
+
 def observe(name: str, value: float) -> None:
     """Fold *value* into the count/sum/min/max summary of *name*."""
     if ENABLED:
@@ -413,3 +442,86 @@ def collecting() -> Iterator[None]:
         yield
     finally:
         enable(False)
+
+
+# -- solver stage breakdown ---------------------------------------------------
+
+#: The layers a run's wall time is split into, each booked as the timer
+#: ``solver.<stage>``.  They never nest, except ``device_eval``, which is
+#: timed inside ``stamp`` regions and subtracted from it by
+#: :func:`breakdown`:
+#:
+#: - ``stamp`` — residual/Jacobian assembly (scalar and ensemble MNA);
+#: - ``device_eval`` — batched device-model kernels;
+#: - ``solve`` — linear solves through the active SPICE backend; the
+#:   native kernels fuse stamping and device evaluation into the solve,
+#:   so their whole runtime lands here;
+#: - ``rhs`` / ``probe`` / ``step_control`` / ``predict`` / ``retry`` —
+#:   the ensemble transient loop's sources, threshold-crossing probes,
+#:   timestep control, warm-start prediction and Newton-failure / LTE
+#:   rejection handling;
+#: - ``cache`` — result-cache lookups and writes around synthesis and
+#:   ``simulate_cached``;
+#: - ``netlist`` / ``mapping`` / ``sta`` — generic netlist construction,
+#:   technology mapping and static timing (entry points only);
+#: - ``structures`` — the structure-model arithmetic of
+#:   :mod:`repro.core.physical`, timed in segments disjoint from the
+#:   synthesis and cache stages it calls;
+#: - ``ipc`` — :func:`repro.core.superscalar.simulate`, any kernel;
+#: - ``pipeline`` — pipeline cutting in ``pipeline_sweep``, excluding the
+#:   STA pass that prices its gates.
+#:
+#: Whatever no stage accounts for is the derived ``overhead`` line.
+STAGES = ("stamp", "device_eval", "solve", "rhs", "probe", "step_control",
+          "predict", "retry", "cache", "netlist", "mapping", "sta",
+          "structures", "ipc", "pipeline")
+
+
+class ProfileAccountingError(RuntimeError):
+    """Stage timers sum to more than the measured wall time.
+
+    Raised by :func:`breakdown`: some stage is being double-counted —
+    typically a new fused native stage whose time the Python path it
+    replaced still books.  Without this check ``overhead`` would clamp
+    to zero and the double-count would ship silently.
+    """
+
+
+#: Slack before :func:`breakdown` declares a double-count: per-call timer
+#: granularity legitimately pushes the stage sum a little past wall time,
+#: but a double-counted stage overshoots by its whole runtime.
+_SUM_SLACK_FRACTION = 0.02
+_SUM_SLACK_SECONDS = 2e-3
+
+
+def stage_seconds() -> dict[str, float]:
+    """Accumulated seconds of every stage in :data:`STAGES` (0 if unbooked)."""
+    return {stage: _REG.timers.get(f"solver.{stage}", (0.0,))[0]
+            for stage in STAGES}
+
+
+def breakdown(total_seconds: float, check: bool = True,
+              stages: dict[str, float] | None = None) -> dict[str, float]:
+    """Per-stage seconds of a region plus its derived ``overhead`` line.
+
+    *stages* is a ``{stage: seconds}`` map — typically the difference of
+    two :func:`stage_seconds` calls around the region — and defaults to
+    everything booked so far.  ``device_eval`` is subtracted from
+    ``stamp``, which contains it.  With *check*, a stage sum beyond
+    *total_seconds* (plus slack) raises :class:`ProfileAccountingError`.
+    """
+    if stages is None:
+        stages = stage_seconds()
+    dev_s = stages["device_eval"]
+    out = {"stamp": max(0.0, stages["stamp"] - dev_s), "device_eval": dev_s}
+    out.update((stage, stages[stage]) for stage in STAGES[2:])
+    tracked = sum(out.values())
+    out = {stage: round(seconds, 4) for stage, seconds in out.items()}
+    if check and tracked > (total_seconds * (1.0 + _SUM_SLACK_FRACTION)
+                            + _SUM_SLACK_SECONDS):
+        raise ProfileAccountingError(
+            f"profiled stages sum to {tracked:.4f}s but the region's wall "
+            f"time is only {total_seconds:.4f}s — a stage is being "
+            f"double-counted (stages: {out})")
+    out["overhead"] = round(max(0.0, total_seconds - tracked), 4)
+    return out

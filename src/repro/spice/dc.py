@@ -22,7 +22,7 @@ from time import perf_counter
 import numpy as np
 
 from repro.errors import ConvergenceError
-from repro.runtime import profiling, telemetry
+from repro.runtime import telemetry
 from repro.spice.backends import get_backend
 from repro.spice.mna import MnaSystem, StampCache
 from repro.spice.netlist import Circuit
@@ -79,11 +79,11 @@ def _newton(sys: MnaSystem, G_lin: np.ndarray, b: np.ndarray,
         if gmin > 0.0:
             J[diag, diag] += gmin
             F[:n_nodes] += gmin * x[:n_nodes]
-        if profiling.ENABLED:
+        if telemetry.ENABLED:
             t_solve = perf_counter()
         delta, solve_ok = backend.solve(J, F)
-        if profiling.ENABLED:
-            profiling.add("solve", perf_counter() - t_solve)
+        if telemetry.ENABLED:
+            telemetry.time_add("solver.solve", perf_counter() - t_solve)
         if not solve_ok:
             if telemetry.ENABLED:
                 _flush_newton(iteration, converged=False)

@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.devices.tft_level61 import StackedTftParams, UnifiedTft
 from repro.errors import CircuitError, ConvergenceError
-from repro.runtime import profiling, telemetry
+from repro.runtime import telemetry
 from repro.spice.backends import EnsembleNewtonRequest, get_backend
 from repro.spice.dc import NewtonOptions, solve_operating_point
 from repro.spice.elements import (
@@ -162,10 +162,10 @@ class _GatheredFets:
         vg = x_flat[self.g]
         vds_n = np.abs(dv)
         vgs_n = self.pol * (vg - vb)
-        if profiling.ENABLED:
+        if telemetry.ENABLED:
             t0 = perf_counter()
             ids, gm, gds = self.params.evaluate(vgs_n, vds_n)
-            profiling.add("device_eval", perf_counter() - t0)
+            telemetry.time_add("solver.device_eval", perf_counter() - t0)
         else:
             ids, gm, gds = self.params.evaluate(vgs_n, vds_n)
 
@@ -356,7 +356,7 @@ class EnsembleSystem:
         the boolean *frozen* mask — those lanes get their nonlinear
         stamps from the *bypass* cache instead of device evaluation.
         """
-        if profiling.ENABLED:
+        if telemetry.ENABLED:
             t0 = perf_counter()
         A = len(mem_idx)
         S = self.size
@@ -377,8 +377,8 @@ class EnsembleSystem:
         for i, m in enumerate(mem_idx):
             for e in self._fallback[m]:
                 e.stamp_nonlinear(J_ext[i, :S, :S], F_ext[i, :S], x[i])
-        if profiling.ENABLED:
-            profiling.add("stamp", perf_counter() - t0)
+        if telemetry.ENABLED:
+            telemetry.time_add("solver.stamp", perf_counter() - t0)
         return F_ext[:, :S], J_ext[:, :S, :S]
 
     def newton_batch(self, mem_idx: np.ndarray, G_lin: np.ndarray | None,
@@ -410,7 +410,7 @@ class EnsembleSystem:
         the storage history to *b* — Python never materialises either.
         Backends that decline fall through to the reference loop here.
         """
-        if profiling.ENABLED:
+        if telemetry.ENABLED:
             t0 = perf_counter()
         A = len(mem_idx)
         backend = get_backend()
@@ -426,10 +426,10 @@ class EnsembleSystem:
             options, max_step_v, max_iterations,
             gmin, bypass if gmin == 0.0 else None)
         result = backend.ensemble_newton(request)
-        if profiling.ENABLED and result is not None:
+        if telemetry.ENABLED and result is not None:
             # The kernel fuses stamping, device eval and the solve; the
             # whole call (marshalling included) lands in the solve bucket.
-            profiling.add("solve", perf_counter() - t0)
+            telemetry.time_add("solver.solve", perf_counter() - t0)
         if result is not None:
             x, converged, iteration = result
             self._flush_newton_batch(A, iteration, converged)
@@ -480,22 +480,22 @@ class EnsembleSystem:
                 if frozen_all:
                     J_frozen = J
             else:
-                if profiling.ENABLED:
+                if telemetry.ENABLED:
                     t0 = perf_counter()
                 J = J_frozen
                 F = np.einsum("aij,aj->ai", G_lin, x) - b
                 F += bypass.F_nl[mem_idx]
-                if profiling.ENABLED:
-                    profiling.add("stamp", perf_counter() - t0)
+                if telemetry.ENABLED:
+                    telemetry.time_add("solver.stamp", perf_counter() - t0)
             if gmin > 0.0:
                 J[:, diag, diag] += gmin
                 F[:, :n] += gmin * x[:, :n]
             act_idx = np.flatnonzero(active)
-            if profiling.ENABLED:
+            if telemetry.ENABLED:
                 t0 = perf_counter()
             delta, solve_ok = backend.solve_stacked(J[act_idx], F[act_idx])
-            if profiling.ENABLED:
-                profiling.add("solve", perf_counter() - t0)
+            if telemetry.ENABLED:
+                telemetry.time_add("solver.solve", perf_counter() - t0)
             if not solve_ok.all():
                 # Singular lanes are deactivated (reported unconverged,
                 # routed to the caller's scalar-retry path), never fatal.
@@ -870,7 +870,7 @@ class EnsembleTransient:
         vectorised in NumPy otherwise).
         """
         es = self.es
-        profiled = profiling.ENABLED
+        profiled = telemetry.ENABLED
         # Telemetry accumulates in locals across the whole run and
         # flushes once on return (or on the failure path below).
         n_accepted = 0
@@ -891,7 +891,7 @@ class EnsembleTransient:
         native = get_backend().ensemble_timestep(self)
         if native is not None:
             if profiled:
-                profiling.add("solve", perf_counter() - t0)
+                telemetry.time_add("solver.solve", perf_counter() - t0)
             n_accepted = native["accepted"]
             n_halvings = native["halvings"]
             n_lte_rejections = native["lte_rejections"]
@@ -916,7 +916,7 @@ class EnsembleTransient:
                 max_step_v = self._step_v_full[:len(act)]
                 max_iter = self._iter_full[:len(act)]
             if profiled:
-                profiling.add("step_control", perf_counter() - t0)
+                telemetry.time_add("solver.step_control", perf_counter() - t0)
                 t0 = perf_counter()
             x_prev = self.x[act]
             hist = self.has_hist[act]
@@ -932,11 +932,11 @@ class EnsembleTransient:
                     x_start[hist] = x_prev[hist] + (
                         x_prev[hist] - self.x_last[act][hist]) * ratio[:, None]
             if profiled:
-                profiling.add("predict", perf_counter() - t0)
+                telemetry.time_add("solver.predict", perf_counter() - t0)
                 t0 = perf_counter()
             b = es.rhs_batch(act, self.t[act] + dt_step)
             if profiled:
-                profiling.add("rhs", perf_counter() - t0)
+                telemetry.time_add("solver.rhs", perf_counter() - t0)
             inv_dt = 1.0 / dt_step
             x_new, conv = es.newton_batch(
                 act, None, b, x_start, self.newton,
@@ -951,7 +951,7 @@ class EnsembleTransient:
             if hist_all and all_conv:
                 np.max(np.abs(x_new - x_start), axis=1, out=pred_err)
                 if profiled:
-                    profiling.add("predict", perf_counter() - t0)
+                    telemetry.time_add("solver.predict", perf_counter() - t0)
             else:
                 warm = hist & conv
                 if warm.any():
@@ -963,7 +963,7 @@ class EnsembleTransient:
                 # scalar controller's inner fallback.
                 retry = hist & ~conv
                 if profiled:
-                    profiling.add("predict", perf_counter() - t0)
+                    telemetry.time_add("solver.predict", perf_counter() - t0)
                 if retry.any():
                     r = np.flatnonzero(retry)
                     x_r, conv_r = es.newton_batch(
@@ -1009,7 +1009,7 @@ class EnsembleTransient:
                     lane = act[k]
                     self.dt[lane] = max(dt_step[k] / 2.0, self.dt_nom[lane])
             if profiled:
-                profiling.add("retry", perf_counter() - t0)
+                telemetry.time_add("solver.retry", perf_counter() - t0)
 
             accepted = conv & ~rejected
             if accepted.all():
@@ -1030,7 +1030,7 @@ class EnsembleTransient:
             self._record_crossings(lanes, xp_acc, xn_acc,
                                    self.t[lanes], dt_acc)
             if profiled:
-                profiling.add("probe", perf_counter() - t0)
+                telemetry.time_add("solver.probe", perf_counter() - t0)
                 t0 = perf_counter()
             self.x_last[lanes] = xp_acc
             self.dt_last[lanes] = dt_acc
@@ -1052,7 +1052,7 @@ class EnsembleTransient:
                                   dt_acc)),
                 np.minimum(dt_nom_l, dt_acc * growth_l))
             if profiled:
-                profiling.add("step_control", perf_counter() - t0)
+                telemetry.time_add("solver.step_control", perf_counter() - t0)
 
     @staticmethod
     def _flush_run(accepted: int, halvings: int, lte_rejections: int,

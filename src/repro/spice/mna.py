@@ -37,7 +37,7 @@ from time import perf_counter
 import numpy as np
 
 from repro.errors import CircuitError
-from repro.runtime import profiling
+from repro.runtime import telemetry
 from repro.spice.elements import FET_GMIN, Element, Fet
 from repro.spice.netlist import Circuit
 
@@ -163,10 +163,10 @@ class _FetBatch:
         # In the n-type frame vds is |vd - vs| by construction of the swap.
         vds_n = np.abs(dv)
         vgs_n = (vg - vb) if p > 0 else (vb - vg)
-        if profiling.ENABLED:
+        if telemetry.ENABLED:
             t0 = perf_counter()
             ids, gm, gds = self._eval(vgs_n, vds_n)
-            profiling.add("device_eval", perf_counter() - t0)
+            telemetry.time_add("solver.device_eval", perf_counter() - t0)
         else:
             ids, gm, gds = self._eval(vgs_n, vds_n)
 
@@ -327,10 +327,10 @@ class MnaSystem:
         On the vectorized path the returned arrays are views into buffers
         owned by this system: they stay valid until the next call.
         """
-        if profiling.ENABLED:
+        if telemetry.ENABLED:
             t0 = perf_counter()
             result = self._residual_and_jacobian(x, G_lin, b)
-            profiling.add("stamp", perf_counter() - t0)
+            telemetry.time_add("solver.stamp", perf_counter() - t0)
             return result
         return self._residual_and_jacobian(x, G_lin, b)
 
@@ -338,12 +338,12 @@ class MnaSystem:
             self, x: np.ndarray, G_lin: np.ndarray, b: np.ndarray,
             cache: StampCache) -> tuple[np.ndarray, np.ndarray]:
         """Assembly from cached nonlinear stamps (stamp-bypassed step)."""
-        if profiling.ENABLED:
+        if telemetry.ENABLED:
             t0 = perf_counter()
         J = G_lin + cache.J_nl
         F = G_lin @ x - b + cache.F_nl
-        if profiling.ENABLED:
-            profiling.add("stamp", perf_counter() - t0)
+        if telemetry.ENABLED:
+            telemetry.time_add("solver.stamp", perf_counter() - t0)
         return F, J
 
     def _residual_and_jacobian(self, x: np.ndarray, G_lin: np.ndarray,

@@ -16,11 +16,10 @@ mapped by extending the cached base mapping over just the suffix gates.
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
 
 from repro.errors import SynthesisError
-from repro.runtime import profiling
+from repro.runtime import telemetry
 from repro.synthesis.netlist import LIBRARY_CELLS, Netlist
 
 #: Exact lowered-cell multiset per source cell — the integer transform
@@ -97,18 +96,9 @@ def _map_gates(mapped: Netlist, gates, counter: int) -> int:
     return counter
 
 
+@telemetry.timed("solver.mapping")
 def technology_map(netlist: Netlist) -> Netlist:
     """Lower a generic netlist onto the 6-cell library."""
-    if not profiling.ENABLED:
-        return _technology_map(netlist)
-    t0 = time.perf_counter()
-    try:
-        return _technology_map(netlist)
-    finally:
-        profiling.add("mapping", time.perf_counter() - t0)
-
-
-def _technology_map(netlist: Netlist) -> Netlist:
     mapped = Netlist(f"{netlist.name}_mapped")
     for net in netlist.primary_inputs:
         mapped.add_input(net)
@@ -176,20 +166,10 @@ def _trim_map_cache() -> None:
         _MAP_CACHE.popitem(last=False)
 
 
+@telemetry.timed("solver.mapping")
 def _extend_mapping(netlist: Netlist, base_mapped: Netlist, counter: int,
                     n_base: int) -> Netlist:
     """Map only ``topo[n_base:]`` on top of the cached base mapping."""
-    if not profiling.ENABLED:
-        return _extend_mapping_inner(netlist, base_mapped, counter, n_base)
-    t0 = time.perf_counter()
-    try:
-        return _extend_mapping_inner(netlist, base_mapped, counter, n_base)
-    finally:
-        profiling.add("mapping", time.perf_counter() - t0)
-
-
-def _extend_mapping_inner(netlist: Netlist, base_mapped: Netlist,
-                          counter: int, n_base: int) -> Netlist:
     mapped = base_mapped.extend(name=f"{netlist.name}_mapped")
     for net in netlist.primary_inputs:
         if net not in mapped._pi_set:

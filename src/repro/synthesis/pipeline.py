@@ -46,7 +46,7 @@ import numpy as np
 
 from repro.characterization.library import Library
 from repro.errors import PipelineError
-from repro.runtime import profiling
+from repro.runtime import telemetry
 from repro.synthesis import sta as _sta
 from repro.synthesis.netlist import Netlist
 from repro.synthesis.sta import static_timing
@@ -472,6 +472,6 @@ def pipeline_sweep(netlist: Netlist, library: Library, wire: WireModel,
     results = [replace(stub, stage_of_gate=dict(zip(names,
                                                     stage_u.tolist())))
                for stub, stage_u in (entries[n] for n in counts)]
-    if profiling.ENABLED:
-        profiling.add("pipeline", time.perf_counter() - t0 - sta_s)
+    if telemetry.ENABLED:
+        telemetry.time_add("solver.pipeline", time.perf_counter() - t0 - sta_s)
     return results

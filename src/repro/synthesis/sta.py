@@ -37,8 +37,6 @@ by ``tests/synthesis/test_sta_incremental.py`` and the
 
 from __future__ import annotations
 
-import time
-
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import count as _counter
@@ -47,7 +45,7 @@ import numpy as np
 
 from repro.characterization.library import Library
 from repro.errors import SynthesisError
-from repro.runtime import profiling, telemetry
+from repro.runtime import telemetry
 from repro.synthesis.netlist import Gate, Netlist
 from repro.synthesis.wires import WireModel
 
@@ -158,24 +156,11 @@ def net_loads(netlist: Netlist, library: Library, wire: WireModel,
     return loads
 
 
+@telemetry.timed("solver.sta")
 def static_timing(netlist: Netlist, library: Library, wire: WireModel,
                   input_slew: float | None = None,
                   output_load: float | None = None) -> TimingReport:
     """Arrival-time propagation over the mapped netlist."""
-    if not profiling.ENABLED:
-        return _static_timing(netlist, library, wire, input_slew,
-                              output_load)
-    t0 = time.perf_counter()
-    try:
-        return _static_timing(netlist, library, wire, input_slew,
-                              output_load)
-    finally:
-        profiling.add("sta", time.perf_counter() - t0)
-
-
-def _static_timing(netlist: Netlist, library: Library, wire: WireModel,
-                   input_slew: float | None,
-                   output_load: float | None) -> TimingReport:
     if not netlist.is_mapped:
         raise SynthesisError(
             f"netlist {netlist.name!r} must be technology-mapped before STA")

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import pickle
+import re
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ConvergenceError
-from repro.runtime import profiling, telemetry
+from repro.runtime import telemetry
 from repro.runtime.executor import parallel_map
 from repro.spice import Circuit, Resistor, VoltageSource, operating_point
 
@@ -36,9 +38,9 @@ def _count_task(i: int) -> int:
 
 
 def _profiled_task(i: int) -> int:
-    if profiling.ENABLED:
-        profiling.add("stamp", 0.002)
-        profiling.add("solve", 0.001)
+    if telemetry.ENABLED:
+        telemetry.time_add("solver.stamp", 0.002)
+        telemetry.time_add("solver.solve", 0.001)
     return i
 
 
@@ -194,16 +196,16 @@ class TestMerge:
     def test_profile_counters_survive_workers(self):
         """run_bench --profile must not lose worker-side stage time."""
         tasks = list(range(5))
-        with profiling.profiled():
+        with telemetry.collecting():
             parallel_map(_profiled_task, tasks, workers=1)
-            serial = profiling.snapshot()
-        with profiling.profiled():
+            serial = telemetry.timers()
+        with telemetry.collecting():
             parallel_map(_profiled_task, tasks, workers=2)
-            merged = profiling.snapshot()
+            merged = telemetry.timers()
         telemetry.reset()
-        assert serial["stamp"]["calls"] == len(tasks)
+        assert serial["solver.stamp"]["calls"] == len(tasks)
         assert merged == serial
-        breakdown = profiling.breakdown(1.0)
+        breakdown = telemetry.breakdown(1.0)
         assert breakdown["overhead"] == pytest.approx(1.0)
 
 
@@ -211,27 +213,27 @@ class TestProfileAccounting:
     """breakdown() must reject stage sums exceeding wall time."""
 
     def test_double_counted_stage_raises(self):
-        with profiling.profiled():
-            profiling.add("solve", 0.8)
-            profiling.add("step_control", 0.5)  # sums to 1.3 > 1.0
-            with pytest.raises(profiling.ProfileAccountingError,
+        with telemetry.collecting():
+            telemetry.time_add("solver.solve", 0.8)
+            telemetry.time_add("solver.step_control", 0.5)  # 1.3 > 1.0
+            with pytest.raises(telemetry.ProfileAccountingError,
                                match="double-counted"):
-                profiling.breakdown(1.0)
+                telemetry.breakdown(1.0)
         telemetry.reset()
 
     def test_timer_granularity_slack_tolerated(self):
         # A per-call-overhead overshoot of a fraction of a percent is
         # measurement noise, not double-counting.
-        with profiling.profiled():
-            profiling.add("solve", 1.001)
-            out = profiling.breakdown(1.0)
+        with telemetry.collecting():
+            telemetry.time_add("solver.solve", 1.001)
+            out = telemetry.breakdown(1.0)
         telemetry.reset()
         assert out["overhead"] == 0.0
 
     def test_check_can_be_disabled(self):
-        with profiling.profiled():
-            profiling.add("solve", 2.0)
-            out = profiling.breakdown(1.0, check=False)
+        with telemetry.collecting():
+            telemetry.time_add("solver.solve", 2.0)
+            out = telemetry.breakdown(1.0, check=False)
         telemetry.reset()
         assert out["solve"] == pytest.approx(2.0)
         assert out["overhead"] == 0.0
@@ -239,13 +241,22 @@ class TestProfileAccounting:
     def test_device_eval_not_double_counted(self):
         # device_eval is recorded inside stamp regions; the subtraction
         # must keep the pair within wall time.
-        with profiling.profiled():
-            profiling.add("stamp", 0.9)
-            profiling.add("device_eval", 0.6)
-            out = profiling.breakdown(1.0)
+        with telemetry.collecting():
+            telemetry.time_add("solver.stamp", 0.9)
+            telemetry.time_add("solver.device_eval", 0.6)
+            out = telemetry.breakdown(1.0)
         telemetry.reset()
         assert out["stamp"] == pytest.approx(0.3)
         assert out["device_eval"] == pytest.approx(0.6)
+
+
+def test_stage_list_matches_booked_timers():
+    """Every listed stage is booked in ``src/``, and only listed ones."""
+    src = Path(telemetry.__file__).resolve().parents[1]
+    booked = {name for path in src.rglob("*.py")
+              for name in re.findall(r"[\"']solver\.(\w+)[\"']",
+                                     path.read_text(encoding="utf-8"))}
+    assert booked == set(telemetry.STAGES)
 
 
 class TestConvergenceErrorEvents:

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SynthesisError
-from repro.runtime import profiling, telemetry
+from repro.runtime import telemetry
 from repro.synthesis import sta
 from repro.synthesis.generators import (
     carry_select_adder,
@@ -366,17 +366,17 @@ def test_synthesis_stages_profiled(organic_lib, organic_wire, monkeypatch):
     reset_structure_caches()
     try:
         import time
-        with profiling.profiled():
+        with telemetry.collecting():
             t0 = time.perf_counter()
             core_physical(CoreConfig(), organic_lib, organic_wire)
             elapsed = time.perf_counter() - t0
-        snap = profiling.snapshot()
-        assert snap["netlist"]["calls"] >= 1
-        assert snap["mapping"]["calls"] >= 1
-        assert snap["sta"]["calls"] >= 1
+        timers = telemetry.timers()
+        assert timers["solver.netlist"]["calls"] >= 1
+        assert timers["solver.mapping"]["calls"] >= 1
+        assert timers["solver.sta"]["calls"] >= 1
         # The accounting guard must accept the new stages (no nesting).
-        breakdown = profiling.breakdown(elapsed)
+        breakdown = telemetry.breakdown(elapsed)
         assert breakdown["overhead"] >= 0.0
     finally:
         reset_structure_caches()
-        profiling.reset()
+        telemetry.reset()

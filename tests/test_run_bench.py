@@ -14,20 +14,21 @@ import repro.core.physical
 import repro.core.tradeoffs
 import repro.spice.backends
 from benchmarks.perf import run_bench
-from repro.runtime import profiling
+from repro.runtime import telemetry
 
 
 def _fake_depth_sweep(*_args, **_kwargs):
     """Stands in for the sweep: 20 ms of wall, half booked as a stage."""
     t0 = time.perf_counter()
     time.sleep(0.02)
-    if profiling.ENABLED:
-        profiling.add("ipc", (time.perf_counter() - t0) / 2)
+    telemetry.count("fake.sweeps")
+    if telemetry.ENABLED:
+        telemetry.time_add("solver.ipc", (time.perf_counter() - t0) / 2)
 
 
-def test_depth_sweep_profile_sums_to_recorded_seconds(tmp_path, monkeypatch):
-    """Regression: the row profiled cold + warm but recorded cold, so
-    its stages plus ``overhead`` exceeded the row's own seconds."""
+@pytest.fixture
+def fake_depth_sweep(monkeypatch):
+    """Swap everything the depth_sweep row touches for cheap stand-ins."""
     monkeypatch.setattr(repro.analysis.figures, "load_libraries",
                         lambda: (None, None))
     monkeypatch.setattr(repro.analysis.figures, "wire_models",
@@ -43,14 +44,44 @@ def test_depth_sweep_profile_sums_to_recorded_seconds(tmp_path, monkeypatch):
     monkeypatch.setattr(repro.spice.backends, "get_backend",
                         lambda: types.SimpleNamespace(name="numpy"))
     monkeypatch.setattr(run_bench, "_warm_ipc_kernel", lambda: None)
+    monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
+    yield
+    telemetry.enable(False)
+    telemetry.reset()
 
+
+def test_depth_sweep_profile_sums_to_recorded_seconds(tmp_path,
+                                                      fake_depth_sweep):
+    """Regression: the row profiled cold + warm but recorded cold, so
+    its stages plus ``overhead`` exceeded the row's own seconds."""
     out = tmp_path / "bench.json"
-    try:
-        assert run_bench.main(["--only", "depth_sweep", "--profile",
-                               "--out", str(out)]) == 0
-    finally:
-        profiling.reset()
+    assert run_bench.main(["--only", "depth_sweep", "--profile",
+                           "--out", str(out)]) == 0
     row = json.loads(out.read_text())["benchmarks"]["depth_sweep"]
     assert row["profile"]["ipc"] > 0
     assert sum(row["profile"].values()) == pytest.approx(row["seconds"],
                                                          abs=1e-3)
+
+
+def test_profile_keeps_the_run_report_whole(tmp_path, fake_depth_sweep):
+    """Profiling a row must not wipe the report's spans and counters."""
+    out, report = tmp_path / "bench.json", tmp_path / "report.json"
+    assert run_bench.main(["--only", "depth_sweep", "--profile",
+                           "--out", str(out), "--report",
+                           str(report)]) == 0
+    row = json.loads(out.read_text())["benchmarks"]["depth_sweep"]
+    metrics = json.loads(report.read_text())["metrics"]
+    # Cold and warm sweeps both count; the profile covers the cold one.
+    assert metrics["counters"]["fake.sweeps"] == 2
+    assert row["profile"]["ipc"] <= metrics["timers"]["solver.ipc"]["seconds"]
+    assert metrics["timers"]["solver.ipc"]["calls"] == 2
+
+
+def test_profile_refuses_disabled_telemetry(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("REPRO_TELEMETRY", "0")
+    with pytest.raises(SystemExit) as exit_info:
+        run_bench.main(["--only", "depth_sweep", "--profile",
+                        "--out", str(tmp_path / "bench.json")])
+    assert exit_info.value.code == 2
+    assert "REPRO_TELEMETRY=0" in capsys.readouterr().err
+    assert not (tmp_path / "bench.json").exists()

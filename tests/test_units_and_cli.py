@@ -68,6 +68,15 @@ class TestCli:
         assert doc["span_tree"][0]["name"] == "fig6"
         assert doc["metrics"]["counters"]["spice.newton_solves"] > 0
 
+    def test_run_report_records_layer_breakdown(self, tmp_path, capsys):
+        import json
+        from repro.__main__ import main
+        out = tmp_path / "fig12-report.json"
+        assert main(["fig12", "--report", str(out)]) == 0
+        timers = json.loads(out.read_text())["metrics"]["timers"]
+        assert timers["solver.pipeline"]["calls"] >= 1
+        assert timers["solver.sta"]["calls"] >= 1
+
     def test_no_report_flag(self, tmp_path, monkeypatch, capsys):
         from repro.__main__ import main
         monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path))
