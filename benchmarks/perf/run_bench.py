@@ -35,6 +35,12 @@ the recorded pre-optimisation baselines, and writes the results to
     complex ALU, with its STA done beforehand: the lockstep bisection
     alone, profiled as the ``pipeline`` stage.  Seeded from the time of
     the identical call on the per-stage-count scalar bisection.
+11. ``startup`` — ``python -m repro list`` in a fresh interpreter,
+    ``STARTUP_REPEATS`` times: the package's import cost, which every
+    CLI process pays.  The row's ``seconds`` is the median, recorded
+    with ``min_seconds`` and ``spread_seconds`` (max - min).  Seeded
+    from the median of the same row at the commit before SciPy left
+    the import path.
 
 Usage::
 
@@ -89,6 +95,9 @@ import gc
 import json
 import os
 import platform
+import statistics
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -113,16 +122,24 @@ SEED_BASELINES = {
     "native_timestep": 2.55,              # numpy backend, PR-6 sweep loop
     "alu_pipeline_sweep": 4.50,           # per-count scalar bisection,
                                           # median of 5 runs at d8a96e4
+    "startup": 1.85,                      # SciPy loaded at import: median
+                                          # of 3 five-run medians at 2f50b49
 }
 
 #: Trace length for the sweep benches — matches the PR-1 measurement the
 #: ``depth_sweep`` baseline was recorded with.
 SWEEP_TRACE_LENGTH = 10_000
 
+#: Fresh interpreters timed by the ``startup`` row.
+STARTUP_REPEATS = 5
+
 
 class _timed:
     """A bench row's timed region: its wall seconds and the seconds each
-    solver stage booked inside it (the row's ``--profile``)."""
+    solver stage booked inside it (the row's ``--profile``).  ``extra``
+    holds any further fields the row records."""
+
+    extra: dict = {}
 
     def __enter__(self) -> "_timed":
         self._before = telemetry.stage_seconds()
@@ -407,6 +424,29 @@ def _bench_alu_pipeline_sweep() -> _timed:
     return row
 
 
+def _bench_startup() -> _timed:
+    """``python -m repro list`` in fresh interpreters: median, min, spread.
+
+    Start-up happens in the children, so the row books no solver stage.
+    """
+    import repro
+
+    package_root = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (package_root, os.environ.get("PYTHONPATH")))))
+    samples = []
+    with _timed() as row:
+        for _ in range(STARTUP_REPEATS):
+            t0 = time.perf_counter()
+            subprocess.run([sys.executable, "-m", "repro", "list"], env=env,
+                           check=True, stdout=subprocess.DEVNULL)
+            samples.append(time.perf_counter() - t0)
+    row.seconds = statistics.median(samples)
+    row.extra = {"min_seconds": round(min(samples), 4),
+                 "spread_seconds": round(max(samples) - min(samples), 4)}
+    return row
+
+
 class _cache_dir:
     """Temporarily point the persistent result cache somewhere private."""
 
@@ -437,6 +477,7 @@ BENCHES = {
     "width_sweep": _bench_width_sweep,
     "dse_sweep": _bench_dse_sweep,
     "alu_pipeline_sweep": lambda workers: _bench_alu_pipeline_sweep(),
+    "startup": lambda workers: _bench_startup(),
 }
 
 
@@ -448,11 +489,13 @@ def _record(results: dict, name: str, row: _timed,
     entry = {"seconds": round(elapsed, 4), "seed_seconds": baseline}
     if baseline:
         entry["speedup_vs_seed"] = round(baseline / elapsed, 2)
+    entry.update(row.extra)
     if profile:
         entry["profile"] = telemetry.breakdown(elapsed, stages=row.stages)
     results[name] = entry
     speedup = entry.get("speedup_vs_seed")
     extra = f"  ({speedup}x vs seed)" if speedup else ""
+    extra += "".join(f"  {key} {value}" for key, value in row.extra.items())
     print(f"[bench] {name}: {elapsed:.4f}s{extra}", flush=True)
     if profile:
         stages = "  ".join(f"{stage} {seconds:.3f}s"
@@ -585,7 +628,9 @@ def main(argv: list[str] | None = None) -> int:
                   "shared-structure synthesis engine and incremental "
                   "STA. alu_pipeline_sweep seed_seconds is the time of "
                   "the identical call at commit d8a96e4, before the "
-                  "lockstep pipeline bisection. Sweep benches run "
+                  "lockstep pipeline bisection. startup seed_seconds is "
+                  "the same row at commit 2f50b49, when importing the "
+                  "package loaded SciPy. Sweep benches run "
                   "against a private temporary "
                   "REPRO_CACHE_DIR with in-process structure caches "
                   "reset: 'depth_sweep' is the cold-cache "

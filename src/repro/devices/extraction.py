@@ -14,6 +14,10 @@ Mirrors what the authors do with their probe-station data:
 All functions here work in the normalised n-type frame (on-state at
 positive overdrive); :func:`characterize_curve` adapts the physical p-type
 measurement data from :mod:`repro.devices.pentacene`.
+
+Only the two model fits need SciPy (``scipy.optimize.least_squares``),
+and they import it when called, so importing this module — and every
+layer above it — loads no SciPy module.
 """
 
 from __future__ import annotations
@@ -21,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
-from scipy.signal import savgol_filter
 
 from repro.devices.mosfet_level1 import Level1Mosfet
 from repro.devices.pentacene import TransferCurve
@@ -41,19 +43,51 @@ def _as_normalised(curve: TransferCurve) -> tuple[np.ndarray, np.ndarray, float]
     return vgs_n[order], id_[order], -curve.vds
 
 
+def _savgol(x: np.ndarray) -> np.ndarray:
+    """Savitzky-Golay smoothing, window 15, order 2, edges fit (``interp``).
+
+    Bit-identical to ``scipy.signal.savgol_filter(x, 15, 2)``; see
+    DESIGN §7k for why each step is spelled the way it is.  The
+    interior correlates with the filter weights in the summation order
+    of ``scipy.ndimage``'s symmetric path; each seven-point edge is
+    the quadratic least-squares fit to the outermost 15 samples, solved
+    on a column-scaled Vandermonde matrix and evaluated by Horner's rule.
+    """
+    n = len(x)
+    eps = np.finfo(float).eps
+    t = np.arange(7.0, -8.0, -1.0)
+    w = np.linalg.lstsq(t ** np.arange(3.0)[:, None], np.array([1.0, 0.0, 0.0]),
+                        rcond=15 * eps)[0][::-1]
+    y = np.empty(n)
+    y[7:n - 7] = x[7:n - 7] * w[7]
+    for j in range(-7, 0):
+        y[7:n - 7] += (x[7 + j:n - 7 + j] + x[7 - j:n - 7 - j]) * w[7 + j]
+    vander = np.arange(15.0)[:, None] ** np.array([2.0, 1.0, 0.0])
+    scale = np.sqrt(np.sum(vander * vander, axis=0))
+    vander /= scale
+    for start, at in ((0, np.arange(0.0, 7.0)), (n - 15, np.arange(8.0, 15.0))):
+        coef = np.linalg.lstsq(vander, x[start:start + 15, None],
+                               rcond=15 * eps)[0]
+        coef = (coef.T / scale).T
+        edge = np.zeros((7, 1))
+        for c in coef:
+            edge = edge * at[:, None] + c
+        lo = start + int(at[0])
+        y[lo:lo + 7] = edge[:, 0]
+    return y
+
+
 def _denoise(id_: np.ndarray) -> np.ndarray:
     """Measurement-noise suppression before differentiation.
 
     Probe-station sweeps carry multiplicative device noise; gradients of
-    raw data are useless.  Smooth log-current (noise is log-normal) with a
-    Savitzky-Golay filter, as extraction software does.
+    raw data are useless.  Smooth log-current (noise is log-normal) with
+    a 15-point quadratic Savitzky-Golay filter (:func:`_savgol`), as
+    extraction software does.
     """
     if len(id_) < 15:
         return id_
-    logi = np.log10(np.maximum(id_, _LOG_FLOOR))
-    window = min(15, len(id_) - (1 - len(id_) % 2))
-    smooth = savgol_filter(logi, window_length=window, polyorder=2)
-    return 10.0 ** smooth
+    return 10.0 ** _savgol(np.log10(np.maximum(id_, _LOG_FLOOR)))
 
 
 def _linear_region_fit(vgs_n: np.ndarray, id_: np.ndarray,
@@ -206,6 +240,8 @@ def fit_level1(curve: TransferCurve, ci: float) -> FitResult:
     returned ``rms_log_error`` is still evaluated over the *whole* sweep,
     quantifying Figure 4's "insufficient to describe the OTFTs" point.
     """
+    from scipy.optimize import least_squares
+
     vgs_n, id_, vds_n = _as_normalised(curve)
     on_mask = id_ > id_.max() * 1e-2
 
@@ -238,6 +274,8 @@ def fit_level61(curve: TransferCurve, ci: float,
     prior (fitting it is degenerate with mobility on a single curve, as in
     real TFT extraction practice).
     """
+    from scipy.optimize import least_squares
+
     vgs_n, id_, vds_n = _as_normalised(curve)
     on_mask = id_ > id_.max() * 1e-2
     log_meas = np.log10(np.maximum(id_, _LOG_FLOOR))

@@ -55,15 +55,20 @@ def default_runs_dir() -> Path:
 
 
 def _package_versions() -> dict[str, str]:
+    """Numeric-stack versions; a package the run never imported is read
+    from its installed metadata rather than imported for a string."""
+    import importlib.metadata
+
     versions: dict[str, str] = {}
     for name in ("numpy", "scipy"):
         module = sys.modules.get(name)
-        if module is None:
-            try:
-                module = __import__(name)
-            except ImportError:              # pragma: no cover - stubbed envs
-                continue
-        versions[name] = getattr(module, "__version__", "unknown")
+        if module is not None:
+            versions[name] = getattr(module, "__version__", "unknown")
+            continue
+        try:
+            versions[name] = importlib.metadata.version(name)
+        except importlib.metadata.PackageNotFoundError:  # pragma: no cover
+            pass
     return versions
 
 

@@ -19,8 +19,9 @@ and implements it.  The contract is small on purpose:
 
 The scalar solve goes through SciPy's raw ``dgesv`` LAPACK driver when
 SciPy is importable (~2.5x less call overhead than
-``numpy.linalg.solve``) and the stacked solve through one batched
-``numpy.linalg.solve``.  A singular lane in a batch triggers the
+``numpy.linalg.solve``), loaded on the first scalar solve so that
+importing the package loads no SciPy.  The stacked solve goes through
+one batched ``numpy.linalg.solve``.  A singular lane in a batch triggers the
 lane-by-lane fallback solve so the healthy lanes still get their LAPACK
 answers.
 
@@ -31,14 +32,22 @@ counters, so one instance serves every circuit and thread of a run.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.runtime import telemetry
 
-try:  # Direct LAPACK driver: ~2.5x less overhead than np.linalg.solve
-    from scipy.linalg.lapack import dgesv as _dgesv  # type: ignore
-except ImportError:  # pragma: no cover - scipy is a standard dependency
-    _dgesv = None
+
+@functools.cache
+def _dgesv():
+    """Direct LAPACK driver (~2.5x less overhead than np.linalg.solve),
+    or None without SciPy."""
+    try:
+        from scipy.linalg.lapack import dgesv  # type: ignore
+    except ImportError:  # pragma: no cover - scipy is a standard dependency
+        return None
+    return dgesv
 
 
 class NumpyBackend:
@@ -68,8 +77,9 @@ class NumpyBackend:
         when ``J`` is singular.  Never raises ``LinAlgError``.
         """
         self._count(1)
-        if _dgesv is not None:
-            _, _, delta, info = _dgesv(J, -F, 0, 1)
+        dgesv = _dgesv()
+        if dgesv is not None:
+            _, _, delta, info = dgesv(J, -F, 0, 1)
             if info != 0:
                 return np.zeros_like(F), False
             return delta, True

@@ -5,6 +5,9 @@ import pytest
 
 from repro.devices import measured_transfer_curve
 from repro.devices.extraction import (
+    _as_normalised,
+    _LOG_FLOOR,
+    _savgol,
     characterize_curve,
     extract_on_off_ratio,
     extract_subthreshold_slope,
@@ -79,3 +82,25 @@ class TestExtractionEdgeCases:
         assert rep.vds == -1.0
         assert rep.mobility_cm2 > 0
         assert rep.subthreshold_slope_mv_dec > 0
+
+
+class TestSavgol:
+    """``_savgol`` is ``savgol_filter(x, 15, 2)`` bit for bit."""
+
+    @staticmethod
+    def _reference(x):
+        from scipy.signal import savgol_filter
+        return savgol_filter(x, 15, 2)
+
+    @pytest.mark.parametrize("vds, seed", [(-1.0, 2017), (-10.0, 2018)])
+    def test_figure3_curves(self, vds, seed):
+        _, id_, _ = _as_normalised(measured_transfer_curve(vds=vds, seed=seed))
+        logi = np.log10(np.maximum(id_, _LOG_FLOOR))
+        assert np.array_equal(_savgol(logi), self._reference(logi))
+
+    @pytest.mark.parametrize("n", [*range(15, 65), 201])
+    def test_random_inputs(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            x = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+            assert np.array_equal(_savgol(x), self._reference(x))

@@ -7,7 +7,11 @@ deactivated instead of killing its batch, and a machine without a C
 compiler degrades to the reference backend with a single warning.
 """
 
+import json
 import logging
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -280,6 +284,42 @@ class TestSingularLanes:
                                   np.zeros((es.B, es.size)), NewtonOptions())
         assert conv.tolist() == [False, True]
         assert np.all(np.isfinite(x))
+
+
+class TestFirstScalarSolve:
+    """The numpy backend loads ``dgesv`` on its first scalar solve."""
+
+    @staticmethod
+    def _first_solve(J, F):
+        code = (
+            "import json, sys\n"
+            "import numpy as np\n"
+            "from repro.spice.backends import NumpyBackend\n"
+            "J, F = (np.array(a) for a in json.loads(sys.stdin.read()))\n"
+            "assert 'scipy' not in sys.modules\n"
+            "delta, ok = NumpyBackend().solve(J, F)\n"
+            "print(json.dumps([[float(v).hex() for v in delta], bool(ok)]))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             input=json.dumps([J.tolist(), F.tolist()]),
+                             capture_output=True, text=True)
+        hexes, ok = json.loads(out.stdout)
+        return np.array([float.fromhex(h) for h in hexes]), ok
+
+    def test_returns_the_dgesv_answer(self):
+        from scipy.linalg.lapack import dgesv
+        rng = np.random.default_rng(3)
+        J = rng.normal(size=(6, 6)) + 3.0 * np.eye(6)
+        F = rng.normal(size=6)
+        delta, ok = self._first_solve(J, F)
+        assert ok
+        assert np.array_equal(delta, dgesv(J, -F, 0, 1)[2])
+
+    def test_singular_system_reports_not_ok(self):
+        J = np.ones((4, 4))
+        delta, ok = self._first_solve(J, np.arange(4.0))
+        assert not ok
+        assert np.array_equal(delta, np.zeros(4))
 
 
 class TestCounterParity:

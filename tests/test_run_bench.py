@@ -85,3 +85,24 @@ def test_profile_refuses_disabled_telemetry(tmp_path, monkeypatch, capsys):
     assert exit_info.value.code == 2
     assert "REPRO_TELEMETRY=0" in capsys.readouterr().err
     assert not (tmp_path / "bench.json").exists()
+
+
+def test_startup_row_records_median_min_and_spread(tmp_path, monkeypatch):
+    """The row times fresh ``python -m repro list`` interpreters."""
+    durations = iter([0.03, 0.01, 0.02, 0.05, 0.04])
+    commands = []
+
+    def fake_run(cmd, **_kwargs):
+        commands.append(cmd)
+        time.sleep(next(durations))
+
+    monkeypatch.setattr(run_bench.subprocess, "run", fake_run)
+    out = tmp_path / "bench.json"
+    assert run_bench.main(["--only", "startup", "--out", str(out)]) == 0
+    row = json.loads(out.read_text())["benchmarks"]["startup"]
+    assert len(commands) == run_bench.STARTUP_REPEATS == 5
+    assert commands[0][1:] == ["-m", "repro", "list"]
+    assert row["min_seconds"] <= row["seconds"]
+    assert row["seconds"] == pytest.approx(0.03, abs=0.01)
+    assert row["spread_seconds"] == pytest.approx(0.04, abs=0.01)
+    assert row["seed_seconds"] == run_bench.SEED_BASELINES["startup"]
