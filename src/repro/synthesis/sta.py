@@ -9,10 +9,11 @@ of the fanout-based wire model.
 This is the repro equivalent of Design Compiler's timing engine for the
 minimum-clock-period measurements in Figures 11, 12 and 15.
 
-Two engines compute the same pass:
+Two engines compute the same pass, chosen by gate count:
 
-- a **scalar** gate-at-a-time loop (the reference, used for small
-  netlists and whenever the library's tables cannot be batched);
+- a **scalar** gate-at-a-time loop (the reference, used below
+  :data:`VECTOR_MIN_GATES` and whenever the library's tables cannot be
+  batched);
 - a **levelised array** engine for large netlists (the multi-thousand
   gate datapath blocks): gates are grouped by logic level and each
   level's delays/slews come from vectorised bilinear interpolation over
@@ -20,18 +21,19 @@ Two engines compute the same pass:
   same interpolation formula — ``tests/synthesis`` asserts the engines
   agree on every generator block.
 
-On top of both engines sits **incremental delta-retiming**
-(DESIGN §7h, gated by :data:`INCREMENTAL`): each full
-pass records a *session* — per-net arrival/slew/load state keyed by the
-netlist's structural fingerprint, library, wire model and boundary
-conditions — and a later pass over an extension of that structure
-(:meth:`Netlist.extend`, or the same object after in-place additions)
-re-propagates only the **dirty cone**: gates that are new, whose output
-loading changed, or whose input arrival/slew changed bitwise.  Clean
-gates keep their recorded values, which equal what a full re-time would
-compute because every per-gate step is a pure function of its inputs —
-so incremental results are *bit-identical* to the full path (enforced
-by ``tests/synthesis/test_sta_incremental.py`` and the
+Each engine is one function that re-times a **dirty cone** of gates
+from a *base session* (DESIGN §7h): gates that are new, whose output
+loading changed, or whose input arrival/slew changed bitwise.  A full
+pass is the same function with no base, so every gate is dirty.  With
+:data:`INCREMENTAL` on, every pass records a session — per-net
+arrival/slew/load state keyed by the netlist's structural fingerprint,
+library, wire model and boundary conditions — and a later pass over an
+extension of that structure (:meth:`Netlist.extend`, or the same object
+after in-place additions) uses it as its base.  Clean gates keep their
+recorded values, which equal what a full re-time would compute because
+every per-gate step is a pure function of its inputs — so delta results
+are *bit-identical* to the full path (enforced by
+``tests/synthesis/test_sta_incremental.py`` and the
 ``sta-incremental-agreement`` validation check).
 """
 
@@ -44,7 +46,7 @@ from itertools import count as _counter
 import numpy as np
 
 from repro.characterization.library import Library
-from repro.errors import SynthesisError
+from repro.errors import LibraryError, SynthesisError
 from repro.runtime import telemetry
 from repro.synthesis.netlist import Gate, Netlist
 from repro.synthesis.wires import WireModel
@@ -160,49 +162,136 @@ def net_loads(netlist: Netlist, library: Library, wire: WireModel,
 def static_timing(netlist: Netlist, library: Library, wire: WireModel,
                   input_slew: float | None = None,
                   output_load: float | None = None) -> TimingReport:
-    """Arrival-time propagation over the mapped netlist."""
+    """Arrival-time propagation over the mapped netlist.
+
+    With :data:`INCREMENTAL` on, a recorded session can serve the pass:
+    an *exact hit* (identical structure and boundary conditions already
+    timed) returns the recorded report as-is, and a session of the
+    parent structure becomes the base the engine re-times the dirty cone
+    from.  Otherwise the engine re-times every gate.
+    """
     if not netlist.is_mapped:
         raise SynthesisError(
             f"netlist {netlist.name!r} must be technology-mapped before STA")
     if input_slew is None:
         input_slew = library.typical_slew()
+    n = len(netlist.gates)
+    vector = (n >= VECTOR_MIN_GATES
+              and _library_grids(library) is not None)
+    engine = "vector" if vector else "scalar"
 
+    base = None
     if INCREMENTAL:
-        report = _try_incremental(netlist, library, wire, input_slew,
-                                  output_load)
-        if report is not None:
-            return report
+        fp = netlist.fingerprint()
+        base_fps = (getattr(netlist, "_base_fingerprint", None),
+                    getattr(netlist, "_sta_prev_fp", None))
+        if any(base_fps):
+            key = _session_key(fp, library, wire, input_slew, output_load)
+            sess = _SESSIONS.get(key)
+            if sess is not None:
+                _SESSIONS.move_to_end(key)
+                if sess["engine"] == engine and sess["n_gates"] == n:
+                    if telemetry.ENABLED:
+                        telemetry.count("sta.runs")
+                        telemetry.count("sta.incremental_hits")
+                    return sess["report"]
+            for base_fp in base_fps:
+                if not base_fp or base_fp == fp:
+                    continue
+                sess = _SESSIONS.get(_session_key(
+                    base_fp, library, wire, input_slew, output_load))
+                if (sess is not None and sess["engine"] == engine
+                        and sess["n_gates"] <= n):
+                    base = sess
+                    break
 
-    if len(netlist.gates) >= VECTOR_MIN_GATES:
-        report = _vector_static_timing(netlist, library, wire,
-                                       input_slew, output_load)
-        if report is not None:
-            return report
+    timing = _vector_timing if vector else _scalar_timing
+    session = timing(netlist, library, wire, input_slew, output_load, base)
+    if INCREMENTAL:
+        _record_session(
+            _session_key(fp, library, wire, input_slew, output_load),
+            session)
+        netlist._sta_prev_fp = fp
+    return session["report"]
 
+
+def _count_pass(engine: str, delta: bool, gates: int, retimed: int,
+                levels: int, lookups: int) -> None:
+    """Book one engine pass; a full pass re-times all of its gates."""
+    telemetry.count("sta.runs")
+    telemetry.count(f"sta.{engine}_runs")
+    if delta:
+        telemetry.count("sta.incremental_runs")
+    telemetry.count("sta.gates", gates)
+    telemetry.count("sta.retimed_gates", retimed)
+    telemetry.count("sta.levels", levels)
+    telemetry.count("sta.nldm_lookups", lookups)
+
+
+# ---------------------------------------------------------------------------
+# Scalar engine
+# ---------------------------------------------------------------------------
+
+def _scalar_timing(netlist: Netlist, library: Library, wire: WireModel,
+                   input_slew: float, output_load: float | None,
+                   base: dict | None) -> dict:
+    """Re-time the dirty cone from a scalar *base* session; its session.
+
+    With ``base=None`` the state starts empty, so every gate is dirty.
+    Net loading is recomputed in full (one cheap dict pass); the NLDM
+    propagation — the expensive part — touches only new gates, gates
+    whose output loading changed, and gates downstream of a bitwise
+    arrival/slew change.  Because the per-gate computation is a pure
+    function of (input arrival/slew, output load), untouched values are
+    exactly what a full pass would recompute.
+    """
     loads, pin_loads, sink_counts = _net_loading(netlist, library, wire,
                                                  output_load)
-
-    arrival: dict[str, float] = {}
-    slew: dict[str, float] = {}
-    worst_input: dict[str, str | None] = {}   # gate -> critical fanin net
-    gate_delay: dict[str, float] = {}
-
+    delta = base is not None
+    if not delta:
+        arrival: dict[str, float] = {}
+        slew: dict[str, float] = {}
+        worst_input: dict[str, str | None] = {}   # gate -> critical fanin
+        gate_delay: dict[str, float] = {}
+    else:
+        b_loads = base["loads"]
+        b_pins = base["pin_loads"]
+        b_sinks = base["sink_counts"]
+        dirty_load = {
+            net for net, load in loads.items()
+            if (b_loads.get(net) != load or b_pins.get(net) != pin_loads[net]
+                or b_sinks.get(net) != sink_counts[net])}
+        arrival = dict(base["arrival"])
+        slew = dict(base["slew"])
+        worst_input = dict(base["worst_input"])
+        gate_delay = dict(base["gate_delay"])
     for net in netlist.primary_inputs:
-        arrival[net] = 0.0
-        slew[net] = input_slew
+        if net not in arrival:
+            arrival[net] = 0.0
+            slew[net] = input_slew
 
     # The gate loop below is the hot path of every synthesis experiment
     # (tens of thousands of gates for the wide datapath blocks), so cell
     # objects are cached per cell name, dict lookups are hoisted into
-    # locals, and the output slew is computed once per gate, for the
-    # critical pin only, rather than on every new running maximum.
+    # locals, the output slew is computed once per gate, for the
+    # critical pin only, rather than on every new running maximum, and a
+    # full pass, where every gate is dirty, skips the dirty-cone tests.
+    topo = netlist.topological_order()
+    changed: set[str] = set()
     cells: dict[str, object] = {}
     elmore = wire.elmore_delay
-    for gate in netlist.topological_order():
+    skipped = skipped_pins = 0
+    for gate in topo:
+        output = gate.output
+        # A recorded gate stays clean unless its load or an input moved.
+        if (delta and gate.name in worst_input and output not in dirty_load
+                and changed.isdisjoint(gate.inputs)):
+            skipped += 1
+            skipped_pins += len(gate.inputs)
+            continue
         cell = cells.get(gate.cell)
         if cell is None:
             cell = cells[gate.cell] = library.cell(gate.cell)
-        output = gate.output
         load = loads[output]
         # Wire RC from this gate's output to its sinks (Elmore, shared).
         t_wire = elmore(sink_counts[output], pin_loads[output])
@@ -219,39 +308,23 @@ def static_timing(netlist: Netlist, library: Library, wire: WireModel,
                 best_t = t
                 best_net = net
                 best_pin = pin_name
+        new_slew = cell.output_slew(best_pin, slew[best_net], load)
+        if delta and (arrival.get(output) != best_t
+                      or slew.get(output) != new_slew):
+            changed.add(output)
         arrival[output] = best_t
-        slew[output] = cell.output_slew(best_pin, slew[best_net], load)
+        slew[output] = new_slew
         worst_input[gate.name] = best_net
         gate_delay[gate.name] = best_t - arrival[best_net]
 
     if telemetry.ENABLED:
-        topo = netlist.topological_order()
-        telemetry.count("sta.runs")
-        telemetry.count("sta.scalar_runs")
-        telemetry.count("sta.gates", len(topo))
-        # One delay lookup per gate input pin plus one output-slew lookup
-        # per gate — derived after the fact, so the hot loop stays clean.
-        telemetry.count("sta.nldm_lookups",
-                        sum(len(g.inputs) for g in topo) + len(topo))
+        # One delay lookup per input pin plus one output-slew lookup per
+        # re-timed gate — derived after the fact, so the hot loop stays
+        # clean.  The scalar engine runs no level batches.
+        retimed = len(topo) - skipped
+        pins = sum(len(g.inputs) for g in topo) - skipped_pins
+        _count_pass("scalar", delta, len(topo), retimed, 0, pins + retimed)
 
-    report = _scalar_report(netlist, arrival, slew, loads, worst_input,
-                            gate_delay)
-    if INCREMENTAL:
-        fp = netlist.fingerprint()
-        _record_session(
-            _session_key(fp, library, wire, input_slew, output_load),
-            {"engine": "scalar", "n_gates": len(netlist.gates),
-             "loads": loads, "pin_loads": pin_loads,
-             "sink_counts": sink_counts, "arrival": arrival, "slew": slew,
-             "worst_input": worst_input, "gate_delay": gate_delay,
-             "report": report})
-        netlist._sta_prev_fp = fp
-    return report
-
-
-def _scalar_report(netlist: Netlist, arrival: dict, slew: dict, loads: dict,
-                   worst_input: dict, gate_delay: dict) -> TimingReport:
-    """Report assembly shared by the full and incremental scalar engines."""
     max_delay = 0.0
     end_net: str | None = None
     for net in netlist.primary_outputs:
@@ -271,7 +344,7 @@ def _scalar_report(netlist: Netlist, arrival: dict, slew: dict, loads: dict,
         net = worst_input[driver.name]
     path.reverse()
 
-    return TimingReport(
+    report = TimingReport(
         netlist_name=netlist.name,
         max_delay=max_delay,
         critical_path=tuple(path),
@@ -280,146 +353,11 @@ def _scalar_report(netlist: Netlist, arrival: dict, slew: dict, loads: dict,
         load=loads,
         gate_delay=gate_delay,
     )
-
-
-# ---------------------------------------------------------------------------
-# Incremental delta-retiming
-# ---------------------------------------------------------------------------
-
-def _try_incremental(netlist: Netlist, library: Library, wire: WireModel,
-                     input_slew: float,
-                     output_load: float | None) -> TimingReport | None:
-    """Serve this pass from a recorded session, if one chains to it.
-
-    Three outcomes: an *exact hit* (identical structure and boundary
-    conditions already timed — the recorded report is returned as-is), a
-    *delta re-time* from the parent session (only the dirty cone is
-    recomputed), or ``None`` (no usable session; the caller runs a full
-    pass, which then records a fresh session).
-    """
-    base_fps = (getattr(netlist, "_base_fingerprint", None),
-                getattr(netlist, "_sta_prev_fp", None))
-    if not any(base_fps):
-        return None
-    fp = netlist.fingerprint()
-    n = len(netlist.gates)
-    want_vector = (n >= VECTOR_MIN_GATES
-                   and _library_grids(library) is not None)
-    engine = "vector" if want_vector else "scalar"
-
-    key = _session_key(fp, library, wire, input_slew, output_load)
-    sess = _SESSIONS.get(key)
-    if sess is not None:
-        _SESSIONS.move_to_end(key)
-        if sess["engine"] == engine and sess["n_gates"] == n:
-            if telemetry.ENABLED:
-                telemetry.count("sta.runs")
-                telemetry.count("sta.incremental_hits")
-            return sess["report"]
-
-    for base_fp in base_fps:
-        if not base_fp or base_fp == fp:
-            continue
-        base = _SESSIONS.get(
-            _session_key(base_fp, library, wire, input_slew, output_load))
-        if (base is None or base["engine"] != engine
-                or base["n_gates"] > n):
-            continue
-        if engine == "vector":
-            report = _vector_incremental(netlist, library, wire, input_slew,
-                                         output_load, base, key, fp)
-        else:
-            report = _scalar_incremental(netlist, library, wire, input_slew,
-                                         output_load, base, key, fp)
-        if report is not None:
-            return report
-    return None
-
-
-def _scalar_incremental(netlist: Netlist, library: Library, wire: WireModel,
-                        input_slew: float, output_load: float | None,
-                        base: dict, key: tuple, fp: str) -> TimingReport:
-    """Scalar delta-retiming from a recorded session.
-
-    Net loading is recomputed in full (one cheap dict pass); the NLDM
-    propagation — the expensive part — touches only the dirty cone: new
-    gates, gates whose output loading changed, and gates downstream of a
-    bitwise arrival/slew change.  Because the per-gate computation is a
-    pure function of (input arrival/slew, output load), untouched values
-    are exactly what a full pass would recompute.
-    """
-    loads, pin_loads, sink_counts = _net_loading(netlist, library, wire,
-                                                 output_load)
-    b_loads = base["loads"]
-    b_pins = base["pin_loads"]
-    b_sinks = base["sink_counts"]
-    dirty_load = {
-        net for net, load in loads.items()
-        if (b_loads.get(net) != load or b_pins.get(net) != pin_loads[net]
-            or b_sinks.get(net) != sink_counts[net])}
-
-    arrival = dict(base["arrival"])
-    slew = dict(base["slew"])
-    worst_input = dict(base["worst_input"])
-    gate_delay = dict(base["gate_delay"])
-    for net in netlist.primary_inputs:
-        if net not in arrival:
-            arrival[net] = 0.0
-            slew[net] = input_slew
-
-    changed: set[str] = set()
-    cells: dict[str, object] = {}
-    elmore = wire.elmore_delay
-    retimed = 0
-    for gate in netlist.topological_order():
-        output = gate.output
-        if gate.name in worst_input and output not in dirty_load:
-            for net in gate.inputs:
-                if net in changed:
-                    break
-            else:
-                continue
-        retimed += 1
-        cell = cells.get(gate.cell)
-        if cell is None:
-            cell = cells[gate.cell] = library.cell(gate.cell)
-        load = loads[output]
-        t_wire = elmore(sink_counts[output], pin_loads[output])
-        cell_inputs = cell.inputs
-        cell_delay = cell.delay
-        best_t = -1.0
-        best_net: str | None = None
-        best_pin: str | None = None
-        for pin_index, net in enumerate(gate.inputs):
-            pin_name = cell_inputs[pin_index]
-            t = arrival[net] + cell_delay(pin_name, slew[net], load) + t_wire
-            if t > best_t:
-                best_t = t
-                best_net = net
-                best_pin = pin_name
-        new_slew = cell.output_slew(best_pin, slew[best_net], load)
-        if arrival.get(output) != best_t or slew.get(output) != new_slew:
-            changed.add(output)
-        arrival[output] = best_t
-        slew[output] = new_slew
-        worst_input[gate.name] = best_net
-        gate_delay[gate.name] = best_t - arrival[best_net]
-
-    if telemetry.ENABLED:
-        telemetry.count("sta.runs")
-        telemetry.count("sta.incremental_runs")
-        telemetry.count("sta.gates", len(netlist.gates))
-        telemetry.count("sta.retimed_gates", retimed)
-
-    report = _scalar_report(netlist, arrival, slew, loads, worst_input,
-                            gate_delay)
-    _record_session(key, {
-        "engine": "scalar", "n_gates": len(netlist.gates),
-        "loads": loads, "pin_loads": pin_loads, "sink_counts": sink_counts,
-        "arrival": arrival, "slew": slew, "worst_input": worst_input,
-        "gate_delay": gate_delay, "report": report})
-    netlist._sta_prev_fp = fp
-    return report
+    return {"engine": "scalar", "n_gates": len(netlist.gates),
+            "loads": loads, "pin_loads": pin_loads,
+            "sink_counts": sink_counts, "arrival": arrival, "slew": slew,
+            "worst_input": worst_input, "gate_delay": gate_delay,
+            "report": report}
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +388,7 @@ def _library_grids(library: Library) -> dict | None:
         for pin in cell.inputs:
             try:
                 arcs = cell.arcs_from(pin)
-            except Exception:
+            except LibraryError:
                 supported = False
                 break
             if not 1 <= len(arcs) <= 2:
@@ -499,142 +437,52 @@ def _library_grids(library: Library) -> dict | None:
     return grids
 
 
+#: The encoding of a netlist with no nets: the base a fresh encoding
+#: extends.
+_EMPTY_STRUCT = {
+    "topo": [], "names": [], "net_id": {}, "levels": [], "cell_names": [],
+    "g_code_u": np.empty(0, dtype=np.int32),
+    "g_out_u": np.empty(0, dtype=np.int32),
+    "g_in_u": np.empty((0, 3), dtype=np.int32),
+    "g_level_u": np.empty(0, dtype=np.int32),
+    "gate_names_u": [],
+}
+
+
 def _vector_structure(netlist: Netlist) -> dict:
-    """Integer-encoded, level-sorted view of the netlist (cached).
-
-    One Python pass assigns net ids and logic levels; everything else is
-    arrays.  The cache is tied to the identity of the topological-order
-    list, which :meth:`Netlist.add_gate` invalidates.
-    """
-    topo = netlist.topological_order()
-    cached = getattr(netlist, "_vector_struct", None)
-    if cached is not None and cached["topo"] is topo:
-        return cached
-
-    net_id: dict[str, int] = {}
-    names: list[str] = []
-    for net in netlist.primary_inputs:
-        net_id[net] = len(names)
-        names.append(net)
-    n_pi = len(names)
-
-    n = len(topo)
-    levels = [0] * n_pi + [0] * n          # per net id
-    cell_code: dict[str, int] = {}
-    cell_names: list[str] = []
-    g_code = np.empty(n, dtype=np.int32)
-    g_out = np.empty(n, dtype=np.int32)
-    g_in = np.full((n, 3), -1, dtype=np.int32)
-    g_level = np.empty(n, dtype=np.int32)
-    gate_names: list[str] = []
-
-    for k, gate in enumerate(topo):
-        lv = 0
-        for p, net in enumerate(gate.inputs):
-            i = net_id[net]
-            g_in[k, p] = i
-            li = levels[i]
-            if li > lv:
-                lv = li
-        code = cell_code.get(gate.cell)
-        if code is None:
-            code = cell_code[gate.cell] = len(cell_names)
-            cell_names.append(gate.cell)
-        out = gate.output
-        oid = len(names)
-        net_id[out] = oid
-        names.append(out)
-        levels[oid] = lv + 1
-        g_code[k] = code
-        g_out[k] = oid
-        g_level[k] = lv + 1
-        gate_names.append(gate.name)
-
-    return _finish_vector_structure(
-        netlist, topo, names, n_pi, net_id, levels, cell_names,
-        g_code, g_out, g_in, g_level, gate_names)
-
-
-def _finish_vector_structure(netlist: Netlist, topo, names, n_pi, net_id,
-                             levels, cell_names, g_code_u, g_out_u, g_in_u,
-                             g_level_u, gate_names_u) -> dict:
-    """Level-sort the (unsorted, topo-order) encoding and cache it.
-
-    The unsorted arrays and the id maps are kept in the struct so
-    :func:`_extend_vector_structure` can append an extension's gates and
-    re-sort without re-encoding the shared prefix.
-    """
-    n = len(g_code_u)
-    order = np.argsort(g_level_u, kind="stable")
-    g_code = g_code_u[order]
-    g_out = g_out_u[order]
-    g_in = g_in_u[order]
-    g_level = g_level_u[order]
-    gate_names = [gate_names_u[i] for i in order]
-
-    max_level = int(g_level[-1]) if n else 0
-    # bounds[k] = index one past the last gate of level k+1.
-    bounds = np.searchsorted(g_level, np.arange(1, max_level + 1),
-                             side="right")
-
-    driver = np.full(len(names), -1, dtype=np.int32)
-    driver[g_out] = np.arange(n, dtype=np.int32)
-
-    po_ids = []
-    seen = set()
-    for net in netlist.primary_outputs:
-        i = net_id.get(net)
-        if i is not None and i not in seen:
-            seen.add(i)
-            po_ids.append(i)
-
-    struct = {
-        "topo": topo,
-        "names": names,
-        "n_pi": n_pi,
-        "net_id": net_id,
-        "levels": levels,
-        "cell_names": cell_names,
-        "g_code": g_code,
-        "g_out": g_out,
-        "g_in": g_in,
-        "bounds": bounds,
-        "max_level": max_level,
-        "gate_names": gate_names,
-        "driver": driver,
-        "po_ids": np.asarray(po_ids, dtype=np.int32),
-        "order": order,
-        "g_code_u": g_code_u,
-        "g_out_u": g_out_u,
-        "g_in_u": g_in_u,
-        "g_level_u": g_level_u,
-        "gate_names_u": gate_names_u,
-    }
-    netlist._vector_struct = struct
-    return struct
+    """Integer-encoded, level-sorted view of the netlist (cached)."""
+    return _extend_vector_structure(netlist, _EMPTY_STRUCT)
 
 
 def _extend_vector_structure(netlist: Netlist, base: dict) -> dict | None:
     """Encode *netlist* by appending to a parent's structure, or None.
 
-    Valid only when the parent's topological order is a prefix of this
-    netlist's — guaranteed for insertion-ordered netlists grown by
-    :meth:`Netlist.extend` or in-place additions.  Net ids extend the
-    parent's numbering (new primary inputs and gate outputs append after
-    the parent's nets); the level sort is recomputed over the combined
-    arrays.  Because the per-net and per-gate encodings are identical to
-    a fresh pass — only the id *labels* differ, which no per-gate
-    computation depends on — the resulting timing is bitwise equal.
+    One Python pass over the gates the parent lacks assigns net ids and
+    logic levels; everything else is arrays.  Valid only when the
+    parent's topological order is a prefix of this netlist's —
+    guaranteed for insertion-ordered netlists grown by
+    :meth:`Netlist.extend` or in-place additions, and trivially for the
+    empty base.  Net ids extend the parent's numbering (new primary
+    inputs and gate outputs append after the parent's nets); the level
+    sort is recomputed over the combined arrays.  Because the per-net and
+    per-gate encodings are identical to a fresh pass — only the id
+    *labels* differ, which no per-gate computation depends on — the
+    resulting timing is bitwise equal.
+
+    The result is cached on the netlist, tied to the identity of the
+    topological-order list (which :meth:`Netlist.add_gate` invalidates)
+    and to the primary-output list, and reused only if it extends *base*:
+    a delta pass seeds the parent's per-net state by id.
     """
-    if not getattr(netlist, "_insertion_topo", False):
-        return None
     topo = netlist.topological_order()
     n_base = len(base["topo"])
-    if n_base > len(topo) or (
-            n_base and topo[n_base - 1] is not base["topo"][n_base - 1]):
+    if n_base and (not netlist._insertion_topo or n_base > len(topo)
+                   or topo[n_base - 1] is not base["topo"][n_base - 1]):
         return None
     cached = getattr(netlist, "_vector_struct", None)
-    if cached is not None and cached["topo"] is topo:
+    if (cached is not None and cached["topo"] is topo
+            and cached["outputs"] == netlist.primary_outputs
+            and cached["names"][:len(base["names"])] == base["names"]):
         return cached
 
     net_id = dict(base["net_id"])
@@ -676,22 +524,58 @@ def _extend_vector_structure(netlist: Netlist, base: dict) -> dict | None:
         new_level[k] = lv + 1
         new_names.append(gate.name)
 
-    return _finish_vector_structure(
-        netlist, topo, names, base["n_pi"], net_id, levels, cell_names,
-        np.concatenate([base["g_code_u"], new_code]),
-        np.concatenate([base["g_out_u"], new_out]),
-        np.concatenate([base["g_in_u"], new_in]),
-        np.concatenate([base["g_level_u"], new_level]),
-        base["gate_names_u"] + new_names)
+    # The unsorted (topological-order) arrays and the id maps stay in the
+    # struct so a later extension can append without re-encoding them.
+    g_code_u = np.concatenate([base["g_code_u"], new_code])
+    g_out_u = np.concatenate([base["g_out_u"], new_out])
+    g_in_u = np.concatenate([base["g_in_u"], new_in])
+    g_level_u = np.concatenate([base["g_level_u"], new_level])
+    gate_names_u = base["gate_names_u"] + new_names
+
+    order = np.argsort(g_level_u, kind="stable")
+    g_level = g_level_u[order]
+    max_level = int(g_level[-1]) if len(order) else 0
+    po_ids = []
+    seen = set()
+    for net in netlist.primary_outputs:
+        i = net_id.get(net)
+        if i is not None and i not in seen:
+            seen.add(i)
+            po_ids.append(i)
+
+    struct = {
+        "topo": topo,
+        "outputs": list(netlist.primary_outputs),
+        "names": names,
+        "net_id": net_id,
+        "levels": levels,
+        "cell_names": cell_names,
+        "g_code": g_code_u[order],
+        "g_out": g_out_u[order],
+        "g_in": g_in_u[order],
+        # bounds[k] = index one past the last gate of level k+1.
+        "bounds": np.searchsorted(g_level, np.arange(1, max_level + 1),
+                                  side="right"),
+        "gate_names": [gate_names_u[i] for i in order],
+        "po_ids": np.asarray(po_ids, dtype=np.int32),
+        "order": order,
+        "g_code_u": g_code_u,
+        "g_out_u": g_out_u,
+        "g_in_u": g_in_u,
+        "g_level_u": g_level_u,
+        "gate_names_u": gate_names_u,
+    }
+    netlist._vector_struct = struct
+    return struct
 
 
-def _cell_tables(grids: dict, cell_names: list[str]) -> tuple | None:
-    """Per-cell-code lookup tables for the array engine, or None."""
-    cells = grids["cells"]
-    try:
-        infos = [cells[name] for name in cell_names]
-    except KeyError:
-        return None                      # scalar path raises LibraryError
+def _cell_tables(grids: dict, library: Library,
+                 cell_names: list[str]) -> tuple:
+    """Per-cell-code lookup tables for the array engine."""
+    infos = []
+    for name in cell_names:
+        library.cell(name)               # raises LibraryError if missing
+        infos.append(grids["cells"][name])
 
     ncells = len(infos)
     npins = np.array([info["npins"] for info in infos], dtype=np.int32)
@@ -750,7 +634,7 @@ def _bilinear(G, rows, i, j, ts, tl):
 
 def _vector_report(netlist: Netlist, struct: dict, arrival, slew, loads,
                    gate_best_in_u, gate_delay_u) -> TimingReport:
-    """Report assembly shared by the full and incremental array engines.
+    """Assemble the report from the array engine's state.
 
     Per-gate arrays are indexed in *unsorted* (topological/insertion)
     order, which stays stable across structure extensions.
@@ -790,46 +674,71 @@ def _vector_report(netlist: Netlist, struct: dict, arrival, slew, loads,
     )
 
 
-def _record_vector_session(netlist: Netlist, struct: dict, key: tuple,
-                           fp: str, loads, pin_cap, sink_cnt, t_wire,
-                           arrival, slew, gate_t_u, gate_best_in_u,
-                           gate_delay_u, report: TimingReport) -> None:
-    _record_session(key, {
-        "engine": "vector", "n_gates": len(struct["g_code_u"]),
-        "struct": struct, "loads": loads, "pin_cap": pin_cap,
-        "sink_cnt": sink_cnt, "t_wire": t_wire, "arrival": arrival,
-        "slew": slew, "gate_t_u": gate_t_u,
-        "gate_best_in_u": gate_best_in_u, "gate_delay_u": gate_delay_u,
-        "report": report})
-    netlist._sta_prev_fp = fp
+def _vector_timing(netlist: Netlist, library: Library, wire: WireModel,
+                   input_slew: float, output_load: float | None,
+                   base: dict | None) -> dict:
+    """Re-time the dirty cone from a vector *base* session; its session.
 
-
-def _vector_static_timing(netlist: Netlist, library: Library,
-                          wire: WireModel, input_slew: float,
-                          output_load: float | None) -> TimingReport | None:
-    """The levelised array engine; None if this library can't be batched.
-
-    Arithmetic mirrors the scalar engine expression for expression
-    (same bilinear form, same strictly-greater pin tie-breaking via
-    first-maximum argmax), so the engines agree to float rounding.
+    The caller has checked that the library batches
+    (:func:`_library_grids`).  Arithmetic mirrors the scalar engine
+    expression for expression (same bilinear form, same strictly-greater
+    pin tie-breaking via first-maximum argmax), so the engines agree to
+    float rounding.  A delta pass extends the base's encoding (a full
+    pass, from the empty one, if it cannot), recomputes net loading in
+    full (a few vector ops), then re-times each level's dirty subset:
+    per-gate arithmetic is elementwise, so a subset computes bitwise the
+    same values it would in a full level batch.  A full pass takes each
+    level whole, as a slice, and builds no dirty mask.
     """
     grids = _library_grids(library)
-    if grids is None:
-        return None
-    struct = _vector_structure(netlist)
-    tables = _cell_tables(grids, struct["cell_names"])
-    if tables is None:
-        return None
-    npins, caps_tab, d_a, d_b, t_a, t_b = tables
+    struct = None
+    if base is not None:
+        struct = _extend_vector_structure(netlist, base["struct"])
+    if struct is None:
+        base = None
+        struct = _vector_structure(netlist)
+    delta = base is not None
+    npins, caps_tab, d_a, d_b, t_a, t_b = _cell_tables(
+        grids, library, struct["cell_names"])
 
     g_code = struct["g_code"]
     g_out = struct["g_out"]
     g_in = struct["g_in"]
+    order = struct["order"]
+    n = len(g_code)
     n_nets = len(struct["names"])
     loads, pin_cap, sink_cnt, t_wire = _vector_loads(
         struct, caps_tab, g_code, library, wire, output_load)
 
-    # -- levelised propagation ------------------------------------------------
+    # Per-net timing state; slots the base does not cover start at the
+    # primary-input boundary condition (correct for primary inputs, and
+    # overwritten before use for gate outputs).  Per-gate results are
+    # kept in level order here; the session keeps them in stable
+    # topological order (a new gate's slot is always re-timed).
+    arrival = np.zeros(n_nets)
+    slew = np.full(n_nets, input_slew)
+    gate_best_in = np.empty(n, dtype=np.int32)
+    gate_delay = np.empty(n)
+    if delta:
+        n_base = base["n_gates"]
+        n_base_nets = len(base["loads"])
+        arrival[:n_base_nets] = base["arrival"]
+        slew[:n_base_nets] = base["slew"]
+        seen = order < n_base
+        gate_best_in[seen] = base["gate_best_in_u"][order[seen]]
+        gate_delay[seen] = base["gate_delay_u"][order[seen]]
+        # A gate re-times when it is new or its output loading changed
+        # bitwise; input-change propagation is folded in level by level.
+        # New nets occupy ids >= n_base_nets and count as changed.
+        dirty = np.ones(n_nets, dtype=bool)
+        dirty[:n_base_nets] = (
+            (loads[:n_base_nets] != base["loads"])
+            | (pin_cap[:n_base_nets] != base["pin_cap"])
+            | (sink_cnt[:n_base_nets] != base["sink_cnt"]))
+        recheck = (order >= n_base) | dirty[g_out]
+        changed = np.zeros(n_nets, dtype=bool)
+        changed[n_base_nets:] = True
+
     slew_axis = grids["slews"]
     load_axis = grids["loads"]
     max_i = len(slew_axis) - 2
@@ -837,26 +746,27 @@ def _vector_static_timing(netlist: Netlist, library: Library,
     DG = grids["delay"]
     TG = grids["trans"]
 
-    arrival = np.zeros(n_nets)
-    slew = np.full(n_nets, input_slew)
-    n = len(g_code)
-    gate_t = np.empty(n)
-    gate_best_in = np.empty(n, dtype=np.int32)
-    gate_delay_arr = np.empty(n)
-
-    bounds = struct["bounds"]
-    n_lookups = 0
-    n_levels = 0
+    retimed = n_lookups = n_levels = 0
     start = 0
-    for lv in range(struct["max_level"]):
-        stop = int(bounds[lv])
-        if stop == start:
-            continue
-        n_levels += 1
-        sl = slice(start, stop)
+    for stop in struct["bounds"].tolist():
+        rows = slice(start, stop)
+        if delta:
+            in_l = g_in[rows]
+            pin_count_l = npins[g_code[rows]]
+            mask = recheck[rows].copy()
+            for p in range(int(pin_count_l.max())):
+                valid = p < pin_count_l
+                mask |= valid & changed[np.where(valid, in_l[:, p], 0)]
+            rows = start + np.flatnonzero(mask)
         start = stop
-        code = g_code[sl]
-        out = g_out[sl]
+        code = g_code[rows]
+        count = len(code)
+        if not count:
+            continue
+        retimed += count
+        n_levels += 1
+        out = g_out[rows]
+        ins = g_in[rows]
         loads_g = loads[out]
         tw = t_wire[out]
         j = np.clip(np.searchsorted(load_axis, loads_g, side="right") - 1,
@@ -868,9 +778,8 @@ def _vector_static_timing(netlist: Netlist, library: Library,
         t_rows = []
         s_rows = []
         for p in range(int(pin_count.max())):
-            in_p = g_in[sl, p]
             valid = p < pin_count
-            iid = np.where(valid, in_p, 0)
+            iid = np.where(valid, ins[:, p], 0)
             sv = slew[iid]
             av = arrival[iid]
             i = np.clip(np.searchsorted(slew_axis, sv, side="right") - 1,
@@ -886,202 +795,35 @@ def _vector_static_timing(netlist: Netlist, library: Library,
             t_rows.append(t)
             s_rows.append(s)
             # One stacked delay + one stacked transition interpolation
-            # per (level, pin) round, covering `stop - sl.start` gates.
-            n_lookups += 2 * (stop - sl.start)
+            # per (level, pin) round, covering `count` gates.
+            n_lookups += 2 * count
 
         t_stack = np.stack(t_rows)
         best = t_stack.argmax(axis=0)    # first max == strictly-greater scan
-        cols = np.arange(stop - (sl.start))
-        t_best = t_stack[best, cols]
-        arrival[out] = t_best
-        slew[out] = np.stack(s_rows)[best, cols]
-        best_in = g_in[sl][cols, best]
-        gate_best_in[sl] = best_in
-        gate_t[sl] = t_best
-        gate_delay_arr[sl] = t_best - arrival[best_in]
-
-    if telemetry.ENABLED:
-        telemetry.count("sta.runs")
-        telemetry.count("sta.vector_runs")
-        telemetry.count("sta.gates", n)
-        telemetry.count("sta.levels", n_levels)
-        telemetry.count("sta.nldm_lookups", n_lookups)
-
-    # Scatter the (level-sorted) per-gate results back to stable
-    # topological order for the report and the recorded session.
-    order = struct["order"]
-    gate_t_u = np.empty(n)
-    gate_best_in_u = np.empty(n, dtype=np.int32)
-    gate_delay_u = np.empty(n)
-    gate_t_u[order] = gate_t
-    gate_best_in_u[order] = gate_best_in
-    gate_delay_u[order] = gate_delay_arr
-
-    report = _vector_report(netlist, struct, arrival, slew, loads,
-                            gate_best_in_u, gate_delay_u)
-    if INCREMENTAL:
-        fp = netlist.fingerprint()
-        _record_vector_session(
-            netlist, struct,
-            _session_key(fp, library, wire, input_slew, output_load), fp,
-            loads, pin_cap, sink_cnt, t_wire, arrival, slew,
-            gate_t_u, gate_best_in_u, gate_delay_u, report)
-    return report
-
-
-def _vector_incremental(netlist: Netlist, library: Library, wire: WireModel,
-                        input_slew: float, output_load: float | None,
-                        base: dict, key: tuple,
-                        fp: str) -> TimingReport | None:
-    """Array-engine delta-retiming from a recorded session.
-
-    The parent's structure encoding is extended in place of a fresh
-    pass; net loading is recomputed in full (a few vector ops); then the
-    levelised sweep recomputes only dirty gates — per-gate arithmetic is
-    elementwise, so a subset computes bitwise the same values it would
-    in a full level batch.
-    """
-    grids = _library_grids(library)
-    if grids is None:
-        return None
-    struct = _extend_vector_structure(netlist, base["struct"])
-    if struct is None:
-        return None
-    tables = _cell_tables(grids, struct["cell_names"])
-    if tables is None:
-        return None
-    npins, caps_tab, d_a, d_b, t_a, t_b = tables
-
-    g_code = struct["g_code"]
-    g_out = struct["g_out"]
-    g_in = struct["g_in"]
-    order = struct["order"]
-    n = len(g_code)
-    n_base = base["n_gates"]
-    n_nets = len(struct["names"])
-    n_base_nets = len(base["loads"])
-
-    loads, pin_cap, sink_cnt, t_wire = _vector_loads(
-        struct, caps_tab, g_code, library, wire, output_load)
-
-    # Dirty nets: loading changed bitwise vs the recorded session (new
-    # nets occupy ids >= n_base_nets and are dirty by construction).
-    dirty = np.ones(n_nets, dtype=bool)
-    dirty[:n_base_nets] = (
-        (loads[:n_base_nets] != base["loads"])
-        | (pin_cap[:n_base_nets] != base["pin_cap"])
-        | (sink_cnt[:n_base_nets] != base["sink_cnt"]))
-
-    # Per-net timing state, seeded from the session; new slots start at
-    # the primary-input boundary condition (correct for new PIs, and
-    # overwritten before use for new gate outputs).
-    arrival = np.empty(n_nets)
-    slew = np.empty(n_nets)
-    arrival[:n_base_nets] = base["arrival"]
-    slew[:n_base_nets] = base["slew"]
-    arrival[n_base_nets:] = 0.0
-    slew[n_base_nets:] = input_slew
-
-    gate_t_u = np.empty(n)
-    gate_best_in_u = np.empty(n, dtype=np.int32)
-    gate_delay_u = np.empty(n)
-    gate_t_u[:n_base] = base["gate_t_u"]
-    gate_best_in_u[:n_base] = base["gate_best_in_u"]
-    gate_delay_u[:n_base] = base["gate_delay_u"]
-
-    changed = np.zeros(n_nets, dtype=bool)
-    changed[n_base_nets:] = True
-    # A gate re-times when it is new or its output loading changed;
-    # input-change propagation is folded in level by level.
-    recheck = (order >= n_base) | dirty[g_out]
-
-    slew_axis = grids["slews"]
-    load_axis = grids["loads"]
-    max_i = len(slew_axis) - 2
-    max_j = len(load_axis) - 2
-    DG = grids["delay"]
-    TG = grids["trans"]
-    bounds = struct["bounds"]
-
-    retimed = 0
-    start = 0
-    for lv in range(struct["max_level"]):
-        stop = int(bounds[lv])
-        if stop == start:
-            continue
-        sl = slice(start, stop)
-        level_order = order[sl]
-        code_l = g_code[sl]
-        in_l = g_in[sl]
-        pin_count_l = npins[code_l]
-
-        mask = recheck[sl].copy()
-        for p in range(int(pin_count_l.max())):
-            in_p = in_l[:, p]
-            valid = p < pin_count_l
-            mask |= valid & changed[np.where(valid, in_p, 0)]
-        start = stop
-        if not mask.any():
-            continue
-        idx = np.nonzero(mask)[0]
-        retimed += len(idx)
-
-        code = code_l[idx]
-        out = g_out[sl][idx]
-        loads_g = loads[out]
-        tw = t_wire[out]
-        j = np.clip(np.searchsorted(load_axis, loads_g, side="right") - 1,
-                    0, max_j)
-        l0 = load_axis[j]
-        tl = (loads_g - l0) / (load_axis[j + 1] - l0)
-
-        pin_count = pin_count_l[idx]
-        t_rows = []
-        s_rows = []
-        for p in range(int(pin_count.max())):
-            in_p = in_l[idx, p]
-            valid = p < pin_count
-            iid = np.where(valid, in_p, 0)
-            sv = slew[iid]
-            av = arrival[iid]
-            i = np.clip(np.searchsorted(slew_axis, sv, side="right") - 1,
-                        0, max_i)
-            s0 = slew_axis[i]
-            ts = (sv - s0) / (slew_axis[i + 1] - s0)
-            rows_d = np.stack((d_a[code, p], d_b[code, p]))
-            d = _bilinear(DG, rows_d, i, j, ts, tl).max(axis=0)
-            rows_t = np.stack((t_a[code, p], t_b[code, p]))
-            s = _bilinear(TG, rows_t, i, j, ts, tl).max(axis=0)
-            t = av + d + tw
-            t[~valid] = -1.0
-            t_rows.append(t)
-            s_rows.append(s)
-
-        t_stack = np.stack(t_rows)
-        best = t_stack.argmax(axis=0)
-        cols = np.arange(len(idx))
+        cols = np.arange(count)
         t_best = t_stack[best, cols]
         s_best = np.stack(s_rows)[best, cols]
-        delta = (arrival[out] != t_best) | (slew[out] != s_best)
+        if delta:
+            changed[out[(arrival[out] != t_best)
+                        | (slew[out] != s_best)]] = True
         arrival[out] = t_best
         slew[out] = s_best
-        changed[out[delta]] = True
-        best_in = in_l[idx, best]
-        orig = level_order[idx]
-        gate_t_u[orig] = t_best
-        gate_best_in_u[orig] = best_in
-        gate_delay_u[orig] = t_best - arrival[best_in]
+        best_in = ins[cols, best]
+        gate_best_in[rows] = best_in
+        gate_delay[rows] = t_best - arrival[best_in]
 
     if telemetry.ENABLED:
-        telemetry.count("sta.runs")
-        telemetry.count("sta.vector_runs")
-        telemetry.count("sta.incremental_runs")
-        telemetry.count("sta.gates", n)
-        telemetry.count("sta.retimed_gates", retimed)
+        _count_pass("vector", delta, n, retimed, n_levels, n_lookups)
+
+    gate_best_in_u = np.empty(n, dtype=np.int32)
+    gate_delay_u = np.empty(n)
+    gate_best_in_u[order] = gate_best_in
+    gate_delay_u[order] = gate_delay
 
     report = _vector_report(netlist, struct, arrival, slew, loads,
                             gate_best_in_u, gate_delay_u)
-    _record_vector_session(netlist, struct, key, fp, loads, pin_cap,
-                           sink_cnt, t_wire, arrival, slew, gate_t_u,
-                           gate_best_in_u, gate_delay_u, report)
-    return report
+    return {"engine": "vector", "n_gates": n, "struct": struct,
+            "loads": loads, "pin_cap": pin_cap, "sink_cnt": sink_cnt,
+            "arrival": arrival, "slew": slew,
+            "gate_best_in_u": gate_best_in_u, "gate_delay_u": gate_delay_u,
+            "report": report}

@@ -283,10 +283,10 @@ def sta_vector_vs_scalar(ctx: CheckContext) -> str:
     checked = []
     for name in names:
         netlist = technology_map(builders[name]())
-        vector = sta._vector_static_timing(netlist, library, wire,
-                                           input_slew, None)
-        expect(vector is not None,
+        expect(sta._library_grids(library) is not None,
                f"vector STA refused library it should batch ({name})")
+        vector = sta._vector_timing(netlist, library, wire, input_slew,
+                                    None, None)["report"]
         with swap_attr(sta, "VECTOR_MIN_GATES", 10 ** 9):
             scalar = sta.static_timing(netlist, library, wire)
         expect_close(vector.max_delay, scalar.max_delay, rel=1e-12,
@@ -311,9 +311,12 @@ def sta_incremental_agreement(ctx: CheckContext) -> str:
     Grows a carry-select adder through a width chain with the
     incremental gate on (copy-on-extend netlists, memoised mapping,
     session-based delta STA) and diffs every report field against a
-    fresh synthesis timed with the gate off.  The contract is bitwise
-    identity — ``==``, no tolerance — for both the scalar and the
-    vector engine.
+    fresh synthesis timed with the gate off.  Each extension is timed
+    under a second wire model before the chain's own: with no base
+    session under that wire it is a full pass, and the delta that
+    follows must not reuse the encoding that pass cached.  The contract
+    is bitwise identity — ``==``, no tolerance — for both the scalar
+    and the vector engine.
     """
     import repro.synthesis.sta as sta
     from repro.synthesis.generators import (
@@ -325,10 +328,10 @@ def sta_incremental_agreement(ctx: CheckContext) -> str:
         reset_map_cache,
         technology_map,
     )
-    from repro.synthesis.wires import organic_wire_model
+    from repro.synthesis.wires import organic_wire_model, silicon_wire_model
 
     library = mini_organic_library()
-    wire = organic_wire_model()
+    wire, other = organic_wire_model(), silicon_wire_model()
     widths = (8, 12) if ctx.fast else (8, 12, 16, 24)
     engines = {"scalar": 10 ** 9, "vector": 1}
 
@@ -339,22 +342,21 @@ def sta_incremental_agreement(ctx: CheckContext) -> str:
                 sta.reset_incremental()
                 reset_map_cache()
                 base = carry_select_adder(widths[0])
-                incremental = {widths[0]: sta.static_timing(
+                incremental = {(widths[0], wire): sta.static_timing(
                     map_cached(base), library, wire)}
                 for w in widths[1:]:
                     base = extend_carry_select_adder(base, w)
-                    incremental[w] = sta.static_timing(
-                        map_cached(base), library, wire)
+                    for wm in (other, wire):
+                        incremental[w, wm] = sta.static_timing(
+                            map_cached(base), library, wm)
                 expect(len(sta._SESSIONS) > 0,
                        f"{engine}: no sessions recorded with the gate on")
             with swap_attr(sta, "INCREMENTAL", False):
                 sta.reset_incremental()
-                for w in widths:
+                for (w, wm), inc in incremental.items():
                     full = sta.static_timing(
-                        technology_map(carry_select_adder(w)), library,
-                        wire)
-                    inc = incremental[w]
-                    where = f"{engine}/csa{w}"
+                        technology_map(carry_select_adder(w)), library, wm)
+                    where = f"{engine}/csa{w}/{wm.name}"
                     expect(inc.max_delay == full.max_delay,
                            f"{where}: max_delay diverges "
                            f"({inc.max_delay!r} != {full.max_delay!r})")
@@ -366,7 +368,7 @@ def sta_incremental_agreement(ctx: CheckContext) -> str:
                     compared += 1
             sta.reset_incremental()
             reset_map_cache()
-    return (f"{compared} engine x width points bit-identical across "
+    return (f"{compared} engine x width x wire points bit-identical across "
             f"widths {list(widths)}")
 
 

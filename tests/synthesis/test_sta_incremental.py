@@ -107,8 +107,13 @@ def test_exact_repeat_returns_recorded_report(organic_lib, organic_wire):
 # Vector engine
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("base_w,ext_w", [(8, 16), (16, 32)])
-def test_vector_extension_bitwise(base_w, ext_w, organic_lib, organic_wire,
+@pytest.mark.parametrize("base_w,ext_w,other_wire_first", [
+    pytest.param(8, 16, False, id="8-16"),
+    pytest.param(16, 32, False, id="16-32"),
+    pytest.param(16, 24, True, id="16-24-other-wire-first"),
+])
+def test_vector_extension_bitwise(base_w, ext_w, other_wire_first,
+                                  organic_lib, organic_wire, silicon_wire,
                                   monkeypatch):
     monkeypatch.setattr(sta, "VECTOR_MIN_GATES", 1)
     base = carry_select_adder(base_w)
@@ -116,7 +121,13 @@ def test_vector_extension_bitwise(base_w, ext_w, organic_lib, organic_wire,
     sta.static_timing(mapped_base, organic_lib, organic_wire)
 
     ext = extend_carry_select_adder(base, ext_w)
-    got = sta.static_timing(map_cached(ext), organic_lib, organic_wire)
+    mapped_ext = map_cached(ext)
+    if other_wire_first:
+        # No base session under this wire: a full pass, whose fresh
+        # encoding numbers the new inputs before the base's gate outputs.
+        # The delta below must not seed the base's state into it.
+        sta.static_timing(mapped_ext, organic_lib, silicon_wire)
+    got = sta.static_timing(mapped_ext, organic_lib, organic_wire)
 
     fresh = technology_map(carry_select_adder(ext_w))
     want = _full_retime(fresh, organic_lib, organic_wire, monkeypatch)
@@ -128,17 +139,41 @@ def test_vector_incremental_retimes_subset(organic_lib, organic_wire):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(sta, "VECTOR_MIN_GATES", monkeypatch_min)
         base = carry_select_adder(16)
-        sta.static_timing(map_cached(base), organic_lib, organic_wire)
+        with telemetry.collecting():
+            sta.static_timing(map_cached(base), organic_lib, organic_wire)
+        full = telemetry.counters()
         ext = extend_carry_select_adder(base, 20)
-        telemetry.enable(True)
-        try:
+        with telemetry.collecting():
             sta.static_timing(map_cached(ext), organic_lib, organic_wire)
-            counters = telemetry.counters()
-        finally:
-            telemetry.enable(False)
+        counters = telemetry.counters()
     assert counters.get("sta.incremental_runs") == 1
     # The whole point: far fewer gates re-timed than the netlist holds.
     assert 0 < counters["sta.retimed_gates"] < counters["sta.gates"]
+    assert counters["sta.nldm_lookups"] > 0
+    # A full pass is the dirty cone of every gate, booked as such.
+    assert full["sta.vector_runs"] == 1
+    assert full["sta.retimed_gates"] == full["sta.gates"]
+    assert "sta.incremental_runs" not in full
+
+
+def test_scalar_passes_book_every_counter(organic_lib, organic_wire):
+    """Full and delta scalar passes book the vector engine's counters."""
+    base = carry_select_adder(8)
+    with telemetry.collecting():
+        sta.static_timing(map_cached(base), organic_lib, organic_wire)
+    full = telemetry.counters()
+    ext = extend_carry_select_adder(base, 12)
+    with telemetry.collecting():
+        sta.static_timing(map_cached(ext), organic_lib, organic_wire)
+    delta = telemetry.counters()
+    for counters in (full, delta):
+        assert counters["sta.runs"] == counters["sta.scalar_runs"] == 1
+        assert counters["sta.nldm_lookups"] > 0
+        assert "sta.levels" in counters
+    assert full["sta.retimed_gates"] == full["sta.gates"]
+    assert "sta.incremental_runs" not in full
+    assert delta["sta.incremental_runs"] == 1
+    assert 0 < delta["sta.retimed_gates"] < delta["sta.gates"]
 
 
 def test_engine_mismatch_falls_back_to_full(organic_lib, organic_wire,

@@ -8,16 +8,20 @@ here on every generator block, in both characterised processes.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 import repro.synthesis.sta as sta
+from repro.characterization.nldm import NldmTable
+from repro.runtime import telemetry
 from repro.synthesis.generators import (
     carry_select_adder,
     complex_alu_slice,
     simple_alu,
 )
 from repro.synthesis.mapping import technology_map
-from repro.synthesis.sta import _vector_static_timing, static_timing
+from repro.synthesis.sta import _vector_timing, static_timing
 
 BLOCK_BUILDERS = {
     "alu": lambda: simple_alu(16),
@@ -43,8 +47,10 @@ def test_engines_agree(block, lib_fixture, request, monkeypatch,
     netlist = _mapped(block)
     input_slew = library.typical_slew()
 
-    vector = _vector_static_timing(netlist, library, wire, input_slew, None)
-    assert vector is not None, "library should be batchable"
+    assert sta._library_grids(library) is not None, \
+        "library should be batchable"
+    vector = _vector_timing(netlist, library, wire, input_slew, None,
+                            None)["report"]
     monkeypatch.setattr(sta, "VECTOR_MIN_GATES", 10 ** 9)  # force scalar
     scalar = static_timing(netlist, library, wire)
 
@@ -64,16 +70,70 @@ def test_dispatch_threshold(monkeypatch, organic_lib, organic_wire):
     baseline = static_timing(netlist, organic_lib, organic_wire)
 
     calls = []
-    real = sta._vector_static_timing
+    real = sta._vector_timing
 
     def spy(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(sta, "_vector_static_timing", spy)
+    monkeypatch.setattr(sta, "_vector_timing", spy)
     monkeypatch.setattr(sta, "VECTOR_MIN_GATES", 1)
     vector_routed = static_timing(netlist, organic_lib, organic_wire)
     assert calls, "vector engine should have been used"
     assert vector_routed.max_delay == pytest.approx(baseline.max_delay,
                                                     rel=1e-12)
     assert vector_routed.critical_path == baseline.critical_path
+
+
+@pytest.mark.parametrize("defect", ["mismatched-grid", "missing-arcs"])
+def test_unbatchable_library_times_on_scalar_engine(defect, organic_lib,
+                                                    organic_wire,
+                                                    monkeypatch):
+    """Above the threshold, a library the array engine cannot batch is
+    timed by the scalar engine: one arc table on its own (slew, load)
+    grid, or a pin with no arcs on a cell the netlist does not read."""
+    if defect == "mismatched-grid":
+        cell = organic_lib.cell("nand2")
+        arc = cell.arcs[0]
+        stretched = NldmTable(arc.delay.slews * 1.5, arc.delay.loads,
+                              arc.delay.values)
+        arcs = (replace(arc, delay=stretched),) + cell.arcs[1:]
+    else:
+        cell = organic_lib.cell("nand3")
+        arcs = tuple(a for a in cell.arcs if a.input_pin != cell.inputs[-1])
+    library = replace(organic_lib, cells={**organic_lib.cells,
+                                          cell.name: replace(cell, arcs=arcs)})
+    assert sta._library_grids(library) is None
+    netlist = _mapped("alu")
+
+    monkeypatch.setattr(sta, "VECTOR_MIN_GATES", 1)
+    with telemetry.collecting():
+        got = static_timing(netlist, library, organic_wire)
+    counters = telemetry.counters()
+    assert counters["sta.scalar_runs"] == 1
+    assert "sta.vector_runs" not in counters
+
+    monkeypatch.setattr(sta, "VECTOR_MIN_GATES", 10 ** 9)
+    monkeypatch.setattr(sta, "INCREMENTAL", False)
+    want = static_timing(netlist, library, organic_wire)
+    assert got.max_delay == want.max_delay
+    assert got.critical_path == want.critical_path
+    for attr in ("arrival", "slew", "load", "gate_delay"):
+        assert getattr(got, attr) == getattr(want, attr), attr
+
+
+def test_output_change_re_encodes(organic_lib, organic_wire, monkeypatch):
+    """Replacing the primary outputs of a timed netlist re-times it with
+    the new output loads, not the cached encoding's."""
+    monkeypatch.setattr(sta, "VECTOR_MIN_GATES", 1)
+    netlist = technology_map(carry_select_adder(16))
+    static_timing(netlist, organic_lib, organic_wire)
+    netlist.set_outputs(netlist.primary_outputs[:3])
+    got = static_timing(netlist, organic_lib, organic_wire)
+
+    fresh = technology_map(carry_select_adder(16))
+    fresh.set_outputs(fresh.primary_outputs[:3])
+    monkeypatch.setattr(sta, "INCREMENTAL", False)
+    want = static_timing(fresh, organic_lib, organic_wire)
+    assert got.max_delay == want.max_delay
+    assert got.load == want.load
