@@ -32,9 +32,10 @@ the recorded pre-optimisation baselines, and writes the results to
    ``--check`` from day one.
 10. ``alu_pipeline_sweep`` — the two Figure 12 min-period pipeline
     sweeps (organic and silicon, twelve stage counts each) on the 16-bit
-    complex ALU, with its STA done beforehand: the lockstep bisection
-    alone, profiled as the ``pipeline`` stage.  Seeded from the time of
-    the identical call on the per-stage-count scalar bisection.
+    complex ALU, with its STA done beforehand and a private, empty
+    result cache: the lockstep bisection alone, profiled as the
+    ``pipeline`` stage.  Seeded from the time of the identical call on
+    the per-stage-count scalar bisection.
 11. ``startup`` — ``python -m repro list`` in a fresh interpreter,
     ``STARTUP_REPEATS`` times: the package's import cost, which every
     CLI process pays.  The row's ``seconds`` is the median, recorded
@@ -406,7 +407,9 @@ def _bench_alu_pipeline_sweep() -> _timed:
 
     In-process synthesis caches are dropped first, so the netlist is
     built afresh; the STA pass each sweep prices its gates with runs
-    before the timed region.
+    before the timed region.  The sweeps run against a private, empty
+    result cache, so every stage count is bisected: the row times the
+    bisection, never a cache hit.
     """
     from repro.analysis.figures import (FIG12_STAGE_COUNTS, load_libraries,
                                         wire_models)
@@ -418,7 +421,8 @@ def _bench_alu_pipeline_sweep() -> _timed:
     netlist = block_netlist("complex", 16)
     for lib, wire in corners:
         per_gate_delays(netlist, lib, wire)
-    with _timed() as row:
+    with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as tmp, \
+            _cache_dir(tmp), _timed() as row:
         for lib, wire in corners:
             pipeline_sweep(netlist, lib, wire, FIG12_STAGE_COUNTS)
     return row

@@ -915,6 +915,12 @@ def characterize_library(defn: CellLibraryDefinition,
                                      workers)
 
 
+#: Libraries this process loaded or characterised, per (cache root,
+#: cache key): every caller shares one object, so the STA sessions and
+#: encodings keyed by library object carry across figures.
+_LIBRARIES: dict[tuple[str, str], Library] = {}
+
+
 def _characterize_library(defn: CellLibraryDefinition,
                           grid: CharacterizationGrid | None,
                           cache_dir: Path | None,
@@ -924,13 +930,20 @@ def _characterize_library(defn: CellLibraryDefinition,
     cache = ResultCache(root=cache_dir)
     key = _definition_fingerprint(defn, grid)
     cache_key = cache.key({"library": defn.name, "fingerprint": key})
+    use_cache = use_cache and cache.enabled
+    memo_key = (str(cache.root), cache_key)
     if use_cache:
+        if memo_key in _LIBRARIES:
+            return _LIBRARIES[memo_key]
         hit = cache.get("library", cache_key)
         if hit is not None:
             try:
-                return Library.from_dict(hit)
+                library = Library.from_dict(hit)
             except (KeyError, TypeError, ValueError, LibraryError):
                 pass  # payload schema drift: recharacterise below
+            else:
+                _LIBRARIES[memo_key] = library
+                return library
 
     cells = {}
     for name in defn.COMBINATIONAL:
@@ -955,4 +968,5 @@ def _characterize_library(defn: CellLibraryDefinition,
     )
     if use_cache:
         cache.put("library", cache_key, library.to_dict())
+        _LIBRARIES[memo_key] = library
     return library

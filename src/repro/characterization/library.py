@@ -9,6 +9,7 @@ cached on disk and shipped with experiment results.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -206,6 +207,22 @@ class Library:
         slew = self.typical_slew()
         clk_q = self.dff.clk_to_q.lookup(slew, 4.0 * inv_cin)
         return clk_q + self.dff.setup_time
+
+    def cache_key(self) -> str:
+        """The library's part of a result-cache key.
+
+        The characterisation fingerprint when the library has one.  A
+        library built without one (a hand-assembled or test library) is
+        keyed by a hash of its tables instead, computed once per object,
+        so two libraries that share only a name never share entries.
+        """
+        key = self.metadata.get("fingerprint",
+                                self.__dict__.get("_content_key"))
+        if key is None:
+            blob = json.dumps(self.to_dict(), sort_keys=True, default=repr)
+            key = hashlib.sha256(blob.encode()).hexdigest()[:16]
+            object.__setattr__(self, "_content_key", key)
+        return str(key)
 
     # -- serialisation -------------------------------------------------------
 

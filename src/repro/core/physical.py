@@ -97,15 +97,6 @@ def reset_structure_caches() -> None:
     _sta.reset_incremental()
 
 
-def _lib_key(library: Library) -> str:
-    return str(library.metadata.get("fingerprint", library.name))
-
-
-def _wire_key(wire: WireModel) -> tuple:
-    return (wire.name, wire.c_per_m, wire.r_per_m, wire.pitch,
-            wire.base_spans, wire.span_per_fanout)
-
-
 def _generic_block(block: str, width: int) -> Netlist:
     """Generic netlist of a named datapath block, memoised per shape.
 
@@ -167,7 +158,7 @@ def _block_area(block: str, width: int, library: Library) -> float:
     order keeps the float total deterministic.  Memoised in-process and
     in the persistent cache (category ``block_area``).
     """
-    key = (_lib_key(library), block, width)
+    key = (library.cache_key(), block, width)
     hit = _AREA_CACHE.get(key)
     if hit is not None:
         return hit
@@ -176,7 +167,7 @@ def _block_area(block: str, width: int, library: Library) -> float:
     cache = default_cache()
     cache_key = cache.key({
         "schema": 1,
-        "library": _lib_key(library),
+        "library": library.cache_key(),
         "block": block,
         "width": width,
     })
@@ -214,7 +205,7 @@ def _block_timing(block: str, width: int, library: Library,
     counts-based :func:`_block_area` value (deterministic summation
     order), so schema-1 entries are never reused.
     """
-    key = (_lib_key(library), block, width, _wire_key(wire))
+    key = (library.cache_key(), block, width, _sta._wire_state_key(wire))
     hit = _BLOCK_CACHE.get(key)
     if hit is not None:
         return hit
@@ -223,10 +214,10 @@ def _block_timing(block: str, width: int, library: Library,
     cache = default_cache()
     cache_key = cache.key({
         "schema": 2,
-        "library": _lib_key(library),
+        "library": library.cache_key(),
         "block": block,
         "width": width,
-        "wire": _wire_key(wire),
+        "wire": _sta._wire_state_key(wire),
     })
     payload = cache.get("block_timing", cache_key)
     if telemetry.ENABLED:
@@ -256,7 +247,7 @@ def region_logic_delays(config: CoreConfig, library: Library,
     exactly the fields it reads; stage allocation (``regions``, depth)
     is not among them.  Every call returns a fresh dict.
     """
-    key = (_lib_key(library), _wire_key(wire), config.data_width,
+    key = (library.cache_key(), _sta._wire_state_key(wire), config.data_width,
            config.front_width, config.back_width, config.iq_size,
            config.phys_regs, config.rob_size)
     hit = _LOGIC_CACHE.get(key)

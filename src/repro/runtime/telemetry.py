@@ -468,8 +468,9 @@ def collecting() -> Iterator[None]:
 #:   :mod:`repro.core.physical`, timed in segments disjoint from the
 #:   synthesis and cache stages it calls;
 #: - ``ipc`` — :func:`repro.core.superscalar.simulate`, any kernel;
-#: - ``pipeline`` — pipeline cutting in ``pipeline_sweep``, excluding the
-#:   STA pass that prices its gates.
+#: - ``pipeline`` — pipeline cutting in ``pipeline_sweep``, its
+#:   ``pipeline`` result-cache lookups included, excluding the STA pass
+#:   that prices its gates.
 #:
 #: Whatever no stage accounts for is the derived ``overhead`` line.
 STAGES = ("stamp", "device_eval", "solve", "rhs", "probe", "step_control",

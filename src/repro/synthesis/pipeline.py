@@ -29,24 +29,29 @@ Two implementations compute the same cut (DESIGN §7j):
   topological order), :func:`count_registers` and the per-stage-count
   bisection :func:`min_period_for_stages`;
 - the **lockstep sweep** — :func:`pipeline_sweep` runs the bisections of
-  every requested stage count together.  Each round gathers the distinct
-  budgets the counts still searching want to probe and levels them all
-  in one pass over the level-sorted netlist encoding of the vector STA
-  engine, one numpy step per logic level.  Every count keeps its own
-  bracket, round cap and tolerance stop, and every float operation is
-  the scalar walker's, so each result equals the oracle's bit for bit.
+  every requested stage count together.  Each pass gathers every budget
+  the counts still searching could probe in their next
+  :data:`LOOKAHEAD` rounds and levels them all over the level-sorted
+  netlist encoding of the vector STA engine, one numpy step per logic
+  level.  Every count keeps its own bracket, round cap and tolerance
+  stop, and every float operation is the scalar walker's, so each result
+  equals the oracle's bit for bit.  Each count's best budget is kept in
+  the persistent result cache, so a repeated sweep only re-levels it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from repro.characterization.library import Library
 from repro.errors import PipelineError
 from repro.runtime import telemetry
+from repro.runtime.cache import default_cache
 from repro.synthesis import sta as _sta
 from repro.synthesis.netlist import Netlist
 from repro.synthesis.sta import static_timing
@@ -57,6 +62,11 @@ MAX_ROUNDS = 60
 
 #: Bisection stop: the budget bracket is within this fraction of its top.
 TOLERANCE = 1e-3
+
+#: Bisection rounds each level pass of the lockstep sweep settles: a
+#: count's next rounds can probe at most ``2**LOOKAHEAD - 1`` midpoints,
+#: so a pass carries at most that many budgets per count.
+LOOKAHEAD = 3
 
 
 @dataclass(frozen=True)
@@ -154,30 +164,34 @@ def _level_stages(struct: dict, delays_lv: np.ndarray,
     """:func:`stages_needed` for many budgets in one pass.
 
     *delays_lv* holds the gate delays in the structure's level order.
-    Returns ``(n_stages, stage)``: per budget the stage count (0 where
-    some gate exceeds the budget, the scalar ``None``), and the
-    ``(gates, budgets)`` stage assignment in level order.
+    Returns ``(n_stages, stage_net)``: per budget the stage count (0
+    where some gate exceeds the budget, the scalar ``None``), and the
+    ``(nets + 1, budgets)`` stage of every net — a gate's stage is
+    ``stage_net[struct["g_out"]]``, a primary input's is 0.
 
     Net state is a (stage, time) pair per net and budget.  A gate takes
-    the lexicographic max of its inputs' pairs; a pin the gate lacks
-    reads the extra last row, which stays at (0, 0.0) — the scalar
-    walker's starting pair.  Ties in stage keep the larger time, then
-    one add per gate and a cut to a new stage past the budget: the same
-    selections and the same single float add as the scalar walker.
+    the lexicographic max of its inputs' pairs, one pin at a time with
+    ``np.maximum``; a pin the gate lacks reads the extra last row, which
+    stays at (0, 0.0) — the scalar walker's starting pair.  Ties in
+    stage keep the larger time, then one add per gate and a cut to a
+    new stage past the budget: the same selections and the same single
+    float add as the scalar walker.
     """
+    if telemetry.ENABLED:
+        telemetry.count("pipeline.level_passes")
     n_nets = len(struct["names"])
     g_in, g_out = struct["g_in"], struct["g_out"]
     stage_net = np.zeros((n_nets + 1, len(budgets)), dtype=np.int32)
     time_net = np.zeros((n_nets + 1, len(budgets)))
-    stage = np.empty((len(g_out), len(budgets)), dtype=np.int32)
     start = 0
     for stop in struct["bounds"].tolist():
         if stop == start:
             continue
-        ins = g_in[start:stop]
-        s_in = stage_net[ins]
-        s = s_in.max(axis=1)
-        t = np.where(s_in == s[:, None], time_net[ins], 0.0).max(axis=1)
+        pins = g_in[start:stop].T
+        s_pins = [stage_net[pin] for pin in pins]
+        s = reduce(np.maximum, s_pins)
+        t = reduce(np.maximum, [np.where(s_pin == s, time_net[pin], 0.0)
+                                for pin, s_pin in zip(pins, s_pins)])
         d = delays_lv[start:stop, None]
         t += d
         cut = t > budgets
@@ -185,16 +199,15 @@ def _level_stages(struct: dict, delays_lv: np.ndarray,
         out = g_out[start:stop]
         stage_net[out] = s
         time_net[out] = np.where(cut, d, t)
-        stage[start:stop] = s
         start = stop
-    n_stages = stage.max(axis=0, initial=0) + 1
+    n_stages = stage_net.max(axis=0, initial=0) + 1
     n_stages[budgets < delays_lv.max(initial=-np.inf)] = 0
-    return n_stages, stage
+    return n_stages, stage_net
 
 
-def _count_registers_lv(struct: dict, stage: np.ndarray,
+def _count_registers_lv(struct: dict, stage_net: np.ndarray,
                         n_stages: np.ndarray) -> np.ndarray:
-    """:func:`count_registers` per column of a level-order *stage* array.
+    """:func:`count_registers` per column of a *stage_net* array.
 
     A net's last stage is the max of its driver's and its sinks' stages
     (``np.maximum.at`` over the pins; a missing pin lands in the extra
@@ -203,9 +216,9 @@ def _count_registers_lv(struct: dict, stage: np.ndarray,
     """
     n_nets = len(struct["names"])
     g_in, g_out, po = struct["g_in"], struct["g_out"], struct["po_ids"]
-    s_driver = np.zeros((n_nets + 1, stage.shape[1]), dtype=np.int64)
-    s_driver[g_out] = stage
+    s_driver = stage_net.astype(np.int64)
     s_last = s_driver.copy()
+    stage = s_driver[g_out]
     for p in range(g_in.shape[1]):
         np.maximum.at(s_last, g_in[:, p], stage)
     s_last[po] = np.maximum(s_last[po], n_stages - 1)
@@ -372,20 +385,34 @@ def min_period_for_stages(netlist: Netlist, library: Library,
                    best_assignment)
 
 
-def _lockstep(netlist: Netlist, library: Library, wire: WireModel,
-              counts: list[int], delays: dict[str, float], skew_fo4: float
-              ) -> list[tuple[PipelineResult, np.ndarray]]:
+def _searching(lo_b: float, hi_b: float, probes: int) -> bool:
+    """Whether a count's bracket takes another bisection round."""
+    return probes < MAX_ROUNDS and hi_b - lo_b > TOLERANCE * hi_b
+
+
+def _next_mids(lo_b: float, hi_b: float, probes: int,
+               depth: int = LOOKAHEAD) -> list[float]:
+    """Every midpoint a bracket could probe in its next *depth* rounds."""
+    if depth == 0 or not _searching(lo_b, hi_b, probes):
+        return []
+    mid = 0.5 * (lo_b + hi_b)
+    return [mid, *_next_mids(lo_b, mid, probes + 1, depth - 1),
+            *_next_mids(mid, hi_b, probes + 1, depth - 1)]
+
+
+def _lockstep(netlist: Netlist, struct: dict, delays_lv: np.ndarray,
+              counts: list[int]) -> dict[int, float]:
     """Every count's :func:`min_period_for_stages` bisection in lockstep.
 
-    Returns per count its result without ``stage_of_gate`` and the stage
-    assignment as an array in topological order.
+    Returns each count's best budget.  Each level pass carries every
+    midpoint each count could probe in its next :data:`LOOKAHEAD`
+    rounds; each bracket then walks those rounds with the scalar rule.
     """
-    struct, delays_lv = _lockstep_inputs(netlist, delays)
     g_in, g_out = struct["g_in"], struct["g_out"]
 
     # The scalar bounds: lo is one gate, hi the longest arrival over all
     # nets; a pin the gate lacks reads the -inf last row.
-    lo = max(delays.values())
+    lo = float(delays_lv.max())
     arrival = np.zeros(len(struct["names"]) + 1)
     arrival[-1] = -np.inf
     start = 0
@@ -396,56 +423,38 @@ def _lockstep(netlist: Netlist, library: Library, wire: WireModel,
     hi = float(arrival[:-1].max())
     hi = max(hi, lo) * (1.0 + 1e-9)
 
-    # Per count: [lo_b, hi_b, best_budget, best_stages, probes made].
-    state = {n: [lo, hi, hi, 0, 0] for n in counts}
-    n_hi = None
+    # Per count: [lo_b, hi_b, probes made]; hi_b is the best budget.
+    state = {n: [lo, hi, 0] for n in counts}
+    first = True
     while True:
-        mids: dict[int, float] = {}
-        for n, (lo_b, hi_b, _, _, probes) in state.items():
-            if probes < MAX_ROUNDS and hi_b - lo_b > TOLERANCE * hi_b:
-                mids[n] = 0.5 * (lo_b + hi_b)
-        # The budget-hi feasibility probe rides along in the first round.
-        budgets = sorted(set(mids.values())
-                         | ({hi} if n_hi is None else set()))
+        budgets = {mid for st in state.values() for mid in _next_mids(*st)}
+        if first:
+            budgets.add(hi)    # the budget-hi feasibility probe
         if not budgets:
             break
-        found, _ = _level_stages(struct, delays_lv, np.array(budgets))
-        found = dict(zip(budgets, found.tolist()))
-        if n_hi is None:
+        ordered = sorted(budgets)
+        n_stages, _ = _level_stages(struct, delays_lv, np.array(ordered))
+        found = dict(zip(ordered, n_stages.tolist()))
+        if first:
+            first = False
             n_hi = found[hi]
             if n_hi == 0:
                 raise PipelineError("critical-path budget infeasible (bug)")
             for n in counts:
                 if n_hi > n:
                     raise _infeasible(netlist, n)
-                state[n][3] = n_hi
-        for n, mid in mids.items():
-            st = state[n]
-            st[4] += 1
-            got = found[mid]
-            if got != 0 and got <= n:
-                st[1] = st[2] = mid
-                st[3] = got
-            else:
-                st[0] = mid
-
-    # One last pass re-levels every count at its best budget for the
-    # assignments and register counts.
-    best = sorted({st[2] for st in state.values()})
-    n_stages, stage = _level_stages(struct, delays_lv, np.array(best))
-    n_regs = _count_registers_lv(struct, stage, n_stages).tolist()
-    column = {budget: k for k, budget in enumerate(best)}
-    gate_area = _gate_area(netlist, library)
-    order = struct["order"]
-    out = []
-    for n in counts:
-        k = column[state[n][2]]
-        stage_u = np.empty(len(order), dtype=stage.dtype)
-        stage_u[order] = stage[:, k]
-        out.append((_result(netlist, library, wire, gate_area, skew_fo4,
-                            best[k], int(n_stages[k]), n_regs[k], {}),
-                    stage_u))
-    return out
+        for n, st in state.items():
+            for _ in range(LOOKAHEAD):
+                if not _searching(*st):
+                    break
+                mid = 0.5 * (st[0] + st[1])
+                got = found[mid]
+                st[2] += 1
+                if got != 0 and got <= n:
+                    st[1] = mid
+                else:
+                    st[0] = mid
+    return {n: st[1] for n, st in state.items()}
 
 
 def pipeline_sweep(netlist: Netlist, library: Library, wire: WireModel,
@@ -458,20 +467,57 @@ def pipeline_sweep(netlist: Netlist, library: Library, wire: WireModel,
     Per-gate delays are computed once and shared; stage counts beyond the
     gate-granularity bound return the deepest feasible pipelining (the
     flat tail of the organic curve in Figure 12b).
+
+    Each distinct count's best budget, the bisection's only outcome, is
+    kept in the persistent result cache (category ``pipeline``).  Cached
+    and freshly bisected budgets are re-levelled together in one final
+    pass, which yields the stage counts, assignments and registers.
     """
     counts = list(stage_counts)
     _check_request(netlist, counts)
     t0 = time.perf_counter()
     delays = per_gate_delays(netlist, library, wire)
     sta_s = time.perf_counter() - t0
-    distinct = list(dict.fromkeys(counts))
-    entries = dict(zip(distinct, _lockstep(netlist, library, wire, distinct,
-                                           delays, skew_fo4)))
-    names = _sta._vector_structure(netlist)["gate_names_u"]
-    # Each result gets its own assignment dict, duplicated counts too.
-    results = [replace(stub, stage_of_gate=dict(zip(names,
-                                                    stage_u.tolist())))
-               for stub, stage_u in (entries[n] for n in counts)]
+    struct, delays_lv = _lockstep_inputs(netlist, delays)
+
+    # A budget depends on the netlist's levels, the gate delays and the
+    # search constants, nothing else: the key holds exactly those.
+    cache = default_cache()
+    material = {"schema": 1, "netlist": netlist.fingerprint(),
+                "delays": hashlib.sha256(delays_lv.tobytes()).hexdigest(),
+                "max_rounds": MAX_ROUNDS, "tolerance": TOLERANCE}
+    keys = {n: cache.key({**material, "stages": n})
+            for n in dict.fromkeys(counts)}
+    budget: dict[int, float] = {}
+    for n, key in keys.items():
+        hit = cache.get("pipeline", key)
+        if isinstance(hit, dict) and isinstance(hit.get("budget"), float):
+            budget[n] = hit["budget"]
+        elif hit is not None and telemetry.ENABLED:
+            telemetry.count("cache.reject.pipeline")
+    missing = [n for n in keys if n not in budget]
+    if missing:
+        budget.update(_lockstep(netlist, struct, delays_lv, missing))
+        for n in missing:
+            cache.put("pipeline", keys[n], {"budget": budget[n]})
+
+    # One last pass re-levels every count at its best budget for the
+    # stage counts, assignments and register counts.
+    best = sorted(set(budget.values()))
+    n_stages, stage_net = _level_stages(struct, delays_lv, np.array(best))
+    n_regs = _count_registers_lv(struct, stage_net, n_stages).tolist()
+    # Per budget, every gate's stage in topological order.
+    assignments = stage_net[struct["g_out_u"]].T.tolist()
+    column = {b: k for k, b in enumerate(best)}
+    gate_area = _gate_area(netlist, library)
+    names = struct["gate_names_u"]
+    results = []
+    for n in counts:
+        k = column[budget[n]]
+        # Each result gets its own assignment dict, duplicated counts too.
+        results.append(_result(netlist, library, wire, gate_area, skew_fo4,
+                               best[k], int(n_stages[k]), n_regs[k],
+                               dict(zip(names, assignments[k]))))
     if telemetry.ENABLED:
         telemetry.time_add("solver.pipeline", time.perf_counter() - t0 - sta_s)
     return results

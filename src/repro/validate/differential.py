@@ -378,9 +378,14 @@ def pipeline_batched_vs_scalar(ctx: CheckContext) -> str:
 
     Cuts a mapped 8-bit multiplier at a seeded, unsorted list of stage
     counts (with a repeat and one count past the gate-granularity cap)
-    and compares every :class:`PipelineResult` field with ``==``,
-    ``stage_of_gate`` included: the contract is bitwise identity.
+    twice against a private, empty result cache: the first sweep
+    bisects, the second is served from the cache.  Both are compared
+    with the oracle field by field with ``==``, ``stage_of_gate``
+    included: the contract is bitwise identity.
     """
+    import tempfile
+
+    from repro.runtime.cache import stats_snapshot
     from repro.synthesis.generators import wallace_multiplier
     from repro.synthesis.mapping import technology_map
     from repro.synthesis.pipeline import min_period_for_stages, pipeline_sweep
@@ -394,16 +399,25 @@ def pipeline_batched_vs_scalar(ctx: CheckContext) -> str:
     counts += [rng.choice(counts), 500]
     rng.shuffle(counts)
 
-    batched = pipeline_sweep(netlist, library, wire, counts)
-    for n, got in zip(counts, batched):
+    with tempfile.TemporaryDirectory(prefix="repro-validate-") as tmp, \
+            swap_env(REPRO_CACHE_DIR=tmp, REPRO_CACHE=None):
+        bisected = pipeline_sweep(netlist, library, wire, counts)
+        hits = stats_snapshot()["hits"]
+        served = pipeline_sweep(netlist, library, wire, counts)
+        hits = stats_snapshot()["hits"] - hits
+    expect(hits == len(set(counts)),
+           f"second sweep should hit once per distinct count, hit {hits}")
+    for n, *pair in zip(counts, bisected, served):
         want = min_period_for_stages(netlist, library, wire, n)
-        for name in got.__dataclass_fields__:
-            expect(getattr(got, name) == getattr(want, name),
-                   f"n={n}: {name} diverges from the scalar oracle "
-                   f"({getattr(got, name)!r:.80} != "
-                   f"{getattr(want, name)!r:.80})")
+        for label, got in zip(("bisected", "cached"), pair):
+            for name in got.__dataclass_fields__:
+                expect(getattr(got, name) == getattr(want, name),
+                       f"{label} n={n}: {name} diverges from the scalar "
+                       f"oracle ({getattr(got, name)!r:.80} != "
+                       f"{getattr(want, name)!r:.80})")
     return (f"{len(counts)} stage counts {counts} bit-identical on "
-            f"{netlist.name} ({len(netlist.gates)} gates)")
+            f"{netlist.name} ({len(netlist.gates)} gates), bisected and "
+            f"cached")
 
 
 @check("cache-warm-vs-cold", "differential")

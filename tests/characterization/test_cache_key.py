@@ -13,9 +13,12 @@ from repro.characterization.harness import (CharacterizationGrid,
                                             _definition_fingerprint,
                                             characterize_library,
                                             default_grid)
-from repro.characterization.library import (CellTiming, NldmTable,
-                                            SequentialTiming, TimingArc)
+from repro.characterization.library import (CellTiming, Library,
+                                            NldmTable, SequentialTiming,
+                                            TimingArc)
+from repro.core.physical import _block_timing, reset_structure_caches
 from repro.devices.pentacene import PENTACENE
+from repro.synthesis.wires import organic_wire_model
 
 
 def _key(defn, grid=None):
@@ -119,3 +122,114 @@ def test_cache_hit_and_invalidation(tmp_path, monkeypatch):
     characterize_library(defn, cache_dir=tmp_path, use_cache=False)
     assert calls["cell"] == 3 * len(defn.COMBINATIONAL)
     assert len(list(tmp_path.iterdir())) == n_files
+
+
+# -- one library object per process ------------------------------------------
+
+def _stubbed(monkeypatch):
+    calls = {"cell": 0}
+
+    def counting_cell(design, grid, area, workers=None):
+        calls["cell"] += 1
+        return _stub_cell(design, grid, area, workers)
+
+    monkeypatch.setattr(harness, "characterize_cell", counting_cell)
+    monkeypatch.setattr(harness, "characterize_dff", _stub_dff)
+    return calls
+
+
+def test_library_memo_shares_one_object_per_cache_root(tmp_path,
+                                                       monkeypatch):
+    calls = _stubbed(monkeypatch)
+    defn = organic_library_definition()
+    first = characterize_library(defn, cache_dir=tmp_path / "a")
+    assert characterize_library(organic_library_definition(),
+                                cache_dir=tmp_path / "a") is first
+    n_cells = calls["cell"]
+
+    # Bypassing the cache builds a fresh object.
+    fresh = characterize_library(defn, cache_dir=tmp_path / "a",
+                                 use_cache=False)
+    assert fresh is not first
+    assert calls["cell"] == 2 * n_cells
+
+    # Another root loads its own object (here from its own disk entry).
+    (tmp_path / "b").mkdir()
+    for path in (tmp_path / "a").rglob("*.json"):
+        target = tmp_path / "b" / path.relative_to(tmp_path / "a")
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(path.read_text())
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "b"))
+    other = characterize_library(defn)
+    assert other is not first
+    assert other.to_dict() == first.to_dict()
+    assert characterize_library(defn) is other
+    assert calls["cell"] == 2 * n_cells
+
+
+def test_library_memo_off_when_cache_disabled(tmp_path, monkeypatch):
+    calls = _stubbed(monkeypatch)
+    monkeypatch.setenv("REPRO_CACHE", "0")
+    defn = organic_library_definition()
+    first = characterize_library(defn, cache_dir=tmp_path)
+    assert characterize_library(defn, cache_dir=tmp_path) is not first
+    assert calls["cell"] == 2 * len(defn.COMBINATIONAL)
+
+
+# -- the library's result-cache key ------------------------------------------
+
+def _unfingerprinted(scale: float = 1.0):
+    defn = organic_library_definition()
+    grid = default_grid(defn)
+    data = Library(name="mini", process="organic", vdd=defn.vdd,
+                   cells={name: _stub_cell(defn.cell(name), grid, area=1.0)
+                          for name in defn.COMBINATIONAL},
+                   dff=_stub_dff(defn.dff, grid, area=1.0, t_unit=1.0)
+                   ).to_dict()
+    for cell in data["cells"].values():
+        for arc in cell["arcs"]:
+            arc["delay"]["values"] = (np.asarray(arc["delay"]["values"])
+                                      * scale).tolist()
+    return Library.from_dict(data)
+
+
+def test_cache_key_is_the_fingerprint_when_there_is_one():
+    lib = _unfingerprinted()
+    tagged = Library.from_dict({**lib.to_dict(),
+                                "metadata": {"fingerprint": "abc123"}})
+    assert tagged.cache_key() == "abc123"
+
+
+def test_cache_key_without_fingerprint_follows_the_tables():
+    """Same name, different tables: never the same key."""
+    a, same, slower = _unfingerprinted(), _unfingerprinted(), \
+        _unfingerprinted(scale=1.5)
+    assert a.name == slower.name == "mini"
+    assert a.cache_key() == same.cache_key() != slower.cache_key()
+    assert a.cache_key() == a.cache_key()    # stable once computed
+
+
+def test_block_timing_keeps_same_name_libraries_apart(tmp_path, monkeypatch):
+    """Two fingerprint-less libraries named alike share no cache entry,
+    neither in-process nor on disk (a later process on the same root)."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.delenv("REPRO_CACHE", raising=False)
+    fast, slow = _unfingerprinted(), _unfingerprinted(scale=1.5)
+    wire = organic_wire_model()
+
+    def uncached(lib):
+        with monkeypatch.context() as patch:
+            patch.setenv("REPRO_CACHE", "0")
+            reset_structure_caches()
+            return _block_timing("adder", 8, lib, wire)
+
+    want_fast, want_slow = uncached(fast), uncached(slow)
+    assert want_slow[0] > want_fast[0]
+
+    reset_structure_caches()
+    assert _block_timing("adder", 8, fast, wire) == want_fast
+    assert _block_timing("adder", 8, slow, wire) == want_slow
+    reset_structure_caches()    # only the disk entries remain
+    assert _block_timing("adder", 8, slow, wire) == want_slow
+    reset_structure_caches()
+    assert _block_timing("adder", 8, fast, wire) == want_fast

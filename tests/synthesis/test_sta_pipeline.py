@@ -1,5 +1,6 @@
 """STA and pipelining tests on real mapped netlists with both libraries."""
 
+import json
 import re
 
 import numpy as np
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 import repro.synthesis.pipeline as pipeline
 from repro.errors import PipelineError, SynthesisError
+from repro.runtime import telemetry
+from repro.runtime.cache import default_cache
 from repro.synthesis.generators import carry_select_adder, wallace_multiplier
 from repro.synthesis.mapping import technology_map
 from repro.synthesis.netlist import Netlist
@@ -22,6 +25,15 @@ from repro.synthesis.pipeline import (
 )
 from repro.synthesis.sta import net_loads, static_timing
 from repro.synthesis.wires import WireModel, block_span, organic_wire_model, silicon_wire_model
+
+
+@pytest.fixture(autouse=True)
+def _empty_result_cache(tmp_path, monkeypatch):
+    """Every test starts on its own empty result cache, so each sweep
+    checked against the oracle bisects instead of re-levelling stored
+    budgets."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.delenv("REPRO_CACHE", raising=False)
 
 
 @pytest.fixture(scope="module")
@@ -219,9 +231,10 @@ def test_batched_leveler_matches_scalar(data):
                             allow_nan=False)),
         min_size=1, max_size=6))
     struct, delays_lv = pipeline._lockstep_inputs(nl, delays)
-    n_stages, stage = pipeline._level_stages(struct, delays_lv,
-                                             np.array(budgets))
-    regs = pipeline._count_registers_lv(struct, stage, n_stages).tolist()
+    n_stages, stage_net = pipeline._level_stages(struct, delays_lv,
+                                                 np.array(budgets))
+    stage = stage_net[struct["g_out"]]
+    regs = pipeline._count_registers_lv(struct, stage_net, n_stages).tolist()
     for k, budget in enumerate(budgets):
         want = stages_needed(nl, delays, budget)
         if want is None:
@@ -239,6 +252,7 @@ def test_batched_leveler_matches_scalar(data):
        counts=st.lists(st.integers(min_value=1, max_value=12), min_size=1,
                        max_size=6))
 def test_random_sweep_matches_oracle(nl, counts, organic_lib, organic_wire):
+    default_cache().clear()    # examples share one test's cache root
     try:
         oracle = [min_period_for_stages(nl, organic_lib, organic_wire, n)
                   for n in counts]
@@ -264,6 +278,142 @@ def test_sweep_matches_oracle(counts, multiplier, organic_lib, organic_wire,
             assert list(a.stage_of_gate) == list(b.stage_of_gate)
         # Callers own what they get back, duplicated counts included.
         assert len({id(r.stage_of_gate) for r in got}) == len(got)
+
+
+# ---------------------------------------------------------------------------
+# Per-count budgets in the persistent result cache
+# ---------------------------------------------------------------------------
+
+@pytest.fixture()
+def private_cache(tmp_path):
+    """The test's empty result cache, with telemetry counting."""
+    telemetry.enable(True)
+    return tmp_path / "cache" / "pipeline"
+
+
+def _counted_sweep(*args, **kwargs):
+    """A sweep and its (pipeline cache hits, misses, level passes)."""
+    telemetry.reset()
+    results = pipeline_sweep(*args, **kwargs)
+    counters = telemetry.counters()
+    return results, tuple(counters.get(name, 0) for name in (
+        "cache.hit.pipeline", "cache.miss.pipeline",
+        "pipeline.level_passes"))
+
+
+def _uncached_sweep(monkeypatch, *args, **kwargs):
+    with monkeypatch.context() as patch:
+        patch.setenv("REPRO_CACHE", "0")
+        return pipeline_sweep(*args, **kwargs)
+
+
+_COUNTS = [1, 2, 4, 6]
+
+
+def _extended(netlist):
+    ext = netlist.extend(f"{netlist.name}_ext")
+    ext.add_output(ext.add_gate("inv", (netlist.primary_outputs[0],)))
+    return ext
+
+
+@pytest.mark.parametrize("variant", ["wire_scale_0", "library",
+                                     "extended"])
+def test_sweep_cache_misses_on_any_input_change(
+        variant, multiplier, organic_lib, organic_wire, silicon_lib,
+        private_cache, monkeypatch):
+    base = dict(netlist=multiplier, library=organic_lib, wire=organic_wire,
+                skew_fo4=0.5)
+    pipeline_sweep(stage_counts=_COUNTS, **base)
+    changed = dict(base, **{
+        "wire_scale_0": {"wire": organic_wire.scaled(0.0)},
+        "library": {"library": silicon_lib},
+        "extended": {"netlist": _extended(multiplier)},
+    }[variant])
+    got, (hits, misses, _) = _counted_sweep(stage_counts=_COUNTS, **changed)
+    assert (hits, misses) == (0, len(_COUNTS))
+    assert got == _uncached_sweep(monkeypatch, stage_counts=_COUNTS,
+                                  **changed)
+    # The changed sweep is now cached too; the base entries still serve.
+    for kwargs in (changed, base):
+        again, (hits, misses, passes) = _counted_sweep(stage_counts=_COUNTS,
+                                                       **kwargs)
+        assert (hits, misses, passes) == (len(_COUNTS), 0, 1)
+    assert again == _uncached_sweep(monkeypatch, stage_counts=_COUNTS,
+                                    **base)
+
+
+def test_sweep_cache_serves_another_skew(multiplier, organic_lib,
+                                         organic_wire, private_cache,
+                                         monkeypatch):
+    """Skew sets the overhead, not the budget: a re-sweep at another
+    skew re-levels the stored budgets and equals an uncached sweep."""
+    pipeline_sweep(multiplier, organic_lib, organic_wire, _COUNTS)
+    got, counted = _counted_sweep(multiplier, organic_lib, organic_wire,
+                                  _COUNTS, skew_fo4=1.0)
+    assert counted == (len(_COUNTS), 0, 1)
+    assert got == _uncached_sweep(monkeypatch, multiplier, organic_lib,
+                                  organic_wire, _COUNTS, skew_fo4=1.0)
+
+
+def test_subset_sweep_partially_hits(multiplier, organic_lib, organic_wire,
+                                     private_cache, monkeypatch):
+    """A fig15-style re-sweep reuses fig12's budgets, bit for bit."""
+    first = pipeline_sweep(multiplier, organic_lib, organic_wire,
+                           [1, 2, 4, 6, 8])
+    subset = [8, 1, 3, 4]
+    got, (hits, misses, _) = _counted_sweep(multiplier, organic_lib,
+                                            organic_wire, subset)
+    assert (hits, misses) == (3, 1)
+    by_count = dict(zip([1, 2, 4, 6, 8], first))
+    for n, result in zip(subset, got):
+        if n in by_count:
+            assert result == by_count[n]
+    assert got == _uncached_sweep(monkeypatch, multiplier, organic_lib,
+                                  organic_wire, subset)
+
+
+@pytest.mark.parametrize("corruption", ["{not json", '{"budget": "x"}',
+                                        "[]"])
+def test_corrupt_entry_is_recomputed(corruption, multiplier, organic_lib,
+                                     organic_wire, private_cache,
+                                     monkeypatch):
+    want = pipeline_sweep(multiplier, organic_lib, organic_wire, _COUNTS)
+    entries = sorted(private_cache.glob("*.json"))
+    assert len(entries) == len(_COUNTS)
+    entries[0].write_text(corruption)
+    got, (hits, misses, _) = _counted_sweep(multiplier, organic_lib,
+                                            organic_wire, _COUNTS)
+    assert got == want
+    # Undecodable: a miss.  Decodable but malformed: a rejected hit.
+    undecodable = corruption == "{not json"
+    assert hits + misses == len(_COUNTS) and misses == undecodable
+    assert telemetry.counters().get("cache.reject.pipeline", 0) == (
+        not undecodable)
+    # Either way the entry holds a good budget again.
+    assert isinstance(json.loads(entries[0].read_text())["budget"], float)
+    _, (hits, misses, _) = _counted_sweep(multiplier, organic_lib,
+                                          organic_wire, _COUNTS)
+    assert (hits, misses) == (len(_COUNTS), 0)
+
+
+def test_lookahead_settles_three_rounds_per_pass(multiplier, organic_lib,
+                                                 organic_wire, private_cache,
+                                                 monkeypatch):
+    """One level pass per LOOKAHEAD bisection rounds, plus the final one."""
+    probes = []
+    scalar = pipeline.stages_needed
+    monkeypatch.setattr(pipeline, "stages_needed",
+                        lambda *args: probes.append(1) or scalar(*args))
+    rounds = 0
+    for n in (1, 4):
+        probes.clear()
+        min_period_for_stages(multiplier, organic_lib, organic_wire, n)
+        rounds = max(rounds, len(probes) - 1)    # less the budget-hi probe
+    assert rounds > pipeline.LOOKAHEAD
+    _, (_, misses, passes) = _counted_sweep(multiplier, organic_lib,
+                                            organic_wire, [1, 4])
+    assert misses == 2
+    assert passes == -(-rounds // pipeline.LOOKAHEAD) + 1
 
 
 class TestWireModel:
