@@ -46,7 +46,6 @@ from repro.errors import (
 )
 from repro.runtime import chunked as _chunked, parallel_map, telemetry
 from repro.runtime.cache import ResultCache, default_cache_root
-from repro.spice.dc import operating_point
 from repro.spice.elements import Capacitor, RampValue, VoltageSource
 from repro.spice.ensemble import (EnsembleTransient, Probe,
                                   ensemble_operating_point)
@@ -347,19 +346,6 @@ def _arc_from_ensemble(ens: EnsembleTransient, m: int, vdd: float,
     if len(firsts) == 0:
         return None
     return float(delay), float(abs(t_second - float(firsts[-1])))
-
-
-def _static_power(design: CellDesign, input_levels: dict[str, float]) -> float:
-    from repro.cells.topologies import build_dc_testbench
-
-    ckt = build_dc_testbench(design, input_levels)
-    x, sys = operating_point(ckt)
-    power = 0.0
-    for rail, volts in design.rails.items():
-        if volts == 0.0:
-            continue
-        power -= volts * sys.source_current(x, f"v_{rail}")
-    return power
 
 
 def average_leakage(design: CellDesign) -> float:

@@ -12,25 +12,17 @@ The kernel is strictly optional and silently gated:
 
 - no compiler, a failed compile, or ``REPRO_NATIVE=0`` -> the reference
   loop runs instead (same results, just slower);
-- the shared object is cached under ``REPRO_NATIVE_DIR`` (default
-  ``~/.cache/repro/native``) keyed by a hash of the C source, so the
-  compile cost is paid once per machine, not per run;
+- :mod:`repro.runtime.native_build` compiles it (``cc -O2 -shared
+  -fPIC``, one subprocess call, nothing installed) once per source and
+  flags, cached under ``REPRO_NATIVE_DIR`` (default
+  ``~/.cache/repro/native``);
 - the compiled kernel is checked cycle-exact against the reference loop
   (``tests/core/test_kernel_equivalence.py``).
-
-Nothing is installed and no third-party build system is involved: the
-source below is written to the cache directory and compiled with
-``cc -O2 -shared -fPIC`` in one subprocess call.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import shutil
-import subprocess
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -41,16 +33,10 @@ from repro.core.isa import (
     EXEC_LATENCY_BY_CODE,
     PIPE_OCCUPANCY_BY_CODE,
 )
-from repro.runtime import telemetry
+from repro.runtime import native_build, telemetry
 from repro.runtime.log import get_logger
 
 logger = get_logger(__name__)
-
-#: Set to ``0`` to run the reference loop in place of the compiled kernel.
-NATIVE_ENV = "REPRO_NATIVE"
-
-#: Override the directory where compiled kernels are cached.
-NATIVE_DIR_ENV = "REPRO_NATIVE_DIR"
 
 _C_SOURCE = """
 #include <stdint.h>
@@ -157,70 +143,6 @@ long long repro_ipc_cycles(
 }
 """
 
-# Load state: "unset" until the first request, then the bound ctypes
-# function or None (unavailable).  Never retried within a process.
-_STATE: list = ["unset"]
-
-
-def native_dir() -> Path:
-    """Directory holding compiled kernel objects."""
-    override = os.environ.get(NATIVE_DIR_ENV)
-    if override:
-        return Path(override)
-    try:
-        return Path.home() / ".cache" / "repro" / "native"
-    except RuntimeError:                           # no resolvable home
-        return Path(tempfile.gettempdir()) / "repro-native"
-
-
-def _find_compiler() -> str | None:
-    for name in ("cc", "gcc", "clang"):
-        path = shutil.which(name)
-        if path:
-            return path
-    return None
-
-
-def _compile() -> Path | None:
-    """Compile (or reuse) the kernel shared object; None on any failure."""
-    tag = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
-    directory = native_dir()
-    so_path = directory / f"ipc_kernel_{tag}.so"
-    if so_path.exists():
-        return so_path
-
-    compiler = _find_compiler()
-    if compiler is None:
-        logger.warning(
-            "no C compiler found; IPC simulation runs the reference "
-            "loop (correct, but much slower)")
-        return None
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-        src_path = directory / f"ipc_kernel_{tag}.c"
-        src_path.write_text(_C_SOURCE)
-        with tempfile.NamedTemporaryFile(
-                dir=directory, suffix=".so", delete=False) as tmp:
-            tmp_path = Path(tmp.name)
-        result = subprocess.run(
-            [compiler, "-O2", "-shared", "-fPIC", "-o", str(tmp_path),
-             str(src_path)],
-            capture_output=True, text=True, timeout=120)
-        if result.returncode != 0:
-            logger.warning(
-                "IPC kernel compile failed (%s); falling back to the "
-                "reference loop:\n%s", compiler, result.stderr.strip())
-            tmp_path.unlink(missing_ok=True)
-            return None
-        os.replace(tmp_path, so_path)              # atomic publish
-        return so_path
-    except OSError as exc:
-        logger.warning(
-            "IPC kernel build unavailable (%s); falling back to the "
-            "reference loop", exc)
-        return None
-
-
 def _bind(so_path: Path):
     lib = ctypes.CDLL(str(so_path))
     fn = lib.repro_ipc_cycles
@@ -235,35 +157,20 @@ def _bind(so_path: Path):
     return fn
 
 
-def load_kernel():
-    """The bound C kernel, or None when disabled/unavailable (cached)."""
-    if _STATE[0] != "unset":
-        return _STATE[0]
-    if os.environ.get(NATIVE_ENV, "1") == "0":
-        _STATE[0] = None
-        return None
-    so_path = _compile()
-    if so_path is None:
-        _STATE[0] = None
-        return None
-    try:
-        _STATE[0] = _bind(so_path)
-    except OSError as exc:                         # stale/foreign object
-        logger.warning(
-            "IPC kernel load failed (%s); falling back to the reference "
-            "loop", exc)
-        _STATE[0] = None
-    return _STATE[0]
+_KERNEL = native_build.Kernel(
+    "ipc_kernel", _C_SOURCE, [["-O2", "-shared", "-fPIC"]], _bind,
+    what="IPC kernel", fallback="falling back to the reference loop",
+    logger=logger)
+
+#: The bound C kernel, or None when disabled/unavailable (cached).
+load_kernel = _KERNEL.load
+#: Forget the cached load state (tests toggle REPRO_NATIVE around this).
+reset = _KERNEL.reset
 
 
 def native_available() -> bool:
     """True when the compiled kernel is (or can be made) loadable."""
     return load_kernel() is not None
-
-
-def reset(state: str = "unset") -> None:
-    """Forget the cached load state (tests toggle REPRO_NATIVE around this)."""
-    _STATE[0] = state
 
 
 _P_I8 = ctypes.POINTER(ctypes.c_int8)

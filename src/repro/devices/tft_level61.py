@@ -51,14 +51,6 @@ def _softplus(z: float) -> tuple[float, float]:
     return math.log1p(ez), ez / (1.0 + ez)
 
 
-def _softplus_array(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`_softplus`, branch-for-branch identical."""
-    ez = np.exp(np.minimum(z, 40.0))
-    sp = np.where(z > 40.0, z, np.where(z < -40.0, ez, np.log1p(ez)))
-    sig = np.where(z > 40.0, 1.0, np.where(z < -40.0, ez, ez / (1.0 + ez)))
-    return sp, sig
-
-
 @dataclass(frozen=True)
 class UnifiedTft:
     """Unified TFT model; also serves as the silicon alpha-power-law model.

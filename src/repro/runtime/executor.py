@@ -9,8 +9,8 @@ the one primitive they share:
   parallel runs are bit-identical to serial runs;
 - the worker count comes from the ``workers`` argument, falling back to the
   ``REPRO_WORKERS`` environment variable, falling back to serial (``1``) —
-  parallelism is strictly opt-in, so library users on shared machines are
-  never surprised by a process fan-out;
+  process fan-out is strictly opt-in; kernel lane threads are not
+  (:func:`thread_budget`: every usable CPU, one inside a pool worker);
 - ``workers=0`` asks for one worker per CPU;
 - worker exceptions do not abort the whole map: each task's error is
   captured in its :class:`TaskResult` and re-raised (or reported) by the
@@ -57,8 +57,11 @@ _logger = get_logger(__name__)
 #: hundreds of parallel_map calls reports the degradation exactly once.
 _fallback_warned = False
 
+#: True inside a :func:`parallel_map` pool worker (set by its initializer).
+_IN_WORKER = False
+
 __all__ = ["TaskError", "TaskResult", "get_shared", "parallel_map",
-           "resolve_workers"]
+           "resolve_workers", "thread_budget"]
 
 #: Read-only payload of the enclosing :func:`parallel_map` call.
 #: Thread-local in the parent: a library caller may run maps on several
@@ -71,6 +74,12 @@ _SHARED_TLS = threading.local()
 
 def _init_shared(obj: Any) -> None:
     _SHARED_TLS.value = obj
+
+
+def _init_worker(shared: Any) -> None:
+    global _IN_WORKER
+    _IN_WORKER = True
+    _init_shared(shared)
 
 
 def get_shared() -> Any:
@@ -121,6 +130,17 @@ def resolve_workers(workers: int | None = None) -> int:
     if workers == 0:
         workers = os.cpu_count() or 1
     return max(1, workers)
+
+
+def thread_budget() -> int:
+    """Threads one kernel call may use: 1 inside a pool worker (the
+    fan-out owns the CPUs), else the CPUs this process may run on."""
+    if _IN_WORKER:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):         # no affinity API (macOS)
+        return os.cpu_count() or 1
 
 
 def _run_one(fn: Callable[..., Any], task: Any,
@@ -203,8 +223,7 @@ def parallel_map(fn: Callable[[Any], Any], tasks: Sequence[Any],
         try:
             with ProcessPoolExecutor(
                     max_workers=min(n_workers, len(tasks)),
-                    initializer=_init_shared if shared is not None else None,
-                    initargs=(shared,) if shared is not None else ()) as pool:
+                    initializer=_init_worker, initargs=(shared,)) as pool:
                 # pool.map yields results in task order as they complete;
                 # consuming lazily lets the parent heartbeat per task.
                 ph = progress.begin(phase_name, len(tasks)) \

@@ -89,11 +89,14 @@ def env_fingerprint() -> dict:
 
 
 def _solver_backend() -> dict:
-    """Resolved spice solver backend vs what was requested."""
+    """Resolved spice solver backend vs what was requested, and the
+    threads one of its ensemble sweeps may use."""
     from repro.spice.backends import get_backend
+    backend = get_backend()
     return {
         "requested": os.environ.get("REPRO_BACKEND", "auto"),
-        "resolved": get_backend().name,
+        "resolved": backend.name,
+        "threads": backend.thread_budget(),
     }
 
 

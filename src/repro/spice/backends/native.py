@@ -1,86 +1,60 @@
 """Compiled C backend: ensemble Newton — and whole transient timesteps.
 
-The profile of a characterisation run is dominated not by LAPACK flops
-but by the Python orchestration *around* them: per-iteration stacked
-assembly, fancy-indexed device scatters, ``np.linalg.solve`` dispatch,
-and the active-set mask arithmetic — each a handful of microseconds,
-tens of thousands of times.  This backend moves the complete
-stamp-residual-solve-update loop over a masked lane set into one C call
-per timestep, following the proven :mod:`repro.core.ipc_native` recipe:
-compile with whatever system compiler exists (``cc``/``gcc``/``clang``),
-cache the shared object by source hash, bind through :mod:`ctypes`, and
-degrade silently to the pure-NumPy reference when any of that fails.
-
-Two entry points share one set of per-lane C helpers:
+A characterisation run is dominated not by LAPACK flops but by the
+Python orchestration around them (stacked assembly, device scatters,
+solve dispatch, active-set masks — microseconds each, tens of thousands
+of times).  This backend moves that loop into C, built by
+:mod:`repro.runtime.native_build` (system compiler, shared object cached
+by source, flags and host CPU, bound through :mod:`ctypes`) and
+degrading silently to the pure-NumPy reference when any of that fails.
+Two entry points share one set of per-lane C helpers (DESIGN §7f, §7g):
 
 - ``repro_ensemble_newton`` — one damped Newton solve over a masked
-  lane set (the PR-6 kernel, still used for DC operating points and as
-  the per-iteration fallback of the transient engine);
+  lane set (DC operating points, and every step of the per-iteration
+  path);
 - ``repro_ensemble_timestep`` — the **entire transient timestep loop**
-  per lane: predictor extrapolation, BE companion RHS assembly (constant
-  sources + vectorised ramps + storage history), Newton with stamp
-  bypass, the per-lane LTE step controller (accept/reject, dt
-  halving/growth), and probe threshold-crossing detection.  Python is
-  re-entered only at chunk boundaries, for scalar retries, and for
-  telemetry flushes.  Because every lane is integrated independently to
-  completion, the per-lane step schedule is *bit-exact* regardless of
-  batch composition — the determinism contract the
-  ``ENSEMBLE_BATCH`` equivalence suite pins down.  A lane the
-  kernel cannot finish (dt underflow, crossing-buffer overflow) is left
-  at its exact pre-step state and flagged; the Python sweep loop then
-  replays it with identical arithmetic (and raises the context-rich
-  ``ConvergenceError`` itself when the failure is real).
+  per lane: predictor, BE companion RHS (constant sources, ramps,
+  storage history), Newton with stamp bypass, the LTE step controller
+  and probe crossings.  Every lane is integrated independently to
+  completion, so its step schedule is *bit-exact* whatever the batch
+  composition (the ``ENSEMBLE_BATCH`` suite) and whichever thread
+  integrates it: one call spreads its lanes over up to
+  :meth:`NativeBackend.thread_budget` threads, created and joined
+  inside the call.  A lane the kernel cannot finish (dt underflow,
+  crossing-buffer overflow) is left at its pre-step state and flagged;
+  the Python sweep loop replays it with identical arithmetic and raises
+  the context-rich ``ConvergenceError`` itself when the failure is real.
 
-The C kernels are transliterations of the reference semantics:
-
-- per-lane damped Newton exactly as
-  :meth:`repro.spice.ensemble.EnsembleSystem.newton_batch` /
-  :func:`repro.spice.dc._newton` (damping scale, freeze-on-converge,
-  per-lane iteration budgets, gmin conditioning, exact-zero-pivot
-  singularity semantics — a singular lane is deactivated, never fatal);
-- the :class:`~repro.devices.tft_level61.StackedTftParams` device
-  equations, same branch structure as the NumPy kernel (branch-free
-  softplus, ``log u > 60`` deep-triode asymptote, tanh/cosh leakage);
-- the transient fast path composes ``G_static[m] + C_unit[m]/dt`` and
-  the storage history term per lane *inside* the kernel, so Python
-  never materialises gathered ``(A, S, S)`` arrays at all;
-- the stamp-bypass protocol (see :mod:`repro.spice.transient`): frozen
-  lanes reuse the cached nonlinear stamps, fresh converged lanes write
-  the per-member cache back — the same decision rule, same cache
-  layout, as the scalar and NumPy-ensemble engines; a frozen lane
-  factors its iteration-invariant Jacobian once per solve (DESIGN §7g);
-- the timestep controller of
-  :meth:`repro.spice.ensemble.EnsembleTransient.run` (itself the
-  batched twin of the scalar :func:`repro.spice.transient.transient`
-  controller), operation for operation.  The kernel is compiled with
-  ``-ffp-contract=off`` so the controller arithmetic stays IEEE-faithful
-  to the NumPy orchestration — the whole-timestep and per-iteration
-  native paths produce identical step schedules.
-
-Scalar and small-batch solves inherit the NumPy reference paths; only
-the ensemble hooks are native.  Results agree with the reference to
-solver/rounding tolerance (libm vs NumPy transcendentals differ in the
-last ulp), which the backend-equivalence suite pins down.  Patching
+The C is a transliteration of the reference semantics: the damped
+Newton of :meth:`repro.spice.ensemble.EnsembleSystem.newton_batch`
+(freeze-on-converge, per-lane budgets, gmin, a singular lane
+deactivated, never fatal); the
+:class:`~repro.devices.tft_level61.StackedTftParams` device equations
+branch for branch; ``G_static[m] + C_unit[m]/dt`` composed per lane
+inside the kernel; the stamp-bypass protocol of
+:mod:`repro.spice.transient` (a frozen lane factors its Jacobian once
+per solve); and the controller of
+:meth:`repro.spice.ensemble.EnsembleTransient.run` operation for
+operation, compiled with ``-ffp-contract=off`` so the whole-timestep and
+per-iteration native paths give identical step schedules.  Results
+agree with the NumPy reference to rounding (libm vs NumPy
+transcendentals differ in the last ulp).  Patching
 :attr:`NativeBackend.whole_timestep` to ``False`` disables only the
-whole-timestep entry (every step still uses the per-iteration kernel) —
-the configuration the backend-agreement validation check compares
-against.
+whole-timestep entry — the configuration the backend-agreement
+validation check compares against.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import shutil
-import subprocess
-import tempfile
 from pathlib import Path
+from typing import Any, NamedTuple
 
 import numpy as np
 
 from repro.devices.tft_level61 import StackedTftParams
-from repro.runtime import telemetry
+from repro.runtime import native_build, telemetry
+from repro.runtime.executor import thread_budget
 from repro.runtime.log import get_logger
 from repro.spice.backends.numpy_ref import EnsembleNewtonRequest, NumpyBackend
 from repro.spice.elements import FET_GMIN
@@ -95,6 +69,8 @@ CROSS_CAP = 32
 
 _C_SOURCE = r"""
 #include <math.h>
+#include <pthread.h>
+#include <stdatomic.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -237,6 +213,31 @@ typedef struct {
     long *perm;
     int64_t n_factor;
 } lane_ctx;
+
+/* The entry points' own per-lane scratch. */
+typedef struct { double *gbase, *beff, *xpred, *xn; } lane_bufs;
+
+/* One block for c's scratch pointers and b; NULL when malloc fails. */
+static double *lane_alloc(lane_ctx *c, lane_bufs *b)
+{
+    long S = c->S, ext = S + 1;
+    double *block = malloc((size_t)(2 * S * S + ext * ext + 2 * ext + 6 * S)
+                           * sizeof(double) + (size_t)S * sizeof(long));
+    double *p = block;
+    if (!block) return 0;
+    c->jmat = p;   p += S * S;
+    b->gbase = p;  p += S * S;
+    c->jnl = p;    p += ext * ext;
+    c->fnl = p;    p += ext;
+    c->xext = p;   p += ext;
+    c->fvec = p;   p += S;
+    c->rhs = p;    p += S;
+    b->beff = p;   p += S;
+    b->xpred = p;  p += S;
+    b->xn = p;     p += S;
+    c->perm = (long *)p;
+    return block;
+}
 
 /* Cached stamps still usable at the accepted state xp?  Mirrors
  * _EnsembleBypass.frozen_lanes for one member. */
@@ -407,26 +408,16 @@ long repro_ensemble_newton(
                                  * iterations, [2] singular lanes,
                                  * [3] LU factorisations, out */
 {
-    long ext = S + 1;
-    double *gbase = malloc((size_t)(S * S) * sizeof(double));
-    double *jmat  = malloc((size_t)(S * S) * sizeof(double));
-    double *jnl   = malloc((size_t)(ext * ext) * sizeof(double));
-    double *fnl   = malloc((size_t)ext * sizeof(double));
-    double *xext  = malloc((size_t)ext * sizeof(double));
-    double *beff  = malloc((size_t)S * sizeof(double));
-    double *fvec  = malloc((size_t)S * sizeof(double));
-    double *rhs   = malloc((size_t)S * sizeof(double));
-    long *perm    = malloc((size_t)S * sizeof(long));
     long iters_max = 0;
     long frozen_steps = 0;
     int64_t total_iters = 0, singular_n = 0;
     lane_ctx c = { S, n_nodes, dev_off, d_loc, g_loc, s_loc, pol, par,
                    fet_gmin, abstol_v, abstol_i, bypass_on,
                    n_slots, slots, eta,
-                   cache_valid, cache_x, cache_jnl, cache_fnl,
-                   jmat, jnl, fnl, xext, fvec, rhs, perm, 0 };
-    if (!gbase || !jmat || !jnl || !fnl || !xext || !beff || !fvec || !rhs
-            || !perm) {
+                   cache_valid, cache_x, cache_jnl, cache_fnl };
+    lane_bufs lb;
+    double *block = lane_alloc(&c, &lb);
+    if (!block) {
         iters_max = -1;
         goto done;
     }
@@ -444,8 +435,8 @@ long repro_ensemble_newton(
             const double *cu = C_unit + (size_t)m * S * S;
             double idt = inv_dt[lane];
             for (long i = 0; i < S * S; i++)
-                gbase[i] = gs[i] + cu[i] * idt;
-            G = gbase;
+                lb.gbase[i] = gs[i] + cu[i] * idt;
+            G = lb.gbase;
         } else {
             G = G_lin + (size_t)lane * S * S;
         }
@@ -458,10 +449,10 @@ long repro_ensemble_newton(
                 double acc = 0.0;
                 for (long j = 0; j < S; j++)
                     acc += cu[i * S + j] * xp[j];
-                beff[i] = bl[i] + acc * idt;
+                lb.beff[i] = bl[i] + acc * idt;
             }
         } else {
-            memcpy(beff, bl, (size_t)S * sizeof(double));
+            memcpy(lb.beff, bl, (size_t)S * sizeof(double));
         }
 
         /* Stamp bypass: reuse cached nonlinear stamps while no device
@@ -470,7 +461,7 @@ long repro_ensemble_newton(
         if (frozen) frozen_steps++;
 
         long ok;
-        long iter = lane_newton(&c, m, G, beff, xl, frozen,
+        long iter = lane_newton(&c, m, G, lb.beff, xl, frozen,
                                 max_iter[lane], max_step_v[lane], gmin, &ok);
         conv[lane] = (uint8_t)ok;
         total_iters += iter;
@@ -481,8 +472,7 @@ long repro_ensemble_newton(
     }
 
 done:
-    free(gbase); free(jmat); free(jnl); free(fnl);
-    free(xext); free(beff); free(fvec); free(rhs); free(perm);
+    free(block);
     if (stats) {
         stats[0] = frozen_steps;
         stats[1] = total_iters;
@@ -492,7 +482,32 @@ done:
     return iters_max;
 }
 
-/* The whole transient timestep loop, per lane to completion — the
+/* Call arguments of repro_ensemble_timestep that every thread reads;
+ * the arrays are written only at member-indexed slots. */
+typedef struct {
+    long B, S, n_ramps, max_iter, damped_iter, n_probes, cross_cap;
+    double max_step_v, damped_step_v;
+    const int64_t *ramp_row, *probe_slot;
+    const double *G_static, *C_unit, *b_const, *ramp_v0, *ramp_dv, *ramp_t0,
+        *ramp_inv_dur, *t_stop, *dt_min, *dt_nom, *dt_cap, *lte_tol, *growth,
+        *probe_level;
+    double *x, *t, *dt, *x_last, *dt_last, *cross_t;
+    uint8_t *has_hist, *cross_rise, *status;
+    int64_t *steps, *cross_n;
+    atomic_long next;           /* next unclaimed lane */
+} ts_call;
+
+/* One thread: its scratch and its counters, merged after the join. */
+typedef struct {
+    ts_call *call;
+    lane_ctx c;
+    lane_bufs b;
+    double *block;
+    int64_t stats[8];
+    pthread_t tid;
+} ts_worker;
+
+/* The whole transient timestep loop of lane m, to completion — the
  * controller of EnsembleTransient.run (itself the batched scalar
  * controller of repro.spice.transient), operation for operation:
  *
@@ -505,15 +520,205 @@ done:
  *     LTE blowup on an oversized step -> reject, dt = max(dt/2, dt_nom)
  *     accept   -> record probe crossings, shift history, grow/hold dt
  *
- * Each lane runs independently, so its step schedule is bit-identical
- * whatever the batch composition.  status[m]: 0 done, 1 bailed (dt
- * underflow or crossing-buffer overflow; state is at the last accepted
- * step).  stats: [0] accepted steps, [1] halvings, [2] LTE rejections,
+ * The scalar lane state lives in locals and is written back once, when
+ * the lane ends: neighbouring lanes share cache lines, and per-step
+ * writes from different threads would contend for them.  st gets the
+ * counters of repro_ensemble_timestep's stats[0..6]. */
+static void ts_lane(const ts_call *a, lane_ctx *c, const lane_bufs *b,
+                    long m, int64_t *st)
+{
+    double *gbase = b->gbase, *beff = b->beff, *xpred = b->xpred, *xn = b->xn;
+    long B = a->B, S = a->S;
+    double *xl  = a->x + (size_t)m * S;
+    double *xls = a->x_last + (size_t)m * S;
+    const double *gs = a->G_static + (size_t)m * S * S;
+    const double *cu = a->C_unit + (size_t)m * S * S;
+    const double *bc = a->b_const + (size_t)m * S;
+    double lane_t = a->t[m], lane_dt = a->dt[m], last = a->dt_last[m];
+    long hist = a->has_hist[m];
+    int64_t n_steps = a->steps[m];
+    double stop = a->t_stop[m], dmin = a->dt_min[m], dnom = a->dt_nom[m];
+    double dcap = a->dt_cap[m], tol = a->lte_tol[m], grow = a->growth[m];
+    a->status[m] = 0;
+
+    while (stop - lane_t > dmin) {
+        double rem = stop - lane_t;
+        double dt_step = fmin(lane_dt, rem);
+        long damped = dt_step <= 8.0 * dmin;
+        double step_cap = damped ? a->damped_step_v : a->max_step_v;
+        long budget = damped ? a->damped_iter : a->max_iter;
+        double idt = 1.0 / dt_step;
+        double t_next = lane_t + dt_step;
+
+        /* Linear base and effective rhs for this step: constant
+         * sources + vectorised ramps + the storage history term —
+         * the same arithmetic order as rhs_batch + the kernel's
+         * storage add, so values are bitwise the reference. */
+        for (long i = 0; i < S * S; i++)
+            gbase[i] = gs[i] + cu[i] * idt;
+        memcpy(beff, bc, (size_t)S * sizeof(double));
+        for (long r = 0; r < a->n_ramps; r++) {
+            double frac = (t_next - a->ramp_t0[r * B + m])
+                * a->ramp_inv_dur[r * B + m];
+            if (frac < 0.0) frac = 0.0;
+            if (frac > 1.0) frac = 1.0;
+            beff[a->ramp_row[r]] += a->ramp_v0[r * B + m]
+                + a->ramp_dv[r * B + m] * frac;
+        }
+        for (long i = 0; i < S; i++) {
+            double acc = 0.0;
+            for (long j = 0; j < S; j++)
+                acc += cu[i * S + j] * xl[j];
+            beff[i] = beff[i] + acc * idt;
+        }
+
+        /* Warm-start prediction from the integration history. */
+        if (hist) {
+            double ratio = dt_step / last;
+            for (long i = 0; i < S; i++)
+                xpred[i] = xl[i] + (xl[i] - xls[i]) * ratio;
+        } else {
+            memcpy(xpred, xl, (size_t)S * sizeof(double));
+        }
+
+        long frozen = lane_frozen(c, m, xl);
+        if (frozen) st[3]++;
+
+        /* Newton from the prediction; on a miss, retry once from
+         * the accepted state (the scalar controller's fallback).
+         * pred_err is only defined when the *predicted* start
+         * converged — a retried lane holds its step (NaN). */
+        memcpy(xn, xpred, (size_t)S * sizeof(double));
+        long ok;
+        st[5] += lane_newton(c, m, gbase, beff, xn, frozen,
+                             budget, step_cap, 0.0, &ok);
+        double pred_err = NAN;
+        if (ok && hist) {
+            double mv = 0.0;
+            for (long i = 0; i < S; i++) {
+                double v = fabs(xn[i] - xpred[i]);
+                if (v > mv) mv = v;
+            }
+            pred_err = mv;
+        } else if (!ok && hist) {
+            memcpy(xn, xl, (size_t)S * sizeof(double));
+            st[5] += lane_newton(c, m, gbase, beff, xn, frozen,
+                                 budget, step_cap, 0.0, &ok);
+        }
+
+        if (!ok) {
+            st[1]++;
+            double new_dt = dt_step / 2.0;
+            if (new_dt < dmin) {
+                /* Leave the lane at its pre-step state with the
+                 * failing dt: the Python sweep loop replays the
+                 * identical step and raises the context-rich
+                 * ConvergenceError itself. */
+                a->status[m] = 1;
+                st[4]++;
+                break;
+            }
+            lane_dt = new_dt;
+            continue;
+        }
+
+        /* LTE rejection of oversized steps whose estimate blew up
+         * (NaN pred_err compares false: never rejected). */
+        if (dt_step > dnom && pred_err > 4.0 * tol) {
+            st[2]++;
+            lane_dt = fmax(dt_step / 2.0, dnom);
+            continue;
+        }
+
+        /* Probe crossings between the accepted states.  Capacity is
+         * checked for the whole step before anything is recorded so
+         * a bailed lane never holds a partial step. */
+        long overflow = 0;
+        for (long p = 0; p < a->n_probes; p++) {
+            long sl = a->probe_slot[p];
+            double lv = a->probe_level[p * B + m];
+            double v0 = xl[sl] - lv, v1 = xn[sl] - lv;
+            int s0 = (v0 > 0.0) - (v0 < 0.0);
+            int s1 = (v1 > 0.0) - (v1 < 0.0);
+            if (s0 != s1 && a->cross_n[p * B + m] >= a->cross_cap)
+                overflow = 1;
+        }
+        if (overflow) {
+            a->status[m] = 1;
+            st[4]++;
+            break;
+        }
+        for (long p = 0; p < a->n_probes; p++) {
+            long sl = a->probe_slot[p];
+            double lv = a->probe_level[p * B + m];
+            double v0 = xl[sl] - lv, v1 = xn[sl] - lv;
+            int s0 = (v0 > 0.0) - (v0 < 0.0);
+            int s1 = (v1 > 0.0) - (v1 < 0.0);
+            if (s0 != s1) {
+                long k = a->cross_n[p * B + m]++;
+                double frac = -v0 / (v1 - v0);
+                size_t at = ((size_t)p * B + m) * a->cross_cap + k;
+                a->cross_t[at] = lane_t + frac * dt_step;
+                a->cross_rise[at] = v1 > v0;
+                st[6]++;
+            }
+        }
+
+        /* Accept: shift history, advance, grow/hold the step. */
+        memcpy(xls, xl, (size_t)S * sizeof(double));
+        last = dt_step;
+        hist = 1;
+        memcpy(xl, xn, (size_t)S * sizeof(double));
+        lane_t += dt_step;
+        n_steps++;
+        st[0]++;
+        if (dt_step >= dnom) {
+            if (pred_err < 0.25 * tol)
+                lane_dt = fmin(2.0 * dt_step, dcap);
+            else if (pred_err > tol)
+                lane_dt = fmax(dt_step / 2.0, dnom);
+            else
+                lane_dt = dt_step;
+        } else {
+            lane_dt = fmin(dnom, dt_step * grow);
+        }
+    }
+    a->t[m] = lane_t;
+    a->dt[m] = lane_dt;
+    a->dt_last[m] = last;
+    a->has_hist[m] = (uint8_t)hist;
+    a->steps[m] = n_steps;
+}
+
+/* Claim lanes from the shared counter until none is left.  The lane_ctx
+ * copy on this thread's stack keeps n_factor off shared cache lines. */
+static void *ts_run(void *arg)
+{
+    ts_worker *w = arg;
+    lane_ctx c = w->c;
+    int64_t st[8] = {0};
+    long m;
+    while ((m = atomic_fetch_add_explicit(&w->call->next, 1,
+                                          memory_order_relaxed)) < w->call->B)
+        ts_lane(w->call, &c, &w->b, m, st);
+    st[7] = c.n_factor;
+    memcpy(w->stats, st, sizeof st);
+    return 0;
+}
+
+/* Integrate every lane to completion (ts_lane), the lanes spread over
+ * up to n_threads threads: the caller's and n_threads - 1 helpers
+ * created here and joined before returning, each claiming the next
+ * unclaimed lane.  A lane's arithmetic never depends on its thread and
+ * every write is member-indexed, so results are bit-identical at any
+ * thread count.  status[m]: 0 done, 1 bailed (dt underflow or
+ * crossing-buffer overflow; state is at the last accepted step).
+ * stats: [0] accepted steps, [1] halvings, [2] LTE rejections,
  * [3] frozen (bypassed) lane-steps, [4] bailed lanes, [5] total lane
  * Newton iterations (prediction + retry attempts, same counting as the
  * per-lane reference), [6] probe crossings recorded, [7] LU
- * factorisations.  Returns 0, or
- * -1 when scratch allocation fails (no state touched). */
+ * factorisations, [8] threads that ran.  Returns 0, or -1 when scratch
+ * allocation fails (no state touched). */
 long repro_ensemble_timestep(
     long B, long S, long n_nodes,
     const double *G_static, const double *C_unit,   /* B*S*S each */
@@ -543,293 +748,73 @@ long repro_ensemble_timestep(
     double *cross_t,            /* n_probes*B*cross_cap, out */
     uint8_t *cross_rise,        /* n_probes*B*cross_cap, out */
     int64_t *cross_n,           /* n_probes*B, out */
+    long n_threads,
     uint8_t *status,            /* B, out */
-    int64_t *stats)             /* [8], out */
+    int64_t *stats)             /* [9], out */
 {
-    long ext = S + 1;
-    double *gbase = malloc((size_t)(S * S) * sizeof(double));
-    double *jmat  = malloc((size_t)(S * S) * sizeof(double));
-    double *jnl   = malloc((size_t)(ext * ext) * sizeof(double));
-    double *fnl   = malloc((size_t)ext * sizeof(double));
-    double *xext  = malloc((size_t)ext * sizeof(double));
-    double *beff  = malloc((size_t)S * sizeof(double));
-    double *fvec  = malloc((size_t)S * sizeof(double));
-    double *rhs   = malloc((size_t)S * sizeof(double));
-    double *xpred = malloc((size_t)S * sizeof(double));
-    double *xn    = malloc((size_t)S * sizeof(double));
-    long *perm    = malloc((size_t)S * sizeof(long));
-    if (!gbase || !jmat || !jnl || !fnl || !xext
-            || !beff || !fvec || !rhs || !xpred || !xn || !perm) {
-        free(gbase); free(jmat); free(jnl); free(fnl); free(xext);
-        free(beff); free(fvec); free(rhs); free(xpred); free(xn); free(perm);
+    ts_call a = {
+        B, S, n_ramps, max_iter, damped_iter, n_probes, cross_cap,
+        max_step_v, damped_step_v, ramp_row, probe_slot,
+        G_static, C_unit, b_const, ramp_v0, ramp_dv, ramp_t0, ramp_inv_dur,
+        t_stop, dt_min, dt_nom, dt_cap, lte_tol, growth, probe_level,
+        x, t, dt, x_last, dt_last, cross_t, has_hist, cross_rise, status,
+        steps, cross_n };
+    atomic_init(&a.next, 0);
+    lane_ctx proto = { S, n_nodes, dev_off, d_loc, g_loc, s_loc, pol, par,
+                       fet_gmin, abstol_v, abstol_i, bypass_on,
+                       n_slots, slots, eta,
+                       cache_valid, cache_x, cache_jnl, cache_fnl };
+    long n = n_threads < B ? n_threads : B;
+    if (n < 1) n = 1;
+
+    /* Every thread's scratch exists before any lane starts. */
+    ts_worker *w = calloc((size_t)n, sizeof *w);
+    long ready = 0;
+    while (w && ready < n) {
+        w[ready].call = &a;
+        w[ready].c = proto;
+        w[ready].block = lane_alloc(&w[ready].c, &w[ready].b);
+        if (!w[ready].block) break;
+        ready++;
+    }
+    if (ready < n) {
+        for (long k = 0; k < ready; k++) free(w[k].block);
+        free(w);
         return -1;
     }
-    lane_ctx c = { S, n_nodes, dev_off, d_loc, g_loc, s_loc, pol, par,
-                   fet_gmin, abstol_v, abstol_i, bypass_on,
-                   n_slots, slots, eta,
-                   cache_valid, cache_x, cache_jnl, cache_fnl,
-                   jmat, jnl, fnl, xext, fvec, rhs, perm, 0 };
-    int64_t acc_n = 0, halv_n = 0, lte_n = 0, frozen_n = 0, bail_n = 0;
-    int64_t iter_n = 0, cross_count = 0;
 
-    for (long m = 0; m < B; m++) {
-        double *xl  = x + (size_t)m * S;
-        double *xls = x_last + (size_t)m * S;
-        const double *gs = G_static + (size_t)m * S * S;
-        const double *cu = C_unit + (size_t)m * S * S;
-        const double *bc = b_const + (size_t)m * S;
-        double lane_t = t[m], lane_dt = dt[m];
-        double stop = t_stop[m], dmin = dt_min[m], dnom = dt_nom[m];
-        double dcap = dt_cap[m], tol = lte_tol[m], grow = growth[m];
-        status[m] = 0;
+    /* A helper that fails to start just leaves more lanes for the
+     * others. */
+    long started = 1;
+    while (started < n
+           && pthread_create(&w[started].tid, 0, ts_run, &w[started]) == 0)
+        started++;
+    ts_run(&w[0]);
+    for (long k = 1; k < started; k++)
+        pthread_join(w[k].tid, 0);
 
-        while (stop - lane_t > dmin) {
-            double rem = stop - lane_t;
-            double dt_step = fmin(lane_dt, rem);
-            long damped = dt_step <= 8.0 * dmin;
-            double step_cap = damped ? damped_step_v : max_step_v;
-            long budget = damped ? damped_iter : max_iter;
-            double idt = 1.0 / dt_step;
-            double t_next = lane_t + dt_step;
-
-            /* Linear base and effective rhs for this step: constant
-             * sources + vectorised ramps + the storage history term —
-             * the same arithmetic order as rhs_batch + the kernel's
-             * storage add, so values are bitwise the reference. */
-            for (long i = 0; i < S * S; i++)
-                gbase[i] = gs[i] + cu[i] * idt;
-            memcpy(beff, bc, (size_t)S * sizeof(double));
-            for (long r = 0; r < n_ramps; r++) {
-                double frac = (t_next - ramp_t0[r * B + m])
-                    * ramp_inv_dur[r * B + m];
-                if (frac < 0.0) frac = 0.0;
-                if (frac > 1.0) frac = 1.0;
-                beff[ramp_row[r]] += ramp_v0[r * B + m]
-                    + ramp_dv[r * B + m] * frac;
-            }
-            for (long i = 0; i < S; i++) {
-                double acc = 0.0;
-                for (long j = 0; j < S; j++)
-                    acc += cu[i * S + j] * xl[j];
-                beff[i] = beff[i] + acc * idt;
-            }
-
-            /* Warm-start prediction from the integration history. */
-            long hist = has_hist[m];
-            if (hist) {
-                double ratio = dt_step / dt_last[m];
-                for (long i = 0; i < S; i++)
-                    xpred[i] = xl[i] + (xl[i] - xls[i]) * ratio;
-            } else {
-                memcpy(xpred, xl, (size_t)S * sizeof(double));
-            }
-
-            long frozen = lane_frozen(&c, m, xl);
-            if (frozen) frozen_n++;
-
-            /* Newton from the prediction; on a miss, retry once from
-             * the accepted state (the scalar controller's fallback).
-             * pred_err is only defined when the *predicted* start
-             * converged — a retried lane holds its step (NaN). */
-            memcpy(xn, xpred, (size_t)S * sizeof(double));
-            long ok;
-            iter_n += lane_newton(&c, m, gbase, beff, xn, frozen,
-                                  budget, step_cap, 0.0, &ok);
-            double pred_err = NAN;
-            if (ok && hist) {
-                double mv = 0.0;
-                for (long i = 0; i < S; i++) {
-                    double v = fabs(xn[i] - xpred[i]);
-                    if (v > mv) mv = v;
-                }
-                pred_err = mv;
-            } else if (!ok && hist) {
-                memcpy(xn, xl, (size_t)S * sizeof(double));
-                iter_n += lane_newton(&c, m, gbase, beff, xn, frozen,
-                                      budget, step_cap, 0.0, &ok);
-            }
-
-            if (!ok) {
-                halv_n++;
-                double new_dt = dt_step / 2.0;
-                if (new_dt < dmin) {
-                    /* Leave the lane at its pre-step state with the
-                     * failing dt: the Python sweep loop replays the
-                     * identical step and raises the context-rich
-                     * ConvergenceError itself. */
-                    status[m] = 1;
-                    bail_n++;
-                    break;
-                }
-                lane_dt = new_dt;
-                continue;
-            }
-
-            /* LTE rejection of oversized steps whose estimate blew up
-             * (NaN pred_err compares false: never rejected). */
-            if (dt_step > dnom && pred_err > 4.0 * tol) {
-                lte_n++;
-                lane_dt = fmax(dt_step / 2.0, dnom);
-                continue;
-            }
-
-            /* Probe crossings between the accepted states.  Capacity is
-             * checked for the whole step before anything is recorded so
-             * a bailed lane never holds a partial step. */
-            long overflow = 0;
-            for (long p = 0; p < n_probes; p++) {
-                long sl = probe_slot[p];
-                double lv = probe_level[p * B + m];
-                double v0 = xl[sl] - lv, v1 = xn[sl] - lv;
-                int s0 = (v0 > 0.0) - (v0 < 0.0);
-                int s1 = (v1 > 0.0) - (v1 < 0.0);
-                if (s0 != s1 && cross_n[p * B + m] >= cross_cap)
-                    overflow = 1;
-            }
-            if (overflow) {
-                status[m] = 1;
-                bail_n++;
-                break;
-            }
-            for (long p = 0; p < n_probes; p++) {
-                long sl = probe_slot[p];
-                double lv = probe_level[p * B + m];
-                double v0 = xl[sl] - lv, v1 = xn[sl] - lv;
-                int s0 = (v0 > 0.0) - (v0 < 0.0);
-                int s1 = (v1 > 0.0) - (v1 < 0.0);
-                if (s0 != s1) {
-                    long k = cross_n[p * B + m]++;
-                    double frac = -v0 / (v1 - v0);
-                    size_t at = ((size_t)p * B + m) * cross_cap + k;
-                    cross_t[at] = lane_t + frac * dt_step;
-                    cross_rise[at] = v1 > v0;
-                    cross_count++;
-                }
-            }
-
-            /* Accept: shift history, advance, grow/hold the step. */
-            memcpy(xls, xl, (size_t)S * sizeof(double));
-            dt_last[m] = dt_step;
-            has_hist[m] = 1;
-            memcpy(xl, xn, (size_t)S * sizeof(double));
-            lane_t += dt_step;
-            steps[m]++;
-            acc_n++;
-            if (dt_step >= dnom) {
-                if (pred_err < 0.25 * tol)
-                    lane_dt = fmin(2.0 * dt_step, dcap);
-                else if (pred_err > tol)
-                    lane_dt = fmax(dt_step / 2.0, dnom);
-                else
-                    lane_dt = dt_step;
-            } else {
-                lane_dt = fmin(dnom, dt_step * grow);
-            }
-        }
-        t[m] = lane_t;
-        dt[m] = lane_dt;
+    for (long i = 0; i < 8; i++) {
+        stats[i] = 0;
+        for (long k = 0; k < started; k++)
+            stats[i] += w[k].stats[i];
     }
-
-    free(gbase); free(jmat); free(jnl); free(fnl); free(xext);
-    free(beff); free(fvec); free(rhs); free(xpred); free(xn); free(perm);
-    stats[0] = acc_n; stats[1] = halv_n; stats[2] = lte_n;
-    stats[3] = frozen_n; stats[4] = bail_n;
-    stats[5] = iter_n; stats[6] = cross_count; stats[7] = c.n_factor;
+    stats[8] = started;
+    for (long k = 0; k < n; k++) free(w[k].block);
+    free(w);
     return 0;
 }
 """
-
-# Load state: "unset" until the first request, then the bound _Kernel
-# or None (unavailable).  Never retried within a process.
-_STATE: list = ["unset"]
 
 #: (bypass_on, eta, n_slots, slots, valid, x_stamp, J_nl, F_nl) when the
 #: stamp bypass is off — None maps to NULL under the void* argtypes.
 _NO_BYPASS = (0, 0.0, 0, None, None, None, None, None)
 
 
-class _Kernel:
+class _Kernel(NamedTuple):
     """The bound C entry points (one shared object, two functions)."""
 
-    __slots__ = ("newton", "timestep")
-
-    def __init__(self, newton, timestep) -> None:
-        self.newton = newton
-        self.timestep = timestep
-
-
-# Same conventions as repro.core.ipc_native (not imported: repro.core's
-# package __init__ drags in the characterization stack and would make
-# the solver import cyclic).
-def native_dir() -> Path:
-    """Directory for compiled kernels (override: REPRO_NATIVE_DIR)."""
-    override = os.environ.get("REPRO_NATIVE_DIR")
-    if override:
-        return Path(override)
-    return Path.home() / ".cache" / "repro" / "native"
-
-
-def _find_compiler() -> str | None:
-    for name in ("cc", "gcc", "clang"):
-        path = shutil.which(name)
-        if path:
-            return path
-    return None
-
-
-def _compile() -> Path | None:
-    """Compile (or reuse) the solver kernel; None on any failure."""
-    # The cache key covers source AND flags: a flag change (e.g. a new
-    # optimisation level) must not silently reuse a stale binary.
-    tag = hashlib.sha256(
-        (_C_SOURCE + "|O3-native-v1").encode()).hexdigest()[:16]
-    directory = native_dir()
-    so_path = directory / f"spice_kernel_{tag}.so"
-    if so_path.exists():
-        return so_path
-
-    compiler = _find_compiler()
-    if compiler is None:
-        logger.warning(
-            "no C compiler found; the spice solver runs on the pure-NumPy "
-            "backend (correct, but slower)")
-        return None
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-        src_path = directory / f"spice_kernel_{tag}.c"
-        src_path.write_text(_C_SOURCE)
-        with tempfile.NamedTemporaryFile(
-                dir=directory, suffix=".so", delete=False) as tmp:
-            tmp_path = Path(tmp.name)
-        # -ffp-contract=off: no fused multiply-adds, so the controller
-        # arithmetic in the whole-timestep loop is bit-identical to the
-        # NumPy orchestration it transliterates (-O3/-march=native keep
-        # IEEE evaluation order; only contraction would diverge).
-        result = subprocess.run(
-            [compiler, "-O3", "-march=native", "-ffp-contract=off",
-             "-shared", "-fPIC",
-             "-o", str(tmp_path), str(src_path), "-lm"],
-            capture_output=True, text=True, timeout=120)
-        if result.returncode != 0:
-            # Cross-compilers and exotic hosts may lack -march=native;
-            # retry portable before giving up.
-            result = subprocess.run(
-                [compiler, "-O3", "-ffp-contract=off", "-shared", "-fPIC",
-                 "-o", str(tmp_path), str(src_path), "-lm"],
-                capture_output=True, text=True, timeout=120)
-        if result.returncode != 0:
-            logger.warning(
-                "spice kernel compile failed (%s); falling back to the "
-                "pure-NumPy backend:\n%s", compiler, result.stderr.strip())
-            tmp_path.unlink(missing_ok=True)
-            return None
-        os.replace(tmp_path, so_path)              # atomic publish
-        return so_path
-    except OSError as exc:
-        logger.warning(
-            "spice kernel build unavailable (%s); falling back to the "
-            "pure-NumPy backend", exc)
-        return None
+    newton: Any
+    timestep: Any
 
 
 def _bind(so_path: Path) -> _Kernel:
@@ -872,35 +857,26 @@ def _bind(so_path: Path) -> _Kernel:
         P, P, P, P, P, P,           # t_stop, dt_min, dt_nom, dt_cap, lte, growth
         L, P, P,                    # n_probes, probe_slot, probe_level
         L, P, P, P,                 # cross_cap, cross_t, cross_rise, cross_n
-        P, P,                       # status, stats
+        L, P, P,                    # n_threads, status, stats
     ]
     return _Kernel(newton, timestep)
 
 
-def load_kernel() -> _Kernel | None:
-    """The bound C kernel, or None when disabled/unavailable (cached)."""
-    if _STATE[0] != "unset":
-        return _STATE[0]
-    if os.environ.get("REPRO_NATIVE", "1") == "0":
-        _STATE[0] = None
-        return None
-    so_path = _compile()
-    if so_path is None:
-        _STATE[0] = None
-        return None
-    try:
-        _STATE[0] = _bind(so_path)
-    except OSError as exc:                         # stale/foreign object
-        logger.warning(
-            "spice kernel load failed (%s); falling back to the pure-NumPy "
-            "backend", exc)
-        _STATE[0] = None
-    return _STATE[0]
+# -ffp-contract=off: no fused multiply-adds, so the controller arithmetic
+# in the whole-timestep loop is bit-identical to the NumPy orchestration
+# it transliterates (-O3/-march=native keep IEEE evaluation order; only
+# contraction would diverge).  The portable retry serves cross-compilers
+# and hosts without -march=native.
+_FLAGS = ["-O3", "-ffp-contract=off", "-pthread", "-shared", "-fPIC"]
+_KERNEL = native_build.Kernel(
+    "spice_kernel", _C_SOURCE, [["-march=native", *_FLAGS], _FLAGS], _bind,
+    what="spice kernel", fallback="falling back to the pure-NumPy backend",
+    logger=logger, per_cpu=True)
 
-
-def reset(state: str = "unset") -> None:
-    """Forget the cached load state (tests toggle REPRO_NATIVE around this)."""
-    _STATE[0] = state
+#: The bound C kernel, or None when disabled/unavailable (cached).
+load_kernel = _KERNEL.load
+#: Forget the cached load state (tests toggle REPRO_NATIVE around this).
+reset = _KERNEL.reset
 
 
 class _NativePrep:
@@ -915,7 +891,7 @@ class _NativePrep:
     """
 
     __slots__ = ("ok", "dev_off", "d_loc", "g_loc", "s_loc", "pol", "par",
-                 "slots", "static_args")
+                 "slots", "static_args", "ramps", "ramp_args")
 
     def __init__(self, es) -> None:
         # Any non-stackable nonlinear element means the Python assembly
@@ -947,6 +923,20 @@ class _NativePrep:
             self.pol.ctypes.data, self.par.ctypes.data,
             len(self.slots), self.slots.ctypes.data,
         )
+        # The whole-timestep kernel evaluates the rhs itself, from the
+        # ramps packed as (R,) rows + (R, B) parameter planes.  A generic
+        # time-dependent element needs the Python rhs_batch loop and
+        # declines that entry (ramp_args None).
+        self.ramp_args = None
+        if not es._any_generic_rhs:
+            ramps = es._ramps
+            self.ramps = [np.array([r[0] for r in ramps], dtype=np.int64)]
+            self.ramps += [np.ascontiguousarray(
+                np.stack([r[i] for r in ramps]) if ramps
+                else np.zeros((0, es.B)), dtype=np.float64)
+                for i in range(1, 5)]
+            self.ramp_args = (len(ramps),
+                              *(a.ctypes.data for a in self.ramps))
 
 
 def _prep(es) -> _NativePrep:
@@ -954,45 +944,6 @@ def _prep(es) -> _NativePrep:
     if prep is None:
         prep = _NativePrep(es)
         es._native_prep = prep
-    return prep
-
-
-class _TimestepPrep:
-    """Per-EnsembleSystem rhs tables for the whole-timestep kernel.
-
-    The kernel evaluates the right-hand side itself, so the ensemble's
-    ramp descriptions are packed once into ``(R,)`` rows + ``(R, B)``
-    parameter planes; any generic time-dependent element forces the
-    Python ``rhs_batch`` loop and declines the whole-timestep path.
-    """
-
-    __slots__ = ("ok", "n_ramps", "rows", "v0", "dv", "t0", "inv_dur")
-
-    def __init__(self, es) -> None:
-        self.ok = not es._any_generic_rhs
-        if not self.ok:
-            return
-        ramps = es._ramps
-        self.n_ramps = len(ramps)
-        self.rows = np.array([r[0] for r in ramps], dtype=np.int64)
-
-        def plane(i: int) -> np.ndarray:
-            if not ramps:
-                return np.zeros((0, es.B))
-            return np.ascontiguousarray(
-                np.stack([r[i] for r in ramps]), dtype=np.float64)
-
-        self.v0 = plane(1)
-        self.dv = plane(2)
-        self.t0 = plane(3)
-        self.inv_dur = plane(4)
-
-
-def _ts_prep(es) -> _TimestepPrep:
-    prep = getattr(es, "_native_ts_prep", None)
-    if prep is None:
-        prep = _TimestepPrep(es)
-        es._native_ts_prep = prep
     return prep
 
 
@@ -1006,6 +957,18 @@ class NativeBackend(NumpyBackend):
     #: per-iteration Newton kernel under the Python sweep loop.  A
     #: patched value reaches only fork-started workers.
     whole_timestep = True
+
+    #: Threads one whole-timestep call spreads its lanes over, at most
+    #: one per lane; ``None`` means :func:`repro.runtime.executor.
+    #: thread_budget` (every usable CPU, one inside a pool worker).
+    #: Read at call time; tests patch it.  Results are bit-identical at
+    #: any count.
+    threads: int | None = None
+
+    def thread_budget(self) -> int:
+        """Threads the next whole-timestep call may use (before the
+        per-call clamp to its lane count)."""
+        return self.threads if self.threads is not None else thread_budget()
 
     def available(self) -> bool:
         return load_kernel() is not None
@@ -1095,10 +1058,7 @@ class NativeBackend(NumpyBackend):
             return None
         es = et.es
         prep = _prep(es)
-        if not prep.ok:
-            return None
-        ts = _ts_prep(es)
-        if not ts.ok:
+        if not prep.ok or prep.ramp_args is None:
             return None
 
         B = es.B
@@ -1115,14 +1075,12 @@ class NativeBackend(NumpyBackend):
         cross_rise = np.zeros((n_probes, B, CROSS_CAP), dtype=np.uint8)
         cross_n = np.zeros((n_probes, B), dtype=np.int64)
         status = np.zeros(B, dtype=np.uint8)
-        stats = np.zeros(8, dtype=np.int64)
+        stats = np.zeros(9, dtype=np.int64)
 
         ret = kernel.timestep(
             B, S, n_nodes,
             g_static_a, c_unit_a, es._b_const.ctypes.data,
-            ts.n_ramps, ts.rows.ctypes.data,
-            ts.v0.ctypes.data, ts.dv.ctypes.data,
-            ts.t0.ctypes.data, ts.inv_dur.ctypes.data,
+            *prep.ramp_args,
             dev_off_a, d_a, g_a, s_a, pol_a, par_a,
             FET_GMIN, newton.abstol_v, newton.abstol_i,
             newton.max_step_v, newton.max_iterations,
@@ -1137,7 +1095,7 @@ class NativeBackend(NumpyBackend):
             n_probes, et._probe_slot_arr.ctypes.data,
             et._levels_mat.ctypes.data,
             CROSS_CAP, cross_t.ctypes.data, cross_rise.ctypes.data,
-            cross_n.ctypes.data,
+            cross_n.ctypes.data, self.thread_budget(),
             status.ctypes.data, stats.ctypes.data)
         if ret < 0:                   # scratch allocation failed, no state
             return None               # was touched: full Python fallback
@@ -1155,6 +1113,8 @@ class NativeBackend(NumpyBackend):
         if telemetry.ENABLED:
             telemetry.count("backend.native.timestep_calls")
             telemetry.count("backend.native.timestep_lanes", B)
+            telemetry.count("backend.native.timestep_threads",
+                            int(stats[8]))
             telemetry.count("backend.native.timestep_steps", int(stats[0]))
             if stats[3]:
                 telemetry.count("backend.native.bypassed_lane_steps",

@@ -60,6 +60,10 @@ class NumpyBackend:
         """Whether this backend can run on the current machine."""
         return True
 
+    def thread_budget(self) -> int:
+        """Threads one ensemble sweep may use; the NumPy path is serial."""
+        return 1
+
     # -- accounting ---------------------------------------------------------
 
     def _count(self, lanes: int) -> None:

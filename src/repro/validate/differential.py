@@ -160,13 +160,14 @@ def ensemble_vs_scalar_dc(ctx: CheckContext) -> str:
 
 @check("backend-agreement", "differential")
 def backend_agreement(ctx: CheckContext) -> str:
-    """numpy == native (both dispatch depths) on real arcs.
+    """numpy == native (both dispatch depths, any thread count) on real arcs.
 
-    The native backend is measured twice: the whole-timestep C sweep
-    (``NativeBackend.whole_timestep``, the default) and the per-iteration
-    Newton kernel under the Python sweep loop.  Both must agree
-    with numpy to solver tolerance on the seeded mini-grid — and with
-    *each other* bitwise, which the step-schedule contract promises.
+    The native backend is measured three times: the whole-timestep C
+    sweep (``NativeBackend.whole_timestep``, the default) on its automatic
+    thread budget and on one thread, and the per-iteration Newton kernel
+    under the Python sweep loop.  All must agree with numpy to solver
+    tolerance on the seeded mini-grid — and with *each other* bitwise,
+    which the step-schedule contract promises.
     """
     from repro.cells.library_def import organic_library_definition
     from repro.characterization.harness import default_grid, measure_arc_batch
@@ -187,15 +188,17 @@ def backend_agreement(ctx: CheckContext) -> str:
         c = rng.uniform(grid.loads[0], grid.loads[-1])
         points.append((s, c))
 
-    legs = (("numpy", "numpy", True),
-            ("native", "native", True),
-            ("native-periter", "native", False))
+    legs = (("numpy", "numpy", True, None),
+            ("native", "native", True, None),
+            ("native-1thread", "native", True, 1),
+            ("native-periter", "native", False, None))
     results: dict[str, list[tuple[float, float]]] = {}
     try:
-        for leg, backend, whole_timestep in legs:
+        for leg, backend, whole_timestep, threads in legs:
             with swap_env(REPRO_BACKEND=backend), \
                     swap_attr(NativeBackend, "whole_timestep",
-                              whole_timestep):
+                              whole_timestep), \
+                    swap_attr(NativeBackend, "threads", threads):
                 reset_backend()
                 if get_backend().name != backend:
                     continue             # e.g. native without a C compiler
@@ -217,10 +220,13 @@ def backend_agreement(ctx: CheckContext) -> str:
             expect_close(d_b, d_ref, rel=1e-6, label=f"delay @ {where}")
             expect_close(t_b, t_ref, rel=1e-6, label=f"transition @ {where}")
             compared += 1
-    if "native" in results and "native-periter" in results:
+    if "native" in results:
         expect(results["native"] == results["native-periter"],
                "whole-timestep native and per-iteration native disagree "
                "bitwise — the step-schedule contract is broken")
+        expect(results["native"] == results["native-1thread"],
+               "whole-timestep native on its thread budget and on one "
+               "thread disagree bitwise — a lane depends on its thread")
     backends = "+".join(sorted(results))
     return f"{backends}: {compared} arc points agree"
 

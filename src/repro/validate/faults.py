@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Iterator
 
 from repro.core import ipc_native
+from repro.runtime import native_build
 from repro.runtime.cache import ResultCache
 
 #: Exit code used by :func:`crashy_double` so a genuine crash is
@@ -98,26 +99,28 @@ def strangled_newton(max_iterations: int = 1) -> Iterator[None]:
 def missing_native_toolchain(scratch_dir: str | Path) -> Iterator[None]:
     """Simulate a machine with no C compiler and no prebuilt kernel.
 
-    Two patches are needed because :func:`repro.core.ipc_native._compile`
-    returns an already-cached shared object *before* looking for a
-    compiler: the kernel cache directory is pointed at an empty scratch
-    directory (so there is nothing prebuilt) and compiler discovery is
-    forced to fail.  The cached load state is reset on entry and on exit,
-    so the simulation neither sees nor leaks a previously bound kernel.
+    Two patches are needed because
+    :meth:`repro.runtime.native_build.Kernel.compile` returns an
+    already-cached shared object *before* looking for a compiler: the
+    kernel cache directory is pointed at an empty scratch directory (so
+    there is nothing prebuilt) and compiler discovery
+    (:func:`repro.runtime.native_build.find_compiler`) is forced to
+    fail.  The cached load state is reset on entry and on exit, so the
+    simulation neither sees nor leaks a previously bound kernel.
     """
     scratch = Path(scratch_dir)
     scratch.mkdir(parents=True, exist_ok=True)
-    saved_dir = os.environ.get(ipc_native.NATIVE_DIR_ENV)
-    saved_find = ipc_native._find_compiler
-    os.environ[ipc_native.NATIVE_DIR_ENV] = str(scratch)
-    ipc_native._find_compiler = lambda: None
+    saved_dir = os.environ.get(native_build.NATIVE_DIR_ENV)
+    saved_find = native_build.find_compiler
+    os.environ[native_build.NATIVE_DIR_ENV] = str(scratch)
+    native_build.find_compiler = lambda: None
     ipc_native.reset()
     try:
         yield
     finally:
-        ipc_native._find_compiler = saved_find
+        native_build.find_compiler = saved_find
         if saved_dir is None:
-            os.environ.pop(ipc_native.NATIVE_DIR_ENV, None)
+            os.environ.pop(native_build.NATIVE_DIR_ENV, None)
         else:
-            os.environ[ipc_native.NATIVE_DIR_ENV] = saved_dir
+            os.environ[native_build.NATIVE_DIR_ENV] = saved_dir
         ipc_native.reset()

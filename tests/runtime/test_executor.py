@@ -10,6 +10,7 @@ import pytest
 from repro.errors import ConvergenceError
 from repro.runtime import (TaskError, TaskResult, get_shared, parallel_map,
                            resolve_workers)
+from repro.runtime.executor import thread_budget
 
 
 # Mapped functions must be module-level so they pickle by reference.
@@ -26,6 +27,10 @@ def _fail_on_three(x):
 
 def _shared_plus(x):
     return get_shared() + x
+
+
+def _thread_budget(_x):
+    return thread_budget()
 
 
 def _raise_convergence(x):
@@ -62,6 +67,22 @@ def test_resolve_workers_garbage_env(monkeypatch):
     assert resolve_workers(None) == 1
     monkeypatch.setenv("REPRO_WORKERS", "-3")
     assert resolve_workers(None) == 1
+
+
+# -- thread_budget ----------------------------------------------------------
+
+def test_thread_budget_is_the_affinity_set_outside_a_pool(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                        raising=False)
+    assert thread_budget() == 3
+
+
+def test_thread_budget_is_one_inside_pool_workers(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    results = parallel_map(_thread_budget, [0, 1, 2], workers=2)
+    assert [r.value for r in results] == [1, 1, 1]
+    assert thread_budget() == 4
 
 
 # -- ordering and determinism ----------------------------------------------

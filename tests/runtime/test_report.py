@@ -37,6 +37,20 @@ class TestSchema:
         assert "numpy" in env["packages"]
         assert env["python"].count(".") >= 1
 
+    def test_solver_backend_records_the_thread_budget(self, monkeypatch):
+        from repro.spice.backends import NativeBackend, reset_backend
+
+        monkeypatch.setattr(NativeBackend, "threads", 3)
+        try:
+            for name in ("numpy", "native"):
+                monkeypatch.setenv("REPRO_BACKEND", name)
+                reset_backend()
+                block = _collected_report()["env"]["solver_backend"]
+                assert block["threads"] == \
+                    (3 if block["resolved"] == "native" else 1)
+        finally:
+            reset_backend()
+
     def test_metrics_and_spans_round_trip(self):
         doc = _collected_report()
         assert doc["metrics"]["counters"]["spice.newton_solves"] == 7

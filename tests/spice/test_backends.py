@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 
 from repro.cells.topologies import diode_load_inverter
 from repro.devices.pentacene import pentacene_model
-from repro.runtime import telemetry
+from repro.errors import ConvergenceError
+from repro.runtime import native_build, telemetry
 from repro.spice import (
     Capacitor,
     Circuit,
@@ -86,6 +87,19 @@ def grid_run():
     ens = EnsembleTransient(members, opts, [Probe("out", 0.5 * VDD)]).run()
     crossings = [ens.crossing_times(0, m) for m in range(len(members))]
     return ens.final_value("out"), crossings
+
+
+def _counters(run):
+    """``run()``'s result and the telemetry counters it booked."""
+    telemetry.reset()
+    telemetry.enable(True)
+    try:
+        result = run()
+        metrics = telemetry.metrics_snapshot()
+    finally:
+        telemetry.enable(False)
+        telemetry.reset()
+    return result, dict(metrics.get("counters", metrics))
 
 
 class TestEquivalence:
@@ -182,7 +196,8 @@ class TestWholeTimestepLoop:
         With the buffer forced to zero capacity every crossing-bearing
         lane bails at its first event; the Python sweep loop must finish
         those lanes with results bitwise equal to the per-iteration
-        native run (the schedule contract's reference arithmetic).
+        native run (the schedule contract's reference arithmetic), on
+        one kernel thread and on two.
         """
         self._native_or_skip(monkeypatch, whole_timestep=True)
         monkeypatch.setattr(native_mod, "CROSS_CAP", 0)
@@ -201,14 +216,92 @@ class TestWholeTimestepLoop:
                     [ens.crossing_times(0, m) for m in range(2)],
                     ens.steps.copy())
 
-        final_n, cross_n, steps_n = run()
-        assert all(len(c) == 1 for c in cross_n)
+        runs = []
+        for threads in (1, 2):
+            monkeypatch.setattr(NativeBackend, "threads", threads)
+            runs.append(_counters(run))
         monkeypatch.setattr(NativeBackend, "whole_timestep", False)
         final_ref, cross_ref, steps_ref = run()
-        assert np.array_equal(final_n, final_ref)
-        assert np.array_equal(steps_n, steps_ref)
-        for c, rc in zip(cross_n, cross_ref):
-            assert np.array_equal(c, rc)
+        for (final_n, cross_n, steps_n), counters in runs:
+            assert counters["backend.native.timestep_bailouts"] == 2
+            assert all(len(c) == 1 for c in cross_n)
+            assert np.array_equal(final_n, final_ref)
+            assert np.array_equal(steps_n, steps_ref)
+            for c, rc in zip(cross_n, cross_ref):
+                assert np.array_equal(c, rc)
+        assert runs[1][1]["backend.native.timestep_threads"] == 2
+
+    def test_dt_underflow_bails_to_python(self, monkeypatch):
+        """A lane whose step would halve below dt_min bails to Python.
+
+        Lane 0 may halve its step once and fails Newton on the input
+        edge: it bails while the other lanes finish in C.  Python then
+        replays its step and raises the same ConvergenceError, from the
+        same state, on one kernel thread and on two; the per-iteration
+        path raises it too.
+        """
+        self._native_or_skip(monkeypatch, whole_timestep=True)
+
+        def run():
+            members, opts = [], []
+            for k, slew in enumerate((1e-4, 4e-4, 2e-4, 3e-4)):
+                members.append(inverter_testbench(slew=slew))
+                opts.append(TransientOptions(
+                    dt=min(2e-3 / 50, slew), t_stop=2e-3,
+                    max_halvings=1 if k == 0 else 12,
+                    newton=NewtonOptions(max_iterations=4)))
+            ens = EnsembleTransient(members, opts,
+                                    [Probe("a", 0.5 * VDD)])
+            with pytest.raises(ConvergenceError) as excinfo:
+                ens.run()
+            return (str(excinfo.value), ens.x.tobytes(), ens.t.tolist(),
+                    ens.steps.tolist())
+
+        runs = []
+        for threads in (1, 2):
+            monkeypatch.setattr(NativeBackend, "threads", threads)
+            runs.append(_counters(run))
+        (one, counters_1), (two, counters_2) = runs
+        assert two == one
+        assert counters_2["backend.native.timestep_bailouts"] == 1
+        assert counters_2["backend.native.timestep_threads"] == 2
+        assert counters_2["ensemble.transient_steps"] == \
+            counters_1["ensemble.transient_steps"] > 0
+        monkeypatch.setattr(NativeBackend, "whole_timestep", False)
+        assert run()[0] == one[0]
+
+    def test_pool_workers_run_one_thread_each(self, monkeypatch):
+        """``REPRO_WORKERS=2``: each worker's kernel calls run one thread.
+
+        The affinity is widened to four CPUs (fork-started workers
+        inherit the patch), so a worker that ignored its budget of one
+        would run more.
+        """
+        from repro.cells.library_def import organic_library_definition
+        from repro.characterization import harness
+        from repro.runtime import executor
+
+        self._native_or_skip(monkeypatch, whole_timestep=True)
+        monkeypatch.setattr(executor.os, "sched_getaffinity",
+                            lambda pid: {0, 1, 2, 3}, raising=False)
+        defn = organic_library_definition()
+        base = harness.default_grid(defn)
+        grid = harness.CharacterizationGrid(slews=base.slews[:2],
+                                            loads=base.loads[:3])
+
+        def characterize():
+            return harness.characterize_cell(
+                defn.cell("inv"), grid, area=defn.cell_area("inv")).to_dict()
+
+        serial, serial_counters = _counters(characterize)
+        assert serial_counters["backend.native.timestep_threads"] > \
+            serial_counters["backend.native.timestep_calls"]
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        pooled, counters = _counters(characterize)
+        calls = counters["backend.native.timestep_calls"]
+        assert calls == serial_counters["backend.native.timestep_calls"] > 0
+        assert counters["backend.native.timestep_threads"] == calls
+        assert pooled == serial
 
     def test_disable_knob_falls_back_to_per_iteration(self, monkeypatch):
         backend = self._native_or_skip(monkeypatch, whole_timestep=False)
@@ -220,15 +313,18 @@ class TestWholeTimestepLoop:
         assert backend.ensemble_timestep(et) is None
 
     @settings(max_examples=6, deadline=None)
-    @given(batch=st.sampled_from([1, 7, 64]))
-    def test_chunk_size_bit_identical_event_times(self, batch):
-        """ENSEMBLE_BATCH is pure scheduling under the native loop.
+    @given(batch=st.sampled_from([1, 7, 64]),
+           threads=st.sampled_from([1, 2, 3]))
+    def test_chunk_size_bit_identical_event_times(self, batch, threads):
+        """ENSEMBLE_BATCH and the lane threads are pure scheduling.
 
         Each lane integrates to completion independently in C, so the
         per-lane step schedule — and every derived event time — cannot
-        depend on which chunk a grid point lands in.  Characterising the
-        same mini-grid with batch 1, 7 and 64 must give *bit-identical*
-        delays and transitions (not approx: the contract is equality).
+        depend on which chunk a grid point lands in, nor on which thread
+        integrates it.  Characterising the same mini-grid with batch 1,
+        7 and 64 on 1-3 threads must give *bit-identical* delays and
+        transitions to batch 64 on one thread (not approx: the contract
+        is equality).
         """
         from repro import runtime
         from repro.cells.library_def import organic_library_definition
@@ -242,8 +338,10 @@ class TestWholeTimestepLoop:
             points = [(s, l) for s in grid.slews[:3]
                       for l in grid.loads[:3]]
             mp.setattr(runtime, "ENSEMBLE_BATCH", batch)
+            mp.setattr(NativeBackend, "threads", threads)
             got = harness.measure_arc_batch(cell, "a", True, points)
             mp.setattr(runtime, "ENSEMBLE_BATCH", 64)
+            mp.setattr(NativeBackend, "threads", 1)
             ref = harness.measure_arc_batch(cell, "a", True, points)
         reset_backend()
         native_mod.reset()
@@ -350,16 +448,8 @@ class TestCounterParity:
                 opts.append(TransientOptions(dt=dt, t_stop=2e-3,
                                              dt_max=16 * dt,
                                              lte_tol=5e-4 * VDD))
-        telemetry.reset()
-        telemetry.enable(True)
-        try:
-            ens = EnsembleTransient(members, opts,
-                                    [Probe("a", 0.5 * VDD)]).run()
-            metrics = telemetry.metrics_snapshot()
-        finally:
-            telemetry.enable(False)
-            telemetry.reset()
-        counters = dict(metrics.get("counters", metrics))
+        ens, counters = _counters(lambda: EnsembleTransient(
+            members, opts, [Probe("a", 0.5 * VDD)]).run())
         parity = {key: counters.get(key, 0) for key in self.PARITY_KEYS}
         return ens.final_value("out"), parity, counters
 
@@ -374,10 +464,16 @@ class TestCounterParity:
         if backend.name != "native":
             pytest.skip("no C compiler on this machine")
 
-        # Whole-timestep C loop (stats marshalled from the sweep kernel).
-        final_ts, parity_ts, all_ts = self._counted_run()
-        assert all_ts.get("backend.native.timestep_calls", 0) > 0
-        assert parity_ts == ref_parity
+        # Whole-timestep C loop (stats marshalled from the sweep kernel)
+        # on one thread, two, and one more than the four lanes.
+        factorizations = set()
+        for threads in (1, 2, 5):
+            monkeypatch.setattr(NativeBackend, "threads", threads)
+            final_ts, parity_ts, all_ts = self._counted_run()
+            assert all_ts.get("backend.native.timestep_calls", 0) > 0
+            assert parity_ts == ref_parity
+            factorizations.add(all_ts["backend.native.lu_factorizations"])
+        assert len(factorizations) == 1
 
         # Per-iteration C Newton kernel (stats from the newton kernel).
         monkeypatch.setattr(NativeBackend, "whole_timestep", False)
@@ -423,16 +519,8 @@ class TestFrozenFactorReuse:
         defn = organic_library_definition()
         grid = harness.default_grid(defn)
         points = [(s, l) for s in grid.slews[:3] for l in grid.loads[:3]]
-        telemetry.reset()
-        telemetry.enable(True)
-        try:
-            arcs = harness.measure_arc_batch(defn.cells["inv"], "a", True,
-                                             points)
-            metrics = telemetry.metrics_snapshot()
-        finally:
-            telemetry.enable(False)
-            telemetry.reset()
-        return arcs, dict(metrics.get("counters", metrics))
+        return _counters(lambda: harness.measure_arc_batch(
+            defn.cells["inv"], "a", True, points))
 
     def test_frozen_lanes_factor_fewer_times_than_they_iterate(
             self, monkeypatch):
@@ -442,10 +530,18 @@ class TestFrozenFactorReuse:
         assert 0 < factors < counters["ensemble.newton_lane_iterations"]
 
     def test_arc_grid_bit_identical_to_recorded_values(self, monkeypatch):
-        arcs, counters = self._arc_grid(monkeypatch)
-        assert counters.get("backend.native.bypassed_lane_steps", 0) > 0
-        got = [(delay.hex(), slew.hex()) for delay, slew in arcs]
-        assert got == self.GOLDEN
+        """On one kernel thread, two, and one more than the nine lanes."""
+        for threads in (1, 2, 10):
+            monkeypatch.setattr(NativeBackend, "threads", threads)
+            arcs, counters = self._arc_grid(monkeypatch)
+            assert counters.get("backend.native.bypassed_lane_steps", 0) > 0
+            got = [(delay.hex(), slew.hex()) for delay, slew in arcs]
+            assert got == self.GOLDEN
+            if NativeBackend.whole_timestep:    # not the per-iteration twin
+                # One sweep of the nine points, then a one-lane straggler
+                # retry; a call runs at most one thread per lane.
+                assert counters["backend.native.timestep_threads"] == \
+                    min(threads, 9) + 1
 
 
 class TestDispatchAndDegradation:
@@ -467,7 +563,7 @@ class TestDispatchAndDegradation:
             self, monkeypatch, tmp_path, caplog):
         """No compiler + no cached kernel: one warning, correct results."""
         monkeypatch.setenv("REPRO_NATIVE_DIR", str(tmp_path / "kernels"))
-        monkeypatch.setattr(native_mod.shutil, "which", lambda name: None)
+        monkeypatch.setattr(native_build, "find_compiler", lambda: None)
         native_mod.reset()
         with caplog.at_level(logging.WARNING, logger="repro"):
             backend = _use(monkeypatch, "native")

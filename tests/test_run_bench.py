@@ -42,7 +42,8 @@ def fake_depth_sweep(monkeypatch):
     monkeypatch.setattr(repro.core.ipc_native, "native_available",
                         lambda: False)
     monkeypatch.setattr(repro.spice.backends, "get_backend",
-                        lambda: types.SimpleNamespace(name="numpy"))
+                        lambda: types.SimpleNamespace(
+                            name="numpy", thread_budget=lambda: 1))
     monkeypatch.setattr(run_bench, "_warm_ipc_kernel", lambda: None)
     monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
     yield
