@@ -606,7 +606,6 @@ def main(argv: list[str] | None = None) -> int:
             row = BENCHES[name](args.workers)
         _record(results, name, row, args.profile)
 
-    from repro import runtime
     from repro.core import ipc_native
     from repro.spice.backends import get_backend
 
@@ -615,7 +614,6 @@ def main(argv: list[str] | None = None) -> int:
         "environment": {
             **_env_fingerprint(),
             "workers": args.workers,
-            "ensemble": runtime.ENSEMBLE,
             "ipc_kernel": ("native" if ipc_native.native_available()
                            else "reference"),
             "spice_backend": get_backend().name,

@@ -79,21 +79,12 @@ class YieldResult:
                      - np.percentile(self.vm_values, 2.5))
 
 
-def _nm_sample_task(instance: CellDesign) -> tuple[float, float]:
-    """Module-level (picklable) worker: one Monte Carlo instance's VTC."""
-    try:
-        curve = compute_vtc(instance, n_points=61)
-    except ConvergenceError as exc:
-        raise exc.with_context(cell=instance.name, style=instance.style)
-    return switching_threshold(curve), noise_margin_mec(curve)
-
-
 def _nm_chunk_task(instances: list[CellDesign]
                    ) -> list[tuple[float, float] | None]:
     """Picklable worker: a chunk of Monte Carlo instances as one ensemble.
 
     ``None`` marks an instance that failed to converge or whose VTC does
-    not invert — the same samples the scalar path writes off as losses.
+    not invert; the yield counts it as a loss.
     """
     curves = compute_vtc_batch(instances, n_points=61)
     out: list[tuple[float, float] | None] = []
@@ -130,48 +121,31 @@ def noise_margin_yield(base_cell: CellDesign,
     margins: list[float] = []
     vms: list[float] = []
     converged = 0
-    if runtime.ENSEMBLE:
-        # Chunk size comes from runtime.ENSEMBLE_BATCH alone (never the
-        # worker count), so the sample outcomes are identical for any
-        # REPRO_WORKERS; parallel_map shards whole chunks.
-        chunks = chunked(instances, runtime.ENSEMBLE_BATCH)
-        offsets = np.cumsum([0] + [len(c) for c in chunks])
-        results = parallel_map(
-            _nm_chunk_task, chunks, workers=workers,
-            labels=[f"{base_cell.name} samples[{a}:{b}]"
-                    for a, b in zip(offsets, offsets[1:])],
-            on_error="capture",
-            phase=f"yield[{base_cell.name}]")
-        for chunk, result in zip(chunks, results):
-            if result.ok:
-                for sample in result.value:
-                    if sample is None:
-                        margins.append(0.0)  # non-inverting: a loss
-                    else:
-                        vm, margin = sample
-                        vms.append(vm)
-                        margins.append(margin)
-                        converged += 1
-            elif isinstance(result.error, (ConvergenceError, AnalysisError)):
-                margins.extend([0.0] * len(chunk))
-            else:
-                raise result.error
-    else:
-        results = parallel_map(_nm_sample_task, instances, workers=workers,
-                               labels=[f"{base_cell.name} sample[{i}]"
-                                       for i in range(n_samples)],
-                               on_error="capture",
-                               phase=f"yield[{base_cell.name}]")
-        for result in results:
-            if result.ok:
-                vm, margin = result.value
-                vms.append(vm)
-                margins.append(margin)
-                converged += 1
-            elif isinstance(result.error, (ConvergenceError, AnalysisError)):
-                margins.append(0.0)     # a non-inverting instance is a loss
-            else:
-                raise result.error
+    # Chunk size comes from runtime.ENSEMBLE_BATCH alone (never the worker
+    # count), so the sample outcomes are identical for any REPRO_WORKERS;
+    # parallel_map shards whole chunks.
+    chunks = chunked(instances, runtime.ENSEMBLE_BATCH)
+    offsets = np.cumsum([0] + [len(c) for c in chunks])
+    results = parallel_map(
+        _nm_chunk_task, chunks, workers=workers,
+        labels=[f"{base_cell.name} samples[{a}:{b}]"
+                for a, b in zip(offsets, offsets[1:])],
+        on_error="capture",
+        phase=f"yield[{base_cell.name}]")
+    for chunk, result in zip(chunks, results):
+        if result.ok:
+            for sample in result.value:
+                if sample is None:
+                    margins.append(0.0)  # non-inverting: a loss
+                else:
+                    vm, margin = sample
+                    vms.append(vm)
+                    margins.append(margin)
+                    converged += 1
+        elif isinstance(result.error, (ConvergenceError, AnalysisError)):
+            margins.extend([0.0] * len(chunk))
+        else:
+            raise result.error
     return YieldResult(
         style=base_cell.style,
         n_samples=n_samples,

@@ -8,9 +8,10 @@ The flip-flop additionally gets clk->q tables and bisection-based setup and
 hold times, mirroring what a commercial characterisation tool performs.
 
 Grid points run as stacked ensemble transients, in chunks of
-:data:`repro.runtime.ENSEMBLE_BATCH`; with :data:`repro.runtime.ENSEMBLE`
-patched to ``False`` every point runs its own scalar transient, the
-oracle the ensemble path is checked against.
+:data:`repro.runtime.ENSEMBLE_BATCH`.  The per-point scalar measurements
+(:func:`measure_arc`, :func:`measure_clk_to_q`, :func:`_setup_bisect`)
+are the fallback for members the ensemble cannot finish and the oracle
+the ensemble path is checked against.
 
 Because a library build runs hundreds of multi-transistor transients,
 :func:`characterize_library` caches its result as JSON keyed by a hash of
@@ -45,7 +46,7 @@ from repro.errors import (
     LibraryError,
 )
 from repro.runtime import chunked as _chunked, parallel_map, telemetry
-from repro.runtime.cache import ResultCache, default_cache_root
+from repro.runtime.cache import ResultCache
 from repro.spice.elements import Capacitor, RampValue, VoltageSource
 from repro.spice.ensemble import (EnsembleTransient, Probe,
                                   ensemble_operating_point)
@@ -371,15 +372,6 @@ def average_leakage(design: CellDesign) -> float:
     return total / len(states)
 
 
-def _measure_arc_task(task) -> tuple[float, float]:
-    """Module-level (picklable) worker for one characterisation arc."""
-    design, pin, input_rise, slew, load, hint = task
-    edge = "rise" if input_rise else "fall"
-    with telemetry.span(f"arc:{design.name}.{pin}:{edge}"):
-        return measure_arc(design, pin, input_rise, slew, load,
-                           delay_hint=hint)
-
-
 def _measure_arc_batch_task(task) -> list[tuple[float, float]]:
     """Module-level (picklable) worker for one arc's whole grid ensemble."""
     design, pin, input_rise, points, hints = task
@@ -393,11 +385,10 @@ def characterize_cell(design: CellDesign, grid: CharacterizationGrid,
                       area: float, workers: int | None = None) -> CellTiming:
     """Full NLDM characterisation of one combinational cell.
 
-    By default each timing arc's entire slew x load grid runs as **one**
-    stacked ensemble transient (``runtime.ENSEMBLE = False`` restores the
-    scalar one-transient-per-point path), so ``parallel_map`` shards
-    whole-arc batches rather than single grid points.  Results are
-    identical to the scalar serial run either way.
+    Each timing arc's entire slew x load grid runs as **one** stacked
+    ensemble transient, so ``parallel_map`` shards whole-arc batches
+    rather than single grid points.  Results match the per-point scalar
+    :func:`measure_arc` and are identical for any worker count.
     """
     with telemetry.span(f"cell:{design.name}"):
         return _characterize_cell(design, grid, area, workers)
@@ -408,37 +399,17 @@ def _characterize_cell(design: CellDesign, grid: CharacterizationGrid,
     telemetry.count("char.cells")
     hints = {load: estimate_gate_delay(design, load + 1e-18)
              for load in grid.loads}
-    if runtime.ENSEMBLE:
-        points = [(slew, load) for load in grid.loads
-                  for slew in grid.slews]
-        tasks = [(design, pin, input_rise, points, hints)
-                 for pin in design.inputs for input_rise in (True, False)]
-        labels = [f"{design.name}.{pin} "
-                  f"{'rise' if input_rise else 'fall'} grid"
-                  for pin in design.inputs for input_rise in (True, False)]
-        results = parallel_map(_measure_arc_batch_task, tasks,
-                               workers=workers, labels=labels,
-                               on_error="capture",
-                               phase=f"characterize[{design.name}]")
-        measured = [value for r in results for value in r.unwrap()]
-    else:
-        tasks = []
-        labels = []
-        for pin in design.inputs:
-            for input_rise in (True, False):
-                for j, load in enumerate(grid.loads):
-                    for i, slew in enumerate(grid.slews):
-                        tasks.append((design, pin, input_rise, slew, load,
-                                      hints[load]))
-                        labels.append(f"{design.name}.{pin} "
-                                      f"{'rise' if input_rise else 'fall'} "
-                                      f"slew[{i}] load[{j}]")
-        results = parallel_map(_measure_arc_task, tasks, workers=workers,
-                               labels=labels, on_error="capture",
-                               phase=f"characterize[{design.name}]")
-        # Re-raise the first failure in task order (same exception, and
-        # thus the same behaviour, as the serial loop).
-        measured = [r.unwrap() for r in results]
+    points = [(slew, load) for load in grid.loads for slew in grid.slews]
+    tasks = [(design, pin, input_rise, points, hints)
+             for pin in design.inputs for input_rise in (True, False)]
+    labels = [f"{design.name}.{pin} {'rise' if input_rise else 'fall'} grid"
+              for pin in design.inputs for input_rise in (True, False)]
+    results = parallel_map(_measure_arc_batch_task, tasks, workers=workers,
+                           labels=labels, on_error="capture",
+                           phase=f"characterize[{design.name}]")
+    # Re-raise the first failure in task order (same exception, and thus
+    # the same behaviour, as the serial loop).
+    measured = [value for r in results for value in r.unwrap()]
 
     arcs: list[TimingArc] = []
     k = 0
@@ -640,21 +611,18 @@ def measure_setup_time(dff: CompositeCell, clk_slew: float, load: float,
     """Minimum D-before-clock time that still captures.
 
     Maintains a (``lo`` fails, ``hi`` captures) bracket and shrinks it to
-    ``resolution``.  The default search probes several interior
-    candidates per round as one stacked ensemble (a K-way section search,
-    ~3 rounds instead of ~7 serial bisection transients); with
-    ``runtime.ENSEMBLE = False`` it is the classic one-probe-per-round
-    bisection.
+    ``resolution``.  Each round probes several interior candidates as one
+    stacked ensemble (a K-way section search, ~3 rounds instead of ~7
+    serial bisection transients).  If an ensemble fails to converge, the
+    classic one-probe-per-round :func:`_setup_bisect` finishes the search.
     Either way the returned ``hi`` is a capturing upper bracket within
     ``resolution`` of the true threshold.
     """
     lo, hi = 0.0, 10.0 * t_unit
     resolution = resolution_frac * t_unit
-    use_ensemble = runtime.ENSEMBLE
 
-    if use_ensemble:
-        flags = _captures_batch(dff, load, clk_slew, t_unit, [hi, lo])
-        use_ensemble = flags is not None
+    flags = _captures_batch(dff, load, clk_slew, t_unit, [hi, lo])
+    use_ensemble = flags is not None
     if use_ensemble:
         captures_hi, captures_lo = flags
     else:
@@ -687,12 +655,6 @@ def measure_setup_time(dff: CompositeCell, clk_slew: float, load: float,
         return _setup_bisect(dff, clk_slew, load, t_unit, lo, hi,
                              resolution)
     return hi
-
-
-def _clk_to_q_task(task) -> float:
-    """Module-level (picklable) worker for one clk->q grid point."""
-    dff, slew, load, t_unit = task
-    return measure_clk_to_q(dff, slew, load, t_unit)
 
 
 def measure_clk_to_q_batch(dff: CompositeCell,
@@ -779,28 +741,14 @@ def _characterize_dff(dff: CompositeCell, grid: CharacterizationGrid,
                       area: float, t_unit: float,
                       workers: int | None) -> SequentialTiming:
     telemetry.count("char.cells")
-    if runtime.ENSEMBLE:
-        points = [(slew, load)
-                  for slew in grid.slews for load in grid.loads]
-        chunks = _chunked(points, runtime.ENSEMBLE_BATCH)
-        tasks = [(dff, chunk, t_unit) for chunk in chunks]
-        labels = [f"{dff.name} clk->q batch[{i}]"
-                  for i in range(len(chunks))]
-        results = parallel_map(_clk_to_q_batch_task, tasks,
-                               workers=workers, labels=labels,
-                               on_error="capture",
-                               phase=f"characterize[{dff.name}]")
-        flat = [v for r in results for v in r.unwrap()]
-    else:
-        tasks = [(dff, slew, load, t_unit)
-                 for slew in grid.slews for load in grid.loads]
-        labels = [f"{dff.name} clk->q slew[{i}] load[{j}]"
-                  for i in range(len(grid.slews))
-                  for j in range(len(grid.loads))]
-        results = parallel_map(_clk_to_q_task, tasks, workers=workers,
-                               labels=labels, on_error="capture",
-                               phase=f"characterize[{dff.name}]")
-        flat = [r.unwrap() for r in results]
+    points = [(slew, load) for slew in grid.slews for load in grid.loads]
+    chunks = _chunked(points, runtime.ENSEMBLE_BATCH)
+    tasks = [(dff, chunk, t_unit) for chunk in chunks]
+    labels = [f"{dff.name} clk->q batch[{i}]" for i in range(len(chunks))]
+    results = parallel_map(_clk_to_q_batch_task, tasks, workers=workers,
+                           labels=labels, on_error="capture",
+                           phase=f"characterize[{dff.name}]")
+    flat = [v for r in results for v in r.unwrap()]
     values = np.asarray(flat).reshape(len(grid.slews), len(grid.loads))
     mid_slew = grid.slews[len(grid.slews) // 2]
     mid_load = grid.loads[len(grid.loads) // 2]
@@ -830,11 +778,6 @@ def _characterize_dff(dff: CompositeCell, grid: CharacterizationGrid,
 # ---------------------------------------------------------------------------
 # Whole-library characterisation with disk caching
 # ---------------------------------------------------------------------------
-
-def default_cache_dir() -> Path:
-    """Cache root (kept as an alias of the runtime cache's default)."""
-    return default_cache_root()
-
 
 def _definition_fingerprint(defn: CellLibraryDefinition,
                             grid: CharacterizationGrid) -> str:

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import DeviceModelError
 
 
@@ -74,36 +72,6 @@ class Level1Mosfet:
             gm = beta * vov * clm
             gds = beta * core * self.lambda_
         return i, gm, gds
-
-    def ids_array(self, vgs: np.ndarray, vds: np.ndarray, w: np.ndarray,
-                  l: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Array-valued :meth:`ids`: evaluate many bias points in one call.
-
-        Inputs broadcast; the triode/saturation/cutoff branches become
-        masks, so results match the scalar path to rounding error.
-        """
-        vgs = np.asarray(vgs, dtype=float)
-        vds = np.asarray(vds, dtype=float)
-        vgs, vds, w, l = np.broadcast_arrays(vgs, vds, w, l)
-
-        beta = self.kp * w / l
-        vov = vgs - self.vt0
-        clm = 1.0 + self.lambda_ * vds
-        triode = vds < vov
-
-        core_t = vov * vds - 0.5 * vds * vds
-        core_s = 0.5 * vov * vov
-        core = np.where(triode, core_t, core_s)
-        i = beta * core * clm
-        gm = beta * np.where(triode, vds, vov) * clm
-        gds = np.where(triode,
-                       beta * ((vov - vds) * clm + core_t * self.lambda_),
-                       beta * core_s * self.lambda_)
-
-        on = vov > 0.0
-        zero = np.zeros_like(i)
-        return (np.where(on, i, zero), np.where(on, gm, zero),
-                np.where(on, gds, zero))
 
     def capacitances(self, w: float, l: float) -> tuple[float, float, float]:
         """Small-signal ``(cgs, cgd, cds)`` using the split-channel convention."""

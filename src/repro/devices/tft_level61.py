@@ -197,106 +197,6 @@ class UnifiedTft:
             return i_ch + i_leak, gm, gds + g_leak
         return i_ch, gm, gds
 
-    def batch_evaluator(self, w: np.ndarray, l: np.ndarray):
-        """Compile an array-valued ``(vgs, vds) -> (id, gm, gds)`` kernel.
-
-        All per-device constants (``beta``, subthreshold scale, leakage
-        prefactors) are precomputed once for the given width/length arrays,
-        so the returned callable is a short straight-line sequence of
-        NumPy ops — this is what the MNA assembly calls every Newton
-        iteration for every FET of a circuit at once.
-
-        Numerics follow the scalar :meth:`ids` equations, including its
-        ``log u > 60`` asymptotic branch for the ``vdse`` knee (evaluated
-        as a masked lane so deep-subthreshold devices get exactly the
-        scalar values).  The softplus uses the branch-free
-        ``max(z,0) + log1p(e^-|z|)`` identity (equal to the scalar's
-        branches to rounding error), floored at 1e-300 so a fully-off
-        device cannot divide by zero.
-        """
-        w = np.asarray(w, dtype=float)
-        l = np.asarray(l, dtype=float)
-        nvth = self.n_vth
-        k_z = 1.0 / nvth
-        k_zd = self.vt_dibl / nvth
-        z0 = self.vt0 / nvth
-        beta = (w / l) * self.mu_band * self.ci / (self.vaa ** self.gamma)
-        p = 1.0 + self.gamma
-        beta_p = beta * p
-        alpha = self.alpha_sat
-        k_vsat = alpha * nvth
-        m = self.m_sat
-        e_pow = -1.0 - 1.0 / m
-        lam = self.lambda_
-        vt_dibl = self.vt_dibl
-        leak_i = self.i_off_w * w
-        leak_g = leak_i / _V_LEAK
-
-        def evaluate(vgs: np.ndarray, vds: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            with np.errstate(divide="ignore", over="ignore",
-                             invalid="ignore", under="ignore"):
-                z = vgs * k_z - vds * k_zd - z0
-                # Branch-free softplus and logistic derivative.
-                sp = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
-                np.maximum(sp, 1e-300, out=sp)
-                sig = np.exp(z - sp)
-                vgte = nvth * sp
-                vsat = k_vsat * sp
-
-                # vdse = vds * (1 + (vds/vsat)^m)^(-1/m).  Deep lanes
-                # (log u > 60) take the scalar branch's asymptotic values
-                # exactly; u is clamped there only so the unused
-                # closed-form results cannot overflow.
-                log_u = m * np.log(vds / vsat)
-                deep = log_u > 60.0
-                u = np.exp(np.minimum(log_u, 60.0))
-                t = 1.0 + u
-                base_pow = t ** e_pow
-                vdse = np.where(deep, vsat, vds * (base_pow * t))
-                # Factored with base_pow * u innermost: that product is
-                # <= 1 and vds * (base_pow * u) ~ vsat, so no intermediate
-                # can overflow even when vsat is near the softplus floor.
-                dvdse_dvsat = np.where(deep, 1.0,
-                                       (vds * (base_pow * u)) / vsat)
-                base_pow = np.where(deep, 0.0, base_pow)  # d vdse / d vds
-
-                clm = 1.0 + lam * vds
-                vgte_p = vgte ** p
-                bc = beta * clm
-                i0 = bc * vgte_p                   # d i / d vdse
-                i_ch = i0 * vdse
-                di_dvgte = (beta_p * clm) * (vgte_p / vgte) * vdse
-
-                gm = (di_dvgte + i0 * (dvdse_dvsat * alpha)) * sig
-                dvgte_dvds = sig * (-vt_dibl)
-                gds = (di_dvgte * dvgte_dvds
-                       + i0 * (base_pow + (dvdse_dvsat * alpha) * dvgte_dvds)
-                       + i_ch * (lam / clm))
-                # vds == 0: the logs above produce -inf -> u = 0 -> vdse = 0
-                # and correct derivatives, but 0 * inf NaNs must not leak.
-                if self.i_off_w > 0.0:
-                    x_leak = vds * (1.0 / _V_LEAK)
-                    i_ch = i_ch + leak_i * np.tanh(x_leak)
-                    ch = np.cosh(x_leak)
-                    gds = gds + leak_g / (ch * ch)
-            return i_ch, gm, gds
-
-        return evaluate
-
-    def ids_array(self, vgs: np.ndarray, vds: np.ndarray, w: np.ndarray,
-                  l: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Array-valued :meth:`ids`: evaluate many bias points in one call.
-
-        All inputs broadcast.  Results match the scalar path to rounding
-        error (see :meth:`batch_evaluator` for the two negligible guard
-        differences).
-        """
-        vgs = np.asarray(vgs, dtype=float)
-        vds = np.asarray(vds, dtype=float)
-        vgs, vds, w, l = np.broadcast_arrays(vgs, vds, w, l)
-        return self.batch_evaluator(w, l)(vgs, vds)
-
     # -- capacitances ------------------------------------------------------------
 
     def capacitances(self, w: float, l: float) -> tuple[float, float, float]:
@@ -314,14 +214,15 @@ class UnifiedTft:
 class StackedTftParams:
     """Parameter arrays for a *heterogeneous* batch of :class:`UnifiedTft`s.
 
-    :meth:`UnifiedTft.batch_evaluator` compiles one model's constants for
-    many devices; the ensemble engine (:mod:`repro.spice.ensemble`)
-    additionally stacks devices whose **models differ member to member**
-    (Monte-Carlo ``vt0``/``mu_band`` perturbations, mixed n/p devices of
-    one circuit).  This class broadcasts every model parameter to a
-    per-device array and evaluates the same branch-free equations as
-    ``batch_evaluator``, so a lane's values match the homogeneous batched
-    path (and the scalar :meth:`UnifiedTft.ids`) to rounding error.
+    The ensemble engine (:mod:`repro.spice.ensemble`) stacks devices whose
+    **models differ member to member** (Monte-Carlo ``vt0``/``mu_band``
+    perturbations, mixed n/p devices of one circuit).  This class
+    precomputes every model constant (``beta``, subthreshold scale,
+    leakage prefactors) as a per-device array, so :meth:`evaluate` is a
+    short straight-line sequence of NumPy ops whose values match the
+    scalar :meth:`UnifiedTft.ids` to rounding error.  It is the only
+    array-valued device kernel; the native SPICE kernel mirrors its field
+    order.
 
     ``subset`` gathers the arrays for a device subset, which is how the
     ensemble's masked active set re-narrows its kernels as members finish.
@@ -374,26 +275,39 @@ class StackedTftParams:
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(id, gm, gds)`` for per-device normalised bias points.
 
-        Same equation sequence as :meth:`UnifiedTft.batch_evaluator`'s
-        compiled kernel, with every model constant a per-device array.
+        Numerics follow the scalar :meth:`UnifiedTft.ids` equations,
+        including its ``log u > 60`` asymptotic branch for the ``vdse``
+        knee (evaluated as a masked lane so deep-subthreshold devices get
+        exactly the scalar values).  The softplus uses the branch-free
+        ``max(z,0) + log1p(e^-|z|)`` identity (equal to the scalar's
+        branches to rounding error), floored at 1e-300 so a fully-off
+        device cannot divide by zero.
         """
         with np.errstate(divide="ignore", over="ignore",
                          invalid="ignore", under="ignore"):
             z = vgs * self._k_z - vds * self._k_zd - self._z0
+            # Branch-free softplus and logistic derivative.
             sp = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
             np.maximum(sp, 1e-300, out=sp)
             sig = np.exp(z - sp)
             vgte = self._nvth * sp
             vsat = self._k_vsat * sp
 
+            # vdse = vds * (1 + (vds/vsat)^m)^(-1/m).  Deep lanes
+            # (log u > 60) take the scalar branch's asymptotic values
+            # exactly; u is clamped there only so the unused closed-form
+            # results cannot overflow.
             log_u = self._m * np.log(vds / vsat)
             deep = log_u > 60.0
             u = np.exp(np.minimum(log_u, 60.0))
             t = 1.0 + u
             base_pow = t ** self._e_pow
             vdse = np.where(deep, vsat, vds * (base_pow * t))
+            # Factored with base_pow * u innermost: that product is <= 1
+            # and vds * (base_pow * u) ~ vsat, so no intermediate can
+            # overflow even when vsat is near the softplus floor.
             dvdse_dvsat = np.where(deep, 1.0, (vds * (base_pow * u)) / vsat)
-            base_pow = np.where(deep, 0.0, base_pow)
+            base_pow = np.where(deep, 0.0, base_pow)  # d vdse / d vds
 
             clm = 1.0 + self._lam * vds
             vgte_p = vgte ** self._p
@@ -406,6 +320,8 @@ class StackedTftParams:
             gds = (di_dvgte * dvgte_dvds
                    + i0 * (base_pow + (dvdse_dvsat * self._alpha) * dvgte_dvds)
                    + i_ch * (self._lam / clm))
+            # vds == 0: the logs above produce -inf -> u = 0 -> vdse = 0
+            # and correct derivatives, but 0 * inf NaNs must not leak.
             if self._any_leak:
                 x_leak = vds * (1.0 / _V_LEAK)
                 i_ch = i_ch + self._leak_i * np.tanh(x_leak)

@@ -7,8 +7,8 @@ processes, including the ``solver.<stage>`` per-layer breakdown),
 :mod:`repro.runtime.log` (unified logging config for the CLIs), and
 :mod:`repro.runtime.report` (per-experiment JSON run reports).
 
-It also holds the ensemble-solver constants :data:`ENSEMBLE` and
-:data:`ENSEMBLE_BATCH`, which callers read at call time.
+It also holds the ensemble-solver constant :data:`ENSEMBLE_BATCH`, which
+callers read at call time.
 """
 
 from repro.runtime import log, telemetry
@@ -21,13 +21,6 @@ from repro.runtime.executor import (
     resolve_workers,
 )
 from repro.runtime.log import get_logger
-
-#: Batched ensemble solves: characterisation grids, DFF probes and Monte
-#: Carlo VTC populations integrate as one stacked system.  Read at call
-#: time as ``runtime.ENSEMBLE``; tests and validation patch it to
-#: ``False`` to reach the scalar per-circuit oracle.  A patched value
-#: reaches only fork-started workers.
-ENSEMBLE = True
 
 #: Max members per stacked solve, read at call time as
 #: ``runtime.ENSEMBLE_BATCH``.  The chunk size is fixed by this constant

@@ -60,12 +60,16 @@ __all__ = ["EnsembleSystem", "EnsembleTransient", "Probe",
 class _StackedFetBatch:
     """All stackable FETs of all members, as flat index/parameter arrays.
 
-    Mirrors :class:`repro.spice.mna._FetBatch` with two extensions: the
-    polarity is a per-device array (one batch covers n- and p-type and
-    per-member model perturbations), and member offsets place each
-    device's stamps into its member's slice of the flattened extended
-    state/Jacobian.  ``gather`` re-narrows all arrays to an active
-    member subset — the index arithmetic the masked active set runs on.
+    Each member's state is *extended* by one trash slot (index ``size``,
+    one past the real unknowns) that absorbs ground contributions, so
+    scatters need no branch.  Drain/source swapping is arithmetic: the
+    swapped-orientation scatter indices are precomputed as deltas from
+    the normal orientation.  The polarity is a per-device array (one
+    batch covers n- and p-type and per-member model perturbations), and
+    member offsets place each device's stamps into its member's slice of
+    the flattened extended state/Jacobian.  ``gather`` re-narrows all
+    arrays to an active member subset — the index arithmetic the masked
+    active set runs on.
     """
 
     def __init__(self, fets_per_member: list[list[Fet]], size: int) -> None:
@@ -201,7 +205,7 @@ class EnsembleSystem:
     def __init__(self, circuits: Sequence[Circuit]) -> None:
         if not circuits:
             raise CircuitError("ensemble needs at least one member circuit")
-        self.members = [MnaSystem(c, vectorized=False) for c in circuits]
+        self.members = [MnaSystem(c) for c in circuits]
         ref = self.members[0]
         signature = [_describe(e) for e in ref.circuit.elements]
         for m in self.members[1:]:

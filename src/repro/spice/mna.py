@@ -10,24 +10,16 @@ Splitting constant stamps (resistors, source incidence) from per-iteration
 stamps (transistors) keeps the Newton inner loop cheap: only nonlinear
 elements are re-stamped each iteration.
 
-Two structures are cached once per system rather than rebuilt per call:
+The unit capacitance matrix ``C`` (all ``stamp_dynamic`` contributions at
+``dt = 1``) is cached once per system, so the transient Jacobian is
+``G_static + C/dt`` and the storage-history right-hand side is
+``(C @ x_prev)/dt`` — no per-element Python loop in either.
 
-- the unit capacitance matrix ``C`` (all ``stamp_dynamic`` contributions at
-  ``dt = 1``), so the transient Jacobian is ``G_static + C/dt`` and the
-  storage-history right-hand side is ``(C @ x_prev)/dt`` — no per-element
-  Python loop in either;
-- per-model FET index batches (drain/gate/source solver indices, widths,
-  lengths, and the six Jacobian scatter positions in both drain/source
-  orientations), so one Newton iteration evaluates *all* transistors of a
-  circuit in a single array-valued ``ids_array`` call and two fancy-indexed
-  scatters.
-
-Because NumPy carries a fixed per-operation cost (~0.5 us), batched
-stamping only pays off once a model's FET group is large enough — measured
-crossover is around ten devices.  By default batches smaller than
-:data:`VECTORIZE_MIN_FETS` use the scalar per-element path; the
-``vectorized=`` argument of :class:`MnaSystem` forces either path (the
-equivalence regression tests use it, or patch the constant).
+Every nonlinear element stamps itself through
+:meth:`~repro.spice.elements.Element.stamp_nonlinear`.  This scalar engine
+is the oracle and the fallback; circuits simulated in bulk go through
+:class:`repro.spice.ensemble.EnsembleSystem`, which evaluates every FET of
+a whole batch of circuits in one array-valued device-kernel call.
 """
 
 from __future__ import annotations
@@ -38,13 +30,8 @@ import numpy as np
 
 from repro.errors import CircuitError
 from repro.runtime import telemetry
-from repro.spice.elements import FET_GMIN, Element, Fet
+from repro.spice.elements import Element
 from repro.spice.netlist import Circuit
-
-#: Minimum FETs sharing one model before batched stamping beats the scalar
-#: loop (NumPy fixed overhead amortises at roughly this size).
-VECTORIZE_MIN_FETS = 10
-
 
 def bypass_eta(newton_options) -> float:
     """Stamp-bypass freeze threshold in volts: the Newton ``abstol_v``.
@@ -103,88 +90,6 @@ class StampCache:
         self.valid = True
 
 
-class _FetBatch:
-    """All FETs of one circuit that share a device model, as index arrays.
-
-    The batch evaluates the model once for every device (vectorized) and
-    scatters currents/conductances into an *extended* residual vector and
-    flattened Jacobian: index ``n`` (one past the real unknowns) is a trash
-    slot that absorbs ground contributions, mirroring the scalar stamps'
-    ground-drop behaviour without branching.
-
-    Drain/source swapping (symmetric devices) is handled arithmetically:
-    the swapped-orientation scatter indices are precomputed as deltas from
-    the normal orientation, so selecting an orientation per device is two
-    integer ops instead of six ``np.where`` calls.
-    """
-
-    __slots__ = ("pol", "d", "g", "s", "_eval",
-                 "_sd_delta", "_flat_normal", "_flat_delta")
-
-    def __init__(self, model, fets: list[Fet], n: int) -> None:
-        self.pol = float(model.polarity)
-
-        def solver_index(i: int) -> int:
-            return i if i >= 0 else n
-
-        self.d = np.array([solver_index(f._idx[0]) for f in fets])
-        self.g = np.array([solver_index(f._idx[1]) for f in fets])
-        self.s = np.array([solver_index(f._idx[2]) for f in fets])
-        w = np.array([f.w for f in fets])
-        l = np.array([f.l for f in fets])
-        if hasattr(model, "batch_evaluator"):
-            self._eval = model.batch_evaluator(w, l)
-        else:
-            self._eval = lambda vgs, vds: model.ids_array(vgs, vds, w, l)
-
-        # Jacobian scatter templates.  With effective drain a / source b,
-        # the six entries are (a,a) (a,g) (a,b) (b,a) (b,g) (b,b); the
-        # normal template has a=d, b=s, and the delta flips orientation.
-        ext = n + 1
-        d, g, s = self.d, self.g, self.s
-        self._sd_delta = s - d
-        rows_n = np.stack([d, d, d, s, s, s])
-        cols_n = np.stack([d, g, s, d, g, s])
-        self._flat_normal = rows_n * ext + cols_n
-        rows_s = np.stack([s, s, s, d, d, d])
-        cols_s = np.stack([s, g, d, s, g, d])
-        self._flat_delta = rows_s * ext + cols_s - self._flat_normal
-
-    def stamp(self, J_flat: np.ndarray, F_ext: np.ndarray,
-              x_ext: np.ndarray) -> None:
-        p = self.pol
-        dv = x_ext[self.d] - x_ext[self.s]
-        swapped = (dv < 0.0) if p > 0 else (dv > 0.0)
-        shift = swapped * self._sd_delta
-        a = self.d + shift
-        b = self.s - shift
-        vb = x_ext[b]
-        vg = x_ext[self.g]
-        # In the n-type frame vds is |vd - vs| by construction of the swap.
-        vds_n = np.abs(dv)
-        vgs_n = (vg - vb) if p > 0 else (vb - vg)
-        if telemetry.ENABLED:
-            t0 = perf_counter()
-            ids, gm, gds = self._eval(vgs_n, vds_n)
-            telemetry.time_add("solver.device_eval", perf_counter() - t0)
-        else:
-            ids, gm, gds = self._eval(vgs_n, vds_n)
-
-        # Physical current leaving effective-drain node a is p * ids, and
-        # va - vb = p * vds_n, so i_phys = p * (ids + GMIN * vds_n).
-        i_phys = ids + FET_GMIN * vds_n
-        if p < 0:
-            i_phys = -i_phys
-        np.add.at(F_ext, a, i_phys)
-        np.add.at(F_ext, b, -i_phys)
-
-        g_ds = gds + FET_GMIN
-        gsum = gm + g_ds
-        vals = np.concatenate([g_ds, gm, -gsum, -g_ds, -gm, gsum])
-        flat = self._flat_normal + swapped * self._flat_delta
-        np.add.at(J_flat, flat.ravel(), vals)
-
-
 class MnaSystem:
     """Bound MNA system for one circuit.
 
@@ -193,15 +98,9 @@ class MnaSystem:
     circuit:
         The netlist to bind.  The circuit must contain at least one element
         and at least one non-ground node.
-    vectorized:
-        ``True`` forces batched FET stamping for every model group,
-        ``False`` forces the scalar per-element path, and ``None`` (the
-        default) batches only groups of at least :data:`VECTORIZE_MIN_FETS`
-        devices.
     """
 
-    def __init__(self, circuit: Circuit,
-                 vectorized: bool | None = None) -> None:
+    def __init__(self, circuit: Circuit) -> None:
         if len(circuit) == 0:
             raise CircuitError(f"circuit {circuit.name!r} has no elements")
         node_names = sorted(circuit.nodes)
@@ -246,28 +145,6 @@ class MnaSystem:
             e for e in circuit.elements
             if not e.rhs_is_storage
             and type(e).stamp_rhs is not Element.stamp_rhs)
-
-        self._batches: list[_FetBatch] = []
-        fallback = list(self._nonlinear)
-        if vectorized is not False:
-            min_fets = 1 if vectorized else VECTORIZE_MIN_FETS
-            groups: dict[int, list[Fet]] = {}
-            for e in self._nonlinear:
-                if isinstance(e, Fet) and hasattr(e.model, "ids_array"):
-                    groups.setdefault(id(e.model), []).append(e)
-            for fets in groups.values():
-                if len(fets) >= min_fets:
-                    self._batches.append(_FetBatch(fets[0].model, fets,
-                                                   self.size))
-                    for f in fets:
-                        fallback.remove(f)
-        self._nl_fallback = tuple(fallback)
-
-        if self._batches:
-            ext = self.size + 1
-            self._J_ext = np.zeros((ext, ext))
-            self._F_ext = np.zeros(ext)
-            self._x_ext = np.zeros(ext)
 
         self._nl_slots: np.ndarray | None | str = "unset"
 
@@ -323,9 +200,6 @@ class MnaSystem:
         """Full Newton residual ``F(x)`` and Jacobian ``J(x)``.
 
         ``F = G_lin @ x - b + F_nl(x)`` and ``J = G_lin + J_nl(x)``.
-
-        On the vectorized path the returned arrays are views into buffers
-        owned by this system: they stay valid until the next call.
         """
         if telemetry.ENABLED:
             t0 = perf_counter()
@@ -348,32 +222,9 @@ class MnaSystem:
 
     def _residual_and_jacobian(self, x: np.ndarray, G_lin: np.ndarray,
                                b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if not self._batches:
-            J = G_lin.copy()
-            F = G_lin @ x - b
-            for element in self._nl_fallback:
-                element.stamp_nonlinear(J, F, x)
-            return F, J
-
-        n = self.size
-        J_ext = self._J_ext
-        J_ext[:n, :n] = G_lin
-        J_ext[n, :] = 0.0
-        J_ext[:n, n] = 0.0
-        F_ext = self._F_ext
-        np.dot(G_lin, x, out=F_ext[:n])
-        F_ext[:n] -= b
-        F_ext[n] = 0.0
-        x_ext = self._x_ext
-        x_ext[:n] = x
-
-        J_flat = J_ext.reshape(-1)
-        for batch in self._batches:
-            batch.stamp(J_flat, F_ext, x_ext)
-
-        F = F_ext[:n]
-        J = J_ext[:n, :n]
-        for element in self._nl_fallback:
+        J = G_lin.copy()
+        F = G_lin @ x - b
+        for element in self._nonlinear:
             element.stamp_nonlinear(J, F, x)
         return F, J
 

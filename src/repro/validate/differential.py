@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import runtime
 from repro.validate.checks import (
     CheckContext,
     check,
@@ -142,8 +141,7 @@ def ensemble_vs_scalar_dc(ctx: CheckContext) -> str:
     cells = [perturb_cell(base, VariationModel(), rng)
              for _ in range(n_cells)]
 
-    with swap_attr(runtime, "ENSEMBLE", True):
-        batched = compute_vtc_batch(cells, n_points=n_points)
+    batched = compute_vtc_batch(cells, n_points=n_points)
     for i, (cell, curve) in enumerate(zip(cells, batched)):
         expect(curve is not None,
                f"batched VTC abandoned instance {i} that the scalar "

@@ -2,7 +2,8 @@
 
 The sample set is drawn up front from the seeded generator and chunks
 are sized by ``runtime.ENSEMBLE_BATCH`` alone, so the yield numbers must
-be independent of both the worker count and whether batching is on.
+be independent of the worker count and match a per-sample scalar
+``compute_vtc`` of the same instances.
 """
 
 import numpy as np
@@ -11,9 +12,15 @@ import pytest
 from repro import runtime
 from repro.analysis.yield_mc import noise_margin_yield, perturb_cell
 from repro.cells.topologies import pseudo_e_inverter
-from repro.cells.vtc import compute_vtc, compute_vtc_batch
+from repro.cells.vtc import (
+    compute_vtc,
+    compute_vtc_batch,
+    noise_margin_mec,
+    switching_threshold,
+)
 from repro.devices.pentacene import PENTACENE
 from repro.devices.variation import VariationModel
+from repro.errors import AnalysisError, ConvergenceError
 
 
 @pytest.fixture(scope="module")
@@ -38,15 +45,32 @@ def test_vtc_batch_matches_scalar(base_cell):
                                    rtol=1e-9, atol=1e-18)
 
 
-def test_yield_matches_scalar_path(base_cell, monkeypatch):
-    monkeypatch.setattr(runtime, "ENSEMBLE", False)
-    scalar = noise_margin_yield(base_cell, n_samples=10, seed=3)
-    monkeypatch.setattr(runtime, "ENSEMBLE", True)
+def _scalar_yield_samples(base_cell, n_samples, seed):
+    """Per-sample scalar VTCs of the instances ``noise_margin_yield``
+    draws: (noise margins with losses as 0, VMs of converged samples)."""
+    rng = np.random.default_rng(seed)
+    instances = [perturb_cell(base_cell, VariationModel(), rng)
+                 for _ in range(n_samples)]
+    margins, vms = [], []
+    for instance in instances:
+        try:
+            curve = compute_vtc(instance, n_points=61)
+            vm, margin = switching_threshold(curve), noise_margin_mec(curve)
+        except (ConvergenceError, AnalysisError):
+            margins.append(0.0)     # a non-inverting instance is a loss
+            continue
+        vms.append(vm)
+        margins.append(margin)
+    return np.asarray(margins), np.asarray(vms)
+
+
+def test_yield_matches_scalar_path(base_cell):
+    margins, vms = _scalar_yield_samples(base_cell, n_samples=10, seed=3)
     batched = noise_margin_yield(base_cell, n_samples=10, seed=3)
-    assert batched.n_converged == scalar.n_converged
-    np.testing.assert_allclose(batched.noise_margins,
-                               scalar.noise_margins, rtol=1e-9, atol=1e-12)
-    np.testing.assert_allclose(batched.vm_values, scalar.vm_values,
+    assert batched.n_converged == len(vms)
+    np.testing.assert_allclose(batched.noise_margins, margins,
+                               rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(batched.vm_values, vms,
                                rtol=1e-9, atol=1e-12)
 
 

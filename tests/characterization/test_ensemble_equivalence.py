@@ -1,10 +1,10 @@
 """Ensemble-vs-scalar characterisation equivalence.
 
-``runtime.ENSEMBLE = False`` routes the harness through the original scalar
-per-point path; with it enabled (the default), whole slew x load grids
-run as stacked batches.  The NLDM tables must agree to solver tolerance
-— the batched controller replicates the scalar step-size schedule, so
-in practice they agree to rounding error.
+The harness runs whole slew x load grids as stacked batches; the
+per-point scalar measurements (``measure_arc``, ``measure_clk_to_q``,
+``_captures`` / ``_setup_bisect``) are the oracle.  The NLDM tables must
+agree to solver tolerance — the batched controller replicates the scalar
+step-size schedule, so in practice they agree to rounding error.
 
 The single-arc checks run on every push; the full-grid cell and dff
 comparisons carry the ``slow`` marker and run in the dedicated CI job.
@@ -54,34 +54,49 @@ def test_batch_size_does_not_change_results(defn, grid, monkeypatch):
 
 
 @pytest.mark.slow
-def test_characterize_cell_tables_match_scalar(defn, grid, monkeypatch):
+def test_characterize_cell_tables_match_scalar(defn, grid):
+    """Every arc's full grid against one scalar transient per point."""
     cell = defn.cells["nand2"]
-    monkeypatch.setattr(runtime, "ENSEMBLE", False)
-    scalar = harness.characterize_cell(cell, grid, area=1.0)
-    monkeypatch.setattr(runtime, "ENSEMBLE", True)
     batched = harness.characterize_cell(cell, grid, area=1.0)
-    assert len(scalar.arcs) == len(batched.arcs)
-    for arc_s, arc_b in zip(scalar.arcs, batched.arcs):
-        assert arc_s.input_pin == arc_b.input_pin
-        assert arc_s.output_transition == arc_b.output_transition
-        for table in ("delay", "transition"):
-            a = np.asarray(getattr(arc_b, table).values)
-            b = np.asarray(getattr(arc_s, table).values)
-            np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-15)
+    arcs = [(pin, input_rise) for pin in cell.inputs
+            for input_rise in (True, False)]
+    assert len(batched.arcs) == len(arcs)
+    for (pin, input_rise), arc in zip(arcs, batched.arcs):
+        assert arc.input_pin == pin
+        assert arc.output_transition == ("fall" if input_rise else "rise")
+        for i, slew in enumerate(grid.slews):
+            for j, load in enumerate(grid.loads):
+                hint = harness.estimate_gate_delay(cell, load + 1e-18)
+                delay, transition = harness.measure_arc(
+                    cell, pin, input_rise, slew, load, delay_hint=hint)
+                np.testing.assert_allclose(
+                    arc.delay.values[i, j], delay, rtol=1e-9, atol=1e-15)
+                np.testing.assert_allclose(
+                    arc.transition.values[i, j], transition,
+                    rtol=1e-9, atol=1e-15)
 
 
 @pytest.mark.slow
-def test_characterize_dff_matches_scalar(defn, grid, monkeypatch):
-    t_unit = harness.estimate_gate_delay(
-        defn.cell("inv"), 4.0 * defn.cell("inv").input_capacitance("a"))
-    monkeypatch.setattr(runtime, "ENSEMBLE", False)
-    scalar = harness.characterize_dff(defn.dff, grid, area=1.0,
-                                      t_unit=t_unit)
-    monkeypatch.setattr(runtime, "ENSEMBLE", True)
+def test_characterize_dff_matches_scalar(defn, grid):
+    """The full clk->q grid point by point, and the K-way setup search
+    against scalar bisection on the same bracket."""
+    inv = defn.cell("inv")
+    t_unit = harness.estimate_gate_delay(inv,
+                                         4.0 * inv.input_capacitance("a"))
     batched = harness.characterize_dff(defn.dff, grid, area=1.0,
                                        t_unit=t_unit)
-    np.testing.assert_allclose(np.asarray(batched.clk_to_q.values),
-                               np.asarray(scalar.clk_to_q.values),
-                               rtol=1e-9, atol=1e-15)
-    assert batched.setup_time == pytest.approx(scalar.setup_time, rel=1e-9)
-    assert batched.hold_time == pytest.approx(scalar.hold_time, rel=1e-9)
+    for i, slew in enumerate(grid.slews):
+        for j, load in enumerate(grid.loads):
+            scalar = harness.measure_clk_to_q(defn.dff, slew, load, t_unit)
+            np.testing.assert_allclose(batched.clk_to_q.values[i, j],
+                                       scalar, rtol=1e-9, atol=1e-15)
+
+    slew = grid.slews[len(grid.slews) // 2]
+    load = grid.loads[len(grid.loads) // 2]
+    lo, hi = 0.0, 10.0 * t_unit
+    assert harness._captures(defn.dff, load, slew, t_unit, hi)
+    assert not harness._captures(defn.dff, load, slew, t_unit, lo)
+    scalar_setup = harness._setup_bisect(defn.dff, slew, load, t_unit,
+                                         lo, hi, 0.1 * t_unit)
+    assert batched.setup_time == pytest.approx(scalar_setup, rel=1e-9)
+    assert batched.hold_time == pytest.approx(0.25 * t_unit, rel=1e-9)

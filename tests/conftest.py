@@ -24,7 +24,6 @@ ORACLE_LEGS = {
     "per-iteration": (
         "tests/analysis/test_dse.py",
         "tests/characterization/test_ensemble_equivalence.py",
-        "tests/characterization/test_vectorized_nldm.py",
         "tests/spice/test_backends.py",
         "tests/spice/test_ensemble.py",
     ),

@@ -1,9 +1,11 @@
-"""Vectorized (`ids_array`) vs scalar (`ids`) device-model equivalence.
+"""Array kernel (`StackedTftParams.evaluate`) vs scalar (`ids`) equivalence.
 
-The batched MNA stamping path is only sound if the array-valued model
-evaluation agrees with the scalar reference everywhere the solver can
-visit — subthreshold, triode, saturation, the knee, and the leakage-floor
-region, on both device polarities and both model families.
+The ensemble engine's batched stamping is only sound if the array-valued
+model evaluation agrees with the scalar reference everywhere the solver
+can visit — subthreshold, triode, saturation, the knee, and the
+leakage-floor region, on both device polarities — and if one batch that
+mixes models, and any subset gathered from it, keeps each lane on its
+own device's equations.
 """
 
 from __future__ import annotations
@@ -12,10 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.devices.mosfet_level1 import Level1Mosfet
 from repro.devices.pentacene import PENTACENE
 from repro.devices.silicon import silicon_nmos_45, silicon_pmos_45
-from repro.devices.tft_level61 import UnifiedTft
+from repro.devices.tft_level61 import StackedTftParams, UnifiedTft
 
 # Both polarities, organic and silicon parameter corners, plus a no-leak
 # no-DIBL corner where several model terms collapse to zero.
@@ -27,16 +28,45 @@ TFT_MODELS = [
                vt_dibl=0.0, lambda_=0.0, i_off_w=0.0, name="bare"),
 ]
 
-LEVEL1_MODELS = [
-    Level1Mosfet(polarity=+1, kp=2e-4, vt0=0.7, lambda_=0.05),
-    Level1Mosfet(polarity=-1, kp=8e-5, vt0=0.9, lambda_=0.0),
+#: (vgs, vds) points that exercise each guarded branch of the kernel.
+EDGE_POINTS = [
+    (5.0, 0.0),      # vds = 0: zero channel term, exact gds limit
+    (-25.0, 10.0),   # deep subthreshold: tiny vgte, huge vds/vsat
+    (25.0, 0.01),    # hard triode
+    (2.0, 25.0),     # deep saturation + leakage-dominated
 ]
 
 
 def _assert_triplet_close(scalar, batched, what):
     for s, b, name in zip(scalar, batched, ("ids", "gm", "gds")):
         assert np.isclose(b, s, rtol=1e-9, atol=1e-280), \
-            f"{what}: {name} scalar={s!r} vectorized={b!r}"
+            f"{what}: {name} scalar={s!r} array={b!r}"
+
+
+def _assert_lanes_match_scalar(models, w, l, vgs, vds, out, what):
+    ids_v, gm_v, gds_v = out
+    assert np.all(np.isfinite(ids_v))
+    assert np.all(np.isfinite(gm_v))
+    assert np.all(np.isfinite(gds_v))
+    for k, model in enumerate(models):
+        _assert_triplet_close(
+            model.ids(float(vgs[k]), float(vds[k]), float(w[k]), float(l[k])),
+            (float(ids_v[k]), float(gm_v[k]), float(gds_v[k])),
+            f"{what} lane {k} {model.name} vgs={vgs[k]} vds={vds[k]}")
+
+
+def _mixed_batch():
+    """Every corner at every edge point plus seeded random biases, in one
+    interleaved batch (lane k holds model k % 4)."""
+    rng = np.random.default_rng(0)
+    biases = EDGE_POINTS + [(float(g), float(d)) for g, d in zip(
+        rng.uniform(-30.0, 30.0, 8), rng.uniform(0.0, 30.0, 8))]
+    models = [m for _ in biases for m in TFT_MODELS]
+    vgs = np.array([g for g, _ in biases for _ in TFT_MODELS])
+    vds = np.array([d for _, d in biases for _ in TFT_MODELS])
+    w = rng.uniform(1e-6, 1e-3, len(models))
+    l = rng.uniform(1e-6, 1e-4, len(models))
+    return models, w, l, vgs, vds
 
 
 @pytest.mark.parametrize("model", TFT_MODELS, ids=lambda m: m.name)
@@ -49,74 +79,52 @@ def _assert_triplet_close(scalar, batched, what):
 )
 def test_tft_array_matches_scalar(model, vgs, vds, w, l):
     scalar = model.ids(vgs, vds, w, l)
-    batched = model.ids_array(np.array([vgs]), np.array([vds]),
-                              np.array([w]), np.array([l]))
+    batched = StackedTftParams([model], np.array([w]), np.array([l])
+                               ).evaluate(np.array([vgs]), np.array([vds]))
     _assert_triplet_close(scalar, [float(v[0]) for v in batched],
                           f"{model.name} vgs={vgs} vds={vds}")
-
-
-@pytest.mark.parametrize("model", LEVEL1_MODELS,
-                         ids=["level1_n", "level1_p"])
-@settings(max_examples=150, deadline=None)
-@given(
-    vgs=st.floats(-5.0, 5.0),
-    vds=st.floats(0.0, 5.0),
-    w=st.floats(1e-7, 1e-4),
-    l=st.floats(1e-8, 1e-5),
-)
-def test_level1_array_matches_scalar(model, vgs, vds, w, l):
-    scalar = model.ids(vgs, vds, w, l)
-    batched = model.ids_array(np.array([vgs]), np.array([vds]),
-                              np.array([w]), np.array([l]))
-    _assert_triplet_close(scalar, [float(v[0]) for v in batched],
-                          f"level1 vgs={vgs} vds={vds}")
 
 
 @pytest.mark.parametrize("model", TFT_MODELS, ids=lambda m: m.name)
 def test_tft_edge_cases(model):
     """vds = 0, deep subthreshold, and deep saturation lanes stay finite
     and equal to the scalar branch results."""
-    w, l = 100e-6, 10e-6
-    points = [
-        (5.0, 0.0),      # vds = 0: zero channel term, exact gds limit
-        (-25.0, 10.0),   # deep subthreshold: tiny vgte, huge vds/vsat
-        (25.0, 0.01),    # hard triode
-        (2.0, 25.0),     # deep saturation + leakage-dominated
-    ]
-    vgs = np.array([p[0] for p in points])
-    vds = np.array([p[1] for p in points])
-    ids_v, gm_v, gds_v = model.ids_array(vgs, vds, w, l)
-    assert np.all(np.isfinite(ids_v))
-    assert np.all(np.isfinite(gm_v))
-    assert np.all(np.isfinite(gds_v))
-    for k, (g, d) in enumerate(points):
-        _assert_triplet_close(
-            model.ids(g, d, w, l),
-            (float(ids_v[k]), float(gm_v[k]), float(gds_v[k])),
-            f"{model.name} edge vgs={g} vds={d}")
+    n = len(EDGE_POINTS)
+    w, l = np.full(n, 100e-6), np.full(n, 10e-6)
+    vgs = np.array([p[0] for p in EDGE_POINTS])
+    vds = np.array([p[1] for p in EDGE_POINTS])
+    out = StackedTftParams([model] * n, w, l).evaluate(vgs, vds)
+    _assert_lanes_match_scalar([model] * n, w, l, vgs, vds, out,
+                               f"{model.name} edge")
 
 
-def test_batch_evaluator_matches_ids_array():
-    """The precompiled kernel and the convenience wrapper agree."""
-    model = PENTACENE
-    w = np.array([100e-6, 50e-6, 200e-6])
-    l = np.array([10e-6, 10e-6, 5e-6])
-    vgs = np.array([3.0, -2.0, 14.0])
-    vds = np.array([0.5, 8.0, 2.0])
-    via_eval = model.batch_evaluator(w, l)(vgs, vds)
-    via_array = model.ids_array(vgs, vds, w, l)
-    for a, b in zip(via_eval, via_array):
-        np.testing.assert_allclose(a, b, rtol=0, atol=0)
+def test_mixed_batch_matches_scalar():
+    """Organic p-type, silicon n and p, and a no-leak device in one
+    object: every lane follows its own model's scalar equations."""
+    models, w, l, vgs, vds = _mixed_batch()
+    params = StackedTftParams(models, w, l)
+    assert len(params) == len(models)
+    _assert_lanes_match_scalar(models, w, l, vgs, vds,
+                               params.evaluate(vgs, vds), "mixed")
 
 
-def test_broadcasting():
-    """ids_array broadcasts bias grids against scalar geometry."""
-    model = PENTACENE
-    vgs = np.linspace(-5, 15, 7)[:, None]
-    vds = np.linspace(0, 10, 5)[None, :]
-    ids_v, gm_v, gds_v = model.ids_array(vgs, vds, 100e-6, 10e-6)
-    assert ids_v.shape == gm_v.shape == gds_v.shape == (7, 5)
-    s = model.ids(float(vgs[3, 0]), float(vds[0, 2]), 100e-6, 10e-6)
-    _assert_triplet_close(
-        s, (float(ids_v[3, 2]), float(gm_v[3, 2]), float(gds_v[3, 2])),
-        "broadcast sample")
+def test_subset_matches_scalar():
+    """``subset`` re-narrows every per-device array, by boolean mask (as
+    the ensemble's active set does) and by index array."""
+    models, w, l, vgs, vds = _mixed_batch()
+    params = StackedTftParams(models, w, l)
+    rng = np.random.default_rng(1)
+    mask = rng.random(len(models)) < 0.5
+    for sel in (mask, np.flatnonzero(~mask)[::-1]):
+        sub = params.subset(sel)
+        picked = [models[k] for k in np.arange(len(models))[sel]]
+        assert len(sub) == len(picked)
+        _assert_lanes_match_scalar(
+            picked, w[sel], l[sel], vgs[sel], vds[sel],
+            sub.evaluate(vgs[sel], vds[sel]), "subset")
+    # A subset of leak-free devices drops the leakage term entirely.
+    bare = np.array([m.i_off_w == 0.0 for m in models])
+    _assert_lanes_match_scalar(
+        [m for m in models if m.i_off_w == 0.0], w[bare], l[bare],
+        vgs[bare], vds[bare],
+        params.subset(bare).evaluate(vgs[bare], vds[bare]), "no-leak subset")
