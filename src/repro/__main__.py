@@ -15,9 +15,8 @@ Heavy experiments (fig11, fig13) accept ``--quick`` to shorten traces.
 Every experiment run collects telemetry (hierarchical spans, solver and
 cache metrics — see :mod:`repro.runtime.telemetry`) and writes a JSON
 run report under ``runs/`` (``--report PATH`` overrides the location,
-``--no-report`` skips it, ``REPRO_TELEMETRY=0`` forces the
-zero-overhead path).  ``-v``/``-vv``/``--log-level`` control library
-logging.
+``--no-report`` skips it).  ``-v``/``-vv``/``--log-level`` control
+library logging.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from pathlib import Path
 
 from repro.analysis import figures as F
 from repro.analysis.tables import format_matrix, format_series, format_table
@@ -319,14 +317,6 @@ def _run_perf(argv: list[str]) -> int:
     p_trend.add_argument("--all-envs", action="store_true",
                          help="include entries from other machines")
 
-    p_regress = sub.add_parser(
-        "regress", help="CI perf gate vs a published BENCH_perf.json")
-    p_regress.add_argument("--baseline", required=True, metavar="JSON")
-    p_regress.add_argument("--tolerance", type=float, default=0.25)
-    p_regress.add_argument("--report", default=None, metavar="PATH",
-                           help="benchmark-bearing run report to gate "
-                                "(default: most recent indexed one)")
-
     args = parser.parse_args(argv)
 
     if args.command == "list":
@@ -359,60 +349,28 @@ def _run_perf(argv: list[str]) -> int:
         print(history.format_diff(diff, verbose=args.all))
         return 1 if args.strict and diff["flags"] else 0
 
-    if args.command == "trend":
-        entries = history.load_entries()
-        current = history.env_key(run_report.env_fingerprint())
-        rows = []
-        for entry in entries:
-            seconds = (entry.get("benchmarks") or {}).get(args.bench)
-            if seconds is None:
-                continue
-            if not args.all_envs and entry.get("env_key") != current:
-                continue
-            rows.append((entry.get("timestamp", "?"), seconds,
-                         entry.get("env_key", "?")))
-        if not rows:
-            print(f"no history entries carry benchmark {args.bench!r} "
-                  f"(env {current}; try --all-envs)")
-            return 1
-        rows = rows[-args.limit:]
-        best = min(seconds for _, seconds, _ in rows)
-        for stamp, seconds, key in rows:
-            bar = "#" * max(1, round(20 * best / seconds))
-            print(f"{stamp}  {seconds:8.4f}s  env={key}  {bar}")
-        return 0
-
-    # regress: the CI perf gate.
-    try:
-        baseline = json.loads(Path(args.baseline).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"perf regress: cannot read baseline {args.baseline}: {exc}")
-        return 2
-    if args.report is not None:
-        try:
-            _path, report = history.resolve_report(args.report)
-        except (OSError, json.JSONDecodeError, FileNotFoundError) as exc:
-            print(f"perf regress: {exc}")
-            return 2
-        fresh = history._bench_seconds(report)
-    else:
-        fresh = {}
-        for entry in reversed(history.load_entries()):
-            if entry.get("benchmarks"):
-                fresh = {k: float(v)
-                         for k, v in entry["benchmarks"].items()
-                         if v is not None}
-                print(f"gating most recent benchmark run: {entry['path']}")
-                break
-        if not fresh:
-            print("perf regress: no benchmark-bearing run in the history "
-                  "index; run run_bench --report first or pass --report")
-            return 2
-    status, lines = history.regress_check(fresh, baseline,
-                                          tolerance=args.tolerance)
-    for line in lines:
-        print(f"[perf] {line}")
-    return status
+    # trend
+    entries = history.load_entries()
+    current = history.env_key(run_report.env_fingerprint())
+    rows = []
+    for entry in entries:
+        seconds = (entry.get("benchmarks") or {}).get(args.bench)
+        if seconds is None:
+            continue
+        if not args.all_envs and entry.get("env_key") != current:
+            continue
+        rows.append((entry.get("timestamp", "?"), seconds,
+                     entry.get("env_key", "?")))
+    if not rows:
+        print(f"no history entries carry benchmark {args.bench!r} "
+              f"(env {current}; try --all-envs)")
+        return 1
+    rows = rows[-args.limit:]
+    best = min(seconds for _, seconds, _ in rows)
+    for stamp, seconds, key in rows:
+        bar = "#" * max(1, round(20 * best / seconds))
+        print(f"{stamp}  {seconds:8.4f}s  env={key}  {bar}")
+    return 0
 
 
 def _run_report(args) -> int:
@@ -447,8 +405,7 @@ def _run_experiments(targets: list[str], args,
 
     One report covers the whole invocation (each target gets its own
     root span), written to ``--report PATH`` or timestamped under
-    ``runs/``.  ``REPRO_TELEMETRY=0`` keeps collection off; the report
-    then still carries the environment fingerprint and cache stats.
+    ``runs/``.
     """
     telemetry.reset()
     telemetry.enable(True)

@@ -47,6 +47,7 @@ from repro.errors import (
 )
 from repro.runtime import chunked as _chunked, parallel_map, telemetry
 from repro.runtime.cache import ResultCache
+from repro.spice.backends import get_backend
 from repro.spice.elements import Capacitor, RampValue, VoltageSource
 from repro.spice.ensemble import (EnsembleTransient, Probe,
                                   ensemble_operating_point)
@@ -828,16 +829,15 @@ def characterize_library(defn: CellLibraryDefinition,
 
     Results are memoised through :class:`repro.runtime.cache.ResultCache`
     (category ``library``), keyed by a fingerprint of everything that
-    affects the physics: device-model parameters, sizes, rails and the
-    NLDM grid.  ``use_cache=False`` bypasses the cache for this call;
-    ``REPRO_CACHE=0`` disables it process-wide; ``cache_dir`` overrides
-    the root (default ``REPRO_CACHE_DIR``).
+    affects the physics: device-model parameters, sizes, rails, the
+    NLDM grid and the solver backend.  ``use_cache=False`` bypasses the
+    cache for this call; ``REPRO_CACHE=0`` disables it process-wide;
+    ``cache_dir`` overrides the root (default ``REPRO_CACHE_DIR``).
 
     ``workers`` fans the per-arc transients out across processes (see
     :func:`repro.runtime.parallel_map`); results and the cache key are
     identical whatever the worker count.
     """
-    from repro.spice.backends import get_backend
     with telemetry.span(f"characterize_library:{defn.name}",
                         backend=get_backend().name):
         return _characterize_library(defn, grid, cache_dir, use_cache,
@@ -858,7 +858,10 @@ def _characterize_library(defn: CellLibraryDefinition,
     grid = grid or default_grid(defn)
     cache = ResultCache(root=cache_dir)
     key = _definition_fingerprint(defn, grid)
-    cache_key = cache.key({"library": defn.name, "fingerprint": key})
+    # The numpy and native builds differ in the last bits: one backend's
+    # library must never be served to the other.
+    cache_key = cache.key({"library": defn.name, "fingerprint": key,
+                           "backend": get_backend().name})
     use_cache = use_cache and cache.enabled
     memo_key = (str(cache.root), cache_key)
     if use_cache:

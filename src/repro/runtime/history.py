@@ -13,12 +13,9 @@ On top of the index sit the ``python -m repro perf`` analytics:
 - ``list`` — recent runs (target, status, duration, env key);
 - ``diff A B`` — span/benchmark/duration deltas between two reports,
   flagging rows beyond a relative threshold;
-- ``trend NAME`` — one benchmark's seconds across the index, env-keyed;
-- ``regress --baseline BENCH_perf.json`` — the CI perf gate: compares
-  a fresh benchmark-bearing run report against the published baseline
-  and exits nonzero on any seeded row slower than the tolerance, with
-  the same env-fingerprint self-skip the old ``run_bench --check``
-  gate had (cross-machine wall-clock comparison is meaningless).
+- ``trend NAME`` — one benchmark's seconds across the index, env-keyed.
+
+The perf gate against the published baseline is ``run_bench --check``.
 
 The index is a cache of the reports, not a source of truth: a missing
 or corrupt line degrades to reading the report JSONs themselves, and
@@ -43,7 +40,6 @@ __all__ = [
     "format_diff",
     "index_entry",
     "load_entries",
-    "regress_check",
     "resolve_report",
 ]
 
@@ -304,51 +300,3 @@ def format_diff(diff: dict, verbose: bool = False) -> str:
         for name, delta in diff["counter_deltas"].items():
             lines.append(f"  {name}: {delta:+d}")
     return "\n".join(lines)
-
-
-# -- regression gate ----------------------------------------------------------
-
-def regress_check(fresh_benchmarks: dict[str, float], baseline: dict,
-                  current_env: dict | None = None,
-                  tolerance: float = 0.25) -> tuple[int, list[str]]:
-    """The CI perf gate: (exit status, report lines).
-
-    *baseline* is a published ``BENCH_perf.json`` document.  Rows whose
-    recorded entry is missing or carries ``seed_seconds: null`` are not
-    gated; the gate self-skips (status 0, with a line saying so) when
-    the recorded environment fingerprint (machine / python / cpu count)
-    does not match *current_env*.
-    """
-    lines: list[str] = []
-    recorded_env = baseline.get("environment", {})
-    if current_env is None:
-        import platform
-        current_env = {"cpu_count": os.cpu_count(),
-                       "python": platform.python_version(),
-                       "machine": platform.machine()}
-    mismatch = {k: (recorded_env.get(k), v) for k, v in current_env.items()
-                if recorded_env.get(k) != v}
-    if mismatch:
-        lines.append(f"regress skipped: environment fingerprint mismatch "
-                     f"(recorded vs current): {mismatch}")
-        return 0, lines
-    failures = []
-    for name, entry in baseline.get("benchmarks", {}).items():
-        if entry.get("seed_seconds") is None:
-            continue                     # benchmark newer than the baseline
-        reference = entry.get("seconds")
-        fresh = fresh_benchmarks.get(name)
-        if not reference or fresh is None:
-            continue
-        limit = reference * (1.0 + tolerance)
-        if fresh > limit:
-            failures.append(f"{name}: {fresh:.4f}s vs recorded "
-                            f"{reference:.4f}s (limit {limit:.4f}s)")
-    if failures:
-        lines.append(f"regress FAILED ({len(failures)} regression(s) "
-                     f"beyond {tolerance:.0%}):")
-        lines.extend(f"  {line}" for line in failures)
-        return 1, lines
-    lines.append(f"regress passed: no seeded benchmark slower than "
-                 f"{tolerance:.0%} over baseline")
-    return 0, lines

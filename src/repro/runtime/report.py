@@ -89,12 +89,11 @@ def env_fingerprint() -> dict:
 
 
 def _solver_backend() -> dict:
-    """Resolved spice solver backend vs what was requested, and the
-    threads one of its ensemble sweeps may use."""
+    """Resolved spice solver backend and the threads one of its
+    ensemble sweeps may use."""
     from repro.spice.backends import get_backend
     backend = get_backend()
     return {
-        "requested": os.environ.get("REPRO_BACKEND", "auto"),
         "resolved": backend.name,
         "threads": backend.thread_budget(),
     }

@@ -37,16 +37,13 @@ stage breakdown can split a solve; the ``telemetry_overhead`` bench
 holds them, with everything else, to its 2 % budget.  The enabled path
 appends to plain dicts.
 
-Environment knob: ``REPRO_TELEMETRY=1`` force-enables collection at
-import time (``0`` force-disables even if a caller asks for it); by
-default collection is off until a driver — the ``python -m repro`` CLI,
+Collection is off until a driver — the ``python -m repro`` CLI,
 ``run_bench --profile``/``--report`` — calls :func:`enable`.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 import threading
 import time
 from contextlib import contextmanager
@@ -61,8 +58,6 @@ __all__ = [
     "counters",
     "current_path",
     "enable",
-    "enabled_by_env",
-    "force_disabled_by_env",
     "merge_snapshot",
     "observe",
     "reset",
@@ -84,17 +79,6 @@ ENABLED = False
 
 #: Separator used in flattened span paths ("fig11/characterize/cell:inv").
 PATH_SEP = "/"
-
-
-def enabled_by_env() -> bool:
-    """True iff ``REPRO_TELEMETRY`` asks for collection (``1``/``on``)."""
-    return os.environ.get("REPRO_TELEMETRY", "").lower() in ("1", "true", "on")
-
-
-def force_disabled_by_env() -> bool:
-    """True iff ``REPRO_TELEMETRY`` explicitly disables collection."""
-    return os.environ.get("REPRO_TELEMETRY", "").lower() in ("0", "false",
-                                                             "off")
 
 
 class _Span:
@@ -219,20 +203,10 @@ class _Registry:
 
 _REG = _Registry()
 
-if enabled_by_env():                               # pragma: no cover - env
-    ENABLED = True
-
 
 def enable(flag: bool = True) -> None:
-    """Turn collection on/off (leaves accumulated data in place).
-
-    ``REPRO_TELEMETRY=0`` wins over ``enable(True)`` so a user can force
-    the zero-overhead path through any driver.
-    """
+    """Turn collection on/off (leaves accumulated data in place)."""
     global ENABLED
-    if flag and force_disabled_by_env():
-        ENABLED = False
-        return
     ENABLED = bool(flag)
 
 

@@ -1,30 +1,21 @@
-"""Runtime-selectable solver backends for the spice engines.
+"""Solver backends for the spice engines.
 
-``REPRO_BACKEND`` picks the linear-algebra core once per process:
+:func:`get_backend` resolves once per process: the compiled
+:class:`~repro.spice.backends.native.NativeBackend` when its kernel
+loads (a C compiler or a cached build, and ``REPRO_NATIVE`` not ``0``),
+else the pure-NumPy reference
+(:class:`~repro.spice.backends.numpy_ref.NumpyBackend`), which also
+defines the backend contract and is the oracle of the equivalence
+suites.
 
-``auto`` (default)
-    The compiled :class:`~repro.spice.backends.native.NativeBackend`
-    when a C compiler (or a cached kernel build) is available, else the
-    pure-NumPy reference.
-``numpy``
-    The pure-NumPy reference
-    (:class:`~repro.spice.backends.numpy_ref.NumpyBackend`), which also
-    defines the backend contract and is the oracle of the equivalence
-    suites.
-``native``
-    Force the compiled kernel; when the build fails the process warns
-    once and runs on the reference backend instead (correct, slower).
-
-Any other name logs a warning and resolves like ``auto``.  Resolution
-happens lazily on the first :func:`get_backend` call and is cached;
-tests flip the environment and call :func:`reset_backend`.
+Tests and ``validate`` reach the oracle in code:
+``reset_backend(NumpyBackend())`` pins an instance until the next
+:func:`reset_backend` call.  A pin reaches fork-started workers only;
+anything that crosses processes uses ``REPRO_NATIVE=0``.
 """
 
 from __future__ import annotations
 
-import os
-
-from repro.runtime.log import get_logger
 from repro.spice.backends.numpy_ref import EnsembleNewtonRequest, NumpyBackend
 from repro.spice.backends.native import NativeBackend
 
@@ -33,45 +24,18 @@ __all__ = [
     "get_backend", "reset_backend",
 ]
 
-logger = get_logger(__name__)
-
-_BACKENDS = {
-    "numpy": NumpyBackend,
-    "native": NativeBackend,
-}
-
-# Resolved singleton; "unset" until the first get_backend() call.
-_CURRENT: list = ["unset"]
-
-
-def _resolve(requested: str) -> NumpyBackend:
-    name = requested.strip().lower() or "auto"
-    if name == "auto":
-        native = NativeBackend()
-        return native if native.available() else NumpyBackend()
-    cls = _BACKENDS.get(name)
-    if cls is None:
-        logger.warning(
-            "unknown REPRO_BACKEND=%r (choose auto|%s); using auto",
-            requested, "|".join(sorted(_BACKENDS)))
-        return _resolve("auto")
-    backend = cls()
-    if not backend.available():
-        # native.load_kernel already warned once with the build details.
-        logger.warning(
-            "REPRO_BACKEND=%s is unavailable on this machine; running on "
-            "the pure-NumPy reference backend", name)
-        return NumpyBackend()
-    return backend
+# Resolved (or pinned) singleton; None until the first get_backend() call.
+_CURRENT: list[NumpyBackend | None] = [None]
 
 
 def get_backend() -> NumpyBackend:
-    """The process-wide solver backend (resolved once, from REPRO_BACKEND)."""
-    if _CURRENT[0] == "unset":
-        _CURRENT[0] = _resolve(os.environ.get("REPRO_BACKEND", "auto"))
+    """The process-wide solver backend: native if its kernel loads."""
+    if _CURRENT[0] is None:
+        native = NativeBackend()
+        _CURRENT[0] = native if native.available() else NumpyBackend()
     return _CURRENT[0]
 
 
-def reset_backend() -> None:
-    """Forget the resolved backend so the next call re-reads the env."""
-    _CURRENT[0] = "unset"
+def reset_backend(backend: NumpyBackend | None = None) -> None:
+    """Pin *backend*, or with None re-resolve on the next call."""
+    _CURRENT[0] = backend

@@ -25,8 +25,8 @@ one batched ``numpy.linalg.solve``.  A singular lane in a batch triggers the
 lane-by-lane fallback solve so the healthy lanes still get their LAPACK
 answers.
 
-Backends are selected once per process by ``REPRO_BACKEND`` (see
-:mod:`repro.spice.backends`) and are stateless apart from telemetry
+The backend is resolved once per process (see
+:mod:`repro.spice.backends`) and is stateless apart from telemetry
 counters, so one instance serves every circuit and thread of a run.
 """
 

@@ -171,7 +171,7 @@ def backend_agreement(ctx: CheckContext) -> str:
     from repro.characterization.harness import default_grid, measure_arc_batch
     from repro.spice.backends import (
         NativeBackend,
-        get_backend,
+        NumpyBackend,
         reset_backend,
     )
 
@@ -186,20 +186,20 @@ def backend_agreement(ctx: CheckContext) -> str:
         c = rng.uniform(grid.loads[0], grid.loads[-1])
         points.append((s, c))
 
-    legs = (("numpy", "numpy", True, None),
-            ("native", "native", True, None),
-            ("native-1thread", "native", True, 1),
-            ("native-periter", "native", False, None))
+    legs = (("numpy", NumpyBackend, True, None),
+            ("native", NativeBackend, True, None),
+            ("native-1thread", NativeBackend, True, 1),
+            ("native-periter", NativeBackend, False, None))
     results: dict[str, list[tuple[float, float]]] = {}
     try:
-        for leg, backend, whole_timestep, threads in legs:
-            with swap_env(REPRO_BACKEND=backend), \
-                    swap_attr(NativeBackend, "whole_timestep",
-                              whole_timestep), \
+        for leg, backend_cls, whole_timestep, threads in legs:
+            backend = backend_cls()
+            if not backend.available():
+                continue                 # e.g. native without a C compiler
+            with swap_attr(NativeBackend, "whole_timestep",
+                           whole_timestep), \
                     swap_attr(NativeBackend, "threads", threads):
-                reset_backend()
-                if get_backend().name != backend:
-                    continue             # e.g. native without a C compiler
+                reset_backend(backend)
                 results[leg] = measure_arc_batch(inv, "a", True, points)
     finally:
         reset_backend()

@@ -18,6 +18,7 @@ from repro.characterization.library import (CellTiming, Library,
                                             TimingArc)
 from repro.core.physical import _block_timing, reset_structure_caches
 from repro.devices.pentacene import PENTACENE
+from repro.spice.backends import NativeBackend, NumpyBackend, reset_backend
 from repro.synthesis.wires import organic_wire_model
 
 
@@ -165,6 +166,36 @@ def test_library_memo_shares_one_object_per_cache_root(tmp_path,
     assert other.to_dict() == first.to_dict()
     assert characterize_library(defn) is other
     assert calls["cell"] == 2 * n_cells
+
+
+def test_library_cache_keeps_solver_backends_apart(tmp_path, monkeypatch):
+    """The numpy and native builds differ in the last bits, so a library
+    built on one backend is never served to the other, neither from the
+    in-process memo nor from disk.  The grid is fixed: the default one
+    is DC-estimated on the active backend, which could split the keys
+    by accident."""
+    calls = _stubbed(monkeypatch)
+    monkeypatch.setattr(harness, "_LIBRARIES", {})
+    defn = organic_library_definition()
+    grid = default_grid(defn)
+
+    def build(backend):
+        reset_backend(backend)
+        return characterize_library(defn, grid, cache_dir=tmp_path)
+
+    try:
+        on_numpy = build(NumpyBackend())
+        n_cells = calls["cell"]
+        assert build(NativeBackend()) is not on_numpy
+        assert calls["cell"] == 2 * n_cells
+
+        assert build(NumpyBackend()) is on_numpy
+        monkeypatch.setattr(harness, "_LIBRARIES", {})
+        build(NumpyBackend())
+        build(NativeBackend())
+        assert calls["cell"] == 2 * n_cells
+    finally:
+        reset_backend()
 
 
 def test_library_memo_off_when_cache_disabled(tmp_path, monkeypatch):

@@ -1,11 +1,9 @@
-"""Run-history index, report diffing, and the perf regression gate."""
+"""Run-history index, report diffing, and the perf analytics CLI."""
 
 from __future__ import annotations
 
 import copy
 import json
-import os
-import platform
 
 import pytest
 
@@ -156,47 +154,6 @@ class TestDiff:
         assert diff["flags"] == []
 
 
-class TestRegressGate:
-    ENV = {"cpu_count": os.cpu_count(),
-           "python": platform.python_version(),
-           "machine": platform.machine()}
-
-    def _baseline(self, seconds: float = 1.0) -> dict:
-        return {
-            "environment": dict(self.ENV),
-            "benchmarks": {
-                "depth_sweep": {"seconds": seconds, "seed_seconds": 0.9},
-                "unseeded": {"seconds": 1.0, "seed_seconds": None},
-            },
-        }
-
-    def test_within_tolerance_passes(self):
-        status, lines = history.regress_check(
-            {"depth_sweep": 1.2}, self._baseline(), current_env=self.ENV,
-            tolerance=0.25)
-        assert status == 0
-        assert any("passed" in line for line in lines)
-
-    def test_slowdown_beyond_tolerance_fails(self):
-        status, lines = history.regress_check(
-            {"depth_sweep": 1.3}, self._baseline(), current_env=self.ENV,
-            tolerance=0.25)
-        assert status == 1
-        assert any("depth_sweep" in line for line in lines)
-
-    def test_unseeded_rows_not_gated(self):
-        status, _ = history.regress_check(
-            {"unseeded": 50.0}, self._baseline(), current_env=self.ENV)
-        assert status == 0
-
-    def test_env_mismatch_self_skips(self):
-        status, lines = history.regress_check(
-            {"depth_sweep": 99.0}, self._baseline(),
-            current_env=dict(self.ENV, cpu_count=12345))
-        assert status == 0
-        assert any("skipped" in line for line in lines)
-
-
 class TestPerfCli:
     @pytest.fixture()
     def runs(self, tmp_path, monkeypatch):
@@ -237,38 +194,6 @@ class TestPerfCli:
         out = capsys.readouterr().out
         assert out.count("env=") == 2
         assert main(["perf", "trend", "no-such-bench"]) == 1
-
-    def test_regress_pass_and_fail(self, runs, tmp_path, capsys):
-        from repro.__main__ import main
-
-        fast, slow = runs
-        baseline = tmp_path / "BENCH_perf.json"
-        baseline.write_text(json.dumps({
-            "environment": {"cpu_count": os.cpu_count(),
-                            "python": platform.python_version(),
-                            "machine": platform.machine()},
-            "benchmarks": {"depth_sweep": {"seconds": 1.0,
-                                           "seed_seconds": 0.9}},
-        }))
-        assert main(["perf", "regress", "--baseline", str(baseline),
-                     "--report", str(fast)]) == 0
-        assert main(["perf", "regress", "--baseline", str(baseline),
-                     "--report", str(slow)]) == 1
-        out = capsys.readouterr().out
-        assert "regress FAILED" in out
-        # Default report: the most recent benchmark-bearing index entry
-        # (fast.json was written last).
-        assert main(["perf", "regress", "--baseline",
-                     str(baseline)]) == 0
-        assert "fast.json" in capsys.readouterr().out
-
-    def test_regress_missing_baseline(self, tmp_path, capsys):
-        from repro.__main__ import main
-
-        rc = main(["perf", "regress", "--baseline",
-                   str(tmp_path / "absent.json")])
-        assert rc == 2
-        assert "cannot read baseline" in capsys.readouterr().out
 
 
 # -- concurrent appends -------------------------------------------------------

@@ -64,7 +64,9 @@ def test_failed_native_flags_retry_portable(fake_cc, tmp_path):
     assert sorted(p.suffix for p in tmp_path.iterdir()) == [".c", ".so"]
 
 
-def test_compile_failure_warns_once_and_loads_nothing(fake_cc, caplog):
+def test_compile_failure_warns_once_and_loads_nothing(fake_cc, caplog,
+                                                     monkeypatch):
+    monkeypatch.delenv("REPRO_NATIVE", raising=False)
     commands, fail_flag = fake_cc
     fail_flag.append("-shared")
     kernel = native_build.Kernel(

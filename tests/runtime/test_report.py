@@ -38,13 +38,13 @@ class TestSchema:
         assert env["python"].count(".") >= 1
 
     def test_solver_backend_records_the_thread_budget(self, monkeypatch):
-        from repro.spice.backends import NativeBackend, reset_backend
+        from repro.spice.backends import (NativeBackend, NumpyBackend,
+                                          reset_backend)
 
         monkeypatch.setattr(NativeBackend, "threads", 3)
         try:
-            for name in ("numpy", "native"):
-                monkeypatch.setenv("REPRO_BACKEND", name)
-                reset_backend()
+            for pin in (NumpyBackend(), None):
+                reset_backend(pin)
                 block = _collected_report()["env"]["solver_backend"]
                 assert block["threads"] == \
                     (3 if block["resolved"] == "native" else 1)

@@ -74,12 +74,6 @@ class TestInstruments:
             timer = telemetry.timers()["t"]
             assert timer["calls"] == 2 and timer["seconds"] == 0.25
 
-    def test_env_force_disable_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TELEMETRY", "0")
-        telemetry.reset()
-        telemetry.enable(True)
-        assert telemetry.ENABLED is False
-
     def test_reset_clears_everything(self):
         with telemetry.collecting():
             telemetry.count("a")

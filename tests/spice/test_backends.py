@@ -1,6 +1,6 @@
 """Solver-backend dispatch, equivalence, and degradation tests.
 
-The backend layer promises that ``REPRO_BACKEND`` changes *where* the
+The backend layer promises that the choice of backend changes *where* the
 linear algebra runs, never *what* it computes: the compiled kernel
 agrees with the NumPy reference to solver tolerance, a singular lane is
 deactivated instead of killing its batch, and a machine without a C
@@ -56,10 +56,10 @@ def _backend_isolation():
 
 
 def _use(monkeypatch, name: str, whole_timestep: bool | None = None):
+    """Pin the numpy oracle, or (``native``) resolve: native if it loads."""
     if whole_timestep is not None:
         monkeypatch.setattr(NativeBackend, "whole_timestep", whole_timestep)
-    monkeypatch.setenv("REPRO_BACKEND", name)
-    reset_backend()
+    reset_backend(NumpyBackend() if name == "numpy" else None)
     return get_backend()
 
 
@@ -545,23 +545,24 @@ class TestFrozenFactorReuse:
 
 
 class TestDispatchAndDegradation:
-    def test_forced_numpy(self, monkeypatch):
-        assert _use(monkeypatch, "numpy").name == "numpy"
+    def test_forced_numpy(self):
+        """A pinned instance holds until the next reset."""
+        pinned = NumpyBackend()
+        reset_backend(pinned)
+        assert get_backend() is pinned and get_backend().name == "numpy"
+        reset_backend()
+        loads = native_mod.load_kernel() is not None
+        assert get_backend().name == ("native" if loads else "numpy")
 
-    def test_unknown_name_warns_and_uses_auto(self, monkeypatch, caplog):
-        """Unknown names, the retired ``blocked`` included, mean auto."""
-        auto = _use(monkeypatch, "auto").name
-        for name in ("no-such-backend", "blocked"):
-            caplog.clear()
-            with caplog.at_level(logging.WARNING, logger="repro"):
-                backend = _use(monkeypatch, name)
-            assert backend.name == auto
-            assert any("unknown REPRO_BACKEND" in r.getMessage()
-                       for r in caplog.records)
+    def test_repro_native_0_resolves_numpy(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+        native_mod.reset()
+        assert _use(monkeypatch, "native").name == "numpy"
 
     def test_compile_failure_degrades_with_single_warning(
             self, monkeypatch, tmp_path, caplog):
         """No compiler + no cached kernel: one warning, correct results."""
+        monkeypatch.delenv("REPRO_NATIVE", raising=False)
         monkeypatch.setenv("REPRO_NATIVE_DIR", str(tmp_path / "kernels"))
         monkeypatch.setattr(native_build, "find_compiler", lambda: None)
         native_mod.reset()

@@ -33,7 +33,7 @@ from repro.spice import (
     operating_point,
     transient,
 )
-from repro.spice.backends import reset_backend
+from repro.spice.backends import NumpyBackend, reset_backend
 from repro.spice.ensemble import _EnsembleBypass
 from repro.spice.mna import bypass_eta
 
@@ -243,9 +243,8 @@ class TestFrozenAllShortcut:
     """
 
     @pytest.fixture(autouse=True)
-    def _numpy_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        reset_backend()
+    def _numpy_backend(self):
+        reset_backend(NumpyBackend())
         yield
         reset_backend()
 

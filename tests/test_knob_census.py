@@ -20,7 +20,7 @@ KNOB = re.compile(r"REPRO_[A-Z_0-9]+")
 
 #: Places that set knobs for the program.  ``benchmarks/e2e/`` is left
 #: out: it is frozen with the benchmark it defines, and its passthrough
-#: of the retired IPC-kernel knob is inert.
+#: of the retired IPC-kernel and solver-backend knobs is inert.
 SETTERS = ("tests", "benchmarks/perf", ".github/workflows", ".claude")
 
 #: Fake names ``test_swap_env_and_attr_restore`` sets to probe swap_env.

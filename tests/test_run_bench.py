@@ -1,8 +1,11 @@
-"""Accounting of the ``run_bench --profile`` microbench rows."""
+"""Accounting of the ``run_bench --profile`` microbench rows, and the
+``--check`` perf gate."""
 
 from __future__ import annotations
 
 import json
+import os
+import platform
 import time
 import types
 
@@ -45,7 +48,6 @@ def fake_depth_sweep(monkeypatch):
                         lambda: types.SimpleNamespace(
                             name="numpy", thread_budget=lambda: 1))
     monkeypatch.setattr(run_bench, "_warm_ipc_kernel", lambda: None)
-    monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
     yield
     telemetry.enable(False)
     telemetry.reset()
@@ -78,16 +80,6 @@ def test_profile_keeps_the_run_report_whole(tmp_path, fake_depth_sweep):
     assert metrics["timers"]["solver.ipc"]["calls"] == 2
 
 
-def test_profile_refuses_disabled_telemetry(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("REPRO_TELEMETRY", "0")
-    with pytest.raises(SystemExit) as exit_info:
-        run_bench.main(["--only", "depth_sweep", "--profile",
-                        "--out", str(tmp_path / "bench.json")])
-    assert exit_info.value.code == 2
-    assert "REPRO_TELEMETRY=0" in capsys.readouterr().err
-    assert not (tmp_path / "bench.json").exists()
-
-
 def test_startup_row_records_median_min_and_spread(tmp_path, monkeypatch):
     """The row times fresh ``python -m repro list`` interpreters."""
     durations = iter([0.03, 0.01, 0.02, 0.05, 0.04])
@@ -107,3 +99,65 @@ def test_startup_row_records_median_min_and_spread(tmp_path, monkeypatch):
     assert row["seconds"] == pytest.approx(0.03, abs=0.01)
     assert row["spread_seconds"] == pytest.approx(0.04, abs=0.01)
     assert row["seed_seconds"] == run_bench.SEED_BASELINES["startup"]
+
+
+class TestRegressGate:
+    ENV = {"cpu_count": os.cpu_count(),
+           "python": platform.python_version(),
+           "machine": platform.machine()}
+
+    def _baseline(self, seconds: float = 1.0) -> dict:
+        return {
+            "environment": dict(self.ENV),
+            "benchmarks": {
+                "depth_sweep": {"seconds": seconds, "seed_seconds": 0.9},
+                "unseeded": {"seconds": 1.0, "seed_seconds": None},
+            },
+        }
+
+    def test_within_tolerance_passes(self):
+        status, lines = run_bench.regress_check(
+            {"depth_sweep": 1.2}, self._baseline(), current_env=self.ENV,
+            tolerance=0.25)
+        assert status == 0
+        assert any("passed" in line for line in lines)
+
+    def test_slowdown_beyond_tolerance_fails(self):
+        status, lines = run_bench.regress_check(
+            {"depth_sweep": 1.3}, self._baseline(), current_env=self.ENV,
+            tolerance=0.25)
+        assert status == 1
+        assert any("depth_sweep" in line for line in lines)
+
+    def test_unseeded_rows_not_gated(self):
+        status, _ = run_bench.regress_check(
+            {"unseeded": 50.0}, self._baseline(), current_env=self.ENV)
+        assert status == 0
+
+    def test_env_mismatch_self_skips(self):
+        status, lines = run_bench.regress_check(
+            {"depth_sweep": 99.0}, self._baseline(),
+            current_env=dict(self.ENV, cpu_count=12345))
+        assert status == 0
+        assert any("skipped" in line for line in lines)
+
+    def _check(self, tmp_path, baseline: dict) -> int:
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps(baseline))
+        return run_bench.main(["--only", "depth_sweep", "--check", str(path),
+                               "--out", str(tmp_path / "bench.json")])
+
+    def test_check_fails_on_a_slowed_row(self, tmp_path, fake_depth_sweep,
+                                         capsys):
+        # The fake sweep sleeps 20 ms, far past a 1 ms recorded row.
+        assert self._check(tmp_path, self._baseline(seconds=0.001)) == 1
+        assert "regress FAILED" in capsys.readouterr().out
+
+    def test_check_skips_on_an_environment_mismatch(self, tmp_path,
+                                                    fake_depth_sweep,
+                                                    capsys):
+        baseline = self._baseline(seconds=0.001)
+        baseline["environment"]["cpu_count"] = 12345
+        assert self._check(tmp_path, baseline) == 0
+        assert "--check: regress skipped: environment fingerprint " \
+            "mismatch" in capsys.readouterr().out
