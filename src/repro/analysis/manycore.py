@@ -36,10 +36,6 @@ class ManycoreDesign:
     per_core_performance: float     # instructions/second
     throughput: float               # Amdahl-limited instructions/second
 
-    @property
-    def utilisation(self) -> float:
-        return self.total_area and self.per_core_performance * self.n_cores
-
 
 def amdahl_throughput(per_core: float, n_cores: int,
                       serial_fraction: float) -> float:

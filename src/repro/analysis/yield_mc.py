@@ -70,14 +70,6 @@ class YieldResult:
         passing = int(np.sum(self.noise_margins >= self.nm_threshold))
         return passing / self.n_samples
 
-    @property
-    def vm_spread(self) -> float:
-        """95% spread of the switching threshold across instances."""
-        if len(self.vm_values) < 2:
-            return 0.0
-        return float(np.percentile(self.vm_values, 97.5)
-                     - np.percentile(self.vm_values, 2.5))
-
 
 def _nm_chunk_task(instances: list[CellDesign]
                    ) -> list[tuple[float, float] | None]:

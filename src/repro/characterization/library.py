@@ -211,18 +211,18 @@ class Library:
     def cache_key(self) -> str:
         """The library's part of a result-cache key.
 
-        The characterisation fingerprint when the library has one.  A
-        library built without one (a hand-assembled or test library) is
-        keyed by a hash of its tables instead, computed once per object,
-        so two libraries that share only a name never share entries.
+        A hash of everything the library holds, computed once per object.
+        Not the characterisation fingerprint: one definition built on the
+        numpy and the native SPICE backend has one fingerprint but tables
+        that differ in the last bits, and two libraries that share only a
+        name (or no fingerprint at all) must not share entries either.
         """
-        key = self.metadata.get("fingerprint",
-                                self.__dict__.get("_content_key"))
+        key = self.__dict__.get("_content_key")
         if key is None:
             blob = json.dumps(self.to_dict(), sort_keys=True, default=repr)
             key = hashlib.sha256(blob.encode()).hexdigest()[:16]
             object.__setattr__(self, "_content_key", key)
-        return str(key)
+        return key
 
     # -- serialisation -------------------------------------------------------
 

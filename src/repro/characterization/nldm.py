@@ -96,11 +96,6 @@ class NldmTable:
             return v1
         return (1 - ts) * v0 + ts * v1
 
-    def scaled(self, factor: float) -> "NldmTable":
-        """A copy with all values multiplied by *factor* (ablations)."""
-        return NldmTable(self.slews.copy(), self.loads.copy(),
-                         self.values * factor)
-
     def to_dict(self) -> dict:
         return {
             "slews": self.slews.tolist(),
@@ -113,17 +108,3 @@ class NldmTable:
         return cls(np.asarray(data["slews"]), np.asarray(data["loads"]),
                    np.asarray(data["values"]))
 
-
-def _segment(axis: np.ndarray, x: float) -> int:
-    """Index of the interpolation segment for *x* (clamped for edges).
-
-    Uses ``side="right"`` so an on-grid *x* selects the segment to its
-    right — exactly the segment :meth:`NldmTable.lookup`'s
-    ``bisect_right`` picks.  (With the historic ``side="left"`` the two
-    disagreed for every interior grid node; the interpolated *value* was
-    the same only because grid nodes interpolate exactly from either
-    side, and any consumer combining both index conventions would have
-    mixed segments.)
-    """
-    i = int(np.searchsorted(axis, x, side="right") - 1)
-    return min(max(i, 0), len(axis) - 2)

@@ -21,7 +21,7 @@ from repro.core.config import CoreConfig, REGION_NAMES
 from repro.core.isa import InstrClass, Instruction
 from repro.core.trace import Trace
 from repro.core.workloads import WORKLOADS, WorkloadSpec, generate_trace
-from repro.core.branch import GsharePredictor, BimodalPredictor
+from repro.core.branch import GsharePredictor
 from repro.core.superscalar import SimulationResult, simulate
 from repro.core.physical import CorePhysical, core_physical
 from repro.core.tradeoffs import (
@@ -42,7 +42,6 @@ __all__ = [
     "WorkloadSpec",
     "generate_trace",
     "GsharePredictor",
-    "BimodalPredictor",
     "SimulationResult",
     "simulate",
     "CorePhysical",

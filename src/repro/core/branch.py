@@ -36,19 +36,6 @@ class _CounterTable:
                 self.table[i] = c - 1
 
 
-class BimodalPredictor:
-    """PC-indexed 2-bit counters."""
-
-    def __init__(self, index_bits: int = 12) -> None:
-        self._table = _CounterTable(index_bits)
-
-    def predict_and_update(self, pc_key: int, taken: bool) -> bool:
-        """Returns True if the prediction was CORRECT."""
-        pred = self._table.predict(pc_key)
-        self._table.update(pc_key, taken)
-        return pred == taken
-
-
 class GsharePredictor:
     """Global-history XOR PC indexed 2-bit counters (McFarling gshare)."""
 

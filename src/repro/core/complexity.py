@@ -139,8 +139,3 @@ class StructureModel:
 
     def rob_delay(self, rob_size: int, front_width: int) -> float:
         return self.array_delay(rob_size, 40, 2 * front_width)
-
-    def lsq_delay(self, lsq_size: int) -> float:
-        cam_span = lsq_size * self.cell_side
-        return (self.array_delay(lsq_size, 40, 2)
-                + broadcast_penalty(self.library, self.wire, cam_span))

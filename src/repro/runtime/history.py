@@ -18,8 +18,8 @@ On top of the index sit the ``python -m repro perf`` analytics:
 The perf gate against the published baseline is ``run_bench --check``.
 
 The index is a cache of the reports, not a source of truth: a missing
-or corrupt line degrades to reading the report JSONs themselves, and
-unparseable lines are skipped, never fatal.
+index reads as empty, and a corrupt or unparseable line is skipped,
+never fatal.
 """
 
 from __future__ import annotations

@@ -149,11 +149,16 @@ def write_report(report: dict, path: str | Path | None = None) -> Path:
 
 
 def latest_report_path(runs_dir: str | Path | None = None) -> Path | None:
-    """The most recently modified report JSON, or None if there is none."""
+    """The most recently modified report JSON, or None if there is none.
+
+    Chrome traces (``<report>.trace.json``, written after their report)
+    are not reports and are skipped.
+    """
     root = Path(runs_dir) if runs_dir is not None else default_runs_dir()
     if not root.is_dir():
         return None
-    candidates = [p for p in root.glob("*.json") if p.is_file()]
+    candidates = [p for p in root.glob("*.json")
+                  if p.is_file() and not p.name.endswith(".trace.json")]
     if not candidates:
         return None
     return max(candidates, key=lambda p: p.stat().st_mtime)

@@ -6,8 +6,9 @@ This subpackage is the repro stand-in for HSPICE in the paper's flow
 - DC operating point via damped Newton-Raphson with gmin and source
   stepping fallbacks (:mod:`repro.spice.dc`),
 - DC sweeps with continuation (:func:`repro.spice.dc.dc_sweep`),
-- transient analysis with backward-Euler or trapezoidal integration
-  (:mod:`repro.spice.transient`),
+- transient analysis with backward-Euler integration
+  (:mod:`repro.spice.transient`) and its lockstep batched form
+  (:mod:`repro.spice.ensemble`),
 - waveform measurements (delay, slew, crossings) used by NLDM
   characterisation (:mod:`repro.spice.waveform`).
 

@@ -784,16 +784,12 @@ class EnsembleTransient:
     whose step fails or whose LTE estimate rejects an oversized step
     simply sit out the accept phase and retry at their reduced step on
     the next sweep of the active set; members that reach their ``t_stop``
-    leave the batch entirely.  :meth:`extend` pushes selected members'
-    stop times out and resumes them, which is how the characterisation
-    harness grows observation windows for unsettled outputs without
-    re-integrating from scratch.
+    leave the batch entirely.
     """
 
     def __init__(self, circuits: Sequence[Circuit],
                  options: Sequence[TransientOptions],
-                 probes: Sequence[Probe] = (),
-                 x0: np.ndarray | None = None) -> None:
+                 probes: Sequence[Probe] = ()) -> None:
         if len(options) != len(circuits):
             raise CircuitError("need one TransientOptions per member")
         self.es = EnsembleSystem(circuits)
@@ -826,13 +822,9 @@ class EnsembleTransient:
         self._ctrl = np.stack([self.lte_tol, self.dt_nom,
                                self.dt_cap, self.growth])
 
-        if x0 is None:
-            x, ok = es.solve_dc(options=newton)
-            for lane in np.flatnonzero(~ok):
-                x[lane] = solve_operating_point(es.members[lane],
-                                                options=newton)
-        else:
-            x = x0.copy()
+        x, ok = es.solve_dc(options=newton)
+        for lane in np.flatnonzero(~ok):
+            x[lane] = solve_operating_point(es.members[lane], options=newton)
         self.x = x
         self.x_init = x.copy()
         self.t = np.zeros(B)
@@ -1070,13 +1062,6 @@ class EnsembleTransient:
             telemetry.count("ensemble.lte_rejections", lte_rejections)
         if failed:
             telemetry.count("ensemble.transient_failures")
-
-    def extend(self, members: np.ndarray | list[int],
-               new_t_stop: np.ndarray | list[float]) -> None:
-        """Push selected members' stop times out (then call :meth:`run`)."""
-        members = np.asarray(members, dtype=np.intp)
-        self.t_stop[members] = np.maximum(self.t_stop[members],
-                                          np.asarray(new_t_stop, dtype=float))
 
     def _record_crossings(self, lanes: np.ndarray, x_prev: np.ndarray,
                           x_new: np.ndarray, t0: np.ndarray,

@@ -4,8 +4,10 @@ The pipeline-depth experiments synthesise AnyCore's execution stage: "a
 forward bypass check and two arithmetic logic units (ALUs), one for simple
 ALU operations and one for complex multiplication and division.  The
 complex ALU consists of two [...] stallable, pipelined multipliers and
-dividers" (Section 5.1).  These functions build those blocks as generic
-gate netlists, functionally verified by simulation against integer
+dividers" (Section 5.1).  These functions build the two ALUs as generic
+gate netlists — :func:`simple_alu` and :func:`complex_alu_slice`, the
+complex ALU's per-cycle logic from Wallace multipliers and divider
+iteration slices — functionally verified by simulation against integer
 arithmetic in the test suite; :func:`repro.synthesis.mapping.technology_map`
 lowers them onto the 6-cell library.
 
@@ -95,48 +97,6 @@ def mux_vectors(nl: Netlist, sel: str, a: Bits, b: Bits) -> Bits:
     return [nl.add_gate("mux2", (sel, x, y)) for x, y in zip(a, b)]
 
 
-def reduce_and(nl: Netlist, bits: Bits) -> str:
-    """AND-reduce with a balanced tree of and3/and2 gates."""
-    if not bits:
-        raise SynthesisError("cannot reduce an empty vector")
-    level = list(bits)
-    while len(level) > 1:
-        nxt: Bits = []
-        i = 0
-        while i < len(level):
-            chunk = level[i:i + 3]
-            if len(chunk) == 3:
-                nxt.append(nl.add_gate("and3", tuple(chunk)))
-            elif len(chunk) == 2:
-                nxt.append(nl.add_gate("and2", tuple(chunk)))
-            else:
-                nxt.append(chunk[0])
-            i += 3
-        level = nxt
-    return level[0]
-
-
-def reduce_or(nl: Netlist, bits: Bits) -> str:
-    """OR-reduce with a balanced tree of or3/or2 gates."""
-    if not bits:
-        raise SynthesisError("cannot reduce an empty vector")
-    level = list(bits)
-    while len(level) > 1:
-        nxt: Bits = []
-        i = 0
-        while i < len(level):
-            chunk = level[i:i + 3]
-            if len(chunk) == 3:
-                nxt.append(nl.add_gate("or3", tuple(chunk)))
-            elif len(chunk) == 2:
-                nxt.append(nl.add_gate("or2", tuple(chunk)))
-            else:
-                nxt.append(chunk[0])
-            i += 3
-        level = nxt
-    return level[0]
-
-
 # ---------------------------------------------------------------------------
 # Adders
 # ---------------------------------------------------------------------------
@@ -151,8 +111,6 @@ def ripple_carry_adder(width: int = 16, name: str = "rca") -> Netlist:
     for i, net in enumerate(s):
         nl.add_output(net)
     nl.add_output(cout)
-    nl.sum_nets = s          # convenience attributes for composition
-    nl.cout_net = cout
     return nl
 
 
@@ -287,104 +245,8 @@ def _carry_select_add(nl: Netlist, a: Bits, b: Bits, cin: str,
 
 
 # ---------------------------------------------------------------------------
-# Multiplier and divider (the "complex ALU" ingredients)
+# ALUs
 # ---------------------------------------------------------------------------
-
-def array_multiplier(width: int = 16, name: str = "mul") -> Netlist:
-    """Unsigned array multiplier: a * b -> 2*width product bits.
-
-    Classic carry-save array: AND-gate partial products, one ripple row
-    per multiplier bit.  Deeply and regularly pipelinable, which is
-    exactly why the paper uses pipelined DesignWare multipliers for the
-    ALU-depth experiment.
-    """
-    nl = Netlist(f"{name}{width}")
-    a = nl.add_inputs("a", width)
-    b = nl.add_inputs("b", width)
-
-    # Row 0: partial product of b0.
-    acc: Bits = [nl.add_gate("and2", (a[i], b[0])) for i in range(width)]
-    product: Bits = [acc[0]]
-    acc = acc[1:]
-
-    for j in range(1, width):
-        pp = [nl.add_gate("and2", (a[i], b[j])) for i in range(width)]
-        row: Bits = []
-        carry: str | None = None
-        for i in range(width):
-            addend = acc[i] if i < len(acc) else None
-            if addend is None and carry is None:
-                row.append(pp[i])
-            elif addend is None:
-                s, carry = half_adder(nl, pp[i], carry)
-                row.append(s)
-            elif carry is None:
-                s, carry = half_adder(nl, pp[i], addend)
-                row.append(s)
-            else:
-                s, carry = full_adder(nl, pp[i], addend, carry)
-                row.append(s)
-        if carry is not None:
-            row.append(carry)
-        product.append(row[0])
-        acc = row[1:]
-
-    product.extend(acc)
-    if len(product) != 2 * width:
-        raise SynthesisError(
-            f"multiplier produced {len(product)} bits, expected {2 * width}")
-    for net in product:
-        nl.add_output(net)
-    return nl
-
-
-def array_divider(width: int = 16, name: str = "div") -> Netlist:
-    """Unsigned restoring array divider: a / b -> quotient, remainder.
-
-    One subtract-and-restore row per quotient bit (MSB first); each row is
-    a ripple subtractor plus a restore mux, the standard combinational
-    divider array.  The quotient for b == 0 is all-ones (as real dividers
-    produce); callers guard div-by-zero architecturally.
-    """
-    nl = Netlist(f"{name}{width}")
-    a = nl.add_inputs("a", width)
-    b = nl.add_inputs("b", width)
-
-    remainder: Bits = []      # grows as dividend bits shift in, LSB first
-    quotient: Bits = [""] * width
-    for step in range(width):
-        bit_index = width - 1 - step
-        remainder = [a[bit_index]] + remainder
-        r_width = len(remainder)
-        # Compare/subtract against the low r_width bits of b, but only a
-        # full-width subtract is correct once r_width == width; for short
-        # remainders, also require b's high bits to be zero.
-        if r_width < width:
-            diff, no_borrow = subtract_vectors(nl, remainder, b[:r_width])
-            high_zero = reduce_or(nl, b[r_width:])
-            high_zero = nl.add_gate("inv", (high_zero,))
-            q = nl.add_gate("and2", (no_borrow, high_zero))
-        else:
-            diff, q = subtract_vectors(nl, remainder, b)
-        quotient[bit_index] = q
-        remainder = mux_vectors(nl, q, remainder, diff)
-
-    for net in quotient:
-        nl.add_output(net)
-    for net in remainder:
-        nl.add_output(net)
-    nl.quotient_nets = quotient
-    nl.remainder_nets = remainder
-    return nl
-
-
-# ---------------------------------------------------------------------------
-# ALUs and the execution stage
-# ---------------------------------------------------------------------------
-
-#: Simple-ALU operation select encoding (2 bits: op1 op0).
-ALU_OPS = {"add": 0, "sub": 1, "and": 2, "xor": 3}
-
 
 def simple_alu(width: int = 16, name: str = "alu",
                select_block: int = 4) -> Netlist:
@@ -416,128 +278,22 @@ def simple_alu(width: int = 16, name: str = "alu",
     return nl
 
 
-def bypass_check(tag_width: int = 6, n_sources: int = 2,
-                 n_producers: int = 3, name: str = "bypass") -> Netlist:
-    """Forward-bypass check: compare source tags against producer tags.
-
-    For each of ``n_sources`` operand tags and ``n_producers`` in-flight
-    result tags, produce a match line (XNOR-reduce) plus a per-source
-    "any hit" line — the select logic in front of the operand muxes in
-    AnyCore's execution stage.
-    """
-    nl = Netlist(name)
-    sources = [nl.add_inputs(f"src{s}_", tag_width) for s in range(n_sources)]
-    producers = [nl.add_inputs(f"prod{p}_", tag_width)
-                 for p in range(n_producers)]
-    valid = [nl.add_input(f"valid{p}") for p in range(n_producers)]
-
-    for s, src in enumerate(sources):
-        hits = []
-        for p, prod in enumerate(producers):
-            eq_bits = [nl.add_gate("xnor2", (src[i], prod[i]))
-                       for i in range(tag_width)]
-            eq = reduce_and(nl, eq_bits)
-            hit = nl.add_gate("and2", (eq, valid[p]))
-            nl.add_output(hit)
-            hits.append(hit)
-        nl.add_output(reduce_or(nl, hits))
-    return nl
-
-
-def complex_alu(width: int = 16, name: str = "complex_alu") -> Netlist:
-    """The complex ALU: two multipliers and two dividers, output-muxed.
-
-    Mirrors the paper's execution-pipe composition ("two [...] stallable,
-    pipelined multipliers and dividers"); pipelining is applied afterwards
-    by :mod:`repro.synthesis.pipeline`, which is the repro equivalent of
-    DesignWare's automatic retiming.
-    """
-    nl = Netlist(name)
-    a = nl.add_inputs("a", width)
-    b = nl.add_inputs("b", width)
-    c = nl.add_inputs("c", width)
-    d = nl.add_inputs("d", width)
-    sel_div = nl.add_input("sel_div")
-    sel_unit = nl.add_input("sel_unit")
-
-    # Each unit is built once and inlined twice: _inline only reads the
-    # sub-netlist, so both copies get the same gates in the same order.
-    mul = array_multiplier(width)
-    div = array_divider(width)
-    mul0 = _inline(nl, mul, {"a": a, "b": b}, "mul0")
-    mul1 = _inline(nl, mul, {"a": c, "b": d}, "mul1")
-    div0 = _inline(nl, div, {"a": a, "b": b}, "div0")
-    div1 = _inline(nl, div, {"a": c, "b": d}, "div1")
-
-    mul_out = mux_vectors(nl, sel_unit, mul0[:2 * width], mul1[:2 * width])
-    div_cat0 = div0[:2 * width]
-    div_cat1 = div1[:2 * width]
-    div_out = mux_vectors(nl, sel_unit, div_cat0, div_cat1)
-    result = mux_vectors(nl, sel_div, mul_out, div_out)
-    for net in result:
-        nl.add_output(net)
-    return nl
-
-
-def execution_stage(width: int = 16, tag_width: int = 6,
-                    name: str = "exec_stage") -> Netlist:
-    """AnyCore's execution stage: bypass check + simple ALU + complex ALU.
-
-    This is the block the Section 5.2 ALU-depth experiment pipelines.
-    """
-    nl = Netlist(name)
-    a = nl.add_inputs("a", width)
-    b = nl.add_inputs("b", width)
-    op0 = nl.add_input("op0")
-    op1 = nl.add_input("op1")
-    sel_complex = nl.add_input("sel_complex")
-    sel_div = nl.add_input("sel_div")
-
-    bp_out = _inline(
-        nl, bypass_check(tag_width=tag_width, n_sources=2, n_producers=3),
-        {}, "bp", auto_inputs=True)
-    for net in bp_out:
-        nl.add_output(net)
-
-    alu_out = _inline(nl, simple_alu(width),
-                      {"a": a, "b": b, "op0": [op0], "op1": [op1]}, "salu")
-    cx_out = _inline(nl, complex_alu(width),
-                     {"a": a, "b": b, "c": a, "d": b,
-                      "sel_div": [sel_div], "sel_unit": [op0]}, "calu")
-
-    result = mux_vectors(nl, sel_complex, alu_out[:width], cx_out[:width])
-    for net in result:
-        nl.add_output(net)
-    return nl
-
-
 def _inline(nl: Netlist, sub: Netlist, bindings: dict[str, list[str]],
-            prefix: str, auto_inputs: bool = False) -> list[str]:
+            prefix: str) -> list[str]:
     """Copy *sub* into *nl*, binding its input vectors; returns its outputs.
 
-    ``bindings`` maps input prefixes (or exact scalar names) to net lists
-    in the parent.  With ``auto_inputs``, unbound sub-inputs become fresh
-    primary inputs of the parent.
+    ``bindings`` maps input prefixes to net lists in the parent; every
+    sub-input must be bound.
     """
+    bound = {f"{key}{i}": parent_net
+             for key, nets in bindings.items()
+             for i, parent_net in enumerate(nets)}
     net_map: dict[str, str] = {}
-
-    # Build an expansion of bindings: exact input-net name -> parent net.
-    bound: dict[str, str] = {}
-    for key, nets in bindings.items():
-        if len(nets) == 1 and key in sub.primary_inputs:
-            bound[key] = nets[0]
-            continue
-        for i, parent_net in enumerate(nets):
-            bound[f"{key}{i}"] = parent_net
-
     for net in sub.primary_inputs:
-        if net in bound:
-            net_map[net] = bound[net]
-        elif auto_inputs:
-            net_map[net] = nl.add_input(f"{prefix}_{net}")
-        else:
+        if net not in bound:
             raise SynthesisError(
                 f"unbound input {net!r} when inlining {sub.name!r}")
+        net_map[net] = bound[net]
 
     for gate in sub.topological_order():
         new_inputs = tuple(net_map[n] for n in gate.inputs)
@@ -600,8 +356,7 @@ def wallace_multiplier(width: int = 16, block: int = 4,
     Logarithmic reduction depth (~log1.5 of the operand width) plus a
     sqrt-ish final adder gives a ~25-35 FO4 critical path at 16 bits —
     the DesignWare-class multiplier the paper's "pipelined multipliers"
-    retime.  Used by the ALU-depth experiments; the plain
-    :func:`array_multiplier` remains available as the area-lean variant.
+    retime.  Used by the ALU-depth experiments.
     """
     nl = Netlist(f"{name}{width}")
     a = nl.add_inputs("a", width)
@@ -715,9 +470,7 @@ def complex_alu_slice(width: int = 16, name: str = "complex_slice"
 
     Two Wallace multipliers and the iteration slices of two stallable
     dividers, output-muxed — the single-cycle critical path the ALU-depth
-    experiment repeatedly cuts.  (The full combinational divider array is
-    available as :func:`array_divider` / :func:`complex_alu` for the
-    area-oriented studies.)
+    experiment repeatedly cuts.
     """
     nl = Netlist(name)
     a = nl.add_inputs("a", width)
@@ -727,7 +480,8 @@ def complex_alu_slice(width: int = 16, name: str = "complex_slice"
     sel_div = nl.add_input("sel_div")
     sel_unit = nl.add_input("sel_unit")
 
-    # Built once, inlined twice (see complex_alu).
+    # Each unit is built once and inlined twice: _inline only reads the
+    # sub-netlist, so both copies get the same gates in the same order.
     mul = wallace_multiplier(width)
     div = divider_iteration(width)
     mul0 = _inline(nl, mul, {"a": a, "b": b}, "mul0")

@@ -52,9 +52,6 @@ class WireModel:
     def net_capacitance(self, fanout: int) -> float:
         return self.c_per_m * self.net_length(fanout)
 
-    def net_resistance(self, fanout: int) -> float:
-        return self.r_per_m * self.net_length(fanout)
-
     def elmore_delay(self, fanout: int, sink_capacitance: float) -> float:
         """Distributed-wire Elmore delay to the far sink."""
         length = self.net_length(fanout)

@@ -16,7 +16,9 @@ from repro.characterization.harness import (CharacterizationGrid,
 from repro.characterization.library import (CellTiming, Library,
                                             NldmTable, SequentialTiming,
                                             TimingArc)
-from repro.core.physical import _block_timing, reset_structure_caches
+from repro.core.config import CoreConfig
+from repro.core.physical import (_block_timing, region_logic_delays,
+                                 reset_structure_caches)
 from repro.devices.pentacene import PENTACENE
 from repro.spice.backends import NativeBackend, NumpyBackend, reset_backend
 from repro.synthesis.wires import organic_wire_model
@@ -68,10 +70,10 @@ def test_sizes_change_key():
 
 # -- cache hit/miss behaviour ----------------------------------------------
 
-def _stub_cell(design, grid, area, workers=None):
+def _stub_cell(design, grid, area, workers=None, delay=1e-6):
     shape = (len(grid.slews), len(grid.loads))
     table = NldmTable(np.asarray(grid.slews), np.asarray(grid.loads),
-                      np.full(shape, 1e-6))
+                      np.full(shape, delay))
     arcs = tuple(
         TimingArc(input_pin=pin, output_transition=tr,
                   delay=table, transition=table)
@@ -224,11 +226,15 @@ def _unfingerprinted(scale: float = 1.0):
     return Library.from_dict(data)
 
 
-def test_cache_key_is_the_fingerprint_when_there_is_one():
-    lib = _unfingerprinted()
-    tagged = Library.from_dict({**lib.to_dict(),
-                                "metadata": {"fingerprint": "abc123"}})
-    assert tagged.cache_key() == "abc123"
+def test_cache_key_follows_the_tables_not_the_fingerprint():
+    """One fingerprint, different tables: never the same key."""
+    fast, slow = _unfingerprinted(), _unfingerprinted(scale=1.5)
+    tag = {"metadata": {"fingerprint": "abc123"}}
+    tagged_fast = Library.from_dict({**fast.to_dict(), **tag})
+    tagged_slow = Library.from_dict({**slow.to_dict(), **tag})
+    assert tagged_fast.cache_key() != tagged_slow.cache_key()
+    assert tagged_fast.cache_key() == \
+        Library.from_dict(tagged_fast.to_dict()).cache_key()
 
 
 def test_cache_key_without_fingerprint_follows_the_tables():
@@ -264,3 +270,52 @@ def test_block_timing_keeps_same_name_libraries_apart(tmp_path, monkeypatch):
     assert _block_timing("adder", 8, slow, wire) == want_slow
     reset_structure_caches()
     assert _block_timing("adder", 8, fast, wire) == want_fast
+
+
+def test_block_timing_keeps_solver_backends_apart(tmp_path, monkeypatch):
+    """One definition built on the numpy and the native backend has one
+    fingerprint, but tables that differ in the last bits; block timing
+    and region delays must never serve one build's results to the other,
+    neither in-process nor from disk."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.delenv("REPRO_CACHE", raising=False)
+    monkeypatch.setattr(harness, "_LIBRARIES", {})
+
+    def cell(design, grid, area, workers=None):
+        native = harness.get_backend().name == "native"
+        return _stub_cell(design, grid, area,
+                          delay=1e-6 * (1 + 1e-9) if native else 1e-6)
+
+    monkeypatch.setattr(harness, "characterize_cell", cell)
+    monkeypatch.setattr(harness, "characterize_dff", _stub_dff)
+    defn = organic_library_definition()
+    grid = default_grid(defn)
+    try:
+        reset_backend(NumpyBackend())
+        on_numpy = characterize_library(defn, grid)
+        reset_backend(NativeBackend())
+        on_native = characterize_library(defn, grid)
+    finally:
+        reset_backend()
+    assert on_numpy.metadata == on_native.metadata
+    wire = organic_wire_model()
+    config = CoreConfig()
+
+    def results(lib):
+        return (_block_timing("adder", 8, lib, wire),
+                region_logic_delays(config, lib, wire))
+
+    with monkeypatch.context() as patch:
+        patch.setenv("REPRO_CACHE", "0")
+        reset_structure_caches()
+        want_numpy = results(on_numpy)
+        reset_structure_caches()
+        want_native = results(on_native)
+    assert want_native[0][0] > want_numpy[0][0]
+
+    reset_structure_caches()
+    assert results(on_numpy) == want_numpy
+    assert results(on_native) == want_native
+    reset_structure_caches()    # only the disk entries remain
+    assert results(on_native) == want_native
+    assert results(on_numpy) == want_numpy

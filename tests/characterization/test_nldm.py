@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bisect import bisect_right
-
-from repro.characterization.nldm import NldmTable, _segment
+from repro.characterization.nldm import NldmTable
 from repro.errors import LibraryError
 
 
@@ -70,33 +68,7 @@ class TestLookup:
 
 
 class TestSegmentReconciliation:
-    """`_segment` and `NldmTable.lookup` must pick the same segment."""
-
-    def _lookup_segment(self, axis_list: list, x: float) -> int:
-        # The exact index arithmetic NldmTable.lookup performs.
-        return min(max(bisect_right(axis_list, x) - 1, 0),
-                   len(axis_list) - 2)
-
-    @given(x=st.floats(1e-7, 1e-3))
-    @settings(max_examples=60, deadline=None)
-    def test_segments_agree_off_grid(self, x):
-        axis = np.array([1e-6, 1e-5, 1e-4])
-        assert _segment(axis, x) == self._lookup_segment(axis.tolist(), x)
-
-    def test_segments_agree_on_grid_nodes(self):
-        # Regression: side="left" searchsorted used to put every interior
-        # grid node in the segment to its *left* while bisect_right put
-        # it in the segment to its right.
-        axis = np.array([1e-6, 1e-5, 1e-4, 1e-3])
-        for x in axis:
-            assert _segment(axis, float(x)) == \
-                self._lookup_segment(axis.tolist(), float(x))
-        # Interior nodes sit at the left edge of their own segment.
-        assert _segment(axis, 1e-5) == 1
-        assert _segment(axis, 1e-4) == 2
-        # Ends clamp into the outermost segments.
-        assert _segment(axis, 1e-6) == 0
-        assert _segment(axis, 1e-3) == 2
+    """On a grid node `NldmTable.lookup` returns the stored value."""
 
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -125,8 +97,3 @@ class TestSerialization:
         t2 = NldmTable.from_dict(t.to_dict())
         assert np.array_equal(t.values, t2.values)
         assert np.array_equal(t.slews, t2.slews)
-
-    def test_scaled(self):
-        t = table().scaled(2.0)
-        assert t.lookup(1e-5, 1e-11) == pytest.approx(
-            2 * table().lookup(1e-5, 1e-11))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.branch import BimodalPredictor, GsharePredictor
+from repro.core.branch import GsharePredictor
 from repro.core.isa import InstrClass
 from repro.core.workloads import WORKLOADS, generate_trace
 from repro.errors import ConfigError
@@ -30,11 +30,6 @@ class TestPredictors:
         correct = [p.predict_and_update(7, rng.random() < 0.5)
                    for _ in range(2000)]
         assert 0.35 < sum(correct[500:]) / 1500 < 0.65
-
-    def test_bimodal_learns_bias(self):
-        p = BimodalPredictor(10)
-        correct = [p.predict_and_update(3, True) for _ in range(50)]
-        assert all(correct[5:])
 
     def test_bad_index_bits(self):
         with pytest.raises(ConfigError):

@@ -8,14 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.synthesis.generators import (
-    array_divider,
-    array_multiplier,
-    bypass_check,
     carry_select_adder,
-    complex_alu,
     complex_alu_slice,
     divider_iteration,
-    execution_stage,
     ripple_carry_adder,
     simple_alu,
     wallace_multiplier,
@@ -42,9 +37,9 @@ def netlists():
     return {
         "rca": ripple_carry_adder(W),
         "csa": carry_select_adder(W),
-        "mul": array_multiplier(W),
         "wmul": wallace_multiplier(W),
-        "div": array_divider(W),
+        # One guard bit: the shifted partial remainder is below 2 * b.
+        "div": divider_iteration(W + 1),
         "alu": simple_alu(W),
         "divstep": divider_iteration(W),
     }
@@ -63,21 +58,26 @@ def test_adders_add(netlists, a, b, cin):
 @given(a=st.integers(0, MASK), b=st.integers(0, MASK))
 @settings(max_examples=60, deadline=None)
 def test_multipliers_multiply(netlists, a, b):
-    for name in ("mul", "wmul"):
-        nl = netlists[name]
-        out = nl.simulate(vec("a", a, W) | vec("b", b, W))
-        got = from_bits([out[n] for n in nl.primary_outputs])
-        assert got == a * b, name
+    nl = netlists["wmul"]
+    out = nl.simulate(vec("a", a, W) | vec("b", b, W))
+    got = from_bits([out[n] for n in nl.primary_outputs])
+    assert got == a * b
 
 
 @given(a=st.integers(0, MASK), b=st.integers(1, MASK))
 @settings(max_examples=60, deadline=None)
 def test_divider_divides(netlists, a, b):
+    """W cycles of the stallable divider's slice, dividend MSB first."""
     nl = netlists["div"]
-    out = nl.simulate(vec("a", a, W) | vec("b", b, W))
-    outs = [out[n] for n in nl.primary_outputs]
-    assert from_bits(outs[:W]) == a // b
-    assert from_bits(outs[W:]) == a % b
+    rem = quotient = 0
+    for i in reversed(range(W)):
+        rem = (rem << 1) | ((a >> i) & 1)
+        out = nl.simulate(vec("r", rem, W + 1) | vec("b", b, W + 1))
+        outs = [out[n] for n in nl.primary_outputs]
+        quotient = (quotient << 1) | int(outs[0])
+        rem = from_bits(outs[1:])
+    assert quotient == a // b
+    assert rem == a % b
 
 
 @given(r=st.integers(0, MASK), b=st.integers(1, MASK))
@@ -116,26 +116,6 @@ def test_alu_operations(netlists, a, b, op):
         assert result == (a ^ b)
 
 
-class TestBypassCheck:
-    def test_match_lines(self):
-        nl = bypass_check(tag_width=4, n_sources=1, n_producers=2)
-        vals = (vec("src0_", 0b1010, 4) | vec("prod0_", 0b1010, 4)
-                | vec("prod1_", 0b0101, 4)
-                | {"valid0": True, "valid1": True})
-        out = nl.simulate(vals)
-        outs = [out[n] for n in nl.primary_outputs]
-        assert outs[0] is True      # hit on producer 0
-        assert outs[1] is False     # miss on producer 1
-        assert outs[2] is True      # any-hit
-
-    def test_valid_gating(self):
-        nl = bypass_check(tag_width=4, n_sources=1, n_producers=1)
-        vals = (vec("src0_", 7, 4) | vec("prod0_", 7, 4)
-                | {"valid0": False})
-        out = nl.simulate(vals)
-        assert all(v is False for v in out.values())
-
-
 class TestCompositeBlocks:
     def test_complex_slice_structure(self):
         nl = complex_alu_slice(8)
@@ -161,19 +141,8 @@ class TestCompositeBlocks:
     @pytest.mark.parametrize("build,width,digest", [
         (complex_alu_slice, 8, "e16d8c28b9e93ee7b652720fbce0ac5c"),
         (complex_alu_slice, 16, "c2265753e5df189c73d65db375e16647"),
-        (complex_alu, 8, "4e9f331d937ae325a08dfd366a5fc9fa"),
     ])
     def test_composite_fingerprint_pinned(self, build, width, digest):
         """Sub-blocks built once and inlined twice give the same netlist
         (gates, order, names) as building each copy separately."""
         assert build(width).fingerprint() == digest
-
-    def test_execution_stage_builds(self):
-        nl = execution_stage(8)
-        assert len(nl) > 1000
-        assert nl.logic_depth() > 10
-
-    def test_wallace_shallower_than_array(self):
-        """The tree multiplier's point: logarithmic reduction depth."""
-        assert (wallace_multiplier(16).logic_depth()
-                < array_multiplier(16).logic_depth() / 2)
