@@ -206,20 +206,18 @@ def _bench_ensemble_newton() -> _timed:
                              NewtonOptions, RampValue, VoltageSource)
 
     vdd = 15.0
-    members = []
-    for k in range(16):
-        model = pentacene_model(vt_shift=0.05 * (k % 5))
-        cell = diode_load_inverter(model, w_drive=100e-6, w_load=30e-6,
-                                   vdd=vdd)
-        ckt = Circuit(f"bench_tb{k}")
-        ckt.add(VoltageSource("v_vdd", "vdd", "0", vdd))
-        ckt.add(VoltageSource("v_a", "a", "0",
-                              RampValue(0.0, vdd, 4e-5, 2e-4)))
-        cell.instantiate(ckt, {"a": "a", "out": "out", "vdd": "vdd",
-                               "vss": "0"})
-        ckt.add(Capacitor("c_load", "out", "0", 1e-12))
-        members.append(ckt)
-    es = EnsembleSystem(members)
+    models = [pentacene_model(vt_shift=0.05 * (k % 5)) for k in range(16)]
+    cell = diode_load_inverter(models[0], w_drive=100e-6, w_load=30e-6,
+                               vdd=vdd)
+    ckt = Circuit("bench_tb")
+    ckt.add(VoltageSource("v_vdd", "vdd", "0", vdd))
+    ckt.add(VoltageSource("v_a", "a", "0",
+                          RampValue(0.0, vdd, 4e-5, 2e-4)))
+    cell.instantiate(ckt, {"a": "a", "out": "out", "vdd": "vdd",
+                           "vss": "0"})
+    ckt.add(Capacitor("c_load", "out", "0", 1e-12))
+    es = EnsembleSystem(ckt, {(f"{cell.name}.{d.name}", "model"): models
+                              for d in cell.devices})
     opts = NewtonOptions()
     x, _ok = es.solve_dc(options=opts)
 
@@ -263,20 +261,25 @@ def _bench_native_timestep() -> _timed:
     from repro.spice.transient import TransientOptions
 
     vdd = 15.0
-    members, opts = [], []
-    for k in range(16):
-        model = pentacene_model(vt_shift=0.05 * (k % 5))
-        cell = diode_load_inverter(model, w_drive=100e-6, w_load=30e-6,
-                                   vdd=vdd)
-        slew = 1e-4 * (1.0 + 0.5 * (k % 4))
-        ckt = Circuit(f"ts_tb{k}")
-        ckt.add(VoltageSource("v_vdd", "vdd", "0", vdd))
-        ckt.add(VoltageSource("v_a", "a", "0",
-                              RampValue(0.0, vdd, 4e-5, slew)))
-        cell.instantiate(ckt, {"a": "a", "out": "out", "vdd": "vdd",
-                               "vss": "0"})
-        ckt.add(Capacitor("c_load", "out", "0", 1e-12 * (1 + k % 3)))
-        members.append(ckt)
+    models = [pentacene_model(vt_shift=0.05 * (k % 5)) for k in range(16)]
+    slews = [1e-4 * (1.0 + 0.5 * (k % 4)) for k in range(16)]
+    cell = diode_load_inverter(models[0], w_drive=100e-6, w_load=30e-6,
+                               vdd=vdd)
+    ckt = Circuit("ts_tb")
+    ckt.add(VoltageSource("v_vdd", "vdd", "0", vdd))
+    ckt.add(VoltageSource("v_a", "a", "0",
+                          RampValue(0.0, vdd, 4e-5, slews[0])))
+    cell.instantiate(ckt, {"a": "a", "out": "out", "vdd": "vdd",
+                           "vss": "0"})
+    ckt.add(Capacitor("c_load", "out", "0", 1e-12))
+    values = {(f"{cell.name}.{d.name}", "model"): models
+              for d in cell.devices}
+    values["v_a", "value"] = [RampValue(0.0, vdd, 4e-5, slew)
+                              for slew in slews]
+    values["c_load", "capacitance"] = [1e-12 * (1 + k % 3)
+                                       for k in range(16)]
+    opts = []
+    for slew in slews:
         dt = min(2e-3 / 400.0, slew / 8.0)
         opts.append(TransientOptions(dt=dt, t_stop=2e-3, dt_max=16.0 * dt,
                                      lte_tol=5e-4 * vdd))
@@ -285,10 +288,10 @@ def _bench_native_timestep() -> _timed:
     # Warm-up pays kernel compile / gather memoisation, then measure.
     # 25 sweeps keep the row ~100ms: long enough that scheduler noise
     # stays well inside the --check tolerance.
-    EnsembleTransient(members, opts, probes).run()
+    EnsembleTransient(ckt, opts, probes, values).run()
     with _timed() as row:
         for _ in range(25):
-            EnsembleTransient(members, opts, probes).run()
+            EnsembleTransient(ckt, opts, probes, values).run()
     return row
 
 

@@ -67,16 +67,15 @@ def estimate_gate_delay(cell: CellDesign, load_cap: float) -> float:
     from repro.spice.ensemble import ensemble_operating_point
 
     vdd = cell.rails["vdd"]
-    circuits = []
-    for vin in (0.0, vdd):               # pull-up, then pull-down drive
-        ckt = build_dc_testbench(cell, {p: vin for p in cell.inputs})
-        # Pin the output mid-rail and measure the net charging current.
-        ckt.add(VoltageSource("v_probe", "out", "0", vdd / 2.0))
-        circuits.append(ckt)
-    # The two bias points are structurally identical circuits — one
+    ckt = build_dc_testbench(cell, {p: 0.0 for p in cell.inputs})
+    # Pin the output mid-rail and measure the net charging current.
+    ckt.add(VoltageSource("v_probe", "out", "0", vdd / 2.0))
+    # Pull-up, then pull-down drive: two members of one testbench, one
     # stacked DC solve instead of two scalar operating points.
+    levels = [0.0, vdd]
     try:
-        x, es = ensemble_operating_point(circuits)
+        x, es = ensemble_operating_point(
+            ckt, {(f"v_{p}", "value"): levels for p in cell.inputs})
     except ConvergenceError as exc:
         raise AnalysisError(
             f"delay estimate failed for {cell.name!r}: {exc}") from exc

@@ -25,6 +25,7 @@ objects together with stimulus sources and loads.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from repro.errors import CircuitError
@@ -102,7 +103,8 @@ class CellDesign:
         if missing:
             raise CircuitError(f"missing inputs for {self.name!r}: {sorted(missing)}")
         env = {k: bool(v) for k, v in values.items()}
-        return bool(eval(self.function, {"__builtins__": {}}, env))  # noqa: S307
+        return bool(eval(_compiled(self.function),  # noqa: S307
+                         {"__builtins__": {}}, env))
 
     @property
     def transistor_count(self) -> int:
@@ -110,6 +112,12 @@ class CellDesign:
 
     def total_gate_width(self) -> float:
         return sum(d.w for d in self.devices)
+
+
+@functools.lru_cache(maxsize=None)
+def _compiled(function: str):
+    """A cell's logic expression, compiled once per distinct source."""
+    return compile(function, "<cell function>", "eval")
 
 
 @dataclass(frozen=True)

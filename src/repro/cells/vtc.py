@@ -125,12 +125,25 @@ def compute_vtc(cell: CellDesign, n_points: int = 101,
     return VtcCurve(vin=sweep_values, vout=vout, power=power, vdd=vdd)
 
 
+def _vtc_ensemble(cells: list[CellDesign], pin: str, tied_inputs: bool):
+    """The first cell's sweep testbench plus every cell's rail levels
+    and device models and sizes, as per-member values."""
+    first = cells[0]
+    values = {(f"v_{rail}", "value"): [c.rails[rail] for c in cells]
+              for rail, volts in first.rails.items() if volts != 0.0}
+    for k, dev in enumerate(first.devices):
+        for attr in ("model", "w", "l"):
+            values[f"{first.name}.{dev.name}", attr] = [
+                getattr(c.devices[k], attr) for c in cells]
+    return _vtc_testbench(first, pin, tied_inputs), values
+
+
 def compute_vtc_batch(cells: list[CellDesign], n_points: int = 101,
                       input_pin: str | None = None,
                       tied_inputs: bool = True,
                       options: NewtonOptions | None = None
                       ) -> list[VtcCurve | None]:
-    """VTCs of structurally identical cells as one stacked DC sweep.
+    """VTCs of cells of one topology as one stacked DC sweep.
 
     All members advance through the 0..VDD continuation in lockstep
     (Monte-Carlo instances of one topology differ only in device
@@ -159,26 +172,28 @@ def compute_vtc_batch(cells: list[CellDesign], n_points: int = 101,
                 out.append(None)
         return out
 
-    # Members may differ in rail *values* (e.g. a VSS trim sweep) but the
-    # sweep range and which rails are tied to ground must agree.
+    # Members may differ in rail *values* (e.g. a VSS trim sweep) and in
+    # device models and sizes (Monte Carlo), but the topology, the sweep
+    # range and which rails are tied to ground must agree.
     nonzero = [r for r, v in first.rails.items() if v != 0.0]
-    if any(c.inputs != first.inputs
+    wiring = [(d.name, d.drain, d.gate, d.source) for d in first.devices]
+    if any(c.inputs != first.inputs or c.name != first.name
            or c.rails.get("vdd") != vdd
            or [r for r, v in c.rails.items() if v != 0.0] != nonzero
+           or [(d.name, d.drain, d.gate, d.source)
+               for d in c.devices] != wiring
            for c in cells[1:]):
         return scalar_all()
+    sweep_values = np.linspace(0.0, vdd, n_points)
     try:
-        ckts = [_vtc_testbench(c, pin, tied_inputs) for c in cells]
+        template, values = _vtc_ensemble(cells, pin, tied_inputs)
         solutions, ok, es = ensemble_dc_sweep(
-            ckts, f"v_{pin}", np.linspace(0.0, vdd, n_points),
-            options=options)
+            template, f"v_{pin}", sweep_values, values, options=options)
     except (CircuitError, ConvergenceError):
         return scalar_all()
 
-    sweep_values = np.linspace(0.0, vdd, n_points)
     out_slot = es.node_slot("out")
-    branches = {rail: es.members[0].branch_index[f"v_{rail}"]
-                for rail in nonzero}
+    branches = {rail: es.branch_index[f"v_{rail}"] for rail in nonzero}
     curves: list[VtcCurve | None] = []
     for m, cell in enumerate(cells):
         if not ok[m]:

@@ -1,14 +1,16 @@
 """Characterisation runs: transistor-level transients -> NLDM tables.
 
-For every timing arc of every cell, the harness builds a testbench
+For every timing arc of every cell, the harness drives a testbench
 (:class:`repro.spice.Circuit` with a ramp input source and a capacitive
-load), runs a transient for each point of the slew x load grid, and
+load) through a transient for each point of the slew x load grid, and
 measures 50%-to-50% propagation delay plus the output's 20%-80% transition.
 The flip-flop additionally gets clk->q tables and bisection-based setup and
 hold times, mirroring what a commercial characterisation tool performs.
 
 Grid points run as stacked ensemble transients, in chunks of
-:data:`repro.runtime.ENSEMBLE_BATCH`.  The per-point scalar measurements
+:data:`repro.runtime.ENSEMBLE_BATCH`: one template testbench per ensemble
+plus per-point values (the active ramp, held levels, the load), so both
+arcs of an input pin share one ensemble.  The per-point scalar measurements
 (:func:`measure_arc`, :func:`measure_clk_to_q`, :func:`_setup_bisect`)
 are the fallback for members the ensemble cannot finish and the oracle
 the ensemble path is checked against.
@@ -31,7 +33,8 @@ import numpy as np
 from repro import runtime
 from repro.cells.library_def import CellLibraryDefinition
 from repro.cells.sizing import estimate_gate_delay
-from repro.cells.topologies import CellDesign, CompositeCell
+from repro.cells.topologies import (CellDesign, CompositeCell,
+                                     build_dc_testbench)
 from repro.characterization.library import (
     CellTiming,
     Library,
@@ -207,87 +210,117 @@ def measure_arc_batch(design: CellDesign, pin: str, input_rise: bool,
                       points: list[tuple[float, float]],
                       hints: dict[float, float] | None = None
                       ) -> list[tuple[float, float]]:
-    """All (slew, load) measurements of one timing arc as stacked solves.
+    """All (slew, load) measurements of one timing arc as stacked solves
+    (see :func:`measure_pin_batch`)."""
+    return measure_pin_batch(design, pin,
+                             [(input_rise, slew, load)
+                              for slew, load in points], hints)
 
-    Builds one :class:`~repro.spice.ensemble.EnsembleTransient` per chunk
-    of grid points — every member gets the exact testbench, timestep
-    schedule and window :func:`measure_arc` would use — and extracts the
-    delay/transition crossings online.  Members whose output has not
-    settled in the first window (or whose batch hits a convergence
-    failure) fall back to the scalar :func:`measure_arc`, which retries
-    with its usual window growth; results are therefore the scalar
-    results, just batched where batching is possible.
+
+def _arc_ensemble(design: CellDesign, pin: str,
+                  members: list[tuple[bool, float, float, float]]
+                  ) -> tuple[Circuit, dict]:
+    """One template testbench plus per-member values for arcs of *pin*.
+
+    *members* holds ``(input_rise, slew, load, t_start)`` per member.
+    Rise and fall share the template: only the active pin's ramp and
+    the load differ member to member, so every member's element order
+    (and with it the unknown ordering) is that of its own
+    :func:`_arc_testbench`.
     """
     vdd = design.rails["vdd"]
-    v0, v1 = (0.0, vdd) if input_rise else (vdd, 0.0)
+    ramps = [ramp_source(*((0.0, vdd) if rise else (vdd, 0.0)),
+                         t_start, slew)
+             for rise, slew, _load, t_start in members]
+    loads = [load for _rise, _slew, load, _t_start in members]
+    template = _arc_testbench(design, pin, ramps[0].v0, ramps[0].v1,
+                              ramps[0].t_start, members[0][1], loads[0])
+    return template, {(f"v_{pin}", "value"): ramps,
+                      ("c_load", "capacitance"): loads}
+
+
+def measure_pin_batch(design: CellDesign, pin: str,
+                      points: list[tuple[bool, float, float]],
+                      hints: dict[float, float] | None = None
+                      ) -> list[tuple[float, float]]:
+    """(delay, transition) of every ``(input_rise, slew, load)`` point of
+    one input pin, as stacked solves.
+
+    Builds one :class:`~repro.spice.ensemble.EnsembleTransient` per chunk
+    of points from one template testbench — every member gets the
+    circuit, timestep schedule and window :func:`measure_arc` would use
+    — and extracts the delay/transition crossings online.  Members whose
+    output has not settled in the first window (or whose batch hits a
+    convergence failure) fall back to the scalar :func:`measure_arc`,
+    which retries with its usual window growth; results are therefore
+    the scalar results, just batched where batching is possible.
+    """
+    vdd = design.rails["vdd"]
     hints = hints or {}
     side = _non_controlling(design, pin)
     side_logic = {p: v > vdd / 2 for p, v in side.items()}
-    final_logic = design.evaluate(**side_logic, **{pin: input_rise})
-    target = vdd if final_logic else 0.0
-    out_direction = "rise" if final_logic else "fall"
+    final = {rise: design.evaluate(**side_logic, **{pin: rise})
+             for rise in {rise for rise, _s, _l in points}}
 
     point_hints = [
         hints[load] if load in hints
         else estimate_gate_delay(design, load + 1e-18)
-        for _slew, load in points]
+        for _rise, _slew, load in points]
+    # The testbench depends only on (edge, slew, load, t_start) — all
+    # attempt-invariant; only the TransientOptions (t_stop, dt) are
+    # recomputed per attempt.
+    starts = [0.25 * slew * _RAMP_FACTOR + 0.05 * hint
+              for (_rise, slew, _load), hint in zip(points, point_hints)]
+    windows = [max(8.0 * hint, 3.0 * slew * _RAMP_FACTOR)
+               for (_rise, slew, _load), hint in zip(points, point_hints)]
+    probes = [Probe(pin, DELAY_THRESHOLD * vdd),
+              Probe("out", DELAY_THRESHOLD * vdd),
+              Probe("out", SLEW_LOW * vdd),
+              Probe("out", SLEW_HIGH * vdd)]
 
     results: list[tuple[float, float] | None] = [None] * len(points)
     batch = runtime.ENSEMBLE_BATCH
     for chunk_start in range(0, len(points), batch):
-        chunk_idx = list(range(chunk_start,
-                               min(chunk_start + batch, len(points))))
         # The scalar controller's retry loop, batched: members whose
         # output has not settled get the same window *= 4 re-run (with
         # the same recomputed dt) as measure_arc, as an ever-shrinking
         # straggler ensemble.
-        windows = {k: max(8.0 * point_hints[k],
-                          3.0 * points[k][0] * _RAMP_FACTOR)
-                   for k in chunk_idx}
-        # The testbench depends only on (slew, load, t_start) — all
-        # attempt-invariant.  Build each circuit once per chunk and reuse
-        # it across window retries; only the TransientOptions (t_stop,
-        # dt) are recomputed per attempt.
-        starts = {k: (0.25 * points[k][0] * _RAMP_FACTOR
-                      + 0.05 * point_hints[k])
-                  for k in chunk_idx}
-        circuits = {k: _arc_testbench(design, pin, v0, v1, starts[k],
-                                      points[k][0], points[k][1])
-                    for k in chunk_idx}
-        pending = chunk_idx
+        pending = list(range(chunk_start,
+                             min(chunk_start + batch, len(points))))
         for _attempt in range(5):
             if not pending:
                 break
-            members, opts = [], []
+            opts = []
             for k in pending:
-                slew, _load = points[k]
+                slew = points[k][1]
                 t_stop = starts[k] + slew * _RAMP_FACTOR + windows[k]
                 dt = min(t_stop / 700.0, slew * _RAMP_FACTOR / 8.0)
-                members.append(circuits[k])
                 opts.append(TransientOptions(
                     dt=dt, t_stop=t_stop, dt_max=16.0 * dt,
                     lte_tol=_LTE_FRACTION * vdd))
-            probes = [Probe(pin, DELAY_THRESHOLD * vdd),
-                      Probe("out", DELAY_THRESHOLD * vdd),
-                      Probe("out", SLEW_LOW * vdd),
-                      Probe("out", SLEW_HIGH * vdd)]
+            template, values = _arc_ensemble(
+                design, pin, [(*points[k], starts[k]) for k in pending])
             try:
-                ens = EnsembleTransient(members, opts, probes).run()
+                ens = EnsembleTransient(template, opts, probes,
+                                        values).run()
             except ConvergenceError:
                 break  # scalar fallback reproduces the context-rich error
+            final_out = ens.final_value("out")
             still_pending = []
             for m, k in enumerate(pending):
-                if abs(ens.final_value("out")[m] - target) > 0.05 * vdd:
+                rise, slew_k, load_k = points[k]
+                target = vdd if final[rise] else 0.0
+                if abs(final_out[m] - target) > 0.05 * vdd:
                     if telemetry.ENABLED:
                         telemetry.count("char.window_retries")
                     windows[k] *= 4.0
                     still_pending.append(k)
                     continue
-                slew_k, load_k = points[k]
                 results[k] = _arc_from_ensemble(
-                    ens, m, vdd, input_rise, out_direction, target,
+                    ens, m, vdd, rise, "rise" if final[rise] else "fall",
+                    target,
                     context=f"{design.name}.{pin} "
-                            f"{'rise' if input_rise else 'fall'} "
+                            f"{'rise' if rise else 'fall'} "
                             f"slew={slew_k:g} load={load_k:g}")
                 # Settled but unmeasurable stays None: the scalar path
                 # raises the canonical CharacterizationError for it.
@@ -299,9 +332,9 @@ def measure_arc_batch(design: CellDesign, pin: str, input_rise: bool,
             telemetry.count("char.scalar_point_fallbacks", fallbacks)
     return [
         value if value is not None
-        else measure_arc(design, pin, input_rise, slew, load,
-                         delay_hint=hint)
-        for value, (slew, load), hint in zip(results, points, point_hints)]
+        else measure_arc(design, pin, rise, slew, load, delay_hint=hint)
+        for value, (rise, slew, load), hint
+        in zip(results, points, point_hints)]
 
 
 def _arc_from_ensemble(ens: EnsembleTransient, m: int, vdd: float,
@@ -353,42 +386,45 @@ def _arc_from_ensemble(ens: EnsembleTransient, m: int, vdd: float,
 def average_leakage(design: CellDesign) -> float:
     """Static power averaged over all input states.
 
-    The 2**n input-state testbenches are structurally identical (only
-    source values differ), so they solve as one stacked ensemble DC —
+    The 2**n input states differ only in the input sources' levels, so
+    they solve as one stacked ensemble DC on one template testbench —
     rail currents come straight off each lane's branch variables.
     """
-    from repro.cells.topologies import build_dc_testbench
-
-    vdd = design.rails["vdd"]
-    states = list(itertools.product((0.0, vdd), repeat=len(design.inputs)))
-    circuits = [build_dc_testbench(design, dict(zip(design.inputs, state)))
-                for state in states]
-    x, es = ensemble_operating_point(circuits)
+    template, values = _leakage_ensemble(design)
+    x, es = ensemble_operating_point(template, values)
     total = 0.0
-    for lane in range(len(states)):
+    for lane in range(es.B):
         for rail, volts in design.rails.items():
             if volts == 0.0:
                 continue
             total -= volts * float(x[lane, es.branch_index[f"v_{rail}"]])
-    return total / len(states)
+    return total / es.B
 
 
-def _measure_arc_batch_task(task) -> list[tuple[float, float]]:
-    """Module-level (picklable) worker for one arc's whole grid ensemble."""
-    design, pin, input_rise, points, hints = task
-    edge = "rise" if input_rise else "fall"
-    with telemetry.span(f"arc:{design.name}.{pin}:{edge}"):
-        return measure_arc_batch(design, pin, input_rise, points,
-                                 hints=hints)
+def _leakage_ensemble(design: CellDesign) -> tuple[Circuit, dict]:
+    """DC testbench of the first input state plus every state's levels."""
+    vdd = design.rails["vdd"]
+    states = list(itertools.product((0.0, vdd), repeat=len(design.inputs)))
+    template = build_dc_testbench(design, dict(zip(design.inputs, states[0])))
+    return template, {(f"v_{pin}", "value"): [state[i] for state in states]
+                      for i, pin in enumerate(design.inputs)}
+
+
+def _measure_pin_batch_task(task) -> list[tuple[float, float]]:
+    """Module-level (picklable) worker for one input pin's ensemble."""
+    design, pin, points, hints = task
+    with telemetry.span(f"arc:{design.name}.{pin}"):
+        return measure_pin_batch(design, pin, points, hints=hints)
 
 
 def characterize_cell(design: CellDesign, grid: CharacterizationGrid,
                       area: float, workers: int | None = None) -> CellTiming:
     """Full NLDM characterisation of one combinational cell.
 
-    Each timing arc's entire slew x load grid runs as **one** stacked
-    ensemble transient, so ``parallel_map`` shards whole-arc batches
-    rather than single grid points.  Results match the per-point scalar
+    Both timing arcs of an input pin (its whole rise and fall slew x
+    load grids) run as **one** stacked ensemble transient, so
+    ``parallel_map`` shards whole-pin batches rather than single grid
+    points.  Results match the per-point scalar
     :func:`measure_arc` and are identical for any worker count.
     """
     with telemetry.span(f"cell:{design.name}"):
@@ -400,12 +436,15 @@ def _characterize_cell(design: CellDesign, grid: CharacterizationGrid,
     telemetry.count("char.cells")
     hints = {load: estimate_gate_delay(design, load + 1e-18)
              for load in grid.loads}
-    points = [(slew, load) for load in grid.loads for slew in grid.slews]
-    tasks = [(design, pin, input_rise, points, hints)
-             for pin in design.inputs for input_rise in (True, False)]
-    labels = [f"{design.name}.{pin} {'rise' if input_rise else 'fall'} grid"
-              for pin in design.inputs for input_rise in (True, False)]
-    results = parallel_map(_measure_arc_batch_task, tasks, workers=workers,
+    # Rise and fall of one pin share a template (same element order);
+    # different pins do not: the active pin's source is added after the
+    # held inputs, so the branch unknowns, and with them the LU pivot
+    # order, differ per pin.
+    points = [(input_rise, slew, load) for input_rise in (True, False)
+              for load in grid.loads for slew in grid.slews]
+    tasks = [(design, pin, points, hints) for pin in design.inputs]
+    labels = [f"{design.name}.{pin} grid" for pin in design.inputs]
+    results = parallel_map(_measure_pin_batch_task, tasks, workers=workers,
                            labels=labels, on_error="capture",
                            phase=f"characterize[{design.name}]")
     # Re-raise the first failure in task order (same exception, and thus
@@ -465,14 +504,26 @@ def _dff_testbench(dff: CompositeCell, load: float,
     return ckt
 
 
-def _dff_stimulus(dff: CompositeCell, load: float, clk_slew: float,
+def _dff_ensemble(dff: CompositeCell,
+                  stimuli: list[tuple[float, dict[str, object]]]
+                  ) -> tuple[Circuit, dict]:
+    """One template testbench plus per-member values for flip-flop
+    members given as ``(load, sources)`` (see :func:`_dff_stimulus`)."""
+    template = _dff_testbench(dff, *stimuli[0])
+    values: dict = {(f"v_{pin}", "value"): [src[pin] for _l, src in stimuli]
+                    for pin in dff.inputs}
+    values["c_load", "capacitance"] = [load for load, _src in stimuli]
+    return template, values
+
+
+def _dff_stimulus(dff: CompositeCell, clk_slew: float,
                   t_unit: float, d_level: float, q_rises: bool,
                   d_offset_before_clk: float | None = None,
                   t_extra: float = 0.0
-                  ) -> tuple[Circuit, float, TransientOptions]:
+                  ) -> tuple[dict[str, object], float, TransientOptions]:
     """Shared clk->q stimulus: clear/preset pulse, then one clock edge.
 
-    Returns (testbench, t_clk_edge, options).  When
+    Returns (input source values, t_clk_edge, options).  When
     ``d_offset_before_clk`` is given, D starts at the complement of
     ``d_level`` and toggles that long before the clock edge (the setup
     search's knob); otherwise D is held constant.
@@ -496,11 +547,10 @@ def _dff_stimulus(dff: CompositeCell, load: float, clk_slew: float,
         d0 = vdd - d_level
         sources["d"] = ramp_source(d0, d_level, t_clk - d_offset_before_clk,
                                    clk_slew)
-    ckt = _dff_testbench(dff, load, sources)
     dt = min(t_stop / 900.0, clk_slew * _RAMP_FACTOR / 6.0, 2.0 * t_unit)
     options = TransientOptions(dt=dt, t_stop=t_stop, dt_max=16.0 * dt,
                                lte_tol=_LTE_FRACTION * vdd)
-    return ckt, t_clk, options
+    return sources, t_clk, options
 
 
 def _dff_transient(dff: CompositeCell, load: float, clk_slew: float,
@@ -508,11 +558,11 @@ def _dff_transient(dff: CompositeCell, load: float, clk_slew: float,
                    d_offset_before_clk: float | None = None,
                    t_extra: float = 0.0):
     """Run the shared clk->q stimulus; returns (result, t_clk_edge)."""
-    ckt, t_clk, options = _dff_stimulus(
-        dff, load, clk_slew, t_unit, d_level, q_rises,
+    sources, t_clk, options = _dff_stimulus(
+        dff, clk_slew, t_unit, d_level, q_rises,
         d_offset_before_clk=d_offset_before_clk, t_extra=t_extra)
     try:
-        result = transient(ckt, options)
+        result = transient(_dff_testbench(dff, load, sources), options)
     except ConvergenceError as exc:
         raise exc.with_context(cell=dff.name, clk_slew=clk_slew, load=load)
     return result, t_clk
@@ -580,15 +630,16 @@ def _captures_batch(dff: CompositeCell, load: float, clk_slew: float,
     the scalar search.
     """
     vdd = dff.rails["vdd"]
-    members, opts = [], []
+    stimuli, opts = [], []
     for offset in offsets:
-        ckt, _t_clk, options = _dff_stimulus(
-            dff, load, clk_slew, t_unit, d_level=vdd, q_rises=True,
+        sources, _t_clk, options = _dff_stimulus(
+            dff, clk_slew, t_unit, d_level=vdd, q_rises=True,
             d_offset_before_clk=offset, t_extra=4.0 * t_unit)
-        members.append(ckt)
+        stimuli.append((load, sources))
         opts.append(options)
+    template, values = _dff_ensemble(dff, stimuli)
     try:
-        ens = EnsembleTransient(members, opts).run()
+        ens = EnsembleTransient(template, opts, values=values).run()
     except ConvergenceError:
         return None
     return [bool(v > 0.6 * vdd) for v in ens.final_value("q")]
@@ -677,17 +728,18 @@ def measure_clk_to_q_batch(dff: CompositeCell,
     for _attempt in range(5):
         if not pending:
             break
-        members, opts = [], []
+        stimuli, opts = [], []
         for k in pending:
             clk_slew, load = points[k]
-            ckt, _t_clk, options = _dff_stimulus(
-                dff, load, clk_slew, t_unit, d_level=vdd, q_rises=True,
+            sources, _t_clk, options = _dff_stimulus(
+                dff, clk_slew, t_unit, d_level=vdd, q_rises=True,
                 t_extra=t_extras[k])
-            members.append(ckt)
+            stimuli.append((load, sources))
             opts.append(options)
+        template, values = _dff_ensemble(dff, stimuli)
         probes = [Probe("clk", 0.5 * vdd), Probe("q", 0.5 * vdd)]
         try:
-            ens = EnsembleTransient(members, opts, probes).run()
+            ens = EnsembleTransient(template, opts, probes, values).run()
         except ConvergenceError:
             break  # scalar fallback reproduces the context-rich error
         still_pending = []

@@ -896,7 +896,7 @@ class _NativePrep:
     def __init__(self, es) -> None:
         # Any non-stackable nonlinear element means the Python assembly
         # must run; decline and let the reference path handle it.
-        self.ok = all(len(fb) == 0 for fb in es._fallback)
+        self.ok = not es._any_fallback
         if not self.ok:
             return
         batch = es.fet_batch

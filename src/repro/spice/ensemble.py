@@ -31,8 +31,9 @@ equivalence test suite pins this down.
 
 from __future__ import annotations
 
+import copy
 from time import perf_counter
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -43,13 +44,12 @@ from repro.spice.backends import EnsembleNewtonRequest, get_backend
 from repro.spice.dc import NewtonOptions, solve_operating_point
 from repro.spice.elements import (
     FET_GMIN,
-    CurrentSource,
     Element,
     Fet,
     RampValue,
     VoltageSource,
 )
-from repro.spice.mna import MnaSystem, bypass_eta
+from repro.spice.mna import MnaSystem, bind, bypass_eta
 from repro.spice.netlist import Circuit
 from repro.spice.transient import TransientOptions
 
@@ -70,28 +70,43 @@ class _StackedFetBatch:
     the flattened extended state/Jacobian.  ``gather`` re-narrows all
     arrays to an active member subset — the index arithmetic the masked
     active set runs on.
+
+    Devices are member-major: every member has the template's devices
+    in template order, so the index arrays are member 0's tiled B
+    times.  *vary* holds, per device, the attributes (``model``, ``w``,
+    ``l``) whose values differ member to member; when none do, the
+    parameter arrays are computed once for one member and tiled too.
     """
 
-    def __init__(self, fets_per_member: list[list[Fet]], size: int) -> None:
+    def __init__(self, fets: list[Fet], vary: list[dict[str, list]],
+                 B: int, size: int) -> None:
         ext = size + 1
         self.ext = ext
 
         def loc(i: int) -> int:
             return i if i >= 0 else size
 
-        member_id: list[int] = []
-        fets: list[Fet] = []
-        for b, member_fets in enumerate(fets_per_member):
-            member_id.extend([b] * len(member_fets))
-            fets.extend(member_fets)
-        self.member_id = np.asarray(member_id, dtype=np.intp)
-        self.d_loc = np.array([loc(f._idx[0]) for f in fets], dtype=np.intp)
-        self.g_loc = np.array([loc(f._idx[1]) for f in fets], dtype=np.intp)
-        self.s_loc = np.array([loc(f._idx[2]) for f in fets], dtype=np.intp)
-        self.pol = np.array([float(f.model.polarity) for f in fets])
-        self.params = StackedTftParams([f.model for f in fets],
-                                       np.array([f.w for f in fets]),
-                                       np.array([f.l for f in fets]))
+        n = len(fets)
+        self.member_id = np.repeat(np.arange(B, dtype=np.intp), n)
+        self.d_loc = np.tile(np.array([loc(f._idx[0]) for f in fets],
+                                      dtype=np.intp), B)
+        self.g_loc = np.tile(np.array([loc(f._idx[1]) for f in fets],
+                                      dtype=np.intp), B)
+        self.s_loc = np.tile(np.array([loc(f._idx[2]) for f in fets],
+                                      dtype=np.intp), B)
+        if any(vary):
+            flat = [_member_copy(f, v, b) if v else f
+                    for b in range(B) for f, v in zip(fets, vary)]
+            self.pol = np.array([float(f.model.polarity) for f in flat])
+            self.params = StackedTftParams(
+                [f.model for f in flat], np.array([f.w for f in flat]),
+                np.array([f.l for f in flat]))
+        else:
+            tile = np.tile(np.arange(n), B)
+            self.pol = np.array([float(f.model.polarity) for f in fets])[tile]
+            self.params = StackedTftParams(
+                [f.model for f in fets], np.array([f.w for f in fets]),
+                np.array([f.l for f in fets])).subset(tile)
 
         d, g, s = self.d_loc, self.g_loc, self.s_loc
         self.sd_delta = s - d
@@ -184,101 +199,174 @@ class _GatheredFets:
         np.add.at(J_flat, flat.ravel(), vals)
 
 
-def _describe(element: Element) -> tuple:
-    return (element.name, type(element).__name__, element.nodes,
-            element.n_branches)
+#: The element attributes an ensemble may vary, by the stamp that reads
+#: them.
+_STATIC_READS = frozenset({"resistance"})
+_DYNAMIC_READS = frozenset({"capacitance", "model", "w", "l"})
+_RHS_READS = frozenset({"value"})
+
+
+def _member_copy(element: Element, vary: dict[str, list], b: int
+                 ) -> Element:
+    """Member *b*'s copy of the bound *element*; a FET's capacitances
+    follow its model and size."""
+    twin = copy.copy(element)
+    for attr, vals in vary.items():
+        setattr(twin, attr, vals[b])
+    if isinstance(twin, Fet):
+        twin.cgs, twin.cgd, twin.cds = twin.model.capacitances(twin.w,
+                                                                twin.l)
+    return twin
+
+
+def _stacked(element: Element, vary: dict[str, list]) -> Element:
+    """A copy of *element* whose varying numeric attributes are length-B
+    arrays, so one stamp call writes every member."""
+    twin = copy.copy(element)
+    for attr, vals in vary.items():
+        if attr != "model" and not any(callable(v) for v in vals):
+            setattr(twin, attr, np.asarray(vals, dtype=float))
+    if isinstance(twin, Fet):
+        members = [_member_copy(element, vary, b)
+                   for b in range(len(next(iter(vary.values()))))]
+        twin.cgs, twin.cgd, twin.cds = (
+            np.array([getattr(m, name) for m in members])
+            for name in ("cgs", "cgd", "cds"))
+    return twin
 
 
 class EnsembleSystem:
-    """A batch of structurally identical circuits bound to one ordering.
+    """A batch of B circuits of one topology, bound to one ordering.
 
-    All members must share node names, element names/types/terminals and
-    branch layout; element *values* (resistances, capacitances, source
-    values, FET W/L and model parameters) are free to differ — those are
-    the ensemble's parameter bindings.  Transistors whose models are
-    :class:`~repro.devices.tft_level61.UnifiedTft` across every member
-    are stacked into one cross-member device batch; any other nonlinear
-    element falls back to per-member scalar stamping (still correct,
-    just not batched).
+    Built from **one** template :class:`Circuit` plus per-member values:
+    *values* maps ``(element_name, attribute)`` to a length-B sequence —
+    a source's ``value`` (a float, a :class:`RampValue` or a callable),
+    a capacitor's ``capacitance``, a resistor's ``resistance``, a FET's
+    ``model``, ``w`` or ``l``.  Anything not named keeps the template's
+    value in every member.  Nodes and branches are bound once, on the
+    template.
+
+    ``G_static``, ``C_unit`` and the constant rhs are stamped once, in
+    the template's element order, by the elements' own stamp methods
+    writing through a member-last view of the stacked ``(B, ...)``
+    array: a shared value is a scalar added to every member, a varying
+    one a length-B vector.  Every entry of every member therefore sees
+    exactly the addition sequence that member's own
+    :class:`~repro.spice.mna.MnaSystem` would perform, so the stacks are
+    bit-identical to stacking per-member systems (the tests compare
+    them byte for byte).  Transistors whose models are all
+    :class:`~repro.devices.tft_level61.UnifiedTft` are stacked into one
+    cross-member device batch; any other nonlinear element falls back to
+    per-member scalar stamping (still correct, just not batched).
     """
 
-    def __init__(self, circuits: Sequence[Circuit]) -> None:
-        if not circuits:
-            raise CircuitError("ensemble needs at least one member circuit")
-        self.members = [MnaSystem(c) for c in circuits]
-        ref = self.members[0]
-        signature = [_describe(e) for e in ref.circuit.elements]
-        for m in self.members[1:]:
-            if (m.node_names != ref.node_names
-                    or [_describe(e) for e in m.circuit.elements] != signature):
+    def __init__(self, template: Circuit,
+                 values: Mapping[tuple[str, str], Sequence] | None = None,
+                 n_members: int | None = None) -> None:
+        values = {key: list(v) for key, v in (values or {}).items()}
+        sizes = {len(v) for v in values.values()}
+        if n_members is not None:
+            sizes.add(n_members)
+        if len(sizes) > 1:
+            raise CircuitError(
+                f"ensemble values disagree on the member count: "
+                f"{sorted(sizes)}")
+        self.B = B = sizes.pop() if sizes else 1
+        if B < 1:
+            raise CircuitError("ensemble needs at least one member")
+        self.template = template
+        (self.node_names, self.node_index, self.branch_index,
+         self.size) = bind(template)
+        self.n_nodes = len(self.node_names)
+        S = self.size
+
+        self._vary: dict[str, dict[str, list]] = {}
+        for (name, attr), vals in values.items():
+            if (attr not in _STATIC_READS | _DYNAMIC_READS | _RHS_READS
+                    or not template.has_element(name)
+                    or not hasattr(template.element(name), attr)):
                 raise CircuitError(
-                    f"ensemble members are not structurally identical: "
-                    f"{m.circuit.name!r} differs from {ref.circuit.name!r}")
+                    f"ensemble value {name}.{attr} names no attribute of "
+                    f"an element of {template.name!r}")
+            self._vary.setdefault(name, {})[attr] = vals
+        elements = template.elements
+        twins = {e.name: _stacked(e, self._vary[e.name])
+                 for e in elements if e.name in self._vary}
 
-        self.B = len(self.members)
-        self.size = ref.size
-        self.n_nodes = ref.n_nodes
-        self.node_index = ref.node_index
-        self.branch_index = ref.branch_index
+        def stack(elements, stamp, reads, shape) -> np.ndarray:
+            # One shared array until the first element whose stamp
+            # reads a varying value, then stacked; see the class doc.
+            acc = np.zeros(shape)
+            view = acc
+            for e in elements:
+                if reads & self._vary.get(e.name, {}).keys():
+                    if view is acc:
+                        acc = np.repeat(acc[None], B, axis=0)
+                        view = np.moveaxis(acc, 0, -1)
+                    e = twins[e.name]
+                stamp(e, view)
+            return acc if acc.ndim > len(shape) \
+                else np.repeat(acc[None], B, axis=0)
 
-        self.G_static = np.stack([m._G_static for m in self.members])
-        self.C_unit = np.stack([m._C_unit for m in self.members])
+        self.G_static = stack(elements,
+                              lambda e, G: e.stamp_static(G),
+                              _STATIC_READS, (S, S))
+        self.C_unit = stack(elements,
+                            lambda e, C: e.stamp_dynamic(C, 1.0),
+                            _DYNAMIC_READS, (S, S))
 
-        # Nonlinear elements, position-wise: a position is stackable when
-        # every member's element there is a UnifiedTft FET.
-        nl_positions = [i for i, e in enumerate(ref.circuit.elements)
-                        if e.is_nonlinear]
-        stackable: list[int] = []
-        fallback_pos: list[int] = []
-        for i in nl_positions:
-            if all(isinstance(m.circuit.elements[i], Fet)
-                   and isinstance(m.circuit.elements[i].model, UnifiedTft)
-                   for m in self.members):
-                stackable.append(i)
+        # Nonlinear elements: stackable when every member's model is a
+        # UnifiedTft, per-member scalar stamping otherwise.
+        stackable: list[Fet] = []
+        fallback: list[Element] = []
+        for e in elements:
+            if not e.is_nonlinear:
+                continue
+            models = self._vary.get(e.name, {}).get(
+                "model", [getattr(e, "model", None)])
+            if isinstance(e, Fet) and all(isinstance(m, UnifiedTft)
+                                          for m in models):
+                stackable.append(e)
             else:
-                fallback_pos.append(i)
+                fallback.append(e)
         self.fet_batch = _StackedFetBatch(
-            [[m.circuit.elements[i] for i in stackable]
-             for m in self.members], self.size)
-        self._fallback = [
-            tuple(m.circuit.elements[i] for i in fallback_pos)
-            for m in self.members]
-        self._any_fallback = bool(fallback_pos)
+            stackable, [self._vary.get(f.name, {}) for f in stackable],
+            B, S)
+        self._fallback = [tuple(self._member_element(e, b)
+                                for e in fallback) for b in range(B)]
+        self._any_fallback = bool(fallback)
 
-        # Time-dependent rhs elements, position-wise: constant sources
-        # fold into a precomputed per-member vector, RampValue voltage
-        # sources take a vectorised fast path, anything else loops.
-        rhs_positions = [
-            i for i, e in enumerate(ref.circuit.elements)
-            if not e.rhs_is_storage
-            and type(e).stamp_rhs is not Element.stamp_rhs]
-        self._b_const = np.zeros((self.B, self.size))
+        # Time-dependent rhs elements: constant sources fold into a
+        # precomputed per-member vector, RampValue voltage sources take a
+        # vectorised path, anything else is stamped per member.
+        const: list[Element] = []
         self._ramps: list[tuple[int, np.ndarray, np.ndarray, np.ndarray,
                                 np.ndarray]] = []
-        generic_pos: list[int] = []
-        for i in rhs_positions:
-            elems = [m.circuit.elements[i] for m in self.members]
-            if all(isinstance(e, (VoltageSource, CurrentSource))
-                   and not callable(e.value) for e in elems):
-                for b, e in enumerate(elems):
-                    e.stamp_rhs(self._b_const[b], 0.0, None, None)
-            elif (all(isinstance(e, VoltageSource)
-                      and isinstance(e.value, RampValue) for e in elems)
-                  and all(e.value.duration > 0.0 for e in elems)):
-                row = elems[0]._branch
+        generic: list[Element] = []
+        for e in elements:
+            if e.rhs_is_storage or type(e).stamp_rhs is Element.stamp_rhs:
+                continue
+            vals = self._vary.get(e.name, {}).get("value", [e.value] * B)
+            if not any(callable(v) for v in vals):
+                const.append(e)
+            elif (isinstance(e, VoltageSource)
+                  and all(isinstance(v, RampValue) and v.duration > 0.0
+                          for v in vals)):
                 self._ramps.append((
-                    row,
-                    np.array([e.value.v0 for e in elems]),
-                    np.array([e.value.v1 - e.value.v0 for e in elems]),
-                    np.array([e.value.t_start for e in elems]),
-                    np.array([1.0 / e.value.duration for e in elems]),
+                    e._branch,
+                    np.array([v.v0 for v in vals]),
+                    np.array([v.v1 - v.v0 for v in vals]),
+                    np.array([v.t_start for v in vals]),
+                    np.array([1.0 / v.duration for v in vals]),
                 ))
             else:
-                generic_pos.append(i)
-        self._generic_rhs = [
-            tuple(m.circuit.elements[i] for i in generic_pos)
-            for m in self.members]
-        self._any_generic_rhs = bool(generic_pos)
+                generic.append(e)
+        self._b_const = stack(
+            const, lambda e, b: e.stamp_rhs(b, 0.0, None, None),
+            _RHS_READS, (S,))
+        self._generic_rhs = [tuple(self._member_element(e, b)
+                                   for e in generic) for b in range(B)]
+        self._any_generic_rhs = bool(generic)
 
         # Active-set compositions repeat for long stretches of a run (they
         # only change when members finish or retry), so gathered FET
@@ -286,11 +374,25 @@ class EnsembleSystem:
         self._gather_cache: dict[bytes, _GatheredFets | None] = {}
         self._nl_slots: np.ndarray | str = "unset"
 
+    def _member_element(self, element: Element, b: int) -> Element:
+        """Member *b*'s copy of a template element (the element itself
+        when no value of it varies)."""
+        vary = self._vary.get(element.name)
+        return _member_copy(element, vary, b) if vary else element
+
+    def member(self, b: int) -> MnaSystem:
+        """Member *b* as a scalar :class:`MnaSystem` on a circuit of its
+        own (the scalar retry path and the oracle)."""
+        ckt = Circuit(self.template.name)
+        for e in self.template.elements:
+            ckt.add(copy.copy(self._member_element(e, b)))
+        return MnaSystem(ckt)
+
     @property
     def nl_slots(self) -> np.ndarray:
         """Solver slots any nonlinear element of any member stamps."""
         if isinstance(self._nl_slots, str):
-            if any(len(fb) for fb in self._fallback):
+            if self._any_fallback:
                 # Conservative: fallback elements' reach is unknown.
                 self._nl_slots = np.arange(self.size, dtype=np.intp)
             else:
@@ -316,11 +418,10 @@ class EnsembleSystem:
                   dt: np.ndarray | None = None) -> np.ndarray:
         """Stacked right-hand sides at per-member times ``t``.
 
-        Constant sources come from the precomputed template, ramps are
+        Constant sources come from the precomputed stack, ramps are
         evaluated vectorised across members, other time-dependent
         elements loop per member; the storage history term is one
-        batched matmul.  **Not** valid while source values are being
-        mutated externally (the DC sweep uses :meth:`rhs_fresh`).
+        batched matmul.
         """
         b = self._b_const[mem_idx].copy()
         for row, v0, dv, t_start, inv_dur in self._ramps:
@@ -337,14 +438,6 @@ class EnsembleSystem:
         if x_prev is not None and dt is not None:
             b += np.einsum("aij,aj->ai", self.C_unit[mem_idx],
                            x_prev) / dt[:, None]
-        return b
-
-    def rhs_fresh(self, mem_idx: np.ndarray, t: float = 0.0) -> np.ndarray:
-        """Per-member rhs via the element loop (honours mutated values)."""
-        b = np.zeros((len(mem_idx), self.size))
-        for i, m in enumerate(mem_idx):
-            for e in self.members[m]._rhs_time:
-                e.stamp_rhs(b[i], t, None, None)
         return b
 
     # -- stacked Newton ------------------------------------------------------
@@ -565,13 +658,15 @@ class EnsembleSystem:
 
     def solve_dc(self, mem_idx: np.ndarray | None = None,
                  x0: np.ndarray | None = None,
-                 options: NewtonOptions | None = None
+                 options: NewtonOptions | None = None,
+                 b: np.ndarray | None = None
                  ) -> tuple[np.ndarray, np.ndarray]:
         """Stacked DC operating points with the scalar fallback chain.
 
-        Returns ``(x, ok)`` over the requested member subset.  Lanes
-        failing plain Newton go through gmin stepping, then source
-        stepping — each on the still-failing subset only — mirroring
+        Returns ``(x, ok)`` over the requested member subset.  The rhs
+        is the sources at ``t = 0`` unless *b* gives it.  Lanes failing
+        plain Newton go through gmin stepping, then source stepping —
+        each on the still-failing subset only — mirroring
         :func:`repro.spice.dc.solve_operating_point` lane by lane.
         """
         options = options or NewtonOptions()
@@ -580,7 +675,8 @@ class EnsembleSystem:
         mem_idx = np.asarray(mem_idx, dtype=np.intp)
         A = len(mem_idx)
         G_lin = self.G_static[mem_idx].copy()
-        b = self.rhs_fresh(mem_idx)
+        if b is None:
+            b = self.rhs_batch(mem_idx, np.zeros(A))
         x = np.zeros((A, self.size)) if x0 is None else x0.copy()
 
         x_out, ok = self.newton_batch(mem_idx, G_lin, b, x, options)
@@ -644,78 +740,85 @@ class EnsembleSystem:
             raise CircuitError(f"unknown ensemble node {node!r}") from None
 
 
-def ensemble_operating_point(circuits: Sequence[Circuit],
+def ensemble_operating_point(template: Circuit,
+                             values: Mapping[tuple[str, str], Sequence]
+                             | None = None,
                              options: NewtonOptions | None = None
                              ) -> tuple[np.ndarray, EnsembleSystem]:
-    """Stacked DC operating points of structurally identical circuits.
+    """Stacked DC operating points of one template's members.
 
     Lanes the batched fallback chain cannot converge are retried with the
     scalar solver (which raises :class:`ConvergenceError` on failure, as
     the per-circuit path would).
     """
-    es = EnsembleSystem(circuits)
+    es = EnsembleSystem(template, values)
     x, ok = es.solve_dc(options=options)
     for lane in np.flatnonzero(~ok):
         if telemetry.ENABLED:
             telemetry.count("ensemble.scalar_retries")
-        x[lane] = solve_operating_point(es.members[lane], options=options)
+        x[lane] = solve_operating_point(es.member(lane), options=options)
     return x, es
 
 
-def ensemble_dc_sweep(circuits: Sequence[Circuit], source_name: str,
-                      values: np.ndarray | list[float],
+def ensemble_dc_sweep(template: Circuit, source_name: str,
+                      sweep: np.ndarray | list[float],
+                      values: Mapping[tuple[str, str], Sequence]
+                      | None = None,
                       options: NewtonOptions | None = None
                       ) -> tuple[np.ndarray, np.ndarray, EnsembleSystem]:
-    """Sweep one source across all members in lockstep.
+    """Sweep one voltage source across all members in lockstep.
 
     Returns ``(solutions, ok, system)`` where ``solutions`` has shape
-    ``(n_values, B, size)`` (NaN for failed lanes from the first point
+    ``(len(sweep), B, size)`` (NaN for failed lanes from the first point
     they fail) and ``ok`` flags members that converged at every point.
     Continuation warm-starts each point from the previous solution, as
-    the scalar :func:`repro.spice.dc.dc_sweep` does.
+    the scalar :func:`repro.spice.dc.dc_sweep` does.  The template is
+    not modified.
     """
-    values = np.asarray(values, dtype=float)
-    es = EnsembleSystem(circuits)
-    sources = [m.circuit.element(source_name) for m in es.members]
-    for s in sources:
-        if not hasattr(s, "value"):
-            raise ConvergenceError(f"element {source_name!r} is not a source")
-    solutions = np.full((len(values), es.B, es.size), np.nan)
+    sweep = np.asarray(sweep, dtype=float)
+    es = EnsembleSystem(template, values)
+    if not isinstance(template.element(source_name), VoltageSource):
+        raise ConvergenceError(
+            f"element {source_name!r} is not a voltage source")
+    # The swept source alone stamps its branch row, so each point's rhs
+    # is the t = 0 rhs with that row set to the point's value.
+    row = es.branch_index[source_name]
+    base = es.rhs_batch(np.arange(es.B), np.zeros(es.B))
+    base[:, row] = 0.0
+    solutions = np.full((len(sweep), es.B, es.size), np.nan)
     ok = np.ones(es.B, dtype=bool)
     x_prev: np.ndarray | None = None
-    originals = [s.value for s in sources]
-    try:
-        for i, value in enumerate(values):
-            for s in sources:
-                s.value = float(value)
-            alive = np.flatnonzero(ok)
-            if len(alive) == 0:
-                break
-            x0 = x_prev[alive] if x_prev is not None else None
-            x, point_ok = es.solve_dc(mem_idx=alive, x0=x0, options=options)
-            # Lanes the batch cannot converge get one scalar retry before
-            # being written off (matches per-circuit robustness).
-            for k in np.flatnonzero(~point_ok):
-                if telemetry.ENABLED:
-                    telemetry.count("ensemble.scalar_retries")
-                try:
-                    x[k] = solve_operating_point(
-                        es.members[alive[k]],
-                        x0=None if x0 is None else x0[k], options=options)
-                    point_ok[k] = True
-                except (ConvergenceError, np.linalg.LinAlgError):
-                    # A lane whose scalar retry is singular/unconverged
-                    # is written off; it must never kill the sweep.
-                    pass
-            ok[alive[~point_ok]] = False
-            good = alive[point_ok]
-            solutions[i, good] = x[point_ok]
-            if x_prev is None:
-                x_prev = np.zeros((es.B, es.size))
-            x_prev[good] = x[point_ok]
-    finally:
-        for s, original in zip(sources, originals):
-            s.value = original
+    for i, value in enumerate(sweep):
+        alive = np.flatnonzero(ok)
+        if len(alive) == 0:
+            break
+        b = base[alive]
+        b[:, row] += value
+        x0 = x_prev[alive] if x_prev is not None else None
+        x, point_ok = es.solve_dc(mem_idx=alive, x0=x0, options=options,
+                                  b=b)
+        # Lanes the batch cannot converge get one scalar retry before
+        # being written off (matches per-circuit robustness).
+        for k in np.flatnonzero(~point_ok):
+            if telemetry.ENABLED:
+                telemetry.count("ensemble.scalar_retries")
+            member = es.member(alive[k])
+            member.circuit.element(source_name).value = float(value)
+            try:
+                x[k] = solve_operating_point(
+                    member, x0=None if x0 is None else x0[k],
+                    options=options)
+                point_ok[k] = True
+            except (ConvergenceError, np.linalg.LinAlgError):
+                # A lane whose scalar retry is singular/unconverged
+                # is written off; it must never kill the sweep.
+                pass
+        ok[alive[~point_ok]] = False
+        good = alive[point_ok]
+        solutions[i, good] = x[point_ok]
+        if x_prev is None:
+            x_prev = np.zeros((es.B, es.size))
+        x_prev[good] = x[point_ok]
     return solutions, ok, es
 
 
@@ -787,12 +890,12 @@ class EnsembleTransient:
     leave the batch entirely.
     """
 
-    def __init__(self, circuits: Sequence[Circuit],
+    def __init__(self, template: Circuit,
                  options: Sequence[TransientOptions],
-                 probes: Sequence[Probe] = ()) -> None:
-        if len(options) != len(circuits):
-            raise CircuitError("need one TransientOptions per member")
-        self.es = EnsembleSystem(circuits)
+                 probes: Sequence[Probe] = (),
+                 values: Mapping[tuple[str, str], Sequence] | None = None
+                 ) -> None:
+        self.es = EnsembleSystem(template, values, len(options))
         es = self.es
         B = es.B
         newton = options[0].newton
@@ -824,7 +927,7 @@ class EnsembleTransient:
 
         x, ok = es.solve_dc(options=newton)
         for lane in np.flatnonzero(~ok):
-            x[lane] = solve_operating_point(es.members[lane], options=newton)
+            x[lane] = solve_operating_point(es.member(lane), options=newton)
         self.x = x
         self.x_init = x.copy()
         self.t = np.zeros(B)
@@ -837,7 +940,7 @@ class EnsembleTransient:
         eta = bypass_eta(newton)
         self._bypass = None
         if eta > 0.0 and (len(es.fet_batch.member_id)
-                          or any(len(fb) for fb in es._fallback)):
+                          or es._any_fallback):
             self._bypass = _EnsembleBypass(eta, es.nl_slots, B, es.size)
 
         self.probes = list(probes)
@@ -987,7 +1090,7 @@ class EnsembleTransient:
                         raise ConvergenceError(
                             f"transient step failed at t={self.t[lane]:g}s "
                             f"in circuit "
-                            f"{es.members[lane].circuit.name!r} even at "
+                            f"{es.template.name!r} even at "
                             f"minimum step {self.dt_min[lane]:g}s",
                             events=[{"stage": "ensemble_transient",
                                      "t": float(self.t[lane]),

@@ -90,6 +90,30 @@ class StampCache:
         self.valid = True
 
 
+def bind(circuit: Circuit) -> tuple[list[str], dict[str, int],
+                                    dict[str, int], int]:
+    """Bind *circuit*'s elements to the solver ordering, in place.
+
+    Unknowns are the sorted node voltages, then one branch current per
+    voltage source in element order.  Returns ``(node_names,
+    node_index, branch_index, size)``.
+    """
+    if len(circuit) == 0:
+        raise CircuitError(f"circuit {circuit.name!r} has no elements")
+    node_names = sorted(circuit.nodes)
+    if not node_names:
+        raise CircuitError(f"circuit {circuit.name!r} has no non-ground nodes")
+    node_index = {name: i for i, name in enumerate(node_names)}
+    branch = len(node_names)
+    branch_index: dict[str, int] = {}
+    for element in circuit.elements:
+        element.bind(node_index, branch if element.n_branches else -1)
+        if element.n_branches:
+            branch_index[element.name] = branch
+            branch += element.n_branches
+    return node_names, node_index, branch_index, branch
+
+
 class MnaSystem:
     """Bound MNA system for one circuit.
 
@@ -101,25 +125,10 @@ class MnaSystem:
     """
 
     def __init__(self, circuit: Circuit) -> None:
-        if len(circuit) == 0:
-            raise CircuitError(f"circuit {circuit.name!r} has no elements")
-        node_names = sorted(circuit.nodes)
-        if not node_names:
-            raise CircuitError(f"circuit {circuit.name!r} has no non-ground nodes")
-
         self.circuit = circuit
-        self.node_names = node_names
-        self.node_index = {name: i for i, name in enumerate(node_names)}
-        self.n_nodes = len(node_names)
-
-        branch = self.n_nodes
-        self.branch_index: dict[str, int] = {}
-        for element in circuit.elements:
-            element.bind(self.node_index, branch if element.n_branches else -1)
-            if element.n_branches:
-                self.branch_index[element.name] = branch
-                branch += element.n_branches
-        self.size = branch
+        (self.node_names, self.node_index, self.branch_index,
+         self.size) = bind(circuit)
+        self.n_nodes = len(self.node_names)
 
         self._nonlinear = tuple(e for e in circuit.elements if e.is_nonlinear)
         self._linear = tuple(e for e in circuit.elements if not e.is_nonlinear)

@@ -26,7 +26,6 @@ from repro.spice import (
     Capacitor,
     Circuit,
     EnsembleSystem,
-    EnsembleTransient,
     NewtonOptions,
     Probe,
     RampValue,
@@ -41,6 +40,8 @@ from repro.spice.backends import (
     reset_backend,
 )
 from repro.spice.backends import native as native_mod
+
+from tests.spice.stacking import stack, transient_ensemble
 
 VDD = 15.0
 
@@ -84,7 +85,7 @@ def grid_run():
             dt = min(2e-3 / 400, slew / 8)
             opts.append(TransientOptions(dt=dt, t_stop=2e-3, dt_max=16 * dt,
                                          lte_tol=5e-4 * VDD))
-    ens = EnsembleTransient(members, opts, [Probe("out", 0.5 * VDD)]).run()
+    ens = transient_ensemble(members, opts, [Probe("out", 0.5 * VDD)]).run()
     crossings = [ens.crossing_times(0, m) for m in range(len(members))]
     return ens.final_value("out"), crossings
 
@@ -129,8 +130,8 @@ class TestEquivalence:
             dt = min(2e-3 / 400, slew / 8)
             opts = [TransientOptions(dt=dt, t_stop=2e-3, dt_max=16 * dt,
                                      lte_tol=5e-4 * VDD)] * 2
-            ens = EnsembleTransient(members, opts,
-                                    [Probe("out", 0.5 * VDD)]).run()
+            ens = transient_ensemble(members, opts,
+                                     [Probe("out", 0.5 * VDD)]).run()
             return ens.final_value("out")
 
         try:
@@ -173,7 +174,7 @@ class TestWholeTimestepLoop:
                     opts.append(TransientOptions(
                         dt=dt, t_stop=2e-3, dt_max=16 * dt,
                         lte_tol=5e-4 * VDD))
-            ens = EnsembleTransient(
+            ens = transient_ensemble(
                 members, opts,
                 [Probe("a", 0.5 * VDD), Probe("out", 0.5 * VDD)]).run()
             cross = [ens.crossing_times(p, m)
@@ -210,8 +211,8 @@ class TestWholeTimestepLoop:
                 opts.append(TransientOptions(
                     dt=dt, t_stop=2e-3, dt_max=16 * dt,
                     lte_tol=5e-4 * VDD))
-            ens = EnsembleTransient(members, opts,
-                                    [Probe("a", 0.5 * VDD)]).run()
+            ens = transient_ensemble(members, opts,
+                                     [Probe("a", 0.5 * VDD)]).run()
             return (ens.final_value("out"),
                     [ens.crossing_times(0, m) for m in range(2)],
                     ens.steps.copy())
@@ -250,8 +251,8 @@ class TestWholeTimestepLoop:
                     dt=min(2e-3 / 50, slew), t_stop=2e-3,
                     max_halvings=1 if k == 0 else 12,
                     newton=NewtonOptions(max_iterations=4)))
-            ens = EnsembleTransient(members, opts,
-                                    [Probe("a", 0.5 * VDD)])
+            ens = transient_ensemble(members, opts,
+                                     [Probe("a", 0.5 * VDD)])
             with pytest.raises(ConvergenceError) as excinfo:
                 ens.run()
             return (str(excinfo.value), ens.x.tobytes(), ens.t.tolist(),
@@ -275,7 +276,8 @@ class TestWholeTimestepLoop:
 
         The affinity is widened to four CPUs (fork-started workers
         inherit the patch), so a worker that ignored its budget of one
-        would run more.
+        would run more.  A two-input cell gives the pool two tasks (one
+        ensemble per input pin).
         """
         from repro.cells.library_def import organic_library_definition
         from repro.characterization import harness
@@ -291,7 +293,8 @@ class TestWholeTimestepLoop:
 
         def characterize():
             return harness.characterize_cell(
-                defn.cell("inv"), grid, area=defn.cell_area("inv")).to_dict()
+                defn.cell("nand2"), grid,
+                area=defn.cell_area("nand2")).to_dict()
 
         serial, serial_counters = _counters(characterize)
         assert serial_counters["backend.native.timestep_threads"] > \
@@ -373,7 +376,7 @@ class TestSingularLanes:
             ckt.add(Resistor("r1", "in", "out", 1e3))
             ckt.add(Resistor("r2", "out", "0", 1e3 * (k + 1)))
             members.append(ckt)
-        es = EnsembleSystem(members)
+        es = EnsembleSystem(*stack(members))
         G = es.G_static.copy()
         G[0] = 0.0                       # lane 0: exactly singular
         b = np.zeros((es.B, es.size))
@@ -448,7 +451,7 @@ class TestCounterParity:
                 opts.append(TransientOptions(dt=dt, t_stop=2e-3,
                                              dt_max=16 * dt,
                                              lte_tol=5e-4 * VDD))
-        ens, counters = _counters(lambda: EnsembleTransient(
+        ens, counters = _counters(lambda: transient_ensemble(
             members, opts, [Probe("a", 0.5 * VDD)]).run())
         parity = {key: counters.get(key, 0) for key in self.PARITY_KEYS}
         return ens.final_value("out"), parity, counters

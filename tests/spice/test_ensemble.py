@@ -35,7 +35,9 @@ from repro.spice import (
 )
 from repro.spice.backends import NumpyBackend, reset_backend
 from repro.spice.ensemble import _EnsembleBypass
-from repro.spice.mna import bypass_eta
+from repro.spice.mna import MnaSystem, bypass_eta
+
+from tests.spice.stacking import stack, transient_ensemble
 
 VDD = 15.0
 
@@ -76,7 +78,7 @@ class TestTransientEquivalence:
                 members.append(inverter_testbench(load=load, slew=slew))
                 opts.append(default_options(slew=slew))
         probes = [Probe("out", 0.5 * VDD)]
-        ens = EnsembleTransient(members, opts, probes).run()
+        ens = transient_ensemble(members, opts, probes).run()
 
         for m, (slew, load) in enumerate(
                 (s, c) for s in slews for c in loads):
@@ -97,8 +99,8 @@ class TestTransientEquivalence:
         shifts = (-0.4, 0.0, 0.4)
         members = [inverter_testbench(vt_shift=s) for s in shifts]
         opts = [default_options() for _ in shifts]
-        ens = EnsembleTransient(members, opts,
-                                [Probe("out", 0.5 * VDD)]).run()
+        ens = transient_ensemble(members, opts,
+                                 [Probe("out", 0.5 * VDD)]).run()
         for m, s in enumerate(shifts):
             w = run_scalar(inverter_testbench(vt_shift=s),
                            default_options())["out"]
@@ -117,10 +119,10 @@ class TestTransientEquivalence:
         fast_opts = default_options(slew=1e-4, t_stop=2e-4)
         probes = [Probe("out", 0.5 * VDD)]
 
-        paired = EnsembleTransient([slow, fast], [slow_opts, fast_opts],
-                                   probes).run()
+        paired = transient_ensemble([slow, fast], [slow_opts, fast_opts],
+                                    probes).run()
         alone = EnsembleTransient(
-            [inverter_testbench(load=4e-12, slew=4e-4)], [slow_opts],
+            inverter_testbench(load=4e-12, slew=4e-4), [slow_opts],
             probes).run()
 
         assert paired.final_time()[1] < paired.final_time()[0]
@@ -130,13 +132,41 @@ class TestTransientEquivalence:
         assert paired.steps[0] == alone.steps[0]
 
     def test_structural_mismatch_rejected(self):
-        a = inverter_testbench()
-        b = Circuit("rc")
-        b.add(VoltageSource("v1", "in", "0", 1.0))
-        b.add(Resistor("r1", "in", "out", 1e3))
-        b.add(Capacitor("c1", "out", "0", 1e-9))
+        """Members are one template: values must name its elements'
+        attributes and give every member one entry."""
+        tb = inverter_testbench()
+        for values in ({("r1", "resistance"): [1e3, 2e3]},
+                       {("c_load", "resistance"): [1e3, 2e3]},
+                       {("c_load", "capacitance"): [1e-12, 2e-12],
+                        ("v_vdd", "value"): [VDD]}):
+            with pytest.raises(CircuitError):
+                EnsembleSystem(tb, values)
         with pytest.raises(CircuitError):
-            EnsembleSystem([a, b])
+            EnsembleTransient(tb, [default_options()] * 2,
+                              values={("c_load", "capacitance"): [1e-12]})
+
+    def test_stamps_follow_template_order(self):
+        """A stacked entry sums in the template's element order.
+
+        Four capacitors share one node; the first and third vary per
+        member.  Float addition is not associative (here
+        ((0.6 + 0.6) + 0.6) + 0.2 != ((0.6 + 0.2) + 0.6) + 0.6), so
+        ``C_unit`` equals each member's own ``MnaSystem`` bit for bit
+        only if every element stamps in template order.
+        """
+        def rc(c1, c3):
+            ckt = Circuit("rc")
+            ckt.add(VoltageSource("v1", "in", "0", 1.0))
+            ckt.add(Resistor("r1", "in", "out", 1e3))
+            for name, c in (("c1", c1), ("c2", 0.6), ("c3", c3),
+                            ("c4", 0.2)):
+                ckt.add(Capacitor(name, "out", "0", c))
+            return ckt
+
+        members = [rc(0.6, 0.6), rc(0.1, 0.7), rc(0.3, 0.3)]
+        es = EnsembleSystem(*stack(members))
+        want = np.stack([MnaSystem(c)._C_unit for c in members])
+        assert es.C_unit.tobytes() == want.tobytes()
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -154,8 +184,8 @@ class TestTransientEquivalence:
         ]
         members = [inverter_testbench(**b) for b in bindings]
         opts = [default_options(slew=b["slew"]) for b in bindings]
-        ens = EnsembleTransient(members, opts,
-                                [Probe("out", 0.5 * VDD)]).run()
+        ens = transient_ensemble(members, opts,
+                                 [Probe("out", 0.5 * VDD)]).run()
         for m, b in enumerate(bindings):
             w = run_scalar(inverter_testbench(**b),
                            default_options(slew=b["slew"]))["out"]
@@ -183,7 +213,7 @@ class TestDcEquivalence:
     def test_operating_point_matches_scalar(self):
         shifts = (-0.3, 0.0, 0.3)
         x, es = ensemble_operating_point(
-            [pseudo_e_testbench(s) for s in shifts])
+            *stack([pseudo_e_testbench(s) for s in shifts]))
         for m, s in enumerate(shifts):
             xs, sys = operating_point(pseudo_e_testbench(s))
             np.testing.assert_allclose(
@@ -192,8 +222,8 @@ class TestDcEquivalence:
     def test_dc_sweep_matches_scalar(self):
         shifts = (-0.3, 0.0, 0.3)
         values = np.linspace(0.0, VDD, 21)
-        sols, ok, es = ensemble_dc_sweep(
-            [pseudo_e_testbench(s) for s in shifts], "v_a", values)
+        template, members = stack([pseudo_e_testbench(s) for s in shifts])
+        sols, ok, es = ensemble_dc_sweep(template, "v_a", values, members)
         assert ok.all()
         out = es.node_slot("out")
         for m, s in enumerate(shifts):
@@ -203,10 +233,10 @@ class TestDcEquivalence:
                                        rtol=1e-9, atol=1e-12)
 
     def test_sweep_restores_source_values(self):
-        ckts = [pseudo_e_testbench(0.0)]
-        before = ckts[0].element("v_a").value
-        ensemble_dc_sweep(ckts, "v_a", [0.0, VDD / 2, VDD])
-        assert ckts[0].element("v_a").value == before
+        ckt = pseudo_e_testbench(0.0)
+        before = ckt.element("v_a").value
+        ensemble_dc_sweep(ckt, "v_a", [0.0, VDD / 2, VDD])
+        assert ckt.element("v_a").value == before
 
     def test_newton_options_must_match(self):
         members = [inverter_testbench(), inverter_testbench()]
@@ -214,7 +244,7 @@ class TestDcEquivalence:
                 TransientOptions(dt=1e-6, t_stop=1e-4,
                                  newton=NewtonOptions(max_step_v=1.0))]
         with pytest.raises(CircuitError):
-            EnsembleTransient(members, opts)
+            transient_ensemble(members, opts)
 
 
 class TestFrozenAllShortcut:
@@ -234,8 +264,8 @@ class TestFrozenAllShortcut:
 
     def test_bitwise_equal_to_assembling_every_iteration(self, monkeypatch):
         options = NewtonOptions()
-        es = EnsembleSystem([inverter_testbench(load=c)
-                             for c in (0.5e-12, 1e-12, 4e-12)])
+        es = EnsembleSystem(*stack([inverter_testbench(load=c)
+                                    for c in (0.5e-12, 1e-12, 4e-12)]))
         mem = np.arange(es.B)
         x_dc, ok = es.solve_dc(mem)
         assert ok.all()
