@@ -57,11 +57,18 @@ class SizingResult:
 
 
 def estimate_gate_delay(cell: CellDesign, load_cap: float) -> float:
-    """First-order delay: average of rise/fall ``C * VDD/2 / I_switch``.
+    """First-order delay: average of rise/fall ``C * VDD/2 / I_switch``."""
+    return estimate_gate_delays(cell, [load_cap])[0]
+
+
+def estimate_gate_delays(cell: CellDesign,
+                         load_caps: list[float]) -> list[float]:
+    """:func:`estimate_gate_delay` at each load, from one current solve.
 
     Currents are taken from real DC operating points with the output held
     mid-rail — for the pseudo-E topology this captures the level-shifter's
     effect on the pull-down gate drive, which a hand formula would miss.
+    They do not depend on the load, so every load shares them.
     """
     from repro.spice.elements import VoltageSource
     from repro.spice.ensemble import ensemble_operating_point
@@ -79,13 +86,13 @@ def estimate_gate_delay(cell: CellDesign, load_cap: float) -> float:
     except ConvergenceError as exc:
         raise AnalysisError(
             f"delay estimate failed for {cell.name!r}: {exc}") from exc
-    delays = []
-    for lane in range(2):
-        i_net = abs(float(x[lane, es.branch_index["v_probe"]]))
-        if i_net <= 0:
-            return float("inf")
-        delays.append(load_cap * (vdd / 2.0) / i_net)
-    return float(np.mean(delays))
+    currents = [abs(float(x[lane, es.branch_index["v_probe"]]))
+                for lane in range(2)]
+    if any(i_net <= 0 for i_net in currents):
+        return [float("inf")] * len(load_caps)
+    return [float(np.mean([load_cap * (vdd / 2.0) / i_net
+                           for i_net in currents]))
+            for load_cap in load_caps]
 
 
 def estimate_area(cell: CellDesign) -> float:

@@ -32,7 +32,7 @@ import numpy as np
 
 from repro import runtime
 from repro.cells.library_def import CellLibraryDefinition
-from repro.cells.sizing import estimate_gate_delay
+from repro.cells.sizing import estimate_gate_delay, estimate_gate_delays
 from repro.cells.topologies import (CellDesign, CompositeCell,
                                      build_dc_testbench)
 from repro.characterization.library import (
@@ -206,15 +206,12 @@ def measure_arc(design: CellDesign, pin: str, input_rise: bool,
         f"{t_stop:g}s (slew={slew:g}, load={load:g})")
 
 
-def measure_arc_batch(design: CellDesign, pin: str, input_rise: bool,
-                      points: list[tuple[float, float]],
-                      hints: dict[float, float] | None = None
-                      ) -> list[tuple[float, float]]:
-    """All (slew, load) measurements of one timing arc as stacked solves
-    (see :func:`measure_pin_batch`)."""
-    return measure_pin_batch(design, pin,
-                             [(input_rise, slew, load)
-                              for slew, load in points], hints)
+def _delay_hints(design: CellDesign, loads) -> dict[float, float]:
+    """Each load's delay hint (:func:`estimate_gate_delay` at the load
+    plus 1 aF), all from one switching-current solve."""
+    loads = list(dict.fromkeys(loads))
+    return dict(zip(loads, estimate_gate_delays(
+        design, [load + 1e-18 for load in loads])))
 
 
 def _arc_ensemble(design: CellDesign, pin: str,
@@ -254,18 +251,18 @@ def measure_pin_batch(design: CellDesign, pin: str,
     convergence failure) fall back to the scalar :func:`measure_arc`,
     which retries with its usual window growth; results are therefore
     the scalar results, just batched where batching is possible.
+    *hints* maps every load of *points* to its delay hint (default:
+    :func:`_delay_hints` of those loads).
     """
     vdd = design.rails["vdd"]
-    hints = hints or {}
     side = _non_controlling(design, pin)
     side_logic = {p: v > vdd / 2 for p, v in side.items()}
     final = {rise: design.evaluate(**side_logic, **{pin: rise})
              for rise in {rise for rise, _s, _l in points}}
 
-    point_hints = [
-        hints[load] if load in hints
-        else estimate_gate_delay(design, load + 1e-18)
-        for _rise, _slew, load in points]
+    if hints is None:
+        hints = _delay_hints(design, [load for _rise, _slew, load in points])
+    point_hints = [hints[load] for _rise, _slew, load in points]
     # The testbench depends only on (edge, slew, load, t_start) — all
     # attempt-invariant; only the TransientOptions (t_stop, dt) are
     # recomputed per attempt.
@@ -434,8 +431,7 @@ def characterize_cell(design: CellDesign, grid: CharacterizationGrid,
 def _characterize_cell(design: CellDesign, grid: CharacterizationGrid,
                        area: float, workers: int | None) -> CellTiming:
     telemetry.count("char.cells")
-    hints = {load: estimate_gate_delay(design, load + 1e-18)
-             for load in grid.loads}
+    hints = _delay_hints(design, grid.loads)
     # Rise and fall of one pin share a template (same element order);
     # different pins do not: the active pin's source is added after the
     # held inputs, so the branch unknowns, and with them the LU pivot

@@ -472,6 +472,8 @@ class EnsembleSystem:
             J_ext[frozen, :S, :S] += bypass.J_nl[mf]
             F_ext[frozen, :S] += bypass.F_nl[mf]
         for i, m in enumerate(mem_idx):
+            if frozen is not None and frozen[i]:
+                continue                 # the cached stamps include these
             for e in self._fallback[m]:
                 e.stamp_nonlinear(J_ext[i, :S, :S], F_ext[i, :S], x[i])
         if telemetry.ENABLED:

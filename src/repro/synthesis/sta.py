@@ -9,32 +9,30 @@ of the fanout-based wire model.
 This is the repro equivalent of Design Compiler's timing engine for the
 minimum-clock-period measurements in Figures 11, 12 and 15.
 
-Two engines compute the same pass, chosen by gate count:
+Three paths compute the same pass (DESIGN §7h):
 
-- a **scalar** gate-at-a-time loop (the reference, used below
-  :data:`VECTOR_MIN_GATES` and whenever the library's tables cannot be
-  batched);
-- a **levelised array** engine for large netlists (the multi-thousand
-  gate datapath blocks): gates are grouped by logic level and each
-  level's delays/slews come from vectorised bilinear interpolation over
-  the library's stacked NLDM grids.  Same recurrence, same tie-breaking,
-  same interpolation formula — ``tests/synthesis`` asserts the engines
-  agree on every generator block.
+- the **scalar full pass**, a gate-at-a-time loop: the oracle, and the
+  engine below :data:`VECTOR_MIN_GATES` gates or whenever the library's
+  tables cannot be batched;
+- the **scalar delta pass**, the same loop from a *base session*: with
+  :data:`INCREMENTAL` on, every pass records its per-net state keyed by
+  the netlist's structural fingerprint, library, wire model and
+  boundary conditions, and a netlist built by :meth:`Netlist.extend`
+  from a timed parent re-times only its dirty cone — gates that are
+  new, whose output loading changed, or whose input arrival/slew
+  changed bitwise;
+- the **levelised vector pass** for large netlists (the multi-thousand
+  gate datapath blocks), always full: gates are grouped by logic level
+  and each level's delays/slews come from vectorised bilinear
+  interpolation over the library's stacked NLDM grids.
 
-Each engine is one function that re-times a **dirty cone** of gates
-from a *base session* (DESIGN §7h): gates that are new, whose output
-loading changed, or whose input arrival/slew changed bitwise.  A full
-pass is the same function with no base, so every gate is dirty.  With
-:data:`INCREMENTAL` on, every pass records a session — per-net
-arrival/slew/load state keyed by the netlist's structural fingerprint,
-library, wire model and boundary conditions — and a later pass over an
-extension of that structure (:meth:`Netlist.extend`, or the same object
-after in-place additions) uses it as its base.  Clean gates keep their
-recorded values, which equal what a full re-time would compute because
-every per-gate step is a pure function of its inputs — so delta results
-are *bit-identical* to the full path (enforced by
-``tests/synthesis/test_sta_incremental.py`` and the
-``sta-incremental-agreement`` validation check).
+Every per-gate step is a pure function of its inputs, so a delta pass
+is *bit-identical* to a full one (``tests/synthesis/test_sta_incremental.py``
+and the ``sta-incremental-agreement`` validation check), and the vector
+pass mirrors the scalar recurrence expression for expression
+(``tests/synthesis/test_sta_vector.py`` and ``sta-vector-vs-scalar``).
+A pass over a structure already timed under the same conditions
+returns the recorded report.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ import numpy as np
 from repro.characterization.library import Library
 from repro.errors import LibraryError, SynthesisError
 from repro.runtime import telemetry
-from repro.synthesis.netlist import Gate, Netlist
+from repro.synthesis.netlist import Netlist
 from repro.synthesis.wires import WireModel
 
 #: Below this gate count the scalar engine wins (array setup dominates).
@@ -164,11 +162,13 @@ def static_timing(netlist: Netlist, library: Library, wire: WireModel,
                   output_load: float | None = None) -> TimingReport:
     """Arrival-time propagation over the mapped netlist.
 
-    With :data:`INCREMENTAL` on, a recorded session can serve the pass:
-    an *exact hit* (identical structure and boundary conditions already
-    timed) returns the recorded report as-is, and a session of the
-    parent structure becomes the base the engine re-times the dirty cone
-    from.  Otherwise the engine re-times every gate.
+    With :data:`INCREMENTAL` on, a recorded session can serve the pass.
+    If this netlist was extended from a parent or timed before, an
+    *exact hit* (identical structure and boundary conditions already
+    timed) returns the recorded report as-is.  On the scalar engine, a
+    session of the parent :meth:`Netlist.extend` recorded becomes the
+    base the pass re-times the dirty cone from.  Otherwise the engine
+    re-times every gate.
     """
     if not netlist.is_mapped:
         raise SynthesisError(
@@ -183,9 +183,8 @@ def static_timing(netlist: Netlist, library: Library, wire: WireModel,
     base = None
     if INCREMENTAL:
         fp = netlist.fingerprint()
-        base_fps = (getattr(netlist, "_base_fingerprint", None),
-                    getattr(netlist, "_sta_prev_fp", None))
-        if any(base_fps):
+        base_fp = netlist._base_fingerprint
+        if base_fp or getattr(netlist, "_sta_prev_fp", None):
             key = _session_key(fp, library, wire, input_slew, output_load)
             sess = _SESSIONS.get(key)
             if sess is not None:
@@ -195,18 +194,19 @@ def static_timing(netlist: Netlist, library: Library, wire: WireModel,
                         telemetry.count("sta.runs")
                         telemetry.count("sta.incremental_hits")
                     return sess["report"]
-            for base_fp in base_fps:
-                if not base_fp or base_fp == fp:
-                    continue
-                sess = _SESSIONS.get(_session_key(
-                    base_fp, library, wire, input_slew, output_load))
-                if (sess is not None and sess["engine"] == engine
-                        and sess["n_gates"] <= n):
-                    base = sess
-                    break
+        if not vector and base_fp and base_fp != fp:
+            sess = _SESSIONS.get(_session_key(
+                base_fp, library, wire, input_slew, output_load))
+            if (sess is not None and sess["engine"] == engine
+                    and sess["n_gates"] <= n):
+                base = sess
 
-    timing = _vector_timing if vector else _scalar_timing
-    session = timing(netlist, library, wire, input_slew, output_load, base)
+    if vector:
+        session = _vector_timing(netlist, library, wire, input_slew,
+                                 output_load)
+    else:
+        session = _scalar_timing(netlist, library, wire, input_slew,
+                                 output_load, base)
     if INCREMENTAL:
         _record_session(
             _session_key(fp, library, wire, input_slew, output_load),
@@ -437,77 +437,38 @@ def _library_grids(library: Library) -> dict | None:
     return grids
 
 
-#: The encoding of a netlist with no nets: the base a fresh encoding
-#: extends.
-_EMPTY_STRUCT = {
-    "topo": [], "names": [], "net_id": {}, "levels": [], "cell_names": [],
-    "g_code_u": np.empty(0, dtype=np.int32),
-    "g_out_u": np.empty(0, dtype=np.int32),
-    "g_in_u": np.empty((0, 3), dtype=np.int32),
-    "g_level_u": np.empty(0, dtype=np.int32),
-    "gate_names_u": [],
-}
-
-
 def _vector_structure(netlist: Netlist) -> dict:
-    """Integer-encoded, level-sorted view of the netlist (cached)."""
-    return _extend_vector_structure(netlist, _EMPTY_STRUCT)
+    """Integer-encoded, level-sorted view of the netlist (cached).
 
-
-def _extend_vector_structure(netlist: Netlist, base: dict) -> dict | None:
-    """Encode *netlist* by appending to a parent's structure, or None.
-
-    One Python pass over the gates the parent lacks assigns net ids and
-    logic levels; everything else is arrays.  Valid only when the
-    parent's topological order is a prefix of this netlist's —
-    guaranteed for insertion-ordered netlists grown by
-    :meth:`Netlist.extend` or in-place additions, and trivially for the
-    empty base.  Net ids extend the parent's numbering (new primary
-    inputs and gate outputs append after the parent's nets); the level
-    sort is recomputed over the combined arrays.  Because the per-net and
-    per-gate encodings are identical to a fresh pass — only the id
-    *labels* differ, which no per-gate computation depends on — the
-    resulting timing is bitwise equal.
-
-    The result is cached on the netlist, tied to the identity of the
-    topological-order list (which :meth:`Netlist.add_gate` invalidates)
-    and to the primary-output list, and reused only if it extends *base*:
-    a delta pass seeds the parent's per-net state by id.
+    One Python pass over the gates in topological order assigns net ids
+    (primary inputs first, then gate outputs) and logic levels;
+    everything else is arrays.  The ``_u`` arrays stay in topological
+    order, the others are stable-sorted by level.  The result is cached
+    on the netlist, tied to the identity of the topological-order list
+    (which :meth:`Netlist.add_gate` invalidates) and to the
+    primary-output list.
     """
     topo = netlist.topological_order()
-    n_base = len(base["topo"])
-    if n_base and (not netlist._insertion_topo or n_base > len(topo)
-                   or topo[n_base - 1] is not base["topo"][n_base - 1]):
-        return None
     cached = getattr(netlist, "_vector_struct", None)
     if (cached is not None and cached["topo"] is topo
-            and cached["outputs"] == netlist.primary_outputs
-            and cached["names"][:len(base["names"])] == base["names"]):
+            and cached["outputs"] == netlist.primary_outputs):
         return cached
 
-    net_id = dict(base["net_id"])
-    names = list(base["names"])
-    levels = list(base["levels"])
-    for net in netlist.primary_inputs:
-        if net not in net_id:
-            net_id[net] = len(names)
-            names.append(net)
-            levels.append(0)
-
-    cell_names = list(base["cell_names"])
-    cell_code = {name: i for i, name in enumerate(cell_names)}
-    n_new = len(topo) - n_base
-    new_code = np.empty(n_new, dtype=np.int32)
-    new_out = np.empty(n_new, dtype=np.int32)
-    new_in = np.full((n_new, 3), -1, dtype=np.int32)
-    new_level = np.empty(n_new, dtype=np.int32)
-    new_names: list[str] = []
-    for k in range(n_new):
-        gate = topo[n_base + k]
+    names = list(netlist.primary_inputs)
+    net_id = {net: i for i, net in enumerate(names)}
+    levels = [0] * len(names)
+    cell_names: list[str] = []
+    cell_code: dict[str, int] = {}
+    n = len(topo)
+    g_code_u = np.empty(n, dtype=np.int32)
+    g_out_u = np.empty(n, dtype=np.int32)
+    g_in_u = np.full((n, 3), -1, dtype=np.int32)
+    g_level_u = np.empty(n, dtype=np.int32)
+    for k, gate in enumerate(topo):
         lv = 0
         for p, net in enumerate(gate.inputs):
             i = net_id[net]
-            new_in[k, p] = i
+            g_in_u[k, p] = i
             li = levels[i]
             if li > lv:
                 lv = li
@@ -519,36 +480,21 @@ def _extend_vector_structure(netlist: Netlist, base: dict) -> dict | None:
         net_id[gate.output] = oid
         names.append(gate.output)
         levels.append(lv + 1)
-        new_code[k] = code
-        new_out[k] = oid
-        new_level[k] = lv + 1
-        new_names.append(gate.name)
-
-    # The unsorted (topological-order) arrays and the id maps stay in the
-    # struct so a later extension can append without re-encoding them.
-    g_code_u = np.concatenate([base["g_code_u"], new_code])
-    g_out_u = np.concatenate([base["g_out_u"], new_out])
-    g_in_u = np.concatenate([base["g_in_u"], new_in])
-    g_level_u = np.concatenate([base["g_level_u"], new_level])
-    gate_names_u = base["gate_names_u"] + new_names
+        g_code_u[k] = code
+        g_out_u[k] = oid
+        g_level_u[k] = lv + 1
 
     order = np.argsort(g_level_u, kind="stable")
     g_level = g_level_u[order]
-    max_level = int(g_level[-1]) if len(order) else 0
-    po_ids = []
-    seen = set()
-    for net in netlist.primary_outputs:
-        i = net_id.get(net)
-        if i is not None and i not in seen:
-            seen.add(i)
-            po_ids.append(i)
+    max_level = int(g_level[-1]) if n else 0
+    po_ids = list(dict.fromkeys(
+        net_id[net] for net in netlist.primary_outputs if net in net_id))
+    gate_names_u = [gate.name for gate in topo]
 
     struct = {
         "topo": topo,
         "outputs": list(netlist.primary_outputs),
         "names": names,
-        "net_id": net_id,
-        "levels": levels,
         "cell_names": cell_names,
         "g_code": g_code_u[order],
         "g_out": g_out_u[order],
@@ -559,10 +505,7 @@ def _extend_vector_structure(netlist: Netlist, base: dict) -> dict | None:
         "gate_names": [gate_names_u[i] for i in order],
         "po_ids": np.asarray(po_ids, dtype=np.int32),
         "order": order,
-        "g_code_u": g_code_u,
         "g_out_u": g_out_u,
-        "g_in_u": g_in_u,
-        "g_level_u": g_level_u,
         "gate_names_u": gate_names_u,
     }
     netlist._vector_struct = struct
@@ -594,7 +537,7 @@ def _cell_tables(grids: dict, library: Library,
 
 def _vector_loads(struct: dict, caps_tab, g_code, library: Library,
                   wire: WireModel, output_load: float | None) -> tuple:
-    """(loads, pin_cap, sink_cnt, t_wire) arrays — vector _net_loading."""
+    """(loads, t_wire) arrays — vector :func:`_net_loading`."""
     g_in = struct["g_in"]
     n_nets = len(struct["names"])
     if output_load is None:
@@ -620,7 +563,7 @@ def _vector_loads(struct: dict, caps_tab, g_code, library: Library,
     wire_r = wire.r_per_m * length
     wire_c = wire.c_per_m * length
     t_wire = wire_r * (0.5 * wire_c + pin_cap)
-    return loads, pin_cap, sink_cnt, t_wire
+    return loads, t_wire
 
 
 def _bilinear(G, rows, i, j, ts, tl):
@@ -636,8 +579,8 @@ def _vector_report(netlist: Netlist, struct: dict, arrival, slew, loads,
                    gate_best_in_u, gate_delay_u) -> TimingReport:
     """Assemble the report from the array engine's state.
 
-    Per-gate arrays are indexed in *unsorted* (topological/insertion)
-    order, which stays stable across structure extensions.
+    Per-gate arrays are indexed in *unsorted* (topological) order, so
+    the report's ``gate_delay`` keys follow the scalar engine's order.
     """
     names = struct["names"]
     max_delay = 0.0
@@ -675,29 +618,17 @@ def _vector_report(netlist: Netlist, struct: dict, arrival, slew, loads,
 
 
 def _vector_timing(netlist: Netlist, library: Library, wire: WireModel,
-                   input_slew: float, output_load: float | None,
-                   base: dict | None) -> dict:
-    """Re-time the dirty cone from a vector *base* session; its session.
+                   input_slew: float, output_load: float | None) -> dict:
+    """One full levelised pass; its session (engine, size, report).
 
     The caller has checked that the library batches
     (:func:`_library_grids`).  Arithmetic mirrors the scalar engine
     expression for expression (same bilinear form, same strictly-greater
     pin tie-breaking via first-maximum argmax), so the engines agree to
-    float rounding.  A delta pass extends the base's encoding (a full
-    pass, from the empty one, if it cannot), recomputes net loading in
-    full (a few vector ops), then re-times each level's dirty subset:
-    per-gate arithmetic is elementwise, so a subset computes bitwise the
-    same values it would in a full level batch.  A full pass takes each
-    level whole, as a slice, and builds no dirty mask.
+    float rounding.  Each logic level is timed whole, as an array slice.
     """
     grids = _library_grids(library)
-    struct = None
-    if base is not None:
-        struct = _extend_vector_structure(netlist, base["struct"])
-    if struct is None:
-        base = None
-        struct = _vector_structure(netlist)
-    delta = base is not None
+    struct = _vector_structure(netlist)
     npins, caps_tab, d_a, d_b, t_a, t_b = _cell_tables(
         grids, library, struct["cell_names"])
 
@@ -707,37 +638,16 @@ def _vector_timing(netlist: Netlist, library: Library, wire: WireModel,
     order = struct["order"]
     n = len(g_code)
     n_nets = len(struct["names"])
-    loads, pin_cap, sink_cnt, t_wire = _vector_loads(
-        struct, caps_tab, g_code, library, wire, output_load)
+    loads, t_wire = _vector_loads(struct, caps_tab, g_code, library, wire,
+                                  output_load)
 
-    # Per-net timing state; slots the base does not cover start at the
-    # primary-input boundary condition (correct for primary inputs, and
-    # overwritten before use for gate outputs).  Per-gate results are
-    # kept in level order here; the session keeps them in stable
-    # topological order (a new gate's slot is always re-timed).
+    # Per-net timing state starts at the primary-input boundary condition
+    # (correct for primary inputs, and overwritten before use for gate
+    # outputs).  Per-gate results are kept in level order.
     arrival = np.zeros(n_nets)
     slew = np.full(n_nets, input_slew)
     gate_best_in = np.empty(n, dtype=np.int32)
     gate_delay = np.empty(n)
-    if delta:
-        n_base = base["n_gates"]
-        n_base_nets = len(base["loads"])
-        arrival[:n_base_nets] = base["arrival"]
-        slew[:n_base_nets] = base["slew"]
-        seen = order < n_base
-        gate_best_in[seen] = base["gate_best_in_u"][order[seen]]
-        gate_delay[seen] = base["gate_delay_u"][order[seen]]
-        # A gate re-times when it is new or its output loading changed
-        # bitwise; input-change propagation is folded in level by level.
-        # New nets occupy ids >= n_base_nets and count as changed.
-        dirty = np.ones(n_nets, dtype=bool)
-        dirty[:n_base_nets] = (
-            (loads[:n_base_nets] != base["loads"])
-            | (pin_cap[:n_base_nets] != base["pin_cap"])
-            | (sink_cnt[:n_base_nets] != base["sink_cnt"]))
-        recheck = (order >= n_base) | dirty[g_out]
-        changed = np.zeros(n_nets, dtype=bool)
-        changed[n_base_nets:] = True
 
     slew_axis = grids["slews"]
     load_axis = grids["loads"]
@@ -746,24 +656,15 @@ def _vector_timing(netlist: Netlist, library: Library, wire: WireModel,
     DG = grids["delay"]
     TG = grids["trans"]
 
-    retimed = n_lookups = n_levels = 0
+    n_lookups = n_levels = 0
     start = 0
     for stop in struct["bounds"].tolist():
         rows = slice(start, stop)
-        if delta:
-            in_l = g_in[rows]
-            pin_count_l = npins[g_code[rows]]
-            mask = recheck[rows].copy()
-            for p in range(int(pin_count_l.max())):
-                valid = p < pin_count_l
-                mask |= valid & changed[np.where(valid, in_l[:, p], 0)]
-            rows = start + np.flatnonzero(mask)
         start = stop
         code = g_code[rows]
         count = len(code)
         if not count:
             continue
-        retimed += count
         n_levels += 1
         out = g_out[rows]
         ins = g_in[rows]
@@ -802,18 +703,14 @@ def _vector_timing(netlist: Netlist, library: Library, wire: WireModel,
         best = t_stack.argmax(axis=0)    # first max == strictly-greater scan
         cols = np.arange(count)
         t_best = t_stack[best, cols]
-        s_best = np.stack(s_rows)[best, cols]
-        if delta:
-            changed[out[(arrival[out] != t_best)
-                        | (slew[out] != s_best)]] = True
         arrival[out] = t_best
-        slew[out] = s_best
+        slew[out] = np.stack(s_rows)[best, cols]
         best_in = ins[cols, best]
         gate_best_in[rows] = best_in
         gate_delay[rows] = t_best - arrival[best_in]
 
     if telemetry.ENABLED:
-        _count_pass("vector", delta, n, retimed, n_levels, n_lookups)
+        _count_pass("vector", False, n, n, n_levels, n_lookups)
 
     gate_best_in_u = np.empty(n, dtype=np.int32)
     gate_delay_u = np.empty(n)
@@ -822,8 +719,4 @@ def _vector_timing(netlist: Netlist, library: Library, wire: WireModel,
 
     report = _vector_report(netlist, struct, arrival, slew, loads,
                             gate_best_in_u, gate_delay_u)
-    return {"engine": "vector", "n_gates": n, "struct": struct,
-            "loads": loads, "pin_cap": pin_cap, "sink_cnt": sink_cnt,
-            "arrival": arrival, "slew": slew,
-            "gate_best_in_u": gate_best_in_u, "gate_delay_u": gate_delay_u,
-            "report": report}
+    return {"engine": "vector", "n_gates": n, "report": report}

@@ -91,7 +91,7 @@ def ensemble_vs_scalar_arc(ctx: CheckContext) -> str:
     from repro.characterization.harness import (
         default_grid,
         measure_arc,
-        measure_arc_batch,
+        measure_pin_batch,
     )
 
     defn = organic_library_definition()
@@ -109,7 +109,8 @@ def ensemble_vs_scalar_arc(ctx: CheckContext) -> str:
     for input_rise in (True, False):
         scalar = [measure_arc(inv, "a", input_rise, s, c)
                   for s, c in points]
-        batched = measure_arc_batch(inv, "a", input_rise, points)
+        batched = measure_pin_batch(inv, "a", [(input_rise, s, c)
+                                               for s, c in points])
         for (s, c), (d_ref, t_ref), (d_b, t_b) in zip(points, scalar,
                                                       batched):
             where = f"inv.a {'rise' if input_rise else 'fall'} " \
@@ -168,7 +169,7 @@ def backend_agreement(ctx: CheckContext) -> str:
     which the step-schedule contract promises.
     """
     from repro.cells.library_def import organic_library_definition
-    from repro.characterization.harness import default_grid, measure_arc_batch
+    from repro.characterization.harness import default_grid, measure_pin_batch
     from repro.spice.backends import (
         NativeBackend,
         NumpyBackend,
@@ -200,7 +201,8 @@ def backend_agreement(ctx: CheckContext) -> str:
                            whole_timestep), \
                     swap_attr(NativeBackend, "threads", threads):
                 reset_backend(backend)
-                results[leg] = measure_arc_batch(inv, "a", True, points)
+                results[leg] = measure_pin_batch(
+                    inv, "a", [(True, s, c) for s, c in points])
     finally:
         reset_backend()
 
@@ -290,7 +292,7 @@ def sta_vector_vs_scalar(ctx: CheckContext) -> str:
         expect(sta._library_grids(library) is not None,
                f"vector STA refused library it should batch ({name})")
         vector = sta._vector_timing(netlist, library, wire, input_slew,
-                                    None, None)["report"]
+                                    None)["report"]
         with swap_attr(sta, "VECTOR_MIN_GATES", 10 ** 9):
             scalar = sta.static_timing(netlist, library, wire)
         expect_close(vector.max_delay, scalar.max_delay, rel=1e-12,
@@ -316,11 +318,11 @@ def sta_incremental_agreement(ctx: CheckContext) -> str:
     incremental gate on (copy-on-extend netlists, memoised mapping,
     session-based delta STA) and diffs every report field against a
     fresh synthesis timed with the gate off.  Each extension is timed
-    under a second wire model before the chain's own: with no base
-    session under that wire it is a full pass, and the delta that
-    follows must not reuse the encoding that pass cached.  The contract
-    is bitwise identity — ``==``, no tolerance — for both the scalar
-    and the vector engine.
+    under a second wire model before the chain's own, so sessions of
+    one wire must never serve the other.  The contract is bitwise
+    identity — ``==``, no tolerance.  Only the scalar engine re-times
+    from a base; the vector engine always runs a full pass, which
+    ``sta-vector-vs-scalar`` checks against the scalar oracle.
     """
     import repro.synthesis.sta as sta
     from repro.synthesis.generators import (
@@ -337,42 +339,40 @@ def sta_incremental_agreement(ctx: CheckContext) -> str:
     library = mini_organic_library()
     wire, other = organic_wire_model(), silicon_wire_model()
     widths = (8, 12) if ctx.fast else (8, 12, 16, 24)
-    engines = {"scalar": 10 ** 9, "vector": 1}
 
     compared = 0
-    for engine, min_gates in engines.items():
-        with swap_attr(sta, "VECTOR_MIN_GATES", min_gates):
-            with swap_attr(sta, "INCREMENTAL", True):
-                sta.reset_incremental()
-                reset_map_cache()
-                base = carry_select_adder(widths[0])
-                incremental = {(widths[0], wire): sta.static_timing(
-                    map_cached(base), library, wire)}
-                for w in widths[1:]:
-                    base = extend_carry_select_adder(base, w)
-                    for wm in (other, wire):
-                        incremental[w, wm] = sta.static_timing(
-                            map_cached(base), library, wm)
-                expect(len(sta._SESSIONS) > 0,
-                       f"{engine}: no sessions recorded with the gate on")
-            with swap_attr(sta, "INCREMENTAL", False):
-                sta.reset_incremental()
-                for (w, wm), inc in incremental.items():
-                    full = sta.static_timing(
-                        technology_map(carry_select_adder(w)), library, wm)
-                    where = f"{engine}/csa{w}/{wm.name}"
-                    expect(inc.max_delay == full.max_delay,
-                           f"{where}: max_delay diverges "
-                           f"({inc.max_delay!r} != {full.max_delay!r})")
-                    expect(inc.critical_path == full.critical_path,
-                           f"{where}: critical paths diverge")
-                    for attr in ("arrival", "slew", "load", "gate_delay"):
-                        expect(getattr(inc, attr) == getattr(full, attr),
-                               f"{where}: {attr} not bit-identical")
-                    compared += 1
+    with swap_attr(sta, "VECTOR_MIN_GATES", 10 ** 9):
+        with swap_attr(sta, "INCREMENTAL", True):
             sta.reset_incremental()
             reset_map_cache()
-    return (f"{compared} engine x width x wire points bit-identical across "
+            base = carry_select_adder(widths[0])
+            incremental = {(widths[0], wire): sta.static_timing(
+                map_cached(base), library, wire)}
+            for w in widths[1:]:
+                base = extend_carry_select_adder(base, w)
+                for wm in (other, wire):
+                    incremental[w, wm] = sta.static_timing(
+                        map_cached(base), library, wm)
+            expect(len(sta._SESSIONS) > 0,
+                   "no sessions recorded with the gate on")
+        with swap_attr(sta, "INCREMENTAL", False):
+            sta.reset_incremental()
+            for (w, wm), inc in incremental.items():
+                full = sta.static_timing(
+                    technology_map(carry_select_adder(w)), library, wm)
+                where = f"csa{w}/{wm.name}"
+                expect(inc.max_delay == full.max_delay,
+                       f"{where}: max_delay diverges "
+                       f"({inc.max_delay!r} != {full.max_delay!r})")
+                expect(inc.critical_path == full.critical_path,
+                       f"{where}: critical paths diverge")
+                for attr in ("arrival", "slew", "load", "gate_delay"):
+                    expect(getattr(inc, attr) == getattr(full, attr),
+                           f"{where}: {attr} not bit-identical")
+                compared += 1
+    sta.reset_incremental()
+    reset_map_cache()
+    return (f"{compared} width x wire points bit-identical across "
             f"widths {list(widths)}")
 
 

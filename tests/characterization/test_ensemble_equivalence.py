@@ -30,24 +30,48 @@ def grid(defn):
 
 def test_measure_arc_batch_matches_scalar(defn, grid):
     cell = defn.cells["nand2"]
-    points = [(grid.slews[0], grid.loads[0]),
-              (grid.slews[2], grid.loads[1]),
-              (grid.slews[3], grid.loads[3])]
-    batched = harness.measure_arc_batch(cell, "a", True, points)
-    for (slew, load), (delay_b, slew_b) in zip(points, batched):
+    points = [(True, grid.slews[0], grid.loads[0]),
+              (True, grid.slews[2], grid.loads[1]),
+              (True, grid.slews[3], grid.loads[3])]
+    batched = harness.measure_pin_batch(cell, "a", points)
+    for (_rise, slew, load), (delay_b, slew_b) in zip(points, batched):
         delay_s, slew_s = harness.measure_arc(cell, "a", True, slew, load)
         assert delay_b == pytest.approx(delay_s, rel=1e-9)
         assert slew_b == pytest.approx(slew_s, rel=1e-9)
 
 
+def test_cell_solves_switching_currents_once(defn, grid, monkeypatch):
+    """Every grid load's delay hint comes from one switching-current
+    solve per cell (the currents do not depend on the load), and equals
+    the per-load estimate bit for bit."""
+    from repro.cells.sizing import estimate_gate_delays
+    from repro.spice import ensemble
+
+    cell = defn.cells["inv"]
+    loads = [load + 1e-18 for load in grid.loads]
+    assert estimate_gate_delays(cell, loads) == [
+        harness.estimate_gate_delay(cell, load) for load in loads]
+
+    calls = []
+    real = ensemble.ensemble_operating_point
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ensemble, "ensemble_operating_point", spy)
+    harness.characterize_cell(cell, grid, area=1.0, workers=1)
+    assert len(calls) == 1
+
+
 def test_batch_size_does_not_change_results(defn, grid, monkeypatch):
     """Chunking is a scheduling detail: batch-of-1 equals batch-of-N."""
     cell = defn.cells["inv"]
-    points = [(s, l) for s in grid.slews[:2] for l in grid.loads[:2]]
+    points = [(True, s, l) for s in grid.slews[:2] for l in grid.loads[:2]]
     monkeypatch.setattr(runtime, "ENSEMBLE_BATCH", 1)
-    singles = harness.measure_arc_batch(cell, "a", True, points)
+    singles = harness.measure_pin_batch(cell, "a", points)
     monkeypatch.setattr(runtime, "ENSEMBLE_BATCH", 32)
-    whole = harness.measure_arc_batch(cell, "a", True, points)
+    whole = harness.measure_pin_batch(cell, "a", points)
     for (d1, s1), (dn, sn) in zip(singles, whole):
         assert d1 == pytest.approx(dn, rel=1e-9)
         assert s1 == pytest.approx(sn, rel=1e-9)

@@ -338,14 +338,14 @@ class TestWholeTimestepLoop:
             defn = organic_library_definition()
             grid = harness.default_grid(defn)
             cell = defn.cells["inv"]
-            points = [(s, l) for s in grid.slews[:3]
+            points = [(True, s, l) for s in grid.slews[:3]
                       for l in grid.loads[:3]]
             mp.setattr(runtime, "ENSEMBLE_BATCH", batch)
             mp.setattr(NativeBackend, "threads", threads)
-            got = harness.measure_arc_batch(cell, "a", True, points)
+            got = harness.measure_pin_batch(cell, "a", points)
             mp.setattr(runtime, "ENSEMBLE_BATCH", 64)
             mp.setattr(NativeBackend, "threads", 1)
-            ref = harness.measure_arc_batch(cell, "a", True, points)
+            ref = harness.measure_pin_batch(cell, "a", points)
         reset_backend()
         native_mod.reset()
         assert got == ref
@@ -521,9 +521,10 @@ class TestFrozenFactorReuse:
             pytest.skip("no C compiler on this machine")
         defn = organic_library_definition()
         grid = harness.default_grid(defn)
-        points = [(s, l) for s in grid.slews[:3] for l in grid.loads[:3]]
-        return _counters(lambda: harness.measure_arc_batch(
-            defn.cells["inv"], "a", True, points))
+        points = [(True, s, l) for s in grid.slews[:3]
+                  for l in grid.loads[:3]]
+        return _counters(lambda: harness.measure_pin_batch(
+            defn.cells["inv"], "a", points))
 
     def test_frozen_lanes_factor_fewer_times_than_they_iterate(
             self, monkeypatch):

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cells.topologies import diode_load_inverter, pseudo_e_inverter
+from repro.devices.mosfet_level1 import Level1Mosfet
 from repro.devices.pentacene import PENTACENE, pentacene_model
 from repro.errors import CircuitError
 from repro.spice import (
@@ -21,6 +22,7 @@ from repro.spice import (
     Circuit,
     EnsembleSystem,
     EnsembleTransient,
+    Fet,
     NewtonOptions,
     Probe,
     RampValue,
@@ -326,3 +328,105 @@ class TestFrozenAllShortcut:
         assert converged.all()
         assert np.array_equal(conv_fast, converged)
         assert np.array_equal(x_fast, x)
+
+
+# ---------------------------------------------------------------------------
+# Per-member fallback: elements the stacked kernels do not cover
+# ---------------------------------------------------------------------------
+
+L1_VDD = 5.0
+
+
+def level1_testbench(load, kp_p):
+    """CMOS inverter on square-law MOSFETs, driven by an input ramp."""
+    nmos = Level1Mosfet(polarity=1, kp=1e-4, vt0=0.7, lambda_=0.02,
+                        ci=1e-3)
+    pmos = Level1Mosfet(polarity=-1, kp=kp_p, vt0=0.7, lambda_=0.02,
+                        ci=1e-3)
+    ckt = Circuit("tb_l1")
+    ckt.add(VoltageSource("v_vdd", "vdd", "0", L1_VDD))
+    ckt.add(VoltageSource("v_a", "a", "0",
+                          RampValue(0.0, L1_VDD, 1e-9, 2e-9)))
+    ckt.add(Fet("mp", "out", "a", "vdd", pmos, 20e-6, 2e-6))
+    ckt.add(Fet("mn", "out", "a", "0", nmos, 10e-6, 2e-6))
+    ckt.add(Capacitor("c_load", "out", "0", load))
+    return ckt
+
+
+def callable_source_testbench(load, slew):
+    """The pseudo-E inverter driven by a plain callable, not a ramp."""
+    ckt = pseudo_e_testbench()
+    ckt.add(Capacitor("c_load", "out", "0", load))
+    t_start = 0.2 * slew
+
+    def drive(t):
+        return VDD * min(1.0, max(0.0, (t - t_start) / slew))
+
+    ckt.element("v_a").value = drive
+    return ckt
+
+
+class TestPerMemberFallback:
+    """Members whose elements the stacked kernels cannot batch — a FET
+    whose model is not a ``UnifiedTft``, a source whose value is a plain
+    callable — are stamped member by member, and must still reproduce
+    the scalar solver member by member, without reaching the native
+    whole-timestep kernel."""
+
+    CASES = {
+        "level1-fet": (
+            [level1_testbench(load, kp) for load, kp in
+             ((0.2e-12, 4e-5), (1e-12, 6e-5))],
+            dict(dt=2.5e-11, t_stop=1e-8, dt_max=4e-10,
+                 lte_tol=5e-4 * L1_VDD),
+            "_any_fallback"),
+        "callable-source": (
+            [callable_source_testbench(load, slew) for load, slew in
+             ((0.5e-12, 1e-4), (4e-12, 4e-4))],
+            dict(dt=5e-6, t_stop=2e-3, dt_max=8e-5, lte_tol=5e-4 * VDD),
+            "_any_generic_rhs"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_operating_point_matches_scalar(self, case):
+        members, _options, flag = self.CASES[case]
+        x, es = ensemble_operating_point(*stack(members))
+        assert getattr(es, flag)
+        for m, ckt in enumerate(members):
+            xs, sys = operating_point(ckt)
+            np.testing.assert_allclose(
+                x[m, :sys.size], xs, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_transient_matches_scalar(self, case):
+        from repro.runtime import telemetry
+        from repro.spice.backends import get_backend
+
+        members, options, flag = self.CASES[case]
+        opts = TransientOptions(**options)
+        vdd = L1_VDD if case == "level1-fet" else VDD
+        telemetry.reset()
+        telemetry.enable(True)
+        try:
+            ens = transient_ensemble(members, [opts] * len(members),
+                                     [Probe("out", 0.5 * vdd)]).run()
+            counters = dict(telemetry.counters())
+        finally:
+            telemetry.enable(False)
+            telemetry.reset()
+        assert getattr(ens.es, flag)
+        assert counters.get("ensemble.scalar_retries", 0) == 0
+        if get_backend().name == "native":
+            assert counters.get("backend.native.timestep_calls", 0) == 0
+
+        for m, ckt in enumerate(members):
+            w = run_scalar(ckt, opts)["out"]
+            assert ens.final_value("out")[m] == pytest.approx(
+                w.final_value, abs=1e-9)
+            assert ens.initial_value("out")[m] == pytest.approx(
+                w.initial_value, abs=1e-9)
+            batch_cross = ens.crossing_times(0, m)
+            scalar_cross = w.crossing_times(0.5 * vdd)
+            assert len(batch_cross) == len(scalar_cross) > 0
+            np.testing.assert_allclose(batch_cross, scalar_cross,
+                                       rtol=1e-9, atol=1e-15)

@@ -1,11 +1,12 @@
 """Incremental STA and shared-structure synthesis (PR 8).
 
 The contract under test is *bit-identical results*: the incremental
-delta-retiming path must reproduce the full re-time path exactly —
-every arrival, slew, load, per-gate delay, the critical path and the
-max delay — for both the scalar and the vector engine, across
-copy-on-extend construction, in-place edits and the feature-gate
-fallback.  Tolerance-free comparisons throughout.
+path must reproduce the full re-time path exactly — every arrival,
+slew, load, per-gate delay, the critical path and the max delay —
+across copy-on-extend construction, in-place edits and the
+feature-gate fallback.  The scalar engine re-times an extension from
+its parent's session; the vector engine and an in-place edit re-time
+in full.  Tolerance-free comparisons throughout.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ def test_scalar_extension_bitwise(base_w, ext_w, organic_lib, organic_wire,
 
 def test_scalar_in_place_edit_bitwise(organic_lib, organic_wire,
                                       monkeypatch):
-    """Editing a timed netlist in place re-times only from the edit."""
+    """Editing a timed netlist in place re-times it in full."""
     nl = technology_map(ripple_carry_adder(8))
     sta.static_timing(nl, organic_lib, organic_wire)
 
@@ -90,7 +91,11 @@ def test_scalar_in_place_edit_bitwise(organic_lib, organic_wire,
     for _ in range(4):
         prev = nl.add_gate("inv", (prev,))
     nl.set_outputs(list(nl.primary_outputs) + [prev])
-    got = sta.static_timing(nl, organic_lib, organic_wire)
+    with telemetry.collecting():
+        got = sta.static_timing(nl, organic_lib, organic_wire)
+    counters = telemetry.counters()
+    assert "sta.incremental_runs" not in counters
+    assert counters["sta.retimed_gates"] == counters["sta.gates"]
 
     sta.reset_incremental()
     want = _full_retime(nl, organic_lib, organic_wire, monkeypatch)
@@ -123,9 +128,8 @@ def test_vector_extension_bitwise(base_w, ext_w, other_wire_first,
     ext = extend_carry_select_adder(base, ext_w)
     mapped_ext = map_cached(ext)
     if other_wire_first:
-        # No base session under this wire: a full pass, whose fresh
-        # encoding numbers the new inputs before the base's gate outputs.
-        # The delta below must not seed the base's state into it.
+        # A pass under another wire first caches the extension's
+        # encoding; the pass below must not read that wire's timing.
         sta.static_timing(mapped_ext, organic_lib, silicon_wire)
     got = sta.static_timing(mapped_ext, organic_lib, organic_wire)
 
@@ -134,26 +138,25 @@ def test_vector_extension_bitwise(base_w, ext_w, other_wire_first,
     _assert_reports_identical(got, want)
 
 
-def test_vector_incremental_retimes_subset(organic_lib, organic_wire):
-    monkeypatch_min = 1
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(sta, "VECTOR_MIN_GATES", monkeypatch_min)
-        base = carry_select_adder(16)
-        with telemetry.collecting():
-            sta.static_timing(map_cached(base), organic_lib, organic_wire)
-        full = telemetry.counters()
-        ext = extend_carry_select_adder(base, 20)
-        with telemetry.collecting():
-            sta.static_timing(map_cached(ext), organic_lib, organic_wire)
-        counters = telemetry.counters()
-    assert counters.get("sta.incremental_runs") == 1
-    # The whole point: far fewer gates re-timed than the netlist holds.
-    assert 0 < counters["sta.retimed_gates"] < counters["sta.gates"]
+def test_vector_extension_retimes_in_full(organic_lib, organic_wire,
+                                          monkeypatch):
+    """A vector pass over a timed parent's extension takes no base: it
+    re-times every gate, books no delta, and equals fresh synthesis."""
+    monkeypatch.setattr(sta, "VECTOR_MIN_GATES", 1)
+    base = carry_select_adder(16)
+    sta.static_timing(map_cached(base), organic_lib, organic_wire)
+    ext = extend_carry_select_adder(base, 20)
+    with telemetry.collecting():
+        got = sta.static_timing(map_cached(ext), organic_lib, organic_wire)
+    counters = telemetry.counters()
+    assert counters["sta.runs"] == counters["sta.vector_runs"] == 1
+    assert "sta.incremental_runs" not in counters
+    assert counters["sta.retimed_gates"] == counters["sta.gates"] > 0
     assert counters["sta.nldm_lookups"] > 0
-    # A full pass is the dirty cone of every gate, booked as such.
-    assert full["sta.vector_runs"] == 1
-    assert full["sta.retimed_gates"] == full["sta.gates"]
-    assert "sta.incremental_runs" not in full
+
+    fresh = technology_map(carry_select_adder(20))
+    want = _full_retime(fresh, organic_lib, organic_wire, monkeypatch)
+    _assert_reports_identical(got, want)
 
 
 def test_scalar_passes_book_every_counter(organic_lib, organic_wire):

@@ -49,7 +49,7 @@ def test_engines_agree(block, lib_fixture, request, monkeypatch,
 
     assert sta._library_grids(library) is not None, \
         "library should be batchable"
-    vector = _vector_timing(netlist, library, wire, input_slew, None,
+    vector = _vector_timing(netlist, library, wire, input_slew,
                             None)["report"]
     monkeypatch.setattr(sta, "VECTOR_MIN_GATES", 10 ** 9)  # force scalar
     scalar = static_timing(netlist, library, wire)
