@@ -61,14 +61,30 @@ def estimate_gate_delay(cell: CellDesign, load_cap: float) -> float:
     return estimate_gate_delays(cell, [load_cap])[0]
 
 
-def estimate_gate_delays(cell: CellDesign,
-                         load_caps: list[float]) -> list[float]:
+def estimate_gate_delays(cell: CellDesign, load_caps: list[float],
+                         currents: list[float] | None = None) -> list[float]:
     """:func:`estimate_gate_delay` at each load, from one current solve.
 
-    Currents are taken from real DC operating points with the output held
-    mid-rail — for the pseudo-E topology this captures the level-shifter's
-    effect on the pull-down gate drive, which a hand formula would miss.
-    They do not depend on the load, so every load shares them.
+    *currents* are the cell's :func:`switching_currents` (solved here if
+    not given).  They do not depend on the load, so every load shares
+    them, and a caller that already holds them solves nothing.
+    """
+    if currents is None:
+        currents = switching_currents(cell)
+    if any(i_net <= 0 for i_net in currents):
+        return [float("inf")] * len(load_caps)
+    vdd = cell.rails["vdd"]
+    return [float(np.mean([load_cap * (vdd / 2.0) / i_net
+                           for i_net in currents]))
+            for load_cap in load_caps]
+
+
+def switching_currents(cell: CellDesign) -> list[float]:
+    """Pull-up and pull-down drive current with the output held mid-rail.
+
+    Currents are taken from real DC operating points — for the pseudo-E
+    topology this captures the level-shifter's effect on the pull-down
+    gate drive, which a hand formula would miss.
     """
     from repro.spice.elements import VoltageSource
     from repro.spice.ensemble import ensemble_operating_point
@@ -86,13 +102,8 @@ def estimate_gate_delays(cell: CellDesign,
     except ConvergenceError as exc:
         raise AnalysisError(
             f"delay estimate failed for {cell.name!r}: {exc}") from exc
-    currents = [abs(float(x[lane, es.branch_index["v_probe"]]))
-                for lane in range(2)]
-    if any(i_net <= 0 for i_net in currents):
-        return [float("inf")] * len(load_caps)
-    return [float(np.mean([load_cap * (vdd / 2.0) / i_net
-                           for i_net in currents]))
-            for load_cap in load_caps]
+    return [abs(float(x[lane, es.branch_index["v_probe"]]))
+            for lane in range(2)]
 
 
 def estimate_area(cell: CellDesign) -> float:

@@ -32,7 +32,8 @@ import numpy as np
 
 from repro import runtime
 from repro.cells.library_def import CellLibraryDefinition
-from repro.cells.sizing import estimate_gate_delay, estimate_gate_delays
+from repro.cells.sizing import (estimate_gate_delay, estimate_gate_delays,
+                                switching_currents)
 from repro.cells.topologies import (CellDesign, CompositeCell,
                                      build_dc_testbench)
 from repro.characterization.library import (
@@ -206,12 +207,14 @@ def measure_arc(design: CellDesign, pin: str, input_rise: bool,
         f"{t_stop:g}s (slew={slew:g}, load={load:g})")
 
 
-def _delay_hints(design: CellDesign, loads) -> dict[float, float]:
+def _delay_hints(design: CellDesign, loads,
+                 currents: list[float] | None = None) -> dict[float, float]:
     """Each load's delay hint (:func:`estimate_gate_delay` at the load
-    plus 1 aF), all from one switching-current solve."""
+    plus 1 aF), all from one switching-current solve (*currents*, if the
+    caller already holds the design's)."""
     loads = list(dict.fromkeys(loads))
     return dict(zip(loads, estimate_gate_delays(
-        design, [load + 1e-18 for load in loads])))
+        design, [load + 1e-18 for load in loads], currents)))
 
 
 def _arc_ensemble(design: CellDesign, pin: str,
@@ -415,7 +418,8 @@ def _measure_pin_batch_task(task) -> list[tuple[float, float]]:
 
 
 def characterize_cell(design: CellDesign, grid: CharacterizationGrid,
-                      area: float, workers: int | None = None) -> CellTiming:
+                      area: float, workers: int | None = None,
+                      currents: list[float] | None = None) -> CellTiming:
     """Full NLDM characterisation of one combinational cell.
 
     Both timing arcs of an input pin (its whole rise and fall slew x
@@ -423,15 +427,18 @@ def characterize_cell(design: CellDesign, grid: CharacterizationGrid,
     ``parallel_map`` shards whole-pin batches rather than single grid
     points.  Results match the per-point scalar
     :func:`measure_arc` and are identical for any worker count.
+    *currents* are the design's :func:`switching_currents`, if the
+    caller already solved them.
     """
     with telemetry.span(f"cell:{design.name}"):
-        return _characterize_cell(design, grid, area, workers)
+        return _characterize_cell(design, grid, area, workers, currents)
 
 
 def _characterize_cell(design: CellDesign, grid: CharacterizationGrid,
-                       area: float, workers: int | None) -> CellTiming:
+                       area: float, workers: int | None,
+                       currents: list[float] | None) -> CellTiming:
     telemetry.count("char.cells")
-    hints = _delay_hints(design, grid.loads)
+    hints = _delay_hints(design, grid.loads, currents)
     # Rise and fall of one pin share a template (same element order);
     # different pins do not: the active pin's source is added after the
     # held inputs, so the branch unknowns, and with them the LU pivot
@@ -853,16 +860,19 @@ def _definition_fingerprint(defn: CellLibraryDefinition,
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def default_grid(defn: CellLibraryDefinition) -> CharacterizationGrid:
+def default_grid(defn: CellLibraryDefinition,
+                 inv_currents: list[float] | None = None
+                 ) -> CharacterizationGrid:
     """Process-appropriate slew/load grids.
 
     Anchored on the inverter's input capacitance and a DC-estimated FO4
     delay so the grid lands on the cell's real operating region whatever
-    device model is plugged in.
+    device model is plugged in.  *inv_currents* are the inverter's
+    :func:`switching_currents`, if the caller already solved them.
     """
     inv = defn.cell("inv")
     cin = inv.input_capacitance("a")
-    fo4 = estimate_gate_delay(inv, 4.0 * cin)
+    fo4 = estimate_gate_delays(inv, [4.0 * cin], inv_currents)[0]
     slews = tuple(fo4 * f for f in (0.2, 0.7, 2.0, 6.0))
     loads = tuple(cin * f for f in (0.5, 2.0, 6.0, 16.0))
     return CharacterizationGrid(slews=slews, loads=loads)
@@ -903,7 +913,13 @@ def _characterize_library(defn: CellLibraryDefinition,
                           cache_dir: Path | None,
                           use_cache: bool,
                           workers: int | None) -> Library:
-    grid = grid or default_grid(defn)
+    # The inverter's switching currents anchor the default grid, its own
+    # delay hints and the flop's time scale: one solve serves all three.
+    inv = defn.cell("inv")
+    inv_currents = None
+    if grid is None:
+        inv_currents = switching_currents(inv)
+        grid = default_grid(defn, inv_currents)
     cache = ResultCache(root=cache_dir)
     key = _definition_fingerprint(defn, grid)
     # The numpy and native builds differ in the last bits: one backend's
@@ -925,14 +941,16 @@ def _characterize_library(defn: CellLibraryDefinition,
                 _LIBRARIES[memo_key] = library
                 return library
 
+    if inv_currents is None:
+        inv_currents = switching_currents(inv)
     cells = {}
     for name in defn.COMBINATIONAL:
-        cells[name] = characterize_cell(defn.cell(name), grid,
-                                        area=defn.cell_area(name),
-                                        workers=workers)
+        cells[name] = characterize_cell(
+            defn.cell(name), grid, area=defn.cell_area(name),
+            workers=workers, currents=inv_currents if name == "inv" else None)
 
-    inv = defn.cell("inv")
-    t_unit = estimate_gate_delay(inv, 4.0 * inv.input_capacitance("a"))
+    t_unit = estimate_gate_delays(inv, [4.0 * inv.input_capacitance("a")],
+                                  inv_currents)[0]
     dff = characterize_dff(defn.dff, grid, area=defn.cell_area("dff"),
                            t_unit=t_unit, workers=workers)
 

@@ -56,45 +56,12 @@ class NldmTable:
     def lookup(self, slew: float, load: float) -> float:
         """Bilinear interpolation with linear edge extrapolation.
 
-        Exact on grid nodes: an index that falls exactly on the grid
-        produces a segment fraction of exactly 0.0 or 1.0 (numerator and
-        denominator are the identical float expression), and those cases
-        short-circuit to the stored values — so ``lookup(slews[i],
-        loads[j]) == values[i, j]`` bit-for-bit, never a reconstruction
-        through ``v0 + 1.0*(v1 - v0)`` (which loses ulps).
+        Exact on grid nodes (see :func:`interpolate`):
+        ``lookup(slews[i], loads[j]) == values[i, j]`` bit-for-bit.
         """
-        slews = self._slew_list
-        loads = self._load_list
-        i = bisect_right(slews, slew) - 1
-        if i < 0:
-            i = 0
-        elif i > self._max_i:
-            i = self._max_i
-        j = bisect_right(loads, load) - 1
-        if j < 0:
-            j = 0
-        elif j > self._max_j:
-            j = self._max_j
-        s0 = slews[i]
-        l0 = loads[j]
-        ts = (slew - s0) / (slews[i + 1] - s0)
-        tl = (load - l0) / (loads[j + 1] - l0)
-        row0 = self._value_rows[i]
-        row1 = self._value_rows[i + 1]
-        if tl == 0.0:
-            v0, v1 = row0[j], row1[j]
-        elif tl == 1.0:
-            v0, v1 = row0[j + 1], row1[j + 1]
-        else:
-            v00 = row0[j]
-            v10 = row1[j]
-            v0 = v00 + tl * (row0[j + 1] - v00)
-            v1 = v10 + tl * (row1[j + 1] - v10)
-        if ts == 0.0:
-            return v0
-        if ts == 1.0:
-            return v1
-        return (1 - ts) * v0 + ts * v1
+        i, ts = bracket(self._slew_list, self._max_i, slew)
+        j, tl = bracket(self._load_list, self._max_j, load)
+        return interpolate(self._value_rows, i, ts, j, tl)
 
     def to_dict(self) -> dict:
         return {
@@ -108,3 +75,47 @@ class NldmTable:
         return cls(np.asarray(data["slews"]), np.asarray(data["loads"]),
                    np.asarray(data["values"]))
 
+
+def bracket(axis: list[float], last: int, x: float) -> tuple[int, float]:
+    """Segment index and fraction of *x* on one ascending *axis*.
+
+    The index is clamped to ``[0, last]`` (``last = len(axis) - 2``), so
+    a point outside the axis extrapolates along the edge segment.  A
+    point exactly on a grid node gets a fraction of exactly 0.0 or 1.0
+    (numerator and denominator are the identical float expression).
+    Tables on equal axes share one bracket: STA brackets the load once
+    per gate and the slew once per input pin.
+    """
+    k = bisect_right(axis, x) - 1
+    if k < 0:
+        k = 0
+    elif k > last:
+        k = last
+    x0 = axis[k]
+    return k, (x - x0) / (axis[k + 1] - x0)
+
+
+def interpolate(rows: list[list[float]], i: int, ts: float, j: int,
+                tl: float) -> float:
+    """Bilinear value of the table *rows* at bracketed (slew, load).
+
+    A fraction of exactly 0.0 or 1.0 short-circuits to the stored values
+    — never a reconstruction through ``v0 + 1.0*(v1 - v0)``, which loses
+    ulps — so a lookup on grid nodes returns the stored value exactly.
+    """
+    row0 = rows[i]
+    row1 = rows[i + 1]
+    if tl == 0.0:
+        v0, v1 = row0[j], row1[j]
+    elif tl == 1.0:
+        v0, v1 = row0[j + 1], row1[j + 1]
+    else:
+        v00 = row0[j]
+        v10 = row1[j]
+        v0 = v00 + tl * (row0[j + 1] - v00)
+        v1 = v10 + tl * (row1[j + 1] - v10)
+    if ts == 0.0:
+        return v0
+    if ts == 1.0:
+        return v1
+    return (1 - ts) * v0 + ts * v1

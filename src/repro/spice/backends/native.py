@@ -907,9 +907,13 @@ class _NativePrep:
         self.g_loc = np.ascontiguousarray(batch.g_loc, dtype=np.int64)
         self.s_loc = np.ascontiguousarray(batch.s_loc, dtype=np.int64)
         self.pol = np.ascontiguousarray(batch.pol, dtype=np.float64)
-        self.par = np.ascontiguousarray(np.stack(
-            [getattr(batch.params, f) for f in StackedTftParams._FIELDS],
-            axis=1), dtype=np.float64)
+        # (B*n, fields) parameter table; a tiled batch packs one member.
+        one = batch.member_params
+        par = np.stack([getattr(batch.params if one is None else one, f)
+                        for f in StackedTftParams._FIELDS], axis=1)
+        if one is not None:
+            par = np.tile(par, (es.B, 1))
+        self.par = np.ascontiguousarray(par, dtype=np.float64)
         locs = np.concatenate([self.d_loc, self.g_loc, self.s_loc])
         self.slots = np.unique(locs[locs < es.size]).astype(np.int64)
         # (S, n_nodes, G_static*, C_unit*, dev_off*, d*, g*, s*, pol*,

@@ -94,6 +94,9 @@ class _StackedFetBatch:
                                       dtype=np.intp), B)
         self.s_loc = np.tile(np.array([loc(f._idx[2]) for f in fets],
                                       dtype=np.intp), B)
+        # One member's parameters when every member shares them (the
+        # batch tiles them), else None.
+        self.member_params: StackedTftParams | None = None
         if any(vary):
             flat = [_member_copy(f, v, b) if v else f
                     for b in range(B) for f, v in zip(fets, vary)]
@@ -104,9 +107,10 @@ class _StackedFetBatch:
         else:
             tile = np.tile(np.arange(n), B)
             self.pol = np.array([float(f.model.polarity) for f in fets])[tile]
-            self.params = StackedTftParams(
+            self.member_params = StackedTftParams(
                 [f.model for f in fets], np.array([f.w for f in fets]),
-                np.array([f.l for f in fets])).subset(tile)
+                np.array([f.l for f in fets]))
+            self.params = self.member_params.subset(tile)
 
         d, g, s = self.d_loc, self.g_loc, self.s_loc
         self.sd_delta = s - d

@@ -11,9 +11,11 @@ minimum-clock-period measurements in Figures 11, 12 and 15.
 
 Three paths compute the same pass (DESIGN §7h):
 
-- the **scalar full pass**, a gate-at-a-time loop: the oracle, and the
-  engine below :data:`VECTOR_MIN_GATES` gates or whenever the library's
-  tables cannot be batched;
+- the **scalar full pass**, a gate-at-a-time loop that brackets each
+  NLDM axis once per gate and input pin: the oracle, and the engine
+  below :data:`VECTOR_MIN_GATES` gates or whenever the library's tables
+  cannot be batched (``tests/synthesis/test_sta_reference.py`` holds it
+  to a plain per-table restatement, bit for bit);
 - the **scalar delta pass**, the same loop from a *base session*: with
   :data:`INCREMENTAL` on, every pass records its per-net state keyed by
   the netlist's structural fingerprint, library, wire model and
@@ -43,7 +45,8 @@ from itertools import count as _counter
 
 import numpy as np
 
-from repro.characterization.library import Library
+from repro.characterization.library import CellTiming, Library
+from repro.characterization.nldm import bracket, interpolate
 from repro.errors import LibraryError, SynthesisError
 from repro.runtime import telemetry
 from repro.synthesis.netlist import Netlist
@@ -125,28 +128,42 @@ def _net_loading(netlist: Netlist, library: Library, wire: WireModel,
 
     Total load = sink pin caps + wire cap; primary outputs additionally
     drive *output_load* (default: one inverter input of the next block).
+    One pass over the gates adds each sink's pin cap to its net in
+    :meth:`Netlist.fanout_map` order (gate order, then pin order), so
+    every float sum matches a per-net walk of the fanout map.
     """
     inv_cin = library.cell("inv").input_caps["a"]
     if output_load is None:
         output_load = inv_cin
-    fanout = netlist.fanout_map()
-    po_set = set(netlist.primary_outputs)
-    loads: dict[str, float] = {}
-    pin_loads: dict[str, float] = {}
-    sink_counts: dict[str, int] = {}
-    for net, sinks in fanout.items():
-        pin_cap = 0.0
-        for gate, pin_index in sinks:
+    # Nets in fanout-map order: gate outputs, then primary inputs.
+    pin_caps = dict.fromkeys(netlist._driver, 0.0)
+    for net in netlist.primary_inputs:
+        pin_caps.setdefault(net, 0.0)
+    counts = dict.fromkeys(pin_caps, 0)
+    cell_caps: dict[str, tuple[float, ...]] = {}
+    for gate in netlist.gates.values():
+        caps = cell_caps.get(gate.cell)
+        if caps is None:
             cell = library.cell(gate.cell)
-            pin_name = cell.inputs[pin_index]
-            pin_cap += cell.input_caps[pin_name]
-        n_sinks = len(sinks) + (1 if net in po_set else 0)
-        if net in po_set:
-            pin_cap += output_load
-        loads[net] = pin_cap + wire.net_capacitance(max(n_sinks, 1))
-        pin_loads[net] = pin_cap
-        sink_counts[net] = max(n_sinks, 1)
-    return loads, pin_loads, sink_counts
+            caps = cell_caps[gate.cell] = tuple(
+                cell.input_caps[pin] for pin in cell.inputs)
+        for net, cap in zip(gate.inputs, caps):
+            total = pin_caps.get(net)
+            if total is None:
+                raise SynthesisError(
+                    f"gate {gate.name!r} reads undriven net {net!r}")
+            pin_caps[net] = total + cap
+            counts[net] += 1
+    for net in set(netlist.primary_outputs):
+        if net in pin_caps:
+            pin_caps[net] += output_load
+            counts[net] += 1
+    sink_counts = {net: n if n > 1 else 1 for net, n in counts.items()}
+    wire_caps = {n: wire.net_capacitance(n)
+                 for n in set(sink_counts.values())}
+    loads = {net: cap + wire_caps[n]
+             for (net, cap), n in zip(pin_caps.items(), sink_counts.values())}
+    return loads, pin_caps, sink_counts
 
 
 def net_loads(netlist: Netlist, library: Library, wire: WireModel,
@@ -248,9 +265,12 @@ def _scalar_timing(netlist: Netlist, library: Library, wire: WireModel,
     loads, pin_loads, sink_counts = _net_loading(netlist, library, wire,
                                                  output_load)
     delta = base is not None
+    # Primary inputs first, then gate outputs in topological order — a
+    # delta pass keeps that key order too (its base's gates precede the
+    # new ones, and new primary inputs join the base's).
+    arrival = dict.fromkeys(netlist.primary_inputs, 0.0)
+    slew = dict.fromkeys(netlist.primary_inputs, input_slew)
     if not delta:
-        arrival: dict[str, float] = {}
-        slew: dict[str, float] = {}
         worst_input: dict[str, str | None] = {}   # gate -> critical fanin
         gate_delay: dict[str, float] = {}
     else:
@@ -261,24 +281,21 @@ def _scalar_timing(netlist: Netlist, library: Library, wire: WireModel,
             net for net, load in loads.items()
             if (b_loads.get(net) != load or b_pins.get(net) != pin_loads[net]
                 or b_sinks.get(net) != sink_counts[net])}
-        arrival = dict(base["arrival"])
-        slew = dict(base["slew"])
+        arrival.update(base["arrival"])
+        slew.update(base["slew"])
         worst_input = dict(base["worst_input"])
         gate_delay = dict(base["gate_delay"])
-    for net in netlist.primary_inputs:
-        if net not in arrival:
-            arrival[net] = 0.0
-            slew[net] = input_slew
 
     # The gate loop below is the hot path of every synthesis experiment
-    # (tens of thousands of gates for the wide datapath blocks), so cell
-    # objects are cached per cell name, dict lookups are hoisted into
-    # locals, the output slew is computed once per gate, for the
-    # critical pin only, rather than on every new running maximum, and a
+    # (tens of thousands of gates for the wide datapath blocks).  Each
+    # NLDM axis is bracketed once: the load once per gate, the slew once
+    # per input pin, and every table on that axis interpolates from the
+    # shared bracket.  The output slew is computed once per gate, for
+    # the critical pin only, from that pin's stored slew bracket.  A
     # full pass, where every gate is dirty, skips the dirty-cone tests.
     topo = netlist.topological_order()
     changed: set[str] = set()
-    cells: dict[str, object] = {}
+    arc_tables = _arc_tables(library)
     elmore = wire.elmore_delay
     skipped = skipped_pins = 0
     for gate in topo:
@@ -289,26 +306,47 @@ def _scalar_timing(netlist: Netlist, library: Library, wire: WireModel,
             skipped += 1
             skipped_pins += len(gate.inputs)
             continue
-        cell = cells.get(gate.cell)
-        if cell is None:
-            cell = cells[gate.cell] = library.cell(gate.cell)
+        pins = arc_tables.get(gate.cell)
+        if pins is None:
+            pins = arc_tables[gate.cell] = _cell_arcs(library.cell(gate.cell))
         load = loads[output]
+        load_axis = None                 # axis of the current load bracket
         # Wire RC from this gate's output to its sinks (Elmore, shared).
         t_wire = elmore(sink_counts[output], pin_loads[output])
 
-        cell_inputs = cell.inputs
-        cell_delay = cell.delay
         best_t = -1.0
         best_net: str | None = None
-        best_pin: str | None = None
-        for pin_index, net in enumerate(gate.inputs):
-            pin_name = cell_inputs[pin_index]
-            t = arrival[net] + cell_delay(pin_name, slew[net], load) + t_wire
+        for net, (delays, transitions) in zip(gate.inputs, pins):
+            s = slew[net]
+            slew_axis = None             # axis of the current slew bracket
+            d = -1.0
+            for rows, s_axis, s_last, l_axis, l_last in delays:
+                if s_axis is not slew_axis:
+                    slew_axis = s_axis
+                    i, ts = bracket(s_axis, s_last, s)
+                if l_axis is not load_axis:
+                    load_axis = l_axis
+                    j, tl = bracket(l_axis, l_last, load)
+                v = interpolate(rows, i, ts, j, tl)
+                if v > d:
+                    d = v
+            t = arrival[net] + d + t_wire
             if t > best_t:
                 best_t = t
                 best_net = net
-                best_pin = pin_name
-        new_slew = cell.output_slew(best_pin, slew[best_net], load)
+                best_transitions = transitions
+                best_axis, best_i, best_ts = slew_axis, i, ts
+        new_slew = -1.0
+        for rows, s_axis, s_last, l_axis, l_last in best_transitions:
+            if s_axis is not best_axis:
+                best_axis = s_axis
+                best_i, best_ts = bracket(s_axis, s_last, slew[best_net])
+            if l_axis is not load_axis:
+                load_axis = l_axis
+                j, tl = bracket(l_axis, l_last, load)
+            v = interpolate(rows, best_i, best_ts, j, tl)
+            if v > new_slew:
+                new_slew = v
         if delta and (arrival.get(output) != best_t
                       or slew.get(output) != new_slew):
             changed.add(output)
@@ -358,6 +396,46 @@ def _scalar_timing(netlist: Netlist, library: Library, wire: WireModel,
             "sink_counts": sink_counts, "arrival": arrival, "slew": slew,
             "worst_input": worst_input, "gate_delay": gate_delay,
             "report": report}
+
+
+def _arc_tables(library: Library) -> dict[str, tuple]:
+    """Cell name -> :func:`_cell_arcs` tables, cached on the library.
+
+    Entries are filled on first use, so a cell no netlist reads is never
+    checked (a pin without arcs raises only when a gate reads it).
+    """
+    tables = getattr(library, "_scalar_arcs", None)
+    if tables is None:
+        tables = {}
+        object.__setattr__(library, "_scalar_arcs", tables)
+    return tables
+
+
+def _cell_arcs(cell: CellTiming) -> tuple:
+    """Per input pin, its (delay tables, transition tables).
+
+    A table is ``(value rows, slew axis, last slew segment, load axis,
+    last load segment)``.  Equal axes are one list object, so the gate
+    loop shares a bracket between tables by identity: one load bracket
+    per gate and one slew bracket per pin on a library characterised on
+    one grid, and a fresh bracket wherever a table's axis differs.
+    Tables keep :meth:`CellTiming.arcs_from` order, the order of the
+    running maxima in :meth:`CellTiming.delay` and
+    :meth:`CellTiming.output_slew`.
+    """
+    axes: dict[tuple[float, ...], list[float]] = {}
+
+    def entry(table) -> tuple:
+        slews = axes.setdefault(tuple(table._slew_list), table._slew_list)
+        loads = axes.setdefault(tuple(table._load_list), table._load_list)
+        return (table._value_rows, slews, table._max_i, loads, table._max_j)
+
+    pins = []
+    for pin in cell.inputs:
+        arcs = cell.arcs_from(pin)           # raises LibraryError
+        pins.append((tuple(entry(a.delay) for a in arcs),
+                     tuple(entry(a.transition) for a in arcs)))
+    return tuple(pins)
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,7 @@ def _stub_dff(dff, grid, area, t_unit, workers=None):
 def test_cache_hit_and_invalidation(tmp_path, monkeypatch):
     calls = {"cell": 0}
 
-    def counting_cell(design, grid, area, workers=None):
+    def counting_cell(design, grid, area, workers=None, currents=None):
         calls["cell"] += 1
         return _stub_cell(design, grid, area, workers)
 
@@ -132,7 +132,7 @@ def test_cache_hit_and_invalidation(tmp_path, monkeypatch):
 def _stubbed(monkeypatch):
     calls = {"cell": 0}
 
-    def counting_cell(design, grid, area, workers=None):
+    def counting_cell(design, grid, area, workers=None, currents=None):
         calls["cell"] += 1
         return _stub_cell(design, grid, area, workers)
 
@@ -281,7 +281,7 @@ def test_block_timing_keeps_solver_backends_apart(tmp_path, monkeypatch):
     monkeypatch.delenv("REPRO_CACHE", raising=False)
     monkeypatch.setattr(harness, "_LIBRARIES", {})
 
-    def cell(design, grid, area, workers=None):
+    def cell(design, grid, area, workers=None, currents=None):
         native = harness.get_backend().name == "native"
         return _stub_cell(design, grid, area,
                           delay=1e-6 * (1 + 1e-9) if native else 1e-6)

@@ -91,3 +91,56 @@ class TestMeasurement:
     def test_average_leakage_positive(self):
         defn = organic_library_definition()
         assert average_leakage(defn.cell("nand2")) > 0
+
+
+def test_library_build_solves_inverter_currents_once(monkeypatch):
+    """An uncached library build solves each combinational cell's
+    switching currents once: the inverter's anchor the default grid,
+    give its own delay hints and set the flop's time scale, bit for bit
+    the values of separate solves.  Transients, the flop and leakage are
+    stubbed out, so only those DC solves run."""
+    from repro.cells.sizing import estimate_gate_delay
+    from repro.characterization import harness
+    from repro.characterization.library import SequentialTiming
+    from repro.characterization.nldm import NldmTable
+    from repro.spice import ensemble
+
+    defn = organic_library_definition()
+    inv = defn.cell("inv")
+    cin = inv.input_capacitance("a")
+    grid = default_grid(defn)
+    want_hints = {load: estimate_gate_delay(inv, load + 1e-18)
+                  for load in grid.loads}
+    want_t_unit = estimate_gate_delay(inv, 4.0 * cin)
+
+    solves = []
+    real = ensemble.ensemble_operating_point
+
+    def spy(*args, **kwargs):
+        solves.append(1)
+        return real(*args, **kwargs)
+
+    inv_hints = []
+
+    def fake_pin_batch(design, pin, points, hints=None):
+        if design is inv:
+            inv_hints.append(hints)
+        return [(1e-9, 1e-9)] * len(points)
+
+    def fake_dff(dff, grid, area, t_unit, workers=None):
+        fake_dff.t_unit = t_unit
+        table = NldmTable(grid.slews, grid.loads,
+                          [[1e-9] * len(grid.loads)] * len(grid.slews))
+        return SequentialTiming("dff", {}, area, table, 0.0, 0.0, 0.0)
+
+    monkeypatch.setattr(ensemble, "ensemble_operating_point", spy)
+    monkeypatch.setattr(harness, "measure_pin_batch", fake_pin_batch)
+    monkeypatch.setattr(harness, "characterize_dff", fake_dff)
+    monkeypatch.setattr(harness, "average_leakage", lambda design: 0.0)
+    library = harness.characterize_library(defn, use_cache=False, workers=1)
+
+    assert len(solves) == len(defn.COMBINATIONAL)
+    assert library.metadata["grid_slews"] == list(grid.slews)
+    assert library.metadata["grid_loads"] == list(grid.loads)
+    assert inv_hints == [want_hints]
+    assert fake_dff.t_unit == want_t_unit

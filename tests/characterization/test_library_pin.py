@@ -14,12 +14,14 @@ The native key runs in tier-1.  The numpy key takes ~30 s and is marked
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from benchmarks.e2e.canon import digest
 from repro.cells.library_def import (organic_library_definition,
                                      silicon_library_definition)
 from repro.characterization.harness import characterize_library
+from repro.devices.tft_level61 import StackedTftParams
 from repro.spice.backends import get_backend
 
 REFERENCE = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e" \
@@ -45,3 +47,31 @@ def test_libraries_match_native_reference():
 @pytest.mark.slow
 def test_libraries_match_numpy_reference():
     _check("numpy", "numpy/fast-python")
+
+
+def test_native_parameter_tables_stack_every_device(monkeypatch):
+    """Each ensemble's native parameter table, one member packed and
+    tiled when every member shares it, equals the stack of all B x n
+    devices' parameters, bit for bit, over both stock-library builds."""
+    if get_backend().name != "native":
+        pytest.skip("the parameter tables belong to the native backend")
+    from repro.spice.backends import native
+
+    tiled = []
+    real_init = native._NativePrep.__init__
+
+    def checked_init(self, es):
+        real_init(self, es)
+        if not self.ok:
+            return
+        batch = es.fet_batch
+        stacked = np.ascontiguousarray(np.stack(
+            [getattr(batch.params, f) for f in StackedTftParams._FIELDS],
+            axis=1), dtype=np.float64)
+        assert self.par.tobytes() == stacked.tobytes()
+        tiled.append(batch.member_params is not None)
+
+    monkeypatch.setattr(native._NativePrep, "__init__", checked_init)
+    for definition in LIBRARIES.values():
+        characterize_library(definition(), use_cache=False, workers=1)
+    assert tiled and any(tiled)
