@@ -32,8 +32,8 @@ from repro.cells.topologies import (
 )
 from repro.devices.pentacene import ORGANIC_VDD, ORGANIC_VSS, PENTACENE
 from repro.devices.silicon import SILICON_VDD, silicon_nmos_45, silicon_pmos_45
+from repro.devices.tft_level61 import UnifiedTft
 from repro.errors import LibraryError
-from repro.spice.elements import FetModel
 
 #: Organic pseudo-E sizes selected by repro.cells.sizing (utility-optimal
 #: over the default grid; see tests/cells/test_sizing.py which re-derives
@@ -112,15 +112,19 @@ class CellLibraryDefinition:
         return self.cell(cell_name).input_capacitance(pin)
 
 
-def organic_library_definition(model: FetModel = PENTACENE,
+def organic_library_definition(model: UnifiedTft = PENTACENE,
                                vdd: float = ORGANIC_VDD,
                                vss: float = ORGANIC_VSS,
                                sizes: dict[str, float] | None = None,
                                l: float = ORGANIC_L) -> CellLibraryDefinition:
     """The pentacene pseudo-E library at VDD = 5 V, VSS = -15 V.
 
-    ``model`` can be swapped (e.g. :func:`repro.devices.materials.dntt_model`)
-    to retarget the whole flow to another organic semiconductor.
+    ``model`` can be swapped for another level-61 device (e.g.
+    :func:`repro.devices.materials.dntt_model`) to retarget the whole
+    flow to another organic semiconductor.  It must be a
+    :class:`~repro.devices.tft_level61.UnifiedTft`, the one model the
+    characterisation ensembles batch (the paper characterises its cells
+    on level 61 alone).
     """
     s = dict(ORGANIC_SIZES)
     if sizes:

@@ -10,10 +10,10 @@ from repro.characterization.harness import (
     characterize_library,
 )
 from repro.characterization.library import Library
-from repro.spice.elements import FetModel
+from repro.devices.tft_level61 import UnifiedTft
 
 
-def organic_library(model: FetModel | None = None,
+def organic_library(model: UnifiedTft | None = None,
                     grid: CharacterizationGrid | None = None,
                     cache_dir: Path | None = None,
                     use_cache: bool = True,
@@ -21,8 +21,9 @@ def organic_library(model: FetModel | None = None,
                     **definition_kwargs) -> Library:
     """Characterise (or load from cache) the organic library.
 
-    Passing a ``model`` (e.g. :func:`repro.devices.materials.dntt_model`)
-    retargets the library to a different organic semiconductor; any other
+    Passing a level-61 ``model`` (e.g.
+    :func:`repro.devices.materials.dntt_model`) retargets the library to
+    a different organic semiconductor; any other
     keyword is forwarded to
     :func:`repro.cells.library_def.organic_library_definition`.
     """

@@ -890,15 +890,10 @@ class _NativePrep:
     them alive.
     """
 
-    __slots__ = ("ok", "dev_off", "d_loc", "g_loc", "s_loc", "pol", "par",
+    __slots__ = ("dev_off", "d_loc", "g_loc", "s_loc", "pol", "par",
                  "slots", "static_args", "ramps", "ramp_args")
 
     def __init__(self, es) -> None:
-        # Any non-stackable nonlinear element means the Python assembly
-        # must run; decline and let the reference path handle it.
-        self.ok = not es._any_fallback
-        if not self.ok:
-            return
         batch = es.fet_batch
         member_id = batch.member_id
         self.dev_off = np.searchsorted(
@@ -914,8 +909,7 @@ class _NativePrep:
         if one is not None:
             par = np.tile(par, (es.B, 1))
         self.par = np.ascontiguousarray(par, dtype=np.float64)
-        locs = np.concatenate([self.d_loc, self.g_loc, self.s_loc])
-        self.slots = np.unique(locs[locs < es.size]).astype(np.int64)
+        self.slots = es.nl_slots.astype(np.int64)
         # (S, n_nodes, G_static*, C_unit*, dev_off*, d*, g*, s*, pol*,
         #  par*, n_slots, slots*) — everything below is immutable for
         # the lifetime of the EnsembleSystem.
@@ -928,19 +922,14 @@ class _NativePrep:
             len(self.slots), self.slots.ctypes.data,
         )
         # The whole-timestep kernel evaluates the rhs itself, from the
-        # ramps packed as (R,) rows + (R, B) parameter planes.  A generic
-        # time-dependent element needs the Python rhs_batch loop and
-        # declines that entry (ramp_args None).
-        self.ramp_args = None
-        if not es._any_generic_rhs:
-            ramps = es._ramps
-            self.ramps = [np.array([r[0] for r in ramps], dtype=np.int64)]
-            self.ramps += [np.ascontiguousarray(
-                np.stack([r[i] for r in ramps]) if ramps
-                else np.zeros((0, es.B)), dtype=np.float64)
-                for i in range(1, 5)]
-            self.ramp_args = (len(ramps),
-                              *(a.ctypes.data for a in self.ramps))
+        # ramps packed as (R,) rows + (R, B) parameter planes.
+        ramps = es._ramps
+        self.ramps = [np.array([r[0] for r in ramps], dtype=np.int64)]
+        self.ramps += [np.ascontiguousarray(
+            np.stack([r[i] for r in ramps]) if ramps
+            else np.zeros((0, es.B)), dtype=np.float64)
+            for i in range(1, 5)]
+        self.ramp_args = (len(ramps), *(a.ctypes.data for a in self.ramps))
 
 
 def _prep(es) -> _NativePrep:
@@ -984,8 +973,6 @@ class NativeBackend(NumpyBackend):
             return None
         es = request.es
         prep = _prep(es)
-        if not prep.ok:
-            return None
 
         # Pointer arguments travel as raw addresses (void* argtypes, see
         # _bind); every array passed here is a C-contiguous float64 /
@@ -1049,11 +1036,13 @@ class NativeBackend(NumpyBackend):
     def ensemble_timestep(self, et) -> dict | None:
         """Integrate every lane of *et* to completion in one C call.
 
-        Declines (``None``) when the kernel is unavailable, disabled via
-        :attr:`whole_timestep`, or the system needs Python assembly
-        (fallback nonlinear elements, generic time-dependent sources) —
-        the caller then runs the reference sweep loop, which also mops
-        up any lane the kernel flagged as bailed.
+        Every ensemble is batchable by construction (UnifiedTft FETs,
+        constant or ramp sources; see
+        :class:`~repro.spice.ensemble.EnsembleSystem`), so this declines
+        (``None``) only when the kernel is unavailable or disabled via
+        :attr:`whole_timestep`.  The caller's reference sweep loop then
+        runs the whole transient, and it also mops up any lane the
+        kernel flagged as bailed.
         """
         if not self.whole_timestep:
             return None
@@ -1062,8 +1051,6 @@ class NativeBackend(NumpyBackend):
             return None
         es = et.es
         prep = _prep(es)
-        if not prep.ok or prep.ramp_args is None:
-            return None
 
         B = es.B
         (S, n_nodes, g_static_a, c_unit_a, dev_off_a, d_a, g_a, s_a,

@@ -135,7 +135,12 @@ class NumpyBackend:
     def ensemble_timestep(self, et) -> dict | None:
         """Run a whole transient sweep natively, or decline with ``None``.
 
-        *et* is an :class:`repro.spice.ensemble.EnsembleTransient`.  An
+        *et* is an :class:`repro.spice.ensemble.EnsembleTransient`,
+        batchable by construction: every nonlinear element is a FET on
+        :class:`~repro.devices.tft_level61.UnifiedTft` models and every
+        source a constant or a :class:`~repro.spice.elements.RampValue`
+        with ``duration > 0`` (anything else never reaches a backend; it
+        is the scalar engine's).  An
         implementation integrates every lane towards its ``t_stop`` with
         the **bit-exact** per-lane step schedule of the reference sweep
         loop in :meth:`~repro.spice.ensemble.EnsembleTransient.run`

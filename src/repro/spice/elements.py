@@ -7,9 +7,11 @@ The solver uses a residual Newton formulation.  For unknown vector ``x``
 contribute to:
 
 - ``G`` — constant (linear) Jacobian entries, via :meth:`Element.stamp_static`,
-- ``G`` (transient only) — companion conductances of storage elements,
-  via :meth:`Element.stamp_dynamic`,
-- ``b`` — right-hand side: source values and storage history, via
+- ``C`` — capacitances of storage elements, via
+  :meth:`Element.stamp_dynamic`; the engines build the backward-Euler
+  companion ``G + C/dt`` and the storage history ``(C @ x_prev)/dt``
+  from this one matrix,
+- ``b`` — right-hand side: source values at time ``t``, via
   :meth:`Element.stamp_rhs`,
 - ``J, F`` — per-Newton-iteration Jacobian and residual of nonlinear
   elements, via :meth:`Element.stamp_nonlinear`.
@@ -104,12 +106,6 @@ class Element:
     #: Number of extra branch-current unknowns this element introduces.
     n_branches = 0
 
-    #: True when this element's ``stamp_rhs`` is purely the backward-Euler
-    #: storage history ``(C @ x_prev)/dt`` of its ``stamp_dynamic`` entries.
-    #: :class:`~repro.spice.mna.MnaSystem` then covers it with the cached
-    #: capacitance matrix instead of a per-element Python call.
-    rhs_is_storage = False
-
     def __init__(self, name: str, nodes: tuple[str, ...]) -> None:
         if not name:
             raise CircuitError("element name must be non-empty")
@@ -130,12 +126,11 @@ class Element:
     def stamp_static(self, G: np.ndarray) -> None:
         """Constant Jacobian entries (resistances, source incidence rows)."""
 
-    def stamp_dynamic(self, G: np.ndarray, dt: float) -> None:
-        """Transient companion conductances (storage elements)."""
+    def stamp_dynamic(self, C: np.ndarray) -> None:
+        """Capacitances (storage elements)."""
 
-    def stamp_rhs(self, b: np.ndarray, t: float, x_prev: np.ndarray | None,
-                  dt: float | None) -> None:
-        """Right-hand-side contributions at time *t* (sources, history)."""
+    def stamp_rhs(self, b: np.ndarray, t: float) -> None:
+        """Right-hand-side contributions at time *t* (sources)."""
 
     def stamp_nonlinear(self, J: np.ndarray, F: np.ndarray, x: np.ndarray) -> None:
         """Per-iteration Jacobian/residual of nonlinear elements."""
@@ -184,31 +179,19 @@ class Resistor(Element):
 class Capacitor(Element):
     """Linear capacitor; open in DC, backward-Euler companion in transient."""
 
-    rhs_is_storage = True
-
     def __init__(self, name: str, n1: str, n2: str, capacitance: float) -> None:
         if capacitance < 0:
             raise CircuitError(f"capacitor {name!r}: capacitance must be >= 0")
         super().__init__(name, (n1, n2))
         self.capacitance = capacitance
 
-    def stamp_dynamic(self, G: np.ndarray, dt: float) -> None:
-        g = self.capacitance / dt
+    def stamp_dynamic(self, C: np.ndarray) -> None:
+        c = self.capacitance
         i, j = self._idx
-        _add(G, i, i, g)
-        _add(G, j, j, g)
-        _add(G, i, j, -g)
-        _add(G, j, i, -g)
-
-    def stamp_rhs(self, b: np.ndarray, t: float, x_prev: np.ndarray | None,
-                  dt: float | None) -> None:
-        if x_prev is None or dt is None:
-            return
-        i, j = self._idx
-        v_prev = _volt(x_prev, i) - _volt(x_prev, j)
-        g = self.capacitance / dt
-        _addb(b, i, g * v_prev)
-        _addb(b, j, -g * v_prev)
+        _add(C, i, i, c)
+        _add(C, j, j, c)
+        _add(C, i, j, -c)
+        _add(C, j, i, -c)
 
 
 class VoltageSource(Element):
@@ -233,8 +216,7 @@ class VoltageSource(Element):
         _add(G, k, i, 1.0)
         _add(G, k, j, -1.0)
 
-    def stamp_rhs(self, b: np.ndarray, t: float, x_prev: np.ndarray | None,
-                  dt: float | None) -> None:
+    def stamp_rhs(self, b: np.ndarray, t: float) -> None:
         _addb(b, self._branch, self.value_at(t))
 
 
@@ -248,8 +230,7 @@ class CurrentSource(Element):
     def value_at(self, t: float) -> float:
         return self.value(t) if callable(self.value) else self.value
 
-    def stamp_rhs(self, b: np.ndarray, t: float, x_prev: np.ndarray | None,
-                  dt: float | None) -> None:
+    def stamp_rhs(self, b: np.ndarray, t: float) -> None:
         i, j = self._idx
         val = self.value_at(t)
         # Current *leaving* npos is +val; rhs holds negated residual terms.
@@ -269,8 +250,6 @@ class Fet(Element):
     - adds :data:`FET_GMIN` across the channel for conditioning.
     """
 
-    rhs_is_storage = True
-
     def __init__(self, name: str, drain: str, gate: str, source: str,
                  model: FetModel, w: float, l: float) -> None:
         if w <= 0 or l <= 0:
@@ -286,25 +265,13 @@ class Fet(Element):
         return True
 
     # Capacitances are linear: stamp them like fixed capacitors.
-    def stamp_dynamic(self, G: np.ndarray, dt: float) -> None:
+    def stamp_dynamic(self, C: np.ndarray) -> None:
         d, g, s = self._idx
         for (i, j, c) in ((g, s, self.cgs), (g, d, self.cgd), (d, s, self.cds)):
-            gc = c / dt
-            _add(G, i, i, gc)
-            _add(G, j, j, gc)
-            _add(G, i, j, -gc)
-            _add(G, j, i, -gc)
-
-    def stamp_rhs(self, b: np.ndarray, t: float, x_prev: np.ndarray | None,
-                  dt: float | None) -> None:
-        if x_prev is None or dt is None:
-            return
-        d, g, s = self._idx
-        for (i, j, c) in ((g, s, self.cgs), (g, d, self.cgd), (d, s, self.cds)):
-            gc = c / dt
-            v_prev = _volt(x_prev, i) - _volt(x_prev, j)
-            _addb(b, i, gc * v_prev)
-            _addb(b, j, -gc * v_prev)
+            _add(C, i, i, c)
+            _add(C, j, j, c)
+            _add(C, i, j, -c)
+            _add(C, j, i, -c)
 
     def operating_point(self, x: np.ndarray) -> tuple[float, float, float]:
         """Return ``(id_phys, gm, gds)`` at solution *x*.

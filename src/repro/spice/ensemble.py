@@ -32,6 +32,7 @@ equivalence test suite pins this down.
 from __future__ import annotations
 
 import copy
+import functools
 from time import perf_counter
 from typing import Mapping, Sequence
 
@@ -239,16 +240,43 @@ def _stacked(element: Element, vary: dict[str, list]) -> Element:
     return twin
 
 
+def _unbatched(template: Circuit, element: Element, what: str
+               ) -> CircuitError:
+    return CircuitError(
+        f"element {element.name!r} of {template.name!r} is {what}: the "
+        f"ensemble does not batch it; simulate each member with the "
+        f"scalar engine (operating_point, dc_sweep, transient)")
+
+
 class EnsembleSystem:
     """A batch of B circuits of one topology, bound to one ordering.
 
     Built from **one** template :class:`Circuit` plus per-member values:
     *values* maps ``(element_name, attribute)`` to a length-B sequence —
-    a source's ``value`` (a float, a :class:`RampValue` or a callable),
-    a capacitor's ``capacitance``, a resistor's ``resistance``, a FET's
+    a source's ``value`` (a float or a :class:`RampValue`), a
+    capacitor's ``capacitance``, a resistor's ``resistance``, a FET's
     ``model``, ``w`` or ``l``.  Anything not named keeps the template's
     value in every member.  Nodes and branches are bound once, on the
     template.
+
+    The ensemble batches exactly what the characterisation flow builds,
+    and nothing else:
+
+    - every nonlinear element is a :class:`Fet` whose models are all
+      :class:`~repro.devices.tft_level61.UnifiedTft`; they are stacked
+      into one cross-member device batch;
+    - every source value is a constant, or, for a voltage source, a
+      :class:`RampValue` with ``duration > 0`` in every member,
+      evaluated for all members as one array expression.
+
+    Any other element (a Level-1 FET, a plain callable or zero-duration
+    ramp, a time-varying current source) raises :class:`CircuitError`
+    at construction; the scalar engine
+    (:func:`~repro.spice.dc.operating_point`,
+    :func:`~repro.spice.dc.dc_sweep`,
+    :func:`~repro.spice.transient.transient`) takes any
+    :class:`~repro.spice.elements.FetModel` and any callable source,
+    and is the oracle.
 
     ``G_static``, ``C_unit`` and the constant rhs are stamped once, in
     the template's element order, by the elements' own stamp methods
@@ -258,10 +286,7 @@ class EnsembleSystem:
     exactly the addition sequence that member's own
     :class:`~repro.spice.mna.MnaSystem` would perform, so the stacks are
     bit-identical to stacking per-member systems (the tests compare
-    them byte for byte).  Transistors whose models are all
-    :class:`~repro.devices.tft_level61.UnifiedTft` are stacked into one
-    cross-member device batch; any other nonlinear element falls back to
-    per-member scalar stamping (still correct, just not batched).
+    them byte for byte).
     """
 
     def __init__(self, template: Circuit,
@@ -294,6 +319,43 @@ class EnsembleSystem:
                     f"an element of {template.name!r}")
             self._vary.setdefault(name, {})[attr] = vals
         elements = template.elements
+
+        # FETs go to the device batch, constant sources to one stack,
+        # ramps to per-member planes; anything else is rejected (see the
+        # class doc).
+        fets: list[Fet] = []
+        const: list[Element] = []
+        self._ramps: list[tuple[int, np.ndarray, np.ndarray, np.ndarray,
+                                np.ndarray]] = []
+        for e in elements:
+            vary = self._vary.get(e.name, {})
+            if e.is_nonlinear:
+                if not (isinstance(e, Fet) and all(
+                        isinstance(m, UnifiedTft)
+                        for m in vary.get("model", [e.model]))):
+                    raise _unbatched(template, e, "a nonlinear element "
+                                     "other than a FET on UnifiedTft models")
+                fets.append(e)
+            if type(e).stamp_rhs is Element.stamp_rhs:
+                continue
+            vals = vary.get("value", [e.value] * B)
+            if not any(callable(v) for v in vals):
+                const.append(e)
+            elif (isinstance(e, VoltageSource)
+                  and all(isinstance(v, RampValue) and v.duration > 0.0
+                          for v in vals)):
+                self._ramps.append((
+                    e._branch,
+                    np.array([v.v0 for v in vals]),
+                    np.array([v.v1 - v.v0 for v in vals]),
+                    np.array([v.t_start for v in vals]),
+                    np.array([1.0 / v.duration for v in vals]),
+                ))
+            else:
+                raise _unbatched(template, e, "a time-varying source that "
+                                 "is not a RampValue with duration > 0 in "
+                                 "every member")
+
         twins = {e.name: _stacked(e, self._vary[e.name])
                  for e in elements if e.name in self._vary}
 
@@ -316,95 +378,33 @@ class EnsembleSystem:
                               lambda e, G: e.stamp_static(G),
                               _STATIC_READS, (S, S))
         self.C_unit = stack(elements,
-                            lambda e, C: e.stamp_dynamic(C, 1.0),
+                            lambda e, C: e.stamp_dynamic(C),
                             _DYNAMIC_READS, (S, S))
-
-        # Nonlinear elements: stackable when every member's model is a
-        # UnifiedTft, per-member scalar stamping otherwise.
-        stackable: list[Fet] = []
-        fallback: list[Element] = []
-        for e in elements:
-            if not e.is_nonlinear:
-                continue
-            models = self._vary.get(e.name, {}).get(
-                "model", [getattr(e, "model", None)])
-            if isinstance(e, Fet) and all(isinstance(m, UnifiedTft)
-                                          for m in models):
-                stackable.append(e)
-            else:
-                fallback.append(e)
+        self._b_const = stack(const, lambda e, b: e.stamp_rhs(b, 0.0),
+                              _RHS_READS, (S,))
         self.fet_batch = _StackedFetBatch(
-            stackable, [self._vary.get(f.name, {}) for f in stackable],
-            B, S)
-        self._fallback = [tuple(self._member_element(e, b)
-                                for e in fallback) for b in range(B)]
-        self._any_fallback = bool(fallback)
-
-        # Time-dependent rhs elements: constant sources fold into a
-        # precomputed per-member vector, RampValue voltage sources take a
-        # vectorised path, anything else is stamped per member.
-        const: list[Element] = []
-        self._ramps: list[tuple[int, np.ndarray, np.ndarray, np.ndarray,
-                                np.ndarray]] = []
-        generic: list[Element] = []
-        for e in elements:
-            if e.rhs_is_storage or type(e).stamp_rhs is Element.stamp_rhs:
-                continue
-            vals = self._vary.get(e.name, {}).get("value", [e.value] * B)
-            if not any(callable(v) for v in vals):
-                const.append(e)
-            elif (isinstance(e, VoltageSource)
-                  and all(isinstance(v, RampValue) and v.duration > 0.0
-                          for v in vals)):
-                self._ramps.append((
-                    e._branch,
-                    np.array([v.v0 for v in vals]),
-                    np.array([v.v1 - v.v0 for v in vals]),
-                    np.array([v.t_start for v in vals]),
-                    np.array([1.0 / v.duration for v in vals]),
-                ))
-            else:
-                generic.append(e)
-        self._b_const = stack(
-            const, lambda e, b: e.stamp_rhs(b, 0.0, None, None),
-            _RHS_READS, (S,))
-        self._generic_rhs = [tuple(self._member_element(e, b)
-                                   for e in generic) for b in range(B)]
-        self._any_generic_rhs = bool(generic)
+            fets, [self._vary.get(f.name, {}) for f in fets], B, S)
 
         # Active-set compositions repeat for long stretches of a run (they
         # only change when members finish or retry), so gathered FET
         # subsets are memoised by member-index signature.
         self._gather_cache: dict[bytes, _GatheredFets | None] = {}
-        self._nl_slots: np.ndarray | str = "unset"
-
-    def _member_element(self, element: Element, b: int) -> Element:
-        """Member *b*'s copy of a template element (the element itself
-        when no value of it varies)."""
-        vary = self._vary.get(element.name)
-        return _member_copy(element, vary, b) if vary else element
 
     def member(self, b: int) -> MnaSystem:
         """Member *b* as a scalar :class:`MnaSystem` on a circuit of its
         own (the scalar retry path and the oracle)."""
         ckt = Circuit(self.template.name)
         for e in self.template.elements:
-            ckt.add(copy.copy(self._member_element(e, b)))
+            vary = self._vary.get(e.name)
+            ckt.add(_member_copy(e, vary, b) if vary else copy.copy(e))
         return MnaSystem(ckt)
 
-    @property
+    @functools.cached_property
     def nl_slots(self) -> np.ndarray:
-        """Solver slots any nonlinear element of any member stamps."""
-        if isinstance(self._nl_slots, str):
-            if self._any_fallback:
-                # Conservative: fallback elements' reach is unknown.
-                self._nl_slots = np.arange(self.size, dtype=np.intp)
-            else:
-                locs = np.concatenate([self.fet_batch.d_loc,
-                                       self.fet_batch.g_loc,
-                                       self.fet_batch.s_loc])
-                self._nl_slots = np.unique(locs[locs < self.size])
-        return self._nl_slots
+        """Solver slots any FET of any member stamps (sorted, unique)."""
+        batch = self.fet_batch
+        locs = np.concatenate([batch.d_loc, batch.g_loc, batch.s_loc])
+        return np.unique(locs[locs < self.size])
 
     def gather_cached(self, mem_idx: np.ndarray) -> "_GatheredFets | None":
         key = mem_idx.tobytes()
@@ -417,31 +417,18 @@ class EnsembleSystem:
 
     # -- right-hand sides ---------------------------------------------------
 
-    def rhs_batch(self, mem_idx: np.ndarray, t: np.ndarray,
-                  x_prev: np.ndarray | None = None,
-                  dt: np.ndarray | None = None) -> np.ndarray:
-        """Stacked right-hand sides at per-member times ``t``.
+    def rhs_batch(self, mem_idx: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Stacked source right-hand sides at per-member times ``t``.
 
-        Constant sources come from the precomputed stack, ramps are
-        evaluated vectorised across members, other time-dependent
-        elements loop per member; the storage history term is one
-        batched matmul.
+        Constant sources come from the precomputed stack and ramps are
+        evaluated vectorised across members.  The storage history is
+        not a source: :meth:`newton_batch` adds it with *add_storage*.
         """
         b = self._b_const[mem_idx].copy()
         for row, v0, dv, t_start, inv_dur in self._ramps:
             frac = np.clip((t - t_start[mem_idx]) * inv_dur[mem_idx],
                            0.0, 1.0)
             b[:, row] += v0[mem_idx] + dv[mem_idx] * frac
-        if self._any_generic_rhs:
-            for i, m in enumerate(mem_idx):
-                elems = self._generic_rhs[m]
-                if elems:
-                    ti = float(t[i])
-                    for e in elems:
-                        e.stamp_rhs(b[i], ti, None, None)
-        if x_prev is not None and dt is not None:
-            b += np.einsum("aij,aj->ai", self.C_unit[mem_idx],
-                           x_prev) / dt[:, None]
         return b
 
     # -- stacked Newton ------------------------------------------------------
@@ -475,11 +462,6 @@ class EnsembleSystem:
             mf = mem_idx[frozen]
             J_ext[frozen, :S, :S] += bypass.J_nl[mf]
             F_ext[frozen, :S] += bypass.F_nl[mf]
-        for i, m in enumerate(mem_idx):
-            if frozen is not None and frozen[i]:
-                continue                 # the cached stamps include these
-            for e in self._fallback[m]:
-                e.stamp_nonlinear(J_ext[i, :S, :S], F_ext[i, :S], x[i])
         if telemetry.ENABLED:
             telemetry.time_add("solver.stamp", perf_counter() - t0)
         return F_ext[:, :S], J_ext[:, :S, :S]
@@ -559,14 +541,13 @@ class EnsembleSystem:
                 frozen = None
         track = bypass is not None and gmin == 0.0
 
-        # A fully-frozen batch (every lane reuses its cached stamps, no
-        # per-member fallback elements) iterates against an
-        # iteration-invariant Jacobian: assemble it once and rebuild only
-        # the cheap residual afterwards.  The residual arithmetic is the
-        # exact op sequence of :meth:`assemble`, so results stay bitwise
-        # identical to the plain loop.
-        frozen_all = (frozen is not None and bool(frozen.all())
-                      and not self._any_fallback)
+        # A fully-frozen batch (every lane reuses its cached stamps)
+        # iterates against an iteration-invariant Jacobian: assemble it
+        # once and rebuild only the cheap residual afterwards.  The
+        # residual arithmetic is the exact op sequence of
+        # :meth:`assemble`, so results stay bitwise identical to the
+        # plain loop.
+        frozen_all = frozen is not None and bool(frozen.all())
         J_frozen = None
 
         n = self.n_nodes
@@ -945,8 +926,7 @@ class EnsembleTransient:
 
         eta = bypass_eta(newton)
         self._bypass = None
-        if eta > 0.0 and (len(es.fet_batch.member_id)
-                          or es._any_fallback):
+        if eta > 0.0 and len(es.fet_batch.member_id):
             self._bypass = _EnsembleBypass(eta, es.nl_slots, B, es.size)
 
         self.probes = list(probes)

@@ -10,20 +10,23 @@ Splitting constant stamps (resistors, source incidence) from per-iteration
 stamps (transistors) keeps the Newton inner loop cheap: only nonlinear
 elements are re-stamped each iteration.
 
-The unit capacitance matrix ``C`` (all ``stamp_dynamic`` contributions at
-``dt = 1``) is cached once per system, so the transient Jacobian is
-``G_static + C/dt`` and the storage-history right-hand side is
-``(C @ x_prev)/dt`` — no per-element Python loop in either.
+The capacitance matrix ``C`` (all ``stamp_dynamic`` contributions) is
+cached once per system, so the transient Jacobian is ``G_static + C/dt``
+and the storage-history right-hand side is ``(C @ x_prev)/dt`` — no
+per-element Python loop in either.
 
 Every nonlinear element stamps itself through
 :meth:`~repro.spice.elements.Element.stamp_nonlinear`.  This scalar engine
-is the oracle and the fallback; circuits simulated in bulk go through
+is the oracle and the fallback, and takes any device model and any
+callable source; circuits simulated in bulk go through
 :class:`repro.spice.ensemble.EnsembleSystem`, which evaluates every FET of
-a whole batch of circuits in one array-valued device-kernel call.
+a whole batch of circuits in one array-valued device-kernel call and
+accepts only ``UnifiedTft`` FETs and constant or ramp sources.
 """
 
 from __future__ import annotations
 
+import functools
 from time import perf_counter
 
 import numpy as np
@@ -131,7 +134,6 @@ class MnaSystem:
         self.n_nodes = len(self.node_names)
 
         self._nonlinear = tuple(e for e in circuit.elements if e.is_nonlinear)
-        self._linear = tuple(e for e in circuit.elements if not e.is_nonlinear)
 
         # Constant Jacobian entries (resistors, source rows); FET channel
         # stamps are per-iteration, FET capacitances are dynamic.
@@ -139,42 +141,23 @@ class MnaSystem:
         for element in circuit.elements:
             element.stamp_static(self._G_static)
 
-        # Unit capacitance matrix: all storage companions at dt = 1, so
-        # the transient Jacobian is G_static + C/dt and the storage part
-        # of the rhs is (C @ x_prev)/dt.
+        # Capacitance matrix: the transient Jacobian is G_static + C/dt
+        # and the storage part of the rhs is (C @ x_prev)/dt.
         self._C_unit = np.zeros((self.size, self.size))
         for element in circuit.elements:
-            element.stamp_dynamic(self._C_unit, 1.0)
+            element.stamp_dynamic(self._C_unit)
 
-        # Elements with a genuinely time-dependent rhs (sources).  Storage
-        # elements flag themselves with ``rhs_is_storage``; their history
-        # term is the C @ x_prev product above.  Elements that never
-        # override stamp_rhs are skipped outright.
+        # The sources: elements that never override stamp_rhs are
+        # skipped outright.
         self._rhs_time = tuple(
             e for e in circuit.elements
-            if not e.rhs_is_storage
-            and type(e).stamp_rhs is not Element.stamp_rhs)
+            if type(e).stamp_rhs is not Element.stamp_rhs)
 
-        self._nl_slots: np.ndarray | None | str = "unset"
-
-    @property
+    @functools.cached_property
     def nl_slots(self) -> np.ndarray:
-        """Solver indices any nonlinear element stamps (sorted, unique).
-
-        Elements whose terminal bindings cannot be introspected widen
-        the set to every unknown — conservative, never wrong, for the
-        stamp-bypass freeze test.
-        """
-        if isinstance(self._nl_slots, str):
-            slots: set[int] = set()
-            for e in self._nonlinear:
-                idx = getattr(e, "_idx", None)
-                if idx is None:
-                    slots = set(range(self.size))
-                    break
-                slots.update(i for i in idx if i >= 0)
-            self._nl_slots = np.array(sorted(slots), dtype=np.intp)
-        return self._nl_slots
+        """Solver indices any nonlinear element stamps (sorted, unique)."""
+        return np.array(sorted({i for e in self._nonlinear for i in e._idx
+                                if i >= 0}), dtype=np.intp)
 
     def make_stamp_cache(self, eta: float) -> StampCache | None:
         """A :class:`StampCache` for this system, or None when pointless
@@ -199,7 +182,7 @@ class MnaSystem:
         """Right-hand side at time *t* (source values + storage history)."""
         b = np.zeros(self.size)
         for element in self._rhs_time:
-            element.stamp_rhs(b, t, x_prev, dt)
+            element.stamp_rhs(b, t)
         if x_prev is not None and dt is not None:
             b += self._C_unit @ x_prev / dt
         return b

@@ -19,10 +19,12 @@ from repro.synthesis.wires import organic_wire_model, silicon_wire_model
 #: Oracle legs.  Every non-slow test under these paths runs twice: once
 #: as collected, and once as a twin, id suffixed with the leg name, with
 #: one fast path switched to its oracle.  ``per-iteration`` holds the
-#: modules that reach ``NativeBackend.ensemble_timestep``.
+#: modules that test ``NativeBackend.ensemble_timestep``; modules that
+#: reach it only by building a library (``tests/analysis/test_dse.py``)
+#: are left out, since their twins would rebuild both libraries on the
+#: per-iteration kernel and test nothing the SPICE twins do not.
 ORACLE_LEGS = {
     "per-iteration": (
-        "tests/analysis/test_dse.py",
         "tests/characterization/test_ensemble_equivalence.py",
         "tests/spice/test_backends.py",
         "tests/spice/test_ensemble.py",

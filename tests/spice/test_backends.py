@@ -18,17 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cells.topologies import diode_load_inverter
-from repro.devices.pentacene import pentacene_model
 from repro.errors import ConvergenceError
 from repro.runtime import native_build, telemetry
 from repro.spice import (
-    Capacitor,
     Circuit,
     EnsembleSystem,
     NewtonOptions,
     Probe,
-    RampValue,
     Resistor,
     TransientOptions,
     VoltageSource,
@@ -41,9 +37,12 @@ from repro.spice.backends import (
 )
 from repro.spice.backends import native as native_mod
 
-from tests.spice.stacking import stack, transient_ensemble
-
-VDD = 15.0
+from tests.spice.stacking import (
+    VDD,
+    inverter_testbench,
+    stack,
+    transient_ensemble,
+)
 
 BACKENDS = ("numpy", "native")
 
@@ -64,20 +63,9 @@ def _use(monkeypatch, name: str, whole_timestep: bool | None = None):
     return get_backend()
 
 
-def inverter_testbench(load=1e-12, slew=2e-4, vt_shift=0.0):
-    model = pentacene_model(vt_shift=vt_shift)
-    cell = diode_load_inverter(model, w_drive=100e-6, w_load=30e-6, vdd=VDD)
-    ckt = Circuit("tb")
-    ckt.add(VoltageSource("v_vdd", "vdd", "0", VDD))
-    ckt.add(VoltageSource("v_a", "a", "0",
-                          RampValue(0.0, VDD, 0.2 * slew, slew)))
-    cell.instantiate(ckt, {"a": "a", "out": "out", "vdd": "vdd", "vss": "0"})
-    ckt.add(Capacitor("c_load", "out", "0", load))
-    return ckt
-
-
 def grid_run():
-    """Final values + crossing times for a 2x2 slew/load ensemble grid."""
+    """Final values + crossing times for a 2x2 slew/load ensemble grid;
+    every member's output crosses 0.5 VDD at least once."""
     members, opts = [], []
     for slew in (1e-4, 4e-4):
         for load in (0.5e-12, 4e-12):
@@ -87,6 +75,7 @@ def grid_run():
                                          lte_tol=5e-4 * VDD))
     ens = transient_ensemble(members, opts, [Probe("out", 0.5 * VDD)]).run()
     crossings = [ens.crossing_times(0, m) for m in range(len(members))]
+    assert all(len(c) > 0 for c in crossings)
     return ens.final_value("out"), crossings
 
 

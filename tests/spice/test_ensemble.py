@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cells.topologies import diode_load_inverter, pseudo_e_inverter
+from repro.cells import vtc
+from repro.cells.topologies import cmos_inverter
+from repro.cells.vtc import compute_vtc, compute_vtc_batch
 from repro.devices.mosfet_level1 import Level1Mosfet
-from repro.devices.pentacene import PENTACENE, pentacene_model
 from repro.errors import CircuitError
 from repro.spice import (
     Capacitor,
@@ -39,37 +40,34 @@ from repro.spice.backends import NumpyBackend, reset_backend
 from repro.spice.ensemble import _EnsembleBypass
 from repro.spice.mna import MnaSystem, bypass_eta
 
-from tests.spice.stacking import stack, transient_ensemble
-
-VDD = 15.0
-
-
-def inverter_testbench(load=1e-12, slew=2e-4, w_drive=100e-6,
-                       vt_shift=0.0, v0=0.0, v1=VDD):
-    """Diode-load inverter driven by a rising (or falling) input ramp."""
-    model = pentacene_model(vt_shift=vt_shift)
-    cell = diode_load_inverter(model, w_drive=w_drive, w_load=30e-6, vdd=VDD)
-    ckt = Circuit("tb")
-    ckt.add(VoltageSource("v_vdd", "vdd", "0", VDD))
-    ckt.add(VoltageSource("v_a", "a", "0",
-                          RampValue(v0, v1, 0.2 * slew, slew)))
-    cell.instantiate(ckt, {"a": "a", "out": "out", "vdd": "vdd", "vss": "0"})
-    ckt.add(Capacitor("c_load", "out", "0", load))
-    return ckt
-
-
-def ramp_inverter_testbench(load, slew):
-    """The pseudo-E inverter, which swings rail to rail, driven by an
-    input ramp."""
-    ckt = pseudo_e_testbench()
-    ckt.add(Capacitor("c_load", "out", "0", load))
-    ckt.element("v_a").value = RampValue(0.0, VDD, 0.2 * slew, slew)
-    return ckt
+from tests.spice.stacking import (
+    VDD,
+    inverter_testbench,
+    pseudo_e_testbench,
+    stack,
+    transient_ensemble,
+)
 
 
 def run_scalar(ckt, options, nodes=("out",)):
     res = transient(ckt, options)
     return {n: res.waveform(n) for n in nodes}
+
+
+def assert_member_matches(ens, m, ckt, options, abs_v=1e-9):
+    """Member *m* of a run *ens* (probe 0 on ``out`` at 0.5 VDD)
+    against the scalar transient of *ckt*: final and initial values,
+    and every crossing of the probe, of which there is at least one."""
+    w = run_scalar(ckt, options)["out"]
+    assert ens.final_value("out")[m] == pytest.approx(w.final_value,
+                                                      abs=abs_v)
+    assert ens.initial_value("out")[m] == pytest.approx(w.initial_value,
+                                                        abs=abs_v)
+    batch_cross = ens.crossing_times(0, m)
+    scalar_cross = w.crossing_times(0.5 * VDD)
+    assert len(batch_cross) == len(scalar_cross) > 0
+    np.testing.assert_allclose(batch_cross, scalar_cross,
+                               rtol=1e-9, atol=1e-15)
 
 
 def default_options(slew=2e-4, t_stop=2e-3):
@@ -80,9 +78,7 @@ def default_options(slew=2e-4, t_stop=2e-3):
 
 class TestTransientEquivalence:
     """Crossings are measured on the pseudo-E inverter, whose output
-    swings rail to rail through the 0.5 VDD probe; the diode-load
-    inverter's output stays near VDD, so it has no crossing to
-    compare."""
+    swings rail to rail through the 0.5 VDD probe."""
 
     def test_grid_matches_scalar_member_by_member(self):
         """A slew x load grid in one batch reproduces scalar waveforms."""
@@ -91,24 +87,16 @@ class TestTransientEquivalence:
         members, opts = [], []
         for slew in slews:
             for load in loads:
-                members.append(ramp_inverter_testbench(load, slew))
+                members.append(inverter_testbench(load, slew))
                 opts.append(default_options(slew=slew))
         probes = [Probe("out", 0.5 * VDD)]
         ens = transient_ensemble(members, opts, probes).run()
 
         for m, (slew, load) in enumerate(
                 (s, c) for s in slews for c in loads):
-            ckt = ramp_inverter_testbench(load, slew)
-            w = run_scalar(ckt, default_options(slew=slew))["out"]
-            assert ens.final_value("out")[m] == pytest.approx(
-                w.final_value, abs=1e-9)
-            assert ens.initial_value("out")[m] == pytest.approx(
-                w.initial_value, abs=1e-9)
-            batch_cross = ens.crossing_times(0, m, "fall")
-            scalar_cross = w.crossing_times(0.5 * VDD, direction="fall")
-            assert len(batch_cross) == len(scalar_cross) > 0
-            np.testing.assert_allclose(batch_cross, scalar_cross,
-                                       rtol=1e-9, atol=1e-15)
+            assert_member_matches(ens, m, inverter_testbench(load, slew),
+                                  default_options(slew=slew))
+            assert len(ens.crossing_times(0, m, "fall")) > 0
 
     def test_heterogeneous_devices_match_scalar(self):
         """Members may differ in device parameters (MC-style bindings)."""
@@ -118,10 +106,8 @@ class TestTransientEquivalence:
         ens = transient_ensemble(members, opts,
                                  [Probe("out", 0.5 * VDD)]).run()
         for m, s in enumerate(shifts):
-            w = run_scalar(inverter_testbench(vt_shift=s),
-                           default_options())["out"]
-            assert ens.final_value("out")[m] == pytest.approx(
-                w.final_value, abs=1e-9)
+            assert_member_matches(ens, m, inverter_testbench(vt_shift=s),
+                                  default_options())
 
     def test_active_set_isolation(self):
         """A fast member finishing early must not perturb slow members.
@@ -129,8 +115,8 @@ class TestTransientEquivalence:
         Run a short-window member next to a long-window member, then the
         long member alone: the long member's events must be bit-equal.
         """
-        slow = ramp_inverter_testbench(load=4e-12, slew=4e-4)
-        fast = ramp_inverter_testbench(load=0.2e-12, slew=1e-4)
+        slow = inverter_testbench(load=4e-12, slew=4e-4)
+        fast = inverter_testbench(load=0.2e-12, slew=1e-4)
         slow_opts = default_options(slew=4e-4, t_stop=2e-3)
         fast_opts = default_options(slew=1e-4, t_stop=2e-4)
         probes = [Probe("out", 0.5 * VDD)]
@@ -138,7 +124,7 @@ class TestTransientEquivalence:
         paired = transient_ensemble([slow, fast], [slow_opts, fast_opts],
                                     probes).run()
         alone = EnsembleTransient(
-            ramp_inverter_testbench(load=4e-12, slew=4e-4), [slow_opts],
+            inverter_testbench(load=4e-12, slew=4e-4), [slow_opts],
             probes).run()
 
         assert paired.final_time()[1] < paired.final_time()[0]
@@ -204,26 +190,9 @@ class TestTransientEquivalence:
         ens = transient_ensemble(members, opts,
                                  [Probe("out", 0.5 * VDD)]).run()
         for m, b in enumerate(bindings):
-            w = run_scalar(inverter_testbench(**b),
-                           default_options(slew=b["slew"]))["out"]
-            assert ens.final_value("out")[m] == pytest.approx(
-                w.final_value, abs=1e-8)
-
-
-def pseudo_e_testbench(vt_shift=0.0, vss=-15.0):
-    model = pentacene_model(vt_shift=vt_shift)
-    cell = pseudo_e_inverter(model, vdd=VDD, vss=vss)
-    ckt = Circuit("tb_pe")
-    node_map = {"a": "a", "out": "out"}
-    for rail, volts in cell.rails.items():
-        if volts == 0.0:
-            node_map[rail] = "0"
-        else:
-            node_map[rail] = rail
-            ckt.add(VoltageSource(f"v_{rail}", rail, "0", volts))
-    ckt.add(VoltageSource("v_a", "a", "0", 0.0))
-    cell.instantiate(ckt, node_map)
-    return ckt
+            assert_member_matches(ens, m, inverter_testbench(**b),
+                                  default_options(slew=b["slew"]),
+                                  abs_v=1e-8)
 
 
 class TestDcEquivalence:
@@ -270,7 +239,9 @@ class TestFrozenAllShortcut:
     Every later iteration rebuilds only the residual against the frozen
     Jacobian; the contract is bitwise equality with a plain loop that
     calls :meth:`EnsembleSystem.assemble` with every lane frozen on
-    every iteration.
+    every iteration.  Both solves are transient steps in the form
+    :class:`EnsembleTransient` takes: ``G_lin=None``, ``inv_dt`` and
+    the storage history added from ``C_unit`` (*add_storage*).
     """
 
     @pytest.fixture(autouse=True)
@@ -286,23 +257,25 @@ class TestFrozenAllShortcut:
         mem = np.arange(es.B)
         x_dc, ok = es.solve_dc(mem)
         assert ok.all()
-        dt = np.full(es.B, 2e-6)
-        G_lin = es.G_static[mem] + es.C_unit[mem] / dt[:, None, None]
+        inv_dt = np.full(es.B, 1.0 / 2e-6)
         bypass = _EnsembleBypass(bypass_eta(options), es.nl_slots,
                                  es.B, es.size)
 
+        def step(t, x_prev):
+            return es.newton_batch(mem, None, es.rhs_batch(mem, t), x_prev,
+                                   options, inv_dt=inv_dt, x_prev=x_prev,
+                                   add_storage=True, bypass=bypass)
+
         # Step 1: no cached stamps, so every lane converges on fresh
         # device evaluations and writes its stamps back.
-        b1 = es.rhs_batch(mem, np.full(es.B, 1e-4), x_dc, dt)
-        x1, conv1 = es.newton_batch(mem, G_lin, b1, x_dc, options,
-                                    x_prev=x_dc, bypass=bypass)
+        x1, conv1 = step(np.full(es.B, 1e-4), x_dc)
         assert conv1.all() and bypass.valid.all()
 
-        # Step 2: the accepted state equals the stamped one, so every
-        # lane is frozen and the shortcut takes over.
+        # Step 2, mid input ramp: the accepted state equals the stamped
+        # one, so every lane is frozen and the shortcut takes over.
+        t2 = np.full(es.B, 1.2e-4)
         x_prev = bypass.x_stamp[mem].copy()
         assert bypass.frozen_lanes(mem, x_prev).all()
-        b2 = es.rhs_batch(mem, np.full(es.B, 1.2e-4), x_prev, dt)
         assembles = []
         real_assemble = es.assemble
 
@@ -312,12 +285,14 @@ class TestFrozenAllShortcut:
 
         with monkeypatch.context() as mp:
             mp.setattr(es, "assemble", counting_assemble)
-            x_fast, conv_fast = es.newton_batch(
-                mem, G_lin, b2, x_prev, options, x_prev=x_prev,
-                bypass=bypass)
+            x_fast, conv_fast = step(t2, x_prev)
         assert len(assembles) == 1
 
-        # Reference: the plain damped-Newton loop, assembling every time.
+        # Reference: the plain damped-Newton loop on the same transient
+        # system, assembling every time.
+        G_lin = es.G_static[mem] + es.C_unit[mem] * inv_dt[:, None, None]
+        b2 = es.rhs_batch(mem, t2) + np.einsum(
+            "aij,aj->ai", es.C_unit[mem], x_prev) * inv_dt[:, None]
         frozen = np.ones(es.B, dtype=bool)
         n = es.n_nodes
         x = x_prev.copy()
@@ -346,31 +321,32 @@ class TestFrozenAllShortcut:
 
 
 # ---------------------------------------------------------------------------
-# Per-member fallback: elements the stacked kernels do not cover
+# What the ensemble does not batch goes to the scalar engine
 # ---------------------------------------------------------------------------
 
 L1_VDD = 5.0
+L1_NMOS = Level1Mosfet(polarity=1, kp=1e-4, vt0=0.7, lambda_=0.02, ci=1e-3)
+
+
+def level1_pmos(kp_p):
+    return Level1Mosfet(polarity=-1, kp=kp_p, vt0=0.7, lambda_=0.02, ci=1e-3)
 
 
 def level1_testbench(load, kp_p):
     """CMOS inverter on square-law MOSFETs, driven by an input ramp."""
-    nmos = Level1Mosfet(polarity=1, kp=1e-4, vt0=0.7, lambda_=0.02,
-                        ci=1e-3)
-    pmos = Level1Mosfet(polarity=-1, kp=kp_p, vt0=0.7, lambda_=0.02,
-                        ci=1e-3)
     ckt = Circuit("tb_l1")
     ckt.add(VoltageSource("v_vdd", "vdd", "0", L1_VDD))
     ckt.add(VoltageSource("v_a", "a", "0",
                           RampValue(0.0, L1_VDD, 1e-9, 2e-9)))
-    ckt.add(Fet("mp", "out", "a", "vdd", pmos, 20e-6, 2e-6))
-    ckt.add(Fet("mn", "out", "a", "0", nmos, 10e-6, 2e-6))
+    ckt.add(Fet("mp", "out", "a", "vdd", level1_pmos(kp_p), 20e-6, 2e-6))
+    ckt.add(Fet("mn", "out", "a", "0", L1_NMOS, 10e-6, 2e-6))
     ckt.add(Capacitor("c_load", "out", "0", load))
     return ckt
 
 
 def callable_source_testbench(load, slew):
     """The pseudo-E inverter driven by a plain callable, not a ramp."""
-    ckt = ramp_inverter_testbench(load, slew)
+    ckt = inverter_testbench(load, slew)
     t_start = 0.2 * slew
 
     def drive(t):
@@ -380,67 +356,69 @@ def callable_source_testbench(load, slew):
     return ckt
 
 
-class TestPerMemberFallback:
-    """Members whose elements the stacked kernels cannot batch — a FET
-    whose model is not a ``UnifiedTft``, a source whose value is a plain
-    callable — are stamped member by member, and must still reproduce
-    the scalar solver member by member, without reaching the native
-    whole-timestep kernel."""
+def step_testbench(load, slew):
+    """The pseudo-E inverter driven by a zero-duration ramp (a step)."""
+    ckt = inverter_testbench(load, slew)
+    ckt.element("v_a").value = RampValue(0.0, VDD, 0.2 * slew, 0.0)
+    return ckt
+
+
+class TestUnbatched:
+    """The ensemble batches UnifiedTft FETs and constant or ramp sources
+    only.  A FET on another model, a source whose value is a plain
+    callable, and a zero-duration ramp each raise :class:`CircuitError`
+    at construction, naming the element, whether one member or every
+    member carries it; the scalar engine still simulates them."""
 
     CASES = {
-        "level1-fet": (
-            [level1_testbench(load, kp) for load, kp in
-             ((0.2e-12, 4e-5), (1e-12, 6e-5))],
-            dict(dt=2.5e-11, t_stop=1e-8, dt_max=4e-10,
-                 lte_tol=5e-4 * L1_VDD),
-            "_any_fallback"),
-        "callable-source": (
-            [callable_source_testbench(load, slew) for load, slew in
-             ((0.5e-12, 1e-4), (4e-12, 4e-4))],
-            dict(dt=5e-6, t_stop=2e-3, dt_max=8e-5, lte_tol=5e-4 * VDD),
-            "_any_generic_rhs"),
+        "level1-fet": (level1_testbench, ((0.2e-12, 4e-5), (1e-12, 6e-5)),
+                       "mp"),
+        "callable-source": (callable_source_testbench,
+                            ((0.5e-12, 1e-4), (4e-12, 4e-4)), "v_a"),
+        "zero-duration-ramp": (step_testbench,
+                               ((0.5e-12, 1e-4), (4e-12, 4e-4)), "v_a"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_operating_point_matches_scalar(self, case):
-        members, _options, flag = self.CASES[case]
-        x, es = ensemble_operating_point(*stack(members))
-        assert getattr(es, flag)
-        for m, ckt in enumerate(members):
-            xs, sys = operating_point(ckt)
-            np.testing.assert_allclose(
-                x[m, :sys.size], xs, rtol=1e-9, atol=1e-12)
+    def test_rejected(self, case):
+        bench, args, element = self.CASES[case]
+        members = [bench(*a) for a in args]
+        match = f"element {element!r} of"
+        for template, values in (stack(members), (members[0], None)):
+            with pytest.raises(CircuitError, match=match):
+                EnsembleSystem(template, values)
+        with pytest.raises(CircuitError, match=match):
+            ensemble_operating_point(*stack(members))
+        with pytest.raises(CircuitError, match=match):
+            transient_ensemble(members, [default_options()] * len(members))
+        # The scalar oracle takes the same circuit.
+        operating_point(members[0])
 
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_transient_matches_scalar(self, case):
-        from repro.runtime import telemetry
-        from repro.spice.backends import get_backend
+    def test_one_member_rejects(self):
+        """A source that is a ramp in one member and a callable in
+        another is not batched either."""
+        members = [inverter_testbench(0.5e-12, 1e-4),
+                   callable_source_testbench(4e-12, 4e-4)]
+        with pytest.raises(CircuitError, match="element 'v_a' of"):
+            EnsembleSystem(*stack(members))
 
-        members, options, flag = self.CASES[case]
-        opts = TransientOptions(**options)
-        vdd = L1_VDD if case == "level1-fet" else VDD
-        telemetry.reset()
-        telemetry.enable(True)
-        try:
-            ens = transient_ensemble(members, [opts] * len(members),
-                                     [Probe("out", 0.5 * vdd)]).run()
-            counters = dict(telemetry.counters())
-        finally:
-            telemetry.enable(False)
-            telemetry.reset()
-        assert getattr(ens.es, flag)
-        assert counters.get("ensemble.scalar_retries", 0) == 0
-        if get_backend().name == "native":
-            assert counters.get("backend.native.timestep_calls", 0) == 0
+    def test_level1_vtc_batch_equals_scalar(self, monkeypatch):
+        """``compute_vtc_batch`` answers the rejection with scalar sweeps,
+        one per cell, so a Level-1 inverter's VTCs equal
+        ``compute_vtc``'s."""
+        cells = [cmos_inverter(L1_NMOS, level1_pmos(kp), w_n=10e-6,
+                               w_p=20e-6, l=2e-6, vdd=L1_VDD)
+                 for kp in (4e-5, 6e-5)]
+        swept = []
 
-        for m, ckt in enumerate(members):
-            w = run_scalar(ckt, opts)["out"]
-            assert ens.final_value("out")[m] == pytest.approx(
-                w.final_value, abs=1e-9)
-            assert ens.initial_value("out")[m] == pytest.approx(
-                w.initial_value, abs=1e-9)
-            batch_cross = ens.crossing_times(0, m)
-            scalar_cross = w.crossing_times(0.5 * vdd)
-            assert len(batch_cross) == len(scalar_cross) > 0
-            np.testing.assert_allclose(batch_cross, scalar_cross,
-                                       rtol=1e-9, atol=1e-15)
+        def counted(cell, **kwargs):
+            swept.append(cell)
+            return compute_vtc(cell, **kwargs)
+
+        monkeypatch.setattr(vtc, "compute_vtc", counted)
+        curves = compute_vtc_batch(cells, n_points=41)
+        assert swept == cells
+        for cell, curve in zip(cells, curves):
+            want = compute_vtc(cell, n_points=41)
+            assert curve.vout.tobytes() == want.vout.tobytes()
+            assert curve.power.tobytes() == want.power.tobytes()

@@ -8,6 +8,7 @@ import os
 import platform
 import time
 import types
+from pathlib import Path
 
 import pytest
 
@@ -99,6 +100,24 @@ def test_startup_row_records_median_min_and_spread(tmp_path, monkeypatch):
     assert row["seconds"] == pytest.approx(0.03, abs=0.01)
     assert row["spread_seconds"] == pytest.approx(0.04, abs=0.01)
     assert row["seed_seconds"] == run_bench.SEED_BASELINES["startup"]
+
+
+def test_recorded_rows_share_one_stage_schema():
+    """Every profiled row of the committed ``BENCH_perf.json`` breaks its
+    time down over ``telemetry.STAGES`` plus ``overhead``, the stages
+    ``run_bench --profile`` emits; a row recorded under an older stage
+    list has to be regenerated."""
+    recorded = json.loads(
+        (Path(run_bench.__file__).resolve().parents[2]
+         / "BENCH_perf.json").read_text())["benchmarks"]
+    allowed = set(telemetry.STAGES) | {"overhead"}
+    profiled = {name: row["profile"] for name, row in recorded.items()
+                if "profile" in row}
+    assert profiled
+    stray = {name: sorted(set(profile) - allowed)
+             for name, profile in profiled.items()
+             if set(profile) - allowed}
+    assert not stray
 
 
 class TestRegressGate:
