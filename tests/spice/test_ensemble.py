@@ -422,3 +422,64 @@ class TestUnbatched:
             want = compute_vtc(cell, n_points=41)
             assert curve.vout.tobytes() == want.vout.tobytes()
             assert curve.power.tobytes() == want.power.tobytes()
+
+
+class TestPerMemberFallback:
+    """A stack the ensemble rejects falls back to the scalar engine,
+    member by member, as ``compute_vtc_batch`` does.  The rejection
+    leaves every member as it was, so the scalar engine solves each one
+    exactly as it solves a fresh copy, and records an output crossing.
+    A callable source loses nothing more: restated as the ``RampValue``
+    it computes, the stack batches again and matches the scalar answer
+    for the callable member by member."""
+
+    CASES = {
+        "level1-fet": (
+            level1_testbench, ((0.2e-12, 4e-5), (1e-12, 6e-5)), L1_VDD,
+            dict(dt=2.5e-11, t_stop=1e-8, dt_max=4e-10,
+                 lte_tol=5e-4 * L1_VDD)),
+        "callable-source": (
+            callable_source_testbench, ((0.5e-12, 1e-4), (4e-12, 4e-4)),
+            VDD, dict(dt=5e-6, t_stop=2e-3, dt_max=8e-5,
+                      lte_tol=5e-4 * VDD)),
+    }
+    #: The batchable restatement of a case's members, where one exists.
+    RESTATED = {"callable-source": inverter_testbench}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_operating_point_matches_scalar(self, case):
+        bench, args, _vdd, _options = self.CASES[case]
+        members = [bench(*a) for a in args]
+        with pytest.raises(CircuitError):
+            ensemble_operating_point(*stack(members))
+        scalar = []
+        for ckt, a in zip(members, args):
+            xs = operating_point(ckt)[0]
+            assert np.array_equal(xs, operating_point(bench(*a))[0])
+            scalar.append(xs)
+        if case in self.RESTATED:
+            restated = [self.RESTATED[case](*a) for a in args]
+            x, _es = ensemble_operating_point(*stack(restated))
+            for m, xs in enumerate(scalar):
+                np.testing.assert_allclose(
+                    x[m, :xs.size], xs, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_transient_matches_scalar(self, case):
+        bench, args, vdd, options = self.CASES[case]
+        opts = TransientOptions(**options)
+        members = [bench(*a) for a in args]
+        with pytest.raises(CircuitError):
+            transient_ensemble(members, [opts] * len(members))
+        for ckt, a in zip(members, args):
+            w = run_scalar(ckt, opts)["out"]
+            fresh = run_scalar(bench(*a), opts)["out"]
+            assert np.array_equal(w.times, fresh.times)
+            assert np.array_equal(w.values, fresh.values)
+            assert len(w.crossing_times(0.5 * vdd)) > 0
+        if case in self.RESTATED:
+            restated = [self.RESTATED[case](*a) for a in args]
+            ens = transient_ensemble(restated, [opts] * len(restated),
+                                     [Probe("out", 0.5 * VDD)]).run()
+            for m, ckt in enumerate(members):
+                assert_member_matches(ens, m, ckt, opts)
