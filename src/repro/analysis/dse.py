@@ -8,8 +8,7 @@ sharing underneath:
 
 - generic block netlists are memoised per shape and the datapath adder
   grows by copy-on-extend (:func:`repro.core.physical._generic_block`);
-  the complex-ALU slice builds its multiplier and divider once and
-  inlines each twice,
+  only the netlists STA times are built,
 - each core structure's unsplit region logic delays are priced once
   and shared by every depth point of its chain
   (:func:`repro.core.physical.region_logic_delays`),
@@ -17,8 +16,13 @@ sharing underneath:
   mappings (:func:`repro.synthesis.mapping.map_cached`),
 - STA re-times only the delta against a recorded session
   (:data:`repro.synthesis.sta.INCREMENTAL`),
-- block areas come from exact cell counting, never a mapped netlist
-  (:func:`repro.core.physical._block_area`),
+- block areas come from exact cell counts, memoised per (block, width)
+  so both libraries share one count
+  (:func:`repro.core.physical._block_counts`): the adder and ALU count
+  their generic netlists, and the complex-ALU slice composes its
+  counts from one multiplier and one divider slice and is never built
+  (the built slice is the oracle of the ``complex-counts-vs-built``
+  validation check),
 - IPC simulations go through the persistent result cache.
 
 The stock grid (4 combos x 7 widths x 4 width pairs x depths 9..17,

@@ -1,8 +1,8 @@
 """Physical core model: configuration -> clock period and area.
 
 Each of the nine pipeline regions gets a *logic delay* — real mapped
-netlists (next-PC adder, simple ALU, the complex-ALU slice) timed by NLDM
-STA where a netlist is natural, Palacharla-style structure models
+netlists (next-PC adder, simple ALU) timed by NLDM STA where a netlist
+is natural, Palacharla-style structure models
 (:mod:`repro.core.complexity`) where the structure is wire/array dominated
 (rename, issue queue, register file, bypass, ROB, BTB).  A region with k
 stages contributes ``logic/k`` (floored at a minimum stage quantum) plus
@@ -27,9 +27,10 @@ from repro.runtime import telemetry
 from repro.runtime.cache import default_cache
 from repro.synthesis import sta as _sta
 from repro.synthesis.generators import (carry_select_adder, complex_alu_slice,
+                                        complex_alu_slice_counts,
                                         extend_carry_select_adder, simple_alu)
-from repro.synthesis.mapping import (map_cached, mapped_cell_counts,
-                                     reset_map_cache)
+from repro.synthesis.mapping import (lower_cell_counts, map_cached,
+                                     mapped_cell_counts, reset_map_cache)
 from repro.synthesis.netlist import Netlist
 from repro.synthesis.pipeline import broadcast_penalty
 from repro.synthesis.sta import static_timing
@@ -73,6 +74,10 @@ _GENERIC_CACHE: dict[tuple[str, int], Netlist] = {}
 # wire-independent, unlike delay.
 _AREA_CACHE: dict[tuple, float] = {}
 
+# Mapped cell multiset per (block, width) — library-independent, so both
+# libraries price one count of each shape.
+_COUNT_CACHE: dict[tuple[str, int], dict[str, int]] = {}
+
 # Unsplit region logic delays per core structure, shared by every depth
 # point of a sweep (key: see region_logic_delays).
 _LOGIC_CACHE: dict[tuple, dict[str, float]] = {}
@@ -85,13 +90,15 @@ _CSA_BLOCK = 4
 def reset_structure_caches() -> None:
     """Drop every in-process synthesis and structure memo.
 
-    Clears generic netlists, block timing and area, region logic
-    delays, the mapping memo and the incremental-STA sessions, so the
-    next sweep (a test, a cold bench row) prices every structure again.
+    Clears generic netlists, block timing, cell counts and area, region
+    logic delays, the mapping memo and the incremental-STA sessions, so
+    the next sweep (a test, a cold bench row) prices every structure
+    again.
     """
     _BLOCK_CACHE.clear()
     _GENERIC_CACHE.clear()
     _AREA_CACHE.clear()
+    _COUNT_CACHE.clear()
     _LOGIC_CACHE.clear()
     reset_map_cache()
     _sta.reset_incremental()
@@ -149,14 +156,51 @@ def block_netlist(block: str, width: int) -> Netlist:
     return map_cached(_generic_block(block, width))
 
 
-def _block_area(block: str, width: int, library: Library) -> float:
-    """Mapped gate area of a named block, by cell counting.
+def _block_counts(block: str, width: int) -> dict[str, int]:
+    """Mapped cell multiset of a named block, memoised per shape.
 
     Mapping is an exact per-cell integer transform
-    (:func:`repro.synthesis.mapping.mapped_cell_counts`), so area needs
-    neither the mapped netlist nor a wire model; summing in sorted cell
-    order keeps the float total deterministic.  Memoised in-process and
-    in the persistent cache (category ``block_area``).
+    (:func:`repro.synthesis.mapping.lower_cell_counts`), so counts need
+    no mapped netlist.  The adder and ALU count the generic netlists STA
+    times anyway; the complex slice, which nothing in a sweep times,
+    composes its counts from its parts
+    (:func:`repro.synthesis.generators.complex_alu_slice_counts`) and is
+    never built.  The built slice stays the oracle: the
+    ``complex-counts-vs-built`` validation check and
+    ``tests/core/test_block_counts.py`` tie the two.
+    """
+    key = (block, width)
+    hit = _COUNT_CACHE.get(key)
+    if hit is not None:
+        return hit
+    if block == "complex":
+        t0 = time.perf_counter() if telemetry.ENABLED else 0.0
+        generic = complex_alu_slice_counts(width)
+        if telemetry.ENABLED:
+            telemetry.time_add("solver.netlist", time.perf_counter() - t0)
+            t0 = time.perf_counter()
+        counts = lower_cell_counts(generic)
+    else:
+        nl = _generic_block(block, width)
+        t0 = time.perf_counter() if telemetry.ENABLED else 0.0
+        counts = mapped_cell_counts(nl)
+    if telemetry.ENABLED:
+        telemetry.time_add("solver.mapping", time.perf_counter() - t0)
+    _COUNT_CACHE[key] = counts
+    return counts
+
+
+def _block_area(block: str, width: int, library: Library) -> float:
+    """Mapped gate area of a named block, from its cell counts.
+
+    Area needs neither a mapped netlist nor a wire model: it is the
+    library-weighted sum of the composed counts of :func:`_block_counts`
+    (the built netlist is their oracle, checked by
+    ``complex-counts-vs-built``), taken in sorted cell order so the
+    float total is deterministic.  Memoised in-process and in the
+    persistent cache (category ``block_area``).  The ``dse_sweep``,
+    ``depth_sweep`` and ``width_sweep`` bench rows time it through
+    :func:`core_area`.
     """
     key = (library.cache_key(), block, width)
     hit = _AREA_CACHE.get(key)
@@ -179,14 +223,10 @@ def _block_area(block: str, width: int, library: Library) -> float:
         _AREA_CACHE[key] = area
         return area
 
-    nl = _generic_block(block, width)
-    t0 = time.perf_counter() if telemetry.ENABLED else 0.0
-    counts = mapped_cell_counts(nl)
+    counts = _block_counts(block, width)
     area = sum(library.cell(cell).area * n
                for cell, n in sorted(counts.items()))
-    if telemetry.ENABLED:
-        telemetry.time_add("solver.mapping", time.perf_counter() - t0)
-        t0 = time.perf_counter()
+    t0 = time.perf_counter() if telemetry.ENABLED else 0.0
     cache.put("block_area", cache_key, {"area": area})
     if telemetry.ENABLED:
         telemetry.time_add("solver.cache", time.perf_counter() - t0)
@@ -297,11 +337,12 @@ def core_area(config: CoreConfig, library: Library,
     w = config.data_width
     fw, bw = config.front_width, config.back_width
 
-    # Areas come from the counts-based path: the complex block in
-    # particular is never mapped or timed (its delay is unused — the
-    # pipeliner owns complex-ALU staging), which drops the single most
-    # expensive synthesis in a cold sweep.  Block construction books
-    # its own stages; the array-model arithmetic below is "structures".
+    # Areas come from cell counts (_block_counts).  The complex block,
+    # whose delay the pipeliner owns, is priced from composed counts and
+    # never built here; the built slice is their oracle (the
+    # `complex-counts-vs-built` validate check), and the `dse_sweep`
+    # bench row times it.  Block pricing books its own stages; the
+    # array-model arithmetic below is "structures".
     alu_area = _block_area("alu", w, library)
     adder_area = _block_area("adder", w, library)
     complex_area = _block_area("complex", w, library)

@@ -499,3 +499,20 @@ def complex_alu_slice(width: int = 16, name: str = "complex_slice"
     for net in mux_vectors(nl, sel_unit, mul0[width:], mul1[width:]):
         nl.add_output(net)
     return nl
+
+
+def complex_alu_slice_counts(width: int = 16) -> dict[str, int]:
+    """Generic cell multiset of ``complex_alu_slice(width)``, composed.
+
+    The slice is two copies of one multiplier and one divider slice plus
+    four ``width``-bit output muxes, so its counts follow from its parts
+    without inlining them.  Area needs only these counts; the built
+    slice is the oracle (tests and the ``complex-counts-vs-built``
+    validation check tie the two).
+    """
+    counts: dict[str, int] = {}
+    for part in (wallace_multiplier(width), divider_iteration(width)):
+        for cell, n in part.cell_counts().items():
+            counts[cell] = counts.get(cell, 0) + 2 * n
+    counts["mux2"] = counts.get("mux2", 0) + 4 * width
+    return counts

@@ -24,7 +24,7 @@ from repro.synthesis.netlist import LIBRARY_CELLS, Netlist
 
 #: Exact lowered-cell multiset per source cell — the integer transform
 #: that :func:`technology_map` realises structurally.  Kept in data form
-#: so area accounting (:func:`mapped_cell_counts`) never needs to build
+#: so area accounting (:func:`lower_cell_counts`) never needs to build
 #: the mapped netlist.
 MAPPED_CELL_COUNTS = {
     **{cell: {cell: 1} for cell in LIBRARY_CELLS},
@@ -180,17 +180,21 @@ def _extend_mapping(netlist: Netlist, base_mapped: Netlist, counter: int,
     return mapped
 
 
-def mapped_cell_counts(netlist: Netlist) -> dict[str, int]:
-    """Library-cell multiset of ``technology_map(netlist)``, by counting.
+def lower_cell_counts(counts: dict[str, int]) -> dict[str, int]:
+    """Library-cell multiset that mapping a generic cell multiset yields.
 
-    Mapping lowers each gate to a fixed pattern, so the mapped cell
-    counts are an exact integer transform of the source counts
-    (:data:`MAPPED_CELL_COUNTS`) — no netlist construction needed.
-    Works on already-mapped netlists too (library cells map to
-    themselves).
+    Mapping lowers each gate to a fixed pattern, so the mapped counts
+    are an exact integer transform of the source counts
+    (:data:`MAPPED_CELL_COUNTS`) — no netlist needed.  Library cells
+    map to themselves.
     """
-    counts: dict[str, int] = {}
-    for gate in netlist.gates.values():
-        for cell, k in MAPPED_CELL_COUNTS[gate.cell].items():
-            counts[cell] = counts.get(cell, 0) + k
-    return counts
+    lowered: dict[str, int] = {}
+    for cell, n in counts.items():
+        for lib_cell, k in MAPPED_CELL_COUNTS[cell].items():
+            lowered[lib_cell] = lowered.get(lib_cell, 0) + k * n
+    return lowered
+
+
+def mapped_cell_counts(netlist: Netlist) -> dict[str, int]:
+    """Library-cell multiset of ``technology_map(netlist)``, by counting."""
+    return lower_cell_counts(netlist.cell_counts())

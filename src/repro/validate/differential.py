@@ -1,8 +1,9 @@
 """Differential checks: every fast path diffed against its oracle.
 
-The repo carries five "same answer, faster" engines (batched ensemble
+The repo carries six "same answer, faster" engines (batched ensemble
 transients, the compiled IPC kernel, levelised-array STA,
-lockstep pipeline cutting and the persistent result cache).  Each check
+lockstep pipeline cutting, composed block cell counts and the
+persistent result cache).  Each check
 here runs a seeded sample through both the fast path and its reference
 implementation and fails on any disagreement beyond the documented
 tolerance — the tolerances are the same ones the unit suites enforce,
@@ -374,6 +375,40 @@ def sta_incremental_agreement(ctx: CheckContext) -> str:
     reset_map_cache()
     return (f"{compared} width x wire points bit-identical across "
             f"widths {list(widths)}")
+
+
+@check("complex-counts-vs-built", "differential")
+def complex_counts_vs_built(ctx: CheckContext) -> str:
+    """Composed complex-ALU counts == the built and mapped slice.
+
+    Block area prices the complex slice from
+    :func:`~repro.synthesis.generators.complex_alu_slice_counts` and
+    never builds it; this builds the slice at seeded widths and asks
+    for exact integer equality with its generic cell counts, and of
+    the lowered multiset with the census of its technology mapping.
+    """
+    from repro.synthesis.generators import (
+        complex_alu_slice,
+        complex_alu_slice_counts,
+    )
+    from repro.synthesis.mapping import lower_cell_counts, technology_map
+
+    rng = ctx.rng()
+    widths = ([rng.randint(1, 16)] if ctx.fast
+              else sorted(rng.sample(range(1, 33), 4)))
+    for w in widths:
+        built = complex_alu_slice(w)
+        composed, generic = complex_alu_slice_counts(w), built.cell_counts()
+        expect(composed == generic,
+               f"width {w}: composed generic counts {composed} != "
+               f"built {generic}")
+        census = technology_map(built).cell_counts()
+        lowered = lower_cell_counts(composed)
+        expect(lowered == census,
+               f"width {w}: lowered counts {lowered} != mapped census "
+               f"{census}")
+    return (f"composed counts exact at widths {widths} "
+            f"(generic and mapped)")
 
 
 @check("pipeline-batched-vs-scalar", "differential")
