@@ -59,7 +59,7 @@ to each timing, embedded in the JSON artifact: the growth of each
 the row's timed region, plus the residual ``overhead``.  Worker
 processes ship their telemetry snapshots back through ``parallel_map``
 and the parent merges them in task order, so the breakdown is complete
-(and deterministic) with ``--workers`` too.
+(and deterministic) with ``--workers`` (the sweep rows) too.
 
 ``--report PATH`` additionally collects full telemetry for the whole
 benchmark run and writes a :mod:`repro.runtime.report` JSON document
@@ -166,7 +166,7 @@ def _bench_single_transient() -> _timed:
     return row
 
 
-def _bench_cell_characterization(workers: int | None) -> _timed:
+def _bench_cell_characterization() -> _timed:
     from repro.cells.library_def import organic_library_definition
     from repro.characterization import harness
 
@@ -174,17 +174,16 @@ def _bench_cell_characterization(workers: int | None) -> _timed:
     grid = harness.default_grid(defn)
     cell = defn.cells["nand2"]
     with _timed() as row:
-        harness.characterize_cell(cell, grid, area=1.0, workers=workers)
+        harness.characterize_cell(cell, grid, area=1.0)
     return row
 
 
-def _bench_library_characterization(workers: int | None) -> _timed:
+def _bench_library_characterization() -> _timed:
     from repro.cells.library_def import organic_library_definition
     from repro.characterization.harness import characterize_library
 
     with _timed() as row:
-        characterize_library(organic_library_definition(), use_cache=False,
-                             workers=workers)
+        characterize_library(organic_library_definition(), use_cache=False)
     return row
 
 
@@ -475,8 +474,9 @@ class _cache_dir:
 
 BENCHES = {
     "single_transient": lambda workers: _bench_single_transient(),
-    "cell_characterization": _bench_cell_characterization,
-    "library_characterization": _bench_library_characterization,
+    "cell_characterization": lambda workers: _bench_cell_characterization(),
+    "library_characterization":
+        lambda workers: _bench_library_characterization(),
     "ensemble_newton": lambda workers: _bench_ensemble_newton(),
     "native_timestep": lambda workers: _bench_native_timestep(),
     "ipc_simulate": lambda workers: _bench_ipc_simulate(),
@@ -580,8 +580,8 @@ def _check_against(results: dict, baseline_path: Path,
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workers", type=int, default=None,
-                        help="worker processes for the parallel layers "
-                             "(default: REPRO_WORKERS or serial)")
+                        help="worker processes for the sweep rows "
+                             "(default: the sweeps' own policy)")
     parser.add_argument("--quick", action="store_true",
                         help="skip the slow library characterization")
     parser.add_argument("--only", choices=sorted(BENCHES), default=None,

@@ -47,7 +47,7 @@ def _cell_workload():
     cell = defn.cells["nand2"]
 
     def run() -> None:
-        harness.characterize_cell(cell, grid, area=1.0, workers=None)
+        harness.characterize_cell(cell, grid, area=1.0)
 
     return run
 
@@ -59,7 +59,7 @@ def _library_workload():
     defn = organic_library_definition()
 
     def run() -> None:
-        characterize_library(defn, use_cache=False, workers=None)
+        characterize_library(defn, use_cache=False)
 
     return run
 
@@ -92,7 +92,7 @@ def _dse_workload():
                 reset_structure_caches()
                 dse_sweep(combos=combos, widths=(8, 32),
                           width_pairs=((1, 3), (2, 4)), traces=traces,
-                          workers=None)
+                          workers=1)
             finally:
                 if saved is None:
                     os.environ.pop("REPRO_CACHE_DIR", None)

@@ -44,7 +44,8 @@ from repro.characterization.library import Library
 from repro.core.config import CoreConfig
 from repro.core.physical import CorePhysical
 from repro.core.trace import Trace
-from repro.core.tradeoffs import _eval_config_task, deepen_pipeline, make_traces
+from repro.core.tradeoffs import (_eval_config_task, deepen_pipeline,
+                                  make_traces, sweep_workers)
 from repro.errors import ConfigError
 from repro.runtime import parallel_map
 from repro.synthesis.wires import WireModel, organic_wire_model, silicon_wire_model
@@ -148,8 +149,8 @@ def dse_sweep(combos: list[tuple[str, Library, WireModel]] | None = None,
 
     Combos are processed sequentially (each pins a (library, wire) pair
     whose shared synthesis structures warm up once and then hit); the
-    points inside a combo fan out across worker processes when
-    ``workers`` (or ``REPRO_WORKERS``) asks for it.
+    points inside a combo fan out across
+    :func:`repro.core.tradeoffs.sweep_workers` processes.
     """
     if combos is None:
         combos = default_combos()
@@ -162,7 +163,7 @@ def dse_sweep(combos: list[tuple[str, Library, WireModel]] | None = None,
         configs = _grid_configs(library, wire, widths, width_pairs,
                                 min_depth, max_depth)
         results = parallel_map(
-            _eval_config_task, configs, workers=workers,
+            _eval_config_task, configs, workers=sweep_workers(workers),
             labels=[f"dse[{label}:{c.name}:d{c.depth}]" for c in configs],
             shared=(library, wire, traces),
             phase=f"dse[{label}]")

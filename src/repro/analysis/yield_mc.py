@@ -100,8 +100,8 @@ def noise_margin_yield(base_cell: CellDesign,
     """Monte Carlo MEC-noise-margin yield for one inverter design.
 
     All instances are drawn from the seeded generator up front (so the
-    sample set never depends on scheduling), then evaluated across worker
-    processes when ``workers`` (or ``REPRO_WORKERS``) asks for it.
+    sample set never depends on scheduling), then evaluated serially, or
+    across ``workers`` processes when the caller asks for them.
     """
     variation = variation or VariationModel()
     rng = np.random.default_rng(seed)
@@ -114,7 +114,7 @@ def noise_margin_yield(base_cell: CellDesign,
     vms: list[float] = []
     converged = 0
     # Chunk size comes from runtime.ENSEMBLE_BATCH alone (never the worker
-    # count), so the sample outcomes are identical for any REPRO_WORKERS;
+    # count), so the sample outcomes are identical for any worker count;
     # parallel_map shards whole chunks.
     chunks = chunked(instances, runtime.ENSEMBLE_BATCH)
     offsets = np.cumsum([0] + [len(c) for c in chunks])

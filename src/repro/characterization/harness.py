@@ -49,7 +49,7 @@ from repro.errors import (
     ConvergenceError,
     LibraryError,
 )
-from repro.runtime import chunked as _chunked, parallel_map, telemetry
+from repro.runtime import chunked as _chunked, progress, telemetry
 from repro.runtime.cache import ResultCache
 from repro.spice.backends import get_backend
 from repro.spice.elements import Capacitor, RampValue, VoltageSource
@@ -410,32 +410,23 @@ def _leakage_ensemble(design: CellDesign) -> tuple[Circuit, dict]:
                       for i, pin in enumerate(design.inputs)}
 
 
-def _measure_pin_batch_task(task) -> list[tuple[float, float]]:
-    """Module-level (picklable) worker for one input pin's ensemble."""
-    design, pin, points, hints = task
-    with telemetry.span(f"arc:{design.name}.{pin}"):
-        return measure_pin_batch(design, pin, points, hints=hints)
-
-
 def characterize_cell(design: CellDesign, grid: CharacterizationGrid,
-                      area: float, workers: int | None = None,
+                      area: float,
                       currents: list[float] | None = None) -> CellTiming:
     """Full NLDM characterisation of one combinational cell.
 
     Both timing arcs of an input pin (its whole rise and fall slew x
-    load grids) run as **one** stacked ensemble transient, so
-    ``parallel_map`` shards whole-pin batches rather than single grid
-    points.  Results match the per-point scalar
-    :func:`measure_arc` and are identical for any worker count.
-    *currents* are the design's :func:`switching_currents`, if the
-    caller already solved them.
+    load grids) run as **one** stacked ensemble transient.  Results
+    match the per-point scalar :func:`measure_arc`.  *currents* are the
+    design's :func:`switching_currents`, if the caller already solved
+    them.
     """
     with telemetry.span(f"cell:{design.name}"):
-        return _characterize_cell(design, grid, area, workers, currents)
+        return _characterize_cell(design, grid, area, currents)
 
 
 def _characterize_cell(design: CellDesign, grid: CharacterizationGrid,
-                       area: float, workers: int | None,
+                       area: float,
                        currents: list[float] | None) -> CellTiming:
     telemetry.count("char.cells")
     hints = _delay_hints(design, grid.loads, currents)
@@ -445,14 +436,10 @@ def _characterize_cell(design: CellDesign, grid: CharacterizationGrid,
     # order, differ per pin.
     points = [(input_rise, slew, load) for input_rise in (True, False)
               for load in grid.loads for slew in grid.slews]
-    tasks = [(design, pin, points, hints) for pin in design.inputs]
-    labels = [f"{design.name}.{pin} grid" for pin in design.inputs]
-    results = parallel_map(_measure_pin_batch_task, tasks, workers=workers,
-                           labels=labels, on_error="capture",
-                           phase=f"characterize[{design.name}]")
-    # Re-raise the first failure in task order (same exception, and thus
-    # the same behaviour, as the serial loop).
-    measured = [value for r in results for value in r.unwrap()]
+    measured = []
+    for pin in design.inputs:
+        with telemetry.span(f"arc:{design.name}.{pin}"):
+            measured += measure_pin_batch(design, pin, points, hints=hints)
 
     arcs: list[TimingArc] = []
     k = 0
@@ -772,39 +759,26 @@ def measure_clk_to_q_batch(dff: CompositeCell,
         for delay, (clk_slew, load) in zip(delays, points)]
 
 
-def _clk_to_q_batch_task(task) -> list[float]:
-    """Module-level (picklable) worker for a chunk of clk->q grid points."""
-    dff, points, t_unit = task
-    return measure_clk_to_q_batch(dff, points, t_unit)
-
-
 def characterize_dff(dff: CompositeCell, grid: CharacterizationGrid,
-                     area: float, t_unit: float,
-                     workers: int | None = None) -> SequentialTiming:
+                     area: float, t_unit: float) -> SequentialTiming:
     """Clk->q NLDM table plus scalar setup/hold.
 
     ``t_unit`` is a per-process time scale (roughly one gate delay) used to
-    schedule stimulus edges and bound the setup search.  Grid points run
-    across worker processes when ``workers`` (or ``REPRO_WORKERS``) asks
-    for it; the setup-time bisection stays serial (each trial depends on
-    the previous one).
+    schedule stimulus edges and bound the setup search.  The clk->q grid
+    runs as stacked ensembles of :data:`repro.runtime.ENSEMBLE_BATCH`
+    points; the setup-time search runs round by round (each round
+    depends on the previous one).
     """
     with telemetry.span("cell:dff"):
-        return _characterize_dff(dff, grid, area, t_unit, workers)
+        return _characterize_dff(dff, grid, area, t_unit)
 
 
 def _characterize_dff(dff: CompositeCell, grid: CharacterizationGrid,
-                      area: float, t_unit: float,
-                      workers: int | None) -> SequentialTiming:
+                      area: float, t_unit: float) -> SequentialTiming:
     telemetry.count("char.cells")
     points = [(slew, load) for slew in grid.slews for load in grid.loads]
-    chunks = _chunked(points, runtime.ENSEMBLE_BATCH)
-    tasks = [(dff, chunk, t_unit) for chunk in chunks]
-    labels = [f"{dff.name} clk->q batch[{i}]" for i in range(len(chunks))]
-    results = parallel_map(_clk_to_q_batch_task, tasks, workers=workers,
-                           labels=labels, on_error="capture",
-                           phase=f"characterize[{dff.name}]")
-    flat = [v for r in results for v in r.unwrap()]
+    flat = [delay for chunk in _chunked(points, runtime.ENSEMBLE_BATCH)
+            for delay in measure_clk_to_q_batch(dff, chunk, t_unit)]
     values = np.asarray(flat).reshape(len(grid.slews), len(grid.loads))
     mid_slew = grid.slews[len(grid.slews) // 2]
     mid_load = grid.loads[len(grid.loads) // 2]
@@ -836,12 +810,17 @@ def _characterize_dff(dff: CompositeCell, grid: CharacterizationGrid,
 # ---------------------------------------------------------------------------
 
 def _definition_fingerprint(defn: CellLibraryDefinition,
-                            grid: CharacterizationGrid) -> str:
-    """Stable hash of everything that affects characterisation results."""
+                            grid: CharacterizationGrid | None) -> str:
+    """Stable hash of everything that affects characterisation results.
+
+    ``grid=None`` stands for the definition's :func:`default_grid`,
+    which the rest of the payload determines.
+    """
     payload: dict = {
         "vdd": defn.vdd,
         "process": defn.process,
-        "grid": {"slews": grid.slews, "loads": grid.loads},
+        "grid": None if grid is None else {"slews": grid.slews,
+                                           "loads": grid.loads},
         "cells": {},
     }
     for name in (*defn.COMBINATIONAL,):
@@ -881,8 +860,7 @@ def default_grid(defn: CellLibraryDefinition,
 def characterize_library(defn: CellLibraryDefinition,
                          grid: CharacterizationGrid | None = None,
                          cache_dir: Path | None = None,
-                         use_cache: bool = True,
-                         workers: int | None = None) -> Library:
+                         use_cache: bool = True) -> Library:
     """Characterise all six cells, with persistent result caching.
 
     Results are memoised through :class:`repro.runtime.cache.ResultCache`
@@ -891,28 +869,36 @@ def characterize_library(defn: CellLibraryDefinition,
     NLDM grid and the solver backend.  ``use_cache=False`` bypasses the
     cache for this call; ``REPRO_CACHE=0`` disables it process-wide;
     ``cache_dir`` overrides the root (default ``REPRO_CACHE_DIR``).
-
-    ``workers`` fans the per-arc transients out across processes (see
-    :func:`repro.runtime.parallel_map`); results and the cache key are
-    identical whatever the worker count.
+    Library builds run serially: worker processes measured no gain on
+    either solver backend.
     """
     with telemetry.span(f"characterize_library:{defn.name}",
                         backend=get_backend().name):
-        return _characterize_library(defn, grid, cache_dir, use_cache,
-                                     workers)
+        return _characterize_library(defn, grid, cache_dir, use_cache)
 
 
 #: Libraries this process loaded or characterised, per (cache root,
-#: cache key): every caller shares one object, so the STA sessions and
-#: encodings keyed by library object carry across figures.
-_LIBRARIES: dict[tuple[str, str], Library] = {}
+#: library name, solver backend, definition fingerprint with the
+#: caller's grid): every caller shares one object, so the STA sessions
+#: and encodings keyed by library object carry across figures.
+_LIBRARIES: dict[tuple[str, str, str, str], Library] = {}
 
 
 def _characterize_library(defn: CellLibraryDefinition,
                           grid: CharacterizationGrid | None,
                           cache_dir: Path | None,
-                          use_cache: bool,
-                          workers: int | None) -> Library:
+                          use_cache: bool) -> Library:
+    cache = ResultCache(root=cache_dir)
+    use_cache = use_cache and cache.enabled
+    # The numpy and native builds differ in the last bits: one backend's
+    # library must never be served to the other.
+    backend = get_backend().name
+    # The definition fixes its default grid, so the memo is consulted
+    # before the grid's inverter solve.
+    memo_key = (str(cache.root), defn.name, backend,
+                _definition_fingerprint(defn, grid))
+    if use_cache and memo_key in _LIBRARIES:
+        return _LIBRARIES[memo_key]
     # The inverter's switching currents anchor the default grid, its own
     # delay hints and the flop's time scale: one solve serves all three.
     inv = defn.cell("inv")
@@ -920,17 +906,10 @@ def _characterize_library(defn: CellLibraryDefinition,
     if grid is None:
         inv_currents = switching_currents(inv)
         grid = default_grid(defn, inv_currents)
-    cache = ResultCache(root=cache_dir)
     key = _definition_fingerprint(defn, grid)
-    # The numpy and native builds differ in the last bits: one backend's
-    # library must never be served to the other.
     cache_key = cache.key({"library": defn.name, "fingerprint": key,
-                           "backend": get_backend().name})
-    use_cache = use_cache and cache.enabled
-    memo_key = (str(cache.root), cache_key)
+                           "backend": backend})
     if use_cache:
-        if memo_key in _LIBRARIES:
-            return _LIBRARIES[memo_key]
         hit = cache.get("library", cache_key)
         if hit is not None:
             try:
@@ -944,15 +923,18 @@ def _characterize_library(defn: CellLibraryDefinition,
     if inv_currents is None:
         inv_currents = switching_currents(inv)
     cells = {}
-    for name in defn.COMBINATIONAL:
-        cells[name] = characterize_cell(
-            defn.cell(name), grid, area=defn.cell_area(name),
-            workers=workers, currents=inv_currents if name == "inv" else None)
-
-    t_unit = estimate_gate_delays(inv, [4.0 * inv.input_capacitance("a")],
-                                  inv_currents)[0]
-    dff = characterize_dff(defn.dff, grid, area=defn.cell_area("dff"),
-                           t_unit=t_unit, workers=workers)
+    with progress.phase(f"characterize[{defn.name}]",
+                        len(defn.COMBINATIONAL) + 1) as ph:
+        for name in defn.COMBINATIONAL:
+            cells[name] = characterize_cell(
+                defn.cell(name), grid, area=defn.cell_area(name),
+                currents=inv_currents if name == "inv" else None)
+            progress.update(ph)
+        t_unit = estimate_gate_delays(
+            inv, [4.0 * inv.input_capacitance("a")], inv_currents)[0]
+        dff = characterize_dff(defn.dff, grid, area=defn.cell_area("dff"),
+                               t_unit=t_unit)
+        progress.update(ph)
 
     library = Library(
         name=defn.name,

@@ -17,7 +17,6 @@ def organic_library(model: UnifiedTft | None = None,
                     grid: CharacterizationGrid | None = None,
                     cache_dir: Path | None = None,
                     use_cache: bool = True,
-                    workers: int | None = None,
                     **definition_kwargs) -> Library:
     """Characterise (or load from cache) the organic library.
 
@@ -31,4 +30,4 @@ def organic_library(model: UnifiedTft | None = None,
         definition_kwargs["model"] = model
     defn = organic_library_definition(**definition_kwargs)
     return characterize_library(defn, grid=grid, cache_dir=cache_dir,
-                                use_cache=use_cache, workers=workers)
+                                use_cache=use_cache)

@@ -15,9 +15,8 @@ from repro.characterization.library import Library
 def silicon_library(grid: CharacterizationGrid | None = None,
                     cache_dir: Path | None = None,
                     use_cache: bool = True,
-                    workers: int | None = None,
                     **definition_kwargs) -> Library:
     """Characterise (or load from cache) the reduced silicon library."""
     defn = silicon_library_definition(**definition_kwargs)
     return characterize_library(defn, grid=grid, cache_dir=cache_dir,
-                                use_cache=use_cache, workers=workers)
+                                use_cache=use_cache)

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.characterization.library import Library
+from repro.core import ipc_native
 from repro.core.config import CoreConfig
 from repro.core.physical import (
     MIN_STAGE_LOGIC_FO4,
@@ -27,12 +28,24 @@ from repro.core.trace import Trace
 from repro.core.workloads import WORKLOADS, generate_trace
 from repro.errors import ConfigError
 from repro.runtime import get_shared, parallel_map, telemetry
+from repro.runtime.executor import thread_budget
 from repro.synthesis.wires import WireModel
 
 #: Default dynamic instruction count per workload for the sweeps.  The
 #: synthetic traces are statistically stationary, so this converges to
 #: the same IPC as a much longer run (checked in the test suite).
 DEFAULT_TRACE_LENGTH = 30_000
+
+
+def sweep_workers(workers: int | None = None) -> int:
+    """Worker processes for a sweep's points: *workers* when the caller
+    passes one, else one per usable CPU where the IPC kernel runs the
+    reference loop (fig13's simulations ran 1.5-1.7x faster on two
+    CPUs), else serial (the compiled kernel leaves too little per point
+    to pay for a pool)."""
+    if workers is not None:
+        return workers
+    return 1 if ipc_native.native_available() else thread_budget()
 
 
 def make_traces(workloads: list[str] | None = None,
@@ -132,8 +145,8 @@ def depth_sweep(library: Library, wire: WireModel,
 
     Deriving each depth's stage allocation is cheap and inherently serial
     (every cut starts from the previous allocation); evaluating the points
-    is the expensive part and fans out across worker processes when
-    ``workers`` (or ``REPRO_WORKERS``) asks for it.
+    is the expensive part and fans out across :func:`sweep_workers`
+    processes.
     """
     config = baseline or CoreConfig()
     if traces is None:
@@ -146,7 +159,8 @@ def depth_sweep(library: Library, wire: WireModel,
             break
         config = deepen_pipeline(config, library, wire)
 
-    results = parallel_map(_eval_config_task, configs, workers=workers,
+    results = parallel_map(_eval_config_task, configs,
+                           workers=sweep_workers(workers),
                            labels=[f"depth[{c.depth}]" for c in configs],
                            shared=(library, wire, traces))
     return [DepthSweepPoint(depth=c.depth, config=c, physical=physical,
@@ -183,8 +197,8 @@ def width_sweep(library: Library, wire: WireModel,
                 ) -> list[WidthSweepPoint]:
     """Evaluate the 30-point width grid of Figures 13/14.
 
-    Grid points are independent and fan out across worker processes when
-    ``workers`` (or ``REPRO_WORKERS``) asks for it.
+    Grid points are independent and fan out across
+    :func:`sweep_workers` processes.
     """
     base = baseline or CoreConfig()
     if traces is None:
@@ -192,7 +206,8 @@ def width_sweep(library: Library, wire: WireModel,
 
     pairs = [(fw, bw) for bw in back_widths for fw in front_widths]
     configs = [base.widened(fw, bw) for fw, bw in pairs]
-    results = parallel_map(_eval_config_task, configs, workers=workers,
+    results = parallel_map(_eval_config_task, configs,
+                           workers=sweep_workers(workers),
                            labels=[f"width[fw={fw},bw={bw}]"
                                    for fw, bw in pairs],
                            shared=(library, wire, traces))

@@ -25,8 +25,8 @@ from repro.runtime.log import get_logger
 #: Max members per stacked solve, read at call time as
 #: ``runtime.ENSEMBLE_BATCH``.  The chunk size is fixed by this constant
 #: alone (never by the worker count), so batched results are
-#: bit-identical for any ``REPRO_WORKERS``.  A patched value reaches
-#: only fork-started workers.
+#: bit-identical for any ``workers``.  A patched value reaches only
+#: fork-started workers.
 ENSEMBLE_BATCH = 32
 
 

@@ -1,16 +1,18 @@
 """Process-pool map with deterministic ordering and error capture.
 
-The characterisation harness, the Monte Carlo yield analysis, and the
-depth/width sweeps are all embarrassingly parallel outer loops around an
-expensive, picklable, side-effect-free function.  :func:`parallel_map` is
-the one primitive they share:
+The Monte Carlo yield analysis and the depth/width/DSE sweeps are
+embarrassingly parallel outer loops around an expensive, picklable,
+side-effect-free function.  :func:`parallel_map` is the one primitive
+they share:
 
 - results come back **in task order**, regardless of completion order, so
   parallel runs are bit-identical to serial runs;
-- the worker count comes from the ``workers`` argument, falling back to the
-  ``REPRO_WORKERS`` environment variable, falling back to serial (``1``) —
-  process fan-out is strictly opt-in; kernel lane threads are not
-  (:func:`thread_budget`: every usable CPU, one inside a pool worker);
+- the worker count is the ``workers`` argument, serial (``1``) when it
+  is ``None``: the caller decides where fan-out pays (the sweeps fan
+  out only when the IPC kernel runs the reference loop, see
+  :func:`repro.core.tradeoffs.sweep_workers`); kernel lane threads
+  follow :func:`thread_budget` (every usable CPU, one inside a pool
+  worker);
 - ``workers=0`` asks for one worker per CPU;
 - worker exceptions do not abort the whole map: each task's error is
   captured in its :class:`TaskResult` and re-raised (or reported) by the
@@ -26,8 +28,8 @@ the one primitive they share:
   returns a :mod:`repro.runtime.telemetry` registry snapshot (collected
   on a per-task-reset registry, so it is exactly that task's delta) and
   the parent merges the snapshots **in task order** — metrics and stage
-  breakdowns are therefore complete and deterministic under
-  ``REPRO_WORKERS>1``.
+  breakdowns are therefore complete and deterministic at any worker
+  count.
 
 Workers are plain ``fork``/``spawn`` processes: the mapped function and its
 arguments must be picklable.  Use :func:`functools.partial` over module-level
@@ -116,17 +118,13 @@ class TaskError(RuntimeError):
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """Effective worker count: argument, else ``REPRO_WORKERS``, else 1.
+    """Effective worker count: the argument, ``None`` meaning serial.
 
-    ``0`` (from either source) means one worker per available CPU.
-    Non-numeric or negative environment values fall back to serial.
+    ``0`` means one worker per available CPU; negative counts run
+    serially.
     """
     if workers is None:
-        env = os.environ.get("REPRO_WORKERS", "")
-        try:
-            workers = int(env) if env else 1
-        except ValueError:
-            workers = 1
+        return 1
     if workers == 0:
         workers = os.cpu_count() or 1
     return max(1, workers)
@@ -220,9 +218,10 @@ def parallel_map(fn: Callable[[Any], Any], tasks: Sequence[Any],
     outcomes: list[tuple[Any, BaseException | None, dict | None]] | None = None
     if n_workers > 1 and len(tasks) > 1:
         collect = telemetry.ENABLED
+        pool_size = min(n_workers, len(tasks))
         try:
             with ProcessPoolExecutor(
-                    max_workers=min(n_workers, len(tasks)),
+                    max_workers=pool_size,
                     initializer=_init_worker, initargs=(shared,)) as pool:
                 # pool.map yields results in task order as they complete;
                 # consuming lazily lets the parent heartbeat per task.
@@ -243,7 +242,7 @@ def parallel_map(fn: Callable[[Any], Any], tasks: Sequence[Any],
                 for i, (_value, _error, snap) in enumerate(outcomes):
                     if snap:
                         telemetry.merge_snapshot(snap, prefix=prefix,
-                                                 task=i)
+                                                 task=i, workers=pool_size)
         except BrokenProcessPool as exc:
             # A worker process died mid-map (crash, OOM kill, os._exit).
             # The mapped functions are side-effect-free by contract, so

@@ -3,10 +3,10 @@
 ``BENCH_perf.json`` is a single published snapshot; this module is the
 run-over-run memory.  Every report :func:`repro.runtime.report.
 write_report` lands is summarised into an **append-only ndjson index**
-(one JSON object per line, ``history.ndjson`` next to the reports,
-``REPRO_HISTORY`` overrides the path), keyed by an **environment
-fingerprint hash** so wall-clock numbers are only ever compared within
-one machine identity (python x machine x cpu count x solver backend).
+(one JSON object per line, ``history.ndjson`` next to the reports),
+keyed by an **environment fingerprint hash** so wall-clock numbers are
+only ever compared within one machine identity (python x machine x cpu
+count x solver backend).
 
 On top of the index sit the ``python -m repro perf`` analytics:
 
@@ -32,7 +32,6 @@ from pathlib import Path
 from repro.runtime import report as run_report
 
 __all__ = [
-    "HISTORY_ENV",
     "append_entry",
     "default_history_path",
     "diff_reports",
@@ -43,9 +42,6 @@ __all__ = [
     "resolve_report",
 ]
 
-#: Environment variable overriding where the ndjson index lives.
-HISTORY_ENV = "REPRO_HISTORY"
-
 #: Relative slowdown beyond which ``perf diff`` flags a row.
 DIFF_THRESHOLD = 0.10
 
@@ -54,10 +50,8 @@ MIN_SECONDS = 0.002
 
 
 def default_history_path() -> Path:
-    """``REPRO_HISTORY`` or ``history.ndjson`` beside the run reports."""
-    env = os.environ.get(HISTORY_ENV)
-    return Path(env) if env else run_report.default_runs_dir() / \
-        "history.ndjson"
+    """``history.ndjson`` beside the run reports (``REPRO_RUNS_DIR``)."""
+    return run_report.default_runs_dir() / "history.ndjson"
 
 
 def env_key(env: dict) -> str:
@@ -65,8 +59,8 @@ def env_key(env: dict) -> str:
 
     Only fields that make wall-clock numbers comparable participate:
     interpreter version, machine architecture, CPU count, and the
-    resolved solver backend.  Worker count and cache knobs deliberately
-    do not — those are per-run configuration, visible in the report.
+    resolved solver backend.  Cache knobs deliberately do not — those
+    are per-run configuration, visible in the report.
     """
     identity = {
         "python": env.get("python", "?"),
@@ -88,7 +82,6 @@ def index_entry(report: dict, path: str | Path) -> dict:
         "timestamp": report.get("timestamp"),
         "status": report.get("status", "?"),
         "env_key": env_key(env),
-        "workers": env.get("workers"),
         "backend": env.get("solver_backend", {}).get("resolved"),
         "schema": report.get("schema"),
     }

@@ -16,15 +16,14 @@ applications (``python -m repro``, ``run_bench.py``) make it:
   into :func:`repro.runtime.telemetry.warn`, so run reports list every
   degradation (serial fallback, failed kernel compile) the run hit.
 
-The environment variable ``REPRO_LOG_LEVEL`` supplies a default level
-when the flags don't.
+The level comes from the arguments alone.  Library users set the
+``repro`` logger's level themselves or call :func:`configure`.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 
 __all__ = ["add_cli_flags", "capture_warnings", "configure",
@@ -46,12 +45,11 @@ def get_logger(name: str) -> logging.Logger:
 def _resolve_level(level: str | int | None, verbose: int) -> int:
     if isinstance(level, int):
         return level
-    name = level or os.environ.get("REPRO_LOG_LEVEL")
-    if name:
-        resolved = logging.getLevelName(str(name).upper())
+    if level:
+        resolved = logging.getLevelName(str(level).upper())
         if isinstance(resolved, int):
             return resolved
-        raise ValueError(f"unknown log level {name!r}")
+        raise ValueError(f"unknown log level {level!r}")
     if verbose >= 2:
         return logging.DEBUG
     if verbose == 1:
@@ -139,8 +137,7 @@ def add_cli_flags(parser: argparse.ArgumentParser) -> None:
                         help="-v: info, -vv: debug diagnostics")
     parser.add_argument("--log-level", default=None,
                         metavar="LEVEL",
-                        help="explicit log level name (overrides -v and "
-                             "REPRO_LOG_LEVEL)")
+                        help="explicit log level name (overrides -v)")
 
 
 def configure_from_args(args: argparse.Namespace) -> logging.Logger:

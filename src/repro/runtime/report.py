@@ -74,14 +74,12 @@ def _package_versions() -> dict[str, str]:
 
 def env_fingerprint() -> dict:
     """Everything about the host/configuration a report reader needs."""
-    from repro.runtime.executor import resolve_workers
     return {
         "python": sys.version.split()[0],
         "platform": platform.platform(),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
         "packages": _package_versions(),
-        "workers": resolve_workers(),
         "repro_env": {k: v for k, v in sorted(os.environ.items())
                       if k.startswith("REPRO_")},
         "solver_backend": _solver_backend(),
@@ -200,7 +198,6 @@ def format_report(report: dict) -> str:
         if knobs:
             lines.append("knobs: " + ", ".join(f"{k}={v}"
                                                for k, v in knobs.items()))
-        lines.append(f"workers: {env.get('workers', '?')}")
 
     tree = report.get("span_tree", [])
     if tree:

@@ -306,7 +306,8 @@ def snapshot() -> dict:
 
 
 def merge_snapshot(snap: dict, prefix: str | None = None,
-                   task: int | None = None) -> None:
+                   task: int | None = None,
+                   workers: int | None = None) -> None:
     """Fold a worker snapshot into this process's registry.
 
     Counters/timers/span totals add; distributions merge count/sum and
@@ -317,7 +318,8 @@ def merge_snapshot(snap: dict, prefix: str | None = None,
 
     The worker's completed **span tree** is grafted as child nodes of
     the currently open span (or as new roots at top level), each tagged
-    ``meta["task"] = task`` so the trace exporter can reconstruct the
+    ``meta["task"] = task`` and ``meta["workers"] = workers`` (the
+    launching pool's size) so the trace exporter can reconstruct the
     deterministic worker schedule.  Worker ``t_start`` values are
     relative to the worker task's own epoch, not the parent's.
     """
@@ -327,6 +329,8 @@ def merge_snapshot(snap: dict, prefix: str | None = None,
         span = _Span.from_dict(node)
         if task is not None:
             span.meta.setdefault("task", task)
+        if workers is not None:
+            span.meta.setdefault("workers", workers)
         span.meta.setdefault("worker_task", True)
         if _REG.stack:
             _REG.stack[-1].children.append(span)

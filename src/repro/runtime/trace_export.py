@@ -9,7 +9,8 @@ span metadata in ``args``.
 
 **Track layout.**  The parent process renders as track ``main``
 (tid 0).  Worker-task subtrees are laid out on ``worker-K`` tracks by
-the *deterministic* round-robin ``K = task_index % workers`` with a
+the *deterministic* round-robin ``K = task_index % workers``, where
+*workers* is the size of the pool that ran the task, with a
 per-track time cursor that places each task's subtree after the
 previous one on its track, starting at the launching span's start.
 This is a reconstruction of the deterministic task schedule — task
@@ -26,8 +27,8 @@ along with the timeline.
 
 ``canonical=True`` strips timestamps, tracks, and worker bookkeeping
 meta from the events, leaving the pure task-ordered event sequence —
-the exporter's determinism contract (``REPRO_WORKERS=1`` and ``N``
-produce the identical canonical sequence) is tested against it.
+the exporter's determinism contract (``workers=1`` and ``N`` produce
+the identical canonical sequence) is tested against it.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ def _span_event(node: dict, offset: float, tid: int,
     meta = dict(node.get("meta", {}))
     if canonical:
         meta.pop("task", None)
+        meta.pop("workers", None)
         meta.pop("worker_task", None)
         event = {"name": node.get("name", "?"), "ph": "X", "pid": 0,
                  "tid": 0, "ts": 0, "dur": 0}
@@ -73,7 +75,7 @@ def _span_event(node: dict, offset: float, tid: int,
     return event
 
 
-def _walk(node: dict, offset: float, tid: int, workers: int,
+def _walk(node: dict, offset: float, tid: int, tracks: set[int],
           events: list[dict], canonical: bool) -> None:
     events.append(_span_event(node, offset, tid, canonical))
     start = offset + float(node.get("t_start", 0.0))
@@ -82,13 +84,14 @@ def _walk(node: dict, offset: float, tid: int, workers: int,
         meta = child.get("meta", {})
         if meta.get("worker_task"):
             task = int(meta.get("task", 0))
-            track = 1 + task % workers
+            track = 1 + task % max(1, int(meta.get("workers", 1)))
+            tracks.add(track)
             cursor = cursors.get(track, start)
-            _walk(child, cursor, track, workers, events, canonical)
+            _walk(child, cursor, track, tracks, events, canonical)
             cursors[track] = cursor + float(child.get("t_start", 0.0)) \
                 + float(child.get("seconds", 0.0))
         else:
-            _walk(child, offset, tid, workers, events, canonical)
+            _walk(child, offset, tid, tracks, events, canonical)
 
 
 def _annotation_counters(report: dict) -> dict:
@@ -99,11 +102,10 @@ def _annotation_counters(report: dict) -> dict:
 
 def trace_events(report: dict, canonical: bool = False) -> list[dict]:
     """The Trace Event list for *report* (see module docstring)."""
-    workers = 1
-    try:
-        workers = max(1, int(report.get("env", {}).get("workers", 1)))
-    except (TypeError, ValueError):
-        pass
+    spans: list[dict] = []
+    tracks: set[int] = set()
+    for root in report.get("span_tree", ()):
+        _walk(root, 0.0, 0, tracks, spans, canonical)
     events: list[dict] = []
     if not canonical:
         target = str(report.get("target", "run"))
@@ -111,12 +113,11 @@ def trace_events(report: dict, canonical: bool = False) -> list[dict]:
                        "tid": 0, "args": {"name": f"repro:{target}"}})
         events.append({"name": "thread_name", "ph": "M", "pid": 0,
                        "tid": 0, "args": {"name": "main"}})
-        for k in range(workers):
+        for tid in sorted(tracks):
             events.append({"name": "thread_name", "ph": "M", "pid": 0,
-                           "tid": 1 + k,
-                           "args": {"name": f"worker-{k}"}})
-    for root in report.get("span_tree", ()):
-        _walk(root, 0.0, 0, workers, events, canonical)
+                           "tid": tid,
+                           "args": {"name": f"worker-{tid - 1}"}})
+    events += spans
     counters = _annotation_counters(report)
     if counters and not canonical:
         events.append({"name": "native-counters", "ph": "i", "s": "g",
@@ -135,7 +136,6 @@ def chrome_trace(report: dict, canonical: bool = False) -> dict:
             "target": report.get("target"),
             "timestamp": report.get("timestamp"),
             "schema": report.get("schema"),
-            "workers": report.get("env", {}).get("workers"),
             "counters": _annotation_counters(report),
         }
     return doc

@@ -129,12 +129,12 @@ def test_sweep_shares_structures(tiny_traces, _fresh_structures,
     """The grid actually exercises the incremental machinery."""
     from repro.runtime import telemetry
     monkeypatch.setenv("REPRO_CACHE", "0")
-    monkeypatch.setenv("REPRO_WORKERS", "1")     # keep counters in-process
     lib, wire = organic_library(), organic_wire_model()
     telemetry.enable(True)
     try:
         dse_sweep(combos=[("organic", lib, wire)], widths=(8, 12, 16),
-                  width_pairs=((2, 4),), max_depth=13, traces=tiny_traces)
+                  width_pairs=((2, 4),), max_depth=13, traces=tiny_traces,
+                  workers=1)                 # keep counters in-process
         counters = telemetry.counters()
     finally:
         telemetry.enable(False)

@@ -76,10 +76,8 @@ def test_yield_matches_scalar_path(base_cell):
 
 def test_yield_deterministic_across_worker_counts(base_cell, monkeypatch):
     monkeypatch.setattr(runtime, "ENSEMBLE_BATCH", 4)
-    monkeypatch.setenv("REPRO_WORKERS", "1")
-    serial = noise_margin_yield(base_cell, n_samples=12, seed=5)
-    monkeypatch.setenv("REPRO_WORKERS", "3")
-    fanned = noise_margin_yield(base_cell, n_samples=12, seed=5)
+    serial = noise_margin_yield(base_cell, n_samples=12, seed=5, workers=1)
+    fanned = noise_margin_yield(base_cell, n_samples=12, seed=5, workers=3)
     np.testing.assert_array_equal(serial.noise_margins,
                                   fanned.noise_margins)
     np.testing.assert_array_equal(serial.vm_values, fanned.vm_values)

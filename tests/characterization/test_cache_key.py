@@ -70,7 +70,7 @@ def test_sizes_change_key():
 
 # -- cache hit/miss behaviour ----------------------------------------------
 
-def _stub_cell(design, grid, area, workers=None, delay=1e-6):
+def _stub_cell(design, grid, area, currents=None, delay=1e-6):
     shape = (len(grid.slews), len(grid.loads))
     table = NldmTable(np.asarray(grid.slews), np.asarray(grid.loads),
                       np.full(shape, delay))
@@ -84,7 +84,7 @@ def _stub_cell(design, grid, area, workers=None, delay=1e-6):
                       area=area, arcs=arcs, leakage=1e-9)
 
 
-def _stub_dff(dff, grid, area, t_unit, workers=None):
+def _stub_dff(dff, grid, area, t_unit):
     table = NldmTable(np.asarray(grid.slews), np.asarray(grid.loads),
                       np.full((len(grid.slews), len(grid.loads)), 2e-6))
     return SequentialTiming(name=dff.name, input_caps={"d": 1e-12,
@@ -96,9 +96,9 @@ def _stub_dff(dff, grid, area, t_unit, workers=None):
 def test_cache_hit_and_invalidation(tmp_path, monkeypatch):
     calls = {"cell": 0}
 
-    def counting_cell(design, grid, area, workers=None, currents=None):
+    def counting_cell(design, grid, area, currents=None):
         calls["cell"] += 1
-        return _stub_cell(design, grid, area, workers)
+        return _stub_cell(design, grid, area)
 
     monkeypatch.setattr(harness, "characterize_cell", counting_cell)
     monkeypatch.setattr(harness, "characterize_dff", _stub_dff)
@@ -132,9 +132,9 @@ def test_cache_hit_and_invalidation(tmp_path, monkeypatch):
 def _stubbed(monkeypatch):
     calls = {"cell": 0}
 
-    def counting_cell(design, grid, area, workers=None, currents=None):
+    def counting_cell(design, grid, area, currents=None):
         calls["cell"] += 1
-        return _stub_cell(design, grid, area, workers)
+        return _stub_cell(design, grid, area)
 
     monkeypatch.setattr(harness, "characterize_cell", counting_cell)
     monkeypatch.setattr(harness, "characterize_dff", _stub_dff)
@@ -168,6 +168,48 @@ def test_library_memo_shares_one_object_per_cache_root(tmp_path,
     assert other.to_dict() == first.to_dict()
     assert characterize_library(defn) is other
     assert calls["cell"] == 2 * n_cells
+
+
+def test_warm_library_call_solves_nothing(tmp_path, monkeypatch):
+    """A library this process already holds is served before the default
+    grid's inverter solve: a second ``organic_library()`` constructs no
+    ensemble at all."""
+    from repro.characterization import organic_library
+    from repro.spice import ensemble
+
+    _stubbed(monkeypatch)
+    monkeypatch.setattr(harness, "_LIBRARIES", {})
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.delenv("REPRO_CACHE", raising=False)
+    built = []
+    real_init = ensemble.EnsembleSystem.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ensemble.EnsembleSystem, "__init__", counting_init)
+    first = organic_library()
+    assert built                     # the cold call solves the inverter
+    built.clear()
+    assert organic_library() is first
+    assert built == []
+
+
+def test_library_build_ticks_one_progress_unit_per_cell(tmp_path,
+                                                        monkeypatch):
+    from repro.runtime import progress
+
+    _stubbed(monkeypatch)
+    events = []
+    monkeypatch.setattr(progress, "begin",
+                        lambda name, total=None: events.append(total) or name)
+    monkeypatch.setattr(progress, "update", lambda ph, n=1: events.append(ph))
+    monkeypatch.setattr(progress, "end", lambda ph: None)
+    defn = organic_library_definition()
+    characterize_library(defn, cache_dir=tmp_path, use_cache=False)
+    n_cells = len(defn.COMBINATIONAL) + 1            # and the flop
+    assert events == [n_cells] + [f"characterize[{defn.name}]"] * n_cells
 
 
 def test_library_cache_keeps_solver_backends_apart(tmp_path, monkeypatch):
@@ -281,7 +323,7 @@ def test_block_timing_keeps_solver_backends_apart(tmp_path, monkeypatch):
     monkeypatch.delenv("REPRO_CACHE", raising=False)
     monkeypatch.setattr(harness, "_LIBRARIES", {})
 
-    def cell(design, grid, area, workers=None, currents=None):
+    def cell(design, grid, area, currents=None):
         native = harness.get_backend().name == "native"
         return _stub_cell(design, grid, area,
                           delay=1e-6 * (1 + 1e-9) if native else 1e-6)

@@ -60,7 +60,7 @@ def test_cell_solves_switching_currents_once(defn, grid, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(ensemble, "ensemble_operating_point", spy)
-    harness.characterize_cell(cell, grid, area=1.0, workers=1)
+    harness.characterize_cell(cell, grid, area=1.0)
     assert len(calls) == 1
 
 

@@ -127,7 +127,7 @@ def test_library_build_solves_inverter_currents_once(monkeypatch):
             inv_hints.append(hints)
         return [(1e-9, 1e-9)] * len(points)
 
-    def fake_dff(dff, grid, area, t_unit, workers=None):
+    def fake_dff(dff, grid, area, t_unit):
         fake_dff.t_unit = t_unit
         table = NldmTable(grid.slews, grid.loads,
                           [[1e-9] * len(grid.loads)] * len(grid.slews))
@@ -137,7 +137,7 @@ def test_library_build_solves_inverter_currents_once(monkeypatch):
     monkeypatch.setattr(harness, "measure_pin_batch", fake_pin_batch)
     monkeypatch.setattr(harness, "characterize_dff", fake_dff)
     monkeypatch.setattr(harness, "average_leakage", lambda design: 0.0)
-    library = harness.characterize_library(defn, use_cache=False, workers=1)
+    library = harness.characterize_library(defn, use_cache=False)
 
     assert len(solves) == len(defn.COMBINATIONAL)
     assert library.metadata["grid_slews"] == list(grid.slews)

@@ -71,5 +71,5 @@ def test_native_parameter_tables_stack_every_device(monkeypatch):
 
     monkeypatch.setattr(native._NativePrep, "__init__", checked_init)
     for definition in LIBRARIES.values():
-        characterize_library(definition(), use_cache=False, workers=1)
+        characterize_library(definition(), use_cache=False)
     assert tiled and any(tiled)

@@ -21,9 +21,8 @@ from repro.synthesis.mapping import lower_cell_counts, mapped_cell_counts
 
 @pytest.fixture()
 def _cold(tmp_path, monkeypatch):
-    """Empty result cache and in-process memos, serial evaluation."""
+    """Empty result cache and in-process memos."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.setenv("REPRO_WORKERS", "1")
     physical.reset_structure_caches()
     yield
     physical.reset_structure_caches()
@@ -40,7 +39,7 @@ def test_composed_counts_equal_built_slice():
 
 def _sweep_areas(combos, traces):
     result = dse_sweep(combos=combos, widths=(8, 12), width_pairs=((2, 4),),
-                       max_depth=10, traces=traces)
+                       max_depth=10, traces=traces, workers=1)
     return [(p.combo, p.config.name, p.config.depth, p.physical.area,
              p.physical.period) for p in result.points]
 
@@ -51,7 +50,6 @@ def test_cold_sweep_never_builds_complex_slice(organic_lib, silicon_lib,
     combos = [("organic", organic_lib, organic_wire),
               ("silicon", silicon_lib, silicon_wire)]
     traces = make_traces(workloads=["gzip"], n_instructions=300)
-    monkeypatch.setenv("REPRO_WORKERS", "1")
 
     def refuse(*args, **kwargs):
         raise AssertionError("complex_alu_slice built on the area path")

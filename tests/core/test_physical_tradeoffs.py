@@ -10,8 +10,11 @@ from repro.core.complexity import StructureModel
 from repro.core.config import CoreConfig
 from repro.core.physical import (core_area, core_physical, region_logic_delays,
                                  reset_structure_caches)
-from repro.core.tradeoffs import deepen_pipeline, make_traces
+from repro.core import ipc_native
+from repro.core.tradeoffs import (deepen_pipeline, depth_sweep, make_traces,
+                                  sweep_workers)
 from repro.errors import ConfigError
+from repro.runtime import executor
 
 
 class TestStructureModel:
@@ -199,6 +202,55 @@ class TestRegionLogicMemo:
                            workers=1)
         assert len(result) == len(widths) * len(pairs) * 4
         assert len(calls) == len(widths) * len(pairs)
+
+
+class TestSweepWorkerPolicy:
+    """Sweeps open a pool only where the IPC kernel runs the reference
+    loop, one worker per usable CPU, and the pool changes no bit."""
+
+    @pytest.fixture()
+    def pools(self, monkeypatch):
+        """Pool sizes opened, on a process that may run on two CPUs."""
+        opened = []
+        real = executor.ProcessPoolExecutor
+
+        def recording(*args, max_workers=None, **kwargs):
+            opened.append(max_workers)
+            return real(*args, max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(executor, "ProcessPoolExecutor", recording)
+        monkeypatch.setattr(executor.os, "sched_getaffinity",
+                            lambda pid: {0, 1}, raising=False)
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        return opened
+
+    @staticmethod
+    def _points(lib, wire, **kwargs):
+        traces = make_traces(workloads=["gzip"], n_instructions=300)
+        return [(p.config, p.physical, p.ipc, p.performance)
+                for p in depth_sweep(lib, wire, max_depth=11,
+                                     traces=traces, **kwargs)]
+
+    def test_loaded_kernel_opens_no_pool(self, pools, organic_lib,
+                                         organic_wire, monkeypatch):
+        monkeypatch.setattr(ipc_native, "native_available", lambda: True)
+        assert sweep_workers() == 1
+        self._points(organic_lib, organic_wire)
+        dse_sweep(combos=[("organic", organic_lib, organic_wire)],
+                  widths=(8,), width_pairs=((2, 4),), max_depth=10,
+                  traces=make_traces(workloads=["gzip"], n_instructions=300))
+        assert pools == []
+
+    def test_reference_loop_fans_out_bit_identical(self, pools, organic_lib,
+                                                   organic_wire,
+                                                   monkeypatch):
+        monkeypatch.setattr(ipc_native, "native_available", lambda: False)
+        assert sweep_workers() == executor.thread_budget() == 2
+        assert sweep_workers(1) == 1
+        fanned = self._points(organic_lib, organic_wire)
+        assert pools == [2]
+        assert fanned == self._points(organic_lib, organic_wire, workers=1)
+        assert pools == [2]
 
 
 class TestTraces:

@@ -40,33 +40,21 @@ def _raise_convergence(x):
 
 # -- resolve_workers --------------------------------------------------------
 
-def test_resolve_workers_argument_wins(monkeypatch):
-    monkeypatch.setenv("REPRO_WORKERS", "6")
+def test_resolve_workers_argument_wins():
     assert resolve_workers(3) == 3
 
 
-def test_resolve_workers_env_fallback(monkeypatch):
-    monkeypatch.setenv("REPRO_WORKERS", "4")
-    assert resolve_workers(None) == 4
-
-
-def test_resolve_workers_default_serial(monkeypatch):
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
+def test_resolve_workers_default_serial():
     assert resolve_workers(None) == 1
+    assert resolve_workers() == 1
 
 
-def test_resolve_workers_zero_means_cpu_count(monkeypatch):
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
+def test_resolve_workers_zero_means_cpu_count():
     assert resolve_workers(0) == (os.cpu_count() or 1)
-    monkeypatch.setenv("REPRO_WORKERS", "0")
-    assert resolve_workers(None) == (os.cpu_count() or 1)
 
 
-def test_resolve_workers_garbage_env(monkeypatch):
-    monkeypatch.setenv("REPRO_WORKERS", "lots")
-    assert resolve_workers(None) == 1
-    monkeypatch.setenv("REPRO_WORKERS", "-3")
-    assert resolve_workers(None) == 1
+def test_resolve_workers_negative_is_serial():
+    assert resolve_workers(-3) == 1
 
 
 # -- thread_budget ----------------------------------------------------------

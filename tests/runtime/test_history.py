@@ -37,7 +37,7 @@ def _small_report(target: str = "bench", seconds: float = 1.0) -> dict:
 class TestIndex:
     def test_append_and_load_round_trip(self, tmp_path, monkeypatch):
         hist = tmp_path / "custom" / "history.ndjson"
-        monkeypatch.setenv(history.HISTORY_ENV, str(hist))
+        monkeypatch.setenv("REPRO_RUNS_DIR", str(hist.parent))
         report = _small_report()
         assert history.append_entry(report, tmp_path / "r1.json") == hist
         history.append_entry(report, tmp_path / "r2.json")
@@ -52,8 +52,7 @@ class TestIndex:
         assert entry["env_key"] == history.env_key(report["env"])
 
     def test_write_report_appends_to_index(self, tmp_path, monkeypatch):
-        hist = tmp_path / "history.ndjson"
-        monkeypatch.setenv(history.HISTORY_ENV, str(hist))
+        monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path))
         path = run_report.write_report(_small_report(),
                                        tmp_path / "run.json")
         entries = history.load_entries()
@@ -81,17 +80,16 @@ class TestIndex:
         other = copy.deepcopy(env)
         other["cpu_count"] = (env.get("cpu_count") or 0) + 1
         assert history.env_key(other) != history.env_key(env)
-        # Worker count is per-run config, not machine identity.
+        # Knob settings are per-run config, not machine identity.
         reconfigured = copy.deepcopy(env)
-        reconfigured["workers"] = 99
+        reconfigured["repro_env"] = {"REPRO_CACHE": "0"}
         assert history.env_key(reconfigured) == history.env_key(env)
 
 
 class TestResolveReport:
     @pytest.fixture()
     def indexed(self, tmp_path, monkeypatch):
-        hist = tmp_path / "history.ndjson"
-        monkeypatch.setenv(history.HISTORY_ENV, str(hist))
+        monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path))
         paths = []
         for name in ("alpha.json", "beta.json"):
             paths.append(run_report.write_report(
@@ -157,8 +155,7 @@ class TestDiff:
 class TestPerfCli:
     @pytest.fixture()
     def runs(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(history.HISTORY_ENV,
-                           str(tmp_path / "history.ndjson"))
+        monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path))
         slow = run_report.write_report(_small_report(seconds=1.5),
                                        tmp_path / "slow.json")
         fast = run_report.write_report(_small_report(seconds=1.0),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 
 import pytest
 
@@ -16,6 +17,19 @@ def _restore_level():
     saved = logger.level
     yield
     logger.setLevel(saved)
+
+
+class _EveryVariableSays(dict):
+    """An environment in which every variable holds ``error``."""
+
+    def __contains__(self, key):
+        return True
+
+    def __getitem__(self, key):
+        return "error"
+
+    def get(self, key, default=None):
+        return "error"
 
 
 class TestConfigure:
@@ -38,9 +52,25 @@ class TestConfigure:
         with pytest.raises(ValueError):
             log.configure(level="NOPE")
 
-    def test_env_default_level(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LOG_LEVEL", "info")
-        assert log.configure().level == logging.INFO
+    def test_cli_levels_ignore_the_environment(self):
+        """``-v``, ``-vv`` and ``--log-level NAME`` resolve as README
+        states even where every environment variable reads ``error``."""
+        parser = argparse.ArgumentParser()
+        log.add_cli_flags(parser)
+        cases = {(): logging.WARNING, ("-v",): logging.INFO,
+                 ("-vv",): logging.DEBUG,
+                 ("--log-level", "critical"): logging.CRITICAL,
+                 ("-vv", "--log-level", "warning"): logging.WARNING}
+        real = os.environ
+        os.environ = _EveryVariableSays()
+        try:
+            resolved = {argv: log._resolve_level(args.log_level,
+                                                 args.verbose)
+                        for argv in cases
+                        for args in [parser.parse_args(list(argv))]}
+        finally:
+            os.environ = real
+        assert resolved == cases
 
     def test_cli_flags_round_trip(self):
         parser = argparse.ArgumentParser()

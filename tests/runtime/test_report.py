@@ -29,11 +29,10 @@ class TestSchema:
             assert key in doc, key
 
     def test_env_fingerprint(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "3")
+        monkeypatch.setenv("REPRO_CACHE_FSYNC", "1")
         doc = _collected_report()
         env = doc["env"]
-        assert env["workers"] == 3
-        assert env["repro_env"]["REPRO_WORKERS"] == "3"
+        assert env["repro_env"]["REPRO_CACHE_FSYNC"] == "1"
         assert "numpy" in env["packages"]
         assert env["python"].count(".") >= 1
 

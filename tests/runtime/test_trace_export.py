@@ -60,22 +60,29 @@ class TestSchema:
         assert names.count("work") == 4
         assert names.count("inner") == 4
 
-    def test_thread_metadata_names_main_and_workers(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "2")
+    def test_thread_metadata_names_main_and_workers(self):
         report = _report_for(workers=2)
-        assert report["env"]["workers"] == 2
         events = trace_export.trace_events(report)
         threads = {e["tid"]: e["args"]["name"] for e in events
                    if e["ph"] == "M" and e["name"] == "thread_name"}
         assert threads[0] == "main"
-        assert threads[1] == "worker-0"
-        assert threads[2] == "worker-1"
-        # Worker-task spans actually land on the worker tracks,
-        # alternating by task index.
+        # Worker-task spans land on one track per worker of the pool
+        # that ran them, alternating by task index.
         work = [e for e in events if e["ph"] == "X"
                 and e.get("args", {}).get("worker_task")]
         if work:                 # pool may degrade to serial in sandboxes
             assert {e["tid"] for e in work} == {1, 2}
+            assert threads == {0: "main", 1: "worker-0", 2: "worker-1"}
+
+    def test_tracks_follow_the_pool_that_ran_each_task(self):
+        """The track count is the launching pool's size, not a
+        process-wide setting: a 3-worker map over 4 tasks fills 3."""
+        events = trace_export.trace_events(_report_for(workers=3))
+        work = [e for e in events if e["ph"] == "X"
+                and e.get("args", {}).get("worker_task")]
+        if work:                 # pool may degrade to serial in sandboxes
+            assert [e["tid"] for e in work if e["name"] == "work"] == \
+                [1, 2, 3, 1]
 
     def test_counter_annotations_attached(self):
         report = _report_for(workers=1)

@@ -79,6 +79,13 @@ def grid_run():
     return ens.final_value("out"), crossings
 
 
+def _pin_batch(task):
+    """One input pin's arcs as one ensemble (module-level: picklable)."""
+    from repro.characterization import harness
+    design, pin, points = task
+    return harness.measure_pin_batch(design, pin, points)
+
+
 def _counters(run):
     """``run()``'s result and the telemetry counters it booked."""
     telemetry.reset()
@@ -261,7 +268,8 @@ class TestWholeTimestepLoop:
         assert run()[0] == one[0]
 
     def test_pool_workers_run_one_thread_each(self, monkeypatch):
-        """``REPRO_WORKERS=2``: each worker's kernel calls run one thread.
+        """In a two-worker ``parallel_map`` pool each worker's kernel
+        calls run one thread.
 
         The affinity is widened to four CPUs (fork-started workers
         inherit the patch), so a worker that ignored its budget of one
@@ -277,19 +285,19 @@ class TestWholeTimestepLoop:
                             lambda pid: {0, 1, 2, 3}, raising=False)
         defn = organic_library_definition()
         base = harness.default_grid(defn)
-        grid = harness.CharacterizationGrid(slews=base.slews[:2],
-                                            loads=base.loads[:3])
+        design = defn.cell("nand2")
+        points = [(rise, slew, load) for rise in (True, False)
+                  for load in base.loads[:3] for slew in base.slews[:2]]
+        tasks = [(design, pin, points) for pin in design.inputs]
 
-        def characterize():
-            return harness.characterize_cell(
-                defn.cell("nand2"), grid,
-                area=defn.cell_area("nand2")).to_dict()
+        def characterize(workers):
+            return [r.unwrap() for r in executor.parallel_map(
+                _pin_batch, tasks, workers=workers)]
 
-        serial, serial_counters = _counters(characterize)
+        serial, serial_counters = _counters(lambda: characterize(1))
         assert serial_counters["backend.native.timestep_threads"] > \
             serial_counters["backend.native.timestep_calls"]
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        pooled, counters = _counters(characterize)
+        pooled, counters = _counters(lambda: characterize(2))
         calls = counters["backend.native.timestep_calls"]
         assert calls == serial_counters["backend.native.timestep_calls"] > 0
         assert counters["backend.native.timestep_threads"] == calls
