@@ -18,9 +18,9 @@ the recorded pre-optimisation baselines, and writes the results to
 7. ``dse_sweep`` — the 1008-point batched design-space grid (4
    library/wire combos x 7 data widths x 4 width pairs x depths 9-17)
    from :mod:`repro.analysis.dse`, cold cache — the row the
-   shared-structure synthesis engine and incremental STA
-   (``repro.synthesis.sta.INCREMENTAL``) own; seeded from the
-   pre-incremental path's time of the identical grid,
+   shared-structure synthesis engine and incremental STA own (both
+   always on; ``reset_structure_caches`` clears them before the row);
+   seeded from the pre-incremental path's time of the identical grid,
 8. ``ensemble_newton`` — the solver-backend microbench: 200 fixed-dt
    ensemble Newton timesteps on a 16-member inverter batch, isolating
    the solver-backend dispatch effect from step control and probing

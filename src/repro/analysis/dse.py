@@ -15,7 +15,7 @@ sharing underneath:
 - technology mapping is fingerprint-memoised and extends cached base
   mappings (:func:`repro.synthesis.mapping.map_cached`),
 - STA re-times only the delta against a recorded session
-  (:data:`repro.synthesis.sta.INCREMENTAL`),
+  (:func:`repro.synthesis.sta.static_timing`),
 - block areas come from exact cell counts, memoised per (block, width)
   so both libraries share one count
   (:func:`repro.core.physical._block_counts`): the adder and ALU count

@@ -61,9 +61,9 @@ class CorePhysical:
                                                  default_factory=dict)
 
 
-# Cached netlist timing/area per (library fingerprint, block, width,
+# Cached netlist critical delay per (library fingerprint, block, width,
 # wire model) — in-process memo in front of the persistent result cache.
-_BLOCK_CACHE: dict[tuple, tuple[float, float]] = {}
+_BLOCK_CACHE: dict[tuple, float] = {}
 
 # Generic (pre-mapping) netlists per (block, width): sweeps revisit the
 # same few block shapes for every (library, wire) combo, and the adder
@@ -107,11 +107,11 @@ def reset_structure_caches() -> None:
 def _generic_block(block: str, width: int) -> Netlist:
     """Generic netlist of a named datapath block, memoised per shape.
 
-    Adders reuse structure across widths: when the incremental-STA
-    feature gate is on and a narrower adder with a compatible block
-    boundary is already cached, the wider one is built by
-    :func:`extend_carry_select_adder`, sharing the base's gates so
-    mapping and STA can skip the shared prefix.
+    Adders reuse structure across widths: when a narrower adder with a
+    compatible block boundary is already cached, the wider one is built
+    by :func:`extend_carry_select_adder`, sharing the base's gates so
+    mapping and STA can skip the shared prefix (the oracle is
+    :func:`carry_select_adder`).
     """
     key = (block, width)
     hit = _GENERIC_CACHE.get(key)
@@ -126,11 +126,10 @@ def _generic_block(block: str, width: int) -> Netlist:
     elif block == "adder":
         base = None
         base_w = 0
-        if _sta.INCREMENTAL:
-            for (blk, w0), cand in _GENERIC_CACHE.items():
-                if (blk == "adder" and base_w < w0 < width
-                        and w0 % _CSA_BLOCK == 0):
-                    base, base_w = cand, w0
+        for (blk, w0), cand in _GENERIC_CACHE.items():
+            if (blk == "adder" and base_w < w0 < width
+                    and w0 % _CSA_BLOCK == 0):
+                base, base_w = cand, w0
         if base is not None:
             nl = extend_carry_select_adder(base, width)
         else:
@@ -235,15 +234,15 @@ def _block_area(block: str, width: int, library: Library) -> float:
 
 
 def _block_timing(block: str, width: int, library: Library,
-                  wire: WireModel) -> tuple[float, float]:
-    """(critical delay, gate area) of a named mapped block, cached.
+                  wire: WireModel) -> float:
+    """Critical delay of a named mapped block, cached.
 
     Synthesising and timing the wide datapath blocks is the expensive
     first step of any sweep, so results are memoised both in-process and
     in the persistent result cache (category ``block_timing``; disable
-    with ``REPRO_CACHE=0``).  Schema 2: area switched to the
-    counts-based :func:`_block_area` value (deterministic summation
-    order), so schema-1 entries are never reused.
+    with ``REPRO_CACHE=0``).  Area is priced by :func:`_block_area`
+    alone; schema 3 entries hold only the delay, so schema-2 entries
+    (delay and area) are never reused.
     """
     key = (library.cache_key(), block, width, _sta._wire_state_key(wire))
     hit = _BLOCK_CACHE.get(key)
@@ -253,7 +252,7 @@ def _block_timing(block: str, width: int, library: Library,
     t0 = time.perf_counter() if telemetry.ENABLED else 0.0
     cache = default_cache()
     cache_key = cache.key({
-        "schema": 2,
+        "schema": 3,
         "library": library.cache_key(),
         "block": block,
         "width": width,
@@ -263,20 +262,18 @@ def _block_timing(block: str, width: int, library: Library,
     if telemetry.ENABLED:
         telemetry.time_add("solver.cache", time.perf_counter() - t0)
     if payload is not None:
-        result = (float(payload["delay"]), float(payload["area"]))
-        _BLOCK_CACHE[key] = result
-        return result
+        delay = float(payload["delay"])
+        _BLOCK_CACHE[key] = delay
+        return delay
 
-    netlist = block_netlist(block, width)
-    report = static_timing(netlist, library, wire)
-    result = (report.max_delay, _block_area(block, width, library))
+    delay = static_timing(block_netlist(block, width), library,
+                          wire).max_delay
     t0 = time.perf_counter() if telemetry.ENABLED else 0.0
-    cache.put("block_timing", cache_key,
-              {"delay": result[0], "area": result[1]})
+    cache.put("block_timing", cache_key, {"delay": delay})
     if telemetry.ENABLED:
         telemetry.time_add("solver.cache", time.perf_counter() - t0)
-    _BLOCK_CACHE[key] = result
-    return result
+    _BLOCK_CACHE[key] = delay
+    return delay
 
 
 def region_logic_delays(config: CoreConfig, library: Library,
@@ -304,8 +301,8 @@ def region_logic_delays(config: CoreConfig, library: Library,
     # Block synthesis/timing books its own netlist/mapping/sta/cache
     # stages; only the structure-model arithmetic around it is timed
     # here, so the two never double-count.
-    adder_delay, _ = _block_timing("adder", w, library, wire)
-    alu_delay, _ = _block_timing("alu", w, library, wire)
+    adder_delay = _block_timing("adder", w, library, wire)
+    alu_delay = _block_timing("alu", w, library, wire)
 
     t0 = time.perf_counter() if telemetry.ENABLED else 0.0
     mux_fanin = 1.0 + math.log2(max(config.front_width, 2))

@@ -135,15 +135,9 @@ def map_cached(netlist: Netlist) -> Netlist:
     lowered by extending the cached base mapping over only the suffix
     gates — bit-identical to a fresh :func:`technology_map` because the
     lowering is prefix-stable and the intermediate-net / gate-name
-    counters resume where the base stopped.
-
-    Falls back to (and does not memoise) a plain mapping when
-    :data:`repro.synthesis.sta.INCREMENTAL` is off.
+    counters resume where the base stopped.  The oracle is
+    :func:`technology_map`.
     """
-    from repro.synthesis import sta
-
-    if not sta.INCREMENTAL:
-        return technology_map(netlist)
     fp = netlist.fingerprint()
     hit = _MAP_CACHE.get(fp)
     if hit is not None and hit[2] == len(netlist.gates):

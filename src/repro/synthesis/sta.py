@@ -16,10 +16,10 @@ Three paths compute the same pass (DESIGN §7h):
   below :data:`VECTOR_MIN_GATES` gates or whenever the library's tables
   cannot be batched (``tests/synthesis/test_sta_reference.py`` holds it
   to a plain per-table restatement, bit for bit);
-- the **scalar delta pass**, the same loop from a *base session*: with
-  :data:`INCREMENTAL` on, every pass records its per-net state keyed by
-  the netlist's structural fingerprint, library, wire model and
-  boundary conditions, and a netlist built by :meth:`Netlist.extend`
+- the **scalar delta pass**, the same loop from a *base session*:
+  every pass records its per-net state keyed by the netlist's
+  structural fingerprint, library content, wire model and boundary
+  conditions, and a netlist built by :meth:`Netlist.extend`
   from a timed parent re-times only its dirty cone — gates that are
   new, whose output loading changed, or whose input arrival/slew
   changed bitwise;
@@ -34,14 +34,15 @@ and the ``sta-incremental-agreement`` validation check), and the vector
 pass mirrors the scalar recurrence expression for expression
 (``tests/synthesis/test_sta_vector.py`` and ``sta-vector-vs-scalar``).
 A pass over a structure already timed under the same conditions
-returns the recorded report.
+returns the recorded report.  The full-pass oracle is
+:func:`reset_incremental` followed by a pass over a freshly built
+netlist.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from itertools import count as _counter
 
 import numpy as np
 
@@ -55,35 +56,17 @@ from repro.synthesis.wires import WireModel
 #: Below this gate count the scalar engine wins (array setup dominates).
 VECTOR_MIN_GATES = 2000
 
-#: Incremental delta-retiming and shared-structure synthesis, read at
-#: call time.  Tests and validation patch it to ``False`` to reach the
-#: oracle: every design point rebuilt, mapped and timed from scratch.  A
-#: patched value reaches only fork-started workers.
-INCREMENTAL = True
-
-
 #: Timing sessions for delta-retiming, keyed by (netlist fingerprint,
-#: library token, wire state, input slew, output load).  Bounded LRU:
+#: library content key, wire state, input slew, output load).  Bounded LRU:
 #: a sweep chains through a handful of live sessions; evicting an old
 #: one only costs a full re-time.
 _SESSION_LIMIT = 64
 _SESSIONS: OrderedDict[tuple, dict] = OrderedDict()
 
-_LIB_TOKENS = _counter()
-
 
 def reset_incremental() -> None:
     """Drop all recorded timing sessions (tests/validation isolation)."""
     _SESSIONS.clear()
-
-
-def _library_token(library: Library) -> int:
-    """A process-unique id per library object (cheap session-key part)."""
-    tok = getattr(library, "_sta_token", None)
-    if tok is None:
-        tok = next(_LIB_TOKENS)
-        object.__setattr__(library, "_sta_token", tok)
-    return tok
 
 
 def _wire_state_key(wire: WireModel) -> tuple:
@@ -93,7 +76,7 @@ def _wire_state_key(wire: WireModel) -> tuple:
 
 def _session_key(netlist_fp: str, library: Library, wire: WireModel,
                  input_slew: float, output_load: float | None) -> tuple:
-    return (netlist_fp, _library_token(library), _wire_state_key(wire),
+    return (netlist_fp, library.cache_key(), _wire_state_key(wire),
             input_slew, output_load)
 
 
@@ -179,13 +162,13 @@ def static_timing(netlist: Netlist, library: Library, wire: WireModel,
                   output_load: float | None = None) -> TimingReport:
     """Arrival-time propagation over the mapped netlist.
 
-    With :data:`INCREMENTAL` on, a recorded session can serve the pass.
-    If this netlist was extended from a parent or timed before, an
-    *exact hit* (identical structure and boundary conditions already
-    timed) returns the recorded report as-is.  On the scalar engine, a
-    session of the parent :meth:`Netlist.extend` recorded becomes the
-    base the pass re-times the dirty cone from.  Otherwise the engine
-    re-times every gate.
+    A recorded session can serve the pass.  If this netlist was
+    extended from a parent or timed before, an *exact hit* (identical
+    structure and boundary conditions already timed) returns the
+    recorded report as-is.  On the scalar engine, a session of the
+    parent :meth:`Netlist.extend` recorded becomes the base the pass
+    re-times the dirty cone from.  Otherwise the engine re-times every
+    gate.
     """
     if not netlist.is_mapped:
         raise SynthesisError(
@@ -198,25 +181,24 @@ def static_timing(netlist: Netlist, library: Library, wire: WireModel,
     engine = "vector" if vector else "scalar"
 
     base = None
-    if INCREMENTAL:
-        fp = netlist.fingerprint()
-        base_fp = netlist._base_fingerprint
-        if base_fp or getattr(netlist, "_sta_prev_fp", None):
-            key = _session_key(fp, library, wire, input_slew, output_load)
-            sess = _SESSIONS.get(key)
-            if sess is not None:
-                _SESSIONS.move_to_end(key)
-                if sess["engine"] == engine and sess["n_gates"] == n:
-                    if telemetry.ENABLED:
-                        telemetry.count("sta.runs")
-                        telemetry.count("sta.incremental_hits")
-                    return sess["report"]
-        if not vector and base_fp and base_fp != fp:
-            sess = _SESSIONS.get(_session_key(
-                base_fp, library, wire, input_slew, output_load))
-            if (sess is not None and sess["engine"] == engine
-                    and sess["n_gates"] <= n):
-                base = sess
+    fp = netlist.fingerprint()
+    base_fp = netlist._base_fingerprint
+    if base_fp or getattr(netlist, "_sta_prev_fp", None):
+        key = _session_key(fp, library, wire, input_slew, output_load)
+        sess = _SESSIONS.get(key)
+        if sess is not None:
+            _SESSIONS.move_to_end(key)
+            if sess["engine"] == engine and sess["n_gates"] == n:
+                if telemetry.ENABLED:
+                    telemetry.count("sta.runs")
+                    telemetry.count("sta.incremental_hits")
+                return sess["report"]
+    if not vector and base_fp and base_fp != fp:
+        sess = _SESSIONS.get(_session_key(
+            base_fp, library, wire, input_slew, output_load))
+        if (sess is not None and sess["engine"] == engine
+                and sess["n_gates"] <= n):
+            base = sess
 
     if vector:
         session = _vector_timing(netlist, library, wire, input_slew,
@@ -224,11 +206,9 @@ def static_timing(netlist: Netlist, library: Library, wire: WireModel,
     else:
         session = _scalar_timing(netlist, library, wire, input_slew,
                                  output_load, base)
-    if INCREMENTAL:
-        _record_session(
-            _session_key(fp, library, wire, input_slew, output_load),
-            session)
-        netlist._sta_prev_fp = fp
+    _record_session(
+        _session_key(fp, library, wire, input_slew, output_load), session)
+    netlist._sta_prev_fp = fp
     return session["report"]
 
 

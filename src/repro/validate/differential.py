@@ -315,15 +315,15 @@ def sta_vector_vs_scalar(ctx: CheckContext) -> str:
 def sta_incremental_agreement(ctx: CheckContext) -> str:
     """Incremental delta-retiming == full re-time, bit for bit.
 
-    Grows a carry-select adder through a width chain with the
-    incremental gate on (copy-on-extend netlists, memoised mapping,
-    session-based delta STA) and diffs every report field against a
-    fresh synthesis timed with the gate off.  Each extension is timed
-    under a second wire model before the chain's own, so sessions of
-    one wire must never serve the other.  The contract is bitwise
-    identity — ``==``, no tolerance.  Only the scalar engine re-times
-    from a base; the vector engine always runs a full pass, which
-    ``sta-vector-vs-scalar`` checks against the scalar oracle.
+    Grows a carry-select adder through a width chain (copy-on-extend
+    netlists, memoised mapping, session-based delta STA) and diffs
+    every report field against a fresh synthesis timed on a cleared
+    session store.  Each extension is timed under a second wire model
+    before the chain's own, so sessions of one wire must never serve the
+    other.  The contract is bitwise identity — ``==``, no tolerance.
+    Only the scalar engine re-times from a base; the vector engine
+    always runs a full pass, which ``sta-vector-vs-scalar`` checks
+    against the scalar oracle.
     """
     import repro.synthesis.sta as sta
     from repro.synthesis.generators import (
@@ -343,34 +343,32 @@ def sta_incremental_agreement(ctx: CheckContext) -> str:
 
     compared = 0
     with swap_attr(sta, "VECTOR_MIN_GATES", 10 ** 9):
-        with swap_attr(sta, "INCREMENTAL", True):
-            sta.reset_incremental()
-            reset_map_cache()
-            base = carry_select_adder(widths[0])
-            incremental = {(widths[0], wire): sta.static_timing(
-                map_cached(base), library, wire)}
-            for w in widths[1:]:
-                base = extend_carry_select_adder(base, w)
-                for wm in (other, wire):
-                    incremental[w, wm] = sta.static_timing(
-                        map_cached(base), library, wm)
-            expect(len(sta._SESSIONS) > 0,
-                   "no sessions recorded with the gate on")
-        with swap_attr(sta, "INCREMENTAL", False):
-            sta.reset_incremental()
-            for (w, wm), inc in incremental.items():
-                full = sta.static_timing(
-                    technology_map(carry_select_adder(w)), library, wm)
-                where = f"csa{w}/{wm.name}"
-                expect(inc.max_delay == full.max_delay,
-                       f"{where}: max_delay diverges "
-                       f"({inc.max_delay!r} != {full.max_delay!r})")
-                expect(inc.critical_path == full.critical_path,
-                       f"{where}: critical paths diverge")
-                for attr in ("arrival", "slew", "load", "gate_delay"):
-                    expect(getattr(inc, attr) == getattr(full, attr),
-                           f"{where}: {attr} not bit-identical")
-                compared += 1
+        sta.reset_incremental()
+        reset_map_cache()
+        base = carry_select_adder(widths[0])
+        incremental = {(widths[0], wire): sta.static_timing(
+            map_cached(base), library, wire)}
+        for w in widths[1:]:
+            base = extend_carry_select_adder(base, w)
+            for wm in (other, wire):
+                incremental[w, wm] = sta.static_timing(
+                    map_cached(base), library, wm)
+        expect(len(sta._SESSIONS) == len(incremental),
+               "the width chain did not record one session per pass")
+        sta.reset_incremental()
+        for (w, wm), inc in incremental.items():
+            full = sta.static_timing(
+                technology_map(carry_select_adder(w)), library, wm)
+            where = f"csa{w}/{wm.name}"
+            expect(inc.max_delay == full.max_delay,
+                   f"{where}: max_delay diverges "
+                   f"({inc.max_delay!r} != {full.max_delay!r})")
+            expect(inc.critical_path == full.critical_path,
+                   f"{where}: critical paths diverge")
+            for attr in ("arrival", "slew", "load", "gate_delay"):
+                expect(getattr(inc, attr) == getattr(full, attr),
+                       f"{where}: {attr} not bit-identical")
+            compared += 1
     sta.reset_incremental()
     reset_map_cache()
     return (f"{compared} width x wire points bit-identical across "

@@ -1,6 +1,9 @@
-"""Batched DSE driver: grid shape, determinism, and mode equivalence."""
+"""Batched DSE driver: grid shape, determinism, and equality with a cold
+per-point rebuild."""
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
@@ -15,10 +18,10 @@ from repro.analysis.dse import (
     dse_sweep,
 )
 from repro.characterization import organic_library
-from repro.core.physical import reset_structure_caches
+from repro.core.physical import core_physical, reset_structure_caches
 from repro.core.tradeoffs import make_traces
 from repro.errors import ConfigError
-from repro.synthesis import sta
+from repro.runtime import telemetry
 from repro.synthesis.wires import organic_wire_model
 
 
@@ -33,8 +36,7 @@ def _tiny_sweep(combos, traces, **kw):
 
 
 @pytest.fixture()
-def _fresh_structures(monkeypatch):
-    monkeypatch.setattr(sta, "INCREMENTAL", True)
+def _fresh_structures():
     reset_structure_caches()
     yield
     reset_structure_caches()
@@ -92,25 +94,26 @@ def test_combo_accessors(tiny_traces, _fresh_structures):
             >= p.physical.frequency
 
 
-def test_incremental_matches_full_retime(tiny_traces, monkeypatch):
-    """The whole tiny grid, bit-identical across the feature gate."""
+def test_grid_matches_cold_rebuild(tiny_traces, _fresh_structures,
+                                   monkeypatch):
+    """A grid over widths 8, 12 and 16, whose adders extend one another
+    and are re-timed as deltas, equals field for field a rebuild of each
+    point on cleared memos."""
+    monkeypatch.setenv("REPRO_CACHE", "0")
     lib, wire = organic_library(), organic_wire_model()
-    results = {}
-    for mode in (True, False):
-        monkeypatch.setattr(sta, "INCREMENTAL", mode)
+    with telemetry.collecting():
+        result = dse_sweep(combos=[("organic", lib, wire)],
+                           widths=(8, 12, 16), width_pairs=((2, 4),),
+                           max_depth=11, traces=tiny_traces, workers=1)
+    counters = telemetry.counters()
+    assert counters["sta.incremental_runs"] > 0
+    assert counters["sta.retimed_gates"] < counters["sta.gates"]
+    for point in result.points:
         reset_structure_caches()
-        results[mode] = dse_sweep(
-            combos=[("organic", lib, wire)], widths=(8, 12),
-            width_pairs=((2, 4),), max_depth=12, traces=tiny_traces)
-    reset_structure_caches()
-    assert len(results[True]) == len(results[False])
-    for p1, p0 in zip(results[True].points, results[False].points):
-        assert p1.config == p0.config
-        assert p1.physical.period == p0.physical.period
-        assert p1.physical.area == p0.physical.area
-        assert p1.physical.critical_region == p0.physical.critical_region
-        assert p1.ipc == p0.ipc
-        assert p1.performance == p0.performance
+        cold = core_physical(point.config, lib, wire)
+        for f in dataclasses.fields(cold):
+            assert getattr(point.physical, f.name) == getattr(cold, f.name), \
+                (point.config.name, point.config.depth, f.name)
 
 
 def test_determinism(tiny_traces, _fresh_structures):
@@ -124,31 +127,9 @@ def test_determinism(tiny_traces, _fresh_structures):
             for p in r2.points]
 
 
-def test_sweep_shares_structures(tiny_traces, _fresh_structures,
-                                 monkeypatch):
-    """The grid actually exercises the incremental machinery."""
-    from repro.runtime import telemetry
-    monkeypatch.setenv("REPRO_CACHE", "0")
-    lib, wire = organic_library(), organic_wire_model()
-    telemetry.enable(True)
-    try:
-        dse_sweep(combos=[("organic", lib, wire)], widths=(8, 12, 16),
-                  width_pairs=((2, 4),), max_depth=13, traces=tiny_traces,
-                  workers=1)                 # keep counters in-process
-        counters = telemetry.counters()
-    finally:
-        telemetry.enable(False)
-    # Delta re-times happened, and they touched fewer gates than a full
-    # pass over the same netlists would have.
-    assert counters.get("sta.incremental_runs", 0) > 0
-    assert counters["sta.retimed_gates"] < counters["sta.gates"]
-
-
 def test_dse_cli_quick(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.setattr(sta, "INCREMENTAL", True)
     reset_structure_caches()
-    sta.reset_incremental()
     from repro.__main__ import main
     assert main(["dse", "--quick", "--no-report"]) == 0
     out = capsys.readouterr().out

@@ -13,7 +13,6 @@ import pytest
 from repro.characterization import organic_library, silicon_library
 from repro.runtime import progress, telemetry
 from repro.spice.backends import NativeBackend, get_backend
-from repro.synthesis import sta
 from repro.synthesis.wires import organic_wire_model, silicon_wire_model
 
 #: Oracle legs.  Every non-slow test under these paths runs twice: once
@@ -23,16 +22,15 @@ from repro.synthesis.wires import organic_wire_model, silicon_wire_model
 #: reach it only by building a library (``tests/analysis/test_dse.py``)
 #: are left out, since their twins would rebuild both libraries on the
 #: per-iteration kernel and test nothing the SPICE twins do not.
+#: Structure sharing (STA sessions, the mapping memo, copy-on-extend
+#: adders) has no leg: its oracle is a cleared memo, which the tests
+#: reach directly (``sta.reset_incremental()``, ``technology_map``,
+#: ``carry_select_adder``, ``reset_structure_caches()``).
 ORACLE_LEGS = {
     "per-iteration": (
         "tests/characterization/test_ensemble_equivalence.py",
         "tests/spice/test_backends.py",
         "tests/spice/test_ensemble.py",
-    ),
-    "full-retime": (
-        "tests/synthesis/",
-        "tests/analysis/test_dse.py",
-        "tests/core/test_physical_tradeoffs.py",
     ),
 }
 
@@ -72,12 +70,9 @@ def _oracle_leg(request, monkeypatch):
     marker = request.node.get_closest_marker("oracle_leg")
     if marker is None:
         return
-    if marker.args[0] == "per-iteration":
-        if get_backend().name != "native":
-            pytest.skip("per-iteration dispatch needs the native backend")
-        monkeypatch.setattr(NativeBackend, "whole_timestep", False)
-    else:
-        monkeypatch.setattr(sta, "INCREMENTAL", False)
+    if get_backend().name != "native":
+        pytest.skip("per-iteration dispatch needs the native backend")
+    monkeypatch.setattr(NativeBackend, "whole_timestep", False)
 
 
 @pytest.fixture(autouse=True)

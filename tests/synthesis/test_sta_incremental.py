@@ -3,20 +3,22 @@
 The contract under test is *bit-identical results*: the incremental
 path must reproduce the full re-time path exactly — every arrival,
 slew, load, per-gate delay, the critical path and the max delay —
-across copy-on-extend construction, in-place edits and the
-feature-gate fallback.  The scalar engine re-times an extension from
-its parent's session; the vector engine and an in-place edit re-time
-in full.  Tolerance-free comparisons throughout.
+across copy-on-extend construction and in-place edits.  The scalar
+engine re-times an extension from its parent's session; the vector
+engine and an in-place edit re-time in full.  The oracle is a full pass
+on a cleared session store.  Tolerance-free comparisons throughout.
 """
 
 from __future__ import annotations
 
+import copy
 from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.characterization.library import Library
 from repro.errors import SynthesisError
 from repro.runtime import telemetry
 from repro.synthesis import sta
@@ -36,9 +38,8 @@ from repro.synthesis.netlist import LIBRARY_CELLS
 
 
 @pytest.fixture(autouse=True)
-def _incremental_isolation(monkeypatch):
-    """Fresh sessions + the feature gate on, for every test here."""
-    monkeypatch.setattr(sta, "INCREMENTAL", True)
+def _incremental_isolation():
+    """Fresh sessions and mapping memo for every test here."""
     sta.reset_incremental()
     reset_map_cache()
     yield
@@ -55,11 +56,16 @@ def _assert_reports_identical(got, want):
     assert got.gate_delay == want.gate_delay
 
 
-def _full_retime(netlist, library, wire, monkeypatch):
-    """Oracle: the non-incremental path on a fresh session store."""
-    with monkeypatch.context() as m:
-        m.setattr(sta, "INCREMENTAL", False)
-        return sta.static_timing(netlist, library, wire)
+def _full_retime(netlist, library, wire):
+    """Oracle: a full pass on a cleared session store, which leaves no
+    recorded report or base session for the pass to reuse."""
+    sta.reset_incremental()
+    with telemetry.collecting():
+        report = sta.static_timing(netlist, library, wire)
+    counters = telemetry.counters()
+    assert "sta.incremental_runs" not in counters
+    assert counters["sta.retimed_gates"] == counters["sta.gates"]
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -67,8 +73,7 @@ def _full_retime(netlist, library, wire, monkeypatch):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("base_w,ext_w", [(8, 12), (8, 16), (16, 24)])
-def test_scalar_extension_bitwise(base_w, ext_w, organic_lib, organic_wire,
-                                  monkeypatch):
+def test_scalar_extension_bitwise(base_w, ext_w, organic_lib, organic_wire):
     base = carry_select_adder(base_w)
     mapped_base = map_cached(base)
     sta.static_timing(mapped_base, organic_lib, organic_wire)
@@ -77,12 +82,11 @@ def test_scalar_extension_bitwise(base_w, ext_w, organic_lib, organic_wire,
     got = sta.static_timing(map_cached(ext), organic_lib, organic_wire)
 
     fresh = technology_map(carry_select_adder(ext_w))
-    want = _full_retime(fresh, organic_lib, organic_wire, monkeypatch)
+    want = _full_retime(fresh, organic_lib, organic_wire)
     _assert_reports_identical(got, want)
 
 
-def test_scalar_in_place_edit_bitwise(organic_lib, organic_wire,
-                                      monkeypatch):
+def test_scalar_in_place_edit_bitwise(organic_lib, organic_wire):
     """Editing a timed netlist in place re-times it in full."""
     nl = technology_map(ripple_carry_adder(8))
     sta.static_timing(nl, organic_lib, organic_wire)
@@ -97,8 +101,7 @@ def test_scalar_in_place_edit_bitwise(organic_lib, organic_wire,
     assert "sta.incremental_runs" not in counters
     assert counters["sta.retimed_gates"] == counters["sta.gates"]
 
-    sta.reset_incremental()
-    want = _full_retime(nl, organic_lib, organic_wire, monkeypatch)
+    want = _full_retime(nl, organic_lib, organic_wire)
     _assert_reports_identical(got, want)
 
 
@@ -134,7 +137,7 @@ def test_vector_extension_bitwise(base_w, ext_w, other_wire_first,
     got = sta.static_timing(mapped_ext, organic_lib, organic_wire)
 
     fresh = technology_map(carry_select_adder(ext_w))
-    want = _full_retime(fresh, organic_lib, organic_wire, monkeypatch)
+    want = _full_retime(fresh, organic_lib, organic_wire)
     _assert_reports_identical(got, want)
 
 
@@ -155,7 +158,7 @@ def test_vector_extension_retimes_in_full(organic_lib, organic_wire,
     assert counters["sta.nldm_lookups"] > 0
 
     fresh = technology_map(carry_select_adder(20))
-    want = _full_retime(fresh, organic_lib, organic_wire, monkeypatch)
+    want = _full_retime(fresh, organic_lib, organic_wire)
     _assert_reports_identical(got, want)
 
 
@@ -196,8 +199,7 @@ def test_engine_mismatch_falls_back_to_full(organic_lib, organic_wire,
 # Session keying: no collisions across wires, loads, libraries
 # ---------------------------------------------------------------------------
 
-def test_sessions_keyed_by_wire_model(organic_lib, organic_wire,
-                                      monkeypatch):
+def test_sessions_keyed_by_wire_model(organic_lib, organic_wire):
     """Re-timing the same netlist under a scaled wire model must not
     reuse the other wire's session."""
     nl = technology_map(carry_select_adder(8))
@@ -206,20 +208,40 @@ def test_sessions_keyed_by_wire_model(organic_lib, organic_wire,
     r_half_wire = sta.static_timing(nl, organic_lib, half_wire)
     assert r_full_wire.max_delay != r_half_wire.max_delay
 
-    want_full = _full_retime(nl, organic_lib, organic_wire, monkeypatch)
-    want_half = _full_retime(nl, organic_lib, half_wire, monkeypatch)
+    want_full = _full_retime(nl, organic_lib, organic_wire)
+    want_half = _full_retime(nl, organic_lib, half_wire)
     _assert_reports_identical(r_full_wire, want_full)
     _assert_reports_identical(r_half_wire, want_half)
 
 
 def test_sessions_keyed_by_library(organic_lib, silicon_lib, organic_wire,
-                                   silicon_wire, monkeypatch):
+                                   silicon_wire):
     nl = technology_map(carry_select_adder(8))
     r_org = sta.static_timing(nl, organic_lib, organic_wire)
     r_sil = sta.static_timing(nl, silicon_lib, silicon_wire)
     assert r_org.max_delay != r_sil.max_delay
     _assert_reports_identical(
-        r_sil, _full_retime(nl, silicon_lib, silicon_wire, monkeypatch))
+        r_sil, _full_retime(nl, silicon_lib, silicon_wire))
+
+
+def test_sessions_keyed_by_library_content(organic_lib, organic_wire):
+    """Two library objects built from one ``to_dict()`` share sessions;
+    a library that differs in one NLDM value gets a pass of its own."""
+    data = organic_lib.to_dict()
+    nl = technology_map(carry_select_adder(8))
+    first = sta.static_timing(nl, Library.from_dict(data), organic_wire)
+    with telemetry.collecting():
+        again = sta.static_timing(nl, Library.from_dict(data), organic_wire)
+    assert telemetry.counters()["sta.incremental_hits"] == 1
+    assert again is first
+
+    changed = copy.deepcopy(data)
+    changed["cells"]["inv"]["arcs"][0]["delay"]["values"][0][0] *= 1.5
+    with telemetry.collecting():
+        sta.static_timing(nl, Library.from_dict(changed), organic_wire)
+    counters = telemetry.counters()
+    assert "sta.incremental_hits" not in counters
+    assert counters["sta.retimed_gates"] == counters["sta.gates"]
 
 
 def test_fingerprints_distinguish_widths():
@@ -240,29 +262,8 @@ def test_fingerprint_tracks_edits():
 
 
 # ---------------------------------------------------------------------------
-# Feature gate
+# Session store
 # ---------------------------------------------------------------------------
-
-def test_disabled_gate_records_no_sessions(organic_lib, organic_wire,
-                                           monkeypatch):
-    monkeypatch.setattr(sta, "INCREMENTAL", False)
-    sta.reset_incremental()
-    nl = technology_map(ripple_carry_adder(8))
-    r1 = sta.static_timing(nl, organic_lib, organic_wire)
-    r2 = sta.static_timing(nl, organic_lib, organic_wire)
-    assert r1 is not r2                     # no exact-repeat shortcut
-    _assert_reports_identical(r1, r2)
-    assert len(sta._SESSIONS) == 0
-
-
-def test_map_cached_disabled_gate_maps_fresh(monkeypatch):
-    monkeypatch.setattr(sta, "INCREMENTAL", False)
-    nl = ripple_carry_adder(8)
-    m1 = map_cached(nl)
-    m2 = map_cached(nl)
-    assert m1 is not m2
-    assert list(m1.gates) == list(m2.gates)
-
 
 def test_session_store_is_bounded(organic_lib, organic_wire):
     nl = technology_map(ripple_carry_adder(4))
@@ -282,8 +283,7 @@ _CELL_ARITY = {"inv": 1, "nand2": 2, "nor2": 2, "nand3": 3, "nor3": 3}
 @settings(max_examples=15, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.data())
-def test_random_extension_bitwise(organic_lib, organic_wire, monkeypatch,
-                                  data):
+def test_random_extension_bitwise(organic_lib, organic_wire, data):
     """Random library-cell extensions of a timed base re-time bitwise."""
     sta.reset_incremental()
     base = technology_map(ripple_carry_adder(4))
@@ -305,7 +305,7 @@ def test_random_extension_bitwise(organic_lib, organic_wire, monkeypatch,
         n for n in extra_pos if n not in base.primary_outputs])
 
     got = sta.static_timing(ext, organic_lib, organic_wire)
-    want = _full_retime(ext, organic_lib, organic_wire, monkeypatch)
+    want = _full_retime(ext, organic_lib, organic_wire)
     _assert_reports_identical(got, want)
 
 
@@ -313,8 +313,7 @@ def test_random_extension_bitwise(organic_lib, organic_wire, monkeypatch,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(widths=st.lists(st.sampled_from([8, 12, 16, 20, 24]),
                        min_size=2, max_size=4, unique=True))
-def test_random_width_chain_bitwise(organic_lib, organic_wire, monkeypatch,
-                                    widths):
+def test_random_width_chain_bitwise(organic_lib, organic_wire, widths):
     """A growing CSA chain matches fresh synthesis at every step."""
     sta.reset_incremental()
     reset_map_cache()
@@ -325,7 +324,7 @@ def test_random_width_chain_bitwise(organic_lib, organic_wire, monkeypatch,
             nl = extend_carry_select_adder(nl, w)
         got = sta.static_timing(map_cached(nl), organic_lib, organic_wire)
         fresh = technology_map(carry_select_adder(w))
-        want = _full_retime(fresh, organic_lib, organic_wire, monkeypatch)
+        want = _full_retime(fresh, organic_lib, organic_wire)
         _assert_reports_identical(got, want)
 
 
@@ -341,6 +340,22 @@ def test_extend_csa_requires_block_boundary():
         extend_carry_select_adder(carry_select_adder(8), 8)
     with pytest.raises(SynthesisError):
         extend_carry_select_adder(ripple_carry_adder(8), 12)
+
+
+@pytest.mark.parametrize("base_w,ext_w", [(4, 8), (8, 12), (8, 32),
+                                           (16, 18)])
+def test_extended_adder_matches_fresh(base_w, ext_w):
+    """Copy-on-extend builds a fresh adder gate for gate: same names,
+    cells, pins and order, same outputs; only the inputs' insertion
+    order differs."""
+    got = extend_carry_select_adder(carry_select_adder(base_w), ext_w)
+    want = carry_select_adder(ext_w)
+    assert [(g.name, g.cell, g.inputs, g.output)
+            for g in got.gates.values()] == \
+           [(g.name, g.cell, g.inputs, g.output)
+            for g in want.gates.values()]
+    assert got.primary_outputs == want.primary_outputs
+    assert sorted(got.primary_inputs) == sorted(want.primary_inputs)
 
 
 def test_extended_mapping_matches_fresh():

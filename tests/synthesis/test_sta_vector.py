@@ -114,7 +114,7 @@ def test_unbatchable_library_times_on_scalar_engine(defect, organic_lib,
     assert "sta.vector_runs" not in counters
 
     monkeypatch.setattr(sta, "VECTOR_MIN_GATES", 10 ** 9)
-    monkeypatch.setattr(sta, "INCREMENTAL", False)
+    sta.reset_incremental()
     want = static_timing(netlist, library, organic_wire)
     assert got.max_delay == want.max_delay
     assert got.critical_path == want.critical_path
@@ -133,7 +133,7 @@ def test_output_change_re_encodes(organic_lib, organic_wire, monkeypatch):
 
     fresh = technology_map(carry_select_adder(16))
     fresh.set_outputs(fresh.primary_outputs[:3])
-    monkeypatch.setattr(sta, "INCREMENTAL", False)
+    sta.reset_incremental()
     want = static_timing(fresh, organic_lib, organic_wire)
     assert got.max_delay == want.max_delay
     assert got.load == want.load
