@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.characterization import organic_library, silicon_library
+from repro.core.physical import reset_structure_caches
 from repro.runtime import progress, telemetry
 from repro.spice.backends import NativeBackend, get_backend
 from repro.synthesis.wires import organic_wire_model, silicon_wire_model
@@ -22,15 +23,21 @@ from repro.synthesis.wires import organic_wire_model, silicon_wire_model
 #: reach it only by building a library (``tests/analysis/test_dse.py``)
 #: are left out, since their twins would rebuild both libraries on the
 #: per-iteration kernel and test nothing the SPICE twins do not.
-#: Structure sharing (STA sessions, the mapping memo, copy-on-extend
-#: adders) has no leg: its oracle is a cleared memo, which the tests
-#: reach directly (``sta.reset_incremental()``, ``technology_map``,
-#: ``carry_select_adder``, ``reset_structure_caches()``).
+#: ``cold-memo`` holds the modules that reach structure sharing (STA
+#: sessions, the mapping memo, copy-on-extend adders).  Sharing has no
+#: switch: its oracle is a cleared memo, so each twin starts from
+#: ``reset_structure_caches()`` and must reach the same results without
+#: the structures earlier tests left behind.
 ORACLE_LEGS = {
     "per-iteration": (
         "tests/characterization/test_ensemble_equivalence.py",
         "tests/spice/test_backends.py",
         "tests/spice/test_ensemble.py",
+    ),
+    "cold-memo": (
+        "tests/synthesis/",
+        "tests/analysis/test_dse.py",
+        "tests/core/test_physical_tradeoffs.py",
     ),
 }
 
@@ -69,6 +76,9 @@ def _twin(item, leg: str):
 def _oracle_leg(request, monkeypatch):
     marker = request.node.get_closest_marker("oracle_leg")
     if marker is None:
+        return
+    if marker.args[0] == "cold-memo":
+        reset_structure_caches()
         return
     if get_backend().name != "native":
         pytest.skip("per-iteration dispatch needs the native backend")
