@@ -5,17 +5,20 @@ Usage::
     python -m repro list                 # available experiments
     python -m repro fig3                 # one experiment
     python -m repro fig12 fig15          # several
+    python -m repro dse --quick          # design-space exploration grid
     python -m repro liberty out.lib --process organic
     python -m repro cache-stats          # persistent result-cache usage
     python -m repro report               # pretty-print the latest run report
+    python -m repro trace [REPORT]       # Chrome trace of a run report
     python -m repro validate --fast      # differential validation + faults
 
 Heavy experiments (fig11, fig13) accept ``--quick`` to shorten traces.
 
-Every experiment run collects telemetry (hierarchical spans, solver and
-cache metrics — see :mod:`repro.runtime.telemetry`) and writes a JSON
-run report under ``runs/`` (``--report PATH`` overrides the location,
-``--no-report`` skips it).  ``-v``/``-vv``/``--log-level`` control
+Every experiment and validate run collects telemetry (hierarchical
+spans, solver and cache metrics — see :mod:`repro.runtime.telemetry`)
+and writes a JSON run report under ``runs/`` (``--report PATH``
+overrides the location, ``--no-report`` skips it, ``--trace [PATH]``
+also exports its Chrome trace).  ``-v``/``-vv``/``--log-level`` control
 library logging.
 """
 
@@ -24,6 +27,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from pathlib import Path
 
 from repro.analysis import figures as F
 from repro.analysis.tables import format_matrix, format_series, format_table
@@ -173,41 +177,30 @@ def _run_validate(args, argv: list[str] | None = None) -> int:
 
     Runs the registered checks (:mod:`repro.validate`) in fast mode by
     default (``--full`` for the larger nightly samples), prints the
-    per-check report, and exits nonzero when any check failed.  Like
-    the experiment commands it collects telemetry and lands a schema-v1
-    run report under ``runs/`` (``--report PATH`` overrides the
-    location, ``--no-report`` skips it); the check outcomes are
-    embedded under the report's ``validation`` key so the run-history
-    index sees validation runs too.
+    per-check report, and exits nonzero when any check failed.  Its run
+    report is an experiment's (:func:`_run_reported`) with the check
+    outcomes under the ``validation`` key.
     """
     from repro.validate import run_validation
+    from repro.validate.checks import registered_checks
 
     only = args.only.split(",") if args.only else None
-    telemetry.reset()
-    telemetry.enable(True)
-    repro_log.capture_warnings()
-    t0 = time.perf_counter()
     try:
+        registered_checks(fast=not args.full, only=only)
+    except ValueError as exc:          # unknown --only name
+        print(exc)
+        return 2
+
+    def body() -> tuple[int, str, dict]:
         with telemetry.span("validate"):
             report = run_validation(fast=not args.full, seed=args.seed,
                                     only=only)
-    except ValueError as exc:          # unknown --only name
-        telemetry.enable(False)
-        print(exc)
-        return 2
-    duration = time.perf_counter() - t0
-    print(report.format())
-    if not args.no_report:
-        doc = run_report.build_report(
-            "validate", argv=argv,
-            status="ok" if report.ok else "check-failed",
-            duration_seconds=duration)
-        doc["validation"] = report.to_dict()
-        path = run_report.write_report(doc, path=args.report)
-        print(f"run report: {path}")
-        _maybe_write_trace(args, doc, path)
-    telemetry.enable(False)
-    return 0 if report.ok else 1
+        print(report.format())
+        return (0 if report.ok else 1,
+                "ok" if report.ok else "check-failed",
+                {"validation": report.to_dict()})
+
+    return _run_reported("validate", body, args, argv)
 
 
 def _run_dse(args) -> None:
@@ -242,7 +235,7 @@ def _maybe_write_trace(args, report: dict, report_path) -> None:
     """Honour ``--trace [PATH]``: export the Chrome trace for *report*."""
     from repro.runtime import trace_export
 
-    if not getattr(args, "trace", None):
+    if not args.trace:
         return
     if args.trace is True:
         if report_path is None:
@@ -255,28 +248,43 @@ def _maybe_write_trace(args, report: dict, report_path) -> None:
     print(f"trace: {path}")
 
 
-def _run_trace(argv: list[str]) -> int:
-    """Post-hoc trace conversion (``python -m repro trace <report>``)."""
+def _load_report(path: str | None) -> tuple[Path, dict] | None:
+    """The run report at *path*, else the latest under ``runs/``.
+
+    Prints why and returns None when there is none or it is unreadable.
+    """
     import json
 
+    found = Path(path) if path else run_report.latest_report_path()
+    if found is None:
+        print(f"no run reports found under {run_report.default_runs_dir()}")
+        return None
+    try:
+        return found, json.loads(found.read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        print(f"cannot read {found}: {exc}")
+        return None
+
+
+def _run_trace(argv: list[str]) -> int:
+    """Post-hoc trace conversion (``python -m repro trace [REPORT]``)."""
     from repro.runtime import trace_export
 
     parser = argparse.ArgumentParser(
         prog="python -m repro trace",
         description="Convert a saved run report to Chrome Trace Event "
                     "JSON (chrome://tracing, ui.perfetto.dev)")
-    parser.add_argument("report", help="run-report JSON path, or a "
-                                       "history reference like -1")
+    parser.add_argument("report", nargs="?", default=None,
+                        help="run-report JSON path (default: the latest "
+                             "report under runs/)")
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="trace output path (default: "
                              "<report>.trace.json beside the report)")
     args = parser.parse_args(argv)
-    from repro.runtime import history
-    try:
-        path, report = history.resolve_report(args.report)
-    except (OSError, json.JSONDecodeError, FileNotFoundError) as exc:
-        print(f"cannot read report {args.report!r}: {exc}")
+    loaded = _load_report(args.report)
+    if loaded is None:
         return 1
+    path, report = loaded
     out = args.out or trace_export.default_trace_path(path)
     out = trace_export.write_trace(report, out)
     events = len(trace_export.trace_events(report))
@@ -284,108 +292,12 @@ def _run_trace(argv: list[str]) -> int:
     return 0
 
 
-def _run_perf(argv: list[str]) -> int:
-    """Run-history analytics (``python -m repro perf ...``)."""
-    import json
-
-    from repro.runtime import history
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro perf",
-        description="Run-over-run performance analytics over the "
-                    "runs/ history index")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_list = sub.add_parser("list", help="recent runs from the index")
-    p_list.add_argument("-n", "--limit", type=int, default=20)
-
-    p_diff = sub.add_parser("diff", help="span/benchmark deltas A -> B")
-    p_diff.add_argument("a", help="report path, -N ordinal, or substring")
-    p_diff.add_argument("b", help="report path, -N ordinal, or substring")
-    p_diff.add_argument("--threshold", type=float,
-                        default=history.DIFF_THRESHOLD,
-                        help="relative slowdown that flags a row "
-                             "(default 0.10)")
-    p_diff.add_argument("--all", action="store_true",
-                        help="show every row and counter delta")
-    p_diff.add_argument("--strict", action="store_true",
-                        help="exit 1 when any row is flagged")
-
-    p_trend = sub.add_parser("trend", help="one benchmark across history")
-    p_trend.add_argument("bench", help="benchmark name (e.g. dse_sweep)")
-    p_trend.add_argument("-n", "--limit", type=int, default=20)
-    p_trend.add_argument("--all-envs", action="store_true",
-                         help="include entries from other machines")
-
-    args = parser.parse_args(argv)
-
-    if args.command == "list":
-        entries = history.load_entries()
-        if not entries:
-            print(f"empty history index: {history.default_history_path()}")
-            return 0
-        for entry in entries[-args.limit:]:
-            duration = entry.get("duration_seconds")
-            dur = f" {duration:.2f}s" if duration is not None else ""
-            benches = entry.get("benchmarks")
-            extra = f" [{len(benches)} benchmarks]" if benches else ""
-            print(f"{entry.get('timestamp', '?')}  "
-                  f"{entry.get('target', '?'):<12} "
-                  f"{entry.get('status', '?'):<12}{dur}  "
-                  f"env={entry.get('env_key', '?')}{extra}  "
-                  f"{entry.get('path', '')}")
-        return 0
-
-    if args.command == "diff":
-        try:
-            path_a, rep_a = history.resolve_report(args.a)
-            path_b, rep_b = history.resolve_report(args.b)
-        except (OSError, json.JSONDecodeError, FileNotFoundError) as exc:
-            print(f"perf diff: {exc}")
-            return 2
-        print(f"A: {path_a}\nB: {path_b}")
-        diff = history.diff_reports(rep_a, rep_b,
-                                    threshold=args.threshold)
-        print(history.format_diff(diff, verbose=args.all))
-        return 1 if args.strict and diff["flags"] else 0
-
-    # trend
-    entries = history.load_entries()
-    current = history.env_key(run_report.env_fingerprint())
-    rows = []
-    for entry in entries:
-        seconds = (entry.get("benchmarks") or {}).get(args.bench)
-        if seconds is None:
-            continue
-        if not args.all_envs and entry.get("env_key") != current:
-            continue
-        rows.append((entry.get("timestamp", "?"), seconds,
-                     entry.get("env_key", "?")))
-    if not rows:
-        print(f"no history entries carry benchmark {args.bench!r} "
-              f"(env {current}; try --all-envs)")
-        return 1
-    rows = rows[-args.limit:]
-    best = min(seconds for _, seconds, _ in rows)
-    for stamp, seconds, key in rows:
-        bar = "#" * max(1, round(20 * best / seconds))
-        print(f"{stamp}  {seconds:8.4f}s  env={key}  {bar}")
-    return 0
-
-
 def _run_report(args) -> int:
     """Pretty-print the most recent run report (the ``report`` command)."""
-    import json
-
-    path = run_report.latest_report_path()
-    if path is None:
-        print(f"no run reports found under {run_report.default_runs_dir()}")
+    loaded = _load_report(None)
+    if loaded is None:
         return 1
-    try:
-        report = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"cannot read {path}: {exc}")
-        return 1
+    path, report = loaded
     print(f"[{path}]")
     print(run_report.format_report(report))
     return 0
@@ -399,49 +311,56 @@ EXPERIMENTS = {
 }
 
 
-def _run_experiments(targets: list[str], args,
-                     argv: list[str] | None) -> int:
-    """Run experiments under telemetry and emit one run report.
+def _run_reported(target: str, body, args, argv: list[str] | None) -> int:
+    """Run ``body()`` under telemetry and emit the invocation's report.
 
-    One report covers the whole invocation (each target gets its own
-    root span), written to ``--report PATH`` or timestamped under
-    ``runs/``.
+    ``body`` returns ``(exit code, status, extra report keys)``.  The
+    report is built once, then written to ``--report PATH`` or
+    timestamped under ``runs/`` unless ``--no-report``, and exported as
+    a Chrome trace under ``--trace [PATH]``.  When ``body`` raises, the
+    report records ``status: "error"`` and the exception, which then
+    propagates.
     """
     telemetry.reset()
     telemetry.enable(True)
     repro_log.capture_warnings()
     t0 = time.perf_counter()
-    status, error = "ok", None
+    status, error, extra = "error", None, {}
     try:
+        rc, status, extra = body()
+    except BaseException as exc:
+        error = f"{type(exc).__name__}: {exc}"
+        raise
+    finally:
+        if not args.no_report or args.trace:
+            report = run_report.build_report(
+                target, argv=argv, status=status, error=error,
+                duration_seconds=time.perf_counter() - t0)
+            report.update(extra)
+            path = None
+            if not args.no_report:
+                path = run_report.write_report(report, path=args.report)
+                print(f"run report: {path}")
+            _maybe_write_trace(args, report, path)
+        telemetry.enable(False)
+    return rc
+
+
+def _run_experiments(targets: list[str], args,
+                     argv: list[str] | None) -> int:
+    """Run experiments under one report; each target is a root span."""
+    def body() -> tuple[int, str, dict]:
         for target in targets:
             with telemetry.span(target):
                 EXPERIMENTS[target](args)
             print()
-    except Exception as exc:
-        status, error = "error", f"{type(exc).__name__}: {exc}"
-        raise
-    finally:
-        duration = time.perf_counter() - t0
-        if not args.no_report:
-            report = run_report.build_report(
-                "+".join(targets), argv=argv, status=status, error=error,
-                duration_seconds=duration)
-            path = run_report.write_report(report, path=args.report)
-            print(f"run report: {path}")
-            _maybe_write_trace(args, report, path)
-        elif getattr(args, "trace", None):
-            report = run_report.build_report(
-                "+".join(targets), argv=argv, status=status, error=error,
-                duration_seconds=duration)
-            _maybe_write_trace(args, report, None)
-        telemetry.enable(False)
-    return 0
+        return 0, "ok", {}
+
+    return _run_reported("+".join(targets), body, args, argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     raw = list(sys.argv[1:] if argv is None else argv)
-    if raw and raw[0] == "perf":
-        return _run_perf(raw[1:])
     if raw and raw[0] == "trace":
         return _run_trace(raw[1:])
     parser = argparse.ArgumentParser(
@@ -451,7 +370,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("targets", nargs="+",
                         help="'list', experiment names (fig3..fig15, dse), "
                              "'liberty <out.lib>', 'cache-stats', "
-                             "'report', or 'validate'")
+                             "'report', 'trace [REPORT]' or 'validate'")
     parser.add_argument("--quick", action="store_true",
                         help="shorter traces for the heavy sweeps")
     parser.add_argument("--fast", action="store_true",
@@ -481,7 +400,8 @@ def main(argv: list[str] | None = None) -> int:
     if targets[0] == "list":
         print("experiments:", ", ".join(sorted(EXPERIMENTS)))
         print("also: liberty <output.lib> [--process organic|silicon], "
-              "cache-stats, report, validate [--fast|--full] [--seed N]")
+              "cache-stats, report, trace [REPORT], "
+              "validate [--fast|--full] [--seed N]")
         return 0
     if targets[0] == "cache-stats":
         _run_cache_stats(args)

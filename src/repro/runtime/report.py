@@ -18,7 +18,8 @@ writes one self-describing JSON document capturing what ran and how:
 
 Reports land under ``runs/`` (override with ``REPRO_RUNS_DIR`` or an
 explicit ``--report PATH``); ``python -m repro report`` pretty-prints
-the most recent one.  The schema is versioned so downstream tooling can
+the most recent one and ``python -m repro trace`` exports it as a
+Chrome trace.  The schema is versioned so downstream tooling can
 evolve with it.
 """
 
@@ -130,9 +131,7 @@ def write_report(report: dict, path: str | Path | None = None) -> Path:
     """Write *report* as JSON; default path is timestamped under ``runs/``.
 
     The default filename couples the target name with a wall-clock stamp
-    plus the PID, so concurrent runs never collide.  Every written
-    report is also summarised into the append-only run-history index
-    (:mod:`repro.runtime.history`), best-effort.
+    plus the PID, so concurrent runs never collide.
     """
     if path is None:
         stamp = time.strftime("%Y%m%d-%H%M%S")
@@ -141,8 +140,6 @@ def write_report(report: dict, path: str | Path | None = None) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(report, indent=2, sort_keys=False) + "\n")
-    from repro.runtime import history
-    history.append_entry(report, path)
     return path
 
 

@@ -129,24 +129,7 @@ def carry_select_adder(width: int = 16, block: int = 4,
     b = nl.add_inputs("b", width)
     cin = nl.add_input("cin")
 
-    out: Bits = []
-    carry = cin
-    lo = 0
-    first = True
-    while lo < width:
-        hi = min(lo + block, width)
-        a_blk, b_blk = a[lo:hi], b[lo:hi]
-        if first:
-            s, carry = add_vectors(nl, a_blk, b_blk, carry)
-            out.extend(s)
-            first = False
-        else:
-            # Compute both possibilities, select with the incoming carry.
-            s0, c0 = add_vectors(nl, a_blk, b_blk, cin=None)
-            s1, c1 = _add_vectors_cin1(nl, a_blk, b_blk)
-            out.extend(mux_vectors(nl, carry, s0, s1))
-            carry = nl.add_gate("mux2", (carry, c0, c1))
-        lo = hi
+    out, carry = _carry_select_add(nl, a, b, cin, block)
     for net in out:
         nl.add_output(net)
     nl.add_output(carry)
@@ -194,16 +177,7 @@ def extend_carry_select_adder(base: Netlist, width: int,
     b = list(state["b"]) + [nl.add_input(f"b{i}") for i in range(w0, width)]
 
     out: Bits = list(state["out"])
-    carry = state["carry"]
-    lo = w0
-    while lo < width:
-        hi = min(lo + block, width)
-        a_blk, b_blk = a[lo:hi], b[lo:hi]
-        s0, c0 = add_vectors(nl, a_blk, b_blk, cin=None)
-        s1, c1 = _add_vectors_cin1(nl, a_blk, b_blk)
-        out.extend(mux_vectors(nl, carry, s0, s1))
-        carry = nl.add_gate("mux2", (carry, c0, c1))
-        lo = hi
+    carry = _select_blocks(nl, a, b, w0, state["carry"], block, out)
     nl.set_outputs([*out, carry])
     nl._csa_state = {"width": width, "block": block,
                      "prefix": state["prefix"], "a": a, "b": b,
@@ -220,28 +194,33 @@ def _add_vectors_cin1(nl: Netlist, a: Bits, b: Bits) -> tuple[Bits, str]:
     return out, carry
 
 
-def _carry_select_add(nl: Netlist, a: Bits, b: Bits, cin: str,
-                      block: int = 4) -> tuple[Bits, str]:
-    """Carry-select addition of two vectors with a carry-in net."""
-    width = _require_same_width(a, b)
-    out: Bits = []
-    carry = cin
-    lo = 0
-    first = True
+def _select_blocks(nl: Netlist, a: Bits, b: Bits, lo: int, carry: str,
+                   block: int, out: Bits) -> str:
+    """Carry-select blocks over bits ``[lo, len(a))``, appended to *out*.
+
+    Each block is computed for both carries and muxed by the incoming
+    one; returns the carry out of the last block.
+    """
+    width = len(a)
     while lo < width:
         hi = min(lo + block, width)
         a_blk, b_blk = a[lo:hi], b[lo:hi]
-        if first:
-            s, carry = add_vectors(nl, a_blk, b_blk, carry)
-            out.extend(s)
-            first = False
-        else:
-            s0, c0 = add_vectors(nl, a_blk, b_blk, cin=None)
-            s1, c1 = _add_vectors_cin1(nl, a_blk, b_blk)
-            out.extend(mux_vectors(nl, carry, s0, s1))
-            carry = nl.add_gate("mux2", (carry, c0, c1))
+        s0, c0 = add_vectors(nl, a_blk, b_blk, cin=None)
+        s1, c1 = _add_vectors_cin1(nl, a_blk, b_blk)
+        out.extend(mux_vectors(nl, carry, s0, s1))
+        carry = nl.add_gate("mux2", (carry, c0, c1))
         lo = hi
-    return out, carry
+    return carry
+
+
+def _carry_select_add(nl: Netlist, a: Bits, b: Bits, cin: str,
+                      block: int = 4) -> tuple[Bits, str]:
+    """Carry-select addition of two vectors with a carry-in net: a
+    ripple first block, then select blocks."""
+    width = _require_same_width(a, b)
+    hi = min(block, width)
+    out, carry = add_vectors(nl, a[:hi], b[:hi], cin)
+    return out, _select_blocks(nl, a, b, hi, carry, block, out)
 
 
 # ---------------------------------------------------------------------------

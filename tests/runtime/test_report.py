@@ -77,6 +77,13 @@ class TestWriteAndDiscover:
         assert path.name.startswith("fig6-") and path.suffix == ".json"
         assert json.loads(path.read_text())["target"] == "fig6"
 
+    def test_write_into_empty_runs_dir_leaves_only_the_report(
+            self, tmp_path, monkeypatch):
+        runs = tmp_path / "runs"
+        monkeypatch.setenv("REPRO_RUNS_DIR", str(runs))
+        path = report.write_report(_collected_report())
+        assert list(runs.iterdir()) == [path]
+
     def test_write_explicit_path(self, tmp_path):
         out = tmp_path / "deep" / "r.json"
         assert report.write_report(_collected_report(), path=out) == out

@@ -136,6 +136,19 @@ class TestRoundTrip:
         doc = json.loads(trace_path.read_text())
         assert any(e["name"] == "map" for e in doc["traceEvents"])
 
+    def test_trace_cli_defaults_to_the_latest_report(self, tmp_path,
+                                                     monkeypatch, capsys):
+        from repro.__main__ import main
+
+        monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path))
+        assert main(["trace"]) == 1
+        assert "no run reports found" in capsys.readouterr().out
+        path = run_report.write_report(_report_for(workers=1))
+        assert main(["trace"]) == 0
+        assert f"from {path}" in capsys.readouterr().out
+        doc = json.loads(trace_export.default_trace_path(path).read_text())
+        assert any(e["name"] == "map" for e in doc["traceEvents"])
+
     def test_experiment_trace_flag(self, tmp_path, capsys):
         from repro.__main__ import main
 

@@ -146,3 +146,34 @@ class TestCompositeBlocks:
         """Sub-blocks built once and inlined twice give the same netlist
         (gates, order, names) as building each copy separately."""
         assert build(width).fingerprint() == digest
+
+
+# Every gate, name and order of the carry-select adder and of the ALU
+# built on it: the adder, its carry-select addition and its copy-on-extend
+# widening share one select-block loop, which must not move these.
+CSA_DIGESTS = {
+    (4, 2): "00064fb2a500edd48e08a24f70e21cd0",
+    (4, 4): "ac38398c3ab2217041ecd1a076e5557b",
+    (6, 2): "9c5005c97334a6e767fd721a3bdb6049",
+    (6, 4): "56ed91079217d3abdf893c1914eb7b86",
+    (8, 2): "474046c8c4fa7462e42ee20213ebb5ae",
+    (8, 4): "c487479e5d6dd70deeb913e6e5ed6000",
+    (16, 2): "f9d4e988c7a25b3443d128c54537e397",
+    (16, 4): "82b18e931aeb5f2d7617c98b7608fe11",
+    (32, 2): "a2eab789fca20f18f02725f68000208c",
+    (32, 4): "0f3e186e343b7d39d05d91270dd5427c",
+}
+
+
+@pytest.mark.parametrize("width,block", sorted(CSA_DIGESTS))
+def test_carry_select_fingerprint_pinned(width, block):
+    assert carry_select_adder(width, block).fingerprint() == \
+        CSA_DIGESTS[width, block]
+
+
+@pytest.mark.parametrize("width,digest", [
+    (8, "005311096d47c2199d4815f04c08daa4"),
+    (16, "11d02ed554bec2ff28551c948e94a270"),
+])
+def test_simple_alu_fingerprint_pinned(width, digest):
+    assert simple_alu(width).fingerprint() == digest

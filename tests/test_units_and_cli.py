@@ -102,3 +102,78 @@ class TestCli:
         out = capsys.readouterr().out
         assert "cache root:" in out
         assert "this process:" in out
+
+    def test_retired_perf_command_is_an_unknown_experiment(self, capsys):
+        from repro.__main__ import main
+        with pytest.raises(SystemExit) as excinfo:
+            main(["perf", "list"])
+        assert excinfo.value.code == 2
+        assert "unknown experiments" in capsys.readouterr().err
+
+    def test_failing_experiment_lands_an_error_report(self, tmp_path,
+                                                      monkeypatch):
+        import json
+
+        from repro import __main__ as cli
+
+        def boom(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli.EXPERIMENTS, "fig3", boom)
+        out = tmp_path / "fig3.json"
+        with pytest.raises(RuntimeError, match="boom"):
+            cli.main(["fig3", "--report", str(out)])
+        report = json.loads(out.read_text())
+        assert report["status"] == "error"
+        assert report["error"] == "RuntimeError: boom"
+
+
+# Every report mode of the two commands that run under telemetry: the
+# kinds of file each leaves in the runs directory, and the files it
+# writes at the paths it names.
+REPORT_MODES = {
+    "report": ([], ["report"], []),
+    "report-path": (["--report", "{out}/r.json"], [], ["r.json"]),
+    "no-report": (["--no-report"], [], []),
+    "no-report-trace-path": (["--no-report", "--trace", "{out}/t.json"],
+                             [], ["t.json"]),
+    "trace": (["--trace"], ["report", "trace"], []),
+}
+
+REPORTED_COMMANDS = {
+    "fig3": ["fig3"],
+    "validate": ["validate", "--only", "cache-warm-vs-cold"],
+}
+
+
+def _kind(path) -> str:
+    return "trace" if path.name.endswith(".trace.json") else "report"
+
+
+@pytest.mark.parametrize("mode", sorted(REPORT_MODES))
+@pytest.mark.parametrize("target", sorted(REPORTED_COMMANDS))
+def test_report_modes(target, mode, tmp_path, monkeypatch, capsys):
+    import json
+
+    from repro.__main__ import main
+
+    runs, out = tmp_path / "runs", tmp_path / "out"
+    monkeypatch.setenv("REPRO_RUNS_DIR", str(runs))
+    out.mkdir()
+    flags, run_kinds, out_names = REPORT_MODES[mode]
+    argv = REPORTED_COMMANDS[target] + [f.format(out=out) for f in flags]
+    assert main(argv) == 0
+
+    in_runs = sorted(runs.glob("*")) if runs.exists() else []
+    assert sorted(_kind(p) for p in in_runs) == run_kinds
+    assert all(p.name.startswith(f"{target}-") for p in in_runs)
+    assert sorted(p.name for p in out.glob("*")) == out_names
+
+    for path in [*in_runs, *out.glob("*")]:
+        doc = json.loads(path.read_text())
+        if _kind(path) == "trace" or path.name == "t.json":
+            assert any(e["name"] == target for e in doc["traceEvents"])
+        else:
+            assert doc["target"] == target and doc["status"] == "ok"
+    printed = capsys.readouterr().out
+    assert ("run report:" in printed) == ("--no-report" not in flags)

@@ -235,9 +235,8 @@ class TestCli:
         rc = main(["validate", "--only", "cache-warm-vs-cold",
                    "--report", str(out)])
         assert rc == 0
-        # --report now writes a full schema-v1 run report with the
-        # validation outcome embedded, so the history index covers
-        # validation runs alongside the experiments.
+        # --report writes a full schema-v1 run report, as the
+        # experiments do, with the validation outcome embedded.
         payload = json.loads(out.read_text())
         assert payload["target"] == "validate"
         assert payload["status"] == "ok"
@@ -253,6 +252,24 @@ class TestCli:
         _skew_native_ipc(monkeypatch)
         rc = main(["validate", "--only", "ipc-kernel-agreement"])
         assert rc == 1
+
+    def test_validate_command_that_raises_lands_an_error_report(
+            self, monkeypatch, tmp_path):
+        import repro.validate
+        from repro.__main__ import main
+
+        def boom(**kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(repro.validate, "run_validation", boom)
+        out = tmp_path / "validation.json"
+        with pytest.raises(RuntimeError, match="boom"):
+            main(["validate", "--only", "cache-warm-vs-cold",
+                  "--report", str(out)])
+        payload = json.loads(out.read_text())
+        assert payload["target"] == "validate"
+        assert payload["status"] == "error"
+        assert payload["error"] == "RuntimeError: boom"
 
     def test_validate_command_rejects_unknown_check(self, capsys):
         from repro.__main__ import main
