@@ -238,9 +238,6 @@ def _maybe_write_trace(args, report: dict, report_path) -> None:
     if not args.trace:
         return
     if args.trace is True:
-        if report_path is None:
-            print("--trace needs a PATH when no run report is written")
-            return
         path = trace_export.default_trace_path(report_path)
     else:
         path = args.trace
@@ -394,6 +391,9 @@ def main(argv: list[str] | None = None) -> int:
                              "JSON (default: <report>.trace.json)")
     repro_log.add_cli_flags(parser)
     args = parser.parse_args(raw)
+    if args.no_report and args.trace is True:
+        parser.error("--trace needs a PATH with --no-report "
+                     "(the default sits beside the run report)")
     repro_log.configure_from_args(args)
 
     targets = list(args.targets)

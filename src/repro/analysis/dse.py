@@ -23,16 +23,18 @@ sharing underneath:
   counts from one multiplier and one divider slice and is never built
   (the built slice is the oracle of the ``complex-counts-vs-built``
   validation check),
-- IPC simulations go through the persistent result cache.
+- IPC depends only on a config's timing signature and the trace, so
+  each distinct simulation of the grid runs once, through the
+  persistent result cache (:func:`repro.core.tradeoffs.sweep_ipcs`).
 
 The stock grid (4 combos x 7 widths x 4 width pairs x depths 9..17,
 1008 points) is the ``dse_sweep`` perf-bench row; run it from the shell
 as ``python -m repro dse``.
 
 The evaluation arithmetic is exactly the per-figure sweeps' — points
-are evaluated by the same :func:`repro.core.tradeoffs._eval_config_task`
-worker — so a grid point here is bit-identical to the corresponding
-figure-sweep point.
+are evaluated by the same :func:`repro.core.tradeoffs.sweep_physicals`
+and :func:`repro.core.tradeoffs.sweep_ipcs` — so a grid point here is
+bit-identical to the corresponding figure-sweep point.
 """
 
 from __future__ import annotations
@@ -44,10 +46,9 @@ from repro.characterization.library import Library
 from repro.core.config import CoreConfig
 from repro.core.physical import CorePhysical
 from repro.core.trace import Trace
-from repro.core.tradeoffs import (_eval_config_task, deepen_pipeline,
-                                  make_traces, sweep_workers)
+from repro.core.tradeoffs import (deepen_pipeline, make_traces, performance,
+                                  sweep_ipcs, sweep_physicals)
 from repro.errors import ConfigError
-from repro.runtime import parallel_map
 from repro.synthesis.wires import WireModel, organic_wire_model, silicon_wire_model
 
 #: The stock grid — frozen so the ``dse_sweep`` perf-bench row measures
@@ -147,10 +148,10 @@ def dse_sweep(combos: list[tuple[str, Library, WireModel]] | None = None,
               workers: int | None = None) -> DseResult:
     """Evaluate the (depth x width x width-pair x combo) grid.
 
-    Combos are processed sequentially (each pins a (library, wire) pair
-    whose shared synthesis structures warm up once and then hit); the
-    points inside a combo fan out across
-    :func:`repro.core.tradeoffs.sweep_workers` processes.
+    Combos are priced sequentially in this process (each pins a
+    (library, wire) pair whose shared synthesis structures warm up once
+    and then hit).  The grid's distinct simulations then run once each,
+    across :func:`repro.core.tradeoffs.sweep_workers` processes.
     """
     if combos is None:
         combos = default_combos()
@@ -158,19 +159,18 @@ def dse_sweep(combos: list[tuple[str, Library, WireModel]] | None = None,
         traces = make_traces(workloads=["gzip"],
                              n_instructions=DSE_TRACE_LENGTH)
 
-    points: list[DsePoint] = []
+    labels, configs, physicals = [], [], []
     for label, library, wire in combos:
-        configs = _grid_configs(library, wire, widths, width_pairs,
-                                min_depth, max_depth)
-        results = parallel_map(
-            _eval_config_task, configs, workers=sweep_workers(workers),
-            labels=[f"dse[{label}:{c.name}:d{c.depth}]" for c in configs],
-            shared=(library, wire, traces),
-            phase=f"dse[{label}]")
-        for config, result in zip(configs, (r.value for r in results)):
-            physical, ipc, perf = result
-            points.append(DsePoint(combo=label, config=config,
-                                   physical=physical, ipc=ipc,
-                                   performance=perf))
+        chain = _grid_configs(library, wire, widths, width_pairs,
+                              min_depth, max_depth)
+        labels += [label] * len(chain)
+        configs += chain
+        physicals += sweep_physicals(chain, library, wire,
+                                     phase=f"dse[{label}]")
+    points = [DsePoint(combo=label, config=config, physical=physical,
+                       ipc=ipc, performance=performance(physical, ipc))
+              for label, config, physical, ipc
+              in zip(labels, configs, physicals,
+                     sweep_ipcs(configs, traces, workers))]
     return DseResult(points=points,
                      combos=tuple(label for label, _, _ in combos))

@@ -23,11 +23,11 @@ from repro.core.physical import (
     core_physical,
     region_logic_delays,
 )
-from repro.core.superscalar import simulate_cached
+from repro.core.superscalar import _timing_signature, simulate_cached
 from repro.core.trace import Trace
 from repro.core.workloads import WORKLOADS, generate_trace
 from repro.errors import ConfigError
-from repro.runtime import get_shared, parallel_map, telemetry
+from repro.runtime import get_shared, parallel_map, progress, telemetry
 from repro.runtime.executor import thread_budget
 from repro.synthesis.wires import WireModel
 
@@ -109,26 +109,77 @@ class DepthSweepPoint:
         return sum(self.performance.values()) / len(self.performance)
 
 
-def _eval_config_task(config: CoreConfig):
-    """Module-level (picklable) worker: physical + IPC of one config.
+def sweep_physicals(configs: list[CoreConfig], library: Library,
+                    wire: WireModel,
+                    phase: str | None = None) -> list[CorePhysical]:
+    """``core_physical`` of each config, in this process.
 
-    The (library, wire, traces) invariants ride along via the runtime's
-    shared-object channel, so they are shipped once per worker process
-    rather than once per sweep point.  Simulations go through the
-    persistent result cache (config timing signature x trace
-    fingerprint), so re-running a sweep on unchanged traces skips the
-    timing kernel entirely; disable with ``REPRO_CACHE=0``.
+    The points share synthesis structure (netlists, mappings, STA
+    sessions, region delays), which warms once here instead of once
+    per worker process.
     """
-    library, wire, traces = get_shared()
-    # One span per sweep point: serial runs record it inline, pooled
-    # runs ship it back in the worker snapshot, so the trace exporter
-    # can lay sweep points out on per-worker tracks.
-    with telemetry.span("point", config=config.name):
-        physical = core_physical(config, library, wire)
-        ipc = {name: simulate_cached(config, trace).ipc
-               for name, trace in traces.items()}
-        perf = {name: v * physical.frequency for name, v in ipc.items()}
-    return physical, ipc, perf
+    physicals = []
+    with progress.phase(phase or "sweep_physicals", len(configs)) as ph:
+        for config in configs:
+            # One span per sweep point, for the trace exporter.
+            with telemetry.span("point", config=config.name):
+                physicals.append(core_physical(config, library, wire))
+            progress.update(ph)
+    return physicals
+
+
+def _simulation_task(task: tuple[CoreConfig, str]) -> float:
+    """Module-level (picklable) worker: the IPC of one config on one trace.
+
+    The traces ride along via the runtime's shared-object channel, so
+    they are shipped once per worker process rather than once per task.
+    Simulations go through the persistent result cache (config timing
+    signature x trace fingerprint), so re-running a sweep on unchanged
+    traces skips the timing kernel entirely; disable with
+    ``REPRO_CACHE=0``.
+    """
+    config, name = task
+    return simulate_cached(config, get_shared()[name]).ipc
+
+
+def sweep_ipcs(configs: list[CoreConfig], traces: dict[str, Trace],
+               workers: int | None = None) -> list[dict[str, float]]:
+    """IPC per trace of each config; each distinct simulation runs once.
+
+    IPC depends only on the config's timing signature and the trace's
+    content, so each distinct (signature, trace fingerprint) is
+    simulated once per call and its IPC shared by every config that
+    maps to it.  Only those distinct simulations fan out across
+    :func:`sweep_workers` processes.
+    """
+    fingerprints = {name: trace.fingerprint()
+                    for name, trace in traces.items()}
+    index: dict[tuple, int] = {}
+    tasks: list[tuple[CoreConfig, str]] = []
+    slots: list[dict[str, int]] = []
+    for config in configs:
+        signature = tuple(_timing_signature(config).values())
+        slot = {}
+        for name in traces:
+            key = (signature, fingerprints[name])
+            if key not in index:
+                index[key] = len(tasks)
+                tasks.append((config, name))
+            slot[name] = index[key]
+        slots.append(slot)
+    results = parallel_map(_simulation_task, tasks,
+                           workers=sweep_workers(workers),
+                           labels=[f"simulate[{c.name}:{name}]"
+                                   for c, name in tasks],
+                           shared=traces)
+    ipcs = [r.value for r in results]
+    return [{name: ipcs[i] for name, i in slot.items()} for slot in slots]
+
+
+def performance(physical: CorePhysical,
+                ipc: dict[str, float]) -> dict[str, float]:
+    """Performance per trace: IPC x frequency."""
+    return {name: v * physical.frequency for name, v in ipc.items()}
 
 
 def depth_sweep(library: Library, wire: WireModel,
@@ -159,14 +210,11 @@ def depth_sweep(library: Library, wire: WireModel,
             break
         config = deepen_pipeline(config, library, wire)
 
-    results = parallel_map(_eval_config_task, configs,
-                           workers=sweep_workers(workers),
-                           labels=[f"depth[{c.depth}]" for c in configs],
-                           shared=(library, wire, traces))
+    physicals = sweep_physicals(configs, library, wire)
     return [DepthSweepPoint(depth=c.depth, config=c, physical=physical,
-                            ipc=ipc, performance=perf)
-            for c, (physical, ipc, perf)
-            in zip(configs, (r.value for r in results))]
+                            ipc=ipc, performance=performance(physical, ipc))
+            for c, physical, ipc
+            in zip(configs, physicals, sweep_ipcs(configs, traces, workers))]
 
 
 # ---------------------------------------------------------------------------
@@ -206,15 +254,13 @@ def width_sweep(library: Library, wire: WireModel,
 
     pairs = [(fw, bw) for bw in back_widths for fw in front_widths]
     configs = [base.widened(fw, bw) for fw, bw in pairs]
-    results = parallel_map(_eval_config_task, configs,
-                           workers=sweep_workers(workers),
-                           labels=[f"width[fw={fw},bw={bw}]"
-                                   for fw, bw in pairs],
-                           shared=(library, wire, traces))
+    physicals = sweep_physicals(configs, library, wire)
     return [WidthSweepPoint(front_width=fw, back_width=bw, config=config,
-                            physical=physical, ipc=ipc, performance=perf)
-            for (fw, bw), config, (physical, ipc, perf)
-            in zip(pairs, configs, (r.value for r in results))]
+                            physical=physical, ipc=ipc,
+                            performance=performance(physical, ipc))
+            for (fw, bw), config, physical, ipc
+            in zip(pairs, configs, physicals,
+                   sweep_ipcs(configs, traces, workers))]
 
 
 def width_matrix(points: list[WidthSweepPoint],

@@ -11,8 +11,10 @@ minimum-clock-period measurements in Figures 11, 12 and 15.
 
 Three paths compute the same pass (DESIGN §7h):
 
-- the **scalar full pass**, a gate-at-a-time loop that brackets each
-  NLDM axis once per gate and input pin: the oracle, and the engine
+- the **scalar full pass**, a gate-at-a-time loop that memoises each
+  pin's NLDM delay and output slew per (cell, pin, slew, load) for the
+  pass and, on a miss, brackets each NLDM axis once per gate and input
+  pin: the oracle, and the engine
   below :data:`VECTOR_MIN_GATES` gates or whenever the library's tables
   cannot be batched (``tests/synthesis/test_sta_reference.py`` holds it
   to a plain per-table restatement, bit for bit);
@@ -268,27 +270,33 @@ def _scalar_timing(netlist: Netlist, library: Library, wire: WireModel,
 
     # The gate loop below is the hot path of every synthesis experiment
     # (tens of thousands of gates for the wide datapath blocks).  Each
-    # NLDM axis is bracketed once: the load once per gate, the slew once
-    # per input pin, and every table on that axis interpolates from the
-    # shared bracket.  The output slew is computed once per gate, for
-    # the critical pin only, from that pin's stored slew bracket.  A
-    # full pass, where every gate is dirty, skips the dirty-cone tests.
+    # pin's delay is a pure function of (cell, pin, slew, load), and so
+    # is the output slew through that pin, so both are memoised for the
+    # pass: a block repeats a few hundred distinct keys over thousands
+    # of gates.  A miss brackets each NLDM axis once — the load once
+    # per gate, the slew once per input pin — and every table on that
+    # axis interpolates from the shared bracket.  The output slew is
+    # computed for the critical pin only.  Arrivals and the wire term
+    # are added per gate.  A full pass, where every gate is dirty,
+    # skips the dirty-cone tests.
     topo = netlist.topological_order()
     changed: set[str] = set()
     arc_tables = _arc_tables(library)
     elmore = wire.elmore_delay
-    skipped = skipped_pins = 0
+    delay_memo: dict[tuple, float] = {}
+    slew_memo: dict[tuple, float] = {}
+    lookups = skipped = 0
     for gate in topo:
         output = gate.output
         # A recorded gate stays clean unless its load or an input moved.
         if (delta and gate.name in worst_input and output not in dirty_load
                 and changed.isdisjoint(gate.inputs)):
             skipped += 1
-            skipped_pins += len(gate.inputs)
             continue
-        pins = arc_tables.get(gate.cell)
+        cell = gate.cell
+        pins = arc_tables.get(cell)
         if pins is None:
-            pins = arc_tables[gate.cell] = _cell_arcs(library.cell(gate.cell))
+            pins = arc_tables[cell] = _cell_arcs(library.cell(cell))
         load = loads[output]
         load_axis = None                 # axis of the current load bracket
         # Wire RC from this gate's output to its sinks (Elmore, shared).
@@ -296,11 +304,39 @@ def _scalar_timing(netlist: Netlist, library: Library, wire: WireModel,
 
         best_t = -1.0
         best_net: str | None = None
-        for net, (delays, transitions) in zip(gate.inputs, pins):
+        for k, (net, (delays, transitions)) in enumerate(
+                zip(gate.inputs, pins)):
             s = slew[net]
-            slew_axis = None             # axis of the current slew bracket
-            d = -1.0
-            for rows, s_axis, s_last, l_axis, l_last in delays:
+            key = (cell, k, s, load)
+            d = delay_memo.get(key)
+            if d is None:
+                lookups += 1
+                slew_axis = None         # axis of the current slew bracket
+                d = -1.0
+                for rows, s_axis, s_last, l_axis, l_last in delays:
+                    if s_axis is not slew_axis:
+                        slew_axis = s_axis
+                        i, ts = bracket(s_axis, s_last, s)
+                    if l_axis is not load_axis:
+                        load_axis = l_axis
+                        j, tl = bracket(l_axis, l_last, load)
+                    v = interpolate(rows, i, ts, j, tl)
+                    if v > d:
+                        d = v
+                delay_memo[key] = d
+            t = arrival[net] + d + t_wire
+            if t > best_t:
+                best_t = t
+                best_net = net
+                best_key = key
+                best_transitions = transitions
+        new_slew = slew_memo.get(best_key)
+        if new_slew is None:
+            lookups += 1
+            s = slew[best_net]
+            slew_axis = None
+            new_slew = -1.0
+            for rows, s_axis, s_last, l_axis, l_last in best_transitions:
                 if s_axis is not slew_axis:
                     slew_axis = s_axis
                     i, ts = bracket(s_axis, s_last, s)
@@ -308,25 +344,9 @@ def _scalar_timing(netlist: Netlist, library: Library, wire: WireModel,
                     load_axis = l_axis
                     j, tl = bracket(l_axis, l_last, load)
                 v = interpolate(rows, i, ts, j, tl)
-                if v > d:
-                    d = v
-            t = arrival[net] + d + t_wire
-            if t > best_t:
-                best_t = t
-                best_net = net
-                best_transitions = transitions
-                best_axis, best_i, best_ts = slew_axis, i, ts
-        new_slew = -1.0
-        for rows, s_axis, s_last, l_axis, l_last in best_transitions:
-            if s_axis is not best_axis:
-                best_axis = s_axis
-                best_i, best_ts = bracket(s_axis, s_last, slew[best_net])
-            if l_axis is not load_axis:
-                load_axis = l_axis
-                j, tl = bracket(l_axis, l_last, load)
-            v = interpolate(rows, best_i, best_ts, j, tl)
-            if v > new_slew:
-                new_slew = v
+                if v > new_slew:
+                    new_slew = v
+            slew_memo[best_key] = new_slew
         if delta and (arrival.get(output) != best_t
                       or slew.get(output) != new_slew):
             changed.add(output)
@@ -336,12 +356,11 @@ def _scalar_timing(netlist: Netlist, library: Library, wire: WireModel,
         gate_delay[gate.name] = best_t - arrival[best_net]
 
     if telemetry.ENABLED:
-        # One delay lookup per input pin plus one output-slew lookup per
-        # re-timed gate — derived after the fact, so the hot loop stays
-        # clean.  The scalar engine runs no level batches.
-        retimed = len(topo) - skipped
-        pins = sum(len(g.inputs) for g in topo) - skipped_pins
-        _count_pass("scalar", delta, len(topo), retimed, 0, pins + retimed)
+        # sta.nldm_lookups books the memo misses: one per pin delay and
+        # one per output slew actually evaluated from the tables.  The
+        # scalar engine runs no level batches.
+        _count_pass("scalar", delta, len(topo), len(topo) - skipped, 0,
+                    lookups)
 
     max_delay = 0.0
     end_net: str | None = None

@@ -13,8 +13,9 @@ from repro.core.physical import (core_area, core_physical, region_logic_delays,
 from repro.core import ipc_native
 from repro.core.tradeoffs import (deepen_pipeline, depth_sweep, make_traces,
                                   sweep_workers)
+from repro.core.superscalar import _timing_signature, simulate
 from repro.errors import ConfigError
-from repro.runtime import executor
+from repro.runtime import executor, telemetry
 
 
 class TestStructureModel:
@@ -251,6 +252,55 @@ class TestSweepWorkerPolicy:
         assert pools == [2]
         assert fanned == self._points(organic_lib, organic_wire, workers=1)
         assert pools == [2]
+
+
+class TestSweepSimulatesOnce:
+    """A sweep simulates each distinct (timing signature, trace) once
+    and shares its IPC: uncached, through the result cache, and pooled.
+    Every point still equals a per-point ``core_physical`` and
+    ``simulate``."""
+
+    LEGS = {"no-cache": (False, 1), "cache": (True, 1),
+            "cache-workers-2": (True, 2)}
+
+    @pytest.mark.parametrize("leg", sorted(LEGS))
+    def test_dse_sweep(self, leg, organic_lib, organic_wire, tmp_path,
+                       monkeypatch):
+        cached, workers = self.LEGS[leg]
+        if cached:
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        else:
+            monkeypatch.setenv("REPRO_CACHE", "0")
+        traces = make_traces(workloads=["gzip", "mcf"], n_instructions=300)
+        combos = [("organic", organic_lib, organic_wire),
+                  ("organic_no_wire", organic_lib, organic_wire.scaled(0.0))]
+        with telemetry.collecting():
+            result = dse_sweep(combos=combos, widths=(8, 12),
+                               width_pairs=((2, 4),), max_depth=11,
+                               traces=traces, workers=workers)
+        counters = telemetry.counters()
+
+        distinct = {(tuple(_timing_signature(p.config).items()),
+                     trace.fingerprint())
+                    for p in result.points for trace in traces.values()}
+        assert len(distinct) < len(result) * len(traces)
+        assert counters["ipc.simulations"] == len(distinct)
+        lookups = (counters.get("cache.hit.simulation", 0)
+                   + counters.get("cache.miss.simulation", 0))
+        assert lookups == (len(distinct) if cached else 0)
+
+        wires = {label: wire for label, _, wire in combos}
+        for point in result.points:
+            want = core_physical(point.config, organic_lib,
+                                 wires[point.combo])
+            for f in dataclasses.fields(want):
+                assert (getattr(point.physical, f.name)
+                        == getattr(want, f.name)), (point.config.name, f.name)
+            ipc = {name: simulate(point.config, trace).ipc
+                   for name, trace in traces.items()}
+            assert point.ipc == ipc
+            assert point.performance == {
+                name: v * want.frequency for name, v in ipc.items()}
 
 
 class TestTraces:

@@ -5,11 +5,13 @@ path optimises: net loads summed per net over :meth:`Netlist.fanout_map`
 with a ``library.cell`` lookup per sink, then one
 :meth:`CellTiming.delay` per input pin and one
 :meth:`CellTiming.output_slew` per gate, each bracketing its NLDM axes
-afresh.  The engine brackets each axis once per gate and pin and loads
-nets in one pass over the gates; every value it reports, and the key
-order of every report dict, must equal this loop's exactly — on full
-passes, on delta passes over :meth:`Netlist.extend` chains, and on a
-library whose tables sit on mismatched grids.
+afresh.  The engine memoises each pin's delay and output slew per
+(cell, pin, slew, load) for the pass, brackets each axis once per gate
+and pin on a miss, and loads nets in one pass over the gates; every
+value it reports, and the key order of every report dict, must equal
+this loop's exactly — on full passes, on delta passes over
+:meth:`Netlist.extend` chains, and on a library whose tables sit on
+mismatched grids.
 """
 
 from __future__ import annotations
@@ -134,6 +136,29 @@ def test_full_pass_matches_reference(block, width, explicit_load, library,
                                output_load=output_load)
     _assert_matches_reference(
         report, _reference_timing(netlist, library, wire, output_load))
+
+
+@pytest.mark.parametrize("block", sorted(BLOCKS))
+def test_lookups_count_memo_misses(block, organic_lib, organic_wire):
+    """``sta.nldm_lookups`` counts table evaluations.  A block repeats
+    (cell, pin, slew, load) keys, so a full pass evaluates each key's
+    delay once and at most one output slew per key: fewer lookups than
+    one per pin plus one per gate, and the same report."""
+    netlist = _mapped(block, 16)
+    with telemetry.collecting():
+        report = sta.static_timing(netlist, organic_lib, organic_wire)
+    counters = telemetry.counters()
+    want = _reference_timing(netlist, organic_lib, organic_wire)
+    _assert_matches_reference(report, want)
+    *_, slew, loads, _gate_delay = want
+    keys = {(g.cell, k, slew[net], loads[g.output])
+            for g in netlist.gates.values()
+            for k, net in enumerate(g.inputs)}
+    pins = sum(len(g.inputs) for g in netlist.gates.values())
+    retimed = counters["sta.retimed_gates"]
+    assert retimed == len(netlist.gates)
+    assert len(keys) < counters["sta.nldm_lookups"] <= 2 * len(keys)
+    assert counters["sta.nldm_lookups"] < pins + retimed
 
 
 def test_delta_chain_matches_reference(library, wire):

@@ -177,3 +177,19 @@ def test_report_modes(target, mode, tmp_path, monkeypatch, capsys):
             assert doc["target"] == target and doc["status"] == "ok"
     printed = capsys.readouterr().out
     assert ("run report:" in printed) == ("--no-report" not in flags)
+
+
+@pytest.mark.parametrize("target", sorted(REPORTED_COMMANDS))
+def test_trace_without_path_needs_a_report(target, monkeypatch, capsys):
+    """``--no-report --trace`` names no place for the trace (its default
+    sits beside the report): exit 2 before the command runs."""
+    from repro import __main__ as cli
+
+    ran = []
+    monkeypatch.setattr(cli, "_run_reported",
+                        lambda *args: ran.append(args) or 0)
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(REPORTED_COMMANDS[target] + ["--no-report", "--trace"])
+    assert excinfo.value.code == 2
+    assert "--trace needs a PATH" in capsys.readouterr().err
+    assert ran == []
