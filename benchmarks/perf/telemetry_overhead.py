@@ -65,14 +65,15 @@ def _library_workload():
 
 
 def _dse_workload():
-    """A one-combo slice of the batched DSE grid, warm structure caches.
+    """A one-combo slice of the batched DSE grid, run cold.
 
     The sweep engine's telemetry sites (span merging, per-batch solver
     counters, the new native-kernel counter flushes) sit on a different
     hot path than cell characterisation, so the overhead budget is
     enforced there too.  The grid is trimmed (one combo, two widths,
-    two width pairs) to keep a repeat pair in seconds, and the result
-    cache is pinned cold per run so both modes do identical work.
+    two width pairs) to keep a repeat pair in seconds.  Each run starts
+    from an empty result-cache directory and ``reset_structure_caches()``,
+    so both modes do identical, cold work.
     """
     import tempfile
 

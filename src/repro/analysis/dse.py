@@ -28,7 +28,7 @@ sharing underneath:
   persistent result cache (:func:`repro.core.tradeoffs.sweep_ipcs`).
 
 The stock grid (4 combos x 7 widths x 4 width pairs x depths 9..17,
-1008 points) is the ``dse_sweep`` perf-bench row; run it from the shell
+1008 points) is the e2e ``dse_grid`` workload; run it from the shell
 as ``python -m repro dse``.
 
 The evaluation arithmetic is exactly the per-figure sweeps' — points
@@ -51,8 +51,8 @@ from repro.core.tradeoffs import (deepen_pipeline, make_traces, performance,
 from repro.errors import ConfigError
 from repro.synthesis.wires import WireModel, organic_wire_model, silicon_wire_model
 
-#: The stock grid — frozen so the ``dse_sweep`` perf-bench row measures
-#: a fixed workload.
+#: The stock grid — frozen so the e2e ``dse_grid`` workload measures a
+#: fixed workload.
 DATA_WIDTHS = (8, 12, 16, 20, 24, 28, 32)
 WIDTH_PAIRS = ((1, 3), (2, 4), (3, 5), (4, 6))
 MIN_DEPTH = 9

@@ -92,8 +92,8 @@ def reset_structure_caches() -> None:
 
     Clears generic netlists, block timing, cell counts and area, region
     logic delays, the mapping memo and the incremental-STA sessions, so
-    the next sweep (a test, a cold bench row) prices every structure
-    again.
+    the next sweep (a test, a cold e2e ``dse_grid`` iteration) prices
+    every structure again.
     """
     _BLOCK_CACHE.clear()
     _GENERIC_CACHE.clear()
@@ -197,9 +197,8 @@ def _block_area(block: str, width: int, library: Library) -> float:
     (the built netlist is their oracle, checked by
     ``complex-counts-vs-built``), taken in sorted cell order so the
     float total is deterministic.  Memoised in-process and in the
-    persistent cache (category ``block_area``).  The ``dse_sweep``,
-    ``depth_sweep`` and ``width_sweep`` bench rows time it through
-    :func:`core_area`.
+    persistent cache (category ``block_area``).  The e2e ``dse_grid``
+    and ``reproduce_cold`` workloads time it through :func:`core_area`.
     """
     key = (library.cache_key(), block, width)
     hit = _AREA_CACHE.get(key)
@@ -337,8 +336,8 @@ def core_area(config: CoreConfig, library: Library,
     # Areas come from cell counts (_block_counts).  The complex block,
     # whose delay the pipeliner owns, is priced from composed counts and
     # never built here; the built slice is their oracle (the
-    # `complex-counts-vs-built` validate check), and the `dse_sweep`
-    # bench row times it.  Block pricing books its own stages; the
+    # `complex-counts-vs-built` validate check), and the e2e `dse_grid`
+    # workload times it.  Block pricing books its own stages; the
     # array-model arithmetic below is "structures".
     alu_area = _block_area("alu", w, library)
     adder_area = _block_area("adder", w, library)

@@ -188,7 +188,7 @@ class TestMerge:
         assert totals["outer/unit"]["count"] == 4
 
     def test_profile_counters_survive_workers(self):
-        """run_bench --profile must not lose worker-side stage time."""
+        """A stage profile must not lose worker-side stage time."""
         tasks = list(range(5))
         with telemetry.collecting():
             parallel_map(_profiled_task, tasks, workers=1)
