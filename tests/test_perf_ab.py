@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,41 +16,44 @@ from benchmarks.perf import ab
 @pytest.fixture
 def fake_trees(tmp_path, monkeypatch):
     """Two trees whose benchmark runs cost 1 s (base) and ``slowdown``
-    times that (head) per ``dse_grid`` iteration; returns the order in
-    which the trees ran and a setter for the slowdown."""
-    trees = {side: tmp_path / side for side in ab.SIDES}
-    order, slowdown = [], {"head": 1.0}
+    times that (head) per ``dse_grid`` iteration and hash their output
+    to ``digest``; records the side and command of every run."""
+    fake = SimpleNamespace(
+        trees={side: tmp_path / side for side in ab.SIDES}, order=[],
+        commands=[], slowdown={"head": 1.0}, digest={}, failed={})
 
     def fake_run(cmd, cwd, check):
         side = Path(cwd).name
-        order.append(side)
+        fake.order.append(side)
+        fake.commands.append(cmd)
         seed = int(cmd[cmd.index("--seed") + 1])
-        seconds = (1.0 + 0.01 * seed) * slowdown.get(side, 1.0)
+        seconds = (1.0 + 0.01 * seed) * fake.slowdown.get(side, 1.0)
+        failed = fake.failed.get(side, 0)
         Path(cmd[cmd.index("--out") + 1]).write_text(json.dumps(
             {"runs": 1, "workloads": {"dse_grid": {
-                "seeds": [seed], "attempted": 1, "failed": 0, "errors": [],
-                "digests": {f"dse[seed {seed}]": "d"},
+                "seeds": [seed], "attempted": 2, "failed": failed,
+                "errors": [f"{side} seed {seed}"] * failed,
+                "digests": {f"dse[seed {seed}]": fake.digest.get(side, "d")},
                 "simulated": {},
                 "metrics": {"iteration_s": {"unit": "s",
                                             **summarize([seconds])}}}}}))
 
     monkeypatch.setattr(ab.subprocess, "run", fake_run)
-    return trees, order, slowdown
+    return fake
 
 
-def _ab(tmp_path, trees) -> int:
+def _ab(tmp_path, trees, *extra: str) -> int:
     return ab.main([str(trees["base"]), str(trees["head"]), "--rounds", "4",
-                    "--out-dir", str(tmp_path / "ab")])
+                    "--out-dir", str(tmp_path / "ab"), *extra])
 
 
 def test_rounds_alternate_and_merge(tmp_path, fake_trees, capsys):
-    trees, order, _ = fake_trees
-    assert _ab(tmp_path, trees) == 0
-    assert order == ["base", "head", "head", "base"] * 2
+    assert _ab(tmp_path, fake_trees.trees) == 0
+    assert fake_trees.order == ["base", "head", "head", "base"] * 2
     merged = json.loads((tmp_path / "ab" / "head.json").read_text())
     grid = merged["workloads"]["dse_grid"]
     assert grid["seeds"] == [0, 1, 2, 3]
-    assert grid["attempted"] == 4 and grid["failed"] == 0
+    assert grid["attempted"] == 8 and grid["failed"] == 0
     assert grid["metrics"]["iteration_s"]["values"] == [1.0, 1.01, 1.02,
                                                         1.03]
     assert grid["metrics"]["iteration_s"]["n"] == 4
@@ -57,8 +61,44 @@ def test_rounds_alternate_and_merge(tmp_path, fake_trees, capsys):
 
 
 def test_a_seeded_slowdown_fails(tmp_path, fake_trees, capsys):
-    trees, _, slowdown = fake_trees
-    slowdown["head"] = 1.5
-    assert _ab(tmp_path, trees) == 1
+    fake_trees.slowdown["head"] = 1.5
+    assert _ab(tmp_path, fake_trees.trees) == 1
     out = capsys.readouterr().out
     assert "REGRESSED" in out and out.rstrip().endswith("FAIL")
+
+
+def test_every_round_runs_once_with_its_own_seed(tmp_path, fake_trees):
+    """Round ``i`` runs each tree once on seed ``--seed + i``, for the
+    chosen workloads and time budget only."""
+    assert _ab(tmp_path, fake_trees.trees, "--seed", "5", "--seconds",
+               "2.5", "--workload", "dse_grid") == 0
+    seeds = [int(cmd[cmd.index("--seed") + 1])
+             for cmd in fake_trees.commands]
+    assert seeds == [5, 5, 6, 6, 7, 7, 8, 8]
+    for cmd in fake_trees.commands:
+        assert cmd[1:5] == ["-m", "benchmarks.e2e", "run", "--runs"]
+        assert cmd[cmd.index("--runs") + 1] == "1"
+        assert cmd[cmd.index("--seconds") + 1] == "2.5"
+        assert [cmd[i + 1] for i, arg in enumerate(cmd)
+                if arg == "--workload"] == ["dse_grid"]
+
+
+def test_a_digest_mismatch_fails(tmp_path, fake_trees, capsys):
+    """Equal timings do not pass a tree whose outputs differ."""
+    fake_trees.digest["head"] = "changed"
+    assert _ab(tmp_path, fake_trees.trees) == 1
+    out = capsys.readouterr().out
+    assert "MISMATCH" in out and out.rstrip().endswith("FAIL")
+
+
+def test_merge_keeps_every_failed_operation(tmp_path, fake_trees, capsys):
+    """The merged record sums failures over the rounds, keeps each
+    error, and a side with failed operations fails the gate."""
+    fake_trees.failed["head"] = 1
+    assert _ab(tmp_path, fake_trees.trees) == 1
+    grid = json.loads((tmp_path / "ab" / "head.json").read_text()
+                      )["workloads"]["dse_grid"]
+    assert grid["attempted"] == 8 and grid["failed"] == 4
+    assert grid["ops_failed_frac"] == pytest.approx(0.5)
+    assert grid["errors"] == [f"head seed {seed}" for seed in range(4)]
+    assert "B: 4 of 8 ops failed" in capsys.readouterr().out

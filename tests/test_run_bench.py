@@ -44,7 +44,7 @@ def fake_depth_sweep(monkeypatch):
     telemetry.reset()
 
 
-def test_profile_sums_to_the_recorded_median(tmp_path, fake_depth_sweep):
+def test_depth_sweep_profile_sums_to_recorded_seconds(tmp_path, fake_depth_sweep):
     """The profile is the median run's breakdown: its stages plus
     ``overhead`` add up to the row's median, not to the untimed cold
     set-up run or to all the runs together."""
@@ -77,6 +77,36 @@ def test_profile_keeps_the_run_report_whole(tmp_path, fake_depth_sweep):
             booked = metrics["timers"].get(f"solver.{stage}",
                                            {}).get("seconds", 0.0)
             assert seconds <= booked + 1e-9, (stage, seconds, booked)
+
+
+def test_rows_without_profile_leave_telemetry_off(tmp_path,
+                                                  fake_depth_sweep):
+    """Without ``--profile`` or a report, a row records only its
+    statistics and the run books nothing to telemetry."""
+    telemetry.reset()
+    out = tmp_path / "bench.json"
+    assert run_bench.main(["--only", "depth_sweep_warm_cache", "--out",
+                           str(out)]) == 0
+    payload = json.loads(out.read_text())
+    row = payload["benchmarks"]["depth_sweep_warm_cache"]
+    assert set(row) == {"median", "q1", "q3", "n", "values"}
+    assert len(row["values"]) == row["n"] == run_bench.REPEATS
+    assert not telemetry.ENABLED
+    assert "fake.sweeps" not in telemetry.counters()
+    assert set(payload["environment"]) == {
+        "cpu_count", "python", "machine", "ipc_kernel", "spice_backend"}
+
+
+def test_trace_defaults_to_next_to_the_report(tmp_path, fake_depth_sweep):
+    """A bare ``--trace`` writes the Chrome trace beside ``--report``,
+    with one span for the row."""
+    out, report = tmp_path / "bench.json", tmp_path / "report.json"
+    assert run_bench.main(["--only", "depth_sweep_warm_cache", "--out",
+                           str(out), "--report", str(report),
+                           "--trace"]) == 0
+    trace = json.loads((tmp_path / "report.trace.json").read_text())
+    names = {event.get("name") for event in trace["traceEvents"]}
+    assert "bench:depth_sweep_warm_cache" in names
 
 
 def test_startup_row_times_fresh_interpreters(tmp_path, monkeypatch):
