@@ -14,26 +14,8 @@ from repro.analysis.figures import (
     fig15_wire_ablation,
 )
 from repro.analysis.tables import format_table, format_matrix
-from repro.analysis.energy import EnergyReport, core_energy, energy_depth_sweep
-from repro.analysis.manycore import ManycoreDesign, manycore_study, best_design
-from repro.analysis.yield_mc import (
-    YieldResult,
-    compare_styles,
-    noise_margin_yield,
-    vss_recovery,
-)
 
 __all__ = [
-    "EnergyReport",
-    "core_energy",
-    "energy_depth_sweep",
-    "ManycoreDesign",
-    "manycore_study",
-    "best_design",
-    "YieldResult",
-    "compare_styles",
-    "noise_margin_yield",
-    "vss_recovery",
     "PAPER",
     "CalibrationEntry",
     "fig3_transfer_characteristics",

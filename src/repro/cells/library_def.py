@@ -119,9 +119,8 @@ def organic_library_definition(model: UnifiedTft = PENTACENE,
                                l: float = ORGANIC_L) -> CellLibraryDefinition:
     """The pentacene pseudo-E library at VDD = 5 V, VSS = -15 V.
 
-    ``model`` can be swapped for another level-61 device (e.g.
-    :func:`repro.devices.materials.dntt_model`) to retarget the whole
-    flow to another organic semiconductor.  It must be a
+    ``model`` can be swapped for another level-61 device to retarget
+    the whole flow to another organic semiconductor.  It must be a
     :class:`~repro.devices.tft_level61.UnifiedTft`, the one model the
     characterisation ensembles batch (the paper characterises its cells
     on level 61 alone).

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cells.topologies import CellDesign, build_dc_testbench
-from repro.errors import AnalysisError, CircuitError, ConvergenceError
+from repro.errors import AnalysisError
 from repro.spice.dc import NewtonOptions, dc_sweep
-from repro.spice.ensemble import ensemble_dc_sweep
 
 
 @dataclass(frozen=True)
@@ -123,89 +122,6 @@ def compute_vtc(cell: CellDesign, n_points: int = 101,
         # delivered to the circuit is -V * I.
         power -= volts * result.source_current(f"v_{rail}")
     return VtcCurve(vin=sweep_values, vout=vout, power=power, vdd=vdd)
-
-
-def _vtc_ensemble(cells: list[CellDesign], pin: str, tied_inputs: bool):
-    """The first cell's sweep testbench plus every cell's rail levels
-    and device models and sizes, as per-member values."""
-    first = cells[0]
-    values = {(f"v_{rail}", "value"): [c.rails[rail] for c in cells]
-              for rail, volts in first.rails.items() if volts != 0.0}
-    for k, dev in enumerate(first.devices):
-        for attr in ("model", "w", "l"):
-            values[f"{first.name}.{dev.name}", attr] = [
-                getattr(c.devices[k], attr) for c in cells]
-    return _vtc_testbench(first, pin, tied_inputs), values
-
-
-def compute_vtc_batch(cells: list[CellDesign], n_points: int = 101,
-                      input_pin: str | None = None,
-                      tied_inputs: bool = True,
-                      options: NewtonOptions | None = None
-                      ) -> list[VtcCurve | None]:
-    """VTCs of cells of one topology as one stacked DC sweep.
-
-    All members advance through the 0..VDD continuation in lockstep
-    (Monte-Carlo instances of one topology differ only in device
-    parameters, so their Jacobians stack).  Members the batched solver and
-    its per-point scalar retry both fail to converge come back as ``None``
-    — the same instances the scalar path would abandon with
-    :class:`~repro.errors.ConvergenceError`.  A structural mismatch (or an
-    ensemble-level failure) falls back to per-cell scalar sweeps.
-    """
-    if not cells:
-        return []
-    first = cells[0]
-    vdd = first.rails["vdd"]
-    pin = input_pin or first.inputs[0]
-    options = options or NewtonOptions(max_step_v=max(1.0, vdd / 4.0))
-
-    def scalar_all() -> list[VtcCurve | None]:
-        out: list[VtcCurve | None] = []
-        for cell in cells:
-            try:
-                out.append(compute_vtc(cell, n_points=n_points,
-                                       input_pin=input_pin,
-                                       tied_inputs=tied_inputs,
-                                       options=options))
-            except ConvergenceError:
-                out.append(None)
-        return out
-
-    # Members may differ in rail *values* (e.g. a VSS trim sweep) and in
-    # device models and sizes (Monte Carlo), but the topology, the sweep
-    # range and which rails are tied to ground must agree.
-    nonzero = [r for r, v in first.rails.items() if v != 0.0]
-    wiring = [(d.name, d.drain, d.gate, d.source) for d in first.devices]
-    if any(c.inputs != first.inputs or c.name != first.name
-           or c.rails.get("vdd") != vdd
-           or [r for r, v in c.rails.items() if v != 0.0] != nonzero
-           or [(d.name, d.drain, d.gate, d.source)
-               for d in c.devices] != wiring
-           for c in cells[1:]):
-        return scalar_all()
-    sweep_values = np.linspace(0.0, vdd, n_points)
-    try:
-        template, values = _vtc_ensemble(cells, pin, tied_inputs)
-        solutions, ok, es = ensemble_dc_sweep(
-            template, f"v_{pin}", sweep_values, values, options=options)
-    except (CircuitError, ConvergenceError):
-        return scalar_all()
-
-    out_slot = es.node_slot("out")
-    branches = {rail: es.branch_index[f"v_{rail}"] for rail in nonzero}
-    curves: list[VtcCurve | None] = []
-    for m, cell in enumerate(cells):
-        if not ok[m]:
-            curves.append(None)
-            continue
-        power = np.zeros(n_points)
-        for rail in nonzero:
-            power -= cell.rails[rail] * solutions[:, m, branches[rail]]
-        curves.append(VtcCurve(vin=sweep_values,
-                               vout=solutions[:, m, out_slot].copy(),
-                               power=power, vdd=vdd))
-    return curves
 
 
 def switching_threshold(curve: VtcCurve) -> float:

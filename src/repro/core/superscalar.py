@@ -299,21 +299,15 @@ def _timing_signature(config: CoreConfig) -> dict:
     }
 
 
-def simulate_cached(config: CoreConfig, trace: Trace,
-                    cache=None) -> SimulationResult:
-    """:func:`simulate` memoised through the persistent result cache.
+def lookup_simulation(config: CoreConfig, trace: Trace, cache
+                      ) -> tuple[str, SimulationResult | None]:
+    """The result-cache key of ``simulate(config, trace)`` and the result
+    stored under it, ``None`` on a miss: exactly one cache lookup.
 
     The key couples the config's timing signature with the trace's
     content fingerprint, so hits are exact: any change to the recurrence
-    inputs — or to the trace stream itself — misses.  With caching
-    disabled (``REPRO_CACHE=0`` or a cache constructed with
-    ``enabled=False``) this is plain :func:`simulate`.
+    inputs — or to the trace stream itself — misses.
     """
-    if cache is None:
-        from repro.runtime.cache import default_cache
-        cache = default_cache()
-    if not cache.enabled:
-        return simulate(config, trace)
     if telemetry.ENABLED:
         t0 = perf_counter()
     key = cache.key({"schema": 1, "config": _timing_signature(config),
@@ -321,18 +315,22 @@ def simulate_cached(config: CoreConfig, trace: Trace,
     hit = cache.get("simulation", key)
     if telemetry.ENABLED:
         telemetry.time_add("solver.cache", perf_counter() - t0)
-    if hit is not None:
-        return SimulationResult(
-            config_name=config.name,
-            trace_name=trace.name,
-            instructions=int(hit["instructions"]),
-            cycles=int(hit["cycles"]),
-            ipc=int(hit["instructions"]) / int(hit["cycles"]),
-            branch_count=int(hit["branch_count"]),
-            mispredicts=int(hit["mispredicts"]),
-            l1_misses=int(hit["l1_misses"]),
-        )
-    result = simulate(config, trace)
+    if hit is None:
+        return key, None
+    return key, SimulationResult(
+        config_name=config.name,
+        trace_name=trace.name,
+        instructions=int(hit["instructions"]),
+        cycles=int(hit["cycles"]),
+        ipc=int(hit["instructions"]) / int(hit["cycles"]),
+        branch_count=int(hit["branch_count"]),
+        mispredicts=int(hit["mispredicts"]),
+        l1_misses=int(hit["l1_misses"]),
+    )
+
+
+def store_simulation(cache, key: str, result: SimulationResult) -> None:
+    """Write *result* under *key*, a key :func:`lookup_simulation` missed."""
     if telemetry.ENABLED:
         t0 = perf_counter()
     cache.put("simulation", key, {
@@ -344,4 +342,22 @@ def simulate_cached(config: CoreConfig, trace: Trace,
     })
     if telemetry.ENABLED:
         telemetry.time_add("solver.cache", perf_counter() - t0)
+
+
+def simulate_cached(config: CoreConfig, trace: Trace,
+                    cache=None) -> SimulationResult:
+    """:func:`simulate` memoised through the persistent result cache
+    (:func:`lookup_simulation`).  With caching disabled
+    (``REPRO_CACHE=0`` or a cache constructed with ``enabled=False``)
+    this is plain :func:`simulate`.
+    """
+    if cache is None:
+        from repro.runtime.cache import default_cache
+        cache = default_cache()
+    if not cache.enabled:
+        return simulate(config, trace)
+    key, result = lookup_simulation(config, trace, cache)
+    if result is None:
+        result = simulate(config, trace)
+        store_simulation(cache, key, result)
     return result

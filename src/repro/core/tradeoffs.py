@@ -23,11 +23,18 @@ from repro.core.physical import (
     core_physical,
     region_logic_delays,
 )
-from repro.core.superscalar import _timing_signature, simulate_cached
+from repro.core.superscalar import (
+    SimulationResult,
+    _timing_signature,
+    lookup_simulation,
+    simulate,
+    store_simulation,
+)
 from repro.core.trace import Trace
 from repro.core.workloads import WORKLOADS, generate_trace
 from repro.errors import ConfigError
 from repro.runtime import get_shared, parallel_map, progress, telemetry
+from repro.runtime.cache import default_cache
 from repro.runtime.executor import thread_budget
 from repro.synthesis.wires import WireModel
 
@@ -128,18 +135,14 @@ def sweep_physicals(configs: list[CoreConfig], library: Library,
     return physicals
 
 
-def _simulation_task(task: tuple[CoreConfig, str]) -> float:
-    """Module-level (picklable) worker: the IPC of one config on one trace.
+def _simulation_task(task: tuple[CoreConfig, str]) -> SimulationResult:
+    """Module-level (picklable) worker: one config on one trace.
 
     The traces ride along via the runtime's shared-object channel, so
     they are shipped once per worker process rather than once per task.
-    Simulations go through the persistent result cache (config timing
-    signature x trace fingerprint), so re-running a sweep on unchanged
-    traces skips the timing kernel entirely; disable with
-    ``REPRO_CACHE=0``.
     """
     config, name = task
-    return simulate_cached(config, get_shared()[name]).ipc
+    return simulate(config, get_shared()[name])
 
 
 def sweep_ipcs(configs: list[CoreConfig], traces: dict[str, Trace],
@@ -149,8 +152,9 @@ def sweep_ipcs(configs: list[CoreConfig], traces: dict[str, Trace],
     IPC depends only on the config's timing signature and the trace's
     content, so each distinct (signature, trace fingerprint) is
     simulated once per call and its IPC shared by every config that
-    maps to it.  Only those distinct simulations fan out across
-    :func:`sweep_workers` processes.
+    maps to it.  Each is looked up once in the persistent result cache,
+    in this process; only the misses run, across :func:`sweep_workers`
+    processes, and no pool opens when nothing misses.
     """
     fingerprints = {name: trace.fingerprint()
                     for name, trace in traces.items()}
@@ -167,12 +171,22 @@ def sweep_ipcs(configs: list[CoreConfig], traces: dict[str, Trace],
                 tasks.append((config, name))
             slot[name] = index[key]
         slots.append(slot)
-    results = parallel_map(_simulation_task, tasks,
-                           workers=sweep_workers(workers),
-                           labels=[f"simulate[{c.name}:{name}]"
-                                   for c, name in tasks],
-                           shared=traces)
-    ipcs = [r.value for r in results]
+    cache = default_cache()
+    keys, ipcs = [], []
+    for config, name in tasks:
+        key, hit = lookup_simulation(config, traces[name], cache)
+        keys.append(key)
+        ipcs.append(None if hit is None else hit.ipc)
+    misses = [i for i, ipc in enumerate(ipcs) if ipc is None]
+    if misses:
+        results = parallel_map(_simulation_task, [tasks[i] for i in misses],
+                               workers=sweep_workers(workers),
+                               labels=[f"simulate[{tasks[i][0].name}:"
+                                       f"{tasks[i][1]}]" for i in misses],
+                               shared=traces)
+        for i, result in zip(misses, results):
+            store_simulation(cache, keys[i], result.value)
+            ipcs[i] = result.value.ipc
     return [{name: ipcs[i] for name, i in slot.items()} for slot in slots]
 
 

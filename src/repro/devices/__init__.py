@@ -13,10 +13,7 @@ HSPICE device decks:
 - :mod:`repro.devices.silicon` — 45 nm-class silicon MOSFETs for the
   reduced comparison library,
 - :mod:`repro.devices.extraction` — mobility/VT/SS extraction and
-  least-squares model fitting (Figure 4),
-- :mod:`repro.devices.variation` — process-variation sampling,
-- :mod:`repro.devices.materials` — alternative organic semiconductors
-  (DNTT) for the retargeting extension.
+  least-squares model fitting (Figure 4).
 """
 
 from repro.devices.mosfet_level1 import Level1Mosfet
@@ -37,8 +34,6 @@ from repro.devices.extraction import (
     fit_level61,
     FitResult,
 )
-from repro.devices.variation import VariationModel
-from repro.devices.materials import dntt_model, MATERIALS
 
 __all__ = [
     "Level1Mosfet",
@@ -57,7 +52,4 @@ __all__ = [
     "fit_level1",
     "fit_level61",
     "FitResult",
-    "VariationModel",
-    "dntt_model",
-    "MATERIALS",
 ]

@@ -14,9 +14,7 @@ described in DESIGN.md:
   * subthreshold slope ~ 350 mV/decade,
   * on/off current ratio ~ 1e6,
   * VT = -1.3 V at VDS = 1 V and +1.3 V at VDS = 10 V (physical, p-type
-    frame) — i.e. a strong drain-induced threshold shift,
-  * VT spread across a sample within 0.5 V (see
-    :mod:`repro.devices.variation`).
+    frame) — i.e. a strong drain-induced threshold shift.
 
 - :func:`measured_transfer_curve` — synthetic "experimental data": the
   golden device evaluated over a gate sweep with multiplicative device
@@ -82,8 +80,8 @@ PENTACENE = UnifiedTft(
 def pentacene_model(vt_shift: float = 0.0, mu_scale: float = 1.0) -> UnifiedTft:
     """A pentacene device with an optional VT shift / mobility scale.
 
-    Used by the process-variation studies; ``vt_shift`` is in the
-    normalised frame (positive shifts make the device harder to turn on).
+    ``vt_shift`` is in the normalised frame (positive shifts make the
+    device harder to turn on).
     """
     if mu_scale <= 0:
         raise ValueError(f"mu_scale must be positive, got {mu_scale}")

@@ -1,9 +1,8 @@
 """Process-pool map with deterministic ordering and error capture.
 
-The Monte Carlo yield analysis and the depth/width/DSE sweeps are
-embarrassingly parallel outer loops around an expensive, picklable,
-side-effect-free function.  :func:`parallel_map` is the one primitive
-they share:
+The depth/width/DSE sweeps' simulations are an embarrassingly
+parallel outer loop around an expensive, picklable, side-effect-free
+function.  :func:`parallel_map` runs them:
 
 - results come back **in task order**, regardless of completion order, so
   parallel runs are bit-identical to serial runs;

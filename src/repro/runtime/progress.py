@@ -1,8 +1,7 @@
 """Live progress heartbeats: phase, completed/total units, ETA.
 
-Long runs — library characterisation (hundreds of arcs), Monte Carlo
-yield (thousands of samples), the 1008-point DSE grid — were silent
-until done.  This module is the streaming seam: drivers declare a
+Long runs — library characterisation (hundreds of arcs), the
+1008-point DSE grid — were silent until done.  This module is the streaming seam: drivers declare a
 *phase* with a unit total, tick it as units complete, and heartbeats
 flow to two outputs:
 

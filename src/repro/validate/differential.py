@@ -12,8 +12,6 @@ so a validation failure means a real regression, not noise.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.validate.checks import (
     CheckContext,
     check,
@@ -122,40 +120,6 @@ def ensemble_vs_scalar_arc(ctx: CheckContext) -> str:
                          label=f"transition @ {where}")
             compared += 1
     return f"{compared} arc points agree to rel {ENSEMBLE_REL:g}"
-
-
-@check("ensemble-vs-scalar-dc", "differential")
-def ensemble_vs_scalar_dc(ctx: CheckContext) -> str:
-    """Stacked VTC sweep == per-cell scalar sweeps on perturbed instances."""
-    from repro.analysis.yield_mc import perturb_cell
-    from repro.cells.topologies import pseudo_e_inverter
-    from repro.cells.vtc import compute_vtc, compute_vtc_batch
-    from repro.devices.pentacene import PENTACENE
-    from repro.devices.variation import VariationModel
-
-    base = pseudo_e_inverter(PENTACENE, vdd=15.0, vss=-15.0,
-                             w_drive=100e-6, w_shift_load=10e-6,
-                             l_shift_load=100e-6, w_up=100e-6,
-                             w_down=50e-6)
-    rng = ctx.np_rng()
-    n_cells = 3 if ctx.fast else 8
-    n_points = 21 if ctx.fast else 41
-    cells = [perturb_cell(base, VariationModel(), rng)
-             for _ in range(n_cells)]
-
-    batched = compute_vtc_batch(cells, n_points=n_points)
-    for i, (cell, curve) in enumerate(zip(cells, batched)):
-        expect(curve is not None,
-               f"batched VTC abandoned instance {i} that the scalar "
-               f"path should solve")
-        scalar = compute_vtc(cell, n_points=n_points)
-        err_v = float(np.max(np.abs(curve.vout - scalar.vout)))
-        expect(np.allclose(curve.vout, scalar.vout, rtol=1e-9, atol=1e-12),
-               f"VTC vout mismatch on instance {i}: max |dv| = {err_v:g}")
-        expect(np.allclose(curve.power, scalar.power,
-                           rtol=1e-9, atol=1e-18),
-               f"VTC rail-power mismatch on instance {i}")
-    return f"{n_cells} Monte Carlo instances x {n_points} bias points agree"
 
 
 @check("backend-agreement", "differential")

@@ -8,7 +8,7 @@ from repro.analysis.figures import (
     fig7_vdd_scaling,
     fig8_vss_tuning,
 )
-from repro.cells.topologies import pseudo_e_inverter
+from repro.cells.topologies import diode_load_inverter, pseudo_e_inverter
 from repro.cells.vtc import (
     VtcCurve,
     analyze_inverter,
@@ -18,7 +18,7 @@ from repro.cells.vtc import (
     noise_margins_unity_gain,
     switching_threshold,
 )
-from repro.devices import PENTACENE
+from repro.devices import PENTACENE, pentacene_model
 
 
 @pytest.fixture(scope="module")
@@ -139,3 +139,45 @@ class TestFigure8:
     def test_slope_magnitude(self, fig8):
         """Paper slope 0.22; ours is the same order (document exact)."""
         assert 0.05 < fig8.slope < 0.4
+
+
+class TestProcessShift:
+    """A threshold shift, the pentacene process's dominant variation,
+    moves the pseudo-E VM, and the VSS rail (Figure 8's knob) trims it
+    back; the diode-load style has no rail to trim and a far smaller
+    margin to lose."""
+
+    #: VSS trim grid, volts: the Figure 8 range in 0.5 V steps.
+    VSS_GRID = np.arange(-22.0, -7.75, 0.5)
+
+    @staticmethod
+    def vm(vt_shift, vss=-15.0):
+        cell = pseudo_e_inverter(pentacene_model(vt_shift=vt_shift), vss=vss)
+        return switching_threshold(compute_vtc(cell, n_points=61))
+
+    @pytest.mark.parametrize("vt_shift", [-0.5, -0.25, 0.0, 0.25, 0.5])
+    def test_pseudo_e_margin_exceeds_diode_load(self, vt_shift):
+        model = pentacene_model(vt_shift=vt_shift)
+        pseudo = compute_vtc(pseudo_e_inverter(model, vdd=15.0),
+                             n_points=61)
+        diode = compute_vtc(diode_load_inverter(model, vdd=15.0),
+                            n_points=61)
+        assert noise_margin_mec(pseudo) > 3 * noise_margin_mec(diode)
+
+    def test_vm_falls_as_vt_rises(self):
+        vms = [self.vm(s) for s in (-0.5, -0.25, 0.0, 0.25, 0.5)]
+        assert all(np.diff(vms) < 0)
+
+    @pytest.mark.parametrize("vt_shift", [-0.5, -0.25, 0.25, 0.5])
+    def test_vss_trim_recentres_vm(self, vt_shift):
+        """The best VSS on the grid brings the shifted VM back within
+        one grid step's worth of VM of the unshifted cell, and lies on
+        the side Figure 8's positive slope predicts."""
+        target = self.vm(0.0)
+        errors = [abs(self.vm(vt_shift, vss) - target)
+                  for vss in self.VSS_GRID]
+        best = self.VSS_GRID[int(np.argmin(errors))]
+        assert min(errors) < abs(self.vm(vt_shift) - target) / 3
+        # Half a grid step at the steepest slope Figure 8 admits (0.4).
+        assert min(errors) < 0.5 * 0.5 * 0.4
+        assert np.sign(best + 15.0) == np.sign(vt_shift)

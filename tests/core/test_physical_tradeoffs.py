@@ -10,7 +10,7 @@ from repro.core.complexity import StructureModel
 from repro.core.config import CoreConfig
 from repro.core.physical import (core_area, core_physical, region_logic_delays,
                                  reset_structure_caches)
-from repro.core import ipc_native
+from repro.core import ipc_native, tradeoffs
 from repro.core.tradeoffs import (deepen_pipeline, depth_sweep, make_traces,
                                   sweep_workers)
 from repro.core.superscalar import _timing_signature, simulate
@@ -252,6 +252,58 @@ class TestSweepWorkerPolicy:
         assert pools == [2]
         assert fanned == self._points(organic_lib, organic_wire, workers=1)
         assert pools == [2]
+
+    def test_warm_cache_opens_no_pool(self, pools, organic_lib,
+                                      organic_wire, tmp_path, monkeypatch):
+        """The reference loop's sweep looks every distinct simulation up
+        once, in this process, so a repeat on a warm cache hits them all
+        and opens no pool."""
+        monkeypatch.setattr(ipc_native, "native_available", lambda: False)
+        monkeypatch.delenv("REPRO_CACHE")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        cold = self._points(organic_lib, organic_wire)
+        assert pools == [2]
+        with telemetry.collecting():
+            assert self._points(organic_lib, organic_wire) == cold
+        counters = telemetry.counters()
+        assert pools == [2]
+        # One trace, so one simulation per distinct timing signature.
+        assert counters["cache.hit.simulation"] == len(
+            {tuple(_timing_signature(config).items()) for config, *_ in cold})
+        assert "cache.miss.simulation" not in counters
+
+    def test_partly_warm_cache_pools_only_the_misses(
+            self, pools, organic_lib, organic_wire, tmp_path, monkeypatch):
+        """A sweep that extends a cached one hands the pool only the
+        simulations the cache misses, each once, and still equals the
+        uncached serial sweep."""
+        monkeypatch.setattr(ipc_native, "native_available", lambda: False)
+        serial = self._points(organic_lib, organic_wire, workers=1)
+        monkeypatch.delenv("REPRO_CACHE")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        traces = make_traces(workloads=["gzip"], n_instructions=300)
+        warm = {tuple(_timing_signature(p.config).items())
+                for p in depth_sweep(organic_lib, organic_wire, max_depth=9,
+                                     traces=traces)}
+        handed = []
+        real = tradeoffs.parallel_map
+
+        def recording(fn, items, **kwargs):
+            handed.extend(items)
+            return real(fn, items, **kwargs)
+
+        monkeypatch.setattr(tradeoffs, "parallel_map", recording)
+        with telemetry.collecting():
+            assert self._points(organic_lib, organic_wire) == serial
+        counters = telemetry.counters()
+        wanted = {tuple(_timing_signature(config).items())
+                  for config, *_ in serial}
+        missed = [tuple(_timing_signature(config).items())
+                  for config, _name in handed]
+        assert warm < wanted
+        assert sorted(missed) == sorted(wanted - warm)
+        assert counters["cache.miss.simulation"] == len(missed)
+        assert counters["cache.hit.simulation"] == len(warm)
 
 
 class TestSweepSimulatesOnce:

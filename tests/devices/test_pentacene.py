@@ -87,6 +87,32 @@ class TestModelVariants:
         scaled = pentacene_model(mu_scale=2.0)
         assert scaled.mu_band == pytest.approx(2 * PENTACENE.mu_band)
 
+    @pytest.mark.parametrize("scale", [0.5, 2.0, 10.0])
+    def test_mu_scale_scales_channel_current(self, scale):
+        """Transconductance and output conductance scale exactly; the
+        drain current does too, but for the gate-independent leakage
+        floor."""
+        scaled = pentacene_model(mu_scale=scale)
+        for vgs, vds in ((10.0, 1.0), (15.0, 10.0), (2.0, 5.0)):
+            i, gm, gds = scaled.ids(vgs, vds, TEST_W, TEST_L)
+            i0, gm0, gds0 = PENTACENE.ids(vgs, vds, TEST_W, TEST_L)
+            assert gm == pytest.approx(scale * gm0, rel=1e-12)
+            assert gds == pytest.approx(scale * gds0, rel=1e-12)
+            assert i == pytest.approx(scale * i0, rel=1e-4)
+
+    def test_variants_keep_capacitance(self):
+        for variant in (pentacene_model(vt_shift=0.3),
+                        pentacene_model(mu_scale=10.0)):
+            assert (variant.capacitances(TEST_W, TEST_L)
+                    == PENTACENE.capacitances(TEST_W, TEST_L))
+
+    def test_positive_vt_shift_turns_device_off(self):
+        """Normalised frame: a positive shift is harder to turn on."""
+        currents = [pentacene_model(vt_shift=s).ids(10.0, 5.0,
+                                                    TEST_W, TEST_L)[0]
+                    for s in (-0.3, 0.0, 0.3)]
+        assert currents[0] > currents[1] > currents[2] > 0
+
     def test_bad_mu_scale(self):
         with pytest.raises(ValueError):
             pentacene_model(mu_scale=0.0)

@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cells import vtc
-from repro.cells.topologies import cmos_inverter
-from repro.cells.vtc import compute_vtc, compute_vtc_batch
+from repro.cells import topologies
+from repro.cells.vtc import _vtc_testbench, compute_vtc
 from repro.devices.mosfet_level1 import Level1Mosfet
+from repro.devices.pentacene import pentacene_model
 from repro.errors import CircuitError
 from repro.spice import (
     Capacitor,
@@ -42,6 +42,7 @@ from repro.spice.mna import MnaSystem, bypass_eta
 
 from tests.spice.stacking import (
     VDD,
+    assert_stacks_equal,
     inverter_testbench,
     pseudo_e_testbench,
     stack,
@@ -196,6 +197,28 @@ class TestTransientEquivalence:
 
 
 class TestDcEquivalence:
+    #: Members that differ in device model (VT shift), drive width and
+    #: VSS level: ``(vt_shift, w_drive, vss)``.
+    MIXED = ((-0.3, 100e-6, -15.0), (0.0, 60e-6, -15.0),
+             (0.3, 140e-6, -15.0), (0.0, 100e-6, -12.0),
+             (0.0, 100e-6, -18.0))
+
+    @classmethod
+    def mixed_members(cls):
+        return [pseudo_e_testbench(vt_shift=s, w_drive=w, vss=v)
+                for s, w, v in cls.MIXED]
+
+    def test_mixed_members_stack_exactly(self):
+        """Per-member device models, widths and rail levels in one
+        ``EnsembleSystem`` equal each member's own ``MnaSystem``,
+        stacked, to the last bit."""
+        members = self.mixed_members()
+        template, values = stack(members)
+        varied = {attr for _name, attr in values}
+        assert {"model", "w", "value"} <= varied
+        assert ("v_vss", "value") in values
+        assert_stacks_equal(EnsembleSystem(template, values), members)
+
     def test_operating_point_matches_scalar(self):
         shifts = (-0.3, 0.0, 0.3)
         x, es = ensemble_operating_point(
@@ -206,17 +229,58 @@ class TestDcEquivalence:
                 x[m, :sys.size], xs, rtol=1e-9, atol=1e-12)
 
     def test_dc_sweep_matches_scalar(self):
-        shifts = (-0.3, 0.0, 0.3)
+        """Output voltage and every rail's current, member by member."""
         values = np.linspace(0.0, VDD, 21)
-        template, members = stack([pseudo_e_testbench(s) for s in shifts])
-        sols, ok, es = ensemble_dc_sweep(template, "v_a", values, members)
+        template, per_member = stack(self.mixed_members())
+        sols, ok, es = ensemble_dc_sweep(template, "v_a", values, per_member)
         assert ok.all()
         out = es.node_slot("out")
-        for m, s in enumerate(shifts):
-            scalar = dc_sweep(pseudo_e_testbench(s), "v_a", values)
+        for m, scalar_ckt in enumerate(self.mixed_members()):
+            scalar = dc_sweep(scalar_ckt, "v_a", values)
             np.testing.assert_allclose(sols[:, m, out],
                                        scalar.voltage("out"),
                                        rtol=1e-9, atol=1e-12)
+            for rail in ("v_vdd", "v_vss"):
+                np.testing.assert_allclose(
+                    sols[:, m, es.branch_index[rail]],
+                    scalar.source_current(rail), rtol=1e-9, atol=1e-18)
+
+    #: Organic cell families by name, each built on a given device
+    #: model, and whether their VTC ties every input to the sweep.
+    VTC_CELLS = {
+        "diode_load": (topologies.diode_load_inverter, True),
+        "biased_load": (topologies.biased_load_inverter, True),
+        "pseudo_e": (topologies.pseudo_e_inverter, True),
+        "pseudo_e_nand2": (topologies.pseudo_e_nand, True),
+        "pseudo_e_nand2_held": (topologies.pseudo_e_nand, False),
+        "pseudo_e_nor2": (topologies.pseudo_e_nor, True),
+        "pseudo_e_nor2_held": (topologies.pseudo_e_nor, False),
+    }
+
+    @pytest.mark.parametrize("family", sorted(VTC_CELLS))
+    def test_vtc_sweep_matches_compute_vtc(self, family):
+        """A cell's VTC testbench, VT-shifted member to member, sweeps
+        in one ensemble to ``compute_vtc``'s output and rail power."""
+        build, tied = self.VTC_CELLS[family]
+        cells = [build(pentacene_model(vt_shift=s), vdd=VDD)
+                 for s in (-0.3, 0.0, 0.3)]
+        pin = cells[0].inputs[0]
+        template, values = stack([_vtc_testbench(c, pin, tied)
+                                  for c in cells])
+        assert "model" in {attr for _name, attr in values}
+        sweep = np.linspace(0.0, VDD, 41)
+        sols, ok, es = ensemble_dc_sweep(
+            template, f"v_{pin}", sweep, values,
+            options=NewtonOptions(max_step_v=VDD / 4.0))
+        assert ok.all()
+        for m, cell in enumerate(cells):
+            want = compute_vtc(cell, n_points=len(sweep), tied_inputs=tied)
+            np.testing.assert_allclose(sols[:, m, es.node_slot("out")],
+                                       want.vout, rtol=1e-9, atol=1e-12)
+            power = -sum(volts * sols[:, m, es.branch_index[f"v_{rail}"]]
+                         for rail, volts in cell.rails.items() if volts)
+            np.testing.assert_allclose(power, want.power,
+                                       rtol=1e-9, atol=1e-18)
 
     def test_sweep_restores_source_values(self):
         ckt = pseudo_e_testbench(0.0)
@@ -402,32 +466,10 @@ class TestUnbatched:
         with pytest.raises(CircuitError, match="element 'v_a' of"):
             EnsembleSystem(*stack(members))
 
-    def test_level1_vtc_batch_equals_scalar(self, monkeypatch):
-        """``compute_vtc_batch`` answers the rejection with scalar sweeps,
-        one per cell, so a Level-1 inverter's VTCs equal
-        ``compute_vtc``'s."""
-        cells = [cmos_inverter(L1_NMOS, level1_pmos(kp), w_n=10e-6,
-                               w_p=20e-6, l=2e-6, vdd=L1_VDD)
-                 for kp in (4e-5, 6e-5)]
-        swept = []
-
-        def counted(cell, **kwargs):
-            swept.append(cell)
-            return compute_vtc(cell, **kwargs)
-
-        monkeypatch.setattr(vtc, "compute_vtc", counted)
-        curves = compute_vtc_batch(cells, n_points=41)
-        assert swept == cells
-        for cell, curve in zip(cells, curves):
-            want = compute_vtc(cell, n_points=41)
-            assert curve.vout.tobytes() == want.vout.tobytes()
-            assert curve.power.tobytes() == want.power.tobytes()
-
 
 class TestPerMemberFallback:
     """A stack the ensemble rejects falls back to the scalar engine,
-    member by member, as ``compute_vtc_batch`` does.  The rejection
-    leaves every member as it was, so the scalar engine solves each one
+    member by member.  The rejection leaves every member as it was, so the scalar engine solves each one
     exactly as it solves a fresh copy, and records an output crossing.
     A callable source loses nothing more: restated as the ``RampValue``
     it computes, the stack batches again and matches the scalar answer
