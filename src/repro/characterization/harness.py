@@ -10,10 +10,12 @@ hold times, mirroring what a commercial characterisation tool performs.
 Grid points run as stacked ensemble transients, in chunks of
 :data:`repro.runtime.ENSEMBLE_BATCH`: one template testbench per ensemble
 plus per-point values (the active ramp, held levels, the load), so both
-arcs of an input pin share one ensemble.  The per-point scalar measurements
-(:func:`measure_arc`, :func:`measure_clk_to_q`, :func:`_setup_bisect`)
-are the fallback for members the ensemble cannot finish and the oracle
-the ensemble path is checked against.
+arcs of an input pin share one ensemble.  A point the ensemble cannot
+finish raises where it fails, carrying that point's context.  The
+per-point scalar measurements (:func:`measure_arc`,
+:func:`measure_clk_to_q`, :func:`_captures`, :func:`_setup_bisect`) are
+the oracle the tests and ``python -m repro validate`` check the
+ensemble path against; no library build runs them.
 
 Because a library build runs hundreds of multi-transistor transients,
 :func:`characterize_library` caches its result as JSON keyed by a hash of
@@ -250,10 +252,12 @@ def measure_pin_batch(design: CellDesign, pin: str,
     of points from one template testbench — every member gets the
     circuit, timestep schedule and window :func:`measure_arc` would use
     — and extracts the delay/transition crossings online.  Members whose
-    output has not settled in the first window (or whose batch hits a
-    convergence failure) fall back to the scalar :func:`measure_arc`,
-    which retries with its usual window growth; results are therefore
-    the scalar results, just batched where batching is possible.
+    output has not settled re-run with :func:`measure_arc`'s window
+    growth, so results are the scalar results, batched.  As in
+    :func:`measure_arc`, a point still unsettled after the fifth window,
+    or settled without the crossings to measure, raises
+    :class:`CharacterizationError`, and a :class:`ConvergenceError`
+    carries the failing point's cell, pin, edge, slew and load.
     *hints* maps every load of *points* to its delay hint (default:
     :func:`_delay_hints` of those loads).
     """
@@ -279,6 +283,7 @@ def measure_pin_batch(design: CellDesign, pin: str,
               Probe("out", SLEW_HIGH * vdd)]
 
     results: list[tuple[float, float] | None] = [None] * len(points)
+    t_stops = [0.0] * len(points)
     batch = runtime.ENSEMBLE_BATCH
     for chunk_start in range(0, len(points), batch):
         # The scalar controller's retry loop, batched: members whose
@@ -293,18 +298,21 @@ def measure_pin_batch(design: CellDesign, pin: str,
             opts = []
             for k in pending:
                 slew = points[k][1]
-                t_stop = starts[k] + slew * _RAMP_FACTOR + windows[k]
-                dt = min(t_stop / 700.0, slew * _RAMP_FACTOR / 8.0)
+                t_stops[k] = starts[k] + slew * _RAMP_FACTOR + windows[k]
+                dt = min(t_stops[k] / 700.0, slew * _RAMP_FACTOR / 8.0)
                 opts.append(TransientOptions(
-                    dt=dt, t_stop=t_stop, dt_max=16.0 * dt,
+                    dt=dt, t_stop=t_stops[k], dt_max=16.0 * dt,
                     lte_tol=_LTE_FRACTION * vdd))
             template, values = _arc_ensemble(
                 design, pin, [(*points[k], starts[k]) for k in pending])
             try:
                 ens = EnsembleTransient(template, opts, probes,
                                         values).run()
-            except ConvergenceError:
-                break  # scalar fallback reproduces the context-rich error
+            except ConvergenceError as exc:
+                rise, slew, load = points[pending[_failing_member(exc)]]
+                raise exc.with_context(cell=design.name, pin=pin,
+                                       input_rise=rise, slew=slew,
+                                       load=load)
             final_out = ens.final_value("out")
             still_pending = []
             for m, k in enumerate(pending):
@@ -317,31 +325,35 @@ def measure_pin_batch(design: CellDesign, pin: str,
                     still_pending.append(k)
                     continue
                 results[k] = _arc_from_ensemble(
-                    ens, m, vdd, rise, "rise" if final[rise] else "fall",
-                    target,
+                    ens, m, rise, "rise" if final[rise] else "fall",
                     context=f"{design.name}.{pin} "
                             f"{'rise' if rise else 'fall'} "
                             f"slew={slew_k:g} load={load_k:g}")
-                # Settled but unmeasurable stays None: the scalar path
-                # raises the canonical CharacterizationError for it.
+                if results[k] is None:
+                    raise CharacterizationError(
+                        f"measurement failed for {design.name!r}.{pin} "
+                        f"(slew={slew_k:g}, load={load_k:g}): a delay or "
+                        f"transition threshold is never crossed")
             pending = still_pending
-
-    if telemetry.ENABLED:
-        fallbacks = sum(1 for v in results if v is None)
-        if fallbacks:
-            telemetry.count("char.scalar_point_fallbacks", fallbacks)
-    return [
-        value if value is not None
-        else measure_arc(design, pin, rise, slew, load, delay_hint=hint)
-        for value, (rise, slew, load), hint
-        in zip(results, points, point_hints)]
+        if pending:
+            _rise, slew, load = points[pending[0]]
+            raise CharacterizationError(
+                f"output of {design.name!r}.{pin} did not settle within "
+                f"{t_stops[pending[0]]:g}s (slew={slew:g}, load={load:g})")
+    return results
 
 
-def _arc_from_ensemble(ens: EnsembleTransient, m: int, vdd: float,
-                       input_rise: bool, out_direction: str, target: float,
-                       context: str | None = None
+def _failing_member(exc: ConvergenceError) -> int:
+    """The ensemble member an ensemble's :class:`ConvergenceError` names."""
+    return next(event["member"] for event in reversed(exc.events)
+                if "member" in event)
+
+
+def _arc_from_ensemble(ens: EnsembleTransient, m: int, input_rise: bool,
+                       out_direction: str, context: str | None = None
                        ) -> tuple[float, float] | None:
-    """(delay, out_slew) for one settled member, or None for a scalar retry.
+    """(delay, out_slew) for one settled member, or None when a
+    threshold crossing it needs is missing.
 
     Replays :func:`repro.spice.waveform.delay_between` and
     :meth:`~repro.spice.waveform.Waveform.transition_time` on the online
@@ -354,8 +366,6 @@ def _arc_from_ensemble(ens: EnsembleTransient, m: int, vdd: float,
     glitchy outputs measure identically on both paths.
     """
     final_out = ens.final_value("out")[m]
-    if abs(final_out - target) > 0.05 * vdd:
-        return None
     cause = ens.crossing_times(0, m, "rise" if input_rise else "fall")
     if len(cause) == 0:
         return None
@@ -558,6 +568,12 @@ def _dff_transient(dff: CompositeCell, load: float, clk_slew: float,
     return result, t_clk
 
 
+def _clk_to_q_context(dff: CompositeCell, clk_slew: float,
+                      load: float) -> str:
+    """How a clk->q measurement names its point in a warning."""
+    return f"{dff.name} clk->q slew={clk_slew:g} load={load:g}"
+
+
 def measure_clk_to_q(dff: CompositeCell, clk_slew: float, load: float,
                      t_unit: float, q_rises: bool = True) -> float:
     """Clock-50% to Q-50% delay for one grid point.
@@ -581,7 +597,9 @@ def measure_clk_to_q(dff: CompositeCell, clk_slew: float, load: float,
             try:
                 return delay_between(w_clk, w_q, 0.5 * vdd, 0.5 * vdd,
                                      cause_direction="rise",
-                                     effect_direction=direction)
+                                     effect_direction=direction,
+                                     context=_clk_to_q_context(
+                                         dff, clk_slew, load))
             except AnalysisError as exc:
                 last_error = exc
         if telemetry.ENABLED:
@@ -610,14 +628,12 @@ def _captures(dff: CompositeCell, load: float, clk_slew: float,
 
 
 def _captures_batch(dff: CompositeCell, load: float, clk_slew: float,
-                    t_unit: float, offsets: list[float]
-                    ) -> list[bool] | None:
+                    t_unit: float, offsets: list[float]) -> list[bool]:
     """Capture verdicts for several setup candidates as one ensemble.
 
     Same judgement as :func:`_captures` (final Q above 60% of the rail),
-    one stacked transient for all candidates.  Returns None when the
-    batch hits a convergence failure, letting the caller fall back to
-    the scalar search.
+    one stacked transient for all candidates.  A
+    :class:`ConvergenceError` carries the failing candidate's context.
     """
     vdd = dff.rails["vdd"]
     stimuli, opts = [], []
@@ -630,15 +646,17 @@ def _captures_batch(dff: CompositeCell, load: float, clk_slew: float,
     template, values = _dff_ensemble(dff, stimuli)
     try:
         ens = EnsembleTransient(template, opts, values=values).run()
-    except ConvergenceError:
-        return None
+    except ConvergenceError as exc:
+        raise exc.with_context(cell=dff.name, clk_slew=clk_slew, load=load,
+                               setup_candidate=offsets[_failing_member(exc)])
     return [bool(v > 0.6 * vdd) for v in ens.final_value("q")]
 
 
 def _setup_bisect(dff: CompositeCell, clk_slew: float, load: float,
                   t_unit: float, lo: float, hi: float,
                   resolution: float) -> float:
-    """Scalar bisection on a (lo fails, hi captures) bracket."""
+    """Scalar bisection on a (lo fails, hi captures) bracket: the
+    oracle of :func:`measure_setup_time`'s K-way search."""
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
         if _captures(dff, load, clk_slew, t_unit, mid):
@@ -654,37 +672,27 @@ def measure_setup_time(dff: CompositeCell, clk_slew: float, load: float,
 
     Maintains a (``lo`` fails, ``hi`` captures) bracket and shrinks it to
     ``resolution``.  Each round probes several interior candidates as one
-    stacked ensemble (a K-way section search, ~3 rounds instead of ~7
-    serial bisection transients).  If an ensemble fails to converge, the
-    classic one-probe-per-round :func:`_setup_bisect` finishes the search.
-    Either way the returned ``hi`` is a capturing upper bracket within
-    ``resolution`` of the true threshold.
+    stacked ensemble (a K-way section search, ~3 rounds instead of the ~7
+    serial transients of the scalar :func:`_setup_bisect`).  The returned
+    ``hi`` is a capturing upper bracket within ``resolution`` of the true
+    threshold.
     """
     lo, hi = 0.0, 10.0 * t_unit
     resolution = resolution_frac * t_unit
 
-    flags = _captures_batch(dff, load, clk_slew, t_unit, [hi, lo])
-    use_ensemble = flags is not None
-    if use_ensemble:
-        captures_hi, captures_lo = flags
-    else:
-        captures_hi = _captures(dff, load, clk_slew, t_unit, hi)
-        captures_lo = (_captures(dff, load, clk_slew, t_unit, lo)
-                       if captures_hi else False)
+    captures_hi, captures_lo = _captures_batch(dff, load, clk_slew, t_unit,
+                                               [hi, lo])
     if not captures_hi:
         raise CharacterizationError("flop does not capture even with "
                                     f"setup {hi:g}s; check sizing")
     if captures_lo:
         return 0.0
 
-    while use_ensemble and hi - lo > resolution:
+    while hi - lo > resolution:
         k = min(7, max(1, int(np.ceil((hi - lo) / resolution)) - 1))
         candidates = lo + (hi - lo) * np.arange(1, k + 1) / (k + 1)
         flags = _captures_batch(dff, load, clk_slew, t_unit,
                                 list(candidates))
-        if flags is None:
-            use_ensemble = False
-            break
         capturing = [i for i, f in enumerate(flags) if f]
         if capturing:
             first = capturing[0]
@@ -693,9 +701,6 @@ def measure_setup_time(dff: CompositeCell, clk_slew: float, load: float,
                 lo = float(candidates[first - 1])
         else:
             lo = float(candidates[-1])
-    if hi - lo > resolution:
-        return _setup_bisect(dff, clk_slew, load, t_unit, lo, hi,
-                             resolution)
     return hi
 
 
@@ -704,9 +709,12 @@ def measure_clk_to_q_batch(dff: CompositeCell,
                            t_unit: float) -> list[float]:
     """Clk->q delays for several (clk_slew, load) points, one ensemble.
 
-    Members whose Q has not settled after the first observation window —
-    or whose batch fails to converge — fall back to the scalar
-    :func:`measure_clk_to_q` with its window-growing retries.
+    The batched :func:`measure_clk_to_q`: members whose Q has not
+    settled, or has no clock or Q crossing to measure, re-run with its
+    window growth, and a point still unmeasured after the fifth window
+    raises :class:`CharacterizationError`.  The delay follows the shared
+    :func:`~repro.spice.waveform.resolve_effect_delay` policy, and a
+    :class:`ConvergenceError` carries the failing point's context.
     """
     vdd = dff.rails["vdd"]
     delays: list[float | None] = [None] * len(points)
@@ -730,20 +738,21 @@ def measure_clk_to_q_batch(dff: CompositeCell,
         probes = [Probe("clk", 0.5 * vdd), Probe("q", 0.5 * vdd)]
         try:
             ens = EnsembleTransient(template, opts, probes, values).run()
-        except ConvergenceError:
-            break  # scalar fallback reproduces the context-rich error
+        except ConvergenceError as exc:
+            clk_slew, load = points[pending[_failing_member(exc)]]
+            raise exc.with_context(cell=dff.name, clk_slew=clk_slew,
+                                   load=load)
+        final_q = ens.final_value("q")
         still_pending = []
         for m, k in enumerate(pending):
             delay = None
-            if abs(ens.final_value("q")[m] - vdd) <= 0.05 * vdd:
+            if abs(final_q[m] - vdd) <= 0.05 * vdd:
                 cause = ens.crossing_times(0, m, "rise")
                 effect = ens.crossing_times(1, m, "rise")
-                if len(cause):
-                    after = effect[effect >= cause[0]]
-                    if len(after):
-                        delay = float(after[0] - cause[0])
-                    elif len(effect):
-                        delay = float(effect[-1] - cause[0])
+                if len(cause) and len(effect):
+                    delay = resolve_effect_delay(
+                        float(cause[0]), effect,
+                        context=_clk_to_q_context(dff, *points[k]))
             if delay is None:
                 if telemetry.ENABLED:
                     telemetry.count("char.dff_window_retries")
@@ -752,11 +761,12 @@ def measure_clk_to_q_batch(dff: CompositeCell,
             else:
                 delays[k] = delay
         pending = still_pending
-
-    return [
-        delay if delay is not None
-        else measure_clk_to_q(dff, clk_slew, load, t_unit)
-        for delay, (clk_slew, load) in zip(delays, points)]
+    if pending:
+        clk_slew, load = points[pending[0]]
+        raise CharacterizationError(
+            f"clk->q measurement failed (slew={clk_slew:g}, "
+            f"load={load:g}): Q did not settle with a measurable edge")
+    return delays
 
 
 def characterize_dff(dff: CompositeCell, grid: CharacterizationGrid,

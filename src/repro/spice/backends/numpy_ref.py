@@ -17,13 +17,10 @@ and implements it.  The contract is small on purpose:
   declines with ``None`` and the caller runs the NumPy loop, which the
   compiled :class:`~repro.spice.backends.native.NativeBackend` overrides.
 
-The scalar solve goes through SciPy's raw ``dgesv`` LAPACK driver when
-SciPy is importable (~2.5x less call overhead than
-``numpy.linalg.solve``), loaded on the first scalar solve so that
-importing the package loads no SciPy.  The stacked solve goes through
-one batched ``numpy.linalg.solve``.  A singular lane in a batch triggers the
-lane-by-lane fallback solve so the healthy lanes still get their LAPACK
-answers.
+Both solves go through ``numpy.linalg.solve`` (LAPACK ``gesv``), so
+the SPICE engine needs no SciPy: the scalar solve once per system, the
+stacked solve once per batch.  A singular lane in a batch triggers a
+lane-by-lane solve so the healthy lanes still get their LAPACK answers.
 
 The backend is resolved once per process (see
 :mod:`repro.spice.backends`) and is stateless apart from telemetry
@@ -32,26 +29,13 @@ counters, so one instance serves every circuit and thread of a run.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from repro.runtime import telemetry
 
 
-@functools.cache
-def _dgesv():
-    """Direct LAPACK driver (~2.5x less overhead than np.linalg.solve),
-    or None without SciPy."""
-    try:
-        from scipy.linalg.lapack import dgesv  # type: ignore
-    except ImportError:  # pragma: no cover - scipy is a standard dependency
-        return None
-    return dgesv
-
-
 class NumpyBackend:
-    """Dense LAPACK solves through NumPy/SciPy; the behaviour oracle."""
+    """Dense LAPACK solves through NumPy; the behaviour oracle."""
 
     #: Identity reported in telemetry span metadata and run reports.
     name = "numpy"
@@ -81,12 +65,6 @@ class NumpyBackend:
         when ``J`` is singular.  Never raises ``LinAlgError``.
         """
         self._count(1)
-        dgesv = _dgesv()
-        if dgesv is not None:
-            _, _, delta, info = dgesv(J, -F, 0, 1)
-            if info != 0:
-                return np.zeros_like(F), False
-            return delta, True
         try:
             return np.linalg.solve(J, -F), True
         except np.linalg.LinAlgError:

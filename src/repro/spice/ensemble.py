@@ -25,8 +25,14 @@ in lockstep instead:
 Per-member trajectories follow exactly the scalar controllers in
 :mod:`repro.spice.transient` and :mod:`repro.spice.dc` (warm-start
 prediction, LTE growth/rejection, dt halving, gmin/source-stepping DC
-fallbacks), so results agree with scalar runs to solver tolerance; the
-equivalence test suite pins this down.
+continuation), so results agree with scalar runs to solver tolerance;
+the equivalence test suite pins this down.
+
+The scalar engine is the oracle those tests compare against, never a
+second production path: a member the batched chain cannot converge
+raises :class:`~repro.errors.ConvergenceError` where it fails, and the
+error's last event names the failing member (its ``member`` field) so
+a caller can attach that member's context.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from repro.devices.tft_level61 import StackedTftParams, UnifiedTft
 from repro.errors import CircuitError, ConvergenceError
 from repro.runtime import telemetry
 from repro.spice.backends import EnsembleNewtonRequest, get_backend
-from repro.spice.dc import NewtonOptions, solve_operating_point
+from repro.spice.dc import NewtonOptions
 from repro.spice.elements import (
     FET_GMIN,
     Element,
@@ -50,7 +56,7 @@ from repro.spice.elements import (
     RampValue,
     VoltageSource,
 )
-from repro.spice.mna import MnaSystem, bind, bypass_eta
+from repro.spice.mna import bind, bypass_eta
 from repro.spice.netlist import Circuit
 from repro.spice.transient import TransientOptions
 
@@ -390,15 +396,6 @@ class EnsembleSystem:
         # subsets are memoised by member-index signature.
         self._gather_cache: dict[bytes, _GatheredFets | None] = {}
 
-    def member(self, b: int) -> MnaSystem:
-        """Member *b* as a scalar :class:`MnaSystem` on a circuit of its
-        own (the scalar retry path and the oracle)."""
-        ckt = Circuit(self.template.name)
-        for e in self.template.elements:
-            vary = self._vary.get(e.name)
-            ckt.add(_member_copy(e, vary, b) if vary else copy.copy(e))
-        return MnaSystem(ckt)
-
     @functools.cached_property
     def nl_slots(self) -> np.ndarray:
         """Solver slots any FET of any member stamps (sorted, unique)."""
@@ -581,8 +578,8 @@ class EnsembleSystem:
             if telemetry.ENABLED:
                 telemetry.time_add("solver.solve", perf_counter() - t0)
             if not solve_ok.all():
-                # Singular lanes are deactivated (reported unconverged,
-                # routed to the caller's scalar-retry path), never fatal.
+                # Singular lanes are deactivated (reported unconverged
+                # to the caller's continuation chain), never fatal.
                 active[act_idx[~solve_ok]] = False
                 act_idx = act_idx[solve_ok]
                 delta = delta[solve_ok]
@@ -646,15 +643,19 @@ class EnsembleSystem:
     def solve_dc(self, mem_idx: np.ndarray | None = None,
                  x0: np.ndarray | None = None,
                  options: NewtonOptions | None = None,
-                 b: np.ndarray | None = None
+                 b: np.ndarray | None = None, strict: bool = False
                  ) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked DC operating points with the scalar fallback chain.
+        """Stacked DC operating points with the scalar continuation chain.
 
         Returns ``(x, ok)`` over the requested member subset.  The rhs
         is the sources at ``t = 0`` unless *b* gives it.  Lanes failing
         plain Newton go through gmin stepping, then source stepping —
         each on the still-failing subset only — mirroring
-        :func:`repro.spice.dc.solve_operating_point` lane by lane.
+        :func:`repro.spice.dc.solve_operating_point` lane by lane.  A
+        lane the whole chain leaves unconverged comes back
+        ``ok = False``; with *strict* the first such lane raises
+        :class:`ConvergenceError` instead, naming its member, with one
+        event per stage tried (newton, gmin, source).
         """
         options = options or NewtonOptions()
         if mem_idx is None:
@@ -669,6 +670,9 @@ class EnsembleSystem:
         x_out, ok = self.newton_batch(mem_idx, G_lin, b, x, options)
         if ok.all():
             return x_out, ok
+        # The step each lane last failed at, for the strict error's trail.
+        failed_gmin = np.zeros(A)
+        failed_alpha = np.zeros(A)
 
         # Fallback 1: gmin stepping on the failing subset.
         retry = np.flatnonzero(~ok)
@@ -686,6 +690,7 @@ class EnsembleSystem:
                 xg[alive], options, gmin=float(gmin))
             xg[alive] = np.where(step_ok[:, None], xg_new, xg[alive])
             g_ok[alive[~step_ok]] = False
+            failed_gmin[retry[alive[~step_ok]]] = gmin
         recovered = np.flatnonzero(g_ok)
         x_out[retry[recovered]] = xg[recovered]
         ok[retry[recovered]] = True
@@ -711,9 +716,21 @@ class EnsembleSystem:
                 xs[alive], options, max_iterations=relaxed_iter[alive])
             xs[alive] = np.where(step_ok[:, None], xs_new, xs[alive])
             s_ok[alive[~step_ok]] = False
+            failed_alpha[retry[alive[~step_ok]]] = alpha
         recovered = np.flatnonzero(s_ok)
         x_out[retry[recovered]] = xs[recovered]
         ok[retry[recovered]] = True
+        if strict and not ok.all():
+            lane = int(np.flatnonzero(~ok)[0])
+            member = int(mem_idx[lane])
+            raise ConvergenceError(
+                f"DC operating point of member {member} of ensemble "
+                f"{self.template.name!r} did not converge",
+                events=[{"stage": "newton", "member": member},
+                        {"stage": "gmin", "member": member,
+                         "last_gmin": float(failed_gmin[lane])},
+                        {"stage": "source", "member": member,
+                         "last_alpha": float(failed_alpha[lane])}])
         return x_out, ok
 
     # -- solution access -----------------------------------------------------
@@ -734,16 +751,12 @@ def ensemble_operating_point(template: Circuit,
                              ) -> tuple[np.ndarray, EnsembleSystem]:
     """Stacked DC operating points of one template's members.
 
-    Lanes the batched fallback chain cannot converge are retried with the
-    scalar solver (which raises :class:`ConvergenceError` on failure, as
-    the per-circuit path would).
+    A member the batched newton -> gmin -> source chain cannot converge
+    raises :class:`ConvergenceError` naming it (see
+    :meth:`EnsembleSystem.solve_dc`).
     """
     es = EnsembleSystem(template, values)
-    x, ok = es.solve_dc(options=options)
-    for lane in np.flatnonzero(~ok):
-        if telemetry.ENABLED:
-            telemetry.count("ensemble.scalar_retries")
-        x[lane] = solve_operating_point(es.member(lane), options=options)
+    x, _ok = es.solve_dc(options=options, strict=True)
     return x, es
 
 
@@ -784,22 +797,8 @@ def ensemble_dc_sweep(template: Circuit, source_name: str,
         x0 = x_prev[alive] if x_prev is not None else None
         x, point_ok = es.solve_dc(mem_idx=alive, x0=x0, options=options,
                                   b=b)
-        # Lanes the batch cannot converge get one scalar retry before
-        # being written off (matches per-circuit robustness).
-        for k in np.flatnonzero(~point_ok):
-            if telemetry.ENABLED:
-                telemetry.count("ensemble.scalar_retries")
-            member = es.member(alive[k])
-            member.circuit.element(source_name).value = float(value)
-            try:
-                x[k] = solve_operating_point(
-                    member, x0=None if x0 is None else x0[k],
-                    options=options)
-                point_ok[k] = True
-            except (ConvergenceError, np.linalg.LinAlgError):
-                # A lane whose scalar retry is singular/unconverged
-                # is written off; it must never kill the sweep.
-                pass
+        # A lane the batched chain cannot converge is written off; it
+        # never stops the sweep of the others.
         ok[alive[~point_ok]] = False
         good = alive[point_ok]
         solutions[i, good] = x[point_ok]
@@ -874,7 +873,9 @@ class EnsembleTransient:
     whose step fails or whose LTE estimate rejects an oversized step
     simply sit out the accept phase and retry at their reduced step on
     the next sweep of the active set; members that reach their ``t_stop``
-    leave the batch entirely.
+    leave the batch entirely.  A member whose DC initial condition does
+    not converge, or whose step fails even at its minimum, raises
+    :class:`ConvergenceError` naming it.
     """
 
     def __init__(self, template: Circuit,
@@ -912,9 +913,7 @@ class EnsembleTransient:
         self._ctrl = np.stack([self.lte_tol, self.dt_nom,
                                self.dt_cap, self.growth])
 
-        x, ok = es.solve_dc(options=newton)
-        for lane in np.flatnonzero(~ok):
-            x[lane] = solve_operating_point(es.member(lane), options=newton)
+        x, _ok = es.solve_dc(options=newton, strict=True)
         self.x = x
         self.x_init = x.copy()
         self.t = np.zeros(B)

@@ -16,6 +16,7 @@ from repro.core.tradeoffs import (deepen_pipeline, depth_sweep, make_traces,
 from repro.core.superscalar import _timing_signature, simulate
 from repro.errors import ConfigError
 from repro.runtime import executor, telemetry
+from repro.runtime.cache import default_cache
 
 
 class TestStructureModel:
@@ -305,6 +306,37 @@ class TestSweepWorkerPolicy:
         assert counters["cache.miss.simulation"] == len(missed)
         assert counters["cache.hit.simulation"] == len(warm)
 
+
+class TestWarmResultCache:
+    def test_repeat_depth_sweep_is_served_from_disk(
+            self, organic_lib, organic_wire, tmp_path, monkeypatch):
+        """A depth sweep stores its simulations, block timings and block
+        areas, each readable back; the same sweep again simulates
+        nothing and misses no simulation."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
+        # Price every block afresh, so the sweep stores it.
+        reset_structure_caches()
+        traces = make_traces(workloads=["gzip", "mcf"], n_instructions=300)
+
+        def points():
+            return [(p.config, p.physical, p.ipc, p.performance)
+                    for p in depth_sweep(organic_lib, organic_wire,
+                                         max_depth=10, traces=traces)]
+
+        first = points()
+        cache = default_cache()
+        for category in ("simulation", "block_timing", "block_area"):
+            stored = list((cache.root / category).glob("*.json"))
+            assert stored, category
+            assert all(cache.get(category, path.stem) is not None
+                       for path in stored)
+        with telemetry.collecting():
+            assert points() == first
+        counters = telemetry.counters()
+        assert counters.get("ipc.simulations", 0) == 0
+        assert counters.get("cache.miss.simulation", 0) == 0
+        assert counters["cache.hit.simulation"] > 0
 
 class TestSweepSimulatesOnce:
     """A sweep simulates each distinct (timing signature, trace) once

@@ -17,7 +17,7 @@ from repro.cells import topologies
 from repro.cells.vtc import _vtc_testbench, compute_vtc
 from repro.devices.mosfet_level1 import Level1Mosfet
 from repro.devices.pentacene import pentacene_model
-from repro.errors import CircuitError
+from repro.errors import CircuitError, ConvergenceError
 from repro.spice import (
     Capacitor,
     Circuit,
@@ -425,6 +425,72 @@ def step_testbench(load, slew):
     ckt = inverter_testbench(load, slew)
     ckt.element("v_a").value = RampValue(0.0, VDD, 0.2 * slew, 0.0)
     return ckt
+
+
+class TestUnconvergedLanes:
+    """A member the batched newton -> gmin -> source chain leaves
+    unconverged raises ``ConvergenceError`` naming it, with one event
+    per stage; the scalar engine never retries it.  A DC sweep writes
+    such a member off and sweeps the others on."""
+
+    SHIFTS = (-0.3, 0.0, 0.3)
+
+    @pytest.fixture()
+    def member_one_stuck(self, monkeypatch):
+        """Every batched Newton solve leaves member 1 unconverged (the
+        scalar solver converges it)."""
+        real = EnsembleSystem.newton_batch
+
+        def stuck(self, mem_idx, *args, **kwargs):
+            x, converged = real(self, mem_idx, *args, **kwargs)
+            return x, converged & (mem_idx != 1)
+
+        monkeypatch.setattr(EnsembleSystem, "newton_batch", stuck)
+
+    def members(self):
+        return [pseudo_e_testbench(s) for s in self.SHIFTS]
+
+    @staticmethod
+    def assert_names_member(exc, member, options=NewtonOptions()):
+        assert [e["stage"] for e in exc.events] == ["newton", "gmin",
+                                                     "source"]
+        assert {e["member"] for e in exc.events} == {member}
+        assert exc.events[1]["last_gmin"] == options.gmin_steps[0]
+        assert exc.events[2]["last_alpha"] == 1.0 / options.source_steps
+        assert f"member {member} of" in str(exc)
+
+    def test_operating_point_raises(self, member_one_stuck):
+        with pytest.raises(ConvergenceError) as info:
+            ensemble_operating_point(*stack(self.members()))
+        self.assert_names_member(info.value, 1)
+
+    def test_transient_initial_condition_raises(self, member_one_stuck):
+        members = self.members()
+        with pytest.raises(ConvergenceError) as info:
+            transient_ensemble(members, [default_options()] * len(members))
+        self.assert_names_member(info.value, 1)
+
+    def test_no_budget_fails_first_member(self):
+        """Unstubbed: a zero iteration budget fails every lane, and the
+        error names the first."""
+        options = NewtonOptions(max_iterations=0)
+        with pytest.raises(ConvergenceError) as info:
+            ensemble_operating_point(*stack(self.members()),
+                                     options=options)
+        self.assert_names_member(info.value, 0, options)
+
+    def test_dc_sweep_writes_member_off(self, member_one_stuck):
+        sweep = np.linspace(0.0, VDD, 5)
+        template, values = stack(self.members())
+        sols, ok, es = ensemble_dc_sweep(template, "v_a", sweep, values)
+        assert ok.tolist() == [True, False, True]
+        assert np.isnan(sols[:, 1]).all()
+        out = es.node_slot("out")
+        for m in (0, 2):
+            scalar = dc_sweep(self.members()[m], "v_a", sweep)
+            np.testing.assert_allclose(sols[:, m, out],
+                                       scalar.voltage("out"),
+                                       rtol=1e-9, atol=1e-12)
 
 
 class TestUnbatched:

@@ -396,6 +396,28 @@ def test_corrupt_entry_is_recomputed(corruption, multiplier, organic_lib,
     assert (hits, misses) == (len(_COUNTS), 0)
 
 
+def test_warm_fig12_relevels_cached_budgets(organic_lib, silicon_lib,
+                                            monkeypatch):
+    """Figure 12 repeated on one result cache: the repeat is served
+    every budget, rejects none, makes one final level pass per process
+    sweep and equals the first."""
+    from repro.analysis import figures
+
+    monkeypatch.setattr(figures, "load_libraries",
+                        lambda: (organic_lib, silicon_lib))
+    counts = [1, 2, 4]
+    first = figures.fig12_alu_depth(stage_counts=counts)
+    assert len(list((default_cache().root / "pipeline").glob("*.json"))) \
+        == 2 * len(counts)
+    with telemetry.collecting():
+        again = figures.fig12_alu_depth(stage_counts=counts)
+    counters = telemetry.counters()
+    assert again == first
+    assert counters["cache.hit.pipeline"] == 2 * len(counts)
+    assert counters.get("cache.miss.pipeline", 0) == 0
+    assert counters.get("cache.reject.pipeline", 0) == 0
+    assert counters["pipeline.level_passes"] == 2
+
 def test_lookahead_settles_three_rounds_per_pass(multiplier, organic_lib,
                                                  organic_wire, private_cache,
                                                  monkeypatch):
