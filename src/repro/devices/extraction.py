@@ -15,9 +15,10 @@ All functions here work in the normalised n-type frame (on-state at
 positive overdrive); :func:`characterize_curve` adapts the physical p-type
 measurement data from :mod:`repro.devices.pentacene`.
 
-Only the two model fits need SciPy (``scipy.optimize.least_squares``),
-and they import it when called, so importing this module — and every
-layer above it — loads no SciPy module.
+Both model fits minimise with
+:func:`repro.devices.least_squares.least_squares`, a numpy port of the
+one ``scipy.optimize.least_squares`` path they take, so nothing here
+needs SciPy.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.devices.least_squares import least_squares
 from repro.devices.mosfet_level1 import Level1Mosfet
 from repro.devices.pentacene import TransferCurve
 from repro.devices.tft_level61 import UnifiedTft
@@ -240,8 +242,6 @@ def fit_level1(curve: TransferCurve, ci: float) -> FitResult:
     returned ``rms_log_error`` is still evaluated over the *whole* sweep,
     quantifying Figure 4's "insufficient to describe the OTFTs" point.
     """
-    from scipy.optimize import least_squares
-
     vgs_n, id_, vds_n = _as_normalised(curve)
     on_mask = id_ > id_.max() * 1e-2
 
@@ -254,9 +254,8 @@ def fit_level1(curve: TransferCurve, ci: float) -> FitResult:
         return (pred - id_[on_mask]) / scale
 
     kp0 = 1e-8
-    result = least_squares(residual, x0=[kp0, 1.0],
-                           bounds=([1e-12, -10.0], [1e-3, 10.0]))
-    kp, vt0 = result.x
+    kp, vt0 = least_squares(residual, [kp0, 1.0],
+                            ([1e-12, -10.0], [1e-3, 10.0]))
     model = Level1Mosfet(polarity=-1, kp=float(kp), vt0=float(vt0), ci=ci)
     pred = np.array([model.ids(v, vds_n, curve.w, curve.l)[0] for v in vgs_n])
     full, on = _log_errors(pred, id_, on_mask)
@@ -274,8 +273,6 @@ def fit_level61(curve: TransferCurve, ci: float,
     prior (fitting it is degenerate with mobility on a single curve, as in
     real TFT extraction practice).
     """
-    from scipy.optimize import least_squares
-
     vgs_n, id_, vds_n = _as_normalised(curve)
     on_mask = id_ > id_.max() * 1e-2
     log_meas = np.log10(np.maximum(id_, _LOG_FLOOR))
@@ -295,12 +292,12 @@ def fit_level61(curve: TransferCurve, ci: float,
 
     x0 = np.array([1e-5, 1.3, 0.35, -9.0])
     bounds = ([1e-8, -5.0, 0.05, -13.0], [1e-3, 5.0, 2.0, -5.0])
-    result = least_squares(residual, x0=x0, bounds=bounds)
-    model = make_model(result.x)
+    x = least_squares(residual, x0, bounds)
+    model = make_model(x)
     pred = np.array([model.ids(v, vds_n, curve.w, curve.l)[0] for v in vgs_n])
     full, on = _log_errors(pred, id_, on_mask)
     return FitResult(
         model=model, level=61, rms_log_error=full, rms_log_error_on=on,
-        params={"mu_band": float(result.x[0]), "vt0": float(result.x[1]),
-                "ss": float(result.x[2]), "i_off_w": float(10.0 ** result.x[3])},
+        params={"mu_band": float(x[0]), "vt0": float(x[1]),
+                "ss": float(x[2]), "i_off_w": float(10.0 ** x[3])},
     )

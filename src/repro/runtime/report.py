@@ -56,21 +56,18 @@ def default_runs_dir() -> Path:
 
 
 def _package_versions() -> dict[str, str]:
-    """Numeric-stack versions; a package the run never imported is read
-    from its installed metadata rather than imported for a string."""
+    """The version of numpy, the one runtime dependency; read from its
+    installed metadata if the run never imported it, not imported for a
+    string."""
     import importlib.metadata
 
-    versions: dict[str, str] = {}
-    for name in ("numpy", "scipy"):
-        module = sys.modules.get(name)
-        if module is not None:
-            versions[name] = getattr(module, "__version__", "unknown")
-            continue
-        try:
-            versions[name] = importlib.metadata.version(name)
-        except importlib.metadata.PackageNotFoundError:  # pragma: no cover
-            pass
-    return versions
+    module = sys.modules.get("numpy")
+    if module is not None:
+        return {"numpy": getattr(module, "__version__", "unknown")}
+    try:
+        return {"numpy": importlib.metadata.version("numpy")}
+    except importlib.metadata.PackageNotFoundError:  # pragma: no cover
+        return {}
 
 
 def env_fingerprint() -> dict:

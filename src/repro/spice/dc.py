@@ -36,6 +36,9 @@ class NewtonOptions:
     volts per iteration, which keeps exponential subthreshold models from
     overflowing.  Scale it with the circuit's supply voltage (the organic
     cells run at 5-15 V, silicon at ~1 V).
+
+    ``gmin_steps`` must end at ``0.0``: the gmin fallback returns the
+    solution of its last step, which is the true circuit only there.
     """
 
     max_iterations: int = 150
@@ -44,6 +47,10 @@ class NewtonOptions:
     max_step_v: float = 2.0
     gmin_steps: tuple[float, ...] = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 0.0)
     source_steps: int = 10
+
+    def __post_init__(self) -> None:
+        if not self.gmin_steps or self.gmin_steps[-1] != 0.0:
+            raise ValueError("gmin_steps must be non-empty and end at 0.0")
 
 
 def _worst_residual_node(sys: MnaSystem, F: np.ndarray | None) -> str | None:
@@ -149,7 +156,7 @@ def solve_operating_point(sys: MnaSystem, x0: np.ndarray | None = None,
     # Fallback 1: gmin stepping.
     if telemetry.ENABLED:
         telemetry.count("spice.gmin_fallbacks")
-    gmin = options.gmin_steps[0] if options.gmin_steps else 0.0
+    gmin = options.gmin_steps[0]
     try:
         xg = x.copy()
         for gmin in options.gmin_steps:

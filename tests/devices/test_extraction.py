@@ -89,8 +89,8 @@ class TestSavgol:
 
     @staticmethod
     def _reference(x):
-        from scipy.signal import savgol_filter
-        return savgol_filter(x, 15, 2)
+        signal = pytest.importorskip("scipy.signal")
+        return signal.savgol_filter(x, 15, 2)
 
     @pytest.mark.parametrize("vds, seed", [(-1.0, 2017), (-10.0, 2018)])
     def test_figure3_curves(self, vds, seed):

@@ -270,21 +270,40 @@ class TestConvergenceErrorEvents:
         assert clone.events == exc.events
         assert "source(last_alpha=0.25)" in str(clone)
 
-    def test_solver_failure_carries_trail(self):
+    @staticmethod
+    def _diode_load():
         from repro.devices import PENTACENE
-        from repro.spice import Fet, NewtonOptions
+        from repro.spice import Fet
 
-        # A zero-iteration budget forces the whole newton -> gmin ->
-        # source fallback chain to fail, deterministically.
         ckt = Circuit("bad")
         ckt.add(VoltageSource("vdd", "vdd", "0", -10.0))
         ckt.add(Fet("m1", "out", "out", "vdd", PENTACENE, w=1e-3, l=1e-5))
         ckt.add(Resistor("rl", "out", "0", 1e6))
+        return ckt
+
+    def test_solver_failure_carries_trail(self):
+        from repro.spice import NewtonOptions
+
+        # A zero-iteration budget forces the whole newton -> gmin ->
+        # source fallback chain to fail, deterministically.
         with pytest.raises(ConvergenceError) as info:
-            operating_point(ckt, options=NewtonOptions(max_iterations=0))
+            operating_point(self._diode_load(),
+                            options=NewtonOptions(max_iterations=0))
         trail = info.value.events
         assert trail, "fallback chain should record events"
         stages = [event["stage"] for event in trail]
         assert "newton" in stages
         assert "gmin" in stages and "source" in stages
         assert "trail:" in str(info.value)
+
+    @pytest.mark.parametrize("gmin_steps", [(), (1e-2, 1e-6)])
+    def test_gmin_ladder_must_end_at_zero(self, gmin_steps):
+        """A ladder that never reaches gmin = 0 would hand back a point of
+        another circuit (or, empty, the unsolved initial guess) as the
+        operating point; both engines read the same options."""
+        from repro.spice import NewtonOptions
+
+        with pytest.raises(ValueError, match="gmin_steps"):
+            operating_point(self._diode_load(),
+                            options=NewtonOptions(max_iterations=0,
+                                                  gmin_steps=gmin_steps))
