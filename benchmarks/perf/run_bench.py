@@ -46,10 +46,9 @@ that run, plus the residual ``overhead``.
 
 ``--report PATH`` additionally collects full telemetry for the whole
 benchmark run and writes a :mod:`repro.runtime.report` JSON document
-(span tree, solver/cache metrics, environment fingerprint) there.
-``--trace [PATH]`` exports the same telemetry as a Chrome Trace Event
-JSON (load it in Perfetto or ``chrome://tracing``); without an explicit
-PATH it lands next to the report (or next to ``--out``).
+(span tree, solver/cache metrics, environment fingerprint) there;
+``python -m repro trace PATH`` exports it as a Chrome Trace Event JSON
+(load it in Perfetto or ``chrome://tracing``).
 """
 
 from __future__ import annotations
@@ -322,17 +321,11 @@ def main(argv: list[str] | None = None) -> int:
                         metavar="REPORT_JSON",
                         help="collect telemetry and write a run-report "
                              "JSON (span tree + solver/cache metrics) here")
-    parser.add_argument("--trace", nargs="?", const=True, default=None,
-                        metavar="TRACE_JSON",
-                        help="export a Chrome Trace Event JSON of the run "
-                             "(default path: next to --report, else next "
-                             "to --out)")
     repro_log.add_cli_flags(parser)
     args = parser.parse_args(argv)
     repro_log.configure_from_args(args)
 
-    report_wanted = args.report is not None or args.trace is not None
-    collect = args.profile or report_wanted
+    collect = args.profile or args.report is not None
     if collect:
         telemetry.reset()
         telemetry.enable(True)
@@ -361,21 +354,13 @@ def main(argv: list[str] | None = None) -> int:
     }
     if collect:
         telemetry.enable(False)
-    if report_wanted:
+    if args.report is not None:
         report = run_report.build_report(
             "bench", argv=argv, status="ok",
             duration_seconds=time.perf_counter() - t_run)
         report["benchmarks"] = results
-        if args.report is not None:
-            run_report.write_report(report, path=args.report)
-            print(f"[bench] wrote run report {args.report}")
-        if args.trace is not None:
-            from repro.runtime import trace_export
-            anchor = args.report if args.report is not None else args.out
-            trace_path = trace_export.default_trace_path(anchor) \
-                if args.trace is True else Path(args.trace)
-            trace_export.write_trace(report, trace_path)
-            print(f"[bench] wrote trace {trace_path}")
+        run_report.write_report(report, path=args.report)
+        print(f"[bench] wrote run report {args.report}")
 
     args.out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"[bench] wrote {args.out}")

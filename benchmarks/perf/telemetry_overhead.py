@@ -5,7 +5,7 @@ one-branch guard pattern: when ``telemetry.ENABLED`` is False each site
 costs one module-attribute load plus a branch, and even when enabled the
 sites sit at aggregation boundaries (per solve, per batch) rather than
 inside inner loops.  The ``solver.<stage>`` timers are on the same
-flag, so the enabled runs include them — the SPICE sub-stage timers,
+flag, so the enabled runs include them — the SPICE stage timers,
 which do book per iteration, among them.  This microbench enforces the
 budget end to end:
 

@@ -17,9 +17,9 @@ Heavy experiments (fig11, fig13) accept ``--quick`` to shorten traces.
 Every experiment and validate run collects telemetry (hierarchical
 spans, solver and cache metrics — see :mod:`repro.runtime.telemetry`)
 and writes a JSON run report under ``runs/`` (``--report PATH``
-overrides the location, ``--no-report`` skips it, ``--trace [PATH]``
-also exports its Chrome trace).  ``-v``/``-vv``/``--log-level`` control
-library logging.
+overrides the location, ``--no-report`` skips it); ``python -m repro
+trace`` exports a report's Chrome trace.  ``-v``/``-vv``/``--log-level``
+control library logging.
 """
 
 from __future__ import annotations
@@ -231,20 +231,6 @@ def _run_dse(args) -> None:
         rows, title=f"DSE grid ({len(result)} points)"))
 
 
-def _maybe_write_trace(args, report: dict, report_path) -> None:
-    """Honour ``--trace [PATH]``: export the Chrome trace for *report*."""
-    from repro.runtime import trace_export
-
-    if not args.trace:
-        return
-    if args.trace is True:
-        path = trace_export.default_trace_path(report_path)
-    else:
-        path = args.trace
-    path = trace_export.write_trace(report, path)
-    print(f"trace: {path}")
-
-
 def _load_report(path: str | None) -> tuple[Path, dict] | None:
     """The run report at *path*, else the latest under ``runs/``.
 
@@ -312,10 +298,9 @@ def _run_reported(target: str, body, args, argv: list[str] | None) -> int:
     """Run ``body()`` under telemetry and emit the invocation's report.
 
     ``body`` returns ``(exit code, status, extra report keys)``.  The
-    report is built once, then written to ``--report PATH`` or
-    timestamped under ``runs/`` unless ``--no-report``, and exported as
-    a Chrome trace under ``--trace [PATH]``.  When ``body`` raises, the
-    report records ``status: "error"`` and the exception, which then
+    report is written to ``--report PATH`` or timestamped under
+    ``runs/`` unless ``--no-report``.  When ``body`` raises, the report
+    records ``status: "error"`` and the exception, which then
     propagates.
     """
     telemetry.reset()
@@ -329,16 +314,13 @@ def _run_reported(target: str, body, args, argv: list[str] | None) -> int:
         error = f"{type(exc).__name__}: {exc}"
         raise
     finally:
-        if not args.no_report or args.trace:
+        if not args.no_report:
             report = run_report.build_report(
                 target, argv=argv, status=status, error=error,
                 duration_seconds=time.perf_counter() - t0)
             report.update(extra)
-            path = None
-            if not args.no_report:
-                path = run_report.write_report(report, path=args.report)
-                print(f"run report: {path}")
-            _maybe_write_trace(args, report, path)
+            path = run_report.write_report(report, path=args.report)
+            print(f"run report: {path}")
         telemetry.enable(False)
     return rc
 
@@ -385,15 +367,8 @@ def main(argv: list[str] | None = None) -> int:
                              "a timestamped file under runs/")
     parser.add_argument("--no-report", action="store_true",
                         help="skip writing the run-report JSON")
-    parser.add_argument("--trace", nargs="?", const=True, default=None,
-                        metavar="PATH",
-                        help="additionally export a Chrome Trace Event "
-                             "JSON (default: <report>.trace.json)")
     repro_log.add_cli_flags(parser)
     args = parser.parse_args(raw)
-    if args.no_report and args.trace is True:
-        parser.error("--trace needs a PATH with --no-report "
-                     "(the default sits beside the run report)")
     repro_log.configure_from_args(args)
 
     targets = list(args.targets)

@@ -9,7 +9,7 @@ rows/series the paper plots; EXPERIMENTS.md records the comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from repro.characterization import organic_library, silicon_library
 from repro.characterization.library import Library
 from repro.core.tradeoffs import (
     DepthSweepPoint,
-    WidthSweepPoint,
     depth_sweep,
     make_traces,
     width_matrix,

@@ -22,7 +22,6 @@ import numpy as np
 from repro.cells.topologies import CellDesign, build_dc_testbench, pseudo_e_inverter
 from repro.cells.vtc import VtcAnalysis, analyze_inverter
 from repro.errors import AnalysisError, ConvergenceError
-from repro.spice.dc import operating_point
 from repro.spice.elements import FetModel
 
 

@@ -26,7 +26,7 @@ objects together with stimulus sources and loads.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import CircuitError
 from repro.spice.elements import Fet, FetModel

@@ -16,7 +16,6 @@ span — this term is what separates the processes in Figures 11 and 15.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 from repro.characterization.library import Library
@@ -104,6 +103,7 @@ def reset_structure_caches() -> None:
     _sta.reset_incremental()
 
 
+@telemetry.timed("solver.netlist")
 def _generic_block(block: str, width: int) -> Netlist:
     """Generic netlist of a named datapath block, memoised per shape.
 
@@ -118,7 +118,6 @@ def _generic_block(block: str, width: int) -> Netlist:
     if hit is not None:
         return hit
 
-    t0 = time.perf_counter() if telemetry.ENABLED else 0.0
     if block == "alu":
         nl = simple_alu(width)
     elif block == "complex":
@@ -136,8 +135,6 @@ def _generic_block(block: str, width: int) -> Netlist:
             nl = carry_select_adder(width)
     else:
         raise ConfigError(f"unknown physical block {block!r}")
-    if telemetry.ENABLED:
-        telemetry.time_add("solver.netlist", time.perf_counter() - t0)
     _GENERIC_CACHE[key] = nl
     return nl
 
@@ -173,18 +170,9 @@ def _block_counts(block: str, width: int) -> dict[str, int]:
     if hit is not None:
         return hit
     if block == "complex":
-        t0 = time.perf_counter() if telemetry.ENABLED else 0.0
-        generic = complex_alu_slice_counts(width)
-        if telemetry.ENABLED:
-            telemetry.time_add("solver.netlist", time.perf_counter() - t0)
-            t0 = time.perf_counter()
-        counts = lower_cell_counts(generic)
+        counts = lower_cell_counts(complex_alu_slice_counts(width))
     else:
-        nl = _generic_block(block, width)
-        t0 = time.perf_counter() if telemetry.ENABLED else 0.0
-        counts = mapped_cell_counts(nl)
-    if telemetry.ENABLED:
-        telemetry.time_add("solver.mapping", time.perf_counter() - t0)
+        counts = mapped_cell_counts(_generic_block(block, width))
     _COUNT_CACHE[key] = counts
     return counts
 
@@ -205,7 +193,6 @@ def _block_area(block: str, width: int, library: Library) -> float:
     if hit is not None:
         return hit
 
-    t0 = time.perf_counter() if telemetry.ENABLED else 0.0
     cache = default_cache()
     cache_key = cache.key({
         "schema": 1,
@@ -214,8 +201,6 @@ def _block_area(block: str, width: int, library: Library) -> float:
         "width": width,
     })
     payload = cache.get("block_area", cache_key)
-    if telemetry.ENABLED:
-        telemetry.time_add("solver.cache", time.perf_counter() - t0)
     if payload is not None:
         area = float(payload["area"])
         _AREA_CACHE[key] = area
@@ -224,10 +209,7 @@ def _block_area(block: str, width: int, library: Library) -> float:
     counts = _block_counts(block, width)
     area = sum(library.cell(cell).area * n
                for cell, n in sorted(counts.items()))
-    t0 = time.perf_counter() if telemetry.ENABLED else 0.0
     cache.put("block_area", cache_key, {"area": area})
-    if telemetry.ENABLED:
-        telemetry.time_add("solver.cache", time.perf_counter() - t0)
     _AREA_CACHE[key] = area
     return area
 
@@ -248,7 +230,6 @@ def _block_timing(block: str, width: int, library: Library,
     if hit is not None:
         return hit
 
-    t0 = time.perf_counter() if telemetry.ENABLED else 0.0
     cache = default_cache()
     cache_key = cache.key({
         "schema": 3,
@@ -258,8 +239,6 @@ def _block_timing(block: str, width: int, library: Library,
         "wire": _sta._wire_state_key(wire),
     })
     payload = cache.get("block_timing", cache_key)
-    if telemetry.ENABLED:
-        telemetry.time_add("solver.cache", time.perf_counter() - t0)
     if payload is not None:
         delay = float(payload["delay"])
         _BLOCK_CACHE[key] = delay
@@ -267,14 +246,12 @@ def _block_timing(block: str, width: int, library: Library,
 
     delay = static_timing(block_netlist(block, width), library,
                           wire).max_delay
-    t0 = time.perf_counter() if telemetry.ENABLED else 0.0
     cache.put("block_timing", cache_key, {"delay": delay})
-    if telemetry.ENABLED:
-        telemetry.time_add("solver.cache", time.perf_counter() - t0)
     _BLOCK_CACHE[key] = delay
     return delay
 
 
+@telemetry.timed("solver.structures")
 def region_logic_delays(config: CoreConfig, library: Library,
                         wire: WireModel) -> dict[str, float]:
     """Single-stage (unsplit) logic delay of each pipeline region.
@@ -290,20 +267,13 @@ def region_logic_delays(config: CoreConfig, library: Library,
     if hit is not None:
         return dict(hit)
 
-    t0 = time.perf_counter() if telemetry.ENABLED else 0.0
     sm = StructureModel(library, wire)
     fo4 = sm.fo4
-    if telemetry.ENABLED:
-        telemetry.time_add("solver.structures", time.perf_counter() - t0)
     w = config.data_width
 
-    # Block synthesis/timing books its own netlist/mapping/sta/cache
-    # stages; only the structure-model arithmetic around it is timed
-    # here, so the two never double-count.
     adder_delay = _block_timing("adder", w, library, wire)
     alu_delay = _block_timing("alu", w, library, wire)
 
-    t0 = time.perf_counter() if telemetry.ENABLED else 0.0
     mux_fanin = 1.0 + math.log2(max(config.front_width, 2))
     delays = {
         # Next-PC add and BTB lookup are parallel paths into the PC mux.
@@ -321,12 +291,11 @@ def region_logic_delays(config: CoreConfig, library: Library,
         "retire": sm.rob_delay(config.rob_size, config.front_width)
                   + 2.0 * fo4,
     }
-    if telemetry.ENABLED:
-        telemetry.time_add("solver.structures", time.perf_counter() - t0)
     _LOGIC_CACHE[key] = delays
     return dict(delays)
 
 
+@telemetry.timed("solver.structures")
 def core_area(config: CoreConfig, library: Library,
               wire: WireModel) -> float:
     """Total core area from structure and datapath components."""
@@ -337,13 +306,11 @@ def core_area(config: CoreConfig, library: Library,
     # whose delay the pipeliner owns, is priced from composed counts and
     # never built here; the built slice is their oracle (the
     # `complex-counts-vs-built` validate check), and the e2e `dse_grid`
-    # workload times it.  Block pricing books its own stages; the
-    # array-model arithmetic below is "structures".
+    # workload times it.
     alu_area = _block_area("alu", w, library)
     adder_area = _block_area("adder", w, library)
     complex_area = _block_area("complex", w, library)
 
-    t0 = time.perf_counter() if telemetry.ENABLED else 0.0
     sm = StructureModel(library, wire)
     nand_area = library.cell("nand2").area
 
@@ -371,17 +338,15 @@ def core_area(config: CoreConfig, library: Library,
     # wide latch bank per added stage per active way.
     extra_stages = max(config.depth - len(REGION_NAMES), 0)
     area += extra_stages * (fw + bw) * w * library.dff.area
-    if telemetry.ENABLED:
-        telemetry.time_add("solver.structures", time.perf_counter() - t0)
     return area
 
 
+@telemetry.timed("solver.structures")
 def core_physical(config: CoreConfig, library: Library, wire: WireModel,
                   skew_fo4: float = 0.5) -> CorePhysical:
     """Clock period, frequency and area of one design point."""
     logic = region_logic_delays(config, library, wire)
     area = core_area(config, library, wire)
-    t0 = time.perf_counter() if telemetry.ENABLED else 0.0
     fo4 = library.inverter_fo4_delay()
 
     span = math.sqrt(area)
@@ -399,8 +364,6 @@ def core_physical(config: CoreConfig, library: Library, wire: WireModel,
 
     critical_region = max(stage_delay, key=stage_delay.get)
     period = stage_delay[critical_region]
-    if telemetry.ENABLED:
-        telemetry.time_add("solver.structures", time.perf_counter() - t0)
     return CorePhysical(
         config_name=config.name,
         process=library.process,

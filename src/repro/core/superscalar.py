@@ -40,7 +40,6 @@ equivalence test suite).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 
 from repro.core import ipc_native
 from repro.core.branch import GsharePredictor
@@ -308,13 +307,9 @@ def lookup_simulation(config: CoreConfig, trace: Trace, cache
     content fingerprint, so hits are exact: any change to the recurrence
     inputs — or to the trace stream itself — misses.
     """
-    if telemetry.ENABLED:
-        t0 = perf_counter()
     key = cache.key({"schema": 1, "config": _timing_signature(config),
                      "trace": trace.fingerprint()})
     hit = cache.get("simulation", key)
-    if telemetry.ENABLED:
-        telemetry.time_add("solver.cache", perf_counter() - t0)
     if hit is None:
         return key, None
     return key, SimulationResult(
@@ -331,8 +326,6 @@ def lookup_simulation(config: CoreConfig, trace: Trace, cache
 
 def store_simulation(cache, key: str, result: SimulationResult) -> None:
     """Write *result* under *key*, a key :func:`lookup_simulation` missed."""
-    if telemetry.ENABLED:
-        t0 = perf_counter()
     cache.put("simulation", key, {
         "instructions": result.instructions,
         "cycles": result.cycles,
@@ -340,8 +333,6 @@ def store_simulation(cache, key: str, result: SimulationResult) -> None:
         "mispredicts": result.mispredicts,
         "l1_misses": result.l1_misses,
     })
-    if telemetry.ENABLED:
-        telemetry.time_add("solver.cache", perf_counter() - t0)
 
 
 def simulate_cached(config: CoreConfig, trace: Trace,

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import DeviceModelError
+from repro.runtime import telemetry
 
 _LN10 = math.log(10.0)
 #: Drain-voltage scale over which the leakage floor turns on (volts).
@@ -271,6 +272,7 @@ class StackedTftParams:
     def __len__(self) -> int:
         return len(self._beta)
 
+    @telemetry.timed("solver.device_eval")
     def evaluate(self, vgs: np.ndarray, vds: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(id, gm, gds)`` for per-device normalised bias points.

@@ -157,6 +157,7 @@ class ResultCache:
 
     # -- access ---------------------------------------------------------------
 
+    @telemetry.timed("solver.cache")
     def get(self, category: str, key: str) -> Any | None:
         """The stored payload, or None on miss/disabled/corrupt entry."""
         if not self.enabled:
@@ -190,6 +191,7 @@ class ResultCache:
             telemetry.count("cache.bytes_read", len(text))
         return payload
 
+    @telemetry.timed("solver.cache")
     def put(self, category: str, key: str, payload: Any) -> Path | None:
         """Store *payload* atomically; returns its path (None if disabled)."""
         if not self.enabled:

@@ -31,11 +31,17 @@ Cost model: the *disabled* hot path is one module-attribute load and
 branch per instrumentation site, and sites sit at natural aggregation
 boundaries — per solve, per batch, per run — never inside per-iteration
 inner loops; counts accumulate in locals and flush once.  The one
-exception is the SPICE sub-stage timers (``solver.stamp`` / ``solve`` /
-``rhs`` / ...), which book per Newton iteration or timestep so the
+exception is the SPICE stage entry points (``solver.stamp`` / ``solve``
+/ ``rhs`` / ...), which run per Newton iteration or timestep so the
 stage breakdown can split a solve; the ``telemetry_overhead`` bench
 holds them, with everything else, to its 2 % budget.  The enabled path
 appends to plain dicts.
+
+Stage time has one booking mechanism: :func:`timed`, placed on the
+definition of each layer's entry points.  It books *self time* — a
+call's duration minus the time spent in nested ``timed`` calls — so
+nested stages never double-count and no caller subtracts a callee's
+time by hand.
 
 Collection is off until a driver — the ``python -m repro`` CLI,
 ``run_bench --profile``/``--report`` — calls :func:`enable`.
@@ -66,7 +72,6 @@ __all__ = [
     "span_totals",
     "span_tree",
     "stage_seconds",
-    "time_add",
     "timed",
     "timers",
     "warn",
@@ -79,6 +84,10 @@ ENABLED = False
 
 #: Separator used in flattened span paths ("fig11/characterize/cell:inv").
 PATH_SEP = "/"
+
+#: The clock :func:`timed` reads, looked up on this module at each call
+#: so a test can substitute a fake one.
+_clock = time.perf_counter
 
 
 class _Span:
@@ -123,7 +132,7 @@ class _Registry:
         self.timers: dict[str, list[float]] = {}   # name -> [seconds, calls]
         self.dists: dict[str, list[float]] = {}    # name -> [n, sum, min, max]
         self.roots: list[_Span] = []
-        self._stack_tls = threading.local()
+        self._tls = threading.local()
         self.span_totals: dict[str, list[float]] = {}  # path -> [count, secs]
         self.warnings: list[str] = []
         self.epoch = time.perf_counter()
@@ -137,10 +146,22 @@ class _Registry:
         shared stack; counters/timers/roots stay registry-wide (their
         updates are associative and append-only).
         """
-        stack = getattr(self._stack_tls, "value", None)
+        stack = getattr(self._tls, "spans", None)
         if stack is None:
-            stack = self._stack_tls.value = []
+            stack = self._tls.spans = []
         return stack
+
+    @property
+    def frames(self) -> list[list[float]]:
+        """This thread's open :func:`timed` frames, innermost last.
+
+        Each frame is a one-element list holding the seconds its nested
+        timed calls took, which its own booking subtracts.
+        """
+        frames = getattr(self._tls, "frames", None)
+        if frames is None:
+            frames = self._tls.frames = []
+        return frames
 
     # -- instruments --------------------------------------------------------
 
@@ -225,14 +246,14 @@ def count(name: str, n: int = 1) -> None:
         _REG.count(name, n)
 
 
-def time_add(name: str, seconds: float, calls: int = 1) -> None:
-    """Accumulate wall-clock *seconds* into timer *name*."""
-    if ENABLED:
-        _REG.time_add(name, seconds, calls)
-
-
 def timed(name: str) -> Callable[[Callable], Callable]:
-    """Decorator booking every call of the function into timer *name*.
+    """Decorator booking the self time of every call into timer *name*.
+
+    Self time is the call's duration minus the time spent in nested
+    ``timed`` calls, which book their own, so entry points may call
+    each other in any order and the stage sum still never exceeds wall
+    time; same-stage nesting books the outer call's duration once.  The
+    frame stack is per thread and unwinds on exceptions.
 
     Disabled, a call costs one extra frame plus the ``ENABLED`` branch.
     """
@@ -241,11 +262,18 @@ def timed(name: str) -> Callable[[Callable], Callable]:
         def timed_call(*args, **kwargs):
             if not ENABLED:
                 return fn(*args, **kwargs)
-            t0 = time.perf_counter()
+            frames = _REG.frames
+            frame = [0.0]
+            frames.append(frame)
+            t0 = _clock()
             try:
                 return fn(*args, **kwargs)
             finally:
-                _REG.time_add(name, time.perf_counter() - t0)
+                elapsed = _clock() - t0
+                frames.pop()
+                if frames:
+                    frames[-1][0] += elapsed
+                _REG.time_add(name, elapsed - frame[0])
         return timed_call
     return decorate
 
@@ -425,44 +453,44 @@ def collecting() -> Iterator[None]:
 # -- solver stage breakdown ---------------------------------------------------
 
 #: The layers a run's wall time is split into, each booked as the timer
-#: ``solver.<stage>``.  They never nest, except ``device_eval``, which is
-#: timed inside ``stamp`` regions and subtracted from it by
-#: :func:`breakdown`:
+#: ``solver.<stage>`` by :func:`timed` on that layer's entry points
+#: (DESIGN §7d lists them).  Stages book self time, so they are
+#: disjoint however the entry points nest:
 #:
-#: - ``stamp`` — residual/Jacobian assembly (scalar and ensemble MNA);
+#: - ``stamp`` — residual/Jacobian assembly (scalar and ensemble MNA),
+#:   less the device kernels it calls;
 #: - ``device_eval`` — batched device-model kernels;
-#: - ``solve`` — linear solves through the active SPICE backend; the
-#:   native kernels fuse stamping and device evaluation into the solve,
-#:   so their whole runtime lands here;
-#: - ``rhs`` / ``probe`` / ``step_control`` / ``predict`` / ``retry`` —
-#:   the ensemble transient loop's sources, threshold-crossing probes,
-#:   timestep control, warm-start prediction and Newton-failure / LTE
-#:   rejection handling;
-#: - ``cache`` — result-cache lookups and writes around synthesis and
-#:   ``simulate_cached``;
+#: - ``solve`` — Newton iterations and linear solves: the scalar and
+#:   ensemble Newton loops less their stamping, and the whole native
+#:   per-iteration and whole-timestep kernels, which fuse stamping,
+#:   device evaluation and step control into the solve;
+#: - ``rhs`` / ``probe`` — the ensemble sources and threshold-crossing
+#:   probes;
+#: - ``step_control`` — the ensemble transient loop's own time: timestep
+#:   control, warm-start prediction, Newton-failure halving and LTE
+#:   rejection;
+#: - ``cache`` — result-cache lookups and writes, wherever they happen;
 #: - ``netlist`` / ``mapping`` / ``sta`` — generic netlist construction,
-#:   technology mapping and static timing (entry points only);
+#:   technology mapping and static timing;
 #: - ``structures`` — the structure-model arithmetic of
-#:   :mod:`repro.core.physical`, timed in segments disjoint from the
-#:   synthesis and cache stages it calls;
+#:   :mod:`repro.core.physical`;
 #: - ``ipc`` — :func:`repro.core.superscalar.simulate`, any kernel;
-#: - ``pipeline`` — pipeline cutting in ``pipeline_sweep``, its
-#:   ``pipeline`` result-cache lookups included, excluding the STA pass
-#:   that prices its gates.
+#: - ``pipeline`` — pipeline cutting in ``pipeline_sweep``.
 #:
 #: Whatever no stage accounts for is the derived ``overhead`` line.
 STAGES = ("stamp", "device_eval", "solve", "rhs", "probe", "step_control",
-          "predict", "retry", "cache", "netlist", "mapping", "sta",
-          "structures", "ipc", "pipeline")
+          "cache", "netlist", "mapping", "sta", "structures", "ipc",
+          "pipeline")
 
 
 class ProfileAccountingError(RuntimeError):
     """Stage timers sum to more than the measured wall time.
 
-    Raised by :func:`breakdown`: some stage is being double-counted —
-    typically a new fused native stage whose time the Python path it
-    replaced still books.  Without this check ``overhead`` would clamp
-    to zero and the double-count would ship silently.
+    Raised by :func:`breakdown`: some stage is being double-counted.
+    :func:`timed` keeps one process's stages disjoint, so the usual
+    cause is stage time merged from pool workers into a region whose
+    wall time they ran in parallel.  Without this check ``overhead``
+    would clamp to zero and the double-count would ship silently.
     """
 
 
@@ -485,15 +513,12 @@ def breakdown(total_seconds: float, check: bool = True,
 
     *stages* is a ``{stage: seconds}`` map — typically the difference of
     two :func:`stage_seconds` calls around the region — and defaults to
-    everything booked so far.  ``device_eval`` is subtracted from
-    ``stamp``, which contains it.  With *check*, a stage sum beyond
+    everything booked so far.  With *check*, a stage sum beyond
     *total_seconds* (plus slack) raises :class:`ProfileAccountingError`.
     """
     if stages is None:
         stages = stage_seconds()
-    dev_s = stages["device_eval"]
-    out = {"stamp": max(0.0, stages["stamp"] - dev_s), "device_eval": dev_s}
-    out.update((stage, stages[stage]) for stage in STAGES[2:])
+    out = {stage: stages[stage] for stage in STAGES}
     tracked = sum(out.values())
     out = {stage: round(seconds, 4) for stage, seconds in out.items()}
     if check and tracked > (total_seconds * (1.0 + _SUM_SLACK_FRACTION)

@@ -1033,6 +1033,7 @@ class NativeBackend(NumpyBackend):
                                 int(stats[2]))
         return x, conv.view(np.bool_), int(iters)
 
+    @telemetry.timed("solver.solve")
     def ensemble_timestep(self, et) -> dict | None:
         """Integrate every lane of *et* to completion in one C call.
 

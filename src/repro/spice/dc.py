@@ -17,7 +17,6 @@ I-V regions) solve reliably from a cold start.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from time import perf_counter
 
 import numpy as np
 
@@ -60,6 +59,7 @@ def _worst_residual_node(sys: MnaSystem, F: np.ndarray | None) -> str | None:
     return sys.node_names[int(np.argmax(np.abs(F[:sys.n_nodes])))]
 
 
+@telemetry.timed("solver.solve")
 def _newton(sys: MnaSystem, G_lin: np.ndarray, b: np.ndarray,
             x0: np.ndarray, options: NewtonOptions,
             gmin: float = 0.0,
@@ -86,11 +86,7 @@ def _newton(sys: MnaSystem, G_lin: np.ndarray, b: np.ndarray,
         if gmin > 0.0:
             J[diag, diag] += gmin
             F[:n_nodes] += gmin * x[:n_nodes]
-        if telemetry.ENABLED:
-            t_solve = perf_counter()
         delta, solve_ok = backend.solve(J, F)
-        if telemetry.ENABLED:
-            telemetry.time_add("solver.solve", perf_counter() - t_solve)
         if not solve_ok:
             if telemetry.ENABLED:
                 _flush_newton(iteration, converged=False)
@@ -135,7 +131,7 @@ def _flush_newton(iterations: int, converged: bool) -> None:
         telemetry.count("spice.newton_failures")
 
 
-def solve_operating_point(sys: MnaSystem, x0: np.ndarray | None = None,
+def solve_operating_point(sys: MnaSystem, *, x0: np.ndarray | None = None,
                           options: NewtonOptions | None = None) -> np.ndarray:
     """DC operating point of a bound system, with continuation fallbacks."""
     options = options or NewtonOptions()
@@ -184,7 +180,7 @@ def solve_operating_point(sys: MnaSystem, x0: np.ndarray | None = None,
     return xs
 
 
-def operating_point(circuit: Circuit, x0: np.ndarray | None = None,
+def operating_point(circuit: Circuit, *, x0: np.ndarray | None = None,
                     options: NewtonOptions | None = None
                     ) -> tuple[np.ndarray, MnaSystem]:
     """Solve the DC operating point of *circuit*.

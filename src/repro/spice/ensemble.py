@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import copy
 import functools
-from time import perf_counter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -192,12 +191,7 @@ class _GatheredFets:
         vg = x_flat[self.g]
         vds_n = np.abs(dv)
         vgs_n = self.pol * (vg - vb)
-        if telemetry.ENABLED:
-            t0 = perf_counter()
-            ids, gm, gds = self.params.evaluate(vgs_n, vds_n)
-            telemetry.time_add("solver.device_eval", perf_counter() - t0)
-        else:
-            ids, gm, gds = self.params.evaluate(vgs_n, vds_n)
+        ids, gm, gds = self.params.evaluate(vgs_n, vds_n)
 
         i_phys = self.pol * (ids + FET_GMIN * vds_n)
         np.add.at(F_flat, a, i_phys)
@@ -414,6 +408,7 @@ class EnsembleSystem:
 
     # -- right-hand sides ---------------------------------------------------
 
+    @telemetry.timed("solver.rhs")
     def rhs_batch(self, mem_idx: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Stacked source right-hand sides at per-member times ``t``.
 
@@ -430,6 +425,7 @@ class EnsembleSystem:
 
     # -- stacked Newton ------------------------------------------------------
 
+    @telemetry.timed("solver.stamp")
     def assemble(self, mem_idx: np.ndarray, gathered: "_GatheredFets | None",
                  G_lin: np.ndarray, b: np.ndarray, x: np.ndarray,
                  frozen: np.ndarray | None = None,
@@ -441,8 +437,6 @@ class EnsembleSystem:
         the boolean *frozen* mask — those lanes get their nonlinear
         stamps from the *bypass* cache instead of device evaluation.
         """
-        if telemetry.ENABLED:
-            t0 = perf_counter()
         A = len(mem_idx)
         S = self.size
         ext = S + 1
@@ -459,10 +453,9 @@ class EnsembleSystem:
             mf = mem_idx[frozen]
             J_ext[frozen, :S, :S] += bypass.J_nl[mf]
             F_ext[frozen, :S] += bypass.F_nl[mf]
-        if telemetry.ENABLED:
-            telemetry.time_add("solver.stamp", perf_counter() - t0)
         return F_ext[:, :S], J_ext[:, :S, :S]
 
+    @telemetry.timed("solver.solve")
     def newton_batch(self, mem_idx: np.ndarray, G_lin: np.ndarray | None,
                      b: np.ndarray, x0: np.ndarray,
                      options: NewtonOptions,
@@ -492,8 +485,6 @@ class EnsembleSystem:
         the storage history to *b* — Python never materialises either.
         Backends that decline fall through to the reference loop here.
         """
-        if telemetry.ENABLED:
-            t0 = perf_counter()
         A = len(mem_idx)
         backend = get_backend()
         if max_step_v is None:
@@ -508,10 +499,6 @@ class EnsembleSystem:
             options, max_step_v, max_iterations,
             gmin, bypass if gmin == 0.0 else None)
         result = backend.ensemble_newton(request)
-        if telemetry.ENABLED and result is not None:
-            # The kernel fuses stamping, device eval and the solve; the
-            # whole call (marshalling included) lands in the solve bucket.
-            telemetry.time_add("solver.solve", perf_counter() - t0)
         if result is not None:
             x, converged, iteration = result
             self._flush_newton_batch(A, iteration, converged)
@@ -561,22 +548,14 @@ class EnsembleSystem:
                 if frozen_all:
                     J_frozen = J
             else:
-                if telemetry.ENABLED:
-                    t0 = perf_counter()
                 J = J_frozen
                 F = np.einsum("aij,aj->ai", G_lin, x) - b
                 F += bypass.F_nl[mem_idx]
-                if telemetry.ENABLED:
-                    telemetry.time_add("solver.stamp", perf_counter() - t0)
             if gmin > 0.0:
                 J[:, diag, diag] += gmin
                 F[:, :n] += gmin * x[:, :n]
             act_idx = np.flatnonzero(active)
-            if telemetry.ENABLED:
-                t0 = perf_counter()
             delta, solve_ok = backend.solve_stacked(J[act_idx], F[act_idx])
-            if telemetry.ENABLED:
-                telemetry.time_add("solver.solve", perf_counter() - t0)
             if not solve_ok.all():
                 # Singular lanes are deactivated (reported unconverged
                 # to the caller's continuation chain), never fatal.
@@ -944,6 +923,7 @@ class EnsembleTransient:
 
     # -- integration ---------------------------------------------------------
 
+    @telemetry.timed("solver.step_control")
     def run(self) -> "EnsembleTransient":
         """Integrate every member to its ``t_stop``; returns self.
 
@@ -954,7 +934,6 @@ class EnsembleTransient:
         vectorised in NumPy otherwise).
         """
         es = self.es
-        profiled = telemetry.ENABLED
         # Telemetry accumulates in locals across the whole run and
         # flushes once on return (or on the failure path below).
         n_accepted = 0
@@ -967,21 +946,13 @@ class EnsembleTransient:
         # finish (dt underflow, crossing-buffer overflow) are simply
         # still short of t_stop, so the sweep loop resumes them — and
         # raises the reference ConvergenceError when the failure is
-        # real.  The hook fuses rhs/predict/solve/step-control, so its
-        # whole runtime lands in the solve bucket like the per-iteration
-        # kernel's.
-        if profiled:
-            t0 = perf_counter()
+        # real.
         native = get_backend().ensemble_timestep(self)
         if native is not None:
-            if profiled:
-                telemetry.time_add("solver.solve", perf_counter() - t0)
             n_accepted = native["accepted"]
             n_halvings = native["halvings"]
             n_lte_rejections = native["lte_rejections"]
         while True:
-            if profiled:
-                t0 = perf_counter()
             act = np.flatnonzero((self.t_stop - self.t) > self.dt_min)
             if len(act) == 0:
                 if telemetry.ENABLED:
@@ -999,9 +970,6 @@ class EnsembleTransient:
                 # preallocated constant arrays instead of two np.where.
                 max_step_v = self._step_v_full[:len(act)]
                 max_iter = self._iter_full[:len(act)]
-            if profiled:
-                telemetry.time_add("solver.step_control", perf_counter() - t0)
-                t0 = perf_counter()
             x_prev = self.x[act]
             hist = self.has_hist[act]
             hist_all = bool(hist.all())
@@ -1015,27 +983,18 @@ class EnsembleTransient:
                     ratio = dt_step[hist] / self.dt_last[act][hist]
                     x_start[hist] = x_prev[hist] + (
                         x_prev[hist] - self.x_last[act][hist]) * ratio[:, None]
-            if profiled:
-                telemetry.time_add("solver.predict", perf_counter() - t0)
-                t0 = perf_counter()
             b = es.rhs_batch(act, self.t[act] + dt_step)
-            if profiled:
-                telemetry.time_add("solver.rhs", perf_counter() - t0)
             inv_dt = 1.0 / dt_step
             x_new, conv = es.newton_batch(
                 act, None, b, x_start, self.newton,
                 max_step_v=max_step_v, max_iterations=max_iter,
                 inv_dt=inv_dt, x_prev=x_prev, add_storage=True,
                 bypass=self._bypass)
-            if profiled:
-                t0 = perf_counter()
             all_conv = bool(conv.all())
             pred_err = self._pred_buf[:len(act)]
             pred_err.fill(np.nan)
             if hist_all and all_conv:
                 np.max(np.abs(x_new - x_start), axis=1, out=pred_err)
-                if profiled:
-                    telemetry.time_add("solver.predict", perf_counter() - t0)
             else:
                 warm = hist & conv
                 if warm.any():
@@ -1046,8 +1005,6 @@ class EnsembleTransient:
                 # those lanes from the previous accepted state, like the
                 # scalar controller's inner fallback.
                 retry = hist & ~conv
-                if profiled:
-                    telemetry.time_add("solver.predict", perf_counter() - t0)
                 if retry.any():
                     r = np.flatnonzero(retry)
                     x_r, conv_r = es.newton_batch(
@@ -1058,8 +1015,6 @@ class EnsembleTransient:
                     x_new[r] = x_r
                     conv[r] = conv_r
 
-            if profiled:
-                t0 = perf_counter()
             # Newton failures: halve the member's step and let it retry
             # on the next active-set sweep.
             if not conv.all():
@@ -1092,8 +1047,6 @@ class EnsembleTransient:
                 for k in np.flatnonzero(rejected):
                     lane = act[k]
                     self.dt[lane] = max(dt_step[k] / 2.0, self.dt_nom[lane])
-            if profiled:
-                telemetry.time_add("solver.retry", perf_counter() - t0)
 
             accepted = conv & ~rejected
             if accepted.all():
@@ -1109,13 +1062,8 @@ class EnsembleTransient:
             else:
                 continue
             n_accepted += len(lanes)
-            if profiled:
-                t0 = perf_counter()
             self._record_crossings(lanes, xp_acc, xn_acc,
                                    self.t[lanes], dt_acc)
-            if profiled:
-                telemetry.time_add("solver.probe", perf_counter() - t0)
-                t0 = perf_counter()
             self.x_last[lanes] = xp_acc
             self.dt_last[lanes] = dt_acc
             self.has_hist[lanes] = True
@@ -1135,8 +1083,6 @@ class EnsembleTransient:
                                   np.maximum(dt_acc / 2.0, dt_nom_l),
                                   dt_acc)),
                 np.minimum(dt_nom_l, dt_acc * growth_l))
-            if profiled:
-                telemetry.time_add("solver.step_control", perf_counter() - t0)
 
     @staticmethod
     def _flush_run(accepted: int, halvings: int, lte_rejections: int,
@@ -1151,6 +1097,7 @@ class EnsembleTransient:
         if failed:
             telemetry.count("ensemble.transient_failures")
 
+    @telemetry.timed("solver.probe")
     def _record_crossings(self, lanes: np.ndarray, x_prev: np.ndarray,
                           x_new: np.ndarray, t0: np.ndarray,
                           dt: np.ndarray) -> None:

@@ -27,7 +27,6 @@ accepts only ``UnifiedTft`` FETs and constant or ramp sources.
 from __future__ import annotations
 
 import functools
-from time import perf_counter
 
 import numpy as np
 
@@ -187,37 +186,26 @@ class MnaSystem:
             b += self._C_unit @ x_prev / dt
         return b
 
+    @telemetry.timed("solver.stamp")
     def residual_and_jacobian(self, x: np.ndarray, G_lin: np.ndarray,
                               b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Full Newton residual ``F(x)`` and Jacobian ``J(x)``.
 
         ``F = G_lin @ x - b + F_nl(x)`` and ``J = G_lin + J_nl(x)``.
         """
-        if telemetry.ENABLED:
-            t0 = perf_counter()
-            result = self._residual_and_jacobian(x, G_lin, b)
-            telemetry.time_add("solver.stamp", perf_counter() - t0)
-            return result
-        return self._residual_and_jacobian(x, G_lin, b)
-
-    def residual_and_jacobian_frozen(
-            self, x: np.ndarray, G_lin: np.ndarray, b: np.ndarray,
-            cache: StampCache) -> tuple[np.ndarray, np.ndarray]:
-        """Assembly from cached nonlinear stamps (stamp-bypassed step)."""
-        if telemetry.ENABLED:
-            t0 = perf_counter()
-        J = G_lin + cache.J_nl
-        F = G_lin @ x - b + cache.F_nl
-        if telemetry.ENABLED:
-            telemetry.time_add("solver.stamp", perf_counter() - t0)
-        return F, J
-
-    def _residual_and_jacobian(self, x: np.ndarray, G_lin: np.ndarray,
-                               b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         J = G_lin.copy()
         F = G_lin @ x - b
         for element in self._nonlinear:
             element.stamp_nonlinear(J, F, x)
+        return F, J
+
+    @telemetry.timed("solver.stamp")
+    def residual_and_jacobian_frozen(
+            self, x: np.ndarray, G_lin: np.ndarray, b: np.ndarray,
+            cache: StampCache) -> tuple[np.ndarray, np.ndarray]:
+        """Assembly from cached nonlinear stamps (stamp-bypassed step)."""
+        J = G_lin + cache.J_nl
+        F = G_lin @ x - b + cache.F_nl
         return F, J
 
     # -- solution access -------------------------------------------------------

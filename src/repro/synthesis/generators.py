@@ -17,6 +17,7 @@ All arithmetic is unsigned with little-endian bit order (index 0 = LSB).
 from __future__ import annotations
 
 from repro.errors import SynthesisError
+from repro.runtime import telemetry
 from repro.synthesis.netlist import Netlist
 
 Bits = list[str]
@@ -480,6 +481,7 @@ def complex_alu_slice(width: int = 16, name: str = "complex_slice"
     return nl
 
 
+@telemetry.timed("solver.netlist")
 def complex_alu_slice_counts(width: int = 16) -> dict[str, int]:
     """Generic cell multiset of ``complex_alu_slice(width)``, composed.
 

@@ -174,6 +174,7 @@ def _extend_mapping(netlist: Netlist, base_mapped: Netlist, counter: int,
     return mapped
 
 
+@telemetry.timed("solver.mapping")
 def lower_cell_counts(counts: dict[str, int]) -> dict[str, int]:
     """Library-cell multiset that mapping a generic cell multiset yields.
 
@@ -189,6 +190,7 @@ def lower_cell_counts(counts: dict[str, int]) -> dict[str, int]:
     return lowered
 
 
+@telemetry.timed("solver.mapping")
 def mapped_cell_counts(netlist: Netlist) -> dict[str, int]:
     """Library-cell multiset of ``technology_map(netlist)``, by counting."""
     return lower_cell_counts(netlist.cell_counts())

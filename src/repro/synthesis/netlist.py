@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import hashlib
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import SynthesisError
 

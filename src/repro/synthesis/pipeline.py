@@ -42,7 +42,6 @@ Two implementations compute the same cut (DESIGN §7j):
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -457,6 +456,7 @@ def _lockstep(netlist: Netlist, struct: dict, delays_lv: np.ndarray,
     return {n: st[1] for n, st in state.items()}
 
 
+@telemetry.timed("solver.pipeline")
 def pipeline_sweep(netlist: Netlist, library: Library, wire: WireModel,
                    stage_counts: list[int] | range,
                    skew_fo4: float = 0.5) -> list[PipelineResult]:
@@ -475,9 +475,7 @@ def pipeline_sweep(netlist: Netlist, library: Library, wire: WireModel,
     """
     counts = list(stage_counts)
     _check_request(netlist, counts)
-    t0 = time.perf_counter()
     delays = per_gate_delays(netlist, library, wire)
-    sta_s = time.perf_counter() - t0
     struct, delays_lv = _lockstep_inputs(netlist, delays)
 
     # A budget depends on the netlist's levels, the gate delays and the
@@ -518,6 +516,4 @@ def pipeline_sweep(netlist: Netlist, library: Library, wire: WireModel,
         results.append(_result(netlist, library, wire, gate_area, skew_fo4,
                                best[k], int(n_stages[k]), n_regs[k],
                                dict(zip(names, assignments[k]))))
-    if telemetry.ENABLED:
-        telemetry.time_add("solver.pipeline", time.perf_counter() - t0 - sta_s)
     return results

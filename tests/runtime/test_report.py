@@ -99,7 +99,7 @@ class TestWriteAndDiscover:
         import os
         os.utime(old, (1, 1))
         assert report.latest_report_path(tmp_path) == new
-        # `--trace` writes the Chrome trace after its report.
+        # `python -m repro trace` writes the Chrome trace after its report.
         trace = tmp_path / "b.trace.json"
         trace.write_text("[]")
         os.utime(new, (2, 2))

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import pickle
 import re
+import threading
 from pathlib import Path
 
 import pytest
@@ -37,11 +39,48 @@ def _count_task(i: int) -> int:
     return i
 
 
+class _FakeClock:
+    """A clock that moves only when told to."""
+
+    def __init__(self, step: float = 0.0) -> None:
+        self.now = 0.0
+        self.step = step
+
+    def __call__(self) -> float:
+        now = self.now
+        self.now += self.step
+        return now
+
+    def advance(self, seconds: float) -> None:
+        self.now += seconds
+
+
+@pytest.fixture
+def clock(monkeypatch) -> _FakeClock:
+    fake = _FakeClock()
+    monkeypatch.setattr(telemetry, "_clock", fake)
+    return fake
+
+
+@telemetry.timed("solver.stamp")
+def _stamp_step() -> None:
+    pass
+
+
 def _profiled_task(i: int) -> int:
-    if telemetry.ENABLED:
-        telemetry.time_add("solver.stamp", 0.002)
-        telemetry.time_add("solver.solve", 0.001)
+    """Books exactly one 2 ms ``stamp`` call in whichever process runs it."""
+    real = telemetry._clock
+    telemetry._clock = _FakeClock(step=0.002)
+    try:
+        _stamp_step()
+    finally:
+        telemetry._clock = real
     return i
+
+
+def _stages(**seconds: float) -> dict[str, float]:
+    """A ``{stage: seconds}`` map over every stage, 0 where not given."""
+    return {stage: seconds.get(stage, 0.0) for stage in telemetry.STAGES}
 
 
 class TestInstruments:
@@ -50,7 +89,7 @@ class TestInstruments:
         telemetry.enable(False)
         telemetry.count("x")
         telemetry.observe("y", 1.0)
-        telemetry.time_add("z", 0.5)
+        _stamp_step()
         with telemetry.span("s"):
             pass
         assert telemetry.counters() == {}
@@ -58,14 +97,17 @@ class TestInstruments:
         assert telemetry.span_tree() == []
         assert telemetry.span_totals() == {}
 
-    def test_counters_and_distributions(self):
+    def test_counters_and_distributions(self, monkeypatch):
+        monkeypatch.setattr(telemetry, "_clock", _FakeClock(step=0.125))
+        timed = telemetry.timed("t")(lambda: None)
         with telemetry.collecting():
             telemetry.count("n")
             telemetry.count("n", 4)
             telemetry.observe("d", 3.0)
             telemetry.observe("d", 1.0)
             telemetry.observe("d", 2.0)
-            telemetry.time_add("t", 0.25, calls=2)
+            timed()
+            timed()
             assert telemetry.counters() == {"n": 5}
             dist = telemetry.metrics_snapshot()["distributions"]["d"]
             assert dist["count"] == 3
@@ -203,45 +245,196 @@ class TestMerge:
         assert breakdown["overhead"] == pytest.approx(1.0)
 
 
+class TestSelfTime:
+    """``timed`` books each call's duration less its nested timed calls."""
+
+    def test_nested_frames_book_disjoint_self_time(self, clock):
+        @telemetry.timed("inner")
+        def inner():
+            clock.advance(0.6)
+
+        @telemetry.timed("outer")
+        def outer():
+            clock.advance(0.3)
+            inner()
+            clock.advance(0.1)
+
+        with telemetry.collecting():
+            outer()
+            timers = telemetry.timers()
+        assert timers["outer"]["seconds"] == pytest.approx(0.4)
+        assert timers["inner"]["seconds"] == pytest.approx(0.6)
+        assert timers["outer"]["calls"] == timers["inner"]["calls"] == 1
+
+    def test_grandchild_time_is_charged_to_its_parent_only(self, clock):
+        @telemetry.timed("c")
+        def c():
+            clock.advance(0.5)
+
+        @telemetry.timed("b")
+        def b():
+            clock.advance(0.2)
+            c()
+
+        @telemetry.timed("a")
+        def a():
+            clock.advance(0.1)
+            b()
+
+        with telemetry.collecting():
+            a()
+            timers = telemetry.timers()
+        assert timers["a"]["seconds"] == pytest.approx(0.1)
+        assert timers["b"]["seconds"] == pytest.approx(0.2)
+        assert timers["c"]["seconds"] == pytest.approx(0.5)
+
+    def test_same_stage_nesting_books_the_stage_once(self, clock):
+        @telemetry.timed("solver.structures")
+        def inner():
+            clock.advance(0.6)
+
+        @telemetry.timed("solver.structures")
+        def outer():
+            clock.advance(0.4)
+            inner()
+
+        with telemetry.collecting():
+            outer()
+            timer = telemetry.timers()["solver.structures"]
+            out = telemetry.breakdown(1.0)
+        assert timer["seconds"] == pytest.approx(1.0)
+        assert timer["calls"] == 2
+        assert out["structures"] == pytest.approx(1.0)
+        assert out["overhead"] == 0.0
+
+    def test_exception_unwinds_the_frame(self, clock):
+        @telemetry.timed("inner")
+        def inner():
+            clock.advance(0.6)
+            raise ValueError("boom")
+
+        @telemetry.timed("outer")
+        def outer():
+            with pytest.raises(ValueError):
+                inner()
+            clock.advance(0.4)
+
+        with telemetry.collecting():
+            with pytest.raises(KeyError):
+                telemetry.timed("raises")(lambda: {}["missing"])()
+            assert telemetry._REG.frames == []
+            outer()
+            assert telemetry._REG.frames == []
+            timers = telemetry.timers()
+        assert timers["inner"]["seconds"] == pytest.approx(0.6)
+        assert timers["outer"]["seconds"] == pytest.approx(0.4)
+        assert timers["raises"]["calls"] == 1
+
+    def test_frame_stacks_are_per_thread(self, clock):
+        """A call on another thread, made while this thread's frame is
+        open, is not charged to that frame."""
+        opened, done = threading.Event(), threading.Event()
+        seen = []
+
+        @telemetry.timed("worker")
+        def worker():
+            clock.advance(0.6)
+
+        def other_thread():
+            opened.wait()
+            seen.append(list(telemetry._REG.frames))
+            worker()
+            done.set()
+
+        @telemetry.timed("main")
+        def main():
+            opened.set()
+            done.wait()
+            clock.advance(0.4)
+
+        with telemetry.collecting():
+            thread = threading.Thread(target=other_thread)
+            thread.start()
+            main()
+            thread.join()
+            timers = telemetry.timers()
+        assert seen == [[]]
+        assert timers["worker"]["seconds"] == pytest.approx(0.6)
+        assert timers["main"]["seconds"] == pytest.approx(1.0)
+
+
 class TestProfileAccounting:
     """breakdown() must reject stage sums exceeding wall time."""
 
     def test_double_counted_stage_raises(self):
-        with telemetry.collecting():
-            telemetry.time_add("solver.solve", 0.8)
-            telemetry.time_add("solver.step_control", 0.5)  # 1.3 > 1.0
-            with pytest.raises(telemetry.ProfileAccountingError,
-                               match="double-counted"):
-                telemetry.breakdown(1.0)
-        telemetry.reset()
+        with pytest.raises(telemetry.ProfileAccountingError,
+                           match="double-counted"):
+            telemetry.breakdown(1.0, stages=_stages(solve=0.8,
+                                                    step_control=0.5))
 
     def test_timer_granularity_slack_tolerated(self):
         # A per-call-overhead overshoot of a fraction of a percent is
         # measurement noise, not double-counting.
-        with telemetry.collecting():
-            telemetry.time_add("solver.solve", 1.001)
-            out = telemetry.breakdown(1.0)
-        telemetry.reset()
+        out = telemetry.breakdown(1.0, stages=_stages(solve=1.001))
         assert out["overhead"] == 0.0
 
     def test_check_can_be_disabled(self):
-        with telemetry.collecting():
-            telemetry.time_add("solver.solve", 2.0)
-            out = telemetry.breakdown(1.0, check=False)
-        telemetry.reset()
+        out = telemetry.breakdown(1.0, check=False,
+                                  stages=_stages(solve=2.0))
         assert out["solve"] == pytest.approx(2.0)
         assert out["overhead"] == 0.0
 
-    def test_device_eval_not_double_counted(self):
-        # device_eval is recorded inside stamp regions; the subtraction
-        # must keep the pair within wall time.
+    def test_nested_stages_not_double_counted(self, clock):
+        """``device_eval`` runs inside ``stamp``; self time keeps the
+        pair within the wall time with no subtraction in breakdown()."""
+        @telemetry.timed("solver.device_eval")
+        def evaluate():
+            clock.advance(0.6)
+
+        @telemetry.timed("solver.stamp")
+        def assemble():
+            clock.advance(0.3)
+            evaluate()
+
         with telemetry.collecting():
-            telemetry.time_add("solver.stamp", 0.9)
-            telemetry.time_add("solver.device_eval", 0.6)
-            out = telemetry.breakdown(1.0)
-        telemetry.reset()
+            assemble()
+            out = telemetry.breakdown(0.9)
         assert out["stamp"] == pytest.approx(0.3)
         assert out["device_eval"] == pytest.approx(0.6)
+        assert out["overhead"] == 0.0
+
+
+def _src_modules() -> list[Path]:
+    """Every ``src/`` module except ``telemetry.py`` itself."""
+    own = Path(telemetry.__file__).resolve()
+    return [path for path in sorted(own.parents[1].rglob("*.py"))
+            if path != own]
+
+
+def test_stages_are_booked_only_by_timed_decorators():
+    """Every ``"solver.<stage>"`` literal outside ``telemetry.py`` is the
+    argument of a ``@telemetry.timed(...)`` decorator, and nothing
+    books a timer by hand."""
+    stray = []
+    for path in _src_modules():
+        text = path.read_text(encoding="utf-8")
+        if "time_add(" in text:
+            stray.append(f"{path.name}: time_add(")
+        tree = ast.parse(text)
+        in_decorator = {
+            id(arg) for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for dec in node.decorator_list
+            if isinstance(dec, ast.Call)
+            and ast.unparse(dec.func) == "telemetry.timed"
+            for arg in dec.args}
+        stray += [f"{path.name}:{node.lineno}: {node.value}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)
+                  and re.fullmatch(r"solver\.\w+", node.value)
+                  and id(node) not in in_decorator]
+    assert not stray
 
 
 def test_stage_list_matches_booked_timers():

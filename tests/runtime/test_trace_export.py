@@ -149,12 +149,13 @@ class TestRoundTrip:
         doc = json.loads(trace_export.default_trace_path(path).read_text())
         assert any(e["name"] == "map" for e in doc["traceEvents"])
 
-    def test_experiment_trace_flag(self, tmp_path, capsys):
+    def test_experiment_report_exports_a_trace(self, tmp_path, capsys):
         from repro.__main__ import main
 
         report_path = tmp_path / "fig8.json"
-        rc = main(["fig8", "--report", str(report_path), "--trace"])
-        assert rc == 0
+        assert main(["fig8", "--report", str(report_path)]) == 0
+        assert list(tmp_path.iterdir()) == [report_path]
+        assert main(["trace", str(report_path)]) == 0
         trace_path = tmp_path / "fig8.trace.json"
         assert trace_path.is_file()
         doc = json.loads(trace_path.read_text())

@@ -9,11 +9,14 @@ from repro.spice import (
     Circuit,
     CurrentSource,
     Fet,
+    NewtonOptions,
     Resistor,
     VoltageSource,
     dc_sweep,
     operating_point,
 )
+from repro.spice.dc import solve_operating_point
+from repro.spice.mna import MnaSystem
 
 
 def divider(r1=1e3, r2=1e3, v=1.0):
@@ -54,6 +57,17 @@ class TestLinearDc:
         x, sys = operating_point(divider())
         with pytest.raises(CircuitError):
             sys.voltage(x, "nope")
+
+    def test_start_and_options_are_keyword_only(self):
+        """Options passed where the start vector goes fail at the call,
+        not deep inside the solver."""
+        with pytest.raises(TypeError):
+            operating_point(divider(), NewtonOptions())
+        with pytest.raises(TypeError):
+            solve_operating_point(MnaSystem(divider()), None,
+                                  NewtonOptions())
+        x, sys = operating_point(divider(), options=NewtonOptions())
+        assert sys.voltage(x, "mid") == pytest.approx(0.5)
 
 
 class TestNonlinearDc:

@@ -1,4 +1,4 @@
-"""No process of the reproduction loads SciPy.
+"""Import discipline: no SciPy at run time, and no dead imports.
 
 SciPy is a test-only dependency: the Figure 4 fits run on a numpy port of
 its bounded least squares (``repro.devices.least_squares``), and every
@@ -6,13 +6,19 @@ other algorithm is numpy or a compiled kernel.  A fresh interpreter that
 imports the entry points, solves a VTC or fits Figure 4 holds no
 ``scipy`` module, and Figure 4 runs unchanged where SciPy cannot be
 imported at all.
+
+Every name a ``src/`` module imports is used in that module; package
+``__init__`` files, which import to re-export, are exempt.
 """
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
+import repro
 from repro.analysis.figures import fig4_model_fits
 
 
@@ -67,3 +73,57 @@ def test_figure4_runs_without_scipy_installed():
     fits = fig4_model_fits()
     assert [{k: float.fromhex(v) for k, v in p.items()}
             for p in params] == [fits.level1.params, fits.level61.params]
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names *path* imports but never reads.
+
+    A name counts as read where it appears as an identifier, as a whole
+    string (an ``__all__`` entry), or inside a quoted annotation.  An
+    import marked ``# noqa: F401`` is kept for its side effects.
+    """
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    imported = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) \
+                or getattr(node, "module", None) == "__future__" \
+                or "noqa: F401" in lines[node.lineno - 1]:
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.partition(".")[0]
+            imported[name] = node.lineno
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+        annotations = []
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and node.returns is not None:
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        for annotation in annotations:
+            for sub in ast.walk(annotation):
+                if isinstance(sub, ast.Constant) \
+                        and isinstance(sub.value, str):
+                    used.update(
+                        n.id for n in ast.walk(ast.parse(sub.value,
+                                                         mode="eval"))
+                        if isinstance(n, ast.Name))
+    return [f"{name} (line {line})" for name, line in imported.items()
+            if name not in used]
+
+
+def test_src_modules_import_nothing_they_do_not_use():
+    src = Path(repro.__file__).resolve().parent
+    dead = {str(path.relative_to(src)): names
+            for path in sorted(src.rglob("*.py"))
+            if path.name != "__init__.py"
+            for names in [_unused_imports(path)] if names}
+    assert not dead

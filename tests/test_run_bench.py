@@ -16,13 +16,16 @@ from benchmarks.perf import run_bench
 from repro.runtime import telemetry
 
 
+@telemetry.timed("solver.ipc")
+def _fake_simulations() -> None:
+    time.sleep(0.01)
+
+
 def _fake_depth_sweep(*_args, **_kwargs):
     """Stands in for the sweep: 20 ms of wall, half booked as a stage."""
-    t0 = time.perf_counter()
-    time.sleep(0.02)
+    time.sleep(0.01)
+    _fake_simulations()
     telemetry.count("fake.sweeps")
-    if telemetry.ENABLED:
-        telemetry.time_add("solver.ipc", (time.perf_counter() - t0) / 2)
 
 
 @pytest.fixture
@@ -97,13 +100,17 @@ def test_rows_without_profile_leave_telemetry_off(tmp_path,
         "cpu_count", "python", "machine", "ipc_kernel", "spice_backend"}
 
 
-def test_trace_defaults_to_next_to_the_report(tmp_path, fake_depth_sweep):
-    """A bare ``--trace`` writes the Chrome trace beside ``--report``,
-    with one span for the row."""
+def test_report_exports_a_trace(tmp_path, fake_depth_sweep, capsys):
+    """``python -m repro trace`` turns the ``--report`` document into a
+    Chrome trace with one span for the row."""
+    from repro.__main__ import main as repro_main
+
     out, report = tmp_path / "bench.json", tmp_path / "report.json"
     assert run_bench.main(["--only", "depth_sweep_warm_cache", "--out",
-                           str(out), "--report", str(report),
-                           "--trace"]) == 0
+                           str(out), "--report", str(report)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bench.json",
+                                                          "report.json"]
+    assert repro_main(["trace", str(report)]) == 0
     trace = json.loads((tmp_path / "report.trace.json").read_text())
     names = {event.get("name") for event in trace["traceEvents"]}
     assert "bench:depth_sweep_warm_cache" in names

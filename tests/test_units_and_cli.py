@@ -135,9 +135,6 @@ REPORT_MODES = {
     "report": ([], ["report"], []),
     "report-path": (["--report", "{out}/r.json"], [], ["r.json"]),
     "no-report": (["--no-report"], [], []),
-    "no-report-trace-path": (["--no-report", "--trace", "{out}/t.json"],
-                             [], ["t.json"]),
-    "trace": (["--trace"], ["report", "trace"], []),
 }
 
 REPORTED_COMMANDS = {
@@ -171,25 +168,25 @@ def test_report_modes(target, mode, tmp_path, monkeypatch, capsys):
 
     for path in [*in_runs, *out.glob("*")]:
         doc = json.loads(path.read_text())
-        if _kind(path) == "trace" or path.name == "t.json":
-            assert any(e["name"] == target for e in doc["traceEvents"])
-        else:
-            assert doc["target"] == target and doc["status"] == "ok"
+        assert doc["target"] == target and doc["status"] == "ok"
     printed = capsys.readouterr().out
     assert ("run report:" in printed) == ("--no-report" not in flags)
 
 
 @pytest.mark.parametrize("target", sorted(REPORTED_COMMANDS))
-def test_trace_without_path_needs_a_report(target, monkeypatch, capsys):
-    """``--no-report --trace`` names no place for the trace (its default
-    sits beside the report): exit 2 before the command runs."""
-    from repro import __main__ as cli
+def test_trace_exports_the_latest_report(target, tmp_path, monkeypatch,
+                                         capsys):
+    """``python -m repro trace`` is the one exporter: it turns the
+    report a run left under ``runs/`` into a Chrome trace beside it."""
+    import json
 
-    ran = []
-    monkeypatch.setattr(cli, "_run_reported",
-                        lambda *args: ran.append(args) or 0)
-    with pytest.raises(SystemExit) as excinfo:
-        cli.main(REPORTED_COMMANDS[target] + ["--no-report", "--trace"])
-    assert excinfo.value.code == 2
-    assert "--trace needs a PATH" in capsys.readouterr().err
-    assert ran == []
+    from repro.__main__ import main
+
+    runs = tmp_path / "runs"
+    monkeypatch.setenv("REPRO_RUNS_DIR", str(runs))
+    assert main(REPORTED_COMMANDS[target]) == 0
+    assert main(["trace"]) == 0
+    paths = sorted(runs.glob("*"))
+    assert [_kind(p) for p in paths] == ["report", "trace"]
+    doc = json.loads(paths[1].read_text())
+    assert any(e["name"] == target for e in doc["traceEvents"])
